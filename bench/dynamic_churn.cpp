@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "tlb/core/dynamic.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/util/cli.hpp"
 #include "tlb/util/table.hpp"
@@ -22,7 +23,10 @@ core::DynamicMetrics run_one(core::DynamicConfig cfg, long warmup,
                              long measure, std::uint64_t seed) {
   core::DynamicUserEngine engine(std::move(cfg));
   util::Rng rng(seed);
-  return engine.run(warmup, measure, rng);
+  engine::DriveOptions opt;
+  opt.warmup = warmup;
+  opt.measure = measure;
+  return engine.run(opt, rng);
 }
 
 }  // namespace

@@ -14,17 +14,24 @@
 namespace tlb::core {
 
 DynamicUserEngine::DynamicUserEngine(DynamicConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      completion_(config_.completion_rate, util::FixedBinomial::Table::kOn) {
   if (config_.n < 2) throw std::invalid_argument("DynamicUserEngine: n >= 2");
-  if (config_.arrival_rate < 0.0 || config_.completion_rate < 0.0 ||
-      config_.completion_rate > 1.0) {
-    throw std::invalid_argument("DynamicUserEngine: bad arrival/completion rate");
+  // Every bound is written so that NaN fails it (an ordered comparison with
+  // NaN is false), and infinities are rejected outright: a NaN completion
+  // rate or an infinite arrival rate would otherwise hang the first step().
+  if (!std::isfinite(config_.arrival_rate) || !(config_.arrival_rate >= 0.0) ||
+      !(config_.completion_rate >= 0.0 && config_.completion_rate <= 1.0)) {
+    throw std::invalid_argument(
+        "DynamicUserEngine: arrival rate finite and >= 0, completion rate "
+        "in [0, 1]");
   }
-  if (config_.crash_rate < 0.0 || config_.crash_rate > 1.0) {
+  if (!(config_.crash_rate >= 0.0 && config_.crash_rate <= 1.0)) {
     throw std::invalid_argument("DynamicUserEngine: crash_rate in [0, 1]");
   }
-  if (config_.eps <= 0.0 || config_.alpha <= 0.0) {
-    throw std::invalid_argument("DynamicUserEngine: eps, alpha > 0");
+  if (!std::isfinite(config_.eps) || !(config_.eps > 0.0) ||
+      !std::isfinite(config_.alpha) || !(config_.alpha > 0.0)) {
+    throw std::invalid_argument("DynamicUserEngine: eps, alpha finite and > 0");
   }
   if (config_.classes.empty()) {
     throw std::invalid_argument("DynamicUserEngine: need >= 1 weight class");
@@ -179,8 +186,7 @@ void DynamicUserEngine::do_completions(util::Rng& rng) {
     for (std::size_t c = 0; c < C; ++c) {
       auto& slot = counts_[static_cast<std::size_t>(r) * C + c];
       if (slot == 0) continue;
-      const auto done = static_cast<std::uint32_t>(
-          util::binomial(rng, slot, config_.completion_rate));
+      const auto done = static_cast<std::uint32_t>(completion_(rng, slot));
       if (done == 0) continue;
       slot -= done;
       loads_[r] -= static_cast<double>(done) * class_weights_[c];
@@ -254,12 +260,14 @@ std::size_t DynamicUserEngine::do_protocol_step(util::Rng& rng) {
             const double p =
                 std::min(1.0, config_.alpha * std::ceil(phi / w_max_) /
                                   static_cast<double>(task_counts_[r]));
+            // One sampler per resource: its classes share p, so they share
+            // its log(1 - p) too.
+            const util::FixedBinomial leave(p);
             for (std::size_t c = 0; c < C; ++c) {
               const std::uint32_t k =
                   counts_[static_cast<std::size_t>(r) * C + c];
               if (k == 0) continue;
-              const auto leavers =
-                  static_cast<std::uint32_t>(util::binomial(srng, k, p));
+              const auto leavers = static_cast<std::uint32_t>(leave(srng, k));
               if (leavers > 0) {
                 buf.push_back({r, static_cast<std::uint32_t>(c), leavers});
               }
@@ -447,14 +455,6 @@ DynamicMetrics DynamicUserEngine::run(const engine::DriveOptions& opt,
   metrics_ = nullptr;
   engine::drive(*this, rng, opt, observer);
   return metrics_store_;
-}
-
-DynamicMetrics DynamicUserEngine::run(long warmup, long measure,
-                                      util::Rng& rng) {
-  engine::DriveOptions opt;
-  opt.warmup = warmup;
-  opt.measure = measure;
-  return run(opt, rng);
 }
 
 }  // namespace tlb::core

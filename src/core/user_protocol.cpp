@@ -495,12 +495,14 @@ std::size_t GroupedUserEngine::step(util::Rng& rng) {
             const double p =
                 leave_probability(config_.alpha, phi, w_max, task_counts_[r]);
             if (p <= 0.0) continue;
+            // One sampler per resource: its classes share p, so they share
+            // its log(1 - p) too.
+            const util::FixedBinomial leave(p);
             for (std::size_t c = 0; c < C; ++c) {
               const std::uint32_t k =
                   counts_[static_cast<std::size_t>(r) * C + c];
               if (k == 0) continue;
-              const auto leavers =
-                  static_cast<std::uint32_t>(util::binomial(srng, k, p));
+              const auto leavers = static_cast<std::uint32_t>(leave(srng, k));
               if (leavers > 0) {
                 buf.push_back({r, static_cast<std::uint32_t>(c), leavers});
               }

@@ -14,8 +14,8 @@
 //   * warmup + measure (measure >= 0): step `warmup` unobserved rounds,
 //     bracket the next `measure` rounds with begin_measure()/end_measure()
 //     (engines without the hooks just run), observing only the measured
-//     window. The churn semantics DynamicUserEngine::run(warmup, measure)
-//     used to hard-code.
+//     window. The churn semantics; DynamicUserEngine::run(DriveOptions,
+//     rng) drives its warm-up and measured window through this mode.
 //
 // Determinism contract: drive() itself never draws from `rng`; only
 // step(rng) does. Observers see const views. A drive is therefore bitwise

@@ -7,34 +7,7 @@ namespace tlb::util {
 namespace detail {
 
 std::uint64_t binomial_inversion(Rng& rng, std::uint64_t n, double p) {
-  // Degenerate endpoints first. p = 1.0 is reachable in production: the
-  // user protocol's leave probability clamps to exactly 1.0 on extreme
-  // piles, and without this guard log(1-p) = -inf makes f = 0 and
-  // r = p/q = inf, so the CDF walk below returns garbage (1) instead of n.
-  if (n == 0 || p <= 0.0) return 0;
-  if (p >= 1.0) return n;
-  // Keep q away from 0 so log(q) and p/q stay finite.
-  if (p > 0.5) return n - binomial_inversion(rng, n, 1.0 - p);
-  const double q = 1.0 - p;
-  // qn = q^n computed in log space to survive large n.
-  const double log_q = std::log(q);
-  double f = std::exp(static_cast<double>(n) * log_q);
-  if (f <= 0.0) {
-    // q^n underflowed (n*log q < ~-745, i.e. n*p >~ 745): the CDF walk would
-    // consume all mass and report n. That regime is squarely BTRS territory.
-    return binomial_btrs(rng, n, p);
-  }
-  double u = rng.uniform01();
-  std::uint64_t k = 0;
-  // Recurrence: P(k+1) = P(k) * (n-k)/(k+1) * p/q.
-  const double r = p / q;
-  while (u > f) {
-    u -= f;
-    f *= r * static_cast<double>(n - k) / static_cast<double>(k + 1);
-    ++k;
-    if (k >= n) return n;  // numerical guard: all mass consumed
-  }
-  return k;
+  return FixedBinomial(p).inversion(rng, n);
 }
 
 std::uint64_t binomial_btrs(Rng& rng, std::uint64_t n, double p) {
@@ -90,14 +63,57 @@ std::uint64_t binomial_btrs(Rng& rng, std::uint64_t n, double p) {
 
 }  // namespace detail
 
+FixedBinomial::FixedBinomial(double p, Table table) {
+  // Degenerate endpoints first. NaN fails every ordered comparison, so it is
+  // caught by !(p > 0) and treated as p = 0 (the Rng::bernoulli contract)
+  // instead of reaching BTRS, whose accept test it would make always false.
+  // p = 1.0 is reachable in production: the user protocol's leave
+  // probability clamps to exactly 1.0 on extreme piles, and without this
+  // guard log(1-p) = -inf makes f = 0 and r = p/q = inf, so the CDF walk
+  // would return garbage (1) instead of n.
+  if (!(p > 0.0)) {
+    kind_ = Kind::kNone;
+    return;
+  }
+  if (p >= 1.0) {
+    kind_ = Kind::kAll;
+    return;
+  }
+  // Exploit symmetry so the inversion path sees the smaller tail, which
+  // also keeps q away from 0 so log(q) and p/q stay finite.
+  flip_ = p > 0.5;
+  p_ = flip_ ? 1.0 - p : p;
+  const double q = 1.0 - p_;
+  log_q_ = std::log(q);
+  r_ = p_ / q;
+  if (table == Table::kOn) {
+    std::size_t size = 0;
+    while (size < kTableCap && static_cast<double>(size) * p_ < 10.0) ++size;
+    table_.resize(size);
+    for (std::size_t k = 0; k < size; ++k) table_[k] = q_pow(k);
+  }
+}
+
+std::uint64_t FixedBinomial::inversion(Rng& rng, std::uint64_t n) const {
+  if (n == 0 || kind_ != Kind::kSample) return kind_ == Kind::kAll ? n : 0;
+  const std::uint64_t k = search(rng, n, q_pow(n));
+  return flip_ ? n - k : k;
+}
+
+std::uint64_t FixedBinomial::walk(double u, double f, std::uint64_t n) const {
+  // Recurrence: P(k+1) = P(k) * (n-k)/(k+1) * p/q.
+  std::uint64_t k = 0;
+  do {
+    u -= f;
+    f *= r_ * static_cast<double>(n - k) / static_cast<double>(k + 1);
+    ++k;
+    if (k >= n) return n;  // numerical guard: all mass consumed
+  } while (u > f);
+  return k;
+}
+
 std::uint64_t binomial(Rng& rng, std::uint64_t n, double p) {
-  if (n == 0 || p <= 0.0) return 0;
-  if (p >= 1.0) return n;
-  // Exploit symmetry so the inversion path sees the smaller tail.
-  if (p > 0.5) return n - binomial(rng, n, 1.0 - p);
-  const double np = static_cast<double>(n) * p;
-  if (np < 10.0) return detail::binomial_inversion(rng, n, p);
-  return detail::binomial_btrs(rng, n, p);
+  return FixedBinomial(p)(rng, n);
 }
 
 }  // namespace tlb::util

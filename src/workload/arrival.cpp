@@ -48,7 +48,11 @@ std::string BatchArrivals::name() const { return "batch"; }
 
 PoissonArrivals::PoissonArrivals(double rate, double completion)
     : rate_(rate), completion_(completion) {
-  if (!(rate > 0.0)) throw std::invalid_argument("poisson: rate > 0");
+  // Written so NaN fails the bound; an infinite rate would make every
+  // round's arrival count unbounded.
+  if (!std::isfinite(rate) || !(rate > 0.0)) {
+    throw std::invalid_argument("poisson: rate finite and > 0");
+  }
   if (!(completion > 0.0 && completion <= 1.0)) {
     throw std::invalid_argument("poisson: completion in (0, 1]");
   }

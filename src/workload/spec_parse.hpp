@@ -72,7 +72,8 @@ inline std::uint64_t arg_uint(const std::string& kind,
                               const std::string& spec,
                               const std::string& arg) {
   const double v = arg_double(kind, spec, arg);
-  if (v < 0.0 || v != std::floor(v)) {
+  // !(v < 2^64) also rejects inf and NaN, which the cast below cannot hold.
+  if (v < 0.0 || v != std::floor(v) || !(v < 0x1p64)) {
     bad_call(kind, spec, "'" + arg + "' is not a non-negative integer");
   }
   return static_cast<std::uint64_t>(v);

@@ -9,10 +9,21 @@
 #include <cstdint>
 #include <limits>
 
+#include "tlb/engine/driver.hpp"
+
 namespace {
 
 using namespace tlb::core;
 using tlb::util::Rng;
+
+/// `warmup` unrecorded rounds, then `measure` recorded ones.
+DynamicMetrics run_churn(DynamicUserEngine& engine, long warmup, long measure,
+                         Rng& rng) {
+  tlb::engine::DriveOptions opt;
+  opt.warmup = warmup;
+  opt.measure = measure;
+  return engine.run(opt, rng);
+}
 
 DynamicConfig base_config() {
   DynamicConfig cfg;
@@ -27,7 +38,7 @@ DynamicConfig base_config() {
 TEST(DynamicTest, PopulationReachesSteadyState) {
   DynamicUserEngine engine(base_config());
   Rng rng(1);
-  const auto metrics = engine.run(/*warmup=*/2000, /*measure=*/2000, rng);
+  const auto metrics = run_churn(engine, /*warmup=*/2000, /*measure=*/2000, rng);
   // Steady state: arrivals/round == completions/round in expectation, so
   // population ~ rate/completion = 1000, within generous tolerance.
   EXPECT_NEAR(metrics.population.mean(), 1000.0, 200.0);
@@ -39,7 +50,7 @@ TEST(DynamicTest, PopulationReachesSteadyState) {
 TEST(DynamicTest, UniformArrivalsKeepOverloadRare) {
   DynamicUserEngine engine(base_config());
   Rng rng(2);
-  const auto metrics = engine.run(2000, 3000, rng);
+  const auto metrics = run_churn(engine, 2000, 3000, rng);
   // With uniform arrivals and 20% headroom, overloaded resources should be
   // a small minority on average.
   EXPECT_LT(metrics.overloaded_fraction.mean(), 0.10);
@@ -51,7 +62,7 @@ TEST(DynamicTest, HotspotArrivalsAreAbsorbed) {
   cfg.hotspot_arrivals = true;  // everything lands on resource 0
   DynamicUserEngine engine(cfg);
   Rng rng(3);
-  const auto metrics = engine.run(2000, 3000, rng);
+  const auto metrics = run_churn(engine, 2000, 3000, rng);
   // The protocol must keep draining the hotspot: overload stays confined to
   // ~the hotspot itself (1% of resources) and the system keeps moving tasks.
   EXPECT_LT(metrics.overloaded_fraction.mean(), 0.05);
@@ -63,7 +74,7 @@ TEST(DynamicTest, CrashesAreRecoveredFrom) {
   cfg.crash_rate = 0.05;  // a crash every ~20 rounds
   DynamicUserEngine engine(cfg);
   Rng rng(4);
-  const auto metrics = engine.run(2000, 4000, rng);
+  const auto metrics = run_churn(engine, 2000, 4000, rng);
   EXPECT_GT(metrics.crashes, 100u);  // the scenario actually exercised crashes
   // Scattered fail-over load is re-balanced: overload stays bounded.
   EXPECT_LT(metrics.overloaded_fraction.mean(), 0.15);
@@ -114,11 +125,57 @@ TEST(DynamicTest, RejectsBadConfig) {
   cfg.completion_rate = 1.5;
   EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument);
   cfg = base_config();
+  cfg.completion_rate = -0.1;
+  EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument);
+  cfg = base_config();
+  cfg.arrival_rate = -1.0;
+  EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument);
+  cfg = base_config();
+  cfg.crash_rate = 1.5;
+  EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument);
+  cfg = base_config();
+  cfg.eps = 0.0;
+  EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument);
+  cfg = base_config();
+  cfg.alpha = -1.0;
+  EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument);
+  cfg = base_config();
   cfg.classes = {{0.5, 1.0}};  // weight < 1
   EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument);
   cfg = base_config();
   cfg.classes.clear();
   EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument);
+}
+
+TEST(DynamicTest, RejectsNonFiniteRates) {
+  // Ordered bounds let NaN through: with completion_rate = NaN the first
+  // step() used to hang in the completion sampler, and an infinite arrival
+  // rate asks for unboundedly many tasks per round.
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    DynamicConfig cfg = base_config();
+    cfg.arrival_rate = bad;
+    EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument) << bad;
+    cfg = base_config();
+    cfg.completion_rate = bad;
+    EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument) << bad;
+    cfg = base_config();
+    cfg.crash_rate = bad;
+    EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument) << bad;
+    cfg = base_config();
+    cfg.eps = bad;
+    EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument) << bad;
+    cfg = base_config();
+    cfg.alpha = bad;
+    EXPECT_THROW(DynamicUserEngine{cfg}, std::invalid_argument) << bad;
+  }
+  // The closed ends of the ranges stay legal.
+  DynamicConfig cfg = base_config();
+  cfg.arrival_rate = 0.0;
+  cfg.completion_rate = 1.0;
+  cfg.crash_rate = 1.0;
+  EXPECT_NO_THROW(DynamicUserEngine{cfg});
 }
 
 TEST(DynamicTest, RejectsNonFiniteClassWeights) {

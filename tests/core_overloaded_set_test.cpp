@@ -17,6 +17,7 @@
 #include "tlb/core/system_state.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/task_set.hpp"
 #include "tlb/tasks/weights.hpp"
@@ -282,7 +283,10 @@ TEST(EngineParanoidTest, DynamicEngineAuditedChurn) {
   cfg.paranoid_checks = true;
   DynamicUserEngine engine(cfg);
   Rng rng(13);
-  EXPECT_NO_THROW(engine.run(/*warmup=*/200, /*measure=*/300, rng));
+  tlb::engine::DriveOptions opt;
+  opt.warmup = 200;
+  opt.measure = 300;
+  EXPECT_NO_THROW(engine.run(opt, rng));
 }
 
 TEST(WorkloadPresetParanoidTest, AllRegisteredPresetsPassAuditedRuns) {

@@ -305,14 +305,6 @@ TEST(EngineDriverTest, DynamicEngineMatchesLegacyWarmupMeasureLoop) {
     const core::DynamicMetrics metrics = driven.run(opt, driven_rng);
     EXPECT_EQ(expected, dynamic_fingerprint(driven, metrics))
         << "threads=" << threads;
-
-    // Deprecated forwarding overload must stay equivalent for one PR.
-    core::DynamicUserEngine forwarded(cfg);
-    Rng forwarded_rng(4242);
-    const core::DynamicMetrics fmetrics =
-        forwarded.run(warmup, measure, forwarded_rng);
-    EXPECT_EQ(expected, dynamic_fingerprint(forwarded, fmetrics))
-        << "threads=" << threads;
   }
 }
 

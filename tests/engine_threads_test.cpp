@@ -14,6 +14,7 @@
 
 #include "tlb/core/dynamic.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/task_set.hpp"
 #include "tlb/util/rng.hpp"
@@ -230,7 +231,10 @@ void run_dynamic_and_compare(DynamicConfig cfg, long warmup, long measure,
     c.threads = threads;
     DynamicUserEngine engine(c);
     Rng rng(seed);
-    const DynamicMetrics metrics = engine.run(warmup, measure, rng);
+    tlb::engine::DriveOptions opt;
+    opt.warmup = warmup;
+    opt.measure = measure;
+    const DynamicMetrics metrics = engine.run(opt, rng);
     std::vector<double> loads(cfg.n);
     for (tlb::graph::Node r = 0; r < cfg.n; ++r) loads[r] = engine.load(r);
     return std::tuple(metrics.overloaded_fraction.mean(),

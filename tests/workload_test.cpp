@@ -164,7 +164,15 @@ TEST(ArrivalTest, SpecRoundTripsThroughName) {
 
 TEST(ArrivalTest, ParseErrors) {
   for (const char* spec : {"nope", "poisson", "poisson(0)", "poisson(5,2)",
-                           "burst(50)", "burst(0,10)", "batch(1)"}) {
+                           "burst(50)", "burst(0,10)", "batch(1)",
+                           // Non-finite parameters: NaN fails an ordered
+                           // bound only if the bound is written for it, and
+                           // an infinite rate or size never ends a round.
+                           "poisson(inf,0.01)", "poisson(nan,0.01)",
+                           "poisson(20,nan)", "poisson(20,inf)",
+                           "burst(50,400,inf)", "burst(50,400,nan)",
+                           "burst(50,inf)", "burst(inf,10)", "burst(nan,10)",
+                           "burst(50,1e30)"}) {
     EXPECT_THROW(workload::parse_arrival_process(spec), std::invalid_argument)
         << spec;
   }
@@ -303,6 +311,8 @@ TEST(ScenarioSpecTest, ParseErrors) {
            "seqthresh:hypercube",           // baselines need complete
            "twochoice:torus",               // baselines need complete
            "selfish:complete:unit:poisson(5,0.02)",  // baselines are batch-only
+           "user:complete:unit:poisson(inf,0.01)",   // unbounded arrivals
+           "user:complete:unit:poisson(20,nan)",     // NaN completion rate
            "twochoice(0):complete",         // d out of range
            "twochoice(2.5):complete",       // d not an integer
            "twochoice(:complete",           // malformed parameter

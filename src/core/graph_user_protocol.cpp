@@ -19,8 +19,9 @@ GraphUserEngine::GraphUserEngine(const graph::Graph& g,
       walk_(g, config_.walk),
       state_(ts, g.num_nodes()) {
   if (config_.thresholds.empty()) {
-    if (config_.threshold <= 0.0) {
-      throw std::invalid_argument("GraphUserEngine: threshold must be > 0");
+    if (!(config_.threshold > 0.0) || !std::isfinite(config_.threshold)) {
+      throw std::invalid_argument(
+          "GraphUserEngine: threshold must be finite and > 0");
     }
     thresholds_.assign(g.num_nodes(), config_.threshold);
   } else {
@@ -28,10 +29,17 @@ GraphUserEngine::GraphUserEngine(const graph::Graph& g,
       throw std::invalid_argument(
           "GraphUserEngine: thresholds size must equal node count");
     }
+    for (double t : config_.thresholds) {
+      if (!(t > 0.0) || !std::isfinite(t)) {
+        throw std::invalid_argument(
+            "GraphUserEngine: all thresholds must be finite and > 0");
+      }
+    }
     thresholds_ = config_.thresholds;
   }
-  if (config_.alpha <= 0.0) {
-    throw std::invalid_argument("GraphUserEngine: alpha must be > 0");
+  if (!(config_.alpha > 0.0) || !std::isfinite(config_.alpha)) {
+    throw std::invalid_argument(
+        "GraphUserEngine: alpha must be finite and > 0");
   }
   state_.set_thresholds(thresholds_);
 }
@@ -69,13 +77,12 @@ std::size_t GraphUserEngine::step(util::Rng& rng) {
     mover_origin_.insert(mover_origin_.end(), movers_.size() - before, r);
   }
 
-  // Phase 2: each leaver takes one P-step from its origin. A self-loop of P
-  // means the task stays (it "migrates to itself"), which keeps the uniform
-  // stationary distribution the analysis relies on.
-  for (std::size_t i = 0; i < movers_.size(); ++i) {
-    const Node dst = walk_.step(mover_origin_[i], rng);
-    state_.push(dst, movers_[i]);
-  }
+  // Phase 2: each leaver takes one P-step from its origin (drawn first, in
+  // mover order, each replacing its origin), then one bulk append. A
+  // self-loop of P means the task stays (it "migrates to itself"), which
+  // keeps the uniform stationary distribution the analysis relies on.
+  for (Node& slot : mover_origin_) slot = walk_.step(slot, rng);
+  state_.scatter(mover_origin_, movers_);
   return movers_.size();
 }
 

@@ -19,8 +19,9 @@ MixedProtocolEngine::MixedProtocolEngine(const graph::Graph& g,
       walk_(g, config_.walk),
       state_(ts, g.num_nodes()) {
   if (config_.thresholds.empty()) {
-    if (config_.threshold <= 0.0) {
-      throw std::invalid_argument("MixedProtocolEngine: threshold must be > 0");
+    if (!(config_.threshold > 0.0) || !std::isfinite(config_.threshold)) {
+      throw std::invalid_argument(
+          "MixedProtocolEngine: threshold must be finite and > 0");
     }
     thresholds_.assign(g.num_nodes(), config_.threshold);
   } else {
@@ -28,14 +29,21 @@ MixedProtocolEngine::MixedProtocolEngine(const graph::Graph& g,
       throw std::invalid_argument(
           "MixedProtocolEngine: thresholds size must equal node count");
     }
+    for (double t : config_.thresholds) {
+      if (!(t > 0.0) || !std::isfinite(t)) {
+        throw std::invalid_argument(
+            "MixedProtocolEngine: all thresholds must be finite and > 0");
+      }
+    }
     thresholds_ = config_.thresholds;
   }
   if (config_.resource_probability < 0.0 || config_.resource_probability > 1.0) {
     throw std::invalid_argument(
         "MixedProtocolEngine: resource_probability in [0, 1]");
   }
-  if (config_.alpha <= 0.0) {
-    throw std::invalid_argument("MixedProtocolEngine: alpha must be > 0");
+  if (!(config_.alpha > 0.0) || !std::isfinite(config_.alpha)) {
+    throw std::invalid_argument(
+        "MixedProtocolEngine: alpha must be finite and > 0");
   }
   state_.set_thresholds(thresholds_);
 }
@@ -85,11 +93,10 @@ std::size_t MixedProtocolEngine::step(util::Rng& rng) {
   }
   if (any_resource_mode) ++resource_rounds_;
 
-  // Phase 2: every leaver takes one P-step from its origin.
-  for (std::size_t i = 0; i < movers_.size(); ++i) {
-    const Node dst = walk_.step(mover_origin_[i], rng);
-    state_.push(dst, movers_[i]);
-  }
+  // Phase 2: every leaver takes one P-step from its origin (drawn first,
+  // in mover order, each replacing its origin), then one bulk append.
+  for (Node& slot : mover_origin_) slot = walk_.step(slot, rng);
+  state_.scatter(mover_origin_, movers_);
   return movers_.size();
 }
 

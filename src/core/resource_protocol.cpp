@@ -1,6 +1,7 @@
 #include "tlb/core/resource_protocol.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "tlb/core/potential.hpp"
@@ -17,9 +18,9 @@ ResourceControlledEngine::ResourceControlledEngine(const graph::Graph& g,
       walk_(g, config_.walk),
       state_(ts, g.num_nodes()) {
   if (config_.thresholds.empty()) {
-    if (config_.threshold <= 0.0) {
+    if (!(config_.threshold > 0.0) || !std::isfinite(config_.threshold)) {
       throw std::invalid_argument(
-          "ResourceControlledEngine: threshold must be > 0");
+          "ResourceControlledEngine: threshold must be finite and > 0");
     }
     thresholds_.assign(g.num_nodes(), config_.threshold);
   } else {
@@ -28,9 +29,9 @@ ResourceControlledEngine::ResourceControlledEngine(const graph::Graph& g,
           "ResourceControlledEngine: thresholds size must equal node count");
     }
     for (double t : config_.thresholds) {
-      if (t <= 0.0) {
+      if (!(t > 0.0) || !std::isfinite(t)) {
         throw std::invalid_argument(
-            "ResourceControlledEngine: all thresholds must be > 0");
+            "ResourceControlledEngine: all thresholds must be finite and > 0");
       }
     }
     thresholds_ = config_.thresholds;
@@ -57,13 +58,12 @@ std::size_t ResourceControlledEngine::step(util::Rng& rng) {
     mover_origin_.insert(mover_origin_.end(), movers_.size() - before, r);
   }
 
-  // Phase 2+3: one P-step per evicted task, then append at the destination
-  // (acceptance test happens on push). Arrival order = eviction order, which
-  // the model leaves arbitrary.
-  for (std::size_t i = 0; i < movers_.size(); ++i) {
-    const Node dst = walk_.step(mover_origin_[i], rng);
-    state_.push_accepting(dst, movers_[i]);
-  }
+  // Phase 2+3: one P-step per evicted task (drawn first, in eviction
+  // order, each replacing its origin), then one bulk append with the
+  // acceptance test. Arrival order = eviction order, which the model
+  // leaves arbitrary.
+  for (Node& slot : mover_origin_) slot = walk_.step(slot, rng);
+  state_.scatter_accepting(mover_origin_, movers_);
   return movers_.size();
 }
 

@@ -13,8 +13,9 @@ SystemState::SystemState(const tasks::TaskSet& tasks, Node n)
 }
 
 void SystemState::set_thresholds(double threshold) {
-  if (threshold <= 0.0) {
-    throw std::invalid_argument("SystemState::set_thresholds: threshold > 0");
+  if (!(threshold > 0.0) || !std::isfinite(threshold)) {
+    throw std::invalid_argument(
+        "SystemState::set_thresholds: threshold finite and > 0");
   }
   // Re-registering the value already in force cannot flip any status (the
   // recompute_threshold no-op guard, applied to the bulk mutator): zero
@@ -53,9 +54,9 @@ void SystemState::set_thresholds(std::vector<double> thresholds) {
         "SystemState::set_thresholds: size must equal resource count");
   }
   for (double t : thresholds) {
-    if (t <= 0.0) {
+    if (!(t > 0.0) || !std::isfinite(t)) {
       throw std::invalid_argument(
-          "SystemState::set_thresholds: all thresholds must be > 0");
+          "SystemState::set_thresholds: all thresholds must be finite and > 0");
     }
   }
   const Node n = arena_.num_resources();
@@ -88,20 +89,24 @@ void SystemState::place(const tasks::Placement& placement,
   overloaded_.mark_all_dirty();
 }
 
-void SystemState::push(Node r, TaskId id) {
-  arena_.push(r, id, tasks_->weight(id));
-  overloaded_.mark_dirty(r);
+void SystemState::scatter(const std::vector<Node>& dst,
+                          const std::vector<TaskId>& ids) {
+  scatter_.scatter(arena_, *tasks_, dst, ids,
+                   [this](Node r) { overloaded_.mark_dirty(r); });
 }
 
-bool SystemState::push_accepting(Node r, TaskId id) {
+void SystemState::scatter_accepting(const std::vector<Node>& dst,
+                                    const std::vector<TaskId>& ids) {
   if (!has_thresholds()) {
     throw std::logic_error(
-        "SystemState::push_accepting: set_thresholds() was never called");
+        "SystemState::scatter_accepting: set_thresholds() was never called");
   }
-  const bool accepted =
-      arena_.push_accepting(r, id, tasks_->weight(id), threshold_of(r));
-  overloaded_.mark_dirty(r);
-  return accepted;
+  const auto mark = [this](Node r) { overloaded_.mark_dirty(r); };
+  if (track_thresholds_.empty()) {
+    scatter_.scatter(arena_, *tasks_, dst, ids, track_uniform_, mark);
+  } else {
+    scatter_.scatter(arena_, *tasks_, dst, ids, track_thresholds_, mark);
+  }
 }
 
 void SystemState::evict_unaccepted(Node r, std::vector<TaskId>& out) {

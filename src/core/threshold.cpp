@@ -1,5 +1,6 @@
 #include "tlb/core/threshold.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace tlb::core {
@@ -19,8 +20,9 @@ double threshold_value(ThresholdKind kind, double total_weight, graph::Node n,
   const double avg = total_weight / static_cast<double>(n);
   switch (kind) {
     case ThresholdKind::kAboveAverage:
-      if (eps <= 0.0) {
-        throw std::invalid_argument("threshold_value: above-average needs eps > 0");
+      if (!(eps > 0.0) || !std::isfinite(eps)) {
+        throw std::invalid_argument(
+            "threshold_value: above-average needs eps finite and > 0");
       }
       return (1.0 + eps) * avg + w_max;
     case ThresholdKind::kTightResource:

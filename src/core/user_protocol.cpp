@@ -106,8 +106,9 @@ UserControlledEngine::UserControlledEngine(const tasks::TaskSet& ts, Node n,
     thresholds_ = resolve_thresholds(config_, n, "UserControlledEngine");
     max_threshold_ = *std::max_element(thresholds_.begin(), thresholds_.end());
   }
-  if (config_.alpha <= 0.0) {
-    throw std::invalid_argument("UserControlledEngine: alpha must be > 0");
+  if (!(config_.alpha > 0.0) || !std::isfinite(config_.alpha)) {
+    throw std::invalid_argument(
+        "UserControlledEngine: alpha must be finite and > 0");
   }
   if (n < 2) throw std::invalid_argument("UserControlledEngine: need n >= 2");
   if (thresholds_.empty()) {
@@ -222,9 +223,11 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
               const auto cut = static_cast<std::uint64_t>(p * 0x1.0p64);
               // Exactly one draw per coin with 0 < p < 1 — the one shard
               // budget the stream discipline pins exactly (dsan checks it).
+              // Branch-free store: at p near 1/2 a branch on the coin
+              // mispredicts half the time.
               expected_draws += end - pos;
               for (std::size_t c = pos; c < end; ++c) {
-                if (srng() < cut) flat_mask_[c] = 1;
+                flat_mask_[c] = srng() < cut;
               }
             }
             pos = end;
@@ -268,14 +271,17 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
     probe->phase("merge", d.value());
   }
 
-  // Phase 2: scatter to uniformly random resources.
+  // Phase 2: scatter to uniformly random resources. All destinations are
+  // drawn first, in mover order, from the caller's stream, each replacing
+  // its mover's origin; then one bucketed bulk append. The append draws
+  // nothing, so the stream is the same as drawing each destination right
+  // before its mover lands.
   {
     const obs::PhaseSpan span(sink_, m_apply_ns_, "exact.apply");
-    for (std::size_t i = 0; i < movers_.size(); ++i) {
-      const Node dst =
-          sample_destination(n, mover_origin_[i], config_.exclude_self, rng);
-      state_.push(dst, movers_[i]);
+    for (Node& slot : mover_origin_) {
+      slot = sample_destination(n, slot, config_.exclude_self, rng);
     }
+    state_.scatter(mover_origin_, movers_);
   }
   if (probe != nullptr && probe->want_phases()) {
     dsan::Digest d;
@@ -337,8 +343,9 @@ GroupedUserEngine::GroupedUserEngine(const tasks::TaskSet& ts, Node n,
                                      UserProtocolConfig config)
     : tasks_(&ts), config_(std::move(config)), n_(n) {
   thresholds_ = resolve_thresholds(config_, n, "GroupedUserEngine");
-  if (config_.alpha <= 0.0) {
-    throw std::invalid_argument("GroupedUserEngine: alpha must be > 0");
+  if (!(config_.alpha > 0.0) || !std::isfinite(config_.alpha)) {
+    throw std::invalid_argument(
+        "GroupedUserEngine: alpha must be finite and > 0");
   }
   if (n < 2) throw std::invalid_argument("GroupedUserEngine: need n >= 2");
 

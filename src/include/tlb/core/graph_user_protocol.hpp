@@ -71,7 +71,7 @@ class GraphUserEngine {
   std::vector<double> thresholds_;
   SystemState state_;
   std::vector<TaskId> movers_;            // scratch
-  std::vector<Node> mover_origin_;        // scratch
+  std::vector<Node> mover_origin_;        // scratch: origin, then destination
   std::vector<std::uint8_t> leave_mask_;  // scratch
 };
 

@@ -83,7 +83,7 @@ class MixedProtocolEngine {
   SystemState state_;
   long resource_rounds_ = 0;
   std::vector<TaskId> movers_;            // scratch
-  std::vector<Node> mover_origin_;        // scratch
+  std::vector<Node> mover_origin_;        // scratch: origin, then destination
   std::vector<std::uint8_t> leave_mask_;  // scratch
 };
 

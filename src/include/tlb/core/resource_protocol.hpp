@@ -87,7 +87,7 @@ class ResourceControlledEngine {
   randomwalk::TransitionModel walk_;
   SystemState state_;  // owns the incremental overloaded-set tracking
   std::vector<TaskId> movers_;   // scratch: evicted tasks this round
-  std::vector<Node> mover_origin_;  // scratch: their source resources
+  std::vector<Node> mover_origin_;  // scratch: source, then destination
 };
 
 }  // namespace tlb::core

@@ -6,17 +6,18 @@
 //
 // Storage: all task ids and mirrored weights live in one flat SoA arena
 // (tlb/mem/task_arena.hpp) instead of n per-resource vectors; place() is a
-// destination-bucketed batch build (mem::BatchPlacer) and stack(r) hands
-// out a lightweight ResourceStack view.
+// destination-bucketed batch build (mem::BatchPlacer), scatter() its
+// in-round counterpart (mem::BatchScatter), and stack(r) hands out a
+// lightweight ResourceStack view.
 //
 // Overloaded-set contract: once an engine registers its thresholds via
 // set_thresholds(), the state keeps the set { r : load(r) > T_r } current
-// incrementally — every mutating entry point (place, the push/evict/remove
-// forwarders below, and mutable stack() access) marks the touched resource
-// dirty, and the O(active) queries overloaded()/overloaded_count()/
-// balanced() reconcile only the dirty entries. Per-round cost is therefore
-// O(#overloaded + #movers) instead of O(n), which is what makes
-// post-convergence tail rounds at n = 10^6 cheap.
+// incrementally — every mutating entry point (place, scatter, the
+// evict/remove forwarders below, and mutable stack() access) marks the
+// touched resources dirty, and the O(active) queries overloaded()/
+// overloaded_count()/balanced() reconcile only the dirty entries. Per-round
+// cost is therefore O(#overloaded + #movers + n/256) instead of O(n), which
+// is what makes post-convergence tail rounds at n = 10^6 cheap.
 
 #include <vector>
 
@@ -88,13 +89,18 @@ class SystemState {
   /// Load of resource r.
   double load(Node r) const noexcept { return arena_.load(r); }
 
-  // --- Mutating forwarders (keep the overloaded set current, O(1) each) ---
+  // --- Mutating forwarders (keep the overloaded set current) ---
 
-  /// Plain push onto resource r (user-controlled protocols).
-  void push(Node r, TaskId id);
-  /// Push with acceptance bookkeeping against threshold_of(r). Returns true
-  /// iff accepted. Requires set_thresholds().
-  bool push_accepting(Node r, TaskId id);
+  /// Phase 2 of every stack engine: append ids[i] to resource dst[i] for
+  /// all i (plain stacking, user-controlled protocols). Bit-identical to
+  /// pushing them one by one in index order — every destination receives
+  /// its tasks in index order — and marks each destination dirty once.
+  /// O(#movers + n/256) through mem::BatchScatter.
+  void scatter(const std::vector<Node>& dst, const std::vector<TaskId>& ids);
+  /// Same with acceptance bookkeeping against threshold_of(r) (the
+  /// resource-controlled protocol). Requires set_thresholds().
+  void scatter_accepting(const std::vector<Node>& dst,
+                         const std::vector<TaskId>& ids);
   /// Evict r's unaccepted suffix (Algorithm 5.1), appending to `out`.
   void evict_unaccepted(Node r, std::vector<TaskId>& out);
   /// Height-based eviction of everything crossing/above threshold_of(r)
@@ -173,6 +179,7 @@ class SystemState {
   const tasks::TaskSet* tasks_;
   mem::TaskArena arena_;                  // SoA storage for all stacks
   mem::BatchPlacer placer_;               // destination-bucketed place()
+  mem::BatchScatter scatter_;             // destination-bucketed scatter()
   double track_uniform_ = 0.0;            // scalar threshold (0 = unset)
   std::vector<double> track_thresholds_;  // per-resource override
   mutable OverloadedSet overloaded_;      // lazily reconciled in queries

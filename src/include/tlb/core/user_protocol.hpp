@@ -138,7 +138,7 @@ class UserControlledEngine {
   SystemState state_;
   std::unique_ptr<util::ThreadPool> pool_;  // phase-1 workers (threads != 1)
   std::vector<TaskId> movers_;          // scratch
-  std::vector<Node> mover_origin_;      // scratch
+  std::vector<Node> mover_origin_;      // scratch: origin, then destination
   std::vector<std::size_t> coin_prefix_;  // scratch: flat coin index bounds
   std::vector<double> leave_p_;           // scratch: per-overloaded p
   std::vector<std::uint8_t> flat_mask_;   // scratch: flat departure mask

@@ -24,6 +24,10 @@
 //    (counting sort by destination, then a contiguous fill in task-id
 //    order), producing bit-identical stacks and acceptance bookkeeping to
 //    pushing the tasks one by one.
+//  * BatchScatter is its in-round counterpart: it appends a batch of
+//    (destination, task) movers block by block of destinations, growing
+//    each touched span once, to at least its final size, again
+//    bit-identical to pushing the movers one by one in batch order.
 //
 // Invariants (checked by check_invariants(), exercised by the randomized
 // differential test against a per-vector reference implementation):
@@ -32,6 +36,7 @@
 //    bitwise to accepted_load(r) by a full-suffix eviction
 //  * the accepted prefix bookkeeping matches sequential push_accepting
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -225,6 +230,8 @@ class TaskArena {
 
  private:
   friend class BatchPlacer;
+  friend class BatchScatter;
+  friend struct TaskArenaTestPeer;  // tests: states no public op reaches
 
   /// Grow r's span to hold at least min_cap slots, relocating it to the
   /// slab tail (compacting first when the dead space dominates).
@@ -283,6 +290,104 @@ class BatchPlacer {
              const std::vector<double>* thresholds);
 
   std::vector<std::size_t> cursor_;  // scratch: next write slot per resource
+};
+
+/// Destination-bucketed bulk scatter, the in-round counterpart of
+/// BatchPlacer: appends ids[i] to resource dst[i] for every i, producing
+/// exactly the stacks, loads (bitwise) and acceptance bookkeeping that
+/// push / push_accepting calls in index order would — every destination
+/// still receives its tasks in index order — without paying several cache
+/// misses per task. One stable pass buckets (destination, id, weight)
+/// records by destination block of kBlockWidth resources; then, block by
+/// block, the arrivals per resource are counted, each touched span is
+/// grown once (to at least its final size, by TaskArena's growth rule)
+/// and filled in record order.
+///
+/// Cost per call: O(k + n / kBlockWidth) for k movers, never O(n). The
+/// only per-mover scratch is the record buffer, reused across calls.
+class BatchScatter {
+ public:
+  /// Resources per destination block. A block's slices of the per-resource
+  /// arrays (a few KB) and its freshly grown spans stay cache-resident
+  /// while its records are filled. A constant, not a tuning knob.
+  static constexpr Node kBlockWidth = 256;
+
+  /// Plain stacking (user-controlled protocols). `on_touched(r)` is called
+  /// exactly once per distinct destination, after r's span is filled, in
+  /// block order (ascending block, first arrival within a block). Throws
+  /// std::invalid_argument, leaving the arena untouched, when the sizes
+  /// differ or a destination is out of range.
+  template <class OnTouched>
+  void scatter(TaskArena& arena, const tasks::TaskSet& ts,
+               const std::vector<Node>& dst, const std::vector<TaskId>& ids,
+               OnTouched&& on_touched) {
+    run(arena, ts, dst, ids, {Mode::kPlain, 0.0, nullptr}, on_touched);
+  }
+  /// Acceptance bookkeeping against one uniform threshold; otherwise as
+  /// above.
+  template <class OnTouched>
+  void scatter(TaskArena& arena, const tasks::TaskSet& ts,
+               const std::vector<Node>& dst, const std::vector<TaskId>& ids,
+               double threshold, OnTouched&& on_touched) {
+    run(arena, ts, dst, ids, {Mode::kUniform, threshold, nullptr},
+        on_touched);
+  }
+  /// Acceptance bookkeeping against per-resource thresholds
+  /// (thresholds.size() must equal the resource count).
+  template <class OnTouched>
+  void scatter(TaskArena& arena, const tasks::TaskSet& ts,
+               const std::vector<Node>& dst, const std::vector<TaskId>& ids,
+               const std::vector<double>& thresholds, OnTouched&& on_touched) {
+    run(arena, ts, dst, ids, {Mode::kPerResource, 0.0, &thresholds},
+        on_touched);
+  }
+
+ private:
+  enum class Mode { kPlain, kUniform, kPerResource };
+  struct Rule {
+    Mode mode;
+    double threshold;                      // kUniform
+    const std::vector<double>* thresholds;  // kPerResource
+  };
+  /// One mover, bucketed by destination block. Trivial on purpose: the
+  /// buffer is resized without zero-filling, and bucket() writes every
+  /// record before fill_block() reads it.
+  struct Record {
+    Node dst;
+    TaskId id;
+    double w;
+  };
+
+  template <class OnTouched>
+  void run(TaskArena& arena, const tasks::TaskSet& ts,
+           const std::vector<Node>& dst, const std::vector<TaskId>& ids,
+           const Rule& rule, OnTouched& on_touched) {
+    const std::size_t blocks = bucket(arena, ts, dst, ids, rule);
+    std::size_t lo = 0;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::size_t hi = block_end_[b];
+      if (lo == hi) continue;
+      const std::size_t touched = fill_block(arena, lo, hi, rule);
+      for (std::size_t t = 0; t < touched; ++t) on_touched(touched_[t]);
+      lo = hi;
+    }
+  }
+  /// Validate, then stably bucket the movers into records_ by destination
+  /// block; block b ends up at [block_end_[b-1], block_end_[b]). Returns
+  /// the number of blocks to visit (0 for an empty batch).
+  std::size_t bucket(const TaskArena& arena, const tasks::TaskSet& ts,
+                     const std::vector<Node>& dst,
+                     const std::vector<TaskId>& ids, const Rule& rule);
+  /// Append records_[lo, hi) (one block) to their spans; the block's
+  /// distinct destinations land in touched_. Returns their number.
+  std::size_t fill_block(TaskArena& arena, std::size_t lo, std::size_t hi,
+                         const Rule& rule);
+
+  std::vector<Record, detail::DefaultInitAllocator<Record>> records_;
+  std::vector<std::size_t> block_end_;  // per block: end offset in records_
+  std::array<std::uint32_t, kBlockWidth> arrivals_{};  // per block slot
+  std::array<std::size_t, kBlockWidth> cursor_{};      // next write slot
+  std::array<Node, kBlockWidth> touched_{};            // distinct dsts
 };
 
 }  // namespace tlb::mem

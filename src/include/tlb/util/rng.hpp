@@ -97,8 +97,23 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound) via Lemire's multiply-shift rejection.
-  /// Unbiased; `bound` must be > 0.
-  std::uint64_t uniform_below(std::uint64_t bound) noexcept;
+  /// Unbiased; `bound` must be > 0. Inline because the engines draw one
+  /// per migrating task.
+  std::uint64_t uniform_below(std::uint64_t bound) noexcept {
+    // Lemire 2019: multiply-shift with rejection of the biased low region.
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (low < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive; requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {

@@ -469,4 +469,127 @@ void BatchPlacer::build(TaskArena& arena, const tasks::TaskSet& ts,
   }
 }
 
+// ---------------------------------------------------------------------------
+// BatchScatter
+// ---------------------------------------------------------------------------
+
+std::size_t BatchScatter::bucket(const TaskArena& arena,
+                                 const tasks::TaskSet& ts,
+                                 const std::vector<Node>& dst,
+                                 const std::vector<TaskId>& ids,
+                                 const Rule& rule) {
+  const Node n = arena.num_resources();
+  const std::size_t k = dst.size();
+  if (ids.size() != k) {
+    throw std::invalid_argument("BatchScatter: dst/ids size mismatch");
+  }
+  if (rule.mode == Mode::kPerResource && rule.thresholds->size() != n) {
+    throw std::invalid_argument("BatchScatter: threshold vector size mismatch");
+  }
+  if (k == 0) return 0;
+
+  // Pass 1: count per block, validating every destination before the
+  // arena is touched.
+  const std::size_t blocks = (std::size_t{n} + kBlockWidth - 1) / kBlockWidth;
+  block_end_.assign(blocks, 0);
+  for (const Node r : dst) {
+    if (r >= n) {
+      throw std::invalid_argument("BatchScatter: resource out of range");
+    }
+    ++block_end_[r / kBlockWidth];
+  }
+  // Exclusive prefix sum: block_end_[b] becomes block b's first record and
+  // serves as its write cursor, ending at block b's end.
+  std::size_t running = 0;
+  for (std::size_t& e : block_end_) {
+    const std::size_t c = e;
+    e = running;
+    running += c;
+  }
+
+  // Pass 2: stable bucketing in index order, weights looked up once here so
+  // the fill never indirects through the TaskSet.
+  records_.resize(k);
+  const double* w = ts.weights().data();
+  for (std::size_t i = 0; i < k; ++i) {
+    records_[block_end_[dst[i] / kBlockWidth]++] = {dst[i], ids[i], w[ids[i]]};
+  }
+  return blocks;
+}
+
+std::size_t BatchScatter::fill_block(TaskArena& arena, std::size_t lo,
+                                     std::size_t hi, const Rule& rule) {
+  TaskArena& a = arena;
+  // Arrivals per destination; touched_ lists each destination once.
+  std::size_t touched = 0;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const Node r = records_[i].dst;
+    if (arrivals_[r % kBlockWidth]++ == 0) touched_[touched++] = r;
+  }
+
+  // Grow every touched span once, to at least its final size. A grow may
+  // compact the slab, which moves every span and re-slacks it to its live
+  // count, undoing the sizing of spans checked earlier in this pass: repeat
+  // the pass until it compacts nothing. A compaction leaves no dead slots,
+  // and a 2x relocation adds no more dead slots than reserved ones, so the
+  // repeat never compacts.
+  std::uint64_t compactions = 0;
+  do {
+    compactions = a.compactions_;
+    for (std::size_t t = 0; t < touched; ++t) {
+      const Node r = touched_[t];
+      const std::size_t need =
+          std::size_t{a.count_[r]} + arrivals_[r % kBlockWidth];
+      if (need > a.cap_[r]) a.grow(r, need);
+    }
+  } while (a.compactions_ != compactions);
+
+  // Fill cursors only now that no grow can move a span any more.
+  for (std::size_t t = 0; t < touched; ++t) {
+    const Node r = touched_[t];
+    cursor_[r % kBlockWidth] = std::size_t{a.begin_[r]} + a.count_[r];
+  }
+
+  // Fill in record (= index) order. The acceptance test reads the span
+  // position the task lands at, which is count(r) at the time a sequential
+  // push_accepting would have run.
+  switch (rule.mode) {
+    case Mode::kPlain:
+      for (std::size_t i = lo; i < hi; ++i) {
+        const Record& rec = records_[i];
+        const std::size_t slot = cursor_[rec.dst % kBlockWidth]++;
+        a.ids_[slot] = rec.id;
+        a.weights_[slot] = rec.w;
+        a.load_[rec.dst] += rec.w;
+      }
+      break;
+    case Mode::kUniform:
+    case Mode::kPerResource:
+      for (std::size_t i = lo; i < hi; ++i) {
+        const Record& rec = records_[i];
+        const Node r = rec.dst;
+        const std::size_t slot = cursor_[r % kBlockWidth]++;
+        const double T = rule.mode == Mode::kUniform ? rule.threshold
+                                                     : (*rule.thresholds)[r];
+        a.ids_[slot] = rec.id;
+        a.weights_[slot] = rec.w;
+        if (a.accepted_count_[r] == slot - a.begin_[r] &&
+            a.load_[r] + rec.w <= T) {
+          ++a.accepted_count_[r];
+          a.accepted_load_[r] += rec.w;
+        }
+        a.load_[r] += rec.w;
+      }
+      break;
+  }
+
+  for (std::size_t t = 0; t < touched; ++t) {
+    const Node r = touched_[t];
+    a.count_[r] += arrivals_[r % kBlockWidth];
+    arrivals_[r % kBlockWidth] = 0;
+  }
+  a.live_ += hi - lo;
+  return touched;
+}
+
 }  // namespace tlb::mem

@@ -4,22 +4,6 @@
 
 namespace tlb::util {
 
-std::uint64_t Rng::uniform_below(std::uint64_t bound) noexcept {
-  // Lemire 2019: multiply-shift with rejection of the biased low region.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 double Rng::exponential(double rate) noexcept {
   // Inverse CDF; guard against log(0) by nudging u away from 0.
   double u = uniform01();

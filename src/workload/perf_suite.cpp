@@ -274,10 +274,11 @@ void run_batch_preset(const ScenarioSpec& spec, const PerfPreset& preset,
 /// Synthetic arena-churn driver (scenario "arena:churn[:<weights>]"): after
 /// a uniform-random bulk placement, every round evicts random subsets from
 /// ~n/64 random resources through SystemState::remove_marked and scatters
-/// the movers with push — exactly the mutation mix the protocol engines
-/// apply, but at a fixed rate, so the mem::TaskArena's allocation behaviour
-/// (span relocations, compactions, slab growth) under sustained churn is a
-/// recorded point on the perf trajectory instead of an assumption.
+/// the movers to uniform destinations with SystemState::scatter — exactly
+/// the mutation mix the protocol engines apply, but at a fixed rate, so
+/// the mem::TaskArena's allocation behaviour (span relocations,
+/// compactions, slab growth) under sustained churn is a recorded point on
+/// the perf trajectory instead of an assumption.
 void run_arena_churn_preset(const PerfPreset& preset, std::uint64_t seed,
                             util::Timer& timer, PerfResult& out) {
   timer.start("setup");
@@ -307,6 +308,7 @@ void run_arena_churn_preset(const PerfPreset& preset, std::uint64_t seed,
       std::max<graph::Node>(1, n / 64);
   std::vector<std::uint8_t> leave;
   std::vector<tasks::TaskId> movers;
+  std::vector<graph::Node> dst;
   const auto churn_round = [&] {
     movers.clear();
     for (graph::Node k = 0; k < victims_per_round; ++k) {
@@ -324,9 +326,11 @@ void run_arena_churn_preset(const PerfPreset& preset, std::uint64_t seed,
       if (!any) continue;
       state.remove_marked(r, leave, movers);
     }
-    for (tasks::TaskId id : movers) {
-      state.push(static_cast<graph::Node>(rng.uniform_below(n)), id);
+    dst.resize(movers.size());
+    for (graph::Node& d : dst) {
+      d = static_cast<graph::Node>(rng.uniform_below(n));
     }
+    state.scatter(dst, movers);
     return movers.size();
   };
 

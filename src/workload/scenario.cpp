@@ -247,9 +247,15 @@ Scenario::Scenario(ScenarioSpec spec, ScenarioParams params)
   if (params_.load_factor < 1) {
     throw std::invalid_argument("scenario: load_factor >= 1");
   }
+  // Written so NaN and ±inf fail too: an ordered `eps <= 0` lets both
+  // through, and a NaN threshold reads every resource as balanced.
   if (params_.threshold == core::ThresholdKind::kAboveAverage &&
-      params_.eps <= 0.0) {
-    throw std::invalid_argument("scenario: eps > 0 for the above-average threshold");
+      (!(params_.eps > 0.0) || !std::isfinite(params_.eps))) {
+    throw std::invalid_argument(
+        "scenario: eps finite and > 0 for the above-average threshold");
+  }
+  if (!(params_.alpha > 0.0) || !std::isfinite(params_.alpha)) {
+    throw std::invalid_argument("scenario: alpha finite and > 0");
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
@@ -139,6 +140,19 @@ TEST(GraphUserTest, RejectsBadConfig) {
   GraphUserConfig bad;
   bad.thresholds = {1.0, 1.0};
   EXPECT_THROW(GraphUserEngine(g, ts, bad), std::invalid_argument);
+  // Non-finite threshold, per-resource thresholds and alpha.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double x : {nan, inf, -inf}) {
+    EXPECT_THROW(GraphUserEngine(g, ts, make_config(x)), std::invalid_argument)
+        << x;
+    EXPECT_THROW(GraphUserEngine(g, ts, make_config(5.0, x)),
+                 std::invalid_argument)
+        << x;
+    GraphUserConfig per = make_config(5.0);
+    per.thresholds = {5.0, 5.0, x, 5.0};
+    EXPECT_THROW(GraphUserEngine(g, ts, per), std::invalid_argument) << x;
+  }
 }
 
 TEST(GraphUserTest, DeterministicGivenSeed) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/threshold.hpp"
@@ -164,6 +165,20 @@ TEST(MixedProtocolTest, RejectsBadConfig) {
                std::invalid_argument);
   EXPECT_THROW(MixedProtocolEngine(g, ts, make_config(5.0, 0.5, 0.0)),
                std::invalid_argument);
+  // Non-finite threshold, per-resource thresholds and alpha.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double x : {nan, inf, -inf}) {
+    EXPECT_THROW(MixedProtocolEngine(g, ts, make_config(x, 0.5)),
+                 std::invalid_argument)
+        << x;
+    EXPECT_THROW(MixedProtocolEngine(g, ts, make_config(5.0, 0.5, x)),
+                 std::invalid_argument)
+        << x;
+    MixedProtocolConfig per = make_config(5.0, 0.5);
+    per.thresholds = {5.0, x, 5.0, 5.0};
+    EXPECT_THROW(MixedProtocolEngine(g, ts, per), std::invalid_argument) << x;
+  }
 }
 
 }  // namespace

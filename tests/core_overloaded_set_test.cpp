@@ -90,6 +90,7 @@ TEST(SystemStateOverloadedTest, MatchesBruteForceUnderRandomTraffic) {
   state.place(p, /*threshold=*/-1.0);
 
   std::vector<TaskId> movers;
+  std::vector<Node> dst;
   std::vector<std::uint8_t> mask;
   for (int step = 0; step < 500; ++step) {
     const auto r = static_cast<Node>(rng.uniform_below(n));
@@ -99,9 +100,9 @@ TEST(SystemStateOverloadedTest, MatchesBruteForceUnderRandomTraffic) {
       for (auto& bit : mask) bit = rng.bernoulli(0.3);
       movers.clear();
       state.remove_marked(r, mask, movers);
-      for (TaskId id : movers) {
-        state.push(static_cast<Node>(rng.uniform_below(n)), id);
-      }
+      dst.resize(movers.size());
+      for (Node& d : dst) d = static_cast<Node>(rng.uniform_below(n));
+      state.scatter(dst, movers);
     }
     // Incremental vs brute force, every step.
     const std::vector<Node>& fast = state.overloaded();
@@ -198,6 +199,7 @@ TEST(SystemStateOverloadedTest, RandomTrafficWithThresholdMoves) {
   state.place(p, -1.0);
 
   std::vector<TaskId> movers;
+  std::vector<Node> dst;
   std::vector<std::uint8_t> mask;
   for (int step = 0; step < 500; ++step) {
     if (step % 7 == 3) {
@@ -212,9 +214,9 @@ TEST(SystemStateOverloadedTest, RandomTrafficWithThresholdMoves) {
         for (auto& bit : mask) bit = rng.bernoulli(0.3);
         movers.clear();
         state.remove_marked(r, mask, movers);
-        for (TaskId id : movers) {
-          state.push(static_cast<Node>(rng.uniform_below(n)), id);
-        }
+        dst.resize(movers.size());
+        for (Node& d : dst) d = static_cast<Node>(rng.uniform_below(n));
+        state.scatter(dst, movers);
       }
     }
     const std::vector<Node>& fast = state.overloaded();

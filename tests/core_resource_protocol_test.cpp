@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 
 #include "tlb/core/potential.hpp"
@@ -20,6 +21,9 @@ using tlb::graph::Graph;
 using tlb::tasks::all_on_one;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 ResourceProtocolConfig make_config(double threshold,
                                    tlb::randomwalk::WalkKind walk =
@@ -212,6 +216,17 @@ TEST(ResourceProtocolTest, RejectsNonPositiveThreshold) {
   EXPECT_THROW(
       ResourceControlledEngine(g, ts, make_config(0.0)),
       std::invalid_argument);
+  // Non-finite thresholds: NaN passes an ordered `<= 0` check and reads
+  // every load as balanced; infinity never overloads anything either.
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    EXPECT_THROW(ResourceControlledEngine(g, ts, make_config(bad)),
+                 std::invalid_argument)
+        << bad;
+    ResourceProtocolConfig per = make_config(1.0);
+    per.thresholds = {2.0, bad, 2.0, 2.0};
+    EXPECT_THROW(ResourceControlledEngine(g, ts, per), std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(ResourceProtocolTest, DeterministicGivenSeed) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "tlb/core/potential.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/tasks/weights.hpp"
@@ -43,6 +46,19 @@ TEST(SystemStateTest, PlaceRejectsBadInput) {
   SystemState state(ts, 2);
   EXPECT_THROW(state.place({0}, -1.0), std::invalid_argument);
   EXPECT_THROW(state.place({0, 5}, -1.0), std::invalid_argument);
+}
+
+TEST(SystemStateTest, SetThresholdsRejectsNonFinite) {
+  const TaskSet ts = uniform_unit(4);
+  SystemState state(ts, 2);
+  for (const double x : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), 0.0}) {
+    EXPECT_THROW(state.set_thresholds(x), std::invalid_argument) << x;
+    EXPECT_THROW(state.set_thresholds(std::vector<double>{1.0, x}),
+                 std::invalid_argument)
+        << x;
+  }
+  EXPECT_FALSE(state.has_thresholds());
 }
 
 TEST(SystemStateTest, InvariantsHoldAfterPlace) {

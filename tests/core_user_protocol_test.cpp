@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "tlb/core/potential.hpp"
 #include "tlb/core/threshold.hpp"
@@ -199,6 +200,24 @@ TEST(UserProtocolTest, RejectsBadConfig) {
                std::invalid_argument);
   EXPECT_THROW(UserControlledEngine(ts, 1, make_config(5.0)),
                std::invalid_argument);
+  // Non-finite threshold and alpha, on both engines: a NaN alpha makes
+  // every leave probability NaN, so nothing ever moves.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double x : {nan, inf, -inf}) {
+    EXPECT_THROW(UserControlledEngine(ts, 4, make_config(x)),
+                 std::invalid_argument)
+        << x;
+    EXPECT_THROW(UserControlledEngine(ts, 4, make_config(5.0, x)),
+                 std::invalid_argument)
+        << x;
+    EXPECT_THROW(GroupedUserEngine(ts, 4, make_config(x)),
+                 std::invalid_argument)
+        << x;
+    EXPECT_THROW(GroupedUserEngine(ts, 4, make_config(5.0, x)),
+                 std::invalid_argument)
+        << x;
+  }
 }
 
 TEST(UserProtocolTest, DeterministicGivenSeed) {

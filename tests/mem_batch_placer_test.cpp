@@ -1,22 +1,44 @@
-// mem::BatchPlacer — the destination-bucketed bulk build must produce
-// stacks bitwise identical (order, loads, acceptance bookkeeping) to
-// pushing the same placement sequentially in task-id order, for every
-// placement generator and every threshold mode.
+// mem::BatchPlacer and mem::BatchScatter — the destination-bucketed bulk
+// builds must produce stacks bitwise identical (order, loads, acceptance
+// bookkeeping) to pushing the same tasks sequentially: in task-id order for
+// a placement, in mover order for a scatter — for every placement
+// generator, every arena shape and every threshold mode.
 #include "tlb/mem/task_arena.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "tlb/core/system_state.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/task_set.hpp"
 #include "tlb/util/rng.hpp"
+
+namespace tlb::mem {
+
+/// Fabricates arena states no public operation reaches.
+struct TaskArenaTestPeer {
+  /// Hand out `slots` slab slots that no span owns, as if abandoned by
+  /// relocations. Doubling growth never lets dead slots outnumber the
+  /// reserved ones, so this is the only way to make the next grow compact.
+  static void add_dead_slots(TaskArena& a, std::size_t slots) {
+    a.used_ += slots;
+    a.ids_.resize(a.used_);
+    a.weights_.resize(a.used_);
+  }
+};
+
+}  // namespace tlb::mem
 
 namespace {
 
 using tlb::graph::Node;
 using tlb::mem::BatchPlacer;
+using tlb::mem::BatchScatter;
 using tlb::mem::TaskArena;
 using tlb::tasks::Placement;
 using tlb::tasks::TaskId;
@@ -139,6 +161,303 @@ TEST(BatchPlacerTest, Observation8Adversarial) {
   const Node n = 17;  // clique-plus-satellite sizing
   check_all_modes(ts, tlb::tasks::observation8_adversarial(ts, n), n,
                   "observation8");
+}
+
+// ---------------------------------------------------------------------------
+// BatchScatter
+// ---------------------------------------------------------------------------
+
+/// The three acceptance modes of a scatter.
+enum class ScatterMode { kPlain, kUniform, kPerResource };
+
+/// Sequential reference: push / push_accepting in mover order.
+void scatter_sequentially(TaskArena& arena, const TaskSet& ts,
+                          const std::vector<Node>& dst,
+                          const std::vector<TaskId>& ids, ScatterMode mode,
+                          double T, const std::vector<double>& per) {
+  for (std::size_t i = 0; i < dst.size(); ++i) {
+    const double w = ts.weight(ids[i]);
+    switch (mode) {
+      case ScatterMode::kPlain: arena.push(dst[i], ids[i], w); break;
+      case ScatterMode::kUniform:
+        arena.push_accepting(dst[i], ids[i], w, T);
+        break;
+      case ScatterMode::kPerResource:
+        arena.push_accepting(dst[i], ids[i], w, per[dst[i]]);
+        break;
+    }
+  }
+}
+
+/// Bulk scatter in `mode`; checks that the touched callback reports every
+/// distinct destination exactly once.
+void scatter_bulk(BatchScatter& scatter, TaskArena& arena, const TaskSet& ts,
+                  const std::vector<Node>& dst, const std::vector<TaskId>& ids,
+                  ScatterMode mode, double T, const std::vector<double>& per,
+                  const std::string& what) {
+  std::vector<Node> touched;
+  const auto on_touched = [&touched](Node r) { touched.push_back(r); };
+  switch (mode) {
+    case ScatterMode::kPlain:
+      scatter.scatter(arena, ts, dst, ids, on_touched);
+      break;
+    case ScatterMode::kUniform:
+      scatter.scatter(arena, ts, dst, ids, T, on_touched);
+      break;
+    case ScatterMode::kPerResource:
+      scatter.scatter(arena, ts, dst, ids, per, on_touched);
+      break;
+  }
+  const std::set<Node> distinct(dst.begin(), dst.end());
+  std::sort(touched.begin(), touched.end());
+  EXPECT_EQ(touched, std::vector<Node>(distinct.begin(), distinct.end()))
+      << what << ": touched destinations";
+}
+
+/// An arena over n resources populated by a random push/removal trace:
+/// spans relocated (dead slots between them) and holes (count < cap) left
+/// by removals. `pool` receives every task id the trace left unplaced.
+/// Deterministic in `seed`, so two calls build identical arenas.
+TaskArena populated_arena(Node n, const TaskSet& ts, std::uint64_t seed,
+                          std::vector<TaskId>& pool) {
+  tlb::util::Rng rng(seed);
+  TaskArena arena(n);
+  pool.clear();
+  const std::size_t placed = ts.size() / 2;
+  for (TaskId id = 0; id < ts.size(); ++id) {
+    if (id < placed) {
+      arena.push(static_cast<Node>(rng.uniform_below(n)), id, ts.weight(id));
+    } else {
+      pool.push_back(id);
+    }
+  }
+  std::vector<std::uint8_t> mask;
+  for (Node r = 0; r < n; r += 3) {
+    mask.assign(arena.count(r), 0);
+    for (auto& bit : mask) bit = rng.bernoulli(0.4);
+    arena.remove_marked(r, mask, pool);
+  }
+  return arena;
+}
+
+/// Acceptance thresholds that split spans: a uniform one near the mean
+/// load and a per-resource spread around it.
+std::pair<double, std::vector<double>> scatter_thresholds(const TaskSet& ts,
+                                                          Node n) {
+  const double T = 1.2 * ts.total_weight() / static_cast<double>(n);
+  std::vector<double> per(n);
+  for (Node r = 0; r < n; ++r) {
+    per[r] = T * (0.5 + static_cast<double>(r % 5) * 0.25);
+  }
+  return {T, per};
+}
+
+/// Differential check of one batch over identical copies of an arena, in
+/// all three modes.
+void check_scatter(const TaskSet& ts, Node n, std::uint64_t seed,
+                   const std::vector<Node>& dst,
+                   const std::vector<TaskId>& ids, const std::string& what) {
+  const auto [T, per] = scatter_thresholds(ts, n);
+  BatchScatter scatter;
+  for (const ScatterMode mode : {ScatterMode::kPlain, ScatterMode::kUniform,
+                                 ScatterMode::kPerResource}) {
+    const std::string label =
+        what + "/mode" + std::to_string(static_cast<int>(mode));
+    std::vector<TaskId> pool;
+    TaskArena batch = populated_arena(n, ts, seed, pool);
+    TaskArena seq = populated_arena(n, ts, seed, pool);
+    scatter_bulk(scatter, batch, ts, dst, ids, mode, T, per, label);
+    scatter_sequentially(seq, ts, dst, ids, mode, T, per);
+    expect_identical(batch, seq, n, label);
+  }
+}
+
+/// Random movers: the pool of unplaced ids, shuffled, to uniform
+/// destinations.
+void random_movers(Node n, std::vector<TaskId> pool, std::uint64_t seed,
+                   std::vector<Node>& dst, std::vector<TaskId>& ids) {
+  tlb::util::Rng rng(seed);
+  for (std::size_t i = pool.size(); i > 1; --i) {
+    std::swap(pool[i - 1], pool[rng.uniform_below(i)]);
+  }
+  ids = std::move(pool);
+  dst.resize(ids.size());
+  for (Node& d : dst) d = static_cast<Node>(rng.uniform_below(n));
+}
+
+TEST(BatchScatterTest, RandomMoversOverPopulatedArenas) {
+  const TaskSet ts = make_tasks(6000, 21);
+  // Below, at and across block boundaries; 1000 and 300 are not multiples
+  // of the block width.
+  for (const Node n : {Node{7}, Node{256}, Node{300}, Node{1000}}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      std::vector<TaskId> pool;
+      (void)populated_arena(n, ts, seed, pool);
+      std::vector<Node> dst;
+      std::vector<TaskId> ids;
+      random_movers(n, pool, seed * 31, dst, ids);
+      check_scatter(ts, n, seed, dst, ids,
+                    "n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+    }
+  }
+}
+
+TEST(BatchScatterTest, EmptyBatch) {
+  const TaskSet ts = make_tasks(400, 22);
+  check_scatter(ts, 300, 5, {}, {}, "empty");
+}
+
+TEST(BatchScatterTest, AllMoversToOneResource) {
+  const TaskSet ts = make_tasks(3000, 23);
+  const Node n = 300;
+  std::vector<TaskId> pool;
+  (void)populated_arena(n, ts, 6, pool);
+  // The last resource of the partial last block, and resource 0.
+  for (const Node target : {Node{n - 1}, Node{0}}) {
+    const std::vector<Node> dst(pool.size(), target);
+    check_scatter(ts, n, 6, dst, pool, "all-to-" + std::to_string(target));
+  }
+}
+
+TEST(BatchScatterTest, CompactionInsideAGrowPassKeepsSpansSized) {
+  // Block 0's first destination already has room for its arrivals; its
+  // second needs to grow, and that grow compacts the slab — re-slacking the
+  // first span below what its arrivals need. The scatter must size it
+  // again before filling (the fill would otherwise overrun into the next
+  // span).
+  const TaskSet ts = make_tasks(200, 24);
+  const Node n = 300;
+  const auto [T, per] = scatter_thresholds(ts, n);
+  for (const ScatterMode mode : {ScatterMode::kPlain, ScatterMode::kUniform,
+                                 ScatterMode::kPerResource}) {
+    const std::string label =
+        "compaction/mode" + std::to_string(static_cast<int>(mode));
+    const auto build = [&ts](TaskArena& arena, std::vector<TaskId>& freed) {
+      for (TaskId id = 0; id < 20; ++id) arena.push(5, id, ts.weight(id));
+      for (TaskId id = 20; id < 28; ++id) arena.push(7, id, ts.weight(id));
+      for (TaskId id = 28; id < 60; ++id) {
+        arena.push(260 + id % 30, id, ts.weight(id));
+      }
+      std::vector<std::uint8_t> mask(20, 1);
+      mask[0] = mask[1] = 0;  // resource 5 keeps 2 tasks in a 32-slot span
+      arena.remove_marked(5, mask, freed);
+      tlb::mem::TaskArenaTestPeer::add_dead_slots(
+          arena, arena.slab_size() + 4096);
+    };
+    TaskArena batch(n), seq(n);
+    std::vector<TaskId> freed, unused;
+    build(batch, freed);
+    build(seq, unused);
+    ASSERT_GE(batch.count(5) + 10, 12u);
+    std::vector<Node> dst(10, 5);      // fits resource 5's current span
+    dst.insert(dst.end(), 5, 7);       // resource 7 is full: grow, compact
+    dst.insert(dst.end(), 3, 299);     // block 1, the partial last block
+    std::vector<TaskId> ids = freed;   // 18 freed ids
+    ASSERT_EQ(ids.size(), dst.size());
+    const std::uint64_t compactions = batch.compactions();
+    BatchScatter scatter;
+    scatter_bulk(scatter, batch, ts, dst, ids, mode, T, per, label);
+    EXPECT_EQ(batch.compactions(), compactions + 1) << label;
+    scatter_sequentially(seq, ts, dst, ids, mode, T, per);
+    expect_identical(batch, seq, n, label);
+  }
+}
+
+TEST(BatchScatterTest, ValidatesInputWithoutTouchingTheArena) {
+  const TaskSet ts = make_tasks(8, 25);
+  TaskArena arena(4);
+  arena.push(1, 0, ts.weight(0));
+  BatchScatter scatter;
+  const auto ignore = [](Node) {};
+  EXPECT_THROW(scatter.scatter(arena, ts, {0, 1}, {1}, ignore),
+               std::invalid_argument);
+  // The bad destination comes last: nothing before it may land either.
+  EXPECT_THROW(scatter.scatter(arena, ts, {0, 1, 4}, {1, 2, 3}, ignore),
+               std::invalid_argument);
+  EXPECT_THROW(scatter.scatter(arena, ts, {0}, {1},
+                               std::vector<double>(3, 1.0), ignore),
+               std::invalid_argument);
+  EXPECT_EQ(arena.total_tasks(), 1u);
+  EXPECT_EQ(arena.count(0), 0u);
+  arena.check_invariants();
+}
+
+TEST(BatchScatterTest, SystemStateMatchesSequentialPushes) {
+  // The SystemState entry points on top: besides the arena, the tracker's
+  // dirty_marks(), its flush_checks() and the overloaded() list must equal
+  // what pushing the movers one at a time produces — the reference pushes
+  // through mutable stack(r) views, which mark r dirty per push.
+  const TaskSet ts = make_tasks(4000, 26);
+  for (const Node n : {Node{40}, Node{700}}) {
+    for (const bool accepting : {false, true}) {
+      for (const bool per_resource : {false, true}) {
+        const std::string label = "n=" + std::to_string(n) +
+                                  (accepting ? " accepting" : " plain") +
+                                  (per_resource ? " per-resource" : "");
+        tlb::core::SystemState bulk(ts, n), seq(ts, n);
+        const auto [T, per] = scatter_thresholds(ts, n);
+        for (tlb::core::SystemState* s : {&bulk, &seq}) {
+          if (per_resource) {
+            s->set_thresholds(per);
+          } else {
+            s->set_thresholds(T);
+          }
+        }
+        tlb::util::Rng rng(n);
+        Placement p(ts.size());
+        for (auto& r : p) r = static_cast<Node>(rng.uniform_below(n));
+        bulk.place(p, -1.0);
+        seq.place(p, -1.0);
+        for (int round = 0; round < 4; ++round) {
+          (void)bulk.overloaded();
+          (void)seq.overloaded();
+          // The engines' phase 1: yank random subsets of the overloaded
+          // resources, then scatter the movers.
+          std::vector<TaskId> movers;
+          std::vector<std::uint8_t> mask;
+          for (const Node r : std::vector<Node>(bulk.overloaded())) {
+            mask.assign(bulk.stack(r).count(), 0);
+            for (auto& bit : mask) bit = rng.bernoulli(0.5);
+            std::vector<TaskId> unused;
+            bulk.remove_marked(r, mask, movers);
+            seq.remove_marked(r, mask, unused);
+          }
+          std::vector<Node> dst(movers.size());
+          for (Node& d : dst) d = static_cast<Node>(rng.uniform_below(n));
+          if (accepting) {
+            bulk.scatter_accepting(dst, movers);
+            for (std::size_t i = 0; i < dst.size(); ++i) {
+              seq.stack(dst[i]).push_accepting(movers[i], ts,
+                                               seq.threshold_of(dst[i]));
+            }
+          } else {
+            bulk.scatter(dst, movers);
+            for (std::size_t i = 0; i < dst.size(); ++i) {
+              seq.stack(dst[i]).push(movers[i], ts);
+            }
+          }
+          const std::string at = label + " round " + std::to_string(round);
+          expect_identical(bulk.arena(), seq.arena(), n, at);
+          const tlb::core::OverloadedSet& bt = bulk.overloaded_tracker();
+          const tlb::core::OverloadedSet& st = seq.overloaded_tracker();
+          EXPECT_EQ(bt.dirty_marks(), st.dirty_marks()) << at;
+          EXPECT_EQ(bt.dirty_size(), st.dirty_size()) << at;
+          EXPECT_EQ(bulk.overloaded(), seq.overloaded()) << at;
+          EXPECT_EQ(bt.flush_checks(), st.flush_checks()) << at;
+          ASSERT_NO_THROW(bulk.check_invariants()) << at;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchScatterTest, ScatterAcceptingRequiresThresholds) {
+  const TaskSet ts = make_tasks(4, 27);
+  tlb::core::SystemState state(ts, 2);
+  state.place({0, 0, 0, 1}, -1.0);
+  std::vector<TaskId> movers;
+  state.remove_marked(0, std::vector<std::uint8_t>{1, 0, 0}, movers);
+  EXPECT_THROW(state.scatter_accepting({1}, movers), std::logic_error);
 }
 
 TEST(BatchPlacerTest, ValidatesInput) {

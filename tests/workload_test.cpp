@@ -7,8 +7,10 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 
+#include "tlb/core/threshold.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/workload/arrival.hpp"
 #include "tlb/workload/scenario.hpp"
@@ -345,6 +347,42 @@ TEST(ScenarioRunTest, TwoPointChurnFailsLoudly) {
           "user:complete:twopoint(5,8):poisson(5,0.02)"),
       params);
   EXPECT_THROW(scenario.run(2, 1, 1), std::invalid_argument);
+}
+
+TEST(ScenarioRunTest, RejectsNonFiniteBatchParameters) {
+  // NaN and ±inf slip through ordered `x <= 0` checks: a NaN threshold
+  // reads every resource as balanced (0 rounds), a NaN alpha never moves a
+  // task (the round cap). Both must fail at construction instead, for every
+  // batch protocol family.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const char* spec :
+       {"user:complete:unit", "user:complete:uniform(8)",
+        "resource:hypercube:pareto(2.5,64)", "graphuser:regular:zipf(1.1,64)",
+        "mixed(0.5):torus:octaves(8)"}) {
+    for (const double x : {nan, inf, -inf}) {
+      workload::ScenarioParams eps_params;
+      eps_params.n = 64;
+      eps_params.eps = x;
+      EXPECT_THROW(workload::Scenario(workload::ScenarioSpec::parse(spec),
+                                      eps_params),
+                   std::invalid_argument)
+          << spec << " eps=" << x;
+      workload::ScenarioParams alpha_params;
+      alpha_params.n = 64;
+      alpha_params.alpha = x;
+      EXPECT_THROW(workload::Scenario(workload::ScenarioSpec::parse(spec),
+                                      alpha_params),
+                   std::invalid_argument)
+          << spec << " alpha=" << x;
+    }
+  }
+  for (const double x : {nan, inf, -inf, 0.0}) {
+    EXPECT_THROW((void)core::threshold_value(core::ThresholdKind::kAboveAverage,
+                                             100.0, 10, 1.0, x),
+                 std::invalid_argument)
+        << x;
+  }
 }
 
 // ---- scenario runs: determinism across thread counts ----------------------

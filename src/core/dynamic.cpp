@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "tlb/core/completions.hpp"
 #include "tlb/dsan/probe.hpp"
 #include "tlb/dsan/state_digest.hpp"
 #include "tlb/engine/driver.hpp"
@@ -14,8 +15,7 @@
 namespace tlb::core {
 
 DynamicUserEngine::DynamicUserEngine(DynamicConfig config)
-    : config_(std::move(config)),
-      completion_(config_.completion_rate, util::FixedBinomial::Table::kOn) {
+    : config_(std::move(config)) {
   if (config_.n < 2) throw std::invalid_argument("DynamicUserEngine: n >= 2");
   // Every bound is written so that NaN fails it (an ordered comparison with
   // NaN is false), and infinities are rejected outright: a NaN completion
@@ -179,25 +179,22 @@ void DynamicUserEngine::do_arrivals(util::Rng& rng) {
 }
 
 void DynamicUserEngine::do_completions(util::Rng& rng) {
-  if (config_.completion_rate <= 0.0) return;
+  // Geometric skip-sampling over the flat (resource, class) slot order:
+  // completions + 1 draws per round, not one per non-empty slot.
   const std::size_t C = class_weights_.size();
-  std::uint64_t total_done = 0;
-  for (graph::Node r = 0; r < config_.n; ++r) {
-    for (std::size_t c = 0; c < C; ++c) {
-      auto& slot = counts_[static_cast<std::size_t>(r) * C + c];
-      if (slot == 0) continue;
-      const auto done = static_cast<std::uint32_t>(completion_(rng, slot));
-      if (done == 0) continue;
-      slot -= done;
-      loads_[r] -= static_cast<double>(done) * class_weights_[c];
-      task_counts_[r] -= done;
-      over_.mark_dirty(r);
-      total_weight_ -= static_cast<double>(done) * class_weights_[c];
-      population_ -= done;
-      total_done += done;
-      if (metrics_) metrics_->completions += done;
-    }
-  }
+  const std::uint64_t total_done = complete_tasks(
+      rng, config_.completion_rate, counts_,
+      [this, C](std::size_t slot, std::uint32_t done) {
+        const auto r = static_cast<graph::Node>(slot / C);
+        const double weight =
+            static_cast<double>(done) * class_weights_[slot % C];
+        loads_[r] -= weight;
+        task_counts_[r] -= done;
+        over_.mark_dirty(r);
+        total_weight_ -= weight;
+      });
+  population_ -= total_done;
+  if (metrics_) metrics_->completions += total_done;
   if (sink_.registry != nullptr) sink_.registry->add(m_completions_, total_done);
 }
 

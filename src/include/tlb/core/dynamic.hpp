@@ -30,7 +30,6 @@
 #include "tlb/core/threshold.hpp"
 #include "tlb/graph/graph.hpp"
 #include "tlb/obs/profile.hpp"
-#include "tlb/util/binomial.hpp"
 #include "tlb/util/rng.hpp"
 #include "tlb/util/stats.hpp"
 #include "tlb/util/thread_pool.hpp"
@@ -193,10 +192,6 @@ class DynamicUserEngine {
   void check_overloaded_invariant() const;
 
   DynamicConfig config_;
-  // Per-task completions: Binomial(slot, completion_rate) for every
-  // non-empty slot, every round. The rate is fixed for the engine's
-  // lifetime, so its q^k table is built once here.
-  util::FixedBinomial completion_;
   std::vector<double> class_weights_;   // ascending
   std::vector<double> class_cdf_;       // arrival sampling
   double w_max_ = 1.0;                  // max class weight (static bound)

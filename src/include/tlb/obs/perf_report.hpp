@@ -20,12 +20,22 @@
 //    and --no-wall disables the check entirely (e.g. when comparing runs
 //    from different machines).
 //
+//  - A declared re-baseline: an entry may carry
+//    "rebaseline": {"presets": [...], "reason": "..."} when it changes some
+//    presets' counters on purpose (a sampler with the same law but a new
+//    stream). When that entry is the head, counter drift on a listed preset
+//    is reported as REBASELINED with the reason and does not fail the gate.
+//    Drift on any preset not listed still fails, and so do a listed preset
+//    that did not drift and a missing or empty reason.
+//
 // evaluate_gate never throws on content (only the parser throws on broken
 // JSON); missing timings simply skip the wall check for that preset, so
 // deterministic-only entries (--timings=false) gate on counters alone.
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tlb::obs {
@@ -45,6 +55,13 @@ struct PresetRecord {
   double tail_speedup = 0.0;
 };
 
+/// An entry's declared counter changes: the presets whose counters it
+/// changes on purpose, and why.
+struct Rebaseline {
+  std::vector<std::string> presets;
+  std::string reason;
+};
+
 /// One {label, set, report} element of the trajectory array.
 struct TrajectoryEntry {
   std::string label;
@@ -52,6 +69,7 @@ struct TrajectoryEntry {
   std::uint64_t seed = 0;
   bool deterministic = false;  ///< report emitted with --timings=false
   std::vector<PresetRecord> presets;
+  std::optional<Rebaseline> rebaseline;  ///< the entry's "rebaseline" field
 
   /// Pointer into `presets` by name, nullptr when absent.
   const PresetRecord* find(const std::string& name) const;
@@ -75,6 +93,7 @@ struct PresetDelta {
   bool in_base = false;
   bool in_head = false;
   std::vector<CounterDrift> drifts;  ///< empty = counters bit-identical
+  bool rebaselined = false;  ///< drifts declared by the head's rebaseline
   bool has_wall = false;  ///< both sides carry timings
   double base_mps = 0.0;  ///< migrations/sec
   double head_mps = 0.0;
@@ -98,12 +117,21 @@ struct GateReport {
   GateOptions options;
   std::vector<PresetDelta> deltas;  ///< union of preset names, base order
   std::size_t shared = 0;           ///< presets present in both entries
-  std::size_t counter_drifts = 0;   ///< shared presets with any drift
+  std::size_t counter_drifts = 0;   ///< undeclared drifts (shared presets)
   std::size_t missing_in_head = 0;  ///< base presets absent from head
   std::size_t wall_regressions = 0;
+  /// The head entry's rebaseline, if it declares one.
+  std::optional<Rebaseline> rebaseline;
+  std::size_t rebaselined = 0;  ///< declared drifts, not failures
+  /// Presets the rebaseline lists that did not drift against base.
+  std::vector<std::string> undrifted_rebaseline;
 
+  /// A declared rebaseline holds: it gives a reason and every preset it
+  /// lists drifted. True when none is declared.
+  bool rebaseline_ok() const;
   bool counters_ok() const {
-    return counter_drifts == 0 && missing_in_head == 0 && shared > 0;
+    return counter_drifts == 0 && missing_in_head == 0 && shared > 0 &&
+           rebaseline_ok();
   }
   bool wall_ok() const { return wall_regressions == 0; }
   bool ok() const {

@@ -14,17 +14,12 @@
 // distributionally identical to per-task coin flips.
 //
 // FixedBinomial is that sampler for one fixed p. It does the per-p work —
-// the p > 1/2 flip, q = 1 - p, log q and p/q — once, and can also cache q^k
-// for the counts of the inversion region, so a draw that lands on 0 (the
-// common case at small p and small counts) costs a table lookup, one
-// uniform and a compare. util::binomial(rng, n, p) is FixedBinomial(p)
-// applied to n, so the two are draw-for-draw identical by construction:
-// same result, same generator state.
+// the p > 1/2 flip, q = 1 - p, log q and p/q — once. util::binomial(rng, n,
+// p) is FixedBinomial(p) applied to n, so the two are draw-for-draw
+// identical by construction: same result, same generator state.
 
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "tlb/util/rng.hpp"
 
@@ -45,41 +40,23 @@ std::uint64_t binomial_btrs(Rng& rng, std::uint64_t n, double p);
 }  // namespace detail
 
 /// Exact Binomial(·, p) sampler for one fixed p; see the header comment.
-/// Build it once where p is fixed (an engine's completion rate, one
-/// resource's leave probability) and call it per count.
+/// Build it once where p is fixed (one resource's leave probability) and
+/// call it per count.
 class FixedBinomial {
  public:
-  /// Whether construction tabulates q^k over the inversion region.
-  enum class Table { kOff, kOn };
-  /// Most counts the q^k table covers (8 KiB of doubles).
-  static constexpr std::size_t kTableCap = 1024;
-
-  /// With Table::kOn, q^k is precomputed for every k with k*p < 10 (the
-  /// inversion region), up to kTableCap counts.
-  explicit FixedBinomial(double p, Table table = Table::kOff);
+  explicit FixedBinomial(double p);
 
   /// Draw from Binomial(n, p); identical to util::binomial(rng, n, p).
   std::uint64_t operator()(Rng& rng, std::uint64_t n) const {
     if (n == 0 || kind_ != Kind::kSample) return kind_ == Kind::kAll ? n : 0;
-    std::uint64_t k = 0;
-    if (n < table_.size()) {
-      k = search(rng, n, table_[n]);
-    } else if (static_cast<double>(n) * p_ < 10.0) {
-      k = search(rng, n, q_pow(n));
-    } else {
-      k = detail::binomial_btrs(rng, n, p_);
-    }
+    const std::uint64_t k = static_cast<double>(n) * p_ < 10.0
+                                ? search(rng, n, q_pow(n))
+                                : detail::binomial_btrs(rng, n, p_);
     return flip_ ? n - k : k;
   }
 
   /// The inversion sampler at any n*p: detail::binomial_inversion.
   std::uint64_t inversion(Rng& rng, std::uint64_t n) const;
-
-  /// The q^k table, indexed by count (empty without one). Tests pin it
-  /// bit for bit to the q^n the walk computes without a table.
-  [[nodiscard]] const std::vector<double>& table() const noexcept {
-    return table_;
-  }
 
  private:
   enum class Kind { kNone, kAll, kSample };
@@ -106,7 +83,6 @@ class FixedBinomial {
   double p_ = 0.0;      // the smaller tail, min(p, 1 - p)
   double log_q_ = 0.0;  // log(1 - p_)
   double r_ = 0.0;      // p_ / (1 - p_)
-  std::vector<double> table_;  // table_[k] = q_pow(k)
 };
 
 }  // namespace tlb::util

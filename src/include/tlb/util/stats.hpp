@@ -75,4 +75,31 @@ LinearFit fit_power_law(const std::vector<double>& x,
 /// Pearson correlation coefficient of two equal-length samples.
 double pearson(const std::vector<double>& x, const std::vector<double>& y);
 
+// ---- Law checks -----------------------------------------------------------
+// Goodness-of-fit tools for checking that a sampler, or a stream-changing
+// optimisation, keeps its law: each returns a p-value, and a check at level
+// alpha rejects unless p > alpha. A NaN statistic gives a NaN p-value, which
+// fails that check instead of passing it.
+
+/// Kolmogorov's limiting survival function
+/// Q_KS(lambda) = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2), so
+/// P(sqrt(n) D_n > lambda) -> Q_KS(lambda). 1 for lambda <= 0.
+double kolmogorov_q(double lambda);
+
+/// Two-sample Kolmogorov–Smirnov test.
+struct KsResult {
+  double d = 0.0;        ///< sup |F_x - F_y| over the pooled sample
+  double p_value = 1.0;  ///< asymptotic Kolmogorov p-value
+};
+/// D and its asymptotic p-value Q_KS((sqrt(N) + 0.12 + 0.11/sqrt(N)) D),
+/// N = n m / (n + m) (Stephens' small-sample correction). Ties are fine:
+/// on discrete data the test is conservative. Both samples non-empty and
+/// NaN-free.
+KsResult ks_two_sample(std::vector<double> x, std::vector<double> y);
+
+/// Upper tail of the chi-square distribution with `dof` > 0 degrees of
+/// freedom at `x`: Q(dof / 2, x / 2), the regularized upper incomplete
+/// gamma function. 1 for x <= 0.
+double chi_square_q(double x, double dof);
+
 }  // namespace tlb::util

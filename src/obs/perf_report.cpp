@@ -52,6 +52,55 @@ PresetRecord parse_preset(const util::JsonValue& p) {
   return rec;
 }
 
+/// The entry's optional "rebaseline": {"presets": [...], "reason": "..."}.
+/// A missing reason parses as empty, which the gate rejects.
+Rebaseline parse_rebaseline(const util::JsonValue& v) {
+  if (!v.is_object()) {
+    throw std::runtime_error("perf_report: 'rebaseline' is not an object");
+  }
+  Rebaseline r;
+  const util::JsonValue& presets = v.at("presets");
+  if (!presets.is_array()) {
+    throw std::runtime_error(
+        "perf_report: 'rebaseline.presets' is not an array");
+  }
+  for (const util::JsonValue& p : presets.items) {
+    if (!p.is_string()) {
+      throw std::runtime_error(
+          "perf_report: 'rebaseline.presets' holds a non-string");
+    }
+    r.presets.push_back(p.string);
+  }
+  if (const util::JsonValue* reason = v.find("reason")) {
+    if (!reason->is_string()) {
+      throw std::runtime_error(
+          "perf_report: 'rebaseline.reason' is not a string");
+    }
+    r.reason = reason->string;
+  }
+  return r;
+}
+
+bool blank(const std::string& text) {
+  return text.find_first_not_of(" \t\r\n") == std::string::npos;
+}
+
+bool lists(const Rebaseline& r, const std::string& preset) {
+  for (const std::string& p : r.presets) {
+    if (p == preset) return true;
+  }
+  return false;
+}
+
+std::string json_strings(const std::vector<std::string>& xs) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (i) out += ",";
+    out += sim::Json::quote(xs[i]);
+  }
+  return out + "]";
+}
+
 double fmt_ratio_clamp(double x) { return x < 0.0 ? 0.0 : x; }
 
 /// %.4g for markdown throughput cells.
@@ -62,6 +111,11 @@ std::string fmt(double x) {
 }
 
 }  // namespace
+
+bool GateReport::rebaseline_ok() const {
+  return !rebaseline ||
+         (!blank(rebaseline->reason) && undrifted_rebaseline.empty());
+}
 
 const PresetRecord* TrajectoryEntry::find(const std::string& name) const {
   for (const PresetRecord& p : presets) {
@@ -74,7 +128,7 @@ std::vector<TrajectoryEntry> parse_trajectory(const std::string& text) {
   // An empty / whitespace-only file or a bare [] means no run was ever
   // appended — name that directly instead of failing later with a cryptic
   // parse or indexing error.
-  if (text.find_first_not_of(" \t\r\n") == std::string::npos) {
+  if (blank(text)) {
     throw std::runtime_error(
         "perf_report: empty trajectory — the file has no entries (record a "
         "run with --append first)");
@@ -109,6 +163,9 @@ std::vector<TrajectoryEntry> parse_trajectory(const std::string& text) {
     for (const util::JsonValue& p : presets.items) {
       entry.presets.push_back(parse_preset(p));
     }
+    if (const util::JsonValue* r = item.find("rebaseline")) {
+      entry.rebaseline = parse_rebaseline(*r);
+    }
     out.push_back(std::move(entry));
   }
   return out;
@@ -121,6 +178,7 @@ GateReport evaluate_gate(const TrajectoryEntry& base,
   report.base_label = base.label;
   report.head_label = head.label;
   report.options = options;
+  report.rebaseline = head.rebaseline;
 
   // Union of preset names, base order first, head-only presets appended
   // (head-only presets are new coverage — reported, never a failure).
@@ -146,7 +204,10 @@ GateReport evaluate_gate(const TrajectoryEntry& base,
         d.drifts.push_back({field, base_text, head_text});
       }
     }
-    if (!d.drifts.empty()) ++report.counter_drifts;
+    if (!d.drifts.empty()) {
+      d.rebaselined = head.rebaseline && lists(*head.rebaseline, b.name);
+      ++(d.rebaselined ? report.rebaselined : report.counter_drifts);
+    }
     if (b.has_timings && h->has_timings) {
       d.has_wall = true;
       d.base_mps = b.migrations_per_sec;
@@ -170,6 +231,15 @@ GateReport evaluate_gate(const TrajectoryEntry& base,
     d.in_head = true;
     report.deltas.push_back(std::move(d));
   }
+  if (head.rebaseline) {
+    for (const std::string& name : head.rebaseline->presets) {
+      bool drifted = false;
+      for (const PresetDelta& d : report.deltas) {
+        drifted |= d.rebaselined && d.name == name;
+      }
+      if (!drifted) report.undrifted_rebaseline.push_back(name);
+    }
+  }
   return report;
 }
 
@@ -181,6 +251,7 @@ std::string render_markdown(const GateReport& r) {
          std::to_string(r.counter_drifts) + " counter drift(s), " +
          std::to_string(r.missing_in_head) + " missing in head, " +
          std::to_string(r.wall_regressions) + " wall regression(s)";
+  if (r.rebaseline) out += ", " + std::to_string(r.rebaselined) + " rebaselined";
   if (!r.options.counters) out += " [counter gate off]";
   if (!r.options.wall) {
     out += " [wall gate off]";
@@ -188,6 +259,16 @@ std::string render_markdown(const GateReport& r) {
     out += " (wall threshold " + fmt(r.options.wall_threshold * 100.0) + "%)";
   }
   out += ".\n\n";
+  if (r.rebaseline) {
+    const std::string& reason = r.rebaseline->reason;
+    out += "Rebaseline declared by " + r.head_label +
+           (r.rebaseline_ok() ? "" : " (**INVALID**)") + ": " +
+           (blank(reason) ? "<no reason>" : reason) + "\n\n";
+    for (const std::string& name : r.undrifted_rebaseline) {
+      out += "- the rebaseline lists `" + name + "`, which did not drift\n";
+    }
+    if (!r.undrifted_rebaseline.empty()) out += "\n";
+  }
   out += "| preset | counters | mig/s " + r.base_label + " | mig/s " +
          r.head_label + " | ratio |\n";
   out += "|---|---|---|---|---|\n";
@@ -203,7 +284,8 @@ std::string render_markdown(const GateReport& r) {
     } else if (d.drifts.empty()) {
       counters = "identical";
     } else {
-      counters = "DRIFT (" + std::to_string(d.drifts.size()) + " field(s))";
+      counters = std::string(d.rebaselined ? "REBASELINED" : "DRIFT") + " (" +
+                 std::to_string(d.drifts.size()) + " field(s))";
     }
     if (d.has_wall) {
       base_mps = fmt(d.base_mps);
@@ -222,7 +304,8 @@ std::string render_markdown(const GateReport& r) {
       for (const CounterDrift& c : d.drifts) {
         out += "- `" + d.name + "." + c.field + "`: " +
                (c.base.empty() ? "<absent>" : c.base) + " -> " +
-               (c.head.empty() ? "<absent>" : c.head) + "\n";
+               (c.head.empty() ? "<absent>" : c.head) +
+               (d.rebaselined ? " (rebaselined)" : "") + "\n";
       }
     }
   }
@@ -237,7 +320,8 @@ std::string render_json(const GateReport& r) {
     j.add("name", d.name)
         .add("in_base", d.in_base)
         .add("in_head", d.in_head)
-        .add("counters_identical", d.in_base && d.in_head && d.drifts.empty());
+        .add("counters_identical", d.in_base && d.in_head && d.drifts.empty())
+        .add("rebaselined", d.rebaselined);
     std::string drifts = "[";
     for (std::size_t k = 0; k < d.drifts.size(); ++k) {
       sim::Json dj;
@@ -273,8 +357,17 @@ std::string render_json(const GateReport& r) {
       .add("counter_drifts", static_cast<std::uint64_t>(r.counter_drifts))
       .add("missing_in_head", static_cast<std::uint64_t>(r.missing_in_head))
       .add("wall_regressions",
-           static_cast<std::uint64_t>(r.wall_regressions))
-      .add_raw("presets", deltas);
+           static_cast<std::uint64_t>(r.wall_regressions));
+  if (r.rebaseline) {
+    sim::Json rb;
+    rb.add("ok", r.rebaseline_ok())
+        .add_raw("presets", json_strings(r.rebaseline->presets))
+        .add("reason", r.rebaseline->reason)
+        .add("rebaselined", static_cast<std::uint64_t>(r.rebaselined))
+        .add_raw("undrifted", json_strings(r.undrifted_rebaseline));
+    root.add_raw("rebaseline", rb.str());
+  }
+  root.add_raw("presets", deltas);
   return root.str();
 }
 

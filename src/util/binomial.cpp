@@ -63,7 +63,7 @@ std::uint64_t binomial_btrs(Rng& rng, std::uint64_t n, double p) {
 
 }  // namespace detail
 
-FixedBinomial::FixedBinomial(double p, Table table) {
+FixedBinomial::FixedBinomial(double p) {
   // Degenerate endpoints first. NaN fails every ordered comparison, so it is
   // caught by !(p > 0) and treated as p = 0 (the Rng::bernoulli contract)
   // instead of reaching BTRS, whose accept test it would make always false.
@@ -86,12 +86,6 @@ FixedBinomial::FixedBinomial(double p, Table table) {
   const double q = 1.0 - p_;
   log_q_ = std::log(q);
   r_ = p_ / q;
-  if (table == Table::kOn) {
-    std::size_t size = 0;
-    while (size < kTableCap && static_cast<double>(size) * p_ < 10.0) ++size;
-    table_.resize(size);
-    for (std::size_t k = 0; k < size; ++k) table_[k] = q_pow(k);
-  }
 }
 
 std::uint64_t FixedBinomial::inversion(Rng& rng, std::uint64_t n) const {

@@ -127,4 +127,99 @@ double pearson(const std::vector<double>& x, const std::vector<double>& y) {
   return denom > 0.0 ? cov / denom : 0.0;
 }
 
+double kolmogorov_q(double lambda) {
+  if (std::isnan(lambda)) return lambda;
+  if (lambda <= 0.0) return 1.0;
+  constexpr double kPi = 3.14159265358979323846;
+  if (lambda < 1.18) {
+    // The alternating series converges slowly here; use the Jacobi theta
+    // form 1 - sqrt(2 pi)/lambda sum_{j>=1} exp(-(2j-1)^2 pi^2 / (8 lambda^2)).
+    const double t = -kPi * kPi / (8.0 * lambda * lambda);
+    double sum = 0.0;
+    for (int j = 1; j <= 8; ++j) {
+      const double odd = 2.0 * j - 1.0;
+      sum += std::exp(odd * odd * t);
+    }
+    return std::max(0.0, 1.0 - std::sqrt(2.0 * kPi) / lambda * sum);
+  }
+  double sum = 0.0;
+  double sign = 1.0;
+  for (int j = 1; j <= 100; ++j) {
+    const double term = std::exp(-2.0 * j * j * lambda * lambda);
+    sum += sign * term;
+    if (term < 1e-17) break;
+    sign = -sign;
+  }
+  return std::min(1.0, 2.0 * sum);
+}
+
+KsResult ks_two_sample(std::vector<double> x, std::vector<double> y) {
+  if (x.empty() || y.empty()) {
+    throw std::invalid_argument("ks_two_sample: both samples non-empty");
+  }
+  // NaN equals nothing, so the tie-stepping walk below would never pass it.
+  const auto is_nan = [](double v) { return std::isnan(v); };
+  if (std::any_of(x.begin(), x.end(), is_nan) ||
+      std::any_of(y.begin(), y.end(), is_nan)) {
+    throw std::invalid_argument("ks_two_sample: NaN in a sample");
+  }
+  std::sort(x.begin(), x.end());
+  std::sort(y.begin(), y.end());
+  const auto nx = static_cast<double>(x.size());
+  const auto ny = static_cast<double>(y.size());
+  KsResult r;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < x.size() && j < y.size()) {
+    // Step both empirical CDFs past the smaller value, ties together.
+    const double v = std::min(x[i], y[j]);
+    while (i < x.size() && x[i] == v) ++i;
+    while (j < y.size() && y[j] == v) ++j;
+    r.d = std::max(r.d, std::fabs(static_cast<double>(i) / nx -
+                                  static_cast<double>(j) / ny));
+  }
+  const double en = std::sqrt(nx * ny / (nx + ny));
+  r.p_value = kolmogorov_q((en + 0.12 + 0.11 / en) * r.d);
+  return r;
+}
+
+double chi_square_q(double x, double dof) {
+  if (!(dof > 0.0)) throw std::invalid_argument("chi_square_q: dof > 0");
+  if (std::isnan(x)) return x;
+  if (x <= 0.0) return 1.0;
+  const double a = 0.5 * dof;
+  const double z = 0.5 * x;
+  const double log_prefix = a * std::log(z) - z - std::lgamma(a);
+  if (z < a + 1.0) {
+    // Series for the lower function P(a, z); Q = 1 - P.
+    double term = 1.0 / a;
+    double sum = term;
+    for (int n = 1; n < 10000; ++n) {
+      term *= z / (a + n);
+      sum += term;
+      if (term < sum * 1e-16) break;
+    }
+    return std::max(0.0, 1.0 - sum * std::exp(log_prefix));
+  }
+  // Continued fraction for Q(a, z), modified Lentz evaluation.
+  constexpr double kTiny = 1e-300;
+  double b = z + 1.0 - a;
+  double c = 1.0 / kTiny;
+  double d = 1.0 / b;
+  double h = d;
+  for (int n = 1; n < 10000; ++n) {
+    const double an = -n * (n - a);
+    b += 2.0;
+    d = an * d + b;
+    if (std::fabs(d) < kTiny) d = kTiny;
+    c = b + an / c;
+    if (std::fabs(c) < kTiny) c = kTiny;
+    d = 1.0 / d;
+    const double delta = d * c;
+    h *= delta;
+    if (std::fabs(delta - 1.0) < 1e-16) break;
+  }
+  return std::min(1.0, std::exp(log_prefix) * h);
+}
+
 }  // namespace tlb::util

@@ -117,6 +117,43 @@ TEST(DynamicTest, ZeroRatesAreInert) {
   EXPECT_DOUBLE_EQ(engine.total_weight(), 0.0);
 }
 
+TEST(DynamicTest, UnitCompletionRateEmptiesEveryRound) {
+  // mu = 1: every task present after the round's arrivals completes in the
+  // same round, so nothing is left for the protocol to move.
+  DynamicConfig cfg = base_config();
+  cfg.completion_rate = 1.0;
+  DynamicUserEngine engine(cfg);
+  Rng rng(8);
+  engine.begin_measure();
+  for (int t = 0; t < 200; ++t) {
+    EXPECT_EQ(engine.step(rng), 0u) << "round " << t;
+    EXPECT_EQ(engine.population(), 0u) << "round " << t;
+    EXPECT_EQ(engine.total_weight(), 0.0) << "round " << t;
+  }
+  engine.end_measure();
+  const std::uint64_t arrived = engine.metrics().arrivals;
+  EXPECT_GT(arrived, 0u);
+  EXPECT_EQ(engine.metrics().completions, arrived);
+  for (tlb::graph::Node r = 0; r < cfg.n; ++r) EXPECT_EQ(engine.load(r), 0.0);
+}
+
+TEST(DynamicTest, VanishingCompletionRatesCompleteNothing) {
+  // The smallest positive rates DynamicConfig accepts. At the subnormal
+  // 5e-324, 1 / log1p(-mu) is -inf: every gap draw is +inf, or NaN for
+  // U = 1, and must clamp to the cap rather than be cast
+  // (CompletionDrawTest.GapClampIsNanSafe pins the NaN case).
+  for (const double mu : {std::numeric_limits<double>::denorm_min(), 1e-300}) {
+    DynamicConfig cfg = base_config();
+    cfg.completion_rate = mu;
+    DynamicUserEngine engine(cfg);
+    Rng rng(9);
+    const auto metrics = run_churn(engine, /*warmup=*/0, /*measure=*/1000, rng);
+    EXPECT_EQ(metrics.completions, 0u) << mu;
+    EXPECT_GT(metrics.arrivals, 0u) << mu;
+    EXPECT_EQ(engine.population(), metrics.arrivals) << mu;
+  }
+}
+
 TEST(DynamicTest, RejectsBadConfig) {
   DynamicConfig cfg = base_config();
   cfg.n = 1;

@@ -2,7 +2,8 @@
 // reader (util::parse_json), BENCH_perf.json trajectory parsing, and
 // evaluate_gate's verdicts — pass on identical counters, fail on a single
 // bit of counter drift or a preset missing from head, wall regression
-// against the threshold, and the renderers' key content.
+// against the threshold, a head entry's declared rebaseline, and the
+// renderers' key content.
 #include "tlb/obs/perf_report.hpp"
 
 #include <gtest/gtest.h>
@@ -247,6 +248,110 @@ TEST(GateTest, DeterministicEntriesGateOnCountersAlone) {
   EXPECT_TRUE(report.ok());
   EXPECT_FALSE(report.deltas[0].has_wall);
   EXPECT_EQ(report.wall_regressions, 0u);
+}
+
+/// trajectory_json() with head's p1 migrations drifted by one (51234 ->
+/// 51235) and `rebaseline` (raw JSON, "" for none) added to the head entry.
+std::string drifted_trajectory(const std::string& rebaseline) {
+  std::string text = trajectory_json();
+  const std::string needle = "\"migrations\":51234";
+  text.replace(text.rfind(needle), needle.size(), "\"migrations\":51235");
+  if (!rebaseline.empty()) {
+    const std::string head = R"({"label":"head","set":"smoke",)";
+    text.replace(text.find(head), head.size(),
+                 head + "\"rebaseline\":" + rebaseline + ",");
+  }
+  return text;
+}
+
+TEST(GateRebaselineTest, DeclaredDriftIsReportedNotFailed) {
+  const auto entries = obs::parse_trajectory(drifted_trajectory(
+      R"({"presets":["p1"],"reason":"new completion sampler"})"));
+  ASSERT_TRUE(entries[1].rebaseline.has_value());
+  EXPECT_FALSE(entries[0].rebaseline.has_value());
+  EXPECT_EQ(entries[1].rebaseline->presets,
+            std::vector<std::string>{"p1"});
+  const GateReport report =
+      obs::evaluate_gate(entries[0], entries[1], GateOptions{});
+  EXPECT_TRUE(report.ok());
+  EXPECT_TRUE(report.rebaseline_ok());
+  EXPECT_EQ(report.counter_drifts, 0u);
+  EXPECT_EQ(report.rebaselined, 1u);
+  EXPECT_TRUE(report.deltas[0].rebaselined);
+  ASSERT_EQ(report.deltas[0].drifts.size(), 1u);  // still itemised
+  EXPECT_FALSE(report.deltas[1].rebaselined);
+  const std::string md = obs::render_markdown(report);
+  EXPECT_NE(md.find("REBASELINED"), std::string::npos);
+  EXPECT_NE(md.find("new completion sampler"), std::string::npos);
+  EXPECT_NE(md.find("(rebaselined)"), std::string::npos);
+  const std::string json = obs::render_json(report);
+  EXPECT_NE(json.find("\"rebaselined\":true"), std::string::npos);
+  EXPECT_NE(json.find("\"ok\":true"), std::string::npos);
+  // The declaration belongs to the head: as the base it excuses nothing.
+  const GateReport reversed =
+      obs::evaluate_gate(entries[1], entries[0], GateOptions{});
+  EXPECT_FALSE(reversed.ok());
+  EXPECT_EQ(reversed.counter_drifts, 1u);
+}
+
+TEST(GateRebaselineTest, DriftOnAnUnlistedPresetStillFails) {
+  const auto entries = obs::parse_trajectory(drifted_trajectory(
+      R"({"presets":["p2"],"reason":"new completion sampler"})"));
+  const GateReport report =
+      obs::evaluate_gate(entries[0], entries[1], GateOptions{});
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.counter_drifts, 1u);  // p1, undeclared
+  EXPECT_EQ(report.rebaselined, 0u);
+  // p2 is listed but identical, which fails on its own too.
+  EXPECT_EQ(report.undrifted_rebaseline, std::vector<std::string>{"p2"});
+  EXPECT_NE(obs::render_markdown(report).find("DRIFT (1 field(s))"),
+            std::string::npos);
+}
+
+TEST(GateRebaselineTest, ListedPresetThatDidNotDriftFails) {
+  // p1 drifted and is declared; p2 and an unknown preset are listed too
+  // but did not drift, so the declaration overclaims.
+  const auto entries = obs::parse_trajectory(drifted_trajectory(
+      R"({"presets":["p1","p2","gone"],"reason":"new completion sampler"})"));
+  const GateReport report =
+      obs::evaluate_gate(entries[0], entries[1], GateOptions{});
+  EXPECT_FALSE(report.ok());
+  EXPECT_FALSE(report.rebaseline_ok());
+  EXPECT_EQ(report.counter_drifts, 0u);
+  EXPECT_EQ(report.rebaselined, 1u);
+  EXPECT_EQ(report.undrifted_rebaseline,
+            (std::vector<std::string>{"p2", "gone"}));
+  const std::string md = obs::render_markdown(report);
+  EXPECT_NE(md.find("`p2`, which did not drift"), std::string::npos);
+  EXPECT_NE(md.find("INVALID"), std::string::npos);
+  EXPECT_NE(obs::render_json(report).find("\"undrifted\":[\"p2\",\"gone\"]"),
+            std::string::npos);
+}
+
+TEST(GateRebaselineTest, EmptyReasonFails) {
+  for (const char* rebaseline :
+       {R"({"presets":["p1"],"reason":""})", R"({"presets":["p1"],"reason":" \n"})",
+        R"({"presets":["p1"]})"}) {
+    const auto entries =
+        obs::parse_trajectory(drifted_trajectory(rebaseline));
+    const GateReport report =
+        obs::evaluate_gate(entries[0], entries[1], GateOptions{});
+    EXPECT_FALSE(report.ok()) << rebaseline;
+    EXPECT_FALSE(report.rebaseline_ok()) << rebaseline;
+    EXPECT_EQ(report.counter_drifts, 0u) << rebaseline;
+    EXPECT_TRUE(report.undrifted_rebaseline.empty()) << rebaseline;
+    EXPECT_NE(obs::render_markdown(report).find("<no reason>"),
+              std::string::npos);
+  }
+  // A malformed declaration is a parse error, not a silent pass.
+  EXPECT_THROW(obs::parse_trajectory(drifted_trajectory(R"(["p1"])")),
+               std::runtime_error);
+  EXPECT_THROW(
+      obs::parse_trajectory(drifted_trajectory(R"({"presets":"p1"})")),
+      std::runtime_error);
+  EXPECT_THROW(
+      obs::parse_trajectory(drifted_trajectory(R"({"presets":[1]})")),
+      std::runtime_error);
 }
 
 TEST(GateTest, NoSharedPresetsFailsTheCounterGate) {

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -89,8 +88,7 @@ TEST(BinomialTest, NanProbabilityDrawsNothing) {
     EXPECT_EQ(binomial(rng, n, kNan), 0u) << "n=" << n;
     EXPECT_EQ(tlb::util::detail::binomial_inversion(rng, n, kNan), 0u)
         << "n=" << n;
-    EXPECT_EQ(FixedBinomial(kNan, FixedBinomial::Table::kOn)(rng, n), 0u)
-        << "n=" << n;
+    EXPECT_EQ(FixedBinomial(kNan)(rng, n), 0u) << "n=" << n;
   }
   EXPECT_EQ(rng.state_hash(), before);
 }
@@ -242,9 +240,9 @@ std::uint64_t reference_binomial(Rng& rng, std::uint64_t n, double p) {
 }
 
 /// The counts every p is checked at: 0..2000, the first n with n*p >= 10
-/// (where the dispatcher leaves inversion for BTRS), either side of the
-/// table cap, and 10^6 (q^n underflows there for the larger p, so the
-/// inversion sampler falls back to BTRS).
+/// (where the dispatcher leaves inversion for BTRS), and 10^6 (q^n
+/// underflows there for the larger p, so the inversion sampler falls back
+/// to BTRS).
 std::vector<std::uint64_t> identity_counts(double p) {
   std::vector<std::uint64_t> ns;
   for (std::uint64_t n = 0; n <= 2000; ++n) ns.push_back(n);
@@ -253,10 +251,6 @@ std::vector<std::uint64_t> identity_counts(double p) {
     auto n = static_cast<std::uint64_t>(std::min(10.0 / tail, 1e15));
     while (n > 0 && static_cast<double>(n - 1) * tail >= 10.0) --n;
     while (static_cast<double>(n) * tail < 10.0) ++n;
-    ns.push_back(n);
-  }
-  for (std::uint64_t n = FixedBinomial::kTableCap - 1;
-       n <= FixedBinomial::kTableCap + 1; ++n) {
     ns.push_back(n);
   }
   ns.push_back(1000000);
@@ -272,23 +266,20 @@ const std::vector<double>& identity_probabilities() {
 
 TEST(FixedBinomialTest, DrawForDrawIdenticalToBinomial) {
   for (const double p : identity_probabilities()) {
-    for (const auto table :
-         {FixedBinomial::Table::kOff, FixedBinomial::Table::kOn}) {
-      const FixedBinomial fixed(p, table);
-      Rng a(0xf1bed), b(0xf1bed), c(0xf1bed);
-      for (const std::uint64_t n : identity_counts(p)) {
-        // Two draws per count: the second starts from a moved generator.
-        for (int rep = 0; rep < 2; ++rep) {
-          const std::uint64_t x = fixed(a, n);
-          const std::uint64_t y = binomial(b, n, p);
-          const std::uint64_t z = reference_binomial(c, n, p);
-          ASSERT_EQ(x, z) << "fixed: p=" << p << " n=" << n;
-          ASSERT_EQ(y, z) << "binomial: p=" << p << " n=" << n;
-          ASSERT_EQ(a.state_hash(), c.state_hash())
-              << "fixed: p=" << p << " n=" << n;
-          ASSERT_EQ(b.state_hash(), c.state_hash())
-              << "binomial: p=" << p << " n=" << n;
-        }
+    const FixedBinomial fixed(p);
+    Rng a(0xf1bed), b(0xf1bed), c(0xf1bed);
+    for (const std::uint64_t n : identity_counts(p)) {
+      // Two draws per count: the second starts from a moved generator.
+      for (int rep = 0; rep < 2; ++rep) {
+        const std::uint64_t x = fixed(a, n);
+        const std::uint64_t y = binomial(b, n, p);
+        const std::uint64_t z = reference_binomial(c, n, p);
+        ASSERT_EQ(x, z) << "fixed: p=" << p << " n=" << n;
+        ASSERT_EQ(y, z) << "binomial: p=" << p << " n=" << n;
+        ASSERT_EQ(a.state_hash(), c.state_hash())
+            << "fixed: p=" << p << " n=" << n;
+        ASSERT_EQ(b.state_hash(), c.state_hash())
+            << "binomial: p=" << p << " n=" << n;
       }
     }
   }
@@ -310,39 +301,6 @@ TEST(FixedBinomialTest, InversionIdenticalAtEveryCount) {
       ASSERT_EQ(b.state_hash(), c.state_hash()) << "p=" << p << " n=" << n;
     }
   }
-}
-
-TEST(FixedBinomialTest, TableMatchesUncachedPowersBitForBit) {
-  // A table entry one ulp off P(X = 0) would change a draw only when u
-  // lands between the two values, which no sampled comparison can be
-  // trusted to hit; so the entries are pinned to the walk's own formula.
-  for (const double p : identity_probabilities()) {
-    const FixedBinomial fixed(p, FixedBinomial::Table::kOn);
-    const double tail = p > 0.5 ? 1.0 - p : p;
-    const double log_q = std::log(1.0 - tail);
-    for (std::size_t k = 0; k < fixed.table().size(); ++k) {
-      const double want = std::exp(static_cast<double>(k) * log_q);
-      ASSERT_EQ(std::memcmp(&fixed.table()[k], &want, sizeof want), 0)
-          << "p=" << p << " k=" << k;
-    }
-  }
-}
-
-TEST(FixedBinomialTest, TableCoversTheInversionRegionUpToTheCap) {
-  using Table = FixedBinomial::Table;
-  // p = 0.01: 999 * p < 10 <= 1000 * p, so counts 0..999 are tabulated.
-  EXPECT_EQ(FixedBinomial(0.01, Table::kOn).table().size(), 1000u);
-  // p > 1/2 tabulates the flipped tail: 1 - 0.99 = 0.010000000000000009.
-  EXPECT_EQ(FixedBinomial(0.99, Table::kOn).table().size(), 1000u);
-  EXPECT_EQ(FixedBinomial(0.3, Table::kOn).table().size(), 34u);
-  // Tiny p: the inversion region is huge, the table stops at the cap.
-  EXPECT_EQ(FixedBinomial(1e-12, Table::kOn).table().size(),
-            FixedBinomial::kTableCap);
-  // Degenerate p never samples, so there is nothing to tabulate.
-  for (const double p : {0.0, 1.0, std::numeric_limits<double>::quiet_NaN()}) {
-    EXPECT_EQ(FixedBinomial(p, Table::kOn).table().size(), 0u) << p;
-  }
-  EXPECT_EQ(FixedBinomial(0.01).table().size(), 0u);
 }
 
 }  // namespace

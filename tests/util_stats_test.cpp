@@ -1,15 +1,19 @@
-// Tests for the statistics toolkit (Welford, summaries, fits).
+// Tests for the statistics toolkit (Welford, summaries, fits, law checks).
 #include "tlb/util/stats.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 namespace {
 
+using tlb::util::chi_square_q;
 using tlb::util::fit_linear;
 using tlb::util::fit_power_law;
+using tlb::util::ks_two_sample;
+using tlb::util::kolmogorov_q;
 using tlb::util::pearson;
 using tlb::util::percentile_sorted;
 using tlb::util::summarize;
@@ -133,6 +137,71 @@ TEST(PearsonTest, PerfectCorrelation) {
   }
   EXPECT_NEAR(pearson(x, y), 1.0, 1e-12);
   EXPECT_NEAR(pearson(x, z), -1.0, 1e-12);
+}
+
+TEST(KolmogorovTest, KnownAnswers) {
+  // The classic critical values: lambda = 1.36 is the 5% point and 1.63
+  // the 1% point of the Kolmogorov distribution.
+  EXPECT_NEAR(kolmogorov_q(1.36), 0.049, 0.0005);
+  EXPECT_NEAR(kolmogorov_q(1.63), 0.0098, 0.0001);
+  EXPECT_EQ(kolmogorov_q(0.0), 1.0);
+  EXPECT_EQ(kolmogorov_q(-1.0), 1.0);
+  EXPECT_NEAR(kolmogorov_q(0.5), 0.9639, 0.0001);
+  EXPECT_LT(kolmogorov_q(4.0), 1e-12);
+  // The two evaluation forms meet at lambda = 1.18.
+  EXPECT_NEAR(kolmogorov_q(std::nextafter(1.18, 0.0)), kolmogorov_q(1.18),
+              1e-12);
+}
+
+TEST(KsTwoSampleTest, IdenticalSamplesGiveZero) {
+  const std::vector<double> x = {3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0};
+  const auto r = ks_two_sample(x, x);
+  EXPECT_EQ(r.d, 0.0);
+  EXPECT_EQ(r.p_value, 1.0);
+}
+
+TEST(KsTwoSampleTest, DisjointSamplesGiveOne) {
+  std::vector<double> x, y;
+  for (int i = 0; i < 50; ++i) {
+    x.push_back(i);
+    y.push_back(100.0 + i);
+  }
+  const auto r = ks_two_sample(x, y);
+  EXPECT_EQ(r.d, 1.0);
+  EXPECT_LT(r.p_value, 1e-9);
+  EXPECT_EQ(ks_two_sample(y, x).d, 1.0);
+}
+
+TEST(KsTwoSampleTest, KnownStatisticWithTies) {
+  // F_x - F_y peaks at 2 (0.5 - 0) and stays there through the shared 3
+  // and 4: D = 1/2, and tied values step both CDFs together.
+  const auto r = ks_two_sample({1.0, 2.0, 3.0, 4.0}, {3.0, 4.0, 5.0, 6.0});
+  EXPECT_EQ(r.d, 0.5);
+  // N = 2: lambda = (sqrt(2) + 0.12 + 0.11 / sqrt(2)) / 2.
+  const double en = std::sqrt(2.0);
+  EXPECT_DOUBLE_EQ(r.p_value, kolmogorov_q((en + 0.12 + 0.11 / en) * 0.5));
+  EXPECT_EQ(ks_two_sample({1.0, 1.0, 2.0}, {1.0, 2.0, 2.0}).d, 1.0 / 3.0);
+  EXPECT_THROW(ks_two_sample({}, {1.0}), std::invalid_argument);
+  EXPECT_THROW(ks_two_sample({1.0, std::nan("")}, {1.0}),
+               std::invalid_argument);
+}
+
+TEST(ChiSquareTest, KnownAnswers) {
+  // Critical values of the chi-square table.
+  EXPECT_NEAR(chi_square_q(3.841459, 1.0), 0.05, 1e-6);
+  EXPECT_NEAR(chi_square_q(10.827566, 1.0), 0.001, 1e-8);
+  EXPECT_NEAR(chi_square_q(18.307038, 10.0), 0.05, 1e-6);
+  EXPECT_NEAR(chi_square_q(29.588298, 10.0), 0.001, 1e-8);
+  EXPECT_NEAR(chi_square_q(3.940299, 10.0), 0.95, 1e-6);
+  // Two degrees of freedom: Q = exp(-x / 2) exactly.
+  for (const double x : {0.1, 1.0, 2.0, 7.5, 40.0}) {
+    EXPECT_NEAR(chi_square_q(x, 2.0), std::exp(-x / 2.0), 1e-14) << x;
+  }
+  EXPECT_EQ(chi_square_q(0.0, 3.0), 1.0);
+  EXPECT_THROW(chi_square_q(1.0, 0.0), std::invalid_argument);
+  // A NaN statistic must fail a p > alpha check, not pass it.
+  EXPECT_TRUE(std::isnan(chi_square_q(std::nan(""), 3.0)));
+  EXPECT_TRUE(std::isnan(kolmogorov_q(std::nan(""))));
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 //   tlb_sim --scenario=resource:hypercube:pareto(2.5,64) --trials=50 --json
 //   tlb_sim --scenario=churn-poisson --n=200 --trials=20
 //   tlb_sim --list
-//   tlb_sim --bench --bench_set=smoke --timings=false
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -35,7 +34,6 @@
 #include "tlb/util/table.hpp"
 #include "tlb/util/timer.hpp"
 #include "tlb/workload/arrival.hpp"
-#include "tlb/workload/perf_suite.hpp"
 #include "tlb/workload/scenario.hpp"
 #include "tlb/workload/weight_models.hpp"
 
@@ -85,12 +83,11 @@ int main(int argc, char** argv) {
   cli.add_flag("threads", "0", "worker threads (0 = hardware concurrency)");
   cli.add_flag("engine-threads", "-1",
                "engine-level phase-1 sampling threads for the user-protocol "
-               "family (scenario mode: -1 and 1 both mean inline, 0 = "
-               "hardware concurrency; bench mode: override every preset, "
-               "-1 = preset defaults); never changes results. Each trial "
-               "owns its pool, so combining with --threads multiplies "
-               "thread counts — prefer --threads for many trials and "
-               "--engine-threads for single-trial/bench runs");
+               "family (-1 and 1 both mean inline, 0 = hardware "
+               "concurrency); never changes results. Each trial owns its "
+               "pool, so combining with --threads multiplies thread counts "
+               "— prefer --threads for many trials and --engine-threads "
+               "for single-trial runs");
   cli.add_flag("alpha", "1.0", "user-side migration dampening");
   cli.add_flag("eps", "0.25", "above-average threshold slack");
   cli.add_flag("threshold", "above_average",
@@ -100,21 +97,12 @@ int main(int argc, char** argv) {
   cli.add_flag("measure", "4000", "churn-mode recorded rounds");
   cli.add_flag("degree", "8", "degree for the regular family");
   cli.add_flag("json", "false", "emit one JSON object instead of the table");
-  cli.add_flag("bench", "false", "run the perf suite instead of a scenario");
-  cli.add_flag("bench_set", "smoke", "perf suite presets: smoke | full");
   cli.add_flag("timings", "true",
-               "perf suite: include wall-clock fields (false => "
-               "byte-deterministic JSON)");
-  cli.add_flag("label", "",
-               "perf suite: label for the --append entry "
-               "(default: \"<set>-seed<seed>\")");
-  cli.add_flag("append", "",
-               "perf suite: append {label, set, report} to this JSON array "
-               "file (e.g. BENCH_perf.json)");
+               "with --metrics, include the wall-clock \"metrics_timing\" "
+               "block (false => byte-deterministic JSON)");
   cli.add_flag("dsan-record", "",
-               "determinism sanitizer: record per-round fingerprints (trial "
-               "0 in scenario mode, every preset in bench mode) as a golden "
-               "trace at this path");
+               "determinism sanitizer: record trial 0's per-round "
+               "fingerprints as a golden trace at this path");
   cli.add_flag("dsan-check", "",
                "determinism sanitizer: re-run and compare fingerprints "
                "against the golden trace at this path; first divergent "
@@ -134,30 +122,6 @@ int main(int argc, char** argv) {
   if (cli.get_bool("list")) {
     print_registry();
     return 0;
-  }
-  if (cli.get_bool("bench")) {
-    try {
-      const std::string set = cli.get_string("bench_set");
-      const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-      const util::ObsOptions obs_opts =
-          util::ObsOptions::parse(cli, /*with_round_trace=*/true);
-      std::optional<obs::TraceWriter> trace;
-      if (!obs_opts.trace_out.empty()) trace.emplace();
-      const std::string report = workload::run_perf_set(
-          set, /*only=*/"", seed, cli.get_bool("timings"),
-          cli.get_int("engine-threads"), obs_opts.metrics,
-          trace ? &*trace : nullptr, obs_opts.analytics_every,
-          cli.get_string("dsan-record"), cli.get_string("dsan-check"));
-      std::printf("%s\n", report.c_str());
-      if (trace) trace->write(obs_opts.trace_out);
-      workload::append_bench_entry_cli(cli.get_string("append"),
-                                       cli.get_string("label"), set, seed,
-                                       report, "tlb_sim");
-      return 0;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "tlb_sim: %s\n", e.what());
-      return 1;
-    }
   }
   const std::string scenario_arg = cli.get_string("scenario");
   if (scenario_arg.empty()) {

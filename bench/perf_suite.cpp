@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <exception>
 #include <optional>
+#include <string>
 
 #include "tlb/obs/trace_event.hpp"
 #include "tlb/util/alloc_tuning.hpp"
@@ -61,9 +62,14 @@ int main(int argc, char** argv) {
         cli.get_string("dsan-record"), cli.get_string("dsan-check"));
     std::printf("%s\n", report.c_str());
     if (trace) trace->write(obs_opts.trace_out);
-    workload::append_bench_entry_cli(cli.get_string("append"),
-                                     cli.get_string("label"), set, seed,
-                                     report, "perf_suite");
+    const std::string path = cli.get_string("append");
+    if (!path.empty()) {
+      std::string label = cli.get_string("label");
+      if (label.empty()) label = set + "-seed" + std::to_string(seed);
+      workload::append_bench_entry(path, label, set, report);
+      std::fprintf(stderr, "perf_suite: appended '%s' to %s\n", label.c_str(),
+                   path.c_str());
+    }
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "perf_suite: %s\n", e.what());

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "tlb/core/potential.hpp"
+#include "tlb/core/threshold.hpp"
 #include "tlb/engine/driver.hpp"
 
 namespace tlb::core {
@@ -18,25 +19,8 @@ GraphUserEngine::GraphUserEngine(const graph::Graph& g,
       config_(std::move(config)),
       walk_(g, config_.walk),
       state_(ts, g.num_nodes()) {
-  if (config_.thresholds.empty()) {
-    if (!(config_.threshold > 0.0) || !std::isfinite(config_.threshold)) {
-      throw std::invalid_argument(
-          "GraphUserEngine: threshold must be finite and > 0");
-    }
-    thresholds_.assign(g.num_nodes(), config_.threshold);
-  } else {
-    if (config_.thresholds.size() != g.num_nodes()) {
-      throw std::invalid_argument(
-          "GraphUserEngine: thresholds size must equal node count");
-    }
-    for (double t : config_.thresholds) {
-      if (!(t > 0.0) || !std::isfinite(t)) {
-        throw std::invalid_argument(
-            "GraphUserEngine: all thresholds must be finite and > 0");
-      }
-    }
-    thresholds_ = config_.thresholds;
-  }
+  thresholds_ = resolve_thresholds(config_.threshold, config_.thresholds,
+                                   g.num_nodes(), "GraphUserEngine");
   if (!(config_.alpha > 0.0) || !std::isfinite(config_.alpha)) {
     throw std::invalid_argument(
         "GraphUserEngine: alpha must be finite and > 0");

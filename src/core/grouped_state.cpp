@@ -1,0 +1,268 @@
+#include "tlb/core/grouped_state.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <utility>
+
+#include "tlb/dsan/probe.hpp"
+#include "tlb/dsan/state_digest.hpp"
+#include "tlb/util/binomial.hpp"
+#include "tlb/util/parallel.hpp"
+
+namespace tlb::core {
+
+GroupedState::GroupedState(graph::Node n, std::vector<double> class_weights,
+                           double alpha, bool exclude_self,
+                           std::size_t threads)
+    : n_(n),
+      class_weights_(std::move(class_weights)),
+      w_max_(class_weights_.empty() ? 0.0 : class_weights_.back()),
+      alpha_(alpha),
+      exclude_self_(exclude_self) {
+  if (threads != 1) pool_ = std::make_unique<util::ThreadPool>(threads);
+}
+
+void GroupedState::set_thresholds(std::vector<double> thresholds) {
+  thresholds_ = std::move(thresholds);
+  max_threshold_ = *std::max_element(thresholds_.begin(), thresholds_.end());
+}
+
+void GroupedState::shift_threshold(double next) {
+  const double prev = uniform_threshold_;
+  uniform_threshold_ = next;
+  over_.shift_threshold(prev, next,
+                        [this](graph::Node r) { return loads_[r]; });
+}
+
+void GroupedState::attach_spans(const obs::Sink& sink,
+                                const char* sample_span,
+                                const char* apply_span) {
+  sink_ = sink;
+  sample_span_ = sample_span;
+  apply_span_ = apply_span;
+  if (sink_.registry != nullptr) {
+    using obs::MetricClass;
+    m_sample_ns_ = sink_.registry->counter(std::string(sample_span) + "_ns",
+                                           MetricClass::kTiming);
+    m_apply_ns_ = sink_.registry->counter(std::string(apply_span) + "_ns",
+                                          MetricClass::kTiming);
+  }
+}
+
+void GroupedState::attach_counters(const std::string& engine) {
+  tracker_counters_.attach(sink_.registry, engine, over_);
+  if (pool_ && sink_.attached()) {
+    pool_->attach_probe(sink_.registry, sink_.trace);
+  }
+}
+
+void GroupedState::place(std::span<const graph::Node> placement,
+                         std::span<const std::uint32_t> task_class) {
+  counts_.assign(static_cast<std::size_t>(n_) * class_weights_.size(), 0);
+  loads_.assign(n_, 0.0);
+  task_counts_.assign(n_, 0);
+  for (std::size_t i = 0; i < placement.size(); ++i) {
+    const graph::Node r = placement[i];
+    if (r >= n_) {
+      throw std::invalid_argument("GroupedState::place: resource out of range");
+    }
+    ++counts_[slot(r, task_class[i])];
+    loads_[r] += class_weights_[task_class[i]];
+    ++task_counts_[r];
+  }
+  // Counts were rebuilt from scratch: one shared invalidation entry point
+  // (every status pending, load index stale).
+  over_.rebuild(n_);
+}
+
+void GroupedState::clear_resource(graph::Node r) {
+  std::fill_n(counts_.begin() + static_cast<std::ptrdiff_t>(slot(r, 0)),
+              class_weights_.size(), 0u);
+  loads_[r] = 0.0;
+  task_counts_[r] = 0;
+  over_.mark_dirty(r);
+}
+
+const std::vector<graph::Node>& GroupedState::overloaded() const {
+  // The predicate runs once per flush check, the round's most frequent
+  // threshold read, so the uniform case compares against a hoisted scalar.
+  if (thresholds_.empty()) {
+    const double T = uniform_threshold_;
+    over_.flush([this, T](graph::Node r) { return loads_[r] > T; });
+  } else {
+    over_.flush([this](graph::Node r) { return loads_[r] > thresholds_[r]; });
+  }
+  return over_.items();
+}
+
+double GroupedState::fitted_prefix_weight(graph::Node r) const {
+  // Canonical stacking: classes in ascending weight order. Within a class of
+  // weight w starting at height h, exactly floor((T - h)/w) tasks (clamped
+  // to the class count) still fit completely below the threshold.
+  const std::size_t C = class_weights_.size();
+  const double T = threshold(r);
+  double h = 0.0;
+  for (std::size_t c = 0; c < C; ++c) {
+    const std::uint32_t k = counts_[static_cast<std::size_t>(r) * C + c];
+    if (k == 0) continue;
+    const double w = class_weights_[c];
+    if (h + w > T) break;
+    const double room = std::floor((T - h) / w);
+    const auto fit = static_cast<std::uint32_t>(
+        std::min<double>(room, static_cast<double>(k)));
+    h += static_cast<double>(fit) * w;
+    if (fit < k) break;
+  }
+  return h;
+}
+
+double GroupedState::phi_of(graph::Node r) const {
+  if (loads_[r] <= threshold(r)) return 0.0;
+  return loads_[r] - fitted_prefix_weight(r);
+}
+
+double GroupedState::potential() const {
+  double phi = 0.0;
+  for (graph::Node r : overloaded()) phi += phi_of(r);
+  return phi;
+}
+
+std::size_t GroupedState::step(util::Rng& rng, dsan::StepProbe* probe) {
+  const std::size_t C = class_weights_.size();
+  // Per-round base seed for the sharded sampler (see the file comment).
+  const std::uint64_t round_seed = rng();
+
+  // Phase 1: per overloaded resource, binomial leaver counts per class,
+  // decided against the round-start state. The incremental set makes this
+  // O(#overloaded) instead of an O(n) sweep. Mutations later only mark
+  // resources dirty, so the list stays stable for the whole round.
+  const std::vector<graph::Node>& over = overloaded();
+  const std::size_t shards = util::shard_count(over.size(), kShardGrain);
+  if (shard_bufs_.size() < shards) shard_bufs_.resize(shards);
+  if (probe != nullptr) probe->arm_shards(shards);
+  {
+    const obs::PhaseSpan span(sink_, m_sample_ns_, sample_span_);
+    util::parallel_shard(
+        over.size(), kShardGrain, pool_.get(),
+        [this, &over, C, round_seed,
+         probe](std::size_t shard, std::size_t lo, std::size_t hi) {
+          std::vector<Departure>& buf = shard_bufs_[shard];
+          buf.clear();
+          util::Rng srng(util::derive_seed(round_seed, shard));
+          // Binomial inversion draws a variable count, so no exact budget
+          // is declared — the probe records the actual (deterministic)
+          // draw count into the round fingerprint instead.
+          if (probe != nullptr) srng.attach_probe(probe->shard_slot(shard));
+          for (std::size_t i = lo; i < hi; ++i) {
+            const graph::Node r = over[i];
+            const std::uint32_t b = task_counts_[r];
+            const double phi = phi_of(r);
+            if (b == 0 || phi <= 0.0) continue;
+            const double p = std::min(
+                alpha_ * std::ceil(phi / w_max_) / static_cast<double>(b),
+                1.0);
+            if (p <= 0.0) continue;
+            // One sampler per resource: its classes share p, so they share
+            // its log(1 - p) too.
+            const util::FixedBinomial leave(p);
+            for (std::size_t c = 0; c < C; ++c) {
+              const std::uint32_t k =
+                  counts_[static_cast<std::size_t>(r) * C + c];
+              if (k == 0) continue;
+              const auto leavers = static_cast<std::uint32_t>(leave(srng, k));
+              if (leavers > 0) {
+                buf.push_back({r, static_cast<std::uint32_t>(c), leavers});
+              }
+            }
+          }
+        });
+  }
+  if (probe != nullptr && probe->want_phases()) {
+    dsan::Digest d;
+    d.u64(shards);
+    for (std::size_t s = 0; s < shards; ++s) {
+      d.u64(shard_bufs_[s].size());
+      for (const Departure& dep : shard_bufs_[s]) {
+        d.u64(dep.src);
+        d.u64(dep.cls);
+        d.u64(dep.count);
+      }
+    }
+    probe->phase("sample", d.value());
+  }
+
+  // Phase 2: apply in shard order on the calling thread — remove every
+  // departure, then move each leaver to a destination drawn from the
+  // caller's stream.
+  std::size_t migrations = 0;
+  departure_groups_ = 0;
+  {
+    const obs::PhaseSpan span(sink_, m_apply_ns_, apply_span_);
+    for (std::size_t s = 0; s < shards; ++s) {
+      departure_groups_ += shard_bufs_[s].size();
+      for (const Departure& d : shard_bufs_[s]) {
+        counts_[static_cast<std::size_t>(d.src) * C + d.cls] -= d.count;
+        loads_[d.src] -= static_cast<double>(d.count) * class_weights_[d.cls];
+        task_counts_[d.src] -= d.count;
+        over_.mark_dirty(d.src);
+      }
+    }
+    for (std::size_t s = 0; s < shards; ++s) {
+      for (const Departure& d : shard_bufs_[s]) {
+        const double w = class_weights_[d.cls];
+        for (std::uint32_t i = 0; i < d.count; ++i) {
+          auto dst = static_cast<graph::Node>(
+              rng.uniform_below(exclude_self_ ? n_ - 1 : n_));
+          if (exclude_self_ && dst >= d.src) ++dst;
+          ++counts_[static_cast<std::size_t>(dst) * C + d.cls];
+          loads_[dst] += w;
+          ++task_counts_[dst];
+          over_.mark_dirty(dst);
+          ++migrations;
+        }
+      }
+    }
+  }
+  if (probe != nullptr && probe->want_phases()) {
+    dsan::Digest d;
+    dsan::digest_loads(loads_, d);
+    probe->phase("apply", d.value());
+  }
+  tracker_counters_.export_deltas(over_);
+  return migrations;
+}
+
+double GroupedState::max_load() const {
+  const auto load = [this](graph::Node r) { return loads_[r]; };
+  if (const LoadIndex* idx = over_.query_index(load)) {
+    return idx->max_indexed_load();
+  }
+  return *std::max_element(loads_.begin(), loads_.end());
+}
+
+void GroupedState::collect_load_stats(LoadStatsCalc& calc,
+                                      LoadStats& out) const {
+  const auto load = [this](graph::Node r) { return loads_[r]; };
+  if (const LoadIndex* idx = over_.query_index(load)) {
+    out = calc.compute_indexed(*idx, n_, max_threshold());
+  } else {
+    out = calc.compute_scan(n_, max_threshold(), load);
+  }
+}
+
+void GroupedState::audit(const char* who) const {
+  over_.audit(
+      n_, [this](graph::Node r) { return loads_[r] > threshold(r); }, who);
+}
+
+void GroupedState::digest_resources(dsan::Digest& d) const {
+  const std::size_t C = class_weights_.size();
+  for (graph::Node r = 0; r < n_; ++r) {
+    d.f64(loads_[r]);
+    d.u64(task_counts_[r]);
+    for (std::size_t c = 0; c < C; ++c) d.u64(counts_[slot(r, c)]);
+  }
+}
+
+}  // namespace tlb::core

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "tlb/core/potential.hpp"
+#include "tlb/core/threshold.hpp"
 #include "tlb/engine/driver.hpp"
 
 namespace tlb::core {
@@ -18,25 +19,8 @@ MixedProtocolEngine::MixedProtocolEngine(const graph::Graph& g,
       config_(std::move(config)),
       walk_(g, config_.walk),
       state_(ts, g.num_nodes()) {
-  if (config_.thresholds.empty()) {
-    if (!(config_.threshold > 0.0) || !std::isfinite(config_.threshold)) {
-      throw std::invalid_argument(
-          "MixedProtocolEngine: threshold must be finite and > 0");
-    }
-    thresholds_.assign(g.num_nodes(), config_.threshold);
-  } else {
-    if (config_.thresholds.size() != g.num_nodes()) {
-      throw std::invalid_argument(
-          "MixedProtocolEngine: thresholds size must equal node count");
-    }
-    for (double t : config_.thresholds) {
-      if (!(t > 0.0) || !std::isfinite(t)) {
-        throw std::invalid_argument(
-            "MixedProtocolEngine: all thresholds must be finite and > 0");
-      }
-    }
-    thresholds_ = config_.thresholds;
-  }
+  thresholds_ = resolve_thresholds(config_.threshold, config_.thresholds,
+                                   g.num_nodes(), "MixedProtocolEngine");
   if (config_.resource_probability < 0.0 || config_.resource_probability > 1.0) {
     throw std::invalid_argument(
         "MixedProtocolEngine: resource_probability in [0, 1]");

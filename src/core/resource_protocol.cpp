@@ -1,10 +1,9 @@
 #include "tlb/core/resource_protocol.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 #include "tlb/core/potential.hpp"
+#include "tlb/core/threshold.hpp"
 #include "tlb/engine/driver.hpp"
 
 namespace tlb::core {
@@ -17,25 +16,8 @@ ResourceControlledEngine::ResourceControlledEngine(const graph::Graph& g,
       config_(std::move(config)),
       walk_(g, config_.walk),
       state_(ts, g.num_nodes()) {
-  if (config_.thresholds.empty()) {
-    if (!(config_.threshold > 0.0) || !std::isfinite(config_.threshold)) {
-      throw std::invalid_argument(
-          "ResourceControlledEngine: threshold must be finite and > 0");
-    }
-    thresholds_.assign(g.num_nodes(), config_.threshold);
-  } else {
-    if (config_.thresholds.size() != g.num_nodes()) {
-      throw std::invalid_argument(
-          "ResourceControlledEngine: thresholds size must equal node count");
-    }
-    for (double t : config_.thresholds) {
-      if (!(t > 0.0) || !std::isfinite(t)) {
-        throw std::invalid_argument(
-            "ResourceControlledEngine: all thresholds must be finite and > 0");
-      }
-    }
-    thresholds_ = config_.thresholds;
-  }
+  thresholds_ = resolve_thresholds(config_.threshold, config_.thresholds,
+                                   g.num_nodes(), "ResourceControlledEngine");
   max_threshold_ = *std::max_element(thresholds_.begin(), thresholds_.end());
   state_.set_thresholds(thresholds_);
 }

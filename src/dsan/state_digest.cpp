@@ -23,9 +23,12 @@ void digest_state(const core::SystemState& state, Digest& d) {
   if (state.has_thresholds()) {
     for (graph::Node r = 0; r < n; ++r) d.f64(state.threshold_of(r));
   }
-  // Tracker bookkeeping: const reads only — items() is the list as of the
-  // last flush, dirty_size() the pending queue; neither reconciles.
-  const core::OverloadedSet& tracker = state.overloaded_tracker();
+  digest_tracker(state.overloaded_tracker(), d);
+}
+
+void digest_tracker(const core::OverloadedSet& tracker, Digest& d) {
+  // Const reads only — items() is the list as of the last flush,
+  // dirty_size() the pending queue; neither reconciles.
   for (const graph::Node r : tracker.items()) d.u64(r);
   d.u64(tracker.dirty_size());
   d.u64(tracker.flush_checks());

@@ -4,7 +4,8 @@
 // The paper analyses a static task set; the natural systems question is
 // whether the user-controlled protocol *keeps* the system below threshold
 // when tasks arrive and complete continuously and resources occasionally
-// crash. This engine extends the grouped user engine with:
+// crash. This engine runs the grouped user engine's round (GroupedState)
+// and adds:
 //   * arrivals: `arrival_rate` new tasks per round (binomially dispersed),
 //     with weights drawn from a fixed class distribution, landing on a
 //     uniform resource or on a fixed hotspot;
@@ -22,9 +23,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
+#include "tlb/core/grouped_state.hpp"
 #include "tlb/core/load_stats.hpp"
 #include "tlb/core/overloaded_set.hpp"
 #include "tlb/core/threshold.hpp"
@@ -32,7 +33,6 @@
 #include "tlb/obs/profile.hpp"
 #include "tlb/util/rng.hpp"
 #include "tlb/util/stats.hpp"
-#include "tlb/util/thread_pool.hpp"
 
 // The engine layer sits above core; the declarations below only name
 // DriveOptions/RoundObserver, so core stays include-independent of it
@@ -122,31 +122,33 @@ class DynamicUserEngine {
 
   // engine::Balancer view (driver metrics + observers).
   /// True iff no load exceeds the current threshold.
-  [[nodiscard]] bool balanced() const { return overloaded_now().empty(); }
+  [[nodiscard]] bool balanced() const { return core_.overloaded().empty(); }
   /// Number of resources above the current threshold.
   [[nodiscard]] std::uint32_t overloaded_count() const {
-    return static_cast<std::uint32_t>(overloaded_now().size());
+    return static_cast<std::uint32_t>(core_.overloaded().size());
   }
   /// Heaviest resource right now. Under churn the threshold moves every
   /// round, so the tracker's load index is live and serves this in
   /// O(#buckets + #touched) instead of the O(n) scan fallback.
-  [[nodiscard]] double max_load() const;
+  [[nodiscard]] double max_load() const { return core_.max_load(); }
   /// User potential Φ(t) = Σ_r φ_r(t) against the current threshold.
-  [[nodiscard]] double potential() const;
+  [[nodiscard]] double potential() const { return core_.potential(); }
   /// Analytics hook: deterministic load-distribution snapshot against the
   /// current threshold, index-served when the tracker's index is live.
-  void collect_load_stats(LoadStatsCalc& calc, LoadStats& out) const;
-  /// dsan hook: digest the churn state surface (loads, per-class counts,
-  /// population, threshold, tracker bookkeeping). Const reads only.
+  void collect_load_stats(LoadStatsCalc& calc, LoadStats& out) const {
+    core_.collect_load_stats(calc, out);
+  }
+  /// dsan hook: digest the churn state surface (population, threshold,
+  /// loads, per-class counts, tracker bookkeeping). Const reads only.
   void collect_fingerprint(dsan::Digest& d) const;
   /// dsan hook: copy the per-resource load vector (bisection report).
-  void collect_loads(std::vector<double>& out) const { out = loads_; }
+  void collect_loads(std::vector<double>& out) const { out = core_.loads(); }
   /// The threshold currently in force (recomputed every round).
   [[nodiscard]] double reported_threshold() const noexcept {
-    return threshold_;
+    return core_.max_threshold();
   }
   /// Paranoid-mode check: incremental overloaded set vs brute-force rescan.
-  void audit() const { check_overloaded_invariant(); }
+  void audit() const { core_.audit("DynamicUserEngine"); }
   /// Measured-window brackets called by engine::drive: reset and arm the
   /// metrics accumulator / disarm it.
   void begin_measure();
@@ -159,76 +161,49 @@ class DynamicUserEngine {
   /// Current number of tasks.
   std::uint64_t population() const noexcept { return population_; }
   /// Current load of resource r.
-  double load(graph::Node r) const noexcept { return loads_[r]; }
+  double load(graph::Node r) const noexcept { return core_.load(r); }
   /// Threshold currently in force (recomputed each round).
-  double current_threshold() const noexcept { return threshold_; }
+  double current_threshold() const noexcept { return core_.max_threshold(); }
   /// Migrations performed in the most recent step.
   std::size_t last_migrations() const noexcept { return last_migrations_; }
-
-  /// Overloaded-list shard grain for the phase-1 sampler. Part of the
-  /// deterministic stream definition; changing it changes results.
-  static constexpr std::size_t kShardGrain = 512;
 
   /// Read-only view of the incremental overloaded tracker (tests assert
   /// reconciliation cost via flush_checks(), e.g. that a quiet round with
   /// an unchanged threshold does no full rescan).
-  const OverloadedSet& overloaded_tracker() const noexcept { return over_; }
+  const OverloadedSet& overloaded_tracker() const noexcept {
+    return core_.tracker();
+  }
 
  private:
   void do_arrivals(util::Rng& rng);
   void do_completions(util::Rng& rng);
   void do_crash(util::Rng& rng);
-  std::size_t do_protocol_step(util::Rng& rng);
+  /// The above-average threshold against the current total weight.
+  double target_threshold() const;
+  /// Move the threshold to target_threshold(). A *changed* threshold flips
+  /// exactly the resources whose load lies between the old and new value,
+  /// and the tracker's bucketed LoadIndex confines the re-check to that
+  /// band (O(#band + #touched) per move); a recomputation that lands on
+  /// the same value — quiet rounds with no arrivals, completions or
+  /// crashes — invalidates nothing, so those rounds stay O(#touched).
   void recompute_threshold();
-  double phi_of(graph::Node r) const;
-  /// The incrementally tracked overloaded set (reconciled on access). A
-  /// *changed* global threshold flips exactly the resources whose load lies
-  /// between the old and new value, and the tracker's bucketed LoadIndex
-  /// confines the invalidation to that band (O(#band + #touched) per move);
-  /// a recomputation that lands on the same value — quiet rounds with no
-  /// arrivals, completions or crashes — leaves the dirty set untouched, so
-  /// those rounds stay O(#touched).
-  const std::vector<graph::Node>& overloaded_now() const;
-  void check_overloaded_invariant() const;
 
   DynamicConfig config_;
-  std::vector<double> class_weights_;   // ascending
   std::vector<double> class_cdf_;       // arrival sampling
-  double w_max_ = 1.0;                  // max class weight (static bound)
-  // State: per-resource per-class counts, loads, task counts.
-  std::vector<std::uint32_t> counts_;   // n x C row-major
-  std::vector<double> loads_;
-  std::vector<std::uint32_t> task_counts_;
+  GroupedState core_;                   // counts, loads and the round
   double total_weight_ = 0.0;
   std::uint64_t population_ = 0;
-  double threshold_ = 1.0;
   long round_ = 0;                      // rounds stepped since construction
   std::size_t last_migrations_ = 0;
   DynamicMetrics* metrics_ = nullptr;   // non-null during measured rounds
   DynamicMetrics metrics_store_;        // the driver-armed accumulator
-  mutable OverloadedSet over_;          // incremental overloaded set
 
-  /// One (resource, class) departure drawn in phase 1, applied in phase 2.
-  struct Departure {
-    graph::Node src;
-    std::uint32_t cls;
-    std::uint32_t count;
-  };
-  std::unique_ptr<util::ThreadPool> pool_;          // phase-1 workers
-  std::vector<std::vector<Departure>> shard_bufs_;  // per-shard output
-
-  // Observability: "dynamic.*" phase spans + deterministic churn/cost
-  // counters, wired from DynamicConfig::registry/trace in the constructor.
+  // Observability: "dynamic.*" phase spans + deterministic churn counters,
+  // wired from DynamicConfig::registry/trace in the constructor (the
+  // round's own spans and tracker counters live in core_).
   obs::Sink sink_;
-  obs::MetricId m_arrivals_ns_, m_completions_ns_, m_sample_ns_, m_apply_ns_;
-  obs::MetricId m_arrivals_, m_completions_, m_crashes_,
-      m_threshold_changes_, m_flush_checks_, m_dirty_marks_;
-  obs::MetricId m_band_size_, m_bucket_moves_, m_reconciled_;
-  std::uint64_t seen_flush_checks_ = 0;
-  std::uint64_t seen_dirty_marks_ = 0;
-  std::uint64_t seen_band_size_ = 0;
-  std::uint64_t seen_bucket_moves_ = 0;
-  std::uint64_t seen_reconciled_ = 0;
+  obs::MetricId m_arrivals_ns_, m_completions_ns_;
+  obs::MetricId m_arrivals_, m_completions_, m_crashes_, m_threshold_changes_;
 };
 
 }  // namespace tlb::core

@@ -20,7 +20,8 @@
 //    Binomial(count, p), which is distributionally identical to individual
 //    coins. Stacks use a canonical ascending-weight order for φ. This makes
 //    Figure 1/2-scale sweeps hundreds of times faster for two-point weight
-//    profiles.
+//    profiles. Its state and round are GroupedState (grouped_state.hpp),
+//    which the churn engine (dynamic.hpp) runs too.
 //
 // Phase 1 (departure sampling) in both engines is sharded: the decisions
 // are independent per overloaded resource and are analysed against the
@@ -37,6 +38,7 @@
 #include <optional>
 #include <vector>
 
+#include "tlb/core/grouped_state.hpp"
 #include "tlb/core/metrics.hpp"
 #include "tlb/core/overloaded_set.hpp"
 #include "tlb/core/system_state.hpp"
@@ -147,17 +149,13 @@ class UserControlledEngine {
   // (the default) the spans take no timestamps.
   obs::Sink sink_;
   obs::MetricId m_sample_ns_, m_merge_ns_, m_apply_ns_;
-  obs::MetricId m_coins_, m_departures_, m_flush_checks_, m_dirty_marks_;
-  obs::MetricId m_band_size_, m_bucket_moves_, m_reconciled_;
-  std::uint64_t seen_flush_checks_ = 0;  // tracker counters are lifetime;
-  std::uint64_t seen_dirty_marks_ = 0;   // we export per-step deltas
-  std::uint64_t seen_band_size_ = 0;
-  std::uint64_t seen_bucket_moves_ = 0;
-  std::uint64_t seen_reconciled_ = 0;
+  obs::MetricId m_coins_, m_departures_;
+  TrackerCounters tracker_counters_;
 };
 
-/// Grouped (binomial-per-weight-class) engine. Requires a task set with at
-/// most `kMaxClasses` distinct weights; throws otherwise.
+/// Grouped (binomial-per-weight-class) engine: a fixed task set on the
+/// shared GroupedState round. Requires a task set with at most
+/// `kMaxClasses` distinct weights; throws otherwise.
 class GroupedUserEngine {
  public:
   /// Upper bound on distinct weights the grouped representation accepts.
@@ -172,7 +170,7 @@ class GroupedUserEngine {
   std::size_t step(util::Rng& rng);
 
   /// True iff every load is <= threshold.
-  [[nodiscard]] bool balanced() const;
+  [[nodiscard]] bool balanced() const { return core_.overloaded().empty(); }
 
   /// Run until balanced or max_rounds (engine::drive under the hood).
   RunResult run(util::Rng& rng);
@@ -181,81 +179,45 @@ class GroupedUserEngine {
 
   // engine::Balancer view (driver metrics + observers).
   /// Number of resources currently above threshold.
-  [[nodiscard]] std::uint32_t overloaded_count() const;
-  /// Heaviest resource right now. Served from the tracker's load index in
-  /// O(#buckets) while live (threshold shifts armed it); O(n) otherwise.
-  [[nodiscard]] double max_load() const;
+  [[nodiscard]] std::uint32_t overloaded_count() const {
+    return static_cast<std::uint32_t>(core_.overloaded().size());
+  }
+  /// Heaviest resource right now (see GroupedState::max_load).
+  [[nodiscard]] double max_load() const { return core_.max_load(); }
   /// The threshold RunResult reports (largest configured).
-  [[nodiscard]] double reported_threshold() const;
+  [[nodiscard]] double reported_threshold() const {
+    return core_.max_threshold();
+  }
   /// Paranoid-mode check: incremental overloaded set vs brute-force rescan.
-  void audit() const { check_overloaded_invariant(); }
+  void audit() const { core_.audit("GroupedUserEngine"); }
   /// Analytics hook: deterministic load-distribution snapshot against
-  /// reported_threshold(), index-served when the tracker's index is live.
-  void collect_load_stats(LoadStatsCalc& calc, LoadStats& out) const;
+  /// reported_threshold().
+  void collect_load_stats(LoadStatsCalc& calc, LoadStats& out) const {
+    core_.collect_load_stats(calc, out);
+  }
   /// dsan hook: digest the grouped state surface (loads, per-class counts,
-  /// tracker bookkeeping) — the engine has no SystemState, so the generic
-  /// digest cannot serve it. Const reads only; never reconciles the set.
+  /// thresholds, tracker bookkeeping) — the engine has no SystemState, so
+  /// the generic digest cannot serve it. Const reads only; never reconciles
+  /// the set.
   void collect_fingerprint(dsan::Digest& d) const;
   /// dsan hook: copy the per-resource load vector (bisection report).
-  void collect_loads(std::vector<double>& out) const { out = loads_; }
-
-  /// Overloaded-list shard grain for the grouped phase-1 sampler (per-class
-  /// binomials are cheap, so shards batch whole resources). Part of the
-  /// deterministic stream definition; changing it changes results.
-  static constexpr std::size_t kShardGrain = 512;
+  void collect_loads(std::vector<double>& out) const { out = core_.loads(); }
 
   /// Number of distinct weight classes.
-  std::size_t num_classes() const noexcept { return class_weights_.size(); }
+  std::size_t num_classes() const noexcept { return core_.num_classes(); }
   /// Load of resource r (for tests).
-  double load(Node r) const noexcept { return loads_[r]; }
+  double load(Node r) const noexcept { return core_.load(r); }
   /// The threshold of resource r.
-  double threshold(Node r) const noexcept { return thresholds_[r]; }
+  double threshold(Node r) const noexcept { return core_.threshold(r); }
   /// The user potential Σ φ_r under the canonical ascending-weight stacking.
-  /// O(#overloaded): φ_r = 0 on every non-overloaded resource.
-  [[nodiscard]] double potential() const;
+  [[nodiscard]] double potential() const { return core_.potential(); }
 
  private:
-  double phi_of(Node r) const;
-  /// Count of tasks on r that fit completely below the threshold when
-  /// classes are stacked in ascending weight order; returns fitted weight.
-  double fitted_prefix_weight(Node r) const;
-  /// The incrementally tracked overloaded set (reconciled on access).
-  const std::vector<Node>& overloaded() const;
-  /// Throw std::logic_error if the incremental set disagrees with a brute
-  /// force rescan (paranoid-check mode).
-  void check_overloaded_invariant() const;
-
-  /// One (resource, class) departure drawn in phase 1, applied in phase 2.
-  struct Departure {
-    Node src;
-    std::uint32_t cls;
-    std::uint32_t count;
-  };
-
   const tasks::TaskSet* tasks_;
   UserProtocolConfig config_;
-  std::vector<double> thresholds_;  // resolved per-resource thresholds
-  Node n_;
-  std::vector<double> class_weights_;         // ascending
-  std::vector<std::uint32_t> task_class_;     // task id -> class
-  std::vector<std::uint32_t> counts_;         // n_ x C, row-major
-  std::vector<double> loads_;                 // per resource
-  std::vector<std::uint32_t> task_counts_;    // per resource (b_r)
-  mutable OverloadedSet over_;                // incremental overloaded set
-  std::unique_ptr<util::ThreadPool> pool_;    // phase-1 workers (threads != 1)
-  std::vector<std::vector<Departure>> shard_bufs_;  // per-shard phase-1 output
-  // Observability: "grouped.*" phase spans + deterministic cost counters
-  // (same wiring as the exact engine).
-  obs::Sink sink_;
-  obs::MetricId m_sample_ns_, m_apply_ns_;
-  obs::MetricId m_departure_groups_, m_departures_, m_flush_checks_,
-      m_dirty_marks_;
-  obs::MetricId m_band_size_, m_bucket_moves_, m_reconciled_;
-  std::uint64_t seen_flush_checks_ = 0;
-  std::uint64_t seen_dirty_marks_ = 0;
-  std::uint64_t seen_band_size_ = 0;
-  std::uint64_t seen_bucket_moves_ = 0;
-  std::uint64_t seen_reconciled_ = 0;
+  GroupedState core_;
+  std::vector<std::uint32_t> task_class_;  // task id -> class
+  obs::MetricId m_departure_groups_, m_departures_;
 };
 
 }  // namespace tlb::core

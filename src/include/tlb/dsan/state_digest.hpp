@@ -22,6 +22,11 @@ namespace tlb::dsan {
 /// Fold a SystemState's deterministic surface into `d`.
 void digest_state(const core::SystemState& state, Digest& d);
 
+/// Fold an OverloadedSet's bookkeeping into `d`: items as of the last
+/// flush, the pending dirty-queue size and the lifetime flush/dirty
+/// counters. Never reconciles.
+void digest_tracker(const core::OverloadedSet& tracker, Digest& d);
+
 /// Fold a plain load vector (grouped/dynamic engines, baselines).
 void digest_loads(const std::vector<double>& loads, Digest& d);
 void digest_loads(const double* loads, std::size_t n, Digest& d);

@@ -122,9 +122,8 @@ PerfResult run_perf_preset(const PerfPreset& preset, std::uint64_t seed,
 
 /// Resolve a set name ("smoke" | "full"), run every preset in it (or just
 /// the one named by a non-empty `only`), with progress on stderr, and
-/// return the suite JSON. The single driver behind both bench/perf_suite
-/// and `tlb_sim --bench`, so the CI cross-check of their outputs cannot
-/// drift. Throws std::invalid_argument on an unknown set or no match.
+/// return the suite JSON (the driver behind bench/perf_suite). Throws
+/// std::invalid_argument on an unknown set or no match.
 /// `engine_threads` >= 0 overrides every preset's engine-level thread
 /// count (the --engine-threads flag; -1 keeps the preset values) — CI runs
 /// the smoke set with and without it and diffs the deterministic JSON.
@@ -163,13 +162,5 @@ std::string perf_suite_json(const std::vector<PerfResult>& results,
 void append_bench_entry(const std::string& path, const std::string& label,
                         const std::string& set,
                         const std::string& report_json);
-
-/// The --label/--append CLI glue shared by bench/perf_suite and
-/// `tlb_sim --bench`: defaults an empty label to "<set>-seed<seed>",
-/// appends, and confirms on stderr prefixed with `who`. No-op when `path`
-/// is empty.
-void append_bench_entry_cli(const std::string& path, std::string label,
-                            const std::string& set, std::uint64_t seed,
-                            const std::string& report_json, const char* who);
 
 }  // namespace tlb::workload

@@ -842,14 +842,4 @@ void append_bench_entry(const std::string& path, const std::string& label,
   }
 }
 
-void append_bench_entry_cli(const std::string& path, std::string label,
-                            const std::string& set, std::uint64_t seed,
-                            const std::string& report_json, const char* who) {
-  if (path.empty()) return;
-  if (label.empty()) label = set + "-seed" + std::to_string(seed);
-  append_bench_entry(path, label, set, report_json);
-  std::fprintf(stderr, "%s: appended '%s' to %s\n", who, label.c_str(),
-               path.c_str());
-}
-
 }  // namespace tlb::workload

@@ -1,15 +1,20 @@
 // Tests for the dynamic/churn extension: steady state under arrivals and
-// completions, hotspot absorption, crash fail-over, and bookkeeping
-// integrity under all event types combined.
+// completions, hotspot absorption, crash fail-over, bookkeeping integrity
+// under all event types combined, and bit identity with the grouped engine
+// when churn is off.
 #include "tlb/core/dynamic.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
+#include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/driver.hpp"
+#include "tlb/tasks/placement.hpp"
 
 namespace {
 
@@ -310,6 +315,98 @@ TEST(DynamicTest, ChangedThresholdReconcilesOnlyTheBand) {
   // And the index itself never rebuilt: the engine mutates loads only
   // through mark_dirty, so every shift reconciles incrementally.
   EXPECT_EQ(engine.overloaded_tracker().load_index().rebuilds(), builds0);
+}
+
+/// The churn engine fed one hotspot burst of m tasks at round 0, with no
+/// completions or crashes, is the grouped engine's all-on-one run of the
+/// same tasks at the threshold the burst sets. Its round 0 draws one
+/// uniform01 per arrival (the class) before the protocol step, so the
+/// grouped engine's stream is a copy of the seed advanced past those draws,
+/// which also replay the classes. Both must agree bit for bit every round.
+/// At n = 2^14 the overloaded list outgrows one 512-resource sampler shard
+/// after a few rounds, so four threads really split the sampling.
+void expect_churn_off_matches_grouped(
+    const std::vector<DynamicWeightClass>& classes, std::size_t threads) {
+  constexpr tlb::graph::Node n = 1 << 14;
+  constexpr std::uint64_t m = 16 * static_cast<std::uint64_t>(n);
+  constexpr double eps = 0.05;
+  constexpr std::uint64_t seed = 2024;
+
+  DynamicConfig cfg;
+  cfg.n = n;
+  cfg.arrival_rate = 0.0;
+  cfg.arrival_fn = [](long round, Rng&) -> std::uint64_t {
+    return round == 0 ? m : 0;
+  };
+  cfg.completion_rate = 0.0;
+  cfg.crash_rate = 0.0;
+  cfg.hotspot_arrivals = true;
+  cfg.eps = eps;
+  cfg.alpha = 1.0;
+  cfg.classes = classes;  // ascending, as the engine sorts them
+  cfg.threads = threads;
+  DynamicUserEngine churn(cfg);
+
+  // The arrival class CDF, built as the engine builds it.
+  double total_p = 0.0;
+  for (const DynamicWeightClass& c : classes) total_p += c.probability;
+  std::vector<double> cdf;
+  double acc = 0.0;
+  for (const DynamicWeightClass& c : classes) {
+    acc += c.probability / total_p;
+    cdf.push_back(acc);
+  }
+  cdf.back() = 1.0;
+  Rng grouped_rng(seed);
+  std::vector<double> weights(m);
+  double total = 0.0;
+  for (double& w : weights) {
+    const double u = grouped_rng.uniform01();
+    std::size_t cls = 0;
+    while (cls + 1 < classes.size() && u > cdf[cls]) ++cls;
+    w = classes[cls].weight;
+    total += w;
+  }
+  const tlb::tasks::TaskSet ts(weights);
+  const double w_max = classes.back().weight;
+  UserProtocolConfig ucfg;
+  ucfg.threshold = (1.0 + eps) * total / static_cast<double>(n) + w_max;
+  ucfg.alpha = 1.0;
+  ucfg.options.threads = threads;
+  GroupedUserEngine grouped(ts, n, ucfg);
+  // Every class drew at least one task, so both engines share the table.
+  ASSERT_EQ(grouped.num_classes(), classes.size());
+  ASSERT_EQ(ts.max_weight(), w_max);
+  grouped.reset(tlb::tasks::all_on_one(ts, 0));
+
+  Rng churn_rng(seed);
+  for (int round = 0;; ++round) {
+    ASSERT_LT(round, 1000) << "grouped engine not balanced";
+    const std::size_t moved = grouped.step(grouped_rng);
+    ASSERT_EQ(churn.step(churn_rng), moved) << "round " << round;
+    ASSERT_EQ(churn.current_threshold(), ucfg.threshold) << "round " << round;
+    for (tlb::graph::Node r = 0; r < n; ++r) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(churn.load(r)),
+                std::bit_cast<std::uint64_t>(grouped.load(r)))
+          << "round " << round << ", resource " << r;
+    }
+    ASSERT_EQ(churn_rng.state_hash(), grouped_rng.state_hash())
+        << "round " << round;
+    if (grouped.balanced()) break;
+  }
+  EXPECT_TRUE(churn.balanced());
+  EXPECT_EQ(churn.population(), m);
+}
+
+TEST(DynamicTest, ChurnOffMatchesGroupedBitForBit) {
+  const std::vector<DynamicWeightClass> two = {{1.0, 0.9}, {8.0, 0.1}};
+  const std::vector<DynamicWeightClass> three = {
+      {1.0, 0.7}, {3.0, 0.2}, {8.0, 0.1}};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    expect_churn_off_matches_grouped(two, threads);
+    expect_churn_off_matches_grouped(three, threads);
+  }
 }
 
 }  // namespace

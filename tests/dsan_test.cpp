@@ -165,6 +165,25 @@ TEST(DsanEngineTest, DynamicEngineFingerprintsIdenticalAcrossThreads) {
   EXPECT_EQ(base, fps(dynamic_rows(0)));
 }
 
+TEST(DsanEngineTest, DynamicEngineDetailPhases) {
+  // The churn engine's own phases, then the shared grouped round's.
+  core::DynamicConfig cfg;
+  cfg.n = 64;
+  cfg.arrival_rate = 20.0;
+  cfg.classes = {{1.0, 0.9}, {8.0, 0.1}};
+  dsan::StepProbe probe;
+  probe.set_detail_step(dsan::StepProbe::kDetailAll);
+  cfg.dsan = &probe;
+  core::DynamicUserEngine engine(cfg);
+  Rng rng(43);
+  engine.step(rng);
+  ASSERT_TRUE(probe.has_record());
+  std::vector<std::string> names;
+  for (const dsan::PhaseDigest& p : probe.take().phases) names.push_back(p.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"arrivals", "completions",
+                                             "sample", "apply"}));
+}
+
 TEST(DsanEngineTest, RowsCarryDrawAccountingWhenProbed) {
   const auto rows = exact_rows(1);
   ASSERT_GT(rows.size(), 1u);

@@ -210,14 +210,15 @@ std::size_t DynamicUserEngine::step(util::Rng& rng) {
   return last_migrations_;
 }
 
-void DynamicUserEngine::collect_fingerprint(dsan::Digest& d) const {
+void DynamicUserEngine::collect_fingerprint(dsan::Digest& d,
+                                            dsan::Digest& work) const {
   d.u64(config_.n);
   d.u64(core_.num_classes());
   d.u64(population_);
   d.f64(total_weight_);
   d.f64(core_.max_threshold());
   core_.digest_resources(d);
-  dsan::digest_tracker(core_.tracker(), d);
+  dsan::digest_tracker(core_.tracker(), d, work);
 }
 
 void DynamicUserEngine::begin_measure() {

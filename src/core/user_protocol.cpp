@@ -351,13 +351,14 @@ std::size_t GroupedUserEngine::step(util::Rng& rng) {
   return migrations;
 }
 
-void GroupedUserEngine::collect_fingerprint(dsan::Digest& d) const {
+void GroupedUserEngine::collect_fingerprint(dsan::Digest& d,
+                                            dsan::Digest& work) const {
   const Node n = core_.num_resources();
   d.u64(n);
   d.u64(core_.num_classes());
   core_.digest_resources(d);
   for (Node r = 0; r < n; ++r) d.f64(core_.threshold(r));
-  dsan::digest_tracker(core_.tracker(), d);
+  dsan::digest_tracker(core_.tracker(), d, work);
 }
 
 RunResult GroupedUserEngine::run(util::Rng& rng) {

@@ -11,7 +11,7 @@ Divergence first_divergence(const std::vector<Row>& a,
   const std::size_t common = a.size() < b.size() ? a.size() : b.size();
   for (std::size_t i = 0; i < common; ++i) {
     if (a[i].round != b[i].round || a[i].final_state != b[i].final_state ||
-        a[i].fp != b[i].fp) {
+        a[i].fp != b[i].fp || a[i].work_fp != b[i].work_fp) {
       out.found = true;
       out.index = i;
       out.round = a[i].round;

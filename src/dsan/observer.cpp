@@ -15,8 +15,10 @@ void FingerprintObserver::push_row(const engine::BalancerView& view,
   row.round = round;
   row.final_state = final_state;
   Digest d;
-  view.collect_fingerprint(d);
+  Digest work;
+  view.collect_fingerprint(d, work);
   row.state_fp = d.value();
+  row.work_fp = work.value();
   // Fold the probe record only when step() actually refreshed it — the
   // final-state snapshot and probe-less engines (baselines, graph drives)
   // leave the freshness flag down, and a stale record from a *previous*
@@ -69,7 +71,8 @@ std::string render_rows(const std::vector<Row>& rows) {
     } else {
       out += "\"round\":" + std::to_string(row.round);
     }
-    out += ",\"fp\":\"" + to_hex(row.fp) + "\"";
+    out += ",\"fp\":\"" + to_hex(row.fp) + "\",\"work\":\"" +
+           to_hex(row.work_fp) + "\"";
     if (!row.phases.empty()) {
       out += ",\"phases\":{";
       bool first_phase = true;

@@ -5,7 +5,7 @@
 
 namespace tlb::dsan {
 
-void digest_state(const core::SystemState& state, Digest& d) {
+void digest_state(const core::SystemState& state, Digest& d, Digest& work) {
   const mem::TaskArena& arena = state.arena();
   const graph::Node n = state.num_resources();
   d.u64(n);
@@ -23,16 +23,17 @@ void digest_state(const core::SystemState& state, Digest& d) {
   if (state.has_thresholds()) {
     for (graph::Node r = 0; r < n; ++r) d.f64(state.threshold_of(r));
   }
-  digest_tracker(state.overloaded_tracker(), d);
+  digest_tracker(state.overloaded_tracker(), d, work);
 }
 
-void digest_tracker(const core::OverloadedSet& tracker, Digest& d) {
+void digest_tracker(const core::OverloadedSet& tracker, Digest& state,
+                    Digest& work) {
   // Const reads only — items() is the list as of the last flush,
   // dirty_size() the pending queue; neither reconciles.
-  for (const graph::Node r : tracker.items()) d.u64(r);
-  d.u64(tracker.dirty_size());
-  d.u64(tracker.flush_checks());
-  d.u64(tracker.dirty_marks());
+  for (const graph::Node r : tracker.items()) state.u64(r);
+  work.u64(tracker.dirty_size());
+  work.u64(tracker.flush_checks());
+  work.u64(tracker.dirty_marks());
 }
 
 void digest_loads(const double* loads, std::size_t n, Digest& d) {

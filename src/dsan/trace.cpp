@@ -11,14 +11,15 @@ TraceSection make_section(std::string name, const std::vector<Row>& rows) {
   section.name = std::move(name);
   section.rows.reserve(rows.size());
   for (const Row& row : rows) {
-    section.rows.push_back({row.round, row.final_state, to_hex(row.fp)});
+    section.rows.push_back(
+        {row.round, row.final_state, to_hex(row.fp), to_hex(row.work_fp)});
   }
   return section;
 }
 
 std::string render_trace(const std::vector<TraceSection>& sections,
                          std::uint64_t seed) {
-  std::string out = "{\"dsan\":\"v1\",\"seed\":" + std::to_string(seed) +
+  std::string out = "{\"dsan\":\"v2\",\"seed\":" + std::to_string(seed) +
                     ",\"sections\":[";
   bool first_section = true;
   for (const TraceSection& section : sections) {
@@ -29,18 +30,33 @@ std::string render_trace(const std::vector<TraceSection>& sections,
     for (const TraceRow& row : section.rows) {
       if (!first_row) out += ",";
       first_row = false;
-      if (row.final_state) {
-        out += "{\"final\":true,\"fp\":\"" + row.fp + "\"}";
-      } else {
-        out += "{\"round\":" + std::to_string(row.round) + ",\"fp\":\"" +
-               row.fp + "\"}";
-      }
+      out += row.final_state ? std::string("{\"final\":true")
+                             : "{\"round\":" + std::to_string(row.round);
+      out += ",\"fp\":\"" + row.fp + "\",\"work\":\"" + row.work + "\"}";
     }
     out += "]}";
   }
   out += "]}\n";
   return out;
 }
+
+namespace {
+
+std::string hex_field(const util::JsonValue& row, const char* key) {
+  const util::JsonValue* v = row.find(key);
+  if (v == nullptr || !v->is_string() || v->string.size() != 16) {
+    throw std::runtime_error(std::string("dsan trace: row ") + key +
+                             " is not a 16-char hex string");
+  }
+  return v->string;
+}
+
+std::string row_label(const TraceRow& row) {
+  return row.final_state ? std::string("final state")
+                         : "round " + std::to_string(row.round);
+}
+
+}  // namespace
 
 std::vector<TraceSection> parse_trace(const std::string& text) {
   const util::JsonValue doc = util::parse_json(text);
@@ -49,8 +65,10 @@ std::vector<TraceSection> parse_trace(const std::string& text) {
   }
   const util::JsonValue* version = doc.find("dsan");
   if (version == nullptr || !version->is_string() ||
-      version->string != "v1") {
-    throw std::runtime_error("dsan trace: missing or unknown \"dsan\" version");
+      version->string != "v2") {
+    throw std::runtime_error(
+        "dsan trace: missing or unknown \"dsan\" version (v1 traces predate "
+        "the state/work split; re-record them)");
   }
   const util::JsonValue* sections = doc.find("sections");
   if (sections == nullptr || !sections->is_array()) {
@@ -78,12 +96,8 @@ std::vector<TraceSection> parse_trace(const std::string& text) {
         throw std::runtime_error("dsan trace: row is not an object");
       }
       TraceRow parsed;
-      const util::JsonValue& fp = row.at("fp");
-      if (!fp.is_string() || fp.string.size() != 16) {
-        throw std::runtime_error(
-            "dsan trace: row fp is not a 16-char hex string");
-      }
-      parsed.fp = fp.string;
+      parsed.fp = hex_field(row, "fp");
+      parsed.work = hex_field(row, "work");
       if (const util::JsonValue* final_flag = row.find("final");
           final_flag != nullptr) {
         if (!final_flag->is_bool() || !final_flag->boolean) {
@@ -105,15 +119,6 @@ std::vector<TraceSection> parse_trace(const std::string& text) {
   return out;
 }
 
-namespace {
-
-std::string row_label(const TraceRow& row) {
-  return row.final_state ? std::string("final state")
-                         : "round " + std::to_string(row.round);
-}
-
-}  // namespace
-
 CheckResult check_trace(const std::vector<TraceSection>& golden,
                         const std::vector<TraceSection>& current) {
   CheckResult result;
@@ -124,6 +129,9 @@ CheckResult check_trace(const std::vector<TraceSection>& golden,
                      std::to_string(current.size());
     return result;
   }
+  // The first work-only mismatch, kept while the scan looks for a state
+  // mismatch further on.
+  CheckResult work;
   for (std::size_t s = 0; s < golden.size(); ++s) {
     const TraceSection& g = golden[s];
     const TraceSection& c = current[s];
@@ -157,6 +165,14 @@ CheckResult check_trace(const std::vector<TraceSection>& golden,
                          cr.fp;
         return result;
       }
+      if (work.ok && gr.work != cr.work) {
+        work.ok = false;
+        work.section = g.name;
+        work.round = gr.round;
+        work.message = "state identical; work diverges first at section \"" +
+                       g.name + "\", " + row_label(gr) + ": golden " +
+                       gr.work + ", current " + cr.work;
+      }
     }
     if (g.rows.size() != c.rows.size()) {
       result.ok = false;
@@ -171,7 +187,7 @@ CheckResult check_trace(const std::vector<TraceSection>& golden,
       return result;
     }
   }
-  return result;
+  return work.ok ? result : work;
 }
 
 }  // namespace tlb::dsan

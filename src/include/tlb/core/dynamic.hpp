@@ -139,8 +139,9 @@ class DynamicUserEngine {
     core_.collect_load_stats(calc, out);
   }
   /// dsan hook: digest the churn state surface (population, threshold,
-  /// loads, per-class counts, tracker bookkeeping). Const reads only.
-  void collect_fingerprint(dsan::Digest& d) const;
+  /// loads, per-class counts, overloaded list) into `d` and the tracker's
+  /// cost counters into `work`. Const reads only.
+  void collect_fingerprint(dsan::Digest& d, dsan::Digest& work) const;
   /// dsan hook: copy the per-resource load vector (bisection report).
   void collect_loads(std::vector<double>& out) const { out = core_.loads(); }
   /// The threshold currently in force (recomputed every round).

@@ -196,10 +196,10 @@ class GroupedUserEngine {
     core_.collect_load_stats(calc, out);
   }
   /// dsan hook: digest the grouped state surface (loads, per-class counts,
-  /// thresholds, tracker bookkeeping) — the engine has no SystemState, so
-  /// the generic digest cannot serve it. Const reads only; never reconciles
-  /// the set.
-  void collect_fingerprint(dsan::Digest& d) const;
+  /// thresholds, overloaded list) into `d` and the tracker's cost counters
+  /// into `work` — the engine has no SystemState, so the generic digest
+  /// cannot serve it. Const reads only; never reconciles the set.
+  void collect_fingerprint(dsan::Digest& d, dsan::Digest& work) const;
   /// dsan hook: copy the per-resource load vector (bisection report).
   void collect_loads(std::vector<double>& out) const { out = core_.loads(); }
 

@@ -23,8 +23,9 @@
 
 namespace tlb::dsan {
 
-/// First row index where the two streams disagree (fingerprint, round
-/// number, or one stream ending early). `found` false means identical.
+/// First row index where the two streams disagree (state fingerprint, work
+/// digest, round number, or one stream ending early). `found` false means
+/// identical.
 struct Divergence {
   bool found = false;
   std::size_t index = 0;     ///< row index into the shorter-or-equal stream

@@ -33,7 +33,8 @@ namespace tlb::dsan {
 struct Row {
   long round = -1;
   bool final_state = false;
-  std::uint64_t fp = 0;        ///< combined fingerprint (state ⊕ draws)
+  std::uint64_t fp = 0;        ///< state fingerprint (state ⊕ draws)
+  std::uint64_t work_fp = 0;   ///< work digest (tracker cost counters)
   std::uint64_t state_fp = 0;  ///< state-surface digest alone
   std::uint64_t draw_fp = 0;   ///< probe record digest (0 when no probe)
   bool has_draws = false;      ///< a probe record was folded in
@@ -74,7 +75,8 @@ class FingerprintObserver final : public engine::RoundObserver {
   }
 
   /// Deterministic JSON array of the rows:
-  ///   [{"round":0,"fp":"<hex16>"},...,{"final":true,"fp":"<hex16>"}]
+  ///   [{"round":0,"fp":"<hex16>","work":"<hex16>"},...,
+  ///    {"final":true,"fp":"<hex16>","work":"<hex16>"}]
   /// with a "phases" object on detail rows. Same --timings=false
   /// discipline as every report: no wall-clock, no thread counts.
   [[nodiscard]] std::string json() const;

@@ -10,6 +10,13 @@
 // flush, dirty queue size, lifetime counters) — fingerprinting must never
 // trigger a flush, or attaching the sanitizer would shift the very
 // per-round cost counters it is meant to pin down.
+//
+// Every digest is split in two. The *state* digest covers what the run
+// computed: loads, stacks, counts, thresholds and the overloaded list. The
+// *work* digest covers what computing it cost: the tracker's re-check and
+// dirty-mark counters and its pending queue. A change that only makes the
+// tracker cheaper or dearer moves the work digest and leaves the state
+// digest alone, so a golden check can tell the two apart.
 
 #include <cstdint>
 #include <vector>
@@ -19,13 +26,15 @@
 
 namespace tlb::dsan {
 
-/// Fold a SystemState's deterministic surface into `d`.
-void digest_state(const core::SystemState& state, Digest& d);
+/// Fold a SystemState's deterministic surface into `state`, and its
+/// tracker's cost counters into `work`.
+void digest_state(const core::SystemState& state, Digest& d, Digest& work);
 
-/// Fold an OverloadedSet's bookkeeping into `d`: items as of the last
-/// flush, the pending dirty-queue size and the lifetime flush/dirty
-/// counters. Never reconciles.
-void digest_tracker(const core::OverloadedSet& tracker, Digest& d);
+/// Fold an OverloadedSet's bookkeeping: the items as of the last flush
+/// into `state`; the pending dirty-queue size and the lifetime flush/dirty
+/// counters into `work`. Never reconciles.
+void digest_tracker(const core::OverloadedSet& tracker, Digest& state,
+                    Digest& work);
 
 /// Fold a plain load vector (grouped/dynamic engines, baselines).
 void digest_loads(const std::vector<double>& loads, Digest& d);

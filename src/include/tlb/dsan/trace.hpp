@@ -4,8 +4,15 @@
 // A trace is an ordered list of named sections (one per scenario or perf
 // preset), each an ordered list of per-round fingerprint rows plus one
 // trailing final-state row. `--dsan-record=FILE` writes one; `--dsan-check`
-// re-runs the same workload, renders the same structure, and compares —
-// first mismatching row wins, reported as (section, round).
+// re-runs the same workload, renders the same structure, and compares.
+//
+// Each row carries two fingerprints: the state fingerprint ("fp": state
+// digest plus draw accounting) and the work digest ("work": the tracker's
+// cost counters). A state mismatch is reported at once, as (section,
+// round). A work-only mismatch does not stop the scan: the check reports
+// the first state mismatch of any later row if there is one, and only
+// otherwise "state identical; work diverges first at (section, round)".
+// Either way the check fails.
 //
 // Fingerprints travel as 16-char lowercase hex *strings*, never JSON
 // numbers: util::json_parse stores numbers as doubles, which cannot hold a
@@ -23,11 +30,13 @@
 
 namespace tlb::dsan {
 
-/// One row of a parsed/parseable trace; `fp` is the hex text.
+/// One row of a parsed/parseable trace; `fp` (state) and `work` are the
+/// hex text.
 struct TraceRow {
   long round = -1;
   bool final_state = false;
   std::string fp;
+  std::string work;
 };
 
 /// One named run within a trace (a scenario, a perf preset, one baseline).
@@ -41,18 +50,22 @@ struct TraceSection {
                                         const std::vector<Row>& rows);
 
 /// Render the whole trace:
-///   {"dsan":"v1","seed":S,"sections":[{"name":...,"rows":[...]},...]}
-/// Deterministic: fixed key order, no whitespace, trailing newline.
+///   {"dsan":"v2","seed":S,"sections":[{"name":...,"rows":[...]},...]}
+/// with rows {"round":R,"fp":"<hex16>","work":"<hex16>"}. Deterministic:
+/// fixed key order, no whitespace, trailing newline.
 [[nodiscard]] std::string render_trace(const std::vector<TraceSection>& sections,
                                        std::uint64_t seed);
 
 /// Parse a rendered trace. Throws std::runtime_error (with a reason) on
-/// anything that is not a v1 dsan trace.
+/// anything that is not a v2 dsan trace (v1 traces predate the state/work
+/// split and must be re-recorded).
 [[nodiscard]] std::vector<TraceSection> parse_trace(const std::string& text);
 
 /// Outcome of checking a freshly produced trace against a golden one.
 /// On mismatch, `section` names the diverging section and `round` the first
-/// divergent round (-1 = the final-state row); `message` is human-readable.
+/// divergent round (-1 = the final-state row); `message` is human-readable
+/// and starts "state identical; work diverges first at" when only the work
+/// digests diverged.
 struct CheckResult {
   bool ok = true;
   std::string section;
@@ -60,9 +73,10 @@ struct CheckResult {
   std::string message;
 };
 
-/// First divergence between golden and current, or ok. Structural
-/// differences (section count/name/row count) are divergences too — a run
-/// that stops one round early diverged at its first missing row.
+/// First state divergence between golden and current, else the first work
+/// divergence, else ok. Structural differences (section count/name/row
+/// count) are state divergences — a run that stops one round early
+/// diverged at its first missing row.
 [[nodiscard]] CheckResult check_trace(const std::vector<TraceSection>& golden,
                                       const std::vector<TraceSection>& current);
 

@@ -86,12 +86,15 @@ class BalancerView {
     (void)out;
     return false;
   }
-  /// Fold the balancer's deterministic state surface into `d` (dsan round
-  /// fingerprints). Engines may provide a `collect_fingerprint(Digest&)`
-  /// hook; SystemState-backed engines get the generic digest; everything
-  /// else falls back to a coarse digest of the four observables above —
-  /// weaker, but still a per-round divergence signal. Never draws.
-  virtual void collect_fingerprint(dsan::Digest& d) const {
+  /// Fold the balancer's deterministic state surface into `d` and its
+  /// bookkeeping cost counters into `work` (dsan round fingerprints).
+  /// Engines may provide a `collect_fingerprint(Digest&, Digest&)` hook;
+  /// SystemState-backed engines get the generic digest; everything else
+  /// falls back to a coarse digest of the four observables above — weaker,
+  /// but still a per-round divergence signal, and no work half. Never
+  /// draws.
+  virtual void collect_fingerprint(dsan::Digest& d, dsan::Digest& work) const {
+    (void)work;
     d.f64(potential());
     d.u64(overloaded_count());
     d.f64(max_load());
@@ -150,16 +153,16 @@ class ViewOf final : public BalancerView {
       return false;
     }
   }
-  void collect_fingerprint(dsan::Digest& d) const override {
-    if constexpr (requires { b_->collect_fingerprint(d); }) {
-      b_->collect_fingerprint(d);
+  void collect_fingerprint(dsan::Digest& d, dsan::Digest& work) const override {
+    if constexpr (requires { b_->collect_fingerprint(d, work); }) {
+      b_->collect_fingerprint(d, work);
     } else if constexpr (requires {
                            { b_->state() }
                            -> std::convertible_to<const core::SystemState&>;
                          }) {
-      dsan::digest_state(b_->state(), d);
+      dsan::digest_state(b_->state(), d, work);
     } else {
-      BalancerView::collect_fingerprint(d);
+      BalancerView::collect_fingerprint(d, work);
     }
   }
   bool collect_loads(std::vector<double>& out) const override {

@@ -1,9 +1,10 @@
 // Determinism-sanitizer tests: fingerprint byte-identity across
 // engine-thread counts for all three user-protocol engines (the property
 // the golden traces pin in CI), draw-budget accounting on the StepProbe,
-// golden-trace render/parse/check round-trips, and — the tool's reason to
-// exist — a planted one-off RNG draw that the bisection primitives must
-// narrow to the exact round, phase and resource.
+// golden-trace render/parse/check round-trips with their state-vs-work
+// verdicts, and — the tool's reason to exist — a planted one-off RNG draw
+// that the bisection primitives must narrow to the exact round, phase and
+// resource.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,11 +13,13 @@
 #include <vector>
 
 #include "tlb/core/dynamic.hpp"
+#include "tlb/core/overloaded_set.hpp"
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/dsan/bisect.hpp"
 #include "tlb/dsan/fingerprint.hpp"
 #include "tlb/dsan/observer.hpp"
 #include "tlb/dsan/probe.hpp"
+#include "tlb/dsan/state_digest.hpp"
 #include "tlb/dsan/trace.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -287,10 +290,80 @@ TEST(TraceTest, CheckNamesTheFirstDivergentRow) {
   EXPECT_FALSE(dsan::check_trace(golden, truncated).ok);
 }
 
+TEST(TraceTest, WorkOnlyDifferenceGetsTheWorkVerdict) {
+  const auto rows = exact_rows(1);
+  std::vector<dsan::TraceSection> golden;
+  golden.push_back(dsan::make_section("exact", rows));
+  golden.push_back(dsan::make_section("exact-again", rows));
+  auto current = golden;
+  // Only the work digests differ, from row 3 of the first section on.
+  for (std::size_t i = 3; i < current[0].rows.size(); ++i) {
+    std::string& w = current[0].rows[i].work;
+    w[0] = w[0] == 'a' ? 'b' : 'a';
+  }
+  const dsan::CheckResult r = dsan::check_trace(golden, current);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.section, "exact");
+  EXPECT_EQ(r.round, golden[0].rows[3].round);
+  EXPECT_EQ(r.message.rfind("state identical; work diverges first at", 0),
+            0u)
+      << r.message;
+}
+
+TEST(TraceTest, StateDifferenceIsReportedBeforeAWorkDifference) {
+  const auto rows = exact_rows(1);
+  std::vector<dsan::TraceSection> golden;
+  golden.push_back(dsan::make_section("first", rows));
+  golden.push_back(dsan::make_section("second", rows));
+  auto current = golden;
+  // A work difference early in the first section, a state difference in
+  // the second: the scan goes past the former and reports the latter.
+  std::string& w = current[0].rows[1].work;
+  w[0] = w[0] == 'a' ? 'b' : 'a';
+  std::string& fp = current[1].rows[4].fp;
+  fp[0] = fp[0] == 'a' ? 'b' : 'a';
+  const dsan::CheckResult r = dsan::check_trace(golden, current);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.section, "second");
+  EXPECT_EQ(r.round, golden[1].rows[4].round);
+  EXPECT_NE(r.message.find("fingerprint mismatch"), std::string::npos);
+}
+
+TEST(TraceTest, TrackerCountersLandInTheWorkDigest) {
+  // Two trackers with the same overloaded list, one of which did more
+  // re-check work to get there: same state digest, different work digest.
+  std::vector<double> loads = {0.0, 3.0, 1.0, 5.0};
+  const auto over = [&loads](graph::Node r) { return loads[r] > 2.0; };
+  core::OverloadedSet cheap;
+  cheap.reset(4);
+  cheap.mark_dirty(1);
+  cheap.mark_dirty(3);
+  cheap.flush(over);
+  core::OverloadedSet dear;
+  dear.reset(4);
+  dear.mark_all_dirty();
+  dear.flush(over);
+  ASSERT_EQ(cheap.items(), dear.items());
+  dsan::Digest cheap_state, cheap_work, dear_state, dear_work;
+  dsan::digest_tracker(cheap, cheap_state, cheap_work);
+  dsan::digest_tracker(dear, dear_state, dear_work);
+  EXPECT_EQ(cheap_state.value(), dear_state.value());
+  EXPECT_NE(cheap_work.value(), dear_work.value());
+}
+
 TEST(TraceTest, ParseRejectsNonTraces) {
   EXPECT_THROW((void)dsan::parse_trace(""), std::runtime_error);
   EXPECT_THROW((void)dsan::parse_trace("{}"), std::runtime_error);
-  EXPECT_THROW((void)dsan::parse_trace(R"({"dsan":"v2","seed":1,)"
+  // v1 rows carry no work digest: they must be re-recorded, not misread.
+  EXPECT_THROW((void)dsan::parse_trace(
+                   R"({"dsan":"v1","seed":1,"sections":[{"name":"a",)"
+                   R"("rows":[{"round":0,"fp":"0123456789abcdef"}]}]})"),
+               std::runtime_error);
+  EXPECT_THROW((void)dsan::parse_trace(
+                   R"({"dsan":"v2","seed":1,"sections":[{"name":"a",)"
+                   R"("rows":[{"round":0,"fp":"0123456789abcdef"}]}]})"),
+               std::runtime_error);
+  EXPECT_THROW((void)dsan::parse_trace(R"({"dsan":"v3","seed":1,)"
                                        R"("sections":[]})"),
                std::runtime_error);
 }

@@ -82,6 +82,7 @@ DynamicUserEngine::DynamicUserEngine(DynamicConfig config)
     m_arrivals_ns_ = reg.counter("dynamic.arrivals_ns", MetricClass::kTiming);
     m_completions_ns_ =
         reg.counter("dynamic.completions_ns", MetricClass::kTiming);
+    m_track_ns_ = reg.counter("dynamic.track_ns", MetricClass::kTiming);
   }
   core_.attach_spans(sink_, "dynamic.sample", "dynamic.apply");
   if (sink_.registry != nullptr) {
@@ -193,7 +194,13 @@ std::size_t DynamicUserEngine::step(util::Rng& rng) {
     probe->phase("completions", d.value());
   }
   do_crash(rng);
-  recompute_threshold();
+  {
+    // Threshold move plus the flush it leaves due (a band re-check or a
+    // dense sweep), so the round's own overloaded() is already clean.
+    const obs::PhaseSpan span(sink_, m_track_ns_, "dynamic.track");
+    recompute_threshold();
+    (void)core_.overloaded();
+  }
   last_migrations_ = core_.step(rng, probe);
   if (probe != nullptr) probe->end_step(rng);
   if (config_.paranoid_checks) audit();

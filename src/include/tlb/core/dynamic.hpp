@@ -127,9 +127,9 @@ class DynamicUserEngine {
   [[nodiscard]] std::uint32_t overloaded_count() const {
     return static_cast<std::uint32_t>(core_.overloaded().size());
   }
-  /// Heaviest resource right now. Under churn the threshold moves every
-  /// round, so the tracker's load index is live and serves this in
-  /// O(#buckets + #touched) instead of the O(n) scan fallback.
+  /// Heaviest resource right now: served from the tracker's load index in
+  /// O(#buckets + #touched) while sparse threshold moves keep it live, by
+  /// an O(n) scan after a dense one.
   [[nodiscard]] double max_load() const { return core_.max_load(); }
   /// User potential Φ(t) = Σ_r φ_r(t) against the current threshold.
   [[nodiscard]] double potential() const { return core_.potential(); }
@@ -182,9 +182,10 @@ class DynamicUserEngine {
   /// The above-average threshold against the current total weight.
   double target_threshold() const;
   /// Move the threshold to target_threshold(). A *changed* threshold flips
-  /// exactly the resources whose load lies between the old and new value,
-  /// and the tracker's bucketed LoadIndex confines the re-check to that
-  /// band (O(#band + #touched) per move); a recomputation that lands on
+  /// exactly the resources whose load lies between the old and new value;
+  /// the tracker re-checks that band through its LoadIndex when few
+  /// resources changed since the last flush, and sweeps all n when many
+  /// did (OverloadedSet::shift_threshold). A recomputation that lands on
   /// the same value — quiet rounds with no arrivals, completions or
   /// crashes — invalidates nothing, so those rounds stay O(#touched).
   void recompute_threshold();
@@ -203,7 +204,7 @@ class DynamicUserEngine {
   // wired from DynamicConfig::registry/trace in the constructor (the
   // round's own spans and tracker counters live in core_).
   obs::Sink sink_;
-  obs::MetricId m_arrivals_ns_, m_completions_ns_;
+  obs::MetricId m_arrivals_ns_, m_completions_ns_, m_track_ns_;
   obs::MetricId m_arrivals_, m_completions_, m_crashes_, m_threshold_changes_;
 };
 

@@ -145,7 +145,7 @@ class GroupedState {
   /// The overloaded resources, ascending (reconciled on access).
   const std::vector<graph::Node>& overloaded() const;
   /// Heaviest resource: served from the tracker's load index in
-  /// O(#buckets) while it is live (a threshold shift armed it), O(n)
+  /// O(#buckets) while it is live (a sparse threshold shift armed it), O(n)
   /// otherwise.
   double max_load() const;
   /// The user potential Σ φ_r under the canonical stacking. O(#overloaded):

@@ -10,6 +10,9 @@
 // paid O(n) no matter how little actually moved. Self-learning thresholds
 // (Goldsztajn–Borst) and concurrent re-thresholding (Hoefer–Sauerwald) have
 // the same shape: thresholds drift continuously, loads change sparsely.
+// Where many loads change between two moves, keeping the index current
+// costs more than rescanning, and OverloadedSet sweeps instead (see
+// OverloadedSet::kDenseDivisor).
 //
 // Layout: geometric buckets over the positive double range — one bucket per
 // (binary octave × kSubBuckets linear slice), plus bucket 0 for load <= 0.
@@ -21,16 +24,18 @@
 // an already-loaded value).
 //
 // Maintenance is *lazy*: the index starts dormant and costs nothing until
-// the first threshold shift builds it (O(n) once). From then on, load
-// mutations enqueue the resource on a deduplicated pending queue (touch(),
-// O(1)) and the next band query first re-buckets only the pending entries
-// (reconcile, O(#touched)). A bulk invalidation (placement rebuilds, which
-// change every load at once) marks the whole index stale; the next shift
-// rebuilds instead of replaying n touches.
+// the first sparse threshold shift builds it (O(n) once). From then on,
+// load mutations enqueue the resource on a deduplicated pending queue
+// (touch(), O(1)) and the next band query first re-buckets only the pending
+// entries (reconcile, O(#touched)). A bulk invalidation marks the whole
+// index stale: a placement rebuild, which changes every load at once, or a
+// dense threshold shift, where OverloadedSet sweeps all n resources
+// instead of asking for the band. While stale, touch() is free; the next
+// sparse shift rebuilds once instead of replaying the touches.
 //
-// Complexity (amortised, per threshold shift): O(#touched since the last
-// shift + #resources in the buckets overlapping the band). Never O(n) after
-// the one-time build — the property the long-running churn driver needs.
+// Complexity (amortised, per sparse threshold shift): O(#touched since the
+// last shift + #resources in the buckets overlapping the band), plus one
+// O(n) build after each stretch of dense shifts.
 
 #include <algorithm>
 #include <cmath>
@@ -90,7 +95,8 @@ class LoadIndex {
     }
   }
 
-  /// Every load may have changed at once (bulk placement rebuild): drop the
+  /// Every load may have changed at once (bulk placement rebuild), or the
+  /// owner stops feeding touches (dense threshold shifts): drop the
   /// incremental state; the next ensure() rebuilds from scratch.
   void invalidate() noexcept { stale_ = true; }
 

@@ -15,7 +15,8 @@
 //  * compute_indexed() reads a live core::LoadIndex — quantiles in
 //    O(#buckets + |hit buckets|) from the bucket structure (exact order
 //    statistics, not approximations), the r-ordered max/sums in O(n).
-//  * compute_scan() is the ground-truth fallback when the index is dormant:
+//  * compute_scan() is the ground-truth fallback when the index is dormant
+//    or stale (after a bulk placement or a dense threshold move):
 //    O(n) sums in the same resource order plus nth_element selections.
 // Both produce the exact k-th order statistic for each quantile and sum in
 // ascending resource order, so every field is a pure function of the load

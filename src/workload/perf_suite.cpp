@@ -541,9 +541,9 @@ const std::vector<PerfPreset>& perf_presets() {
       {"churn-poisson-64k", "user:complete:bimodal(8,0.1):poisson(640,0.01)",
        65536, 0, 0, 300, 600},
       // Threshold-churn stressor: Poisson arrivals move W (and with it the
-      // recomputed threshold) every round at n = 10^6, so the cost of a
-      // threshold shift — band reconciliation through the bucketed
-      // LoadIndex vs the old O(n) mark_all_dirty — dominates the round.
+      // recomputed threshold) every round at n = 10^6 and touch ~20% of
+      // the resources, so every threshold move takes the tracker's dense
+      // path (one sweep over all n, no LoadIndex upkeep).
       {"threshold-churn-1m",
        "user:complete:bimodal(8,0.1):poisson(100000,0.01)", 1000000, 0, 0,
        100, 200},
@@ -576,9 +576,10 @@ const std::vector<PerfPreset>& perf_smoke_presets() {
       {"smoke-churn-poisson", "user:complete:bimodal(8,0.1):poisson(40,0.01)",
        4096, 0, 0, 100, 200},
       // Small-n copy of threshold-churn-1m (heavier per-resource arrival
-      // rate, so the threshold moves every round): keeps the LoadIndex
-      // build/shift/reconcile path under the sanitizer jobs and gives the
-      // metrics parity check rounds with non-zero index.* counters.
+      // rate, so the threshold moves every round): every move sweeps, which
+      // keeps the tracker's dense path under the sanitizer jobs and gives
+      // the metrics parity check non-zero dynamic.sweeps. The sanitizer
+      // jobs reach the LoadIndex band path through smoke-churn-poisson.
       {"smoke-threshold-churn",
        "user:complete:bimodal(8,0.1):poisson(400,0.01)", 4096, 0, 0, 100,
        200},

@@ -90,22 +90,26 @@ void SystemState::place(const tasks::Placement& placement,
 }
 
 void SystemState::scatter(const std::vector<Node>& dst,
-                          const std::vector<TaskId>& ids) {
-  scatter_.scatter(arena_, *tasks_, dst, ids,
-                   [this](Node r) { overloaded_.mark_dirty(r); });
+                          const std::vector<TaskId>& ids,
+                          util::ThreadPool* pool) {
+  scatter_.scatter(
+      arena_, *tasks_, dst, ids,
+      [this](Node r) { overloaded_.mark_dirty(r); }, pool);
 }
 
 void SystemState::scatter_accepting(const std::vector<Node>& dst,
-                                    const std::vector<TaskId>& ids) {
+                                    const std::vector<TaskId>& ids,
+                                    util::ThreadPool* pool) {
   if (!has_thresholds()) {
     throw std::logic_error(
         "SystemState::scatter_accepting: set_thresholds() was never called");
   }
   const auto mark = [this](Node r) { overloaded_.mark_dirty(r); };
   if (track_thresholds_.empty()) {
-    scatter_.scatter(arena_, *tasks_, dst, ids, track_uniform_, mark);
+    scatter_.scatter(arena_, *tasks_, dst, ids, track_uniform_, mark, pool);
   } else {
-    scatter_.scatter(arena_, *tasks_, dst, ids, track_thresholds_, mark);
+    scatter_.scatter(arena_, *tasks_, dst, ids, track_thresholds_, mark,
+                     pool);
   }
 }
 
@@ -129,10 +133,17 @@ void SystemState::remove_marked(Node r, const std::vector<std::uint8_t>& leave,
   overloaded_.mark_dirty(r);
 }
 
-void SystemState::remove_marked(Node r, const std::uint8_t* leave,
-                                std::size_t len, std::vector<TaskId>& out) {
-  arena_.remove_marked(r, leave, len, out);
-  overloaded_.mark_dirty(r);
+void SystemState::remove_marked(const mem::FlatMarks& marks,
+                                std::vector<TaskId>& ids,
+                                std::vector<Node>& origin,
+                                util::ThreadPool* pool) {
+  arena_.remove_marked(marks, *tasks_, ids, origin, pool);
+  for (std::size_t i = 0; i < marks.resources.size(); ++i) {
+    const Node r = marks.resources[i];
+    if (arena_.count(r) != marks.prefix[i + 1] - marks.prefix[i]) {
+      overloaded_.mark_dirty(r);
+    }
+  }
 }
 
 const std::vector<Node>& SystemState::overloaded() const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -136,12 +135,13 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
 
     // Phase 1b: flip the coins. Sharding the flat coin index space (rather
     // than the overloaded list) keeps the all-on-one initial round parallel
-    // too. Shards only read the frozen arrays and write disjoint mask bytes,
-    // so the pass is race-free and bitwise independent of the thread count.
+    // too. Shards only read the frozen arrays and write disjoint mask bytes
+    // and their own leaver count, so the pass is race-free and bitwise
+    // independent of the thread count.
     flat_mask_.assign(total, 0);
-    if (probe != nullptr) {
-      probe->arm_shards(util::shard_count(total, kCoinShardGrain));
-    }
+    const std::size_t shards = util::shard_count(total, kCoinShardGrain);
+    shard_movers_.assign(shards + 1, 0);
+    if (probe != nullptr) probe->arm_shards(shards);
     util::parallel_shard(
         total, kCoinShardGrain, pool_.get(),
         [this, round_seed,
@@ -149,6 +149,7 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
           util::Rng srng(util::derive_seed(round_seed, shard));
           if (probe != nullptr) srng.attach_probe(probe->shard_slot(shard));
           std::uint64_t expected_draws = 0;
+          std::size_t leavers = 0;
           // Resource index whose coin range contains lo.
           std::size_t i = static_cast<std::size_t>(
                               std::upper_bound(coin_prefix_.begin(),
@@ -166,6 +167,7 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
               std::fill(flat_mask_.begin() + static_cast<std::ptrdiff_t>(pos),
                         flat_mask_.begin() + static_cast<std::ptrdiff_t>(end),
                         std::uint8_t{1});
+              leavers += end - pos;
             } else if (p > 0.0) {
               // Integer-threshold coin: success iff the raw 64-bit draw falls
               // below p * 2^64 (p < 1 keeps the product below 2^64).
@@ -176,11 +178,14 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
               // mispredicts half the time.
               expected_draws += end - pos;
               for (std::size_t c = pos; c < end; ++c) {
-                flat_mask_[c] = srng() < cut;
+                const bool leave = srng() < cut;
+                flat_mask_[c] = leave;
+                leavers += leave;
               }
             }
             pos = end;
           }
+          shard_movers_[shard + 1] = leavers;
           if (probe != nullptr) {
             probe->expect_shard_draws(shard, expected_draws);
           }
@@ -193,22 +198,18 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
     }
   }
 
-  // Phase 1c: apply the removals on the calling thread, in overloaded-list
-  // order — single-threaded mutation, deterministic merge.
-  movers_.clear();
-  mover_origin_.clear();
+  // Phase 1c: the merge, one bulk removal over the flat layout on the same
+  // coin shards. The shards' leaver counts place every mover at its final
+  // index, so movers_ is in overloaded-list order, stack order within a
+  // resource, exactly as a serial pass would leave it.
   {
     const obs::PhaseSpan span(sink_, m_merge_ns_, "exact.merge");
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t count = coin_prefix_[i + 1] - coin_prefix_[i];
-      if (count == 0) continue;
-      const std::uint8_t* mask = flat_mask_.data() + coin_prefix_[i];
-      if (std::memchr(mask, 1, count) == nullptr) continue;
-      const std::size_t before = movers_.size();
-      state_.remove_marked(over[i], mask, count, movers_);
-      mover_origin_.insert(mover_origin_.end(), movers_.size() - before,
-                           over[i]);
+    for (std::size_t s = 1; s < shard_movers_.size(); ++s) {
+      shard_movers_[s] += shard_movers_[s - 1];
     }
+    const mem::FlatMarks marks{over, coin_prefix_, flat_mask_,
+                               kCoinShardGrain, shard_movers_};
+    state_.remove_marked(marks, movers_, mover_origin_, pool_.get());
   }
   if (probe != nullptr && probe->want_phases()) {
     dsan::Digest d;
@@ -222,15 +223,15 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
 
   // Phase 2: scatter to uniformly random resources. All destinations are
   // drawn first, in mover order, from the caller's stream, each replacing
-  // its mover's origin; then one bucketed bulk append. The append draws
-  // nothing, so the stream is the same as drawing each destination right
-  // before its mover lands.
+  // its mover's origin; then one bucketed bulk append, sharded over the
+  // pool. The append draws nothing, so the stream is the same as drawing
+  // each destination right before its mover lands.
   {
     const obs::PhaseSpan span(sink_, m_apply_ns_, "exact.apply");
     for (Node& slot : mover_origin_) {
       slot = sample_destination(n, slot, config_.exclude_self, rng);
     }
-    state_.scatter(mover_origin_, movers_);
+    state_.scatter(mover_origin_, movers_, pool_.get());
   }
   if (probe != nullptr && probe->want_phases()) {
     dsan::Digest d;

@@ -94,13 +94,17 @@ class SystemState {
   /// Phase 2 of every stack engine: append ids[i] to resource dst[i] for
   /// all i (plain stacking, user-controlled protocols). Bit-identical to
   /// pushing them one by one in index order — every destination receives
-  /// its tasks in index order — and marks each destination dirty once.
-  /// O(#movers + n/256) through mem::BatchScatter.
-  void scatter(const std::vector<Node>& dst, const std::vector<TaskId>& ids);
+  /// its tasks in index order — and marks each destination dirty once, on
+  /// the caller, in mem::BatchScatter's block order. O(#movers + n/256);
+  /// the bucketing and filling shard over `pool` when one is given, with
+  /// the same result.
+  void scatter(const std::vector<Node>& dst, const std::vector<TaskId>& ids,
+               util::ThreadPool* pool = nullptr);
   /// Same with acceptance bookkeeping against threshold_of(r) (the
   /// resource-controlled protocol). Requires set_thresholds().
   void scatter_accepting(const std::vector<Node>& dst,
-                         const std::vector<TaskId>& ids);
+                         const std::vector<TaskId>& ids,
+                         util::ThreadPool* pool = nullptr);
   /// Evict r's unaccepted suffix (Algorithm 5.1), appending to `out`.
   void evict_unaccepted(Node r, std::vector<TaskId>& out);
   /// Height-based eviction of everything crossing/above threshold_of(r)
@@ -109,9 +113,12 @@ class SystemState {
   /// Remove the flagged stack positions of r, appending to `out`.
   void remove_marked(Node r, const std::vector<std::uint8_t>& leave,
                      std::vector<TaskId>& out);
-  /// Same with a raw mask span (slice of a flat all-resources mask buffer).
-  void remove_marked(Node r, const std::uint8_t* leave, std::size_t len,
-                     std::vector<TaskId>& out);
+  /// The exact engine's merge: remove every marked task of a flat layout
+  /// (mem::TaskArena's bulk remove_marked, sharded over `pool` when one is
+  /// given), movers in layout order into ids/origin. Then marks each
+  /// resource that lost a task dirty, on the caller, in layout order.
+  void remove_marked(const mem::FlatMarks& marks, std::vector<TaskId>& ids,
+                     std::vector<Node>& origin, util::ThreadPool* pool);
 
   // --- O(active) queries against the registered thresholds ---
 

@@ -29,9 +29,15 @@
 // stream and every fixed-size shard samples from its private
 // Rng(derive_seed(round_seed, shard)) into a shard-local buffer. Shard
 // boundaries depend only on the round-start state — never on
-// EngineOptions::threads — and the buffers are merged and applied in shard
-// order on the calling thread, so results are bitwise identical for every
+// EngineOptions::threads — so results are bitwise identical for every
 // thread count (1, the default, runs the same shard partition inline).
+//
+// The exact engine runs phase 2 on its pool too, under the same rules: the
+// merge is one bulk removal on the coin shards (each shard writes its own
+// span slices and its movers at offsets its coin pass counted), and the
+// scatter buckets and fills on shards of whole destination blocks.
+// Destination draws, span growth and dirty marking stay on the calling
+// thread in their serial order (see mem::BatchScatter).
 
 #include <cstdint>
 #include <memory>
@@ -138,10 +144,11 @@ class UserControlledEngine {
   std::vector<double> thresholds_;  // per-resource override (else empty)
   double max_threshold_ = 0.0;
   SystemState state_;
-  std::unique_ptr<util::ThreadPool> pool_;  // phase-1 workers (threads != 1)
+  std::unique_ptr<util::ThreadPool> pool_;  // round workers (threads != 1)
   std::vector<TaskId> movers_;          // scratch
   std::vector<Node> mover_origin_;      // scratch: origin, then destination
   std::vector<std::size_t> coin_prefix_;  // scratch: flat coin index bounds
+  std::vector<std::size_t> shard_movers_;  // scratch: leavers before shard
   std::vector<double> leave_p_;           // scratch: per-overloaded p
   std::vector<std::uint8_t> flat_mask_;   // scratch: flat departure mask
   // Observability: "exact.*" phase spans + deterministic cost counters,

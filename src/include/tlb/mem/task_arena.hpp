@@ -25,9 +25,16 @@
 //    order), producing bit-identical stacks and acceptance bookkeeping to
 //    pushing the tasks one by one.
 //  * BatchScatter is its in-round counterpart: it appends a batch of
-//    (destination, task) movers block by block of destinations, growing
+//    (destination, task) movers bucketed by block of destinations, growing
 //    each touched span once, to at least its final size, again
 //    bit-identical to pushing the movers one by one in batch order.
+//  * The bulk remove_marked(FlatMarks) is the exact engine's merge: one
+//    removal over a whole round's flat departure mask.
+//  Both bulk passes shard over an optional util::ThreadPool (inline
+//  without one). Shards write disjoint spans; everything whose result
+//  depends on order (span growth, relocation, compaction, the load chain
+//  of a stack two shards share) stays on the caller in batch order, so the
+//  arena ends bit-identical for any pool size.
 //
 // Invariants (checked by check_invariants(), exercised by the randomized
 // differential test against a per-vector reference implementation):
@@ -42,6 +49,7 @@
 #include <memory>
 #include <new>
 #include <ostream>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -49,6 +57,10 @@
 #include "tlb/graph/graph.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/task_set.hpp"
+
+namespace tlb::util {
+class ThreadPool;
+}  // namespace tlb::util
 
 namespace tlb::mem {
 
@@ -130,6 +142,22 @@ class TaskSpan {
 /// gtest-friendly failure output.
 std::ostream& operator<<(std::ostream& os, const TaskSpan& span);
 
+/// One round's departure marks over a flat coin layout (the exact engine's
+/// phase 1): coins [prefix[i], prefix[i+1]) are the stack positions of
+/// resources[i], bottom first, and mask[c] == 1 marks coin c's task as
+/// leaving (0 keeps it). Resources are strictly ascending (the overloaded
+/// list). The coins are cut into shards of `grain`; shard_movers[s] is the
+/// number of marked coins before shard s, so shard_movers.back() is the
+/// number of movers — the sampler counts each shard's marks as it writes
+/// them, which saves the bulk removal a counting pass.
+struct FlatMarks {
+  std::span<const Node> resources;
+  std::span<const std::size_t> prefix;        ///< resources.size() + 1
+  std::span<const std::uint8_t> mask;         ///< prefix.back() entries
+  std::size_t grain = 1;                      ///< coins per shard
+  std::span<const std::size_t> shard_movers;  ///< shards + 1 entries
+};
+
 /// Flat SoA storage for every resource's stack. All mutating entry points
 /// mirror core::ResourceStack's contracts exactly; ResourceStack is now a
 /// (resource, arena) view over this class.
@@ -192,11 +220,22 @@ class TaskArena {
   /// Throws std::invalid_argument if the mask size mismatches count(r).
   void remove_marked(Node r, const std::vector<std::uint8_t>& leave,
                      std::vector<TaskId>& out);
-  /// Same, with the mask given as a raw span — the engines' parallel
-  /// phase-1 samplers mark all resources into one flat buffer and hand each
-  /// resource its slice without copying.
-  void remove_marked(Node r, const std::uint8_t* leave, std::size_t len,
-                     std::vector<TaskId>& out);
+  /// remove_marked for every resource of a flat layout at once. Mover j in
+  /// coin order lands at ids[j] and the resource it left at origin[j]; both
+  /// are resized to marks.shard_movers.back(). Every resource ends exactly
+  /// as remove_marked(resources[i], its mask slice) leaves it (survivors in
+  /// order, load decreased leaver by leaver in stack order, accepted prefix
+  /// recomputed); a resource without a mark is not touched. Coin shard s
+  /// is one task on `pool` (inline when null): it compacts the survivors of
+  /// its slice of each span, writes its movers at shard_movers[s] onwards
+  /// and finishes every stack that lies inside it. A stack crossing a shard
+  /// boundary is finished on the caller: its slices are joined in shard
+  /// order and its load chain runs over its movers' weights from `ts` (the
+  /// mirrored ones are overwritten by then). Throws std::invalid_argument,
+  /// touching nothing, when the layout does not match the stacks.
+  void remove_marked(const FlatMarks& marks, const tasks::TaskSet& ts,
+                     std::vector<TaskId>& ids, std::vector<Node>& origin,
+                     util::ThreadPool* pool);
   /// Empty one resource (keeps its span capacity for reuse).
   void clear(Node r) noexcept;
   /// Empty every resource, release nothing.
@@ -236,6 +275,29 @@ class TaskArena {
   /// Grow r's span to hold at least min_cap slots, relocating it to the
   /// slab tail (compacting first when the dead space dominates).
   void grow(Node r, std::size_t min_cap);
+  /// relocate()'s result when compaction made room and r's span stayed
+  /// (no span begins there: begins are below kMaxSlots).
+  static constexpr std::uint32_t kStayed = 0xffffffffU;
+  /// grow() without the copy: books r's new span at the slab tail and
+  /// returns the abandoned span's begin, or kStayed. The caller then
+  /// fit_slab()s and move_span()s the first count(r) slots over before
+  /// anything reads r or compacts.
+  std::uint32_t relocate(Node r, std::size_t min_cap);
+  /// Size the slab vectors to the booked slots.
+  void fit_slab();
+  /// Copy `count` task slots from slab offset `from` to r's span.
+  void move_span(Node r, std::size_t from, std::size_t count);
+  /// Coin shard s, coins [lo, hi), of the flat remove_marked. Returns the
+  /// number of marked coins it met; it writes at most the number its
+  /// shard_movers entries promise.
+  std::size_t remove_marked_shard(const FlatMarks& marks, std::size_t s,
+                                  std::size_t lo, std::size_t hi,
+                                  TaskId* ids, Node* origin);
+  /// The caller's half for resources[i], whose coins cross a shard
+  /// boundary: join its compacted slices, then chain its load and accepted
+  /// prefix. `movers` are its leavers, in stack order.
+  void finish_crossing(const FlatMarks& marks, std::size_t i,
+                       const tasks::TaskSet& ts, const TaskId* movers);
   /// Repack every span contiguously, dropping dead slots and trimming
   /// oversized slack.
   void compact();
@@ -297,49 +359,70 @@ class BatchPlacer {
 /// exactly the stacks, loads (bitwise) and acceptance bookkeeping that
 /// push / push_accepting calls in index order would — every destination
 /// still receives its tasks in index order — without paying several cache
-/// misses per task. One stable pass buckets (destination, id, weight)
-/// records by destination block of kBlockWidth resources; then, block by
-/// block, the arrivals per resource are counted, each touched span is
-/// grown once (to at least its final size, by TaskArena's growth rule)
-/// and filled in record order.
+/// misses per task. Four passes:
+///   1. bucket: (destination, id, weight) records are stably bucketed by
+///      destination block of kBlockWidth resources (per-chunk block
+///      counts, then block-major offsets);
+///   2. count: the arrivals per resource of every non-empty block;
+///   3. grow: every touched span is grown once, to at least its final
+///      size, in block order and first-arrival order within a block —
+///      bookkeeping only, the relocated contents are copied by pass 4;
+///   4. fill: every block's relocated spans are copied over, then its
+///      records land in record order.
+/// Passes 1, 2 and 4 are sharded over the optional pool (inline without
+/// one): chunks of the batch in pass 1, runs of whole blocks holding about
+/// kShardMovers records in passes 2 and 4, so a shard writes only its own
+/// records, spans and loads. Pass 3 moves spans around the shared slab and
+/// runs on the caller. Every grow precedes every fill, so a grow that
+/// throws (std::length_error at the 32-bit slab cap) lands no task.
 ///
 /// Cost per call: O(k + n / kBlockWidth) for k movers, never O(n). The
-/// only per-mover scratch is the record buffer, reused across calls.
+/// per-mover scratch is the record buffer, reused across calls.
 class BatchScatter {
  public:
   /// Resources per destination block. A block's slices of the per-resource
-  /// arrays (a few KB) and its freshly grown spans stay cache-resident
-  /// while its records are filled. A constant, not a tuning knob.
+  /// arrays (a few KB) and its spans stay cache-resident while its records
+  /// are filled. A constant, not a tuning knob.
   static constexpr Node kBlockWidth = 256;
+  /// Records per shard of the bucket, count and fill passes (a shard of
+  /// the count and fill passes takes whole blocks until it holds at least
+  /// this many). A batch below it runs as one inline shard, so tail rounds
+  /// never wake the pool.
+  static constexpr std::size_t kShardMovers = 8192;
 
   /// Plain stacking (user-controlled protocols). `on_touched(r)` is called
-  /// exactly once per distinct destination, after r's span is filled, in
-  /// block order (ascending block, first arrival within a block). Throws
-  /// std::invalid_argument, leaving the arena untouched, when the sizes
-  /// differ or a destination is out of range.
+  /// on the caller exactly once per distinct destination, after every span
+  /// is filled, in block order (ascending block, first arrival within a
+  /// block). Throws std::invalid_argument, leaving the arena untouched,
+  /// when the sizes differ or a destination is out of range; a
+  /// std::length_error from a grow leaves every stack and load unchanged.
   template <class OnTouched>
   void scatter(TaskArena& arena, const tasks::TaskSet& ts,
                const std::vector<Node>& dst, const std::vector<TaskId>& ids,
-               OnTouched&& on_touched) {
-    run(arena, ts, dst, ids, {Mode::kPlain, 0.0, nullptr}, on_touched);
+               OnTouched&& on_touched, util::ThreadPool* pool = nullptr) {
+    append(arena, ts, dst, ids, {Mode::kPlain, 0.0, nullptr}, pool);
+    report(on_touched);
   }
   /// Acceptance bookkeeping against one uniform threshold; otherwise as
   /// above.
   template <class OnTouched>
   void scatter(TaskArena& arena, const tasks::TaskSet& ts,
                const std::vector<Node>& dst, const std::vector<TaskId>& ids,
-               double threshold, OnTouched&& on_touched) {
-    run(arena, ts, dst, ids, {Mode::kUniform, threshold, nullptr},
-        on_touched);
+               double threshold, OnTouched&& on_touched,
+               util::ThreadPool* pool = nullptr) {
+    append(arena, ts, dst, ids, {Mode::kUniform, threshold, nullptr}, pool);
+    report(on_touched);
   }
   /// Acceptance bookkeeping against per-resource thresholds
   /// (thresholds.size() must equal the resource count).
   template <class OnTouched>
   void scatter(TaskArena& arena, const tasks::TaskSet& ts,
                const std::vector<Node>& dst, const std::vector<TaskId>& ids,
-               const std::vector<double>& thresholds, OnTouched&& on_touched) {
-    run(arena, ts, dst, ids, {Mode::kPerResource, 0.0, &thresholds},
-        on_touched);
+               const std::vector<double>& thresholds, OnTouched&& on_touched,
+               util::ThreadPool* pool = nullptr) {
+    append(arena, ts, dst, ids, {Mode::kPerResource, 0.0, &thresholds},
+           pool);
+    report(on_touched);
   }
 
  private:
@@ -350,44 +433,54 @@ class BatchScatter {
     const std::vector<double>* thresholds;  // kPerResource
   };
   /// One mover, bucketed by destination block. Trivial on purpose: the
-  /// buffer is resized without zero-filling, and bucket() writes every
-  /// record before fill_block() reads it.
+  /// buffer is resized without zero-filling, and the bucket pass writes
+  /// every record before the count pass reads it.
   struct Record {
     Node dst;
     TaskId id;
     double w;
   };
+  /// A non-empty destination block: its records, and its distinct
+  /// destinations in first-arrival order with their arrival counts.
+  struct Block {
+    std::size_t rec_begin, rec_end;      // in records_
+    std::size_t touch_begin, touch_end;  // in touched_ / arrivals_
+  };
+
+  /// Passes 1-4 (see the class comment).
+  void append(TaskArena& arena, const tasks::TaskSet& ts,
+              const std::vector<Node>& dst, const std::vector<TaskId>& ids,
+              const Rule& rule, util::ThreadPool* pool);
+  /// Pass 1, after validating the batch: records_ holds the movers stably
+  /// bucketed by block, blocks_ the non-empty blocks and shard_begin_ the
+  /// block runs of passes 2 and 4.
+  void bucket(const TaskArena& arena, const tasks::TaskSet& ts,
+              const std::vector<Node>& dst, const std::vector<TaskId>& ids,
+              const Rule& rule, util::ThreadPool* pool);
+  /// Pass 2 for blocks_[j].
+  void count_block(std::size_t j);
+  /// Pass 3. On a throw, rolls back the count bumps of the blocks already
+  /// grown, does the span copies booked so far and rethrows.
+  void grow_spans(TaskArena& arena);
+  /// Pass 4 for blocks_[j].
+  void fill_block(TaskArena& arena, std::size_t j, const Rule& rule) const;
 
   template <class OnTouched>
-  void run(TaskArena& arena, const tasks::TaskSet& ts,
-           const std::vector<Node>& dst, const std::vector<TaskId>& ids,
-           const Rule& rule, OnTouched& on_touched) {
-    const std::size_t blocks = bucket(arena, ts, dst, ids, rule);
-    std::size_t lo = 0;
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::size_t hi = block_end_[b];
-      if (lo == hi) continue;
-      const std::size_t touched = fill_block(arena, lo, hi, rule);
-      for (std::size_t t = 0; t < touched; ++t) on_touched(touched_[t]);
-      lo = hi;
+  void report(OnTouched& on_touched) const {
+    for (const Block& b : blocks_) {
+      for (std::size_t t = b.touch_begin; t < b.touch_end; ++t) {
+        on_touched(touched_[t]);
+      }
     }
   }
-  /// Validate, then stably bucket the movers into records_ by destination
-  /// block; block b ends up at [block_end_[b-1], block_end_[b]). Returns
-  /// the number of blocks to visit (0 for an empty batch).
-  std::size_t bucket(const TaskArena& arena, const tasks::TaskSet& ts,
-                     const std::vector<Node>& dst,
-                     const std::vector<TaskId>& ids, const Rule& rule);
-  /// Append records_[lo, hi) (one block) to their spans; the block's
-  /// distinct destinations land in touched_. Returns their number.
-  std::size_t fill_block(TaskArena& arena, std::size_t lo, std::size_t hi,
-                         const Rule& rule);
 
   std::vector<Record, detail::DefaultInitAllocator<Record>> records_;
-  std::vector<std::size_t> block_end_;  // per block: end offset in records_
-  std::array<std::uint32_t, kBlockWidth> arrivals_{};  // per block slot
-  std::array<std::size_t, kBlockWidth> cursor_{};      // next write slot
-  std::array<Node, kBlockWidth> touched_{};            // distinct dsts
+  std::vector<std::uint32_t> chunk_offsets_;  // per (chunk, block) cursor
+  std::vector<Block> blocks_;                 // non-empty blocks, ascending
+  std::vector<std::size_t> shard_begin_;      // first block of each shard
+  std::vector<Node> touched_;                 // per block: distinct dsts
+  std::vector<std::uint32_t> arrivals_;       // parallel to touched_
+  std::vector<std::uint32_t> moved_from_;     // parallel: old span begin
 };
 
 }  // namespace tlb::mem

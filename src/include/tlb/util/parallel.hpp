@@ -13,7 +13,8 @@
 // randomness from the shard index and writes only shard-private (or
 // shard-disjoint) state therefore produces bitwise-identical results for
 // any thread count, including the no-pool sequential path. This is the
-// primitive behind the engines' parallel phase-1 departure sampling.
+// primitive behind the engines' parallel phase-1 departure sampling and
+// the exact engine's sharded merge and bulk scatter.
 
 #include <cstddef>
 #include <functional>

@@ -1,7 +1,11 @@
 #pragma once
-// Minimal fixed-size thread pool used to run independent simulation trials
-// in parallel. Tasks are plain std::function<void()>; there is no work
-// stealing because trial granularity is coarse (milliseconds to seconds).
+// Minimal fixed-size thread pool. The engines own one each (threads != 1)
+// and reuse it every round: util::parallel_shard submits one task per
+// worker, and the workers pull shard indices from a shared counter, so a
+// round's phases (departure sampling; in the exact engine also the merge
+// and the bulk scatter) cost one wake-up each however many shards they
+// have. Shards run tens of microseconds to a few milliseconds. Tasks are
+// plain std::function<void()>; there is no work stealing.
 
 #include <condition_variable>
 #include <cstddef>

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "tlb/util/parallel.hpp"
 
 namespace tlb::mem {
 
@@ -54,6 +57,25 @@ std::size_t span_cap(std::size_t count) {
 }  // namespace
 
 void TaskArena::grow(Node r, std::size_t min_cap) {
+  const std::uint32_t from = relocate(r, min_cap);
+  if (from == kStayed) return;
+  fit_slab();
+  move_span(r, from, count_[r]);
+}
+
+void TaskArena::fit_slab() {
+  // Grow the capacity as resizing relocation by relocation would: double
+  // it until the booked slots fit, so a pass of many relocations leaves
+  // the same headroom (and peak memory) as single grows.
+  std::size_t cap = std::max<std::size_t>(ids_.capacity(), 1);
+  while (cap < used_) cap *= 2;
+  ids_.reserve(cap);
+  weights_.reserve(cap);
+  ids_.resize(used_);
+  weights_.resize(used_);
+}
+
+std::uint32_t TaskArena::relocate(Node r, std::size_t min_cap) {
   std::size_t new_cap = std::max(kMinCap, 2 * std::size_t{cap_[r]});
   new_cap = std::max(new_cap, min_cap);
   // Abandoning the old span leaves a hole; once holes dominate the slab,
@@ -63,25 +85,26 @@ void TaskArena::grow(Node r, std::size_t min_cap) {
   // anyway would punch a fresh hole into the just-packed slab.
   if (used_ - reserved_ > reserved_ + 1024) {
     compact();
-    if (cap_[r] >= min_cap) return;
+    if (cap_[r] >= min_cap) return kStayed;
   }
   if (used_ + new_cap > kMaxSlots) {
     throw std::length_error("TaskArena: slab exceeds 32-bit span offsets");
   }
-  const std::size_t old_begin = begin_[r];
+  const std::uint32_t old_begin = begin_[r];
   const std::size_t new_begin = used_;
   used_ += new_cap;
-  ids_.resize(used_);
-  weights_.resize(used_);
-  std::copy_n(ids_.begin() + static_cast<std::ptrdiff_t>(old_begin), count_[r],
-              ids_.begin() + static_cast<std::ptrdiff_t>(new_begin));
-  std::copy_n(weights_.begin() + static_cast<std::ptrdiff_t>(old_begin),
-              count_[r],
-              weights_.begin() + static_cast<std::ptrdiff_t>(new_begin));
   reserved_ += new_cap - cap_[r];
   begin_[r] = static_cast<std::uint32_t>(new_begin);
   cap_[r] = static_cast<std::uint32_t>(new_cap);
   ++relocations_;
+  return old_begin;
+}
+
+void TaskArena::move_span(Node r, std::size_t from, std::size_t count) {
+  const auto to = static_cast<std::ptrdiff_t>(begin_[r]);
+  const auto at = static_cast<std::ptrdiff_t>(from);
+  std::copy_n(ids_.begin() + at, count, ids_.begin() + to);
+  std::copy_n(weights_.begin() + at, count, weights_.begin() + to);
 }
 
 void TaskArena::compact() {
@@ -173,11 +196,7 @@ void TaskArena::evict_above(Node r, double threshold,
 
 void TaskArena::remove_marked(Node r, const std::vector<std::uint8_t>& leave,
                               std::vector<TaskId>& out) {
-  remove_marked(r, leave.data(), leave.size(), out);
-}
-
-void TaskArena::remove_marked(Node r, const std::uint8_t* leave,
-                              std::size_t len, std::vector<TaskId>& out) {
+  const std::size_t len = leave.size();
   if (len != count_[r]) {
     throw std::invalid_argument("remove_marked: mask size mismatch");
   }
@@ -206,6 +225,214 @@ void TaskArena::remove_marked(Node r, const std::uint8_t* leave,
   // so the surviving accepted tasks are still a correctly-accounted prefix.
   accepted_count_[r] = static_cast<std::uint32_t>(accepted_kept);
   accepted_load_[r] = accepted_load_kept;
+}
+
+namespace {
+
+/// Marked coins in mask[lo, hi) (mask bytes are 0 or 1).
+std::size_t marked(const std::uint8_t* mask, std::size_t lo, std::size_t hi) {
+  std::size_t sum = 0;
+  for (std::size_t c = lo; c < hi; ++c) sum += mask[c];
+  return sum;
+}
+
+}  // namespace
+
+void TaskArena::remove_marked(const FlatMarks& marks, const tasks::TaskSet& ts,
+                              std::vector<TaskId>& ids,
+                              std::vector<Node>& origin,
+                              util::ThreadPool* pool) {
+  const std::size_t k = marks.resources.size();
+  const std::size_t coins = marks.mask.size();
+  const std::size_t grain = std::max<std::size_t>(marks.grain, 1);
+  const std::size_t shards = util::shard_count(coins, grain);
+  if (marks.prefix.size() != k + 1 || marks.prefix[0] != 0 ||
+      marks.prefix[k] != coins || marks.shard_movers.size() != shards + 1 ||
+      marks.shard_movers[0] != 0) {
+    throw std::invalid_argument("remove_marked: flat layout size mismatch");
+  }
+  const Node n = num_resources();
+  for (std::size_t i = 0; i < k; ++i) {
+    const Node r = marks.resources[i];
+    if (r >= n || (i > 0 && r <= marks.resources[i - 1])) {
+      throw std::invalid_argument(
+          "remove_marked: resources not ascending in range");
+    }
+    if (marks.prefix[i + 1] - marks.prefix[i] != count_[r]) {
+      throw std::invalid_argument("remove_marked: mask size mismatch");
+    }
+  }
+  const std::size_t movers = marks.shard_movers[shards];
+  ids.resize(movers);
+  origin.resize(movers);
+  if (movers == 0) return;
+
+  util::parallel_shard(
+      coins, grain, pool,
+      [&](std::size_t s, std::size_t lo, std::size_t hi) {
+        const std::size_t first = marks.shard_movers[s];
+        if (first == marks.shard_movers[s + 1]) return;  // nothing marked
+        const std::size_t wrote =
+            remove_marked_shard(marks, s, lo, hi, ids.data(), origin.data());
+        if (wrote != marks.shard_movers[s + 1] - first) {
+          throw std::logic_error("remove_marked: shard mark count mismatch");
+        }
+      });
+
+  // Stacks crossing a shard boundary, in layout order. Their first mover
+  // follows the marks of their first shard that precede them.
+  const std::uint8_t* mask = marks.mask.data();
+  std::size_t last = k;
+  for (std::size_t s = 1; s < shards; ++s) {
+    const std::size_t boundary = s * grain;
+    const std::size_t i =
+        static_cast<std::size_t>(std::upper_bound(marks.prefix.begin(),
+                                                  marks.prefix.end(),
+                                                  boundary) -
+                                 marks.prefix.begin()) -
+        1;
+    if (marks.prefix[i] == boundary || i == last) continue;
+    last = i;
+    const std::size_t start = marks.prefix[i];
+    const std::size_t shard_lo = start / grain * grain;
+    const std::size_t mover =
+        marks.shard_movers[start / grain] + marked(mask, shard_lo, start);
+    finish_crossing(marks, i, ts, ids.data() + mover);
+  }
+  live_ -= movers;
+}
+
+std::size_t TaskArena::remove_marked_shard(const FlatMarks& marks,
+                                           std::size_t s, std::size_t lo,
+                                           std::size_t hi, TaskId* ids,
+                                           Node* origin) {
+  const std::span<const std::size_t> prefix = marks.prefix;
+  const std::uint8_t* mask = marks.mask.data();
+  const std::size_t first = marks.shard_movers[s];
+  const std::size_t last = marks.shard_movers[s + 1];
+  std::size_t mover = first;
+  // The loops below are branch-free on the coin (at p near 1/2 a branch on
+  // it mispredicts half the time): every task is written both as a mover
+  // and as a survivor, and only the matching cursor advances. A mover
+  // write past the shard's last mover would land in the next shard's
+  // range, so it is skipped; the survivor write never passes the read.
+  const auto put = [&](TaskId id, Node r) {
+    if (mover < last) {
+      ids[mover] = id;
+      origin[mover] = r;
+    }
+  };
+  // Resource index whose coin range contains lo.
+  std::size_t i = static_cast<std::size_t>(
+                      std::upper_bound(prefix.begin(), prefix.end(), lo) -
+                      prefix.begin()) -
+                  1;
+  for (std::size_t c = lo; c < hi;) {
+    while (prefix[i + 1] <= c) ++i;
+    const Node r = marks.resources[i];
+    const std::size_t start = prefix[i];
+    const std::size_t end = std::min(hi, prefix[i + 1]);
+    TaskId* id = ids_.data() + begin_[r];
+    double* w = weights_.data() + begin_[r];
+    if (start >= lo && end == prefix[i + 1]) {
+      // The whole stack is in this shard: remove_marked's loop, movers
+      // written in place. Subtracting +0.0 for a survivor leaves the load
+      // bitwise unchanged, so the chain equals the leaver-only one.
+      const std::size_t len = end - start;
+      const std::uint8_t* leave = mask + start;
+      c = end;
+      if (std::memchr(leave, 1, len) == nullptr) continue;
+      const std::size_t accepted = accepted_count_[r];
+      std::size_t keep = 0;
+      std::size_t accepted_kept = 0;
+      double accepted_load_kept = 0.0;
+      double load = load_[r];
+      for (std::size_t p = 0; p < len; ++p) {
+        const bool out = leave[p] != 0;
+        const TaskId task = id[p];
+        const double wt = w[p];
+        put(task, r);
+        mover += out;
+        load -= out ? wt : 0.0;
+        if (p < accepted && !out) {
+          ++accepted_kept;
+          accepted_load_kept += wt;
+        }
+        id[keep] = task;
+        w[keep] = wt;
+        keep += !out;
+      }
+      load_[r] = load;
+      count_[r] = static_cast<std::uint32_t>(keep);
+      accepted_count_[r] = static_cast<std::uint32_t>(accepted_kept);
+      accepted_load_[r] = accepted_load_kept;
+      continue;
+    }
+    // This shard's slice of a crossing stack: write its movers and compact
+    // its survivors to the front of the slice; finish_crossing does the
+    // rest once every slice is done.
+    std::size_t keep = c - start;
+    for (; c < end; ++c) {
+      const bool out = mask[c] != 0;
+      const std::size_t p = c - start;
+      const TaskId task = id[p];
+      const double wt = w[p];
+      put(task, r);
+      mover += out;
+      id[keep] = task;
+      w[keep] = wt;
+      keep += !out;
+    }
+  }
+  return mover - first;
+}
+
+void TaskArena::finish_crossing(const FlatMarks& marks, std::size_t i,
+                                const tasks::TaskSet& ts,
+                                const TaskId* movers) {
+  const Node r = marks.resources[i];
+  const std::size_t start = marks.prefix[i];
+  const std::size_t stop = marks.prefix[i + 1];
+  const std::size_t grain = std::max<std::size_t>(marks.grain, 1);
+  const std::uint8_t* mask = marks.mask.data();
+  TaskId* id = ids_.data() + begin_[r];
+  double* w = weights_.data() + begin_[r];
+  // Join the slices in shard order: each holds its survivors at its front.
+  // A slice that is a whole shard has its leaver count in shard_movers.
+  std::size_t keep = 0;
+  std::size_t leavers = 0;
+  for (std::size_t c = start; c < stop;) {
+    const std::size_t s = c / grain;
+    const std::size_t end = std::min(stop, (s + 1) * grain);
+    const bool whole = c == s * grain && end == std::min(marks.mask.size(),
+                                                         (s + 1) * grain);
+    const std::size_t out =
+        whole ? marks.shard_movers[s + 1] - marks.shard_movers[s]
+              : marked(mask, c, end);
+    const std::size_t kept = end - c - out;
+    const std::size_t p = c - start;
+    if (p != keep) {  // overlapping, destination first: std::copy is safe
+      std::copy(id + p, id + p + kept, id + keep);
+      std::copy(w + p, w + p + kept, w + keep);
+    }
+    keep += kept;
+    leavers += out;
+    c = end;
+  }
+  if (leavers == 0) return;
+  // The load chain in stack order, as remove_marked subtracts it.
+  const double* tw = ts.weights().data();
+  double load = load_[r];
+  for (std::size_t j = 0; j < leavers; ++j) load -= tw[movers[j]];
+  load_[r] = load;
+  // The surviving accepted tasks are the first `accepted` survivors.
+  const std::size_t accepted =
+      accepted_count_[r] - marked(mask, start, start + accepted_count_[r]);
+  double accepted_load = 0.0;
+  for (std::size_t p = 0; p < accepted; ++p) accepted_load += w[p];
+  count_[r] = static_cast<std::uint32_t>(keep);
+  accepted_count_[r] = static_cast<std::uint32_t>(accepted);
+  accepted_load_[r] = accepted_load;
 }
 
 void TaskArena::clear(Node r) noexcept {
@@ -473,11 +700,30 @@ void BatchPlacer::build(TaskArena& arena, const tasks::TaskSet& ts,
 // BatchScatter
 // ---------------------------------------------------------------------------
 
-std::size_t BatchScatter::bucket(const TaskArena& arena,
-                                 const tasks::TaskSet& ts,
-                                 const std::vector<Node>& dst,
-                                 const std::vector<TaskId>& ids,
-                                 const Rule& rule) {
+void BatchScatter::append(TaskArena& arena, const tasks::TaskSet& ts,
+                          const std::vector<Node>& dst,
+                          const std::vector<TaskId>& ids, const Rule& rule,
+                          util::ThreadPool* pool) {
+  bucket(arena, ts, dst, ids, rule, pool);
+  const std::size_t shards = shard_begin_.size() - 1;
+  const auto blocks_of = [this](std::size_t s, auto&& fn) {
+    for (std::size_t j = shard_begin_[s]; j < shard_begin_[s + 1]; ++j) fn(j);
+  };
+  util::parallel_shard(shards, 1, pool,
+                       [&](std::size_t s, std::size_t, std::size_t) {
+                         blocks_of(s, [this](std::size_t j) { count_block(j); });
+                       });
+  grow_spans(arena);
+  util::parallel_shard(
+      shards, 1, pool, [&](std::size_t s, std::size_t, std::size_t) {
+        blocks_of(s, [&](std::size_t j) { fill_block(arena, j, rule); });
+      });
+}
+
+void BatchScatter::bucket(const TaskArena& arena, const tasks::TaskSet& ts,
+                          const std::vector<Node>& dst,
+                          const std::vector<TaskId>& ids, const Rule& rule,
+                          util::ThreadPool* pool) {
   const Node n = arena.num_resources();
   const std::size_t k = dst.size();
   if (ids.size() != k) {
@@ -486,78 +732,176 @@ std::size_t BatchScatter::bucket(const TaskArena& arena,
   if (rule.mode == Mode::kPerResource && rule.thresholds->size() != n) {
     throw std::invalid_argument("BatchScatter: threshold vector size mismatch");
   }
-  if (k == 0) return 0;
+  if (k > TaskArena::kMaxSlots) {
+    throw std::length_error("BatchScatter: batch exceeds 32-bit span offsets");
+  }
+  blocks_.clear();
+  shard_begin_.assign(1, 0);
+  if (k == 0) return;
 
-  // Pass 1: count per block, validating every destination before the
-  // arena is touched.
+  // Per-chunk block counts, validating every destination before the arena
+  // is touched. At most kMaxChunks chunks keep the count table small.
+  constexpr std::size_t kMaxChunks = 64;
+  const std::size_t chunk =
+      std::max(kShardMovers, (k + kMaxChunks - 1) / kMaxChunks);
+  const std::size_t chunks = util::shard_count(k, chunk);
   const std::size_t blocks = (std::size_t{n} + kBlockWidth - 1) / kBlockWidth;
-  block_end_.assign(blocks, 0);
-  for (const Node r : dst) {
-    if (r >= n) {
-      throw std::invalid_argument("BatchScatter: resource out of range");
-    }
-    ++block_end_[r / kBlockWidth];
-  }
-  // Exclusive prefix sum: block_end_[b] becomes block b's first record and
-  // serves as its write cursor, ending at block b's end.
-  std::size_t running = 0;
-  for (std::size_t& e : block_end_) {
-    const std::size_t c = e;
-    e = running;
-    running += c;
-  }
+  chunk_offsets_.assign(chunks * blocks, 0);
+  util::parallel_shard(
+      k, chunk, pool, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+        std::uint32_t* counts = chunk_offsets_.data() + c * blocks;
+        for (std::size_t i = lo; i < hi; ++i) {
+          if (dst[i] >= n) {
+            throw std::invalid_argument("BatchScatter: resource out of range");
+          }
+          ++counts[dst[i] / kBlockWidth];
+        }
+      });
 
-  // Pass 2: stable bucketing in index order, weights looked up once here so
-  // the fill never indirects through the TaskSet.
+  // Block-major exclusive prefix sums turn the counts into each chunk's
+  // first record in each block, so the bucketing below is stable. The
+  // non-empty blocks are listed, and cut into runs of whole blocks of at
+  // least kShardMovers records.
+  std::size_t running = 0;
+  std::size_t touch = 0;
+  std::size_t run = 0;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t begin = running;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      std::uint32_t& slot = chunk_offsets_[c * blocks + b];
+      const std::uint32_t count = slot;
+      slot = static_cast<std::uint32_t>(running);
+      running += count;
+    }
+    if (running == begin) continue;
+    blocks_.push_back({begin, running, touch, touch});
+    // Room for every distinct destination, plus the one slot the count
+    // pass's unconditional store may write past the last of them.
+    touch += std::min<std::size_t>(running - begin, kBlockWidth) + 1;
+    run += running - begin;
+    if (run >= kShardMovers) {
+      shard_begin_.push_back(blocks_.size());
+      run = 0;
+    }
+  }
+  if (shard_begin_.back() != blocks_.size()) {
+    shard_begin_.push_back(blocks_.size());
+  }
+  touched_.resize(touch);
+  arrivals_.resize(touch);
+  moved_from_.resize(touch);
+
+  // Stable bucketing in index order, weights looked up once here so the
+  // fill never indirects through the TaskSet.
   records_.resize(k);
   const double* w = ts.weights().data();
-  for (std::size_t i = 0; i < k; ++i) {
-    records_[block_end_[dst[i] / kBlockWidth]++] = {dst[i], ids[i], w[ids[i]]};
-  }
-  return blocks;
+  util::parallel_shard(
+      k, chunk, pool, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+        std::uint32_t* cursor = chunk_offsets_.data() + c * blocks;
+        for (std::size_t i = lo; i < hi; ++i) {
+          records_[cursor[dst[i] / kBlockWidth]++] = {dst[i], ids[i],
+                                                      w[ids[i]]};
+        }
+      });
 }
 
-std::size_t BatchScatter::fill_block(TaskArena& arena, std::size_t lo,
-                                     std::size_t hi, const Rule& rule) {
-  TaskArena& a = arena;
-  // Arrivals per destination; touched_ lists each destination once.
-  std::size_t touched = 0;
-  for (std::size_t i = lo; i < hi; ++i) {
+void BatchScatter::count_block(std::size_t j) {
+  Block& b = blocks_[j];
+  // Arrivals per block slot; touched_ lists each destination once. The
+  // store is unconditional and only a first arrival keeps it: a branch on
+  // it would mispredict on every fresh destination.
+  std::array<std::uint32_t, kBlockWidth> arrivals{};
+  std::size_t t = b.touch_begin;
+  for (std::size_t i = b.rec_begin; i < b.rec_end; ++i) {
     const Node r = records_[i].dst;
-    if (arrivals_[r % kBlockWidth]++ == 0) touched_[touched++] = r;
+    touched_[t] = r;
+    t += arrivals[r % kBlockWidth]++ == 0;
   }
+  b.touch_end = t;
+  for (std::size_t x = b.touch_begin; x < t; ++x) {
+    arrivals_[x] = arrivals[touched_[x] % kBlockWidth];
+    moved_from_[x] = TaskArena::kStayed;
+  }
+}
 
-  // Grow every touched span once, to at least its final size. A grow may
-  // compact the slab, which moves every span and re-slacks it to its live
-  // count, undoing the sizing of spans checked earlier in this pass: repeat
-  // the pass until it compacts nothing. A compaction leaves no dead slots,
-  // and a 2x relocation adds no more dead slots than reserved ones, so the
-  // repeat never compacts.
-  std::uint64_t compactions = 0;
-  do {
-    compactions = a.compactions_;
-    for (std::size_t t = 0; t < touched; ++t) {
-      const Node r = touched_[t];
-      const std::size_t need =
-          std::size_t{a.count_[r]} + arrivals_[r % kBlockWidth];
-      if (need > a.cap_[r]) a.grow(r, need);
+void BatchScatter::grow_spans(TaskArena& arena) {
+  TaskArena& a = arena;
+  std::size_t j = 0;
+  try {
+    for (; j < blocks_.size(); ++j) {
+      const Block& b = blocks_[j];
+      // Grow every touched span once, to at least its final size. A grow
+      // may compact the slab, which moves every span and re-slacks it to
+      // its count, undoing the sizing of spans checked earlier in this
+      // pass: repeat the pass until it compacts nothing. A compaction
+      // leaves no dead slots, and a 2x relocation adds no more dead slots
+      // than reserved ones, so the repeat never compacts — and a pass can
+      // compact only at its first relocation, before any span copy below
+      // is pending. Relocation only books the new span here; the fill
+      // shard copies the old contents over.
+      std::uint64_t compactions = 0;
+      do {
+        compactions = a.compactions_;
+        for (std::size_t x = b.touch_begin; x < b.touch_end; ++x) {
+          const Node r = touched_[x];
+          const std::size_t need = std::size_t{a.count_[r]} + arrivals_[x];
+          if (need <= a.cap_[r]) continue;
+          moved_from_[x] = a.relocate(r, need);
+        }
+      } while (a.compactions_ != compactions);
+      // Count the arrivals in now: a compaction in a later block then
+      // sizes and copies these spans as if they were already filled.
+      for (std::size_t x = b.touch_begin; x < b.touch_end; ++x) {
+        a.count_[touched_[x]] += arrivals_[x];
+      }
+      a.live_ += b.rec_end - b.rec_begin;
     }
-  } while (a.compactions_ != compactions);
+    a.fit_slab();
+  } catch (...) {
+    // Nothing is filled yet: taking the arrivals out again and copying the
+    // relocated spans over leaves every stack and load as it was (grown
+    // spans keep their new room). Blocks after j were never touched.
+    bool fitted = false;
+    for (std::size_t g = 0; g <= j; ++g) {
+      const Block& b = blocks_[g];
+      for (std::size_t x = b.touch_begin; x < b.touch_end; ++x) {
+        const Node r = touched_[x];
+        if (g < j) a.count_[r] -= arrivals_[x];
+        if (moved_from_[x] == TaskArena::kStayed) continue;
+        if (!fitted) a.fit_slab();
+        fitted = true;
+        a.move_span(r, moved_from_[x], a.count_[r]);
+      }
+      if (g < j) a.live_ -= b.rec_end - b.rec_begin;
+    }
+    throw;
+  }
+}
 
-  // Fill cursors only now that no grow can move a span any more.
-  for (std::size_t t = 0; t < touched; ++t) {
-    const Node r = touched_[t];
-    cursor_[r % kBlockWidth] = std::size_t{a.begin_[r]} + a.count_[r];
+void BatchScatter::fill_block(TaskArena& arena, std::size_t j,
+                              const Rule& rule) const {
+  TaskArena& a = arena;
+  const Block& b = blocks_[j];
+  // Finish the block's relocations, then point each block slot at the
+  // span end before the arrivals.
+  std::array<std::size_t, kBlockWidth> cursor{};
+  for (std::size_t x = b.touch_begin; x < b.touch_end; ++x) {
+    const Node r = touched_[x];
+    const std::size_t live = std::size_t{a.count_[r]} - arrivals_[x];
+    if (moved_from_[x] != TaskArena::kStayed) {
+      a.move_span(r, moved_from_[x], live);
+    }
+    cursor[r % kBlockWidth] = std::size_t{a.begin_[r]} + live;
   }
 
   // Fill in record (= index) order. The acceptance test reads the span
-  // position the task lands at, which is count(r) at the time a sequential
-  // push_accepting would have run.
+  // position the task lands at, which is the count a sequential
+  // push_accepting would have seen.
   switch (rule.mode) {
     case Mode::kPlain:
-      for (std::size_t i = lo; i < hi; ++i) {
+      for (std::size_t i = b.rec_begin; i < b.rec_end; ++i) {
         const Record& rec = records_[i];
-        const std::size_t slot = cursor_[rec.dst % kBlockWidth]++;
+        const std::size_t slot = cursor[rec.dst % kBlockWidth]++;
         a.ids_[slot] = rec.id;
         a.weights_[slot] = rec.w;
         a.load_[rec.dst] += rec.w;
@@ -565,10 +909,10 @@ std::size_t BatchScatter::fill_block(TaskArena& arena, std::size_t lo,
       break;
     case Mode::kUniform:
     case Mode::kPerResource:
-      for (std::size_t i = lo; i < hi; ++i) {
+      for (std::size_t i = b.rec_begin; i < b.rec_end; ++i) {
         const Record& rec = records_[i];
         const Node r = rec.dst;
-        const std::size_t slot = cursor_[r % kBlockWidth]++;
+        const std::size_t slot = cursor[r % kBlockWidth]++;
         const double T = rule.mode == Mode::kUniform ? rule.threshold
                                                      : (*rule.thresholds)[r];
         a.ids_[slot] = rec.id;
@@ -582,14 +926,6 @@ std::size_t BatchScatter::fill_block(TaskArena& arena, std::size_t lo,
       }
       break;
   }
-
-  for (std::size_t t = 0; t < touched; ++t) {
-    const Node r = touched_[t];
-    a.count_[r] += arrivals_[r % kBlockWidth];
-    arrivals_[r % kBlockWidth] = 0;
-  }
-  a.live_ += hi - lo;
-  return touched;
 }
 
 }  // namespace tlb::mem

@@ -26,9 +26,9 @@ using tlb::tasks::Placement;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
 
-// Thread counts under test: inline, small pool, oversubscribed pool, and
+// Thread counts under test: inline, small pools, oversubscribed pool, and
 // hardware concurrency (0). All must agree bitwise with the inline run.
-const std::size_t kThreadCounts[] = {1, 2, 8, 0};
+const std::size_t kThreadCounts[] = {1, 2, 4, 8, 0};
 
 /// Bitwise RunResult equality: counters, doubles compared with ==, and the
 /// traces element by element.
@@ -136,6 +136,61 @@ TEST(EngineThreadsTest, ExactEngineFinalLoadsIdentical) {
     for (std::size_t r = 0; r < base.size(); ++r) {
       EXPECT_EQ(base[r], other[r]) << "threads=" << threads << " r=" << r;
     }
+  }
+}
+
+TEST(EngineThreadsTest, ExactEngineShardedMergeAndScatterAcrossThreads) {
+  // Phase 2 on the pool: the all-on-one stack spans ten coin shards, and at
+  // its round-1 leave probability (about 0.55) every shard holds thousands
+  // of leavers and survivors, so each boundary splits a run of both; the
+  // movers' scatter spans several destination-block shards. Later rounds
+  // keep 64 stacks of ~1100 coins, many of them across a boundary. The
+  // whole end state must match the inline run: result, loads, every stack
+  // and the arena's relocation history.
+  const Node n = 64;
+  const std::size_t m = 10 * UserControlledEngine::kCoinShardGrain;
+  const TaskSet ts = continuous_tasks(m, 0x5EED);
+  const Placement start = tlb::tasks::all_on_one(ts);
+  const double T = 1.25 * ts.total_weight() / n + ts.max_weight();
+  struct End {
+    RunResult result;
+    std::vector<double> loads;
+    std::vector<std::vector<tlb::tasks::TaskId>> stacks;
+    std::uint64_t relocations = 0, compactions = 0, round1_movers = 0;
+  };
+  const auto run_with = [&](std::size_t threads) {
+    UserProtocolConfig cfg;
+    cfg.threshold = T;
+    cfg.options.max_rounds = 200000;
+    cfg.options.record_potential = true;
+    cfg.options.record_overloaded = true;
+    cfg.options.threads = threads;
+    UserControlledEngine engine(ts, n, cfg);
+    Rng rng(2024);
+    engine.reset(start);
+    End end;
+    end.round1_movers = engine.step(rng);
+    end.result = engine.run(rng);
+    end.loads = engine.state().loads();
+    for (Node r = 0; r < n; ++r) {
+      end.stacks.push_back(engine.state().stack(r).tasks().to_vector());
+    }
+    end.relocations = engine.state().arena().relocations();
+    end.compactions = engine.state().arena().compactions();
+    return end;
+  };
+  const End base = run_with(1);
+  EXPECT_TRUE(base.result.balanced);
+  EXPECT_GT(base.round1_movers, m / 4);
+  EXPECT_LT(base.round1_movers, 3 * m / 4);
+  for (std::size_t threads : kThreadCounts) {
+    const End other = run_with(threads);
+    EXPECT_EQ(other.round1_movers, base.round1_movers) << threads;
+    expect_identical(base.result, other.result, threads);
+    EXPECT_EQ(other.loads, base.loads) << "threads=" << threads;
+    EXPECT_EQ(other.stacks, base.stacks) << "threads=" << threads;
+    EXPECT_EQ(other.relocations, base.relocations) << "threads=" << threads;
+    EXPECT_EQ(other.compactions, base.compactions) << "threads=" << threads;
   }
 }
 

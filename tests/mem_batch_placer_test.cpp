@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,7 +18,9 @@
 #include "tlb/core/system_state.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/task_set.hpp"
+#include "tlb/util/parallel.hpp"
 #include "tlb/util/rng.hpp"
+#include "tlb/util/thread_pool.hpp"
 
 namespace tlb::mem {
 
@@ -30,6 +34,29 @@ struct TaskArenaTestPeer {
     a.ids_.resize(a.used_);
     a.weights_.resize(a.used_);
   }
+  /// Same, for the arena inside a SystemState (which hands out only a
+  /// const view of it).
+  static void add_dead_slots(const tlb::core::SystemState& s,
+                             std::size_t slots) {
+    add_dead_slots(const_cast<TaskArena&>(s.arena()), slots);
+  }
+  /// Book slots as if spans held them, without allocating any, so that the
+  /// slab sits kMinCap - 1 slots below TaskArena::kMaxSlots and the next
+  /// relocation throws. Returns the number booked. check_invariants() holds
+  /// again only after release_phantom_slots().
+  static std::size_t book_phantom_slots(TaskArena& a) {
+    const std::size_t slots =
+        TaskArena::kMaxSlots - (TaskArena::kMinCap - 1) - a.used_;
+    a.used_ += slots;
+    a.reserved_ += slots;
+    return slots;
+  }
+  static void release_phantom_slots(TaskArena& a, std::size_t slots) {
+    a.used_ -= slots;
+    a.reserved_ -= slots;
+  }
+  /// Span capacity of r.
+  static std::size_t cap(const TaskArena& a, Node r) { return a.cap_[r]; }
 };
 
 }  // namespace tlb::mem
@@ -43,6 +70,29 @@ using tlb::mem::TaskArena;
 using tlb::tasks::Placement;
 using tlb::tasks::TaskId;
 using tlb::tasks::TaskSet;
+using tlb::util::ThreadPool;
+
+/// The pools the sharded passes run on, one per engine-thread count the
+/// engines are checked at: none (one thread), 2, 4, 8 and hardware
+/// concurrency workers.
+class Pools {
+ public:
+  Pools() {
+    for (const std::size_t threads : {2, 4, 8, 0}) {
+      owned_.push_back(std::make_unique<ThreadPool>(threads));
+      all_.push_back(owned_.back().get());
+    }
+  }
+  const std::vector<ThreadPool*>& all() const { return all_; }
+  static std::string name(const ThreadPool* pool) {
+    return "pool=" + (pool == nullptr ? std::string("none")
+                                      : std::to_string(pool->size()));
+  }
+
+ private:
+  std::vector<std::unique_ptr<ThreadPool>> owned_;
+  std::vector<ThreadPool*> all_{nullptr};
+};
 
 TaskSet make_tasks(std::size_t m, std::uint64_t seed) {
   tlb::util::Rng rng(seed);
@@ -189,23 +239,23 @@ void scatter_sequentially(TaskArena& arena, const TaskSet& ts,
   }
 }
 
-/// Bulk scatter in `mode`; checks that the touched callback reports every
-/// distinct destination exactly once.
+/// Bulk scatter in `mode` on `pool`; checks that the touched callback
+/// reports every distinct destination exactly once.
 void scatter_bulk(BatchScatter& scatter, TaskArena& arena, const TaskSet& ts,
                   const std::vector<Node>& dst, const std::vector<TaskId>& ids,
                   ScatterMode mode, double T, const std::vector<double>& per,
-                  const std::string& what) {
+                  const std::string& what, ThreadPool* pool = nullptr) {
   std::vector<Node> touched;
   const auto on_touched = [&touched](Node r) { touched.push_back(r); };
   switch (mode) {
     case ScatterMode::kPlain:
-      scatter.scatter(arena, ts, dst, ids, on_touched);
+      scatter.scatter(arena, ts, dst, ids, on_touched, pool);
       break;
     case ScatterMode::kUniform:
-      scatter.scatter(arena, ts, dst, ids, T, on_touched);
+      scatter.scatter(arena, ts, dst, ids, T, on_touched, pool);
       break;
     case ScatterMode::kPerResource:
-      scatter.scatter(arena, ts, dst, ids, per, on_touched);
+      scatter.scatter(arena, ts, dst, ids, per, on_touched, pool);
       break;
   }
   const std::set<Node> distinct(dst.begin(), dst.end());
@@ -328,10 +378,13 @@ TEST(BatchScatterTest, CompactionInsideAGrowPassKeepsSpansSized) {
   const TaskSet ts = make_tasks(200, 24);
   const Node n = 300;
   const auto [T, per] = scatter_thresholds(ts, n);
+  const Pools pools;
+  for (ThreadPool* pool : pools.all()) {
   for (const ScatterMode mode : {ScatterMode::kPlain, ScatterMode::kUniform,
                                  ScatterMode::kPerResource}) {
-    const std::string label =
-        "compaction/mode" + std::to_string(static_cast<int>(mode));
+    const std::string label = "compaction/mode" +
+                              std::to_string(static_cast<int>(mode)) + " " +
+                              Pools::name(pool);
     const auto build = [&ts](TaskArena& arena, std::vector<TaskId>& freed) {
       for (TaskId id = 0; id < 20; ++id) arena.push(5, id, ts.weight(id));
       for (TaskId id = 20; id < 28; ++id) arena.push(7, id, ts.weight(id));
@@ -356,10 +409,11 @@ TEST(BatchScatterTest, CompactionInsideAGrowPassKeepsSpansSized) {
     ASSERT_EQ(ids.size(), dst.size());
     const std::uint64_t compactions = batch.compactions();
     BatchScatter scatter;
-    scatter_bulk(scatter, batch, ts, dst, ids, mode, T, per, label);
+    scatter_bulk(scatter, batch, ts, dst, ids, mode, T, per, label, pool);
     EXPECT_EQ(batch.compactions(), compactions + 1) << label;
     scatter_sequentially(seq, ts, dst, ids, mode, T, per);
     expect_identical(batch, seq, n, label);
+  }
   }
 }
 
@@ -382,18 +436,81 @@ TEST(BatchScatterTest, ValidatesInputWithoutTouchingTheArena) {
   arena.check_invariants();
 }
 
+/// One round of the exact engine's phase 2 on `state`: the flat merge of
+/// `mask` over the overloaded list, on coin shards of `grain` and `pool`.
+/// Returns the movers; `origin` gets the resource each one left.
+std::vector<TaskId> flat_merge(tlb::core::SystemState& state,
+                               const std::vector<std::uint8_t>& mask,
+                               std::size_t grain, ThreadPool* pool,
+                               std::vector<Node>& origin) {
+  const std::vector<Node> over = state.overloaded();
+  std::vector<std::size_t> prefix{0};
+  for (const Node r : over) {
+    prefix.push_back(prefix.back() + state.arena().count(r));
+  }
+  std::vector<std::size_t> shard_movers(
+      tlb::util::shard_count(mask.size(), grain) + 1, 0);
+  for (std::size_t c = 0; c < mask.size(); ++c) {
+    shard_movers[c / grain + 1] += mask[c];
+  }
+  for (std::size_t s = 1; s < shard_movers.size(); ++s) {
+    shard_movers[s] += shard_movers[s - 1];
+  }
+  std::vector<TaskId> movers;
+  state.remove_marked({over, prefix, mask, grain, shard_movers}, movers,
+                      origin, pool);
+  return movers;
+}
+
+/// The sequential reference of flat_merge: remove_marked per overloaded
+/// resource that has a mark, in list order.
+void merge_sequentially(tlb::core::SystemState& state,
+                        const std::vector<std::uint8_t>& mask) {
+  std::size_t c = 0;
+  for (const Node r : std::vector<Node>(state.overloaded())) {
+    const std::size_t count = state.arena().count(r);
+    const std::vector<std::uint8_t> leave(
+        mask.begin() + static_cast<std::ptrdiff_t>(c),
+        mask.begin() + static_cast<std::ptrdiff_t>(c + count));
+    c += count;
+    if (std::find(leave.begin(), leave.end(), 1) == leave.end()) continue;
+    std::vector<TaskId> unused;
+    state.remove_marked(r, leave, unused);
+  }
+}
+
+/// Every SystemState-level observable of two states equal: the arena, the
+/// tracker's work counters and the overloaded list.
+void expect_same_state(const tlb::core::SystemState& bulk,
+                       const tlb::core::SystemState& seq, Node n,
+                       const std::string& at) {
+  expect_identical(bulk.arena(), seq.arena(), n, at);
+  const tlb::core::OverloadedSet& bt = bulk.overloaded_tracker();
+  const tlb::core::OverloadedSet& st = seq.overloaded_tracker();
+  EXPECT_EQ(bt.dirty_marks(), st.dirty_marks()) << at;
+  EXPECT_EQ(bt.dirty_size(), st.dirty_size()) << at;
+  EXPECT_EQ(bulk.overloaded(), seq.overloaded()) << at;
+  EXPECT_EQ(bt.flush_checks(), st.flush_checks()) << at;
+  ASSERT_NO_THROW(bulk.check_invariants()) << at;
+}
+
 TEST(BatchScatterTest, SystemStateMatchesSequentialPushes) {
   // The SystemState entry points on top: besides the arena, the tracker's
   // dirty_marks(), its flush_checks() and the overloaded() list must equal
-  // what pushing the movers one at a time produces — the reference pushes
-  // through mutable stack(r) views, which mark r dirty per push.
+  // what removing per resource and pushing the movers one at a time
+  // produces — the reference pushes through mutable stack(r) views, which
+  // mark r dirty per push. The bulk side merges on coin shards of 16, so
+  // most stacks cross a shard boundary.
   const TaskSet ts = make_tasks(4000, 26);
+  const Pools pools;
+  for (ThreadPool* pool : pools.all()) {
   for (const Node n : {Node{40}, Node{700}}) {
     for (const bool accepting : {false, true}) {
       for (const bool per_resource : {false, true}) {
         const std::string label = "n=" + std::to_string(n) +
                                   (accepting ? " accepting" : " plain") +
-                                  (per_resource ? " per-resource" : "");
+                                  (per_resource ? " per-resource " : " ") +
+                                  Pools::name(pool);
         tlb::core::SystemState bulk(ts, n), seq(ts, n);
         const auto [T, per] = scatter_thresholds(ts, n);
         for (tlb::core::SystemState* s : {&bulk, &seq}) {
@@ -409,46 +526,143 @@ TEST(BatchScatterTest, SystemStateMatchesSequentialPushes) {
         bulk.place(p, -1.0);
         seq.place(p, -1.0);
         for (int round = 0; round < 4; ++round) {
-          (void)bulk.overloaded();
-          (void)seq.overloaded();
-          // The engines' phase 1: yank random subsets of the overloaded
-          // resources, then scatter the movers.
-          std::vector<TaskId> movers;
-          std::vector<std::uint8_t> mask;
-          for (const Node r : std::vector<Node>(bulk.overloaded())) {
-            mask.assign(bulk.stack(r).count(), 0);
-            for (auto& bit : mask) bit = rng.bernoulli(0.5);
-            std::vector<TaskId> unused;
-            bulk.remove_marked(r, mask, movers);
-            seq.remove_marked(r, mask, unused);
+          // The engines' phase 1: mark random subsets of the overloaded
+          // resources' stacks, merge, then scatter the movers.
+          std::size_t coins = 0;
+          for (const Node r : bulk.overloaded()) {
+            coins += bulk.arena().count(r);
           }
+          std::vector<std::uint8_t> mask(coins);
+          for (auto& bit : mask) bit = rng.bernoulli(0.5) ? 1 : 0;
+          std::vector<Node> origin;
+          const std::vector<TaskId> movers =
+              flat_merge(bulk, mask, 16, pool, origin);
+          merge_sequentially(seq, mask);
           std::vector<Node> dst(movers.size());
           for (Node& d : dst) d = static_cast<Node>(rng.uniform_below(n));
           if (accepting) {
-            bulk.scatter_accepting(dst, movers);
+            bulk.scatter_accepting(dst, movers, pool);
             for (std::size_t i = 0; i < dst.size(); ++i) {
               seq.stack(dst[i]).push_accepting(movers[i], ts,
                                                seq.threshold_of(dst[i]));
             }
           } else {
-            bulk.scatter(dst, movers);
+            bulk.scatter(dst, movers, pool);
             for (std::size_t i = 0; i < dst.size(); ++i) {
               seq.stack(dst[i]).push(movers[i], ts);
             }
           }
-          const std::string at = label + " round " + std::to_string(round);
-          expect_identical(bulk.arena(), seq.arena(), n, at);
-          const tlb::core::OverloadedSet& bt = bulk.overloaded_tracker();
-          const tlb::core::OverloadedSet& st = seq.overloaded_tracker();
-          EXPECT_EQ(bt.dirty_marks(), st.dirty_marks()) << at;
-          EXPECT_EQ(bt.dirty_size(), st.dirty_size()) << at;
-          EXPECT_EQ(bulk.overloaded(), seq.overloaded()) << at;
-          EXPECT_EQ(bt.flush_checks(), st.flush_checks()) << at;
-          ASSERT_NO_THROW(bulk.check_invariants()) << at;
+          expect_same_state(bulk, seq, n,
+                            label + " round " + std::to_string(round));
         }
       }
     }
   }
+  }
+}
+
+TEST(BatchScatterTest, ShardedRoundsWithACompactingScatterMatchEveryPool) {
+  // The exact engine's shapes at a size where every pass has several
+  // shards: 40000 tasks start on one resource, so the first merge runs one
+  // stack over five coin shards of 8192 and the scatters move 10^4 tasks
+  // over 16 destination blocks (two or more runs of kShardMovers). Before
+  // the second round, dead slots make its grow pass compact the slab.
+  const TaskSet ts = make_tasks(40000, 28);
+  const Node n = 4096;
+  const double T = 1.2 * ts.total_weight() / n;
+  const Pools pools;
+  std::vector<std::uint64_t> relocations, compactions;
+  for (ThreadPool* pool : pools.all()) {
+    const std::string label = Pools::name(pool);
+    tlb::core::SystemState bulk(ts, n), seq(ts, n);
+    for (tlb::core::SystemState* s : {&bulk, &seq}) {
+      s->set_thresholds(T);
+      s->place(Placement(ts.size(), 0), -1.0);
+    }
+    tlb::util::Rng rng(17);
+    for (int round = 0; round < 3; ++round) {
+      if (round == 1) {
+        tlb::mem::TaskArenaTestPeer::add_dead_slots(
+            bulk, bulk.arena().slab_size() + 4096);
+        tlb::mem::TaskArenaTestPeer::add_dead_slots(
+            seq, seq.arena().slab_size() + 4096);
+      }
+      std::size_t coins = 0;
+      for (const Node r : bulk.overloaded()) coins += bulk.arena().count(r);
+      std::vector<std::uint8_t> mask(coins);
+      for (auto& bit : mask) bit = rng.bernoulli(0.5) ? 1 : 0;
+      std::vector<Node> origin;
+      const std::vector<TaskId> movers =
+          flat_merge(bulk, mask, 8192, pool, origin);
+      merge_sequentially(seq, mask);
+      std::vector<Node> dst(movers.size());
+      for (Node& d : dst) d = static_cast<Node>(rng.uniform_below(n));
+      const std::uint64_t before = bulk.arena().compactions();
+      bulk.scatter(dst, movers, pool);
+      for (std::size_t i = 0; i < dst.size(); ++i) {
+        seq.stack(dst[i]).push(movers[i], ts);
+      }
+      const std::string at = label + " round " + std::to_string(round);
+      if (round == 0) {
+        ASSERT_GT(coins, 4 * 8192u) << at;
+        ASSERT_GT(movers.size(), 2 * BatchScatter::kShardMovers) << at;
+      }
+      if (round == 1) {
+        EXPECT_EQ(bulk.arena().compactions(), before + 1) << at;
+      }
+      expect_same_state(bulk, seq, n, at);
+      EXPECT_EQ(bulk.arena().compactions(), seq.arena().compactions()) << at;
+    }
+    relocations.push_back(bulk.arena().relocations());
+    compactions.push_back(bulk.arena().compactions());
+  }
+  for (std::size_t i = 1; i < relocations.size(); ++i) {
+    EXPECT_EQ(relocations[i], relocations[0]) << "pool " << i;
+    EXPECT_EQ(compactions[i], compactions[0]) << "pool " << i;
+  }
+}
+
+TEST(BatchScatterTest, GrowAtTheSlotCapThrowsCleanly) {
+  // Block 0's destinations have room already and block 1's need a grow,
+  // which hits the 32-bit slab cap: the scatter must land no task, roll
+  // block 0's counts back and keep no stale scratch, so that the next
+  // scatter (after the cap is lifted again) is exact.
+  const TaskSet ts = make_tasks(600, 29);
+  const Node n = 600;
+  std::vector<TaskId> pool;
+  TaskArena arena = populated_arena(n, ts, 8, pool);
+  TaskArena seq = populated_arena(n, ts, 8, pool);
+  const TaskArena before = arena;
+  using Peer = tlb::mem::TaskArenaTestPeer;
+  std::vector<Node> roomy;  // block 0: room for two more tasks
+  for (Node r = 0; r < BatchScatter::kBlockWidth && roomy.size() < 3; ++r) {
+    if (arena.count(r) > 0 && Peer::cap(arena, r) >= arena.count(r) + 2) {
+      roomy.push_back(r);
+    }
+  }
+  ASSERT_EQ(roomy.size(), 3u);
+  const Node full = BatchScatter::kBlockWidth + 7;  // block 1
+  std::vector<Node> dst;
+  for (int i = 0; i < 2; ++i) dst.insert(dst.end(), roomy.begin(), roomy.end());
+  dst.insert(dst.end(), Peer::cap(arena, full) + 1, full);
+  ASSERT_GE(pool.size(), dst.size());
+  pool.resize(dst.size());
+
+  BatchScatter scatter;
+  const std::size_t phantom = Peer::book_phantom_slots(arena);
+  EXPECT_THROW(scatter.scatter(arena, ts, dst, pool, [](Node) {}),
+               std::length_error);
+  Peer::release_phantom_slots(arena, phantom);
+  ASSERT_NO_THROW(arena.check_invariants());
+  expect_identical(arena, before, n, "after the throw");
+
+  // The same batch again, now with room: exactly the sequential pushes.
+  std::vector<Node> touched;
+  scatter.scatter(arena, ts, dst, pool,
+                  [&touched](Node r) { touched.push_back(r); });
+  scatter_sequentially(seq, ts, dst, pool, ScatterMode::kPlain, 0.0, {});
+  expect_identical(arena, seq, n, "after the retry");
+  EXPECT_EQ(touched.size(), std::set<Node>(dst.begin(), dst.end()).size());
 }
 
 TEST(BatchScatterTest, ScatterAcceptingRequiresThresholds) {

@@ -7,15 +7,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "tlb/tasks/task_set.hpp"
+#include "tlb/util/parallel.hpp"
 #include "tlb/util/rng.hpp"
+#include "tlb/util/thread_pool.hpp"
 
 namespace {
 
 using tlb::graph::Node;
+using tlb::mem::FlatMarks;
 using tlb::mem::TaskArena;
 using tlb::mem::TaskSpan;
 using tlb::tasks::TaskId;
@@ -325,6 +331,153 @@ TEST(TaskArenaTest, RemoveMarkedValidatesMaskSize) {
   arena.push(0, 0, 1.0);
   std::vector<TaskId> out;
   EXPECT_THROW(arena.remove_marked(0, {1, 0}, out), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Flat remove_marked: the exact engine's sharded merge
+// ---------------------------------------------------------------------------
+
+/// Identical arenas: stacks, mirrored weights, loads and acceptance
+/// bookkeeping bitwise equal, and the same span accounting.
+void expect_same_arena(const TaskArena& a, const TaskArena& b,
+                       const std::string& what) {
+  ASSERT_EQ(a.num_resources(), b.num_resources()) << what;
+  ASSERT_EQ(a.total_tasks(), b.total_tasks()) << what;
+  for (Node r = 0; r < a.num_resources(); ++r) {
+    ASSERT_EQ(a.tasks(r), b.tasks(r)) << what << " resource " << r;
+    ASSERT_EQ(a.load(r), b.load(r)) << what << " resource " << r;
+    ASSERT_EQ(a.accepted_count(r), b.accepted_count(r)) << what << " r=" << r;
+    ASSERT_EQ(a.accepted_load(r), b.accepted_load(r)) << what << " r=" << r;
+    for (std::size_t i = 0; i < a.count(r); ++i) {
+      ASSERT_EQ(a.weights(r)[i], b.weights(r)[i]) << what << " r=" << r;
+    }
+  }
+  EXPECT_EQ(a.slab_size(), b.slab_size()) << what;
+  EXPECT_EQ(a.relocations(), b.relocations()) << what;
+  a.check_invariants();
+}
+
+/// A flat layout over `resources` of `arena` with a random mask: each
+/// resource leaves with its own probability, drawn from {0, 1, uniform},
+/// so stacks without leavers and all-leave stacks both occur.
+struct FlatRound {
+  std::vector<Node> resources;
+  std::vector<std::size_t> prefix{0};
+  std::vector<std::uint8_t> mask;
+  std::vector<std::size_t> shard_movers;
+  std::size_t grain = 1;
+
+  FlatRound(const TaskArena& arena, std::vector<Node> rs, std::size_t g,
+            tlb::util::Rng& rng)
+      : resources(std::move(rs)), grain(g) {
+    for (const Node r : resources) {
+      const std::size_t kind = rng.uniform_below(4);
+      const double p = kind == 0 ? 0.0 : kind == 1 ? 1.0 : rng.uniform01();
+      for (std::size_t i = 0; i < arena.count(r); ++i) {
+        mask.push_back(rng.bernoulli(p) ? 1 : 0);
+      }
+      prefix.push_back(mask.size());
+    }
+    const std::size_t shards = tlb::util::shard_count(mask.size(), grain);
+    shard_movers.assign(shards + 1, 0);
+    for (std::size_t c = 0; c < mask.size(); ++c) {
+      shard_movers[c / grain + 1] += mask[c];
+    }
+    for (std::size_t s = 1; s <= shards; ++s) {
+      shard_movers[s] += shard_movers[s - 1];
+    }
+  }
+
+  FlatMarks marks() const {
+    return {resources, prefix, mask, grain, shard_movers};
+  }
+};
+
+TEST(TaskArenaFlatRemoveTest, MatchesPerResourceRemovalOnEveryPool) {
+  // Stacks of 0..~60 tasks with accepted prefixes, on grains from one coin
+  // per shard (every stack crosses) to larger than the whole layout (one
+  // inline shard), with and without pools.
+  const Node n = 48;
+  const std::size_t m = 1500;
+  tlb::util::Rng wr(5);
+  std::vector<double> w(m);
+  for (double& x : w) x = 1.0 + 7.0 * wr.uniform01();
+  const TaskSet ts(std::move(w));
+  std::vector<std::unique_ptr<tlb::util::ThreadPool>> owned;
+  std::vector<tlb::util::ThreadPool*> pools{nullptr};
+  for (const std::size_t threads : {2, 4, 8}) {
+    owned.push_back(std::make_unique<tlb::util::ThreadPool>(threads));
+    pools.push_back(owned.back().get());
+  }
+  for (const std::size_t grain : {1, 7, 64, 100000}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      tlb::util::Rng rng(seed * 977 + grain);
+      TaskArena base(n);
+      for (TaskId id = 0; id < m; ++id) {
+        const auto r = static_cast<Node>(rng.uniform_below(n));
+        base.push_accepting(r, id, ts.weight(id), 60.0);
+      }
+      std::vector<Node> rs;
+      for (Node r = 0; r < n; ++r) {
+        if (rng.bernoulli(0.7)) rs.push_back(r);
+      }
+      const FlatRound round(base, rs, grain, rng);
+
+      // Reference: remove_marked resource by resource, skipping resources
+      // without a mark (as the engine's serial merge did).
+      TaskArena ref = base;
+      std::vector<TaskId> ref_ids;
+      std::vector<Node> ref_origin;
+      for (std::size_t i = 0; i < rs.size(); ++i) {
+        const std::vector<std::uint8_t> leave(
+            round.mask.begin() + static_cast<std::ptrdiff_t>(round.prefix[i]),
+            round.mask.begin() +
+                static_cast<std::ptrdiff_t>(round.prefix[i + 1]));
+        if (std::find(leave.begin(), leave.end(), 1) == leave.end()) continue;
+        const std::size_t before = ref_ids.size();
+        ref.remove_marked(rs[i], leave, ref_ids);
+        ref_origin.insert(ref_origin.end(), ref_ids.size() - before, rs[i]);
+      }
+
+      for (tlb::util::ThreadPool* pool : pools) {
+        const std::string what =
+            "grain=" + std::to_string(grain) + " seed=" +
+            std::to_string(seed) + " pool=" +
+            std::to_string(pool == nullptr ? 0 : pool->size());
+        TaskArena bulk = base;
+        std::vector<TaskId> ids{99};  // stale contents are overwritten
+        std::vector<Node> origin;
+        bulk.remove_marked(round.marks(), ts, ids, origin, pool);
+        EXPECT_EQ(ids, ref_ids) << what;
+        EXPECT_EQ(origin, ref_origin) << what;
+        expect_same_arena(bulk, ref, what);
+      }
+    }
+  }
+}
+
+TEST(TaskArenaFlatRemoveTest, RejectsLayoutsThatDoNotMatchTheStacks) {
+  const TaskSet ts(std::vector<double>(8, 1.0));
+  TaskArena arena(4);
+  for (TaskId id = 0; id < 6; ++id) arena.push(id % 3, id, 1.0);
+  const TaskArena before = arena;
+  std::vector<TaskId> ids;
+  std::vector<Node> origin;
+  const std::vector<std::uint8_t> mask{1, 0, 1, 0};
+  const std::vector<std::size_t> movers{0, 2};
+  const auto attempt = [&](std::vector<Node> rs,
+                           std::vector<std::size_t> prefix) {
+    const FlatMarks marks{rs, prefix, mask, 8, movers};
+    arena.remove_marked(marks, ts, ids, origin, nullptr);
+  };
+  EXPECT_THROW(attempt({0, 1}, {0, 2, 3}), std::invalid_argument);  // size
+  EXPECT_THROW(attempt({1, 0}, {0, 2, 4}), std::invalid_argument);  // order
+  EXPECT_THROW(attempt({0, 7}, {0, 2, 4}), std::invalid_argument);  // range
+  EXPECT_THROW(attempt({0}, {0, 4}), std::invalid_argument);  // count(0) = 2
+  expect_same_arena(arena, before, "rejected layouts");
+  attempt({0, 1}, {0, 2, 4});
+  EXPECT_EQ(ids, (std::vector<TaskId>{0, 1}));
+  EXPECT_EQ(origin, (std::vector<Node>{0, 1}));
 }
 
 TEST(TaskArenaTest, HeightAtThrowsPastTop) {

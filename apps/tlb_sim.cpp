@@ -13,10 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <fstream>
-#include <iterator>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -56,15 +53,6 @@ void print_registry() {
               tlb::workload::weight_model_grammar().c_str());
   std::printf("  arrivals:   %s\n",
               tlb::workload::arrival_process_grammar().c_str());
-}
-
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot read " + path);
-  }
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
 }
 
 }  // namespace
@@ -243,16 +231,13 @@ int main(int argc, char** argv) {
     }
     // Determinism sanitizer: probe + fingerprint observer ride trial 0
     // alongside the other observers; the trace section is keyed by the
-    // canonical spec so a golden file is self-describing.
-    const std::string dsan_record = cli.get_string("dsan-record");
-    const std::string dsan_check = cli.get_string("dsan-check");
+    // canonical spec so a golden file is self-describing. The golden is
+    // read and the record file created before the run.
+    const dsan::TraceFiles dsan_files(cli.get_string("dsan-record"),
+                                      cli.get_string("dsan-check"));
     std::optional<dsan::StepProbe> dsan_probe;
     std::optional<dsan::FingerprintObserver> dsan_fp;
-    if (!dsan_record.empty() || !dsan_check.empty()) {
-      if (!dsan_record.empty()) {
-        // Fail on an unwritable path before the run, not after it.
-        obs::write_text_file(dsan_record, "");
-      }
+    if (dsan_files.active()) {
       dsan_probe.emplace();
       dsan_probe->set_plant_step(cli.get_int("dsan-plant"));
       dsan_fp.emplace(&*dsan_probe, registry ? &*registry : nullptr);
@@ -275,26 +260,15 @@ int main(int argc, char** argv) {
       obs::write_text_file(obs_opts.round_trace, round_sink->json());
     }
     if (dsan_fp) {
-      std::vector<dsan::TraceSection> sections;
-      sections.push_back(
-          dsan::make_section(spec.canonical(), dsan_fp->rows()));
-      if (!dsan_record.empty()) {
-        obs::write_text_file(dsan_record,
-                             dsan::render_trace(sections, seed));
+      dsan_files.finish(
+          {dsan::make_section(spec.canonical(), dsan_fp->rows())}, seed);
+      if (!dsan_files.record_path().empty()) {
         std::fprintf(stderr, "tlb_sim: dsan trace recorded to %s\n",
-                     dsan_record.c_str());
+                     dsan_files.record_path().c_str());
       }
-      if (!dsan_check.empty()) {
-        const std::vector<dsan::TraceSection> golden =
-            dsan::parse_trace(read_text_file(dsan_check));
-        const dsan::CheckResult check = dsan::check_trace(golden, sections);
-        if (!check.ok) {
-          std::fprintf(stderr, "tlb_sim: dsan check failed against %s: %s\n",
-                       dsan_check.c_str(), check.message.c_str());
-          return 1;
-        }
+      if (!dsan_files.check_path().empty()) {
         std::fprintf(stderr, "tlb_sim: dsan check passed against %s\n",
-                     dsan_check.c_str());
+                     dsan_files.check_path().c_str());
       }
     }
     std::string metrics_raw;

@@ -11,7 +11,8 @@
 #include <cmath>
 #include <cstdio>
 
-#include "tlb/baselines/parallel_threshold.hpp"
+#include "tlb/engine/baseline_balancers.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/tasks/weights.hpp"
 #include "tlb/util/cli.hpp"
@@ -52,11 +53,14 @@ int main(int argc, char** argv) {
       util::Welford msgs;
       for (int trial = 0; trial < trials; ++trial) {
         util::Rng rng(util::derive_seed(cli.get_int("seed") + r, trial * 131 + threshold));
-        const auto result = baselines::parallel_threshold(
-            ts, n, static_cast<double>(threshold), r, rng);
-        if (result.completed) {
+        engine::ParallelThresholdBalancer balancer(
+            ts, n, static_cast<double>(threshold));
+        engine::DriveOptions opt;
+        opt.max_rounds = r;
+        (void)engine::drive(balancer, rng, opt);
+        if (balancer.done()) {
           ++successes;
-          msgs.add(static_cast<double>(result.messages) /
+          msgs.add(static_cast<double>(balancer.messages()) /
                    static_cast<double>(n));
         }
       }

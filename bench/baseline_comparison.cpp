@@ -12,14 +12,14 @@
 //   * random (1-choice), greedy 2-choice (Talwar–Wieder), (1+β) with β = 0.5.
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
-#include "tlb/baselines/first_fit_centralized.hpp"
-#include "tlb/baselines/one_plus_beta.hpp"
 #include "tlb/baselines/selfish_realloc.hpp"
-#include "tlb/baselines/two_choice.hpp"
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/baseline_balancers.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/sim/runner.hpp"
@@ -119,12 +119,15 @@ int main(int argc, char** argv) {
                    util::Table::fmt(stats.final_max_load.mean(), 1)});
   }
 
-  // (4) centralized first fit.
+  // (4) centralized first fit (one round; it draws nothing).
   {
-    const auto result = baselines::first_fit_centralized(ts, n);
+    engine::FirstFitBalancer balancer(ts, n);
+    util::Rng rng(0);
+    const core::RunResult result =
+        engine::drive(balancer, rng, engine::DriveOptions{});
     table.add_row({"centralized first-fit", "1", "0",
-                   util::Table::fmt(result.run.migrations),
-                   util::Table::fmt(result.run.final_max_load, 1)});
+                   util::Table::fmt(result.migrations),
+                   util::Table::fmt(result.final_max_load, 1)});
   }
 
   sim::emit_table(table, cli.get_string("csv"));
@@ -145,14 +148,22 @@ int main(int argc, char** argv) {
     gaps.add_row({name, util::Table::fmt(w.mean(), 2),
                   util::Table::fmt(worst, 2)});
   };
+  // The gap is the quality measure here, so no comparison threshold.
+  constexpr double kNoThreshold = std::numeric_limits<double>::infinity();
   gap_stats("random (1-choice)", [&](util::Rng& rng) {
-    return baselines::greedy_d_choice(ts, n, 1, rng).gap;
+    engine::GreedyChoiceBalancer balancer(ts, n, 1, kNoThreshold);
+    balancer.step(rng);
+    return balancer.gap();
   });
   gap_stats("greedy 2-choice [9]", [&](util::Rng& rng) {
-    return baselines::greedy_d_choice(ts, n, 2, rng).gap;
+    engine::GreedyChoiceBalancer balancer(ts, n, 2, kNoThreshold);
+    balancer.step(rng);
+    return balancer.gap();
   });
   gap_stats("(1+beta), beta=0.5 [11]", [&](util::Rng& rng) {
-    return baselines::one_plus_beta(ts, n, 0.5, rng).gap;
+    engine::OnePlusBetaBalancer balancer(ts, n, 0.5, kNoThreshold);
+    balancer.step(rng);
+    return balancer.gap();
   });
   std::printf("%s", gaps.to_ascii().c_str());
 

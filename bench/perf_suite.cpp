@@ -49,24 +49,35 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   try {
-    const std::string set = cli.get_string("set");
-    const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+    workload::PerfOptions opt;
+    opt.set = cli.get_string("set");
+    opt.only = cli.get_string("only");
+    opt.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+    opt.include_timings = cli.get_bool("timings");
+    opt.engine_threads = cli.get_int("engine-threads");
     const util::ObsOptions obs_opts =
         util::ObsOptions::parse(cli, /*with_round_trace=*/false);
+    opt.collect_metrics = obs_opts.metrics;
+    opt.analytics_every = obs_opts.analytics_every;
+    opt.dsan_record = cli.get_string("dsan-record");
+    opt.dsan_check = cli.get_string("dsan-check");
+    // Output paths fail before the run, not after it (run_perf_set does the
+    // same for the dsan paths).
     std::optional<obs::TraceWriter> trace;
-    if (!obs_opts.trace_out.empty()) trace.emplace();
-    const std::string report = workload::run_perf_set(
-        set, cli.get_string("only"), seed, cli.get_bool("timings"),
-        cli.get_int("engine-threads"), obs_opts.metrics,
-        trace ? &*trace : nullptr, obs_opts.analytics_every,
-        cli.get_string("dsan-record"), cli.get_string("dsan-check"));
+    if (!obs_opts.trace_out.empty()) {
+      obs::write_text_file(obs_opts.trace_out, "");
+      trace.emplace();
+    }
+    opt.trace = trace ? &*trace : nullptr;
+    const std::string path = cli.get_string("append");
+    if (!path.empty()) workload::check_bench_file(path);
+    const std::string report = workload::run_perf_set(opt);
     std::printf("%s\n", report.c_str());
     if (trace) trace->write(obs_opts.trace_out);
-    const std::string path = cli.get_string("append");
     if (!path.empty()) {
       std::string label = cli.get_string("label");
-      if (label.empty()) label = set + "-seed" + std::to_string(seed);
-      workload::append_bench_entry(path, label, set, report);
+      if (label.empty()) label = opt.set + "-seed" + std::to_string(opt.seed);
+      workload::append_bench_entry(path, label, opt.set, report);
       std::fprintf(stderr, "perf_suite: appended '%s' to %s\n", label.c_str(),
                    path.c_str());
     }

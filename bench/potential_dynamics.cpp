@@ -11,11 +11,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "tlb/core/potential.hpp"
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/randomwalk/hitting.hpp"
 #include "tlb/sim/report.hpp"
@@ -64,9 +66,12 @@ int main(int argc, char** argv) {
     cfg.threshold = T;
     cfg.walk = randomwalk::WalkKind::kLazy;
     cfg.options.max_rounds = 2000000;
-    cfg.options.record_potential = true;
-    core::ResourceControlledEngine engine(g, ts, cfg);
-    const auto result = engine.run(tasks::all_on_one(ts), rng);
+    core::ResourceControlledEngine eng(g, ts, cfg);
+    eng.reset(tasks::all_on_one(ts));
+    engine::PotentialTrace trace;
+    const auto result = engine::drive(
+        eng, rng, engine::DriveOptions::from(cfg.options), &trace);
+    const std::vector<double>& phi = trace.trace();
 
     std::printf("\n(a) resource-controlled, tight threshold, torus n=%u, "
                 "H(G)=%.0f, phase=2H=%zu rounds, balanced in %ld rounds\n",
@@ -74,15 +79,14 @@ int main(int argc, char** argv) {
     util::Table table({"phase", "Φ at phase start", "Φ at phase end",
                        "drop factor", "Lemma 5 guarantee"});
     bool monotone = true;
-    for (std::size_t t = 1; t < result.potential_trace.size(); ++t) {
-      monotone &= result.potential_trace[t] <= result.potential_trace[t - 1] + 1e-9;
+    for (std::size_t t = 1; t < phi.size(); ++t) {
+      monotone &= phi[t] <= phi[t - 1] + 1e-9;
     }
-    for (std::size_t p = 0; p * phase_len < result.potential_trace.size(); ++p) {
+    for (std::size_t p = 0; p * phase_len < phi.size(); ++p) {
       const std::size_t start = p * phase_len;
-      const std::size_t end =
-          std::min(start + phase_len, result.potential_trace.size() - 1);
-      const double phi0 = result.potential_trace[start];
-      const double phi1 = result.potential_trace[end];
+      const std::size_t end = std::min(start + phase_len, phi.size() - 1);
+      const double phi0 = phi[start];
+      const double phi1 = phi[end];
       if (phi0 <= 0.0) break;
       table.add_row({util::Table::fmt(std::int64_t(p)),
                      util::Table::fmt(phi0, 1), util::Table::fmt(phi1, 1),
@@ -103,16 +107,19 @@ int main(int argc, char** argv) {
     cfg.threshold = T;
     cfg.alpha = 1.0;
     cfg.options.max_rounds = 1000000;
-    cfg.options.record_potential = true;
-    core::UserControlledEngine engine(ts, n, cfg);
-    const auto result = engine.run(tasks::all_on_one(ts), rng);
+    core::UserControlledEngine eng(ts, n, cfg);
+    eng.reset(tasks::all_on_one(ts));
+    engine::PotentialTrace trace;
+    const auto result = engine::drive(
+        eng, rng, engine::DriveOptions::from(cfg.options), &trace);
+    const std::vector<double>& phi = trace.trace();
 
     // Geometric-mean per-round contraction over the rounds where Φ > 0.
     double log_sum = 0.0;
     int count = 0;
-    for (std::size_t t = 1; t < result.potential_trace.size(); ++t) {
-      const double a = result.potential_trace[t - 1];
-      const double b = result.potential_trace[t];
+    for (std::size_t t = 1; t < phi.size(); ++t) {
+      const double a = phi[t - 1];
+      const double b = phi[t];
       if (a > 0.0 && b > 0.0) {
         log_sum += std::log(b / a);
         ++count;

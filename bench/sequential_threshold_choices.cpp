@@ -8,7 +8,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "tlb/baselines/sequential_threshold.hpp"
+#include "tlb/engine/baseline_balancers.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/tasks/weights.hpp"
 #include "tlb/util/cli.hpp"
@@ -50,12 +50,12 @@ int main(int argc, char** argv) {
     util::Welford per_ball, max_load;
     for (std::size_t t = 0; t < trials; ++t) {
       util::Rng rng(util::derive_seed(cli.get_int("seed") + point, t));
-      const auto result =
-          baselines::sequential_threshold(ts, n, threshold, rng);
-      if (!result.completed) continue;
-      per_ball.add(static_cast<double>(result.choices) /
+      engine::SequentialThresholdBalancer balancer(ts, n, threshold);
+      balancer.step(rng);
+      if (!balancer.completed()) continue;
+      per_ball.add(static_cast<double>(balancer.choices()) /
                    static_cast<double>(m));
-      max_load.add(result.max_load);
+      max_load.add(balancer.max_load());
     }
     table.add_row({util::Table::fmt(m), util::Table::fmt(threshold, 0),
                    util::Table::fmt(per_ball.mean(), 3),
@@ -79,10 +79,10 @@ int main(int argc, char** argv) {
     util::Welford per_ball;
     for (std::size_t t = 0; t < trials; ++t) {
       util::Rng rng(util::derive_seed(cli.get_int("seed") + point, t));
-      const auto result =
-          baselines::sequential_threshold(ts_fixed, n, threshold, rng);
-      if (!result.completed) continue;
-      per_ball.add(static_cast<double>(result.choices) /
+      engine::SequentialThresholdBalancer balancer(ts_fixed, n, threshold);
+      balancer.step(rng);
+      if (!balancer.completed()) continue;
+      per_ball.add(static_cast<double>(balancer.choices()) /
                    static_cast<double>(m_fixed));
     }
     slack_table.add_row({util::Table::fmt(slack),

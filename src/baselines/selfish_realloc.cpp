@@ -89,7 +89,8 @@ void SelfishReallocEngine::audit() const {
 }
 
 core::RunResult SelfishReallocEngine::run(util::Rng& rng) {
-  return engine::run_with_options(*this, config_.options, rng);
+  return engine::drive(*this, rng,
+                       engine::DriveOptions::from(config_.options));
 }
 
 core::RunResult SelfishReallocEngine::run(const tasks::Placement& placement,

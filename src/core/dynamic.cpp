@@ -57,6 +57,42 @@ std::vector<double> weights_of(const std::vector<DynamicWeightClass>& cs) {
   return out;
 }
 
+/// The measured window's aggregates. run() attaches it first, so its
+/// on_round_end reads the round-end state right after step(), before any
+/// caller observer. Event counts are deltas of the engine's lifetime
+/// counts since the window's first round.
+class WindowMetrics final : public engine::RoundObserver {
+ public:
+  WindowMetrics(const DynamicUserEngine& engine, graph::Node n)
+      : engine_(engine), n_(static_cast<double>(n)) {}
+
+  void on_round(const engine::BalancerView&, long round) override {
+    if (round != 0) return;
+    arrivals0_ = engine_.arrivals();
+    completions0_ = engine_.completions();
+    crashes0_ = engine_.crashes();
+  }
+  void on_round_end(const engine::BalancerView&, long,
+                    std::size_t migrations) override {
+    m_.overloaded_fraction.add(
+        static_cast<double>(engine_.overloaded_count()) / n_);
+    const double avg = engine_.total_weight() / n_;
+    m_.max_over_avg.add(avg > 0.0 ? engine_.max_load() / avg : 0.0);
+    m_.population.add(static_cast<double>(engine_.population()));
+    m_.migrations_per_round.add(static_cast<double>(migrations));
+    m_.arrivals = engine_.arrivals() - arrivals0_;
+    m_.completions = engine_.completions() - completions0_;
+    m_.crashes = engine_.crashes() - crashes0_;
+  }
+  const DynamicMetrics& metrics() const noexcept { return m_; }
+
+ private:
+  const DynamicUserEngine& engine_;
+  double n_;
+  std::uint64_t arrivals0_ = 0, completions0_ = 0, crashes0_ = 0;
+  DynamicMetrics m_;
+};
+
 }  // namespace
 
 DynamicUserEngine::DynamicUserEngine(DynamicConfig config)
@@ -134,8 +170,8 @@ void DynamicUserEngine::do_arrivals(util::Rng& rng) {
     core_.add_task(dst, static_cast<std::uint32_t>(cls));
     total_weight_ += weights[cls];
     ++population_;
-    if (metrics_) ++metrics_->arrivals;
   }
+  arrivals_ += count;
   if (sink_.registry != nullptr) sink_.registry->add(m_arrivals_, count);
 }
 
@@ -146,7 +182,7 @@ void DynamicUserEngine::do_completions(util::Rng& rng) {
       core_.complete(rng, config_.completion_rate,
                      [this](double weight) { total_weight_ -= weight; });
   population_ -= total_done;
-  if (metrics_) metrics_->completions += total_done;
+  completions_ += total_done;
   if (sink_.registry != nullptr) sink_.registry->add(m_completions_, total_done);
 }
 
@@ -163,7 +199,7 @@ void DynamicUserEngine::do_crash(util::Rng& rng) {
     }
   }
   core_.clear_resource(victim);
-  if (metrics_) ++metrics_->crashes;
+  ++crashes_;
   if (sink_.registry != nullptr) sink_.registry->add(m_crashes_, 1);
 }
 
@@ -204,16 +240,6 @@ std::size_t DynamicUserEngine::step(util::Rng& rng) {
   last_migrations_ = core_.step(rng, probe);
   if (probe != nullptr) probe->end_step(rng);
   if (config_.paranoid_checks) audit();
-
-  if (metrics_) {
-    const auto over = static_cast<graph::Node>(core_.overloaded().size());
-    metrics_->overloaded_fraction.add(static_cast<double>(over) /
-                                      static_cast<double>(config_.n));
-    const double avg = total_weight_ / static_cast<double>(config_.n);
-    metrics_->max_over_avg.add(avg > 0.0 ? max_load() / avg : 0.0);
-    metrics_->population.add(static_cast<double>(population_));
-    metrics_->migrations_per_round.add(static_cast<double>(last_migrations_));
-  }
   return last_migrations_;
 }
 
@@ -228,11 +254,6 @@ void DynamicUserEngine::collect_fingerprint(dsan::Digest& d,
   dsan::digest_tracker(core_.tracker(), d, work);
 }
 
-void DynamicUserEngine::begin_measure() {
-  metrics_store_ = DynamicMetrics{};
-  metrics_ = &metrics_store_;
-}
-
 DynamicMetrics DynamicUserEngine::run(const engine::DriveOptions& opt,
                                       util::Rng& rng,
                                       engine::RoundObserver* observer) {
@@ -242,9 +263,12 @@ DynamicMetrics DynamicUserEngine::run(const engine::DriveOptions& opt,
     throw std::invalid_argument(
         "DynamicUserEngine::run: DriveOptions::measure must be >= 0");
   }
-  metrics_ = nullptr;
-  engine::drive(*this, rng, opt, observer);
-  return metrics_store_;
+  WindowMetrics window(*this, config_.n);
+  engine::ObserverList observers;
+  observers.add(&window);
+  if (observer != nullptr) observers.add(observer);
+  engine::drive(*this, rng, opt, &observers);
+  return window.metrics();
 }
 
 }  // namespace tlb::core

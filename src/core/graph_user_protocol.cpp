@@ -89,7 +89,8 @@ double GraphUserEngine::reported_threshold() const {
 void GraphUserEngine::audit() const { state_.check_invariants(); }
 
 RunResult GraphUserEngine::run(util::Rng& rng) {
-  return engine::run_with_options(*this, config_.options, rng);
+  return engine::drive(*this, rng,
+                       engine::DriveOptions::from(config_.options));
 }
 
 RunResult GraphUserEngine::run(const tasks::Placement& placement,

@@ -103,7 +103,8 @@ double MixedProtocolEngine::reported_threshold() const {
 void MixedProtocolEngine::audit() const { state_.check_invariants(); }
 
 RunResult MixedProtocolEngine::run(util::Rng& rng) {
-  return engine::run_with_options(*this, config_.options, rng);
+  return engine::drive(*this, rng,
+                       engine::DriveOptions::from(config_.options));
 }
 
 RunResult MixedProtocolEngine::run(const tasks::Placement& placement,

@@ -62,7 +62,8 @@ double ResourceControlledEngine::max_load() const { return state_.max_load(); }
 void ResourceControlledEngine::audit() const { state_.check_invariants(); }
 
 RunResult ResourceControlledEngine::run(util::Rng& rng) {
-  return engine::run_with_options(*this, config_.options, rng);
+  return engine::drive(*this, rng,
+                       engine::DriveOptions::from(config_.options));
 }
 
 RunResult ResourceControlledEngine::run(const tasks::Placement& placement,

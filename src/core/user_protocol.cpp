@@ -264,7 +264,8 @@ double UserControlledEngine::max_load() const { return state_.max_load(); }
 void UserControlledEngine::audit() const { state_.check_invariants(); }
 
 RunResult UserControlledEngine::run(util::Rng& rng) {
-  return engine::run_with_options(*this, config_.options, rng);
+  return engine::drive(*this, rng,
+                       engine::DriveOptions::from(config_.options));
 }
 
 RunResult UserControlledEngine::run(const tasks::Placement& placement,
@@ -363,7 +364,8 @@ void GroupedUserEngine::collect_fingerprint(dsan::Digest& d,
 }
 
 RunResult GroupedUserEngine::run(util::Rng& rng) {
-  return engine::run_with_options(*this, config_.options, rng);
+  return engine::drive(*this, rng,
+                       engine::DriveOptions::from(config_.options));
 }
 
 RunResult GroupedUserEngine::run(const tasks::Placement& placement,

@@ -33,15 +33,16 @@ void FingerprintObserver::push_row(const engine::BalancerView& view,
   rows_.push_back(std::move(row));
 }
 
-void FingerprintObserver::record_round(const engine::BalancerView& view,
-                                       long round) {
+void FingerprintObserver::on_round_end(const engine::BalancerView& view,
+                                       long round, std::size_t migrations) {
+  (void)migrations;
   push_row(view, round, /*final_state=*/false);
   if (round == capture_round_) {
     (void)view.collect_loads(captured_loads_);
   }
 }
 
-void FingerprintObserver::record_final(const engine::BalancerView& view) {
+void FingerprintObserver::on_finish(const engine::BalancerView& view) {
   push_row(view, /*round=*/-1, /*final_state=*/true);
   if (registry_ != nullptr) {
     // FingerprintObserver: measured rounds fingerprinted + broken draw

@@ -1,7 +1,10 @@
 #include "tlb/dsan/trace.hpp"
 
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 
+#include "tlb/obs/trace_event.hpp"
 #include "tlb/util/json_parse.hpp"
 
 namespace tlb::dsan {
@@ -188,6 +191,39 @@ CheckResult check_trace(const std::vector<TraceSection>& golden,
     }
   }
   return work.ok ? result : work;
+}
+
+TraceFiles::TraceFiles(std::string record_path, std::string check_path)
+    : record_path_(std::move(record_path)),
+      check_path_(std::move(check_path)) {
+  if (!check_path_.empty()) {
+    std::ifstream in(check_path_, std::ios::binary);
+    if (!in) {
+      throw std::runtime_error("dsan check: cannot read " + check_path_);
+    }
+    try {
+      golden_ = parse_trace(std::string(std::istreambuf_iterator<char>(in),
+                                        std::istreambuf_iterator<char>()));
+    } catch (const std::exception& e) {
+      throw std::runtime_error("dsan check: cannot parse " + check_path_ +
+                               ": " + e.what());
+    }
+  }
+  if (!record_path_.empty()) obs::write_text_file(record_path_, "");
+}
+
+void TraceFiles::finish(const std::vector<TraceSection>& sections,
+                        std::uint64_t seed) const {
+  if (!record_path_.empty()) {
+    obs::write_text_file(record_path_, render_trace(sections, seed));
+  }
+  if (!check_path_.empty()) {
+    const CheckResult check = check_trace(golden_, sections);
+    if (!check.ok) {
+      throw std::runtime_error("dsan check failed against " + check_path_ +
+                               ": " + check.message);
+    }
+  }
 }
 
 }  // namespace tlb::dsan

@@ -19,6 +19,10 @@ bool weights_match(double a, double b) {
 
 }  // namespace
 
+double suggested_threshold(const tasks::TaskSet& ts, graph::Node n) {
+  return ts.total_weight() / static_cast<double>(n) + ts.max_weight();
+}
+
 // ---- BinLoadBalancer ------------------------------------------------------
 
 BinLoadBalancer::BinLoadBalancer(const tasks::TaskSet& ts, graph::Node n,

@@ -39,8 +39,7 @@ class SelfishReallocEngine {
   std::size_t step(util::Rng& rng);
   /// True iff every load is <= stop_threshold.
   [[nodiscard]] bool balanced() const;
-  /// Run until balanced or max_rounds (engine::drive under the hood; the
-  /// EngineOptions tracing bools become trace observers).
+  /// Run until balanced or max_rounds (engine::drive under the hood).
   core::RunResult run(util::Rng& rng);
   /// Convenience: reset + run.
   core::RunResult run(const tasks::Placement& placement, util::Rng& rng);

@@ -19,7 +19,8 @@
 // (the diffusion bootstrap of footnote 1 justifies resources tracking W/n).
 //
 // Metrics: per-round overloaded fraction and max/avg load ratio, aggregated
-// over a measurement window after warm-up.
+// over a measurement window after warm-up by an observer run() attaches
+// (step() itself computes none of them).
 
 #include <cstdint>
 #include <functional>
@@ -91,7 +92,7 @@ struct DynamicConfig {
   dsan::StepProbe* dsan = nullptr;
 };
 
-/// Aggregated steady-state metrics.
+/// Aggregated steady-state metrics of one measured window.
 struct DynamicMetrics {
   util::Welford overloaded_fraction;  ///< per-round fraction of loads > T
   util::Welford max_over_avg;         ///< per-round max load / average load
@@ -113,10 +114,11 @@ class DynamicUserEngine {
   std::size_t step(util::Rng& rng);
 
   /// Run through engine::drive: `opt.warmup` unrecorded rounds, then
-  /// `opt.measure` recorded rounds (the driver brackets them with
-  /// begin_measure()/end_measure()). The unified churn entry point — the
-  /// same DriveOptions grammar every other engine runs under. `observer`
-  /// (optional, not owned) sees the measured rounds like any drive.
+  /// `opt.measure` recorded rounds, aggregated into the returned metrics by
+  /// an observer that runs first after every measured step. The unified
+  /// churn entry point — the same DriveOptions grammar every other engine
+  /// runs under. `observer` (optional, not owned) sees the measured rounds
+  /// like any drive, after the aggregates.
   DynamicMetrics run(const engine::DriveOptions& opt, util::Rng& rng,
                      engine::RoundObserver* observer = nullptr);
 
@@ -150,12 +152,6 @@ class DynamicUserEngine {
   }
   /// Paranoid-mode check: incremental overloaded set vs brute-force rescan.
   void audit() const { core_.audit("DynamicUserEngine"); }
-  /// Measured-window brackets called by engine::drive: reset and arm the
-  /// metrics accumulator / disarm it.
-  void begin_measure();
-  void end_measure() { metrics_ = nullptr; }
-  /// Metrics of the last measured window (valid after a drive/run).
-  const DynamicMetrics& metrics() const noexcept { return metrics_store_; }
 
   /// Current total weight.
   double total_weight() const noexcept { return total_weight_; }
@@ -167,6 +163,11 @@ class DynamicUserEngine {
   double current_threshold() const noexcept { return core_.max_threshold(); }
   /// Migrations performed in the most recent step.
   std::size_t last_migrations() const noexcept { return last_migrations_; }
+  /// Lifetime event counts since construction (a window's count is the
+  /// difference of two readings).
+  std::uint64_t arrivals() const noexcept { return arrivals_; }
+  std::uint64_t completions() const noexcept { return completions_; }
+  std::uint64_t crashes() const noexcept { return crashes_; }
 
   /// Read-only view of the incremental overloaded tracker (tests assert
   /// reconciliation cost via flush_checks(), e.g. that a quiet round with
@@ -197,8 +198,9 @@ class DynamicUserEngine {
   std::uint64_t population_ = 0;
   long round_ = 0;                      // rounds stepped since construction
   std::size_t last_migrations_ = 0;
-  DynamicMetrics* metrics_ = nullptr;   // non-null during measured rounds
-  DynamicMetrics metrics_store_;        // the driver-armed accumulator
+  std::uint64_t arrivals_ = 0;          // lifetime event counts
+  std::uint64_t completions_ = 0;
+  std::uint64_t crashes_ = 0;
 
   // Observability: "dynamic.*" phase spans + deterministic churn counters,
   // wired from DynamicConfig::registry/trace in the constructor (the

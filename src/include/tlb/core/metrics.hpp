@@ -3,11 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
-namespace tlb::engine {
-class RoundObserver;
-}  // namespace tlb::engine
 
 namespace tlb::obs {
 class Registry;
@@ -32,18 +27,13 @@ struct RunResult {
   double threshold = 0.0;
   /// Maximum load at the end of the run.
   double final_max_load = 0.0;
-  /// Potential at the start of each round (filled only when tracing is on;
-  /// trace[t] = Φ(t), with one trailing entry for the final state).
-  std::vector<double> potential_trace;
-  /// Number of overloaded resources at the start of each round (tracing only).
-  std::vector<std::uint32_t> overloaded_trace;
 };
 
-/// Tracing / safety knobs shared by both engines.
+/// Loop, safety and observability knobs shared by the engines. Per-round
+/// traces are not among them: attach engine::PotentialTrace /
+/// OverloadedTrace (or any RoundObserver) to engine::drive instead.
 struct EngineOptions {
   long max_rounds = 10000000;      ///< hard stop; result.balanced says whether it hit
-  bool record_potential = false;   ///< fill RunResult::potential_trace
-  bool record_overloaded = false;  ///< fill RunResult::overloaded_trace
   bool paranoid_checks = false;    ///< run SystemState::check_invariants each round
   /// Worker threads for the parallel phase-1 departure sampling in the
   /// user-protocol engines (exact / grouped / dynamic): 1 = sample on the
@@ -54,11 +44,8 @@ struct EngineOptions {
   std::size_t threads = 1;
 
   // --- Observability (all optional, none owned, all determinism-neutral:
-  // observers never touch the RNG and probes only read clocks) ---
+  // probes only read clocks) ---
 
-  /// Extra observer appended to the run()'s observer list (e.g. a
-  /// JsonTraceSink or obs::MetricsObserver supplied by the caller).
-  engine::RoundObserver* observer = nullptr;
   /// Metrics registry the engine and driver report counters/timings into.
   /// nullptr (the default) = fully detached: no handles registered, no
   /// timestamps taken.

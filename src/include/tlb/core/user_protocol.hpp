@@ -99,8 +99,7 @@ class UserControlledEngine {
   /// True iff every load is <= threshold.
   [[nodiscard]] bool balanced() const;
 
-  /// Run until balanced or max_rounds (engine::drive under the hood; the
-  /// EngineOptions tracing bools become trace observers).
+  /// Run until balanced or max_rounds (engine::drive under the hood).
   RunResult run(util::Rng& rng);
   /// Convenience: reset + run.
   RunResult run(const tasks::Placement& placement, util::Rng& rng);

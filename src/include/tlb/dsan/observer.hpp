@@ -2,12 +2,11 @@
 // dsan::FingerprintObserver — per-round state fingerprinting as a
 // composable engine::RoundObserver.
 //
-// Attached to engine::drive (or driven directly by hand-rolled round loops
-// via record_round/record_final, mirroring obs::LoadStatsObserver), it
-// digests the balancer's deterministic state surface after every measured
-// round through BalancerView::collect_fingerprint, and — when a StepProbe
-// is wired to the same engine — folds the probe's draw accounting (master
-// draws, per-shard counts, RNG cursor) and phase sub-digests into the row.
+// Attached to engine::drive, it digests the balancer's deterministic state
+// surface after every measured round through
+// BalancerView::collect_fingerprint, and — when a StepProbe is wired to the
+// same engine — folds the probe's draw accounting (master draws, per-shard
+// counts, RNG cursor) and phase sub-digests into the row.
 //
 // The rows are the golden-trace payload: byte-identical across
 // --engine-threads by the library's core contract, so recording them once
@@ -53,18 +52,12 @@ class FingerprintObserver final : public engine::RoundObserver {
   /// (the bisector's first-divergent-resource rerun). -1 = never.
   void set_capture_round(long round) noexcept { capture_round_ = round; }
 
+  /// One row per measured round: its round-end state.
   void on_round_end(const engine::BalancerView& view, long round,
-                    std::size_t migrations) override {
-    (void)migrations;
-    record_round(view, round);
-  }
-  void on_finish(const engine::BalancerView& view) override {
-    record_final(view);
-  }
-
-  /// Direct drive for hand-rolled loops (perf-suite churn path).
-  void record_round(const engine::BalancerView& view, long round);
-  void record_final(const engine::BalancerView& view);
+                    std::size_t migrations) override;
+  /// The trailing final-state row (and the dsan counters, if a registry
+  /// is attached).
+  void on_finish(const engine::BalancerView& view) override;
 
   [[nodiscard]] const std::vector<Row>& rows() const noexcept {
     return rows_;

@@ -23,6 +23,7 @@
 // thread counts, no machine identity — a trace recorded at --engine-threads
 // 1 must check clean at 2, 8 and 0 by the library's core contract.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -79,5 +80,40 @@ struct CheckResult {
 /// diverged at its first missing row.
 [[nodiscard]] CheckResult check_trace(const std::vector<TraceSection>& golden,
                                       const std::vector<TraceSection>& current);
+
+/// The file half of a front end's --dsan-record / --dsan-check pair, shared
+/// by tlb_sim and perf_suite. Construction does every check that can fail
+/// before a run starts: it reads and parses the golden trace at
+/// `check_path` and creates (truncates) `record_path`, so a bad path costs
+/// no simulation time. Either path may be empty (that half is off).
+class TraceFiles {
+ public:
+  /// Throws std::runtime_error naming the path that cannot be read, parsed
+  /// or written.
+  TraceFiles(std::string record_path, std::string check_path);
+
+  /// True iff either half is on (the run must collect fingerprints).
+  [[nodiscard]] bool active() const noexcept {
+    return !record_path_.empty() || !check_path_.empty();
+  }
+  [[nodiscard]] const std::string& record_path() const noexcept {
+    return record_path_;
+  }
+  [[nodiscard]] const std::string& check_path() const noexcept {
+    return check_path_;
+  }
+
+  /// After the run: write `sections` to the record path, then check them
+  /// against the golden. Throws std::runtime_error on a failed write or
+  /// with "dsan check failed against <path>: <CheckResult::message>" on a
+  /// mismatch.
+  void finish(const std::vector<TraceSection>& sections,
+              std::uint64_t seed) const;
+
+ private:
+  std::string record_path_;
+  std::string check_path_;
+  std::vector<TraceSection> golden_;
+};
 
 }  // namespace tlb::dsan

@@ -34,8 +34,6 @@
 //                        Defaults to balanced(); one-shot allocators finish
 //                        without necessarily balancing, so they split the
 //                        two.
-//   begin_measure() /    bracket the measured window of a warmup+measure
-//   end_measure()        drive (churn engines reset their aggregates here).
 //   collect_load_stats(calc, out)
 //                        fill a deterministic core::LoadStats distribution
 //                        snapshot (max/mean/quantiles/overload mass) for the
@@ -109,10 +107,10 @@ class BalancerView {
   }
 };
 
+namespace detail {
+
 /// The driver's loop condition: done() where the balancer distinguishes
 /// "cannot usefully step further" from "balanced", balanced() otherwise.
-/// Public because external round loops (e.g. the perf suite's timed one)
-/// must stop exactly where engine::drive would.
 template <class B>
 bool is_done(const B& b) {
   if constexpr (requires { { b.done() } -> std::convertible_to<bool>; }) {
@@ -121,8 +119,6 @@ bool is_done(const B& b) {
     return b.balanced();
   }
 }
-
-namespace detail {
 
 template <Balancer B>
 class ViewOf final : public BalancerView {
@@ -183,16 +179,6 @@ class ViewOf final : public BalancerView {
  private:
   const B* b_;
 };
-
-template <class B>
-void begin_measure(B& b) {
-  if constexpr (requires { b.begin_measure(); }) b.begin_measure();
-}
-
-template <class B>
-void end_measure(B& b) {
-  if constexpr (requires { b.end_measure(); }) b.end_measure();
-}
 
 }  // namespace detail
 

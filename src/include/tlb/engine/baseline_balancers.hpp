@@ -1,13 +1,13 @@
 #pragma once
-// The six tlb::baselines allocators, wrapped as engine::Balancer processes.
+// The related-work allocators as engine::Balancer processes.
 //
-// The baselines used to be free functions with bespoke result structs,
-// unreachable from workload::Scenario, tlb_sim and the perf suite. Each
-// wrapper below owns the process state (bin loads, unplaced balls) and
-// exposes the same step()/balanced()/observable surface as the paper's
+// Each balancer below owns the process state (bin loads, unplaced balls)
+// and exposes the same step()/balanced()/observable surface as the paper's
 // engines, so engine::drive runs paper protocols and related-work baselines
 // head-to-head from the same spec grammar, with the same observers, audits
-// and deterministic RunResult accumulation.
+// and deterministic RunResult accumulation. Benches that only want an
+// allocation call step() once (the one-shot allocators) or drive the
+// balancer (parallel threshold) and read the loads and counters off it.
 //
 // Round semantics:
 //   * SequentialThresholdBalancer, GreedyChoiceBalancer, OnePlusBetaBalancer
@@ -22,11 +22,6 @@
 //   * Selfish reallocation already had engine shape; its engine
 //     (baselines::SelfishReallocEngine) satisfies the concept directly and
 //     needs no wrapper here.
-//
-// The legacy free functions (baselines::sequential_threshold,
-// parallel_threshold, greedy_d_choice, one_plus_beta,
-// first_fit_centralized) remain as thin shims over these wrappers — same
-// RNG stream, same results — so existing benches and tests are untouched.
 
 #include <cstdint>
 #include <vector>
@@ -38,6 +33,10 @@
 #include "tlb/util/rng.hpp"
 
 namespace tlb::engine {
+
+/// The [5] threshold for unit balls, ceil(m/n) + 1, generalised to weights
+/// as W/n + w_max (the proper-assignment bound, always feasible).
+double suggested_threshold(const tasks::TaskSet& ts, graph::Node n);
 
 /// Observable-state base shared by the bin-model baselines: a flat load
 /// vector measured against one comparison threshold. Provides every

@@ -1,21 +1,20 @@
 #pragma once
 // engine::drive — the one round-loop driver.
 //
-// Every balancing process in the library used to own a private copy of the
-// same loop: check balance, maybe record traces, maybe audit, step, repeat
-// until the cap; plus a divergent warmup/measure variant in the dynamic
-// engine. drive() is that loop, once, for anything satisfying the Balancer
-// concept — the paper's six core engines, the six comparison baselines, and
-// whatever protocol lands next (parallel phase-2 apply plugs in here).
+// drive() is the round loop — check balance, maybe audit, step, notify the
+// observers, repeat until the cap — once, for anything satisfying the
+// Balancer concept: the paper's six core engines, the six comparison
+// baselines, the perf suite's arena churn, and whatever protocol lands
+// next. It is the only round loop in the library.
 //
 // Two modes, selected by DriveOptions::measure:
 //   * run-to-balance (measure < 0, the default): loop until done() or
 //     max_rounds. The batch protocols' semantics.
 //   * warmup + measure (measure >= 0): step `warmup` unobserved rounds,
-//     bracket the next `measure` rounds with begin_measure()/end_measure()
-//     (engines without the hooks just run), observing only the measured
-//     window. The churn semantics; DynamicUserEngine::run(DriveOptions,
-//     rng) drives its warm-up and measured window through this mode.
+//     then `measure` observed ones. The churn semantics; the driver calls
+//     nothing on the balancer between rounds, so a measured round costs
+//     what an unobserved one does plus whatever the observers ask for
+//     (DynamicUserEngine::run attaches its window aggregates as one).
 //
 // Determinism contract: drive() itself never draws from `rng`; only
 // step(rng) does. Observers see const views. A drive is therefore bitwise
@@ -33,9 +32,8 @@
 
 namespace tlb::engine {
 
-/// Loop-level knobs (everything that used to live in EngineOptions minus
-/// the tracing bools, which observers replaced, and `threads`, which is an
-/// engine-construction knob, not a loop knob).
+/// Loop-level knobs (the loop half of EngineOptions; `threads` and `dsan`
+/// are engine-construction knobs, not loop knobs).
 struct DriveOptions {
   long max_rounds = 10000000;  ///< run-to-balance hard stop
   /// Audit the balancer every round and once after the loop (throws on a
@@ -63,10 +61,8 @@ struct DriveOptions {
 };
 
 /// Run `balancer` under `opt`, notifying `observer` (may be null), and
-/// return the accumulated RunResult. potential_trace/overloaded_trace stay
-/// empty — attach PotentialTrace/OverloadedTrace observers and move their
-/// vectors in (run_with_options below does exactly that for the legacy
-/// EngineOptions bools).
+/// return the accumulated RunResult. Per-round traces come from observers
+/// (PotentialTrace, OverloadedTrace, obs::LoadStatsObserver, ...).
 template <Balancer B>
 core::RunResult drive(B& balancer, util::Rng& rng, const DriveOptions& opt,
                       RoundObserver* observer = nullptr) {
@@ -115,13 +111,11 @@ core::RunResult drive(B& balancer, util::Rng& rng, const DriveOptions& opt,
 
   if (opt.measure >= 0) {
     for (long t = 0; t < opt.warmup; ++t) balancer.step(rng);
-    detail::begin_measure(balancer);
     for (long t = 0; t < opt.measure; ++t) {
       if (!measured_round()) break;
     }
-    detail::end_measure(balancer);
   } else {
-    while (!is_done(balancer) && result.rounds < opt.max_rounds) {
+    while (!detail::is_done(balancer) && result.rounds < opt.max_rounds) {
       if (!measured_round()) break;
     }
   }
@@ -131,28 +125,6 @@ core::RunResult drive(B& balancer, util::Rng& rng, const DriveOptions& opt,
   result.balanced = balancer.balanced();
   result.final_max_load = balancer.max_load();
   result.threshold = balancer.reported_threshold();
-  return result;
-}
-
-/// The legacy-run shim shared by every engine's run(rng): translate the
-/// EngineOptions tracing bools into trace observers, drive, and move the
-/// traces into the RunResult — byte-for-byte what the six deleted loop
-/// copies produced.
-template <Balancer B>
-core::RunResult run_with_options(B& balancer, const core::EngineOptions& opt,
-                                 util::Rng& rng) {
-  PotentialTrace potential;
-  OverloadedTrace overloaded;
-  ObserverList observers;
-  if (opt.record_potential) observers.add(&potential);
-  if (opt.record_overloaded) observers.add(&overloaded);
-  // Caller-supplied observer runs after the built-in traces, so the legacy
-  // trace shapes are unaffected by whatever it does.
-  if (opt.observer != nullptr) observers.add(opt.observer);
-  core::RunResult result =
-      drive(balancer, rng, DriveOptions::from(opt), observers.or_null());
-  if (opt.record_potential) result.potential_trace = potential.take();
-  if (opt.record_overloaded) result.overloaded_trace = overloaded.take();
   return result;
 }
 

@@ -1,15 +1,15 @@
 #pragma once
 // Composable round observers for engine::drive.
 //
-// The legacy engines baked two tracing flags (record_potential,
-// record_overloaded) into EngineOptions and copied the bookkeeping into
-// every run() loop. Observers replace the bools: the driver calls the hooks
-// below at well-defined points, and callers compose exactly the
-// instrumentation they want — potential traces, overloaded traces, early
-// stopping, per-round JSON — without the engines knowing any of it exists.
+// The driver calls the hooks below at well-defined points, and callers
+// compose exactly the instrumentation they want — potential traces,
+// overloaded traces, early stopping, per-round JSON, load-distribution
+// analytics, dsan fingerprints, the churn engine's window aggregates, the
+// perf suite's step timer — without the engines knowing any of it exists.
+// Observers are the only way to trace a run; the engines carry no tracing
+// flags.
 //
-// Hook order per measured round t (bitwise-compatible with the legacy
-// loops: no hook may touch the caller's RNG):
+// Hook order per measured round t (no hook may touch the caller's RNG):
 //   should_stop(view, t)        before anything else; true ends the run
 //   on_round(view, t)           round-start state, before step()
 //   [paranoid audit]
@@ -56,7 +56,7 @@ class RoundObserver {
 };
 
 /// Records Φ at the start of every round plus one trailing entry for the
-/// final state — the exact shape of RunResult::potential_trace.
+/// final state: trace[t] = Φ(t), so a run of R rounds yields R + 1 entries.
 class PotentialTrace final : public RoundObserver {
  public:
   void on_round(const BalancerView& view, long) override {
@@ -72,8 +72,8 @@ class PotentialTrace final : public RoundObserver {
   std::vector<double> trace_;
 };
 
-/// Records the overloaded-resource count, same shape as
-/// RunResult::overloaded_trace.
+/// Records the overloaded-resource count at the start of every round plus
+/// the final state, same shape as PotentialTrace.
 class OverloadedTrace final : public RoundObserver {
  public:
   void on_round(const BalancerView& view, long) override {

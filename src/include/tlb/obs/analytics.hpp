@@ -34,9 +34,7 @@ namespace tlb::obs {
 
 /// Samples a deterministic load-distribution snapshot every k-th round
 /// (round-start state) plus one final-state snapshot, and renders them as
-/// one JSON object. Attach to engine::drive as a RoundObserver, or feed it
-/// directly through record_round()/record_final() from external round loops
-/// (the perf suite's timed loop).
+/// one JSON object. Attach to engine::drive as a RoundObserver.
 class LoadStatsObserver final : public engine::RoundObserver {
  public:
   /// One sampled snapshot.
@@ -54,11 +52,6 @@ class LoadStatsObserver final : public engine::RoundObserver {
   // RoundObserver hooks (engine::drive).
   void on_round(const engine::BalancerView& view, long round) override;
   void on_finish(const engine::BalancerView& view) override;
-
-  // Direct-record API for round loops outside engine::drive; identical
-  // sampling and rows.
-  void record_round(const engine::BalancerView& view, long round);
-  void record_final(const engine::BalancerView& view);
 
   /// False iff the observed balancer offered no load-stats hook (rows stay
   /// empty then and json() says so instead of fabricating zeros).

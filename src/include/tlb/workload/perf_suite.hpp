@@ -4,12 +4,14 @@
 //
 // Each preset composes a workload scenario (protocol × topology × weights ×
 // arrivals) at production scale (full set: n up to 10^6, m up to 10^7) and
-// drives the engine round by round, measuring rounds/sec, migrations/sec,
-// per-phase wall-clock (util::Timer) and — the number the O(active) round
-// core is judged by — the ratio between the cost of round 1 (everything
-// overloaded, everything moving) and the near-balanced tail rounds. With
-// O(n)-per-round engines that ratio is ~1; with incremental overloaded-set
-// tracking it is orders of magnitude.
+// drives the engine through engine::drive — batch engines built by the same
+// builder Scenario::run uses, churn in measure mode — measuring rounds/sec,
+// migrations/sec, per-phase wall-clock (util::Timer) and — the number the
+// O(active) round core is judged by — the ratio between the cost of round 1
+// (everything overloaded, everything moving) and the near-balanced tail
+// rounds. With O(n)-per-round engines that ratio is ~1; with incremental
+// overloaded-set tracking it is orders of magnitude. Round times bracket
+// step() alone: a timing observer wraps every other observer.
 //
 // Output is a sim::Json report. All counter fields (rounds, migrations,
 // final state) are deterministic in the seed; wall-clock fields can be
@@ -35,12 +37,27 @@ class StepProbe;
 
 namespace tlb::workload {
 
+/// The util::derive_seed streams every preset draws from, so the graph, the
+/// churn class table and the task set plus round loop never alias (they
+/// mirror the Scenario streams). Part of each preset's stream definition:
+/// changing one changes every recorded counter and golden trace. The
+/// values spell "perf g", "perf c" and "perf r".
+inline constexpr std::uint64_t kPerfGraphStream = 0x70657266'67ULL;
+inline constexpr std::uint64_t kPerfClassesStream = 0x70657266'63ULL;
+inline constexpr std::uint64_t kPerfRunStream = 0x70657266'72ULL;
+
+/// Above-average threshold slack shared by every preset (tlb_sim's default).
+inline constexpr double kPerfEps = 0.25;
+
 /// One benchmark configuration. `scenario` is any spec string
 /// ScenarioSpec::parse accepts; batch specs run to balance (capped at
-/// max_rounds), churn specs run warmup + measure rounds. The special
-/// "arena:churn[:<weights>]" scenario drives a SystemState directly through
-/// remove_marked/push cycles (warmup + measure rounds) to benchmark the
-/// mem::TaskArena's allocation behaviour under sustained churn.
+/// max_rounds), churn specs run warmup + measure rounds. Two special
+/// scenarios: "arena:churn[:<weights>]" is a Balancer whose round evicts
+/// random subsets from random resources and scatters them (remove_marked /
+/// scatter on a SystemState, warmup + measure rounds) to benchmark the
+/// mem::TaskArena's allocation behaviour under sustained churn, and
+/// "baselines:suite[:<weights>]" drives the six baseline balancers back to
+/// back over one task set.
 struct PerfPreset {
   std::string name;          ///< stable identifier in the JSON report
   std::string scenario;      ///< workload spec string
@@ -82,10 +99,41 @@ struct PerfResult {
   std::string metrics_json;         ///< deterministic counter snapshot
   std::string metrics_timing_json;  ///< wall-clock metric snapshot
   /// Deterministic per-round load-distribution snapshots (--analytics):
-  /// one obs::LoadStatsObserver block per engine preset, an object of one
-  /// block per baseline for "baselines:suite". Empty for "arena:churn"
-  /// (a raw SystemState churn driver, not a Balancer) even when requested.
+  /// one obs::LoadStatsObserver block per preset, an object of one block
+  /// per baseline for "baselines:suite".
   std::string analytics_json;
+};
+
+/// Run-wide options of run_perf_set and run_perf_preset; each function
+/// ignores the fields that belong to the other.
+struct PerfOptions {
+  std::string set = "smoke";  ///< run_perf_set: "smoke" | "full"
+  std::string only;           ///< run_perf_set: one preset name, or all
+  std::uint64_t seed = 42;    ///< master seed; all randomness derives from it
+  /// run_perf_set: keep the wall-clock fields in the report (false makes
+  /// the bytes a pure function of the presets and the seed).
+  bool include_timings = true;
+  /// run_perf_set: >= 0 overrides every preset's engine-level thread count
+  /// (the --engine-threads flag); -1 keeps the preset values.
+  long engine_threads = -1;
+  /// A fresh obs::Registry per preset, snapshotted into
+  /// PerfResult::metrics_json / metrics_timing_json.
+  bool collect_metrics = false;
+  obs::TraceWriter* trace = nullptr;  ///< per-phase spans (not owned)
+  /// >= 1 attaches a fresh obs::LoadStatsObserver sampling every k-th
+  /// round into PerfResult::analytics_json.
+  long analytics_every = 0;
+  /// run_perf_set: dsan golden trace to write / to check against (see
+  /// dsan::TraceFiles); empty = off.
+  std::string dsan_record;
+  std::string dsan_check;
+  /// run_perf_preset: determinism sanitizer (not owned, fresh per preset
+  /// — the probe is stateful). The probe is wired into the preset's engine
+  /// (user-protocol family; other engines ignore it) and the observer
+  /// records one fingerprint row per measured round plus a final-state
+  /// row.
+  dsan::StepProbe* dsan_probe = nullptr;
+  dsan::FingerprintObserver* dsan_obs = nullptr;
 };
 
 /// Production-scale presets (n up to 10^6, m up to 10^7; unit/zipf/bimodal/
@@ -96,58 +144,31 @@ const std::vector<PerfPreset>& perf_presets();
 /// CI-sized presets (same shapes, n <= 4096). Seconds of wall-clock.
 const std::vector<PerfPreset>& perf_smoke_presets();
 
-/// Run one preset. All randomness derives from `seed`; counters are
-/// deterministic in (preset, seed). With collect_metrics a fresh
-/// obs::Registry is attached to the preset's engine and snapshotted into
-/// PerfResult::metrics_json / metrics_timing_json; `trace` (optional, not
-/// owned) additionally records per-phase trace-event spans;
-/// `analytics_every` >= 1 attaches a fresh obs::LoadStatsObserver sampling
-/// every k-th round into PerfResult::analytics_json. None of them changes
-/// any counter field (observers never draw from the RNG), and the observer
-/// hooks run outside the per-round stopwatch so the recorded round times
-/// stay clean.
-/// `dsan_probe`/`dsan_obs` (optional, not owned) attach the determinism
-/// sanitizer: the probe is wired into the preset's engine (user-protocol
-/// family; other engines ignore it) and the observer records one
-/// fingerprint row per timed round plus a final-state row. "arena:churn"
-/// is the one documented exception — it drives a raw SystemState, not a
-/// Balancer, so it contributes no rows. Both must come fresh per preset
-/// (the probe is stateful).
-PerfResult run_perf_preset(const PerfPreset& preset, std::uint64_t seed,
-                           bool collect_metrics = false,
-                           obs::TraceWriter* trace = nullptr,
-                           long analytics_every = 0,
-                           dsan::StepProbe* dsan_probe = nullptr,
-                           dsan::FingerprintObserver* dsan_obs = nullptr);
+/// Run one preset. All randomness derives from `opt.seed`; counters are
+/// deterministic in (preset, seed). Metrics, trace spans, analytics and
+/// dsan attach per `opt`; none of them changes any counter field
+/// (observers never draw from the RNG), and the observer hooks run outside
+/// the per-round stopwatch so the recorded round times stay clean. Every
+/// preset, arena churn and the baseline suite included, is a drive of a
+/// Balancer, so every preset yields analytics and fingerprint rows.
+PerfResult run_perf_preset(const PerfPreset& preset, const PerfOptions& opt);
 
-/// Resolve a set name ("smoke" | "full"), run every preset in it (or just
-/// the one named by a non-empty `only`), with progress on stderr, and
-/// return the suite JSON (the driver behind bench/perf_suite). Throws
-/// std::invalid_argument on an unknown set or no match.
-/// `engine_threads` >= 0 overrides every preset's engine-level thread
-/// count (the --engine-threads flag; -1 keeps the preset values) — CI runs
-/// the smoke set with and without it and diffs the deterministic JSON.
-/// `collect_metrics`/`trace`/`analytics_every` thread through to
-/// run_perf_preset; the deterministic metrics block is emitted under a
+/// Resolve `opt.set`, run every preset in it (or just `opt.only`), with
+/// progress on stderr, and return the suite JSON (the driver behind
+/// bench/perf_suite). The deterministic metrics block is emitted under a
 /// "metrics" key per preset (additive-only), the timing block under
 /// "metrics_timing" only when include_timings is also set, and the
 /// load-distribution snapshots under an "analytics" key (additive-only,
 /// deterministic — byte-identical across engine-thread counts).
-/// `dsan_record` (non-empty) writes a dsan golden trace — one section of
-/// per-round fingerprints per preset run — to that path; `dsan_check`
-/// re-renders the same structure and compares it against the golden trace
-/// at that path, throwing std::runtime_error naming the first divergent
-/// (section, round) on mismatch. The trace obeys the same --timings=false
+/// `dsan_record` writes a dsan golden trace — one section of per-round
+/// fingerprints per preset — and `dsan_check` compares the same structure
+/// against the golden at that path, throwing std::runtime_error naming the
+/// first divergent (section, round) on mismatch. Both paths are validated
+/// before the first preset runs. The trace obeys the same --timings=false
 /// discipline as the report, so a trace recorded at one engine-thread
-/// count must check clean at every other.
-std::string run_perf_set(const std::string& set, const std::string& only,
-                         std::uint64_t seed, bool include_timings,
-                         long engine_threads = -1,
-                         bool collect_metrics = false,
-                         obs::TraceWriter* trace = nullptr,
-                         long analytics_every = 0,
-                         const std::string& dsan_record = "",
-                         const std::string& dsan_check = "");
+/// count must check clean at every other. Throws std::invalid_argument on
+/// an unknown set or no match.
+std::string run_perf_set(const PerfOptions& opt);
 
 /// Serialise a suite run. include_timings = false omits every wall-clock
 /// field, making the bytes a pure function of (presets, seed).
@@ -162,5 +183,10 @@ std::string perf_suite_json(const std::vector<PerfResult>& results,
 void append_bench_entry(const std::string& path, const std::string& label,
                         const std::string& set,
                         const std::string& report_json);
+
+/// Throw std::runtime_error unless the file at `path` is missing, empty or
+/// a JSON array: append_bench_entry's precondition, checked before a long
+/// run instead of after it.
+void check_bench_file(const std::string& path);
 
 }  // namespace tlb::workload

@@ -200,8 +200,9 @@ bool grouped_engine_applicable(const tasks::TaskSet& ts);
 
 /// Try to construct the grouped engine for (ts, n, cfg): nullopt when the
 /// task set is not applicable or the constructor rejects it. The single
-/// engine-selection policy — run_user_trial and the perf suite both use it,
-/// so benchmarks always exercise the engine real scenario runs pick.
+/// engine-selection policy — the batch engine builder behind Scenario::run
+/// and the perf suite uses it, and so does run_user_trial, so benchmarks
+/// always exercise the engine real scenario runs pick.
 std::optional<core::GroupedUserEngine> try_grouped_user_engine(
     const tasks::TaskSet& ts, graph::Node n,
     const core::UserProtocolConfig& cfg);
@@ -225,7 +226,7 @@ core::DynamicConfig make_dynamic_config(const tasks::WeightModel& model,
 /// per-task-coin engine otherwise — including when the grouped constructor
 /// itself rejects the task set, so a weight model that overflows
 /// kMaxClasses degrades to the exact engine instead of aborting the run.
-/// Shared by Scenario::run and the benches.
+/// Shared by the benches.
 core::RunResult run_user_trial(const tasks::TaskSet& ts, graph::Node n,
                                const core::UserProtocolConfig& cfg,
                                const tasks::Placement& start, util::Rng& rng);

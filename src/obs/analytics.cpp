@@ -15,20 +15,11 @@ LoadStatsObserver::LoadStatsObserver(long every) : every_(every) {
 
 void LoadStatsObserver::on_round(const engine::BalancerView& view,
                                  long round) {
-  record_round(view, round);
-}
-
-void LoadStatsObserver::on_finish(const engine::BalancerView& view) {
-  record_final(view);
-}
-
-void LoadStatsObserver::record_round(const engine::BalancerView& view,
-                                     long round) {
   if (round % every_ != 0) return;
   record(view, round, /*final_state=*/false);
 }
 
-void LoadStatsObserver::record_final(const engine::BalancerView& view) {
+void LoadStatsObserver::on_finish(const engine::BalancerView& view) {
   record(view, /*round=*/0, /*final_state=*/true);
   have_final_ = true;
 }

@@ -7,26 +7,23 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <optional>
 #include <stdexcept>
 
-#include "tlb/baselines/selfish_realloc.hpp"
+#include "batch_engine.hpp"
 #include "tlb/core/dynamic.hpp"
-#include "tlb/core/graph_user_protocol.hpp"
-#include "tlb/core/mixed_protocol.hpp"
-#include "tlb/core/resource_protocol.hpp"
+#include "tlb/core/potential.hpp"
+#include "tlb/core/system_state.hpp"
 #include "tlb/core/threshold.hpp"
-#include "tlb/core/user_protocol.hpp"
 #include "tlb/dsan/observer.hpp"
 #include "tlb/dsan/probe.hpp"
 #include "tlb/dsan/trace.hpp"
-#include "tlb/engine/baseline_balancers.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/engine/observer.hpp"
 #include "tlb/obs/analytics.hpp"
 #include "tlb/obs/registry.hpp"
-#include "tlb/obs/trace_event.hpp"
 #include "tlb/sim/config.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -39,41 +36,56 @@ namespace tlb::workload {
 
 namespace {
 
-/// Dedicated randomness streams so the perf suite's graph, class table and
-/// round loop never alias (mirrors the Scenario streams).
-constexpr std::uint64_t kPerfGraphStream = 0x70657266'67ULL;    // "perf g"
-constexpr std::uint64_t kPerfClassesStream = 0x70657266'63ULL;  // "perf c"
-constexpr std::uint64_t kPerfRunStream = 0x70657266'72ULL;      // "perf r"
+/// Times each measured round's step() for the report. It wraps the
+/// preset's observers: its start stamp follows their on_round hooks and its
+/// stop stamp precedes their on_round_end hooks, so observation never lands
+/// in a round time. With `rounds_phase` it also opens that timer's "rounds"
+/// phase at the first measured round, which is where a measure-mode
+/// drive's unobserved warm-up ends.
+class StepTimer final : public engine::RoundObserver {
+ public:
+  StepTimer(engine::RoundObserver* inner, std::vector<double>& round_ms,
+            util::Timer* rounds_phase)
+      : inner_(inner), round_ms_(round_ms), rounds_phase_(rounds_phase) {}
 
-/// Threshold slack shared by every preset (tlb_sim's default).
-constexpr double kEps = 0.25;
-
-/// Round loop shared by every batch engine: time each round, stop where
-/// engine::drive would (done() for the one-shot baselines, balanced()
-/// otherwise) or at the cap. Returns per-round wall-clock in ms. The
-/// optional observer gets engine::drive's hook sequence (on_round /
-/// on_round_end / on_finish), invoked outside the stopwatch so observation
-/// cost never pollutes the recorded round times.
-template <class Engine>
-std::vector<double> drive_batch(Engine& engine, long max_rounds,
-                                util::Rng& rng, PerfResult& out,
-                                tlb::engine::RoundObserver* observer =
-                                    nullptr) {
-  std::vector<double> round_ms;
-  tlb::engine::detail::ViewOf<Engine> view(engine);
-  util::Stopwatch watch;
-  while (!tlb::engine::is_done(engine) && out.rounds < max_rounds) {
-    if (observer) observer->on_round(view, out.rounds);
-    watch.reset();
-    const std::size_t moved = engine.step(rng);
-    round_ms.push_back(watch.elapsed_ms());
-    out.migrations += moved;
-    ++out.rounds;
-    if (observer) observer->on_round_end(view, out.rounds - 1, moved);
+  bool should_stop(const engine::BalancerView& view, long round) override {
+    return inner_ != nullptr && inner_->should_stop(view, round);
   }
-  out.balanced = engine.balanced();
-  if (observer) observer->on_finish(view);
-  return round_ms;
+  void on_round(const engine::BalancerView& view, long round) override {
+    if (round == 0 && rounds_phase_ != nullptr) rounds_phase_->start("rounds");
+    if (inner_ != nullptr) inner_->on_round(view, round);
+    watch_.reset();
+  }
+  void on_round_end(const engine::BalancerView& view, long round,
+                    std::size_t migrations) override {
+    round_ms_.push_back(watch_.elapsed_ms());
+    if (inner_ != nullptr) inner_->on_round_end(view, round, migrations);
+  }
+  void on_finish(const engine::BalancerView& view) override {
+    if (inner_ != nullptr) inner_->on_finish(view);
+  }
+
+ private:
+  engine::RoundObserver* inner_;
+  std::vector<double>& round_ms_;
+  util::Timer* rounds_phase_;
+  util::Stopwatch watch_;
+};
+
+/// engine::drive with the preset's observers — analytics, then dsan, both
+/// optional — behind a StepTimer appending to `round_ms`.
+template <engine::Balancer B>
+core::RunResult timed_drive(B& balancer, util::Rng& rng,
+                            const engine::DriveOptions& opt,
+                            std::optional<obs::LoadStatsObserver>& analytics,
+                            dsan::FingerprintObserver* dsan_obs,
+                            std::vector<double>& round_ms,
+                            util::Timer* rounds_phase = nullptr) {
+  engine::ObserverList observers;
+  if (analytics) observers.add(&*analytics);
+  if (dsan_obs != nullptr) observers.add(dsan_obs);
+  StepTimer timer(observers.or_null(), round_ms, rounds_phase);
+  return engine::drive(balancer, rng, opt, &timer);
 }
 
 /// Derive round1/tail/throughput numbers from the per-round times.
@@ -105,14 +117,26 @@ void finish_timing(const std::vector<double>& round_ms, PerfResult& out) {
   }
 }
 
-void run_batch_preset(const ScenarioSpec& spec, const PerfPreset& preset,
-                      std::uint64_t seed, util::Timer& timer,
-                      obs::Registry* registry, obs::TraceWriter* trace,
-                      long analytics_every, dsan::StepProbe* dsan_probe,
-                      dsan::FingerprintObserver* dsan_obs, PerfResult& out) {
-  timer.start("setup");
+/// The optional weight-model component of "<prefix>:<weights>" ("unit"
+/// when absent), e.g. "arena:churn:uniform(8)".
+std::string weights_after(const std::string& scenario,
+                          const std::string& prefix) {
+  return scenario.size() > prefix.size() ? scenario.substr(prefix.size())
+                                         : "unit";
+}
+
+/// Optional per-preset analytics observer.
+std::optional<obs::LoadStatsObserver> make_analytics(const PerfOptions& opt) {
   std::optional<obs::LoadStatsObserver> analytics;
-  if (analytics_every > 0) analytics.emplace(analytics_every);
+  if (opt.analytics_every > 0) analytics.emplace(opt.analytics_every);
+  return analytics;
+}
+
+void run_batch_preset(const ScenarioSpec& spec, const PerfPreset& preset,
+                      const PerfOptions& opt, obs::Registry* registry,
+                      util::Timer& timer, PerfResult& out) {
+  timer.start("setup");
+  std::optional<obs::LoadStatsObserver> analytics = make_analytics(opt);
   sim::GraphSpec gspec;
   gspec.family = spec.family;
   gspec.n = preset.n;
@@ -121,238 +145,163 @@ void run_batch_preset(const ScenarioSpec& spec, const PerfPreset& preset,
   // n = 10^6 would need ~4TB of edges. Only the graph-walking protocols
   // get a real topology.
   graph::Graph g;
-  graph::Node n = preset.n;
-  randomwalk::WalkKind walk = gspec.recommended_walk();
+  BatchEngineInputs in;
+  in.n = preset.n;
+  in.graph = &g;
+  in.walk = gspec.recommended_walk();
   if (spec.protocol != ProtocolKind::kUser && !is_baseline(spec.protocol)) {
-    util::Rng graph_rng(util::derive_seed(seed, kPerfGraphStream));
+    util::Rng graph_rng(util::derive_seed(opt.seed, kPerfGraphStream));
     g = gspec.build(graph_rng);
-    n = g.num_nodes();
+    in.n = g.num_nodes();
   }
-  const std::size_t m = preset.load_factor * static_cast<std::size_t>(n);
-  util::Rng rng(util::derive_seed(seed, kPerfRunStream));
+  const std::size_t m = preset.load_factor * static_cast<std::size_t>(in.n);
+  util::Rng rng(util::derive_seed(opt.seed, kPerfRunStream));
   const tasks::TaskSet ts = parse_weight_model(spec.weights)->make(m, rng);
-  const double T = core::threshold_value(core::ThresholdKind::kAboveAverage,
-                                         ts, n, kEps);
-  // Only the migration protocols start from a placement; the allocator
-  // baselines below start with every ball unplaced, so the O(m) vector is
-  // built where it is consumed.
-  const auto start = [&ts] { return tasks::all_on_one(ts); };
-  out.n = n;
+  in.tasks = &ts;
+  in.threshold = core::threshold_value(core::ThresholdKind::kAboveAverage,
+                                       ts, in.n, kPerfEps);
+  in.options.max_rounds = preset.max_rounds;
+  in.options.threads = preset.threads;
+  in.options.registry = registry;
+  in.options.trace = opt.trace;
+  in.options.dsan = opt.dsan_probe;
+  out.n = in.n;
   out.m = m;
 
-  // One timing scaffold for every engine type; `final_over` extracts the
-  // end-state overloaded count (engine APIs differ).
+  // The loop-level sinks stay off: the engines report through their
+  // configs, and the report never carried drive.* metrics.
+  engine::DriveOptions drive_opt;
+  drive_opt.max_rounds = preset.max_rounds;
   std::vector<double> round_ms;
-  tlb::engine::ObserverList obs_list;
-  if (analytics) obs_list.add(&*analytics);
-  if (dsan_obs != nullptr) obs_list.add(dsan_obs);
-  tlb::engine::RoundObserver* const obs_ptr = obs_list.or_null();
-  const auto timed_drive = [&](auto& engine, auto&& final_over) {
-    timer.start("place");
-    engine.reset(start());
+  with_batch_engine(spec, in, [&](auto& balancer) {
+    // Allocator baselines start with every ball unplaced: no place phase.
+    if constexpr (StartsFromPlacement<decltype(balancer)>) {
+      timer.start("place");
+      balancer.reset(tasks::all_on_one(ts));
+    }
     timer.start("rounds");
-    round_ms = drive_batch(engine, preset.max_rounds, rng, out, obs_ptr);
+    const core::RunResult r = timed_drive(balancer, rng, drive_opt, analytics,
+                                          opt.dsan_obs, round_ms);
     timer.start("finish");
-    out.final_overloaded = final_over(engine);
-  };
-  const auto state_over = [](const auto& engine) {
-    return static_cast<std::uint32_t>(engine.state().overloaded_count());
-  };
-  // Baseline allocators: balls start unplaced, so there is no placement
-  // phase to time.
-  const auto timed_alloc = [&](auto& balancer) {
-    timer.start("rounds");
-    round_ms = drive_batch(balancer, preset.max_rounds, rng, out, obs_ptr);
-    timer.start("finish");
+    out.rounds = r.rounds;
+    out.migrations = r.migrations;
+    out.balanced = r.balanced;
     out.final_overloaded = balancer.overloaded_count();
-  };
-
-  switch (spec.protocol) {
-    case ProtocolKind::kUser: {
-      core::UserProtocolConfig cfg;
-      cfg.threshold = T;
-      cfg.options.max_rounds = preset.max_rounds;
-      cfg.options.threads = preset.threads;
-      cfg.options.registry = registry;
-      cfg.options.trace = trace;
-      cfg.options.dsan = dsan_probe;
-      // Shared engine-selection policy (run_user_trial uses the same
-      // helper), including the degrade-to-exact fallback.
-      std::optional<core::GroupedUserEngine> grouped =
-          try_grouped_user_engine(ts, n, cfg);
-      if (grouped) {
-        timed_drive(*grouped, [n](const core::GroupedUserEngine& engine) {
-          std::uint32_t over = 0;
-          for (graph::Node r = 0; r < n; ++r) {
-            over += engine.load(r) > engine.threshold(r);
-          }
-          return over;
-        });
-      } else {
-        core::UserControlledEngine engine(ts, n, cfg);
-        timed_drive(engine, state_over);
-      }
-      break;
-    }
-    case ProtocolKind::kResource: {
-      core::ResourceProtocolConfig cfg;
-      cfg.threshold = T;
-      cfg.walk = walk;
-      cfg.options.max_rounds = preset.max_rounds;
-      cfg.options.registry = registry;
-      cfg.options.trace = trace;
-      core::ResourceControlledEngine engine(g, ts, cfg);
-      timed_drive(engine, state_over);
-      break;
-    }
-    case ProtocolKind::kGraphUser: {
-      core::GraphUserConfig cfg;
-      cfg.threshold = T;
-      cfg.walk = walk;
-      cfg.options.max_rounds = preset.max_rounds;
-      cfg.options.registry = registry;
-      cfg.options.trace = trace;
-      core::GraphUserEngine engine(g, ts, cfg);
-      timed_drive(engine, state_over);
-      break;
-    }
-    case ProtocolKind::kMixed: {
-      core::MixedProtocolConfig cfg;
-      cfg.threshold = T;
-      cfg.resource_probability = spec.mixed_beta;
-      cfg.walk = walk;
-      cfg.options.max_rounds = preset.max_rounds;
-      cfg.options.registry = registry;
-      cfg.options.trace = trace;
-      core::MixedProtocolEngine engine(g, ts, cfg);
-      timed_drive(engine, state_over);
-      break;
-    }
-    case ProtocolKind::kSeqThresh: {
-      tlb::engine::SequentialThresholdBalancer balancer(ts, n, T);
-      timed_alloc(balancer);
-      break;
-    }
-    case ProtocolKind::kParThresh: {
-      tlb::engine::ParallelThresholdBalancer balancer(ts, n, T);
-      timed_alloc(balancer);
-      break;
-    }
-    case ProtocolKind::kTwoChoice: {
-      tlb::engine::GreedyChoiceBalancer balancer(ts, n, spec.twochoice_d, T);
-      timed_alloc(balancer);
-      break;
-    }
-    case ProtocolKind::kOneBeta: {
-      tlb::engine::OnePlusBetaBalancer balancer(ts, n, spec.onebeta_beta, T);
-      timed_alloc(balancer);
-      break;
-    }
-    case ProtocolKind::kSelfish: {
-      baselines::SelfishConfig cfg;
-      cfg.stop_threshold = T;
-      cfg.options.max_rounds = preset.max_rounds;
-      cfg.options.registry = registry;
-      cfg.options.trace = trace;
-      baselines::SelfishReallocEngine engine(ts, n, cfg);
-      timed_drive(engine, [](const baselines::SelfishReallocEngine& e) {
-        return e.overloaded_count();
-      });
-      break;
-    }
-    case ProtocolKind::kFirstFit: {
-      tlb::engine::FirstFitBalancer balancer(ts, n, T);
-      timed_alloc(balancer);
-      break;
-    }
-  }
+  });
   timer.stop();
   if (analytics) out.analytics_json = analytics->json();
   finish_timing(round_ms, out);
 }
 
-/// Synthetic arena-churn driver (scenario "arena:churn[:<weights>]"): after
-/// a uniform-random bulk placement, every round evicts random subsets from
-/// ~n/64 random resources through SystemState::remove_marked and scatters
-/// the movers to uniform destinations with SystemState::scatter — exactly
-/// the mutation mix the protocol engines apply, but at a fixed rate, so
-/// the mem::TaskArena's allocation behaviour (span relocations,
-/// compactions, slab growth) under sustained churn is a recorded point on
-/// the perf trajectory instead of an assumption.
-void run_arena_churn_preset(const PerfPreset& preset, std::uint64_t seed,
-                            util::Timer& timer, PerfResult& out) {
-  timer.start("setup");
-  const graph::Node n = preset.n;
-  const std::size_t m = preset.load_factor * static_cast<std::size_t>(n);
-  // "arena:churn" optionally carries a weight-model spec as its third
-  // component ("arena:churn:uniform(8)").
-  std::string weights = "unit";
-  const std::string prefix = "arena:churn:";
-  if (preset.scenario.size() > prefix.size()) {
-    weights = preset.scenario.substr(prefix.size());
+/// Synthetic arena churn (scenario "arena:churn[:<weights>]") as a
+/// Balancer: every round evicts random subsets from ~n/64 random resources
+/// through SystemState::remove_marked and scatters the movers to uniform
+/// destinations with SystemState::scatter — the mutation mix the protocol
+/// engines apply, but at a fixed rate, so the mem::TaskArena's allocation
+/// behaviour (span relocations, compactions, slab growth) under sustained
+/// churn is a recorded point on the perf trajectory instead of an
+/// assumption. state() makes it observable like the SystemState-backed
+/// engines (analytics, dsan); its potential is the user protocol's Φ.
+class ArenaChurn {
+ public:
+  ArenaChurn(const tasks::TaskSet& ts, graph::Node n, double threshold)
+      : state_(ts, n),
+        threshold_(threshold),
+        victims_per_round_(std::max<graph::Node>(1, n / 64)) {
+    state_.set_thresholds(threshold);
   }
-  util::Rng rng(util::derive_seed(seed, kPerfRunStream));
-  const tasks::TaskSet ts = parse_weight_model(weights)->make(m, rng);
-  const double T = core::threshold_value(core::ThresholdKind::kAboveAverage,
-                                         ts, n, kEps);
-  core::SystemState state(ts, n);
-  state.set_thresholds(T);
-  out.n = n;
-  out.m = m;
 
-  timer.start("place");
-  const tasks::Placement start = tasks::uniform_random(ts, n, rng);
-  state.place(start, /*threshold=*/-1.0);
+  /// Initial placement, without acceptance bookkeeping.
+  void place(const tasks::Placement& start) {
+    state_.place(start, /*threshold=*/-1.0);
+  }
 
-  const graph::Node victims_per_round =
-      std::max<graph::Node>(1, n / 64);
-  std::vector<std::uint8_t> leave;
-  std::vector<tasks::TaskId> movers;
-  std::vector<graph::Node> dst;
-  const auto churn_round = [&] {
-    movers.clear();
-    for (graph::Node k = 0; k < victims_per_round; ++k) {
+  /// One churn round; returns the number of tasks moved.
+  std::size_t step(util::Rng& rng) {
+    const graph::Node n = state_.num_resources();
+    movers_.clear();
+    for (graph::Node k = 0; k < victims_per_round_; ++k) {
       const auto r = static_cast<graph::Node>(rng.uniform_below(n));
-      const std::size_t count = state.stack(r).count();
+      const std::size_t count = state_.stack(r).count();
       if (count == 0) continue;
-      leave.assign(count, 0);
+      leave_.assign(count, 0);
       bool any = false;
-      for (auto& bit : leave) {
+      for (auto& bit : leave_) {
         if (rng.bernoulli(0.5)) {
           bit = 1;
           any = true;
         }
       }
       if (!any) continue;
-      state.remove_marked(r, leave, movers);
+      state_.remove_marked(r, leave_, movers_);
     }
-    dst.resize(movers.size());
-    for (graph::Node& d : dst) {
+    dst_.resize(movers_.size());
+    for (graph::Node& d : dst_) {
       d = static_cast<graph::Node>(rng.uniform_below(n));
     }
-    state.scatter(dst, movers);
-    return movers.size();
-  };
-
-  timer.start("warmup");
-  for (long t = 0; t < preset.warmup; ++t) churn_round();
-
-  timer.start("rounds");
-  std::vector<double> round_ms;
-  round_ms.reserve(static_cast<std::size_t>(preset.measure));
-  util::Stopwatch watch;
-  for (long t = 0; t < preset.measure; ++t) {
-    watch.reset();
-    out.migrations += churn_round();
-    round_ms.push_back(watch.elapsed_ms());
-    ++out.rounds;
+    state_.scatter(dst_, movers_);
+    return movers_.size();
   }
 
+  [[nodiscard]] bool balanced() const { return state_.balanced(); }
+  [[nodiscard]] std::uint32_t overloaded_count() const {
+    return static_cast<std::uint32_t>(state_.overloaded_count());
+  }
+  [[nodiscard]] double max_load() const { return state_.max_load(); }
+  [[nodiscard]] double potential() const {
+    return core::user_potential(state_, threshold_);
+  }
+  [[nodiscard]] double reported_threshold() const noexcept {
+    return threshold_;
+  }
+  void audit() const { state_.check_invariants(); }
+  [[nodiscard]] const core::SystemState& state() const noexcept {
+    return state_;
+  }
+
+ private:
+  core::SystemState state_;
+  double threshold_;
+  graph::Node victims_per_round_;
+  std::vector<std::uint8_t> leave_;  // per-round scratch
+  std::vector<tasks::TaskId> movers_;
+  std::vector<graph::Node> dst_;
+};
+
+void run_arena_churn_preset(const PerfPreset& preset, const PerfOptions& opt,
+                            util::Timer& timer, PerfResult& out) {
+  timer.start("setup");
+  std::optional<obs::LoadStatsObserver> analytics = make_analytics(opt);
+  const graph::Node n = preset.n;
+  const std::size_t m = preset.load_factor * static_cast<std::size_t>(n);
+  util::Rng rng(util::derive_seed(opt.seed, kPerfRunStream));
+  const tasks::TaskSet ts =
+      parse_weight_model(weights_after(preset.scenario, "arena:churn:"))
+          ->make(m, rng);
+  ArenaChurn arena(ts, n,
+                   core::threshold_value(core::ThresholdKind::kAboveAverage,
+                                         ts, n, kPerfEps));
+  out.n = n;
+  out.m = m;
+
+  timer.start("place");
+  arena.place(tasks::uniform_random(ts, n, rng));
+
+  timer.start("warmup");
+  engine::DriveOptions drive_opt;
+  drive_opt.warmup = preset.warmup;
+  drive_opt.measure = preset.measure;
+  std::vector<double> round_ms;
+  const core::RunResult r = timed_drive(arena, rng, drive_opt, analytics,
+                                        opt.dsan_obs, round_ms, &timer);
+
   timer.start("finish");
-  const graph::Node over = state.overloaded_count();
-  out.final_overloaded = over;
-  out.balanced =
-      static_cast<double>(over) <= 0.05 * static_cast<double>(n);
+  out.rounds = r.rounds;
+  out.migrations = r.migrations;
+  const core::SystemState& state = arena.state();
+  out.final_overloaded = arena.overloaded_count();
+  out.balanced = static_cast<double>(out.final_overloaded) <=
+                 0.05 * static_cast<double>(n);
   std::fprintf(stderr,
                "perf_suite:   arena: %zu slots, %zu dead, "
                "%llu relocations, %llu compactions\n",
@@ -360,33 +309,33 @@ void run_arena_churn_preset(const PerfPreset& preset, std::uint64_t seed,
                static_cast<unsigned long long>(state.arena().relocations()),
                static_cast<unsigned long long>(state.arena().compactions()));
   timer.stop();
+  if (analytics) out.analytics_json = analytics->json();
   finish_timing(round_ms, out);
 }
 
 /// Composite baseline driver (scenario "baselines:suite[:<weights>]"): one
-/// task set, one above-average threshold, all six baseline balancers driven
-/// back to back through the timed round loop — seqthresh, parthresh,
+/// task set, one above-average threshold, all six baseline balancers built
+/// by with_batch_engine and driven back to back — seqthresh, parthresh,
 /// twochoice(2), onebeta(0.5), selfish (from the all-on-one start the paper
 /// protocols use) and firstfit — with one timer phase per baseline. The
 /// counters (rounds, migrations, balanced, final_overloaded) aggregate over
 /// the whole suite and are deterministic in the seed, so the preset rides
 /// the same byte-determinism CI checks as every other one.
-void run_baselines_suite_preset(const PerfPreset& preset, std::uint64_t seed,
-                                util::Timer& timer, long analytics_every,
-                                dsan::FingerprintObserver* dsan_obs,
+void run_baselines_suite_preset(const PerfPreset& preset,
+                                const PerfOptions& opt, util::Timer& timer,
                                 PerfResult& out) {
   timer.start("setup");
   const graph::Node n = preset.n;
   const std::size_t m = preset.load_factor * static_cast<std::size_t>(n);
-  std::string weights = "unit";
-  const std::string prefix = "baselines:suite:";
-  if (preset.scenario.size() > prefix.size()) {
-    weights = preset.scenario.substr(prefix.size());
-  }
-  util::Rng rng(util::derive_seed(seed, kPerfRunStream));
-  const tasks::TaskSet ts = parse_weight_model(weights)->make(m, rng);
-  const double T = core::threshold_value(core::ThresholdKind::kAboveAverage,
-                                         ts, n, kEps);
+  util::Rng rng(util::derive_seed(opt.seed, kPerfRunStream));
+  const tasks::TaskSet ts =
+      parse_weight_model(weights_after(preset.scenario, "baselines:suite:"))
+          ->make(m, rng);
+  BatchEngineInputs in;
+  in.tasks = &ts;
+  in.n = n;
+  in.threshold = core::threshold_value(core::ThresholdKind::kAboveAverage,
+                                       ts, n, kPerfEps);
   out.n = n;
   out.m = m;
   out.balanced = true;
@@ -394,132 +343,90 @@ void run_baselines_suite_preset(const PerfPreset& preset, std::uint64_t seed,
   std::vector<double> round_ms;
   // With --analytics the suite report carries one observer block per
   // baseline, keyed by the baseline name (a fresh observer per balancer so
-  // the per-round rows never interleave across protocols).
+  // the per-round rows never interleave across protocols). The six drives
+  // share the one fingerprint observer: their rows (each ending with a
+  // final-state row) concatenate in drive order, which is itself part of
+  // the deterministic surface the trace pins.
   sim::Json analytics_parts;
-  const auto drive_one = [&](const char* name, auto& balancer,
-                             long max_rounds) {
+  for (const ProtocolKind kind :
+       {ProtocolKind::kSeqThresh, ProtocolKind::kParThresh,
+        ProtocolKind::kTwoChoice, ProtocolKind::kOneBeta,
+        ProtocolKind::kSelfish, ProtocolKind::kFirstFit}) {
+    ScenarioSpec spec;  // default twochoice(2) and onebeta(0.5)
+    spec.protocol = kind;
+    const char* const name = protocol_name(kind);
     timer.start(name);
-    std::optional<obs::LoadStatsObserver> analytics;
-    if (analytics_every > 0) analytics.emplace(analytics_every);
-    PerfResult one;
-    // The six balancers share one fingerprint observer: their rows (each
-    // ending with a final-state row) concatenate in drive order, which is
-    // itself part of the deterministic surface the trace pins.
-    tlb::engine::ObserverList obs_list;
-    if (analytics) obs_list.add(&*analytics);
-    if (dsan_obs != nullptr) obs_list.add(dsan_obs);
-    std::vector<double> ms =
-        drive_batch(balancer, max_rounds, rng, one, obs_list.or_null());
-    round_ms.insert(round_ms.end(), ms.begin(), ms.end());
-    out.rounds += one.rounds;
-    out.migrations += one.migrations;
-    out.balanced = out.balanced && one.balanced;
-    out.final_overloaded += balancer.overloaded_count();
+    std::optional<obs::LoadStatsObserver> analytics = make_analytics(opt);
+    engine::DriveOptions drive_opt;
+    drive_opt.max_rounds = preset.max_rounds;
+    if (kind == ProtocolKind::kSelfish) {
+      // Selfish reallocation never stops migrating on its own and its
+      // stochastic equilibrium can hover right at the threshold at large
+      // n, so the suite bounds it separately instead of letting it burn
+      // the whole preset.max_rounds budget; `balanced` honestly reports
+      // whether it got under T within the window.
+      constexpr long kSelfishRoundCap = 512;
+      drive_opt.max_rounds = std::min(kSelfishRoundCap, preset.max_rounds);
+    }
+    in.options.max_rounds = drive_opt.max_rounds;
+    with_batch_engine(spec, in, [&](auto& balancer) {
+      if constexpr (StartsFromPlacement<decltype(balancer)>) {
+        balancer.reset(tasks::all_on_one(ts));
+      }
+      const core::RunResult r = timed_drive(balancer, rng, drive_opt,
+                                            analytics, opt.dsan_obs, round_ms);
+      out.rounds += r.rounds;
+      out.migrations += r.migrations;
+      out.balanced = out.balanced && r.balanced;
+      out.final_overloaded += balancer.overloaded_count();
+    });
     if (analytics) analytics_parts.add_raw(name, analytics->json());
-  };
-
-  {
-    tlb::engine::SequentialThresholdBalancer b(ts, n, T);
-    drive_one("seqthresh", b, preset.max_rounds);
-  }
-  {
-    tlb::engine::ParallelThresholdBalancer b(ts, n, T);
-    drive_one("parthresh", b, preset.max_rounds);
-  }
-  {
-    tlb::engine::GreedyChoiceBalancer b(ts, n, /*choices=*/2, T);
-    drive_one("twochoice", b, preset.max_rounds);
-  }
-  {
-    tlb::engine::OnePlusBetaBalancer b(ts, n, /*beta=*/0.5, T);
-    drive_one("onebeta", b, preset.max_rounds);
-  }
-  {
-    // Selfish reallocation never stops migrating on its own and its
-    // stochastic equilibrium can hover right at the threshold at large n,
-    // so the suite bounds it separately instead of letting it burn the
-    // whole preset.max_rounds budget; `balanced` honestly reports whether
-    // it got under T within the window.
-    constexpr long kSelfishRoundCap = 512;
-    baselines::SelfishConfig cfg;
-    cfg.stop_threshold = T;
-    cfg.options.max_rounds = std::min(kSelfishRoundCap, preset.max_rounds);
-    baselines::SelfishReallocEngine b(ts, n, cfg);
-    b.reset(tasks::all_on_one(ts));
-    drive_one("selfish", b, cfg.options.max_rounds);
-  }
-  {
-    tlb::engine::FirstFitBalancer b(ts, n, T);
-    drive_one("firstfit", b, preset.max_rounds);
   }
   timer.stop();
-  if (analytics_every > 0) out.analytics_json = analytics_parts.str();
+  if (opt.analytics_every > 0) out.analytics_json = analytics_parts.str();
   for (double t : round_ms) out.run_ms += t;
   finish_timing(round_ms, out);
 }
 
 void run_churn_preset(const ScenarioSpec& spec, const PerfPreset& preset,
-                      std::uint64_t seed, util::Timer& timer,
-                      obs::Registry* registry, obs::TraceWriter* trace,
-                      long analytics_every, dsan::StepProbe* dsan_probe,
-                      dsan::FingerprintObserver* dsan_obs, PerfResult& out) {
+                      const PerfOptions& opt, obs::Registry* registry,
+                      util::Timer& timer, PerfResult& out) {
   timer.start("setup");
-  std::optional<obs::LoadStatsObserver> analytics;
-  if (analytics_every > 0) analytics.emplace(analytics_every);
+  std::optional<obs::LoadStatsObserver> analytics = make_analytics(opt);
   auto model = parse_weight_model(spec.weights);
   auto process = parse_arrival_process(spec.arrivals);
-  util::Rng class_rng(util::derive_seed(seed, kPerfClassesStream));
+  util::Rng class_rng(util::derive_seed(opt.seed, kPerfClassesStream));
   // Same config-assembly path as Scenario::run (process outlives engine).
   core::DynamicConfig cfg = make_dynamic_config(
-      *model, *process, preset.n, kEps, /*alpha=*/1.0,
+      *model, *process, preset.n, kPerfEps, /*alpha=*/1.0,
       /*paranoid=*/false, preset.threads, class_rng);
   cfg.registry = registry;
-  cfg.trace = trace;
-  cfg.dsan = dsan_probe;
+  cfg.trace = opt.trace;
+  cfg.dsan = opt.dsan_probe;
   core::DynamicUserEngine engine(cfg);
-  util::Rng rng(util::derive_seed(seed, kPerfRunStream));
+  util::Rng rng(util::derive_seed(opt.seed, kPerfRunStream));
   out.n = preset.n;
 
+  // A bare drive, not DynamicUserEngine::run: the window aggregates that
+  // run() attaches would add an overloaded flush and a max_load() to every
+  // measured round, and the report measures the round alone.
   timer.start("warmup");
-  for (long t = 0; t < preset.warmup; ++t) engine.step(rng);
-
-  timer.start("rounds");
-  // The churn loop is hand-rolled (warmup/measure split, no stop
-  // condition), so the observer is driven directly: snapshots of the
-  // measured rounds only, taken outside the stopwatch like drive_batch.
-  tlb::engine::detail::ViewOf<core::DynamicUserEngine> view(engine);
+  engine::DriveOptions drive_opt;
+  drive_opt.warmup = preset.warmup;
+  drive_opt.measure = preset.measure;
   std::vector<double> round_ms;
-  round_ms.reserve(static_cast<std::size_t>(preset.measure));
-  util::Stopwatch watch;
-  for (long t = 0; t < preset.measure; ++t) {
-    if (analytics) analytics->record_round(view, t);
-    watch.reset();
-    engine.step(rng);
-    round_ms.push_back(watch.elapsed_ms());
-    out.migrations += engine.last_migrations();
-    ++out.rounds;
-    // Fingerprints are round-*end* snapshots (on_round_end semantics), so
-    // the dsan observer records after the step, unlike the analytics
-    // observer's round-start snapshots; the probe record folded in is the
-    // one this step just produced.
-    if (dsan_obs != nullptr) dsan_obs->record_round(view, t);
-  }
-  if (analytics) {
-    analytics->record_final(view);
-    out.analytics_json = analytics->json();
-  }
-  if (dsan_obs != nullptr) dsan_obs->record_final(view);
+  const core::RunResult r = timed_drive(engine, rng, drive_opt, analytics,
+                                        opt.dsan_obs, round_ms, &timer);
 
   timer.start("finish");
+  out.rounds = r.rounds;
+  out.migrations = r.migrations;
   out.m = engine.population();
-  std::uint32_t over = 0;
-  for (graph::Node r = 0; r < preset.n; ++r) {
-    over += engine.load(r) > engine.current_threshold();
-  }
-  out.final_overloaded = over;
-  out.balanced = static_cast<double>(over) <=
+  out.final_overloaded = engine.overloaded_count();
+  out.balanced = static_cast<double>(out.final_overloaded) <=
                  0.05 * static_cast<double>(preset.n);
   timer.stop();
+  if (analytics) out.analytics_json = analytics->json();
   finish_timing(round_ms, out);
 }
 
@@ -594,81 +501,60 @@ const std::vector<PerfPreset>& perf_smoke_presets() {
   return presets;
 }
 
-PerfResult run_perf_preset(const PerfPreset& preset, std::uint64_t seed,
-                           bool collect_metrics, obs::TraceWriter* trace,
-                           long analytics_every, dsan::StepProbe* dsan_probe,
-                           dsan::FingerprintObserver* dsan_obs) {
+PerfResult run_perf_preset(const PerfPreset& preset, const PerfOptions& opt) {
   PerfResult out;
   out.preset = preset;
   // Fresh registry per preset so the snapshots do not aggregate across
   // presets; engines hold a raw pointer, so it outlives the runner calls.
   std::optional<obs::Registry> registry;
-  if (collect_metrics) registry.emplace();
+  if (opt.collect_metrics) registry.emplace();
   obs::Registry* const reg = registry ? &*registry : nullptr;
-  const auto snapshot_metrics = [&] {
-    if (!registry) return;
-    const obs::Snapshot snap = registry->snapshot();
-    out.metrics_json = snap.json(obs::Snapshot::Part::kDeterministic);
-    out.metrics_timing_json = snap.json(obs::Snapshot::Part::kTiming);
-  };
-  if (preset.scenario.rfind("arena:churn", 0) == 0) {
-    // Documented dsan exception: the arena churn driver pumps a raw
-    // SystemState, not a Balancer, so it contributes no fingerprint rows.
-    util::Timer timer;
-    run_arena_churn_preset(preset, seed, timer, out);
-    out.phases = timer.phases();
-    out.setup_ms = timer.ms("setup");
-    out.run_ms = timer.ms("rounds");
-    snapshot_metrics();
-    return out;
-  }
-  if (preset.scenario.rfind("baselines:suite", 0) == 0) {
-    util::Timer timer;
-    run_baselines_suite_preset(preset, seed, timer, analytics_every, dsan_obs,
-                               out);
-    out.phases = timer.phases();
-    out.setup_ms = timer.ms("setup");
-    snapshot_metrics();
-    return out;
-  }
-  const ScenarioSpec spec = resolve_scenario(preset.scenario);
   util::Timer timer;
-  if (spec.is_churn()) {
-    run_churn_preset(spec, preset, seed, timer, reg, trace, analytics_every,
-                     dsan_probe, dsan_obs, out);
+  // The baseline suite times one phase per balancer and sums its round
+  // times into run_ms itself; every other preset has a "rounds" phase.
+  const bool suite = preset.scenario.rfind("baselines:suite", 0) == 0;
+  if (suite) {
+    run_baselines_suite_preset(preset, opt, timer, out);
+  } else if (preset.scenario.rfind("arena:churn", 0) == 0) {
+    run_arena_churn_preset(preset, opt, timer, out);
   } else {
-    run_batch_preset(spec, preset, seed, timer, reg, trace, analytics_every,
-                     dsan_probe, dsan_obs, out);
+    const ScenarioSpec spec = resolve_scenario(preset.scenario);
+    if (spec.is_churn()) {
+      run_churn_preset(spec, preset, opt, reg, timer, out);
+    } else {
+      run_batch_preset(spec, preset, opt, reg, timer, out);
+    }
   }
   out.phases = timer.phases();
   out.setup_ms = timer.ms("setup");
-  out.run_ms = timer.ms("rounds");
-  snapshot_metrics();
+  if (!suite) out.run_ms = timer.ms("rounds");
+  if (registry) {
+    const obs::Snapshot snap = registry->snapshot();
+    out.metrics_json = snap.json(obs::Snapshot::Part::kDeterministic);
+    out.metrics_timing_json = snap.json(obs::Snapshot::Part::kTiming);
+  }
   return out;
 }
 
-std::string run_perf_set(const std::string& set, const std::string& only,
-                         std::uint64_t seed, bool include_timings,
-                         long engine_threads, bool collect_metrics,
-                         obs::TraceWriter* trace, long analytics_every,
-                         const std::string& dsan_record,
-                         const std::string& dsan_check) {
-  const bool want_dsan = !dsan_record.empty() || !dsan_check.empty();
+std::string run_perf_set(const PerfOptions& opt) {
   const std::vector<PerfPreset>* presets = nullptr;
-  if (set == "smoke") {
+  if (opt.set == "smoke") {
     presets = &perf_smoke_presets();
-  } else if (set == "full") {
+  } else if (opt.set == "full") {
     presets = &perf_presets();
   } else {
-    throw std::invalid_argument("perf suite: unknown set '" + set +
+    throw std::invalid_argument("perf suite: unknown set '" + opt.set +
                                 "' (want smoke | full)");
   }
+  // Reads the golden and creates the record file now, so a bad path fails
+  // before the first preset instead of after the last.
+  const dsan::TraceFiles dsan_files(opt.dsan_record, opt.dsan_check);
   std::vector<PerfResult> results;
   std::vector<dsan::TraceSection> sections;
   for (PerfPreset preset : *presets) {
-    if (!only.empty() && preset.name != only) continue;
-    if (engine_threads >= 0) {
-      preset.threads = static_cast<std::size_t>(engine_threads);
+    if (!opt.only.empty() && preset.name != opt.only) continue;
+    if (opt.engine_threads >= 0) {
+      preset.threads = static_cast<std::size_t>(opt.engine_threads);
     }
     std::fprintf(stderr, "perf_suite: running %-26s (%s) ...\n",
                  preset.name.c_str(), preset.scenario.c_str());
@@ -677,14 +563,14 @@ std::string run_perf_set(const std::string& set, const std::string& only,
     // scoped to exactly one preset run.
     std::optional<dsan::StepProbe> probe;
     std::optional<dsan::FingerprintObserver> fp;
-    if (want_dsan) {
+    PerfOptions preset_opt = opt;
+    if (dsan_files.active()) {
       probe.emplace();
       fp.emplace(&*probe);
+      preset_opt.dsan_probe = &*probe;
+      preset_opt.dsan_obs = &*fp;
     }
-    results.push_back(run_perf_preset(preset, seed, collect_metrics, trace,
-                                      analytics_every,
-                                      probe ? &*probe : nullptr,
-                                      fp ? &*fp : nullptr));
+    results.push_back(run_perf_preset(preset, preset_opt));
     if (fp) sections.push_back(dsan::make_section(preset.name, fp->rows()));
     const PerfResult& r = results.back();
     std::fprintf(stderr,
@@ -694,42 +580,19 @@ std::string run_perf_set(const std::string& set, const std::string& only,
                  r.migrations_per_sec);
   }
   if (results.empty()) {
-    throw std::invalid_argument("perf suite: no preset named '" + only + "'");
+    throw std::invalid_argument("perf suite: no preset named '" + opt.only +
+                                "'");
   }
-  if (!dsan_record.empty()) {
-    std::ofstream out(dsan_record, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("dsan record: cannot write " + dsan_record);
-    }
-    out << dsan::render_trace(sections, seed);
-    out.flush();
-    if (!out.good()) {
-      throw std::runtime_error("dsan record: write failed for " + dsan_record);
-    }
+  dsan_files.finish(sections, opt.seed);
+  if (!opt.dsan_record.empty()) {
     std::fprintf(stderr, "perf_suite: dsan trace recorded to %s\n",
-                 dsan_record.c_str());
+                 opt.dsan_record.c_str());
   }
-  if (!dsan_check.empty()) {
-    std::string golden_text;
-    {
-      std::ifstream in(dsan_check, std::ios::binary);
-      if (!in) {
-        throw std::runtime_error("dsan check: cannot read " + dsan_check);
-      }
-      golden_text.assign(std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>());
-    }
-    const std::vector<dsan::TraceSection> golden =
-        dsan::parse_trace(golden_text);
-    const dsan::CheckResult check = dsan::check_trace(golden, sections);
-    if (!check.ok) {
-      throw std::runtime_error("dsan check failed against " + dsan_check +
-                               ": " + check.message);
-    }
+  if (!opt.dsan_check.empty()) {
     std::fprintf(stderr, "perf_suite: dsan check passed against %s\n",
-                 dsan_check.c_str());
+                 opt.dsan_check.c_str());
   }
-  return perf_suite_json(results, seed, include_timings);
+  return perf_suite_json(results, opt.seed, opt.include_timings);
 }
 
 std::string perf_suite_json(const std::vector<PerfResult>& results,
@@ -784,12 +647,16 @@ std::string perf_suite_json(const std::vector<PerfResult>& results,
   return root.str();
 }
 
-void append_bench_entry(const std::string& path, const std::string& label,
-                        const std::string& set,
-                        const std::string& report_json) {
-  sim::Json entry;
-  entry.add("label", label).add("set", set).add_raw("report", report_json);
+namespace {
 
+bool is_space(char c) {
+  return c == '\n' || c == '\r' || c == ' ' || c == '\t';
+}
+
+/// The file at `path` with surrounding whitespace trimmed ("" when missing
+/// or empty). Throws std::runtime_error unless that is "" or a JSON array
+/// (the brackets are the first and last characters).
+std::string read_bench_array(const std::string& path) {
   std::string content;
   {
     std::ifstream in(path, std::ios::binary);
@@ -800,21 +667,34 @@ void append_bench_entry(const std::string& path, const std::string& label,
   }
   // Trim both ends so the brackets are the first and last characters even
   // in hand-edited files.
-  const auto is_space = [](char c) {
-    return c == '\n' || c == '\r' || c == ' ' || c == '\t';
-  };
   while (!content.empty() && is_space(content.back())) content.pop_back();
   std::size_t lead = 0;
   while (lead < content.size() && is_space(content[lead])) ++lead;
   content.erase(0, lead);
+  if (!content.empty() && (content.front() != '[' || content.back() != ']')) {
+    throw std::runtime_error("append_bench_entry: " + path +
+                             " is not a JSON array");
+  }
+  return content;
+}
+
+}  // namespace
+
+void check_bench_file(const std::string& path) {
+  (void)read_bench_array(path);
+}
+
+void append_bench_entry(const std::string& path, const std::string& label,
+                        const std::string& set,
+                        const std::string& report_json) {
+  sim::Json entry;
+  entry.add("label", label).add("set", set).add_raw("report", report_json);
+
+  std::string content = read_bench_array(path);
   std::string merged;
   if (content.empty()) {
     merged = "[\n " + entry.str() + "\n]\n";
   } else {
-    if (content.front() != '[' || content.back() != ']') {
-      throw std::runtime_error("append_bench_entry: " + path +
-                               " is not a JSON array");
-    }
     content.pop_back();  // drop the closing bracket
     while (!content.empty() && is_space(content.back())) content.pop_back();
     // An empty array ("[") gets no separating comma.

@@ -6,14 +6,10 @@
 #include <set>
 #include <stdexcept>
 
+#include "batch_engine.hpp"
 #include "spec_parse.hpp"
-#include "tlb/baselines/selfish_realloc.hpp"
 #include "tlb/core/dynamic.hpp"
-#include "tlb/core/graph_user_protocol.hpp"
-#include "tlb/core/mixed_protocol.hpp"
-#include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/user_protocol.hpp"
-#include "tlb/engine/baseline_balancers.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -339,119 +335,39 @@ ScenarioResult Scenario::run(std::size_t trials, std::uint64_t seed,
 
   const tasks::WeightModel& model = *model_;
   const ScenarioParams& p = params_;
-  const ProtocolKind protocol = spec_.protocol;
-  const double beta = spec_.mixed_beta;
-  const int choices = spec_.twochoice_d;
-  const double onebeta = spec_.onebeta_beta;
+  const ScenarioSpec& spec = spec_;
 
   result.stats = sim::run_trials(
       trials, seed,
-      sim::IndexedTrialFn([&model, &p, &g, protocol, beta, choices, onebeta,
-                           walk, n, m](std::size_t trial, util::Rng& rng) {
+      sim::IndexedTrialFn([&model, &p, &g, &spec, walk, n, m](
+                              std::size_t trial, util::Rng& rng) {
         const tasks::TaskSet ts = model.make(m, rng);
-        const double T =
-            core::threshold_value(p.threshold, ts, n, p.eps);
-        // Only the migration protocols start from a placement; the
-        // allocator baselines start with every ball unplaced, so the O(m)
-        // all-on-one vector is built where it is consumed.
-        const auto start = [&ts] { return tasks::all_on_one(ts); };
-        // The per-round observer goes to trial 0 only; the shared registry
-        // and trace writer aggregate across all trials (per-thread shards
-        // make the counters race-free).
+        BatchEngineInputs in;
+        in.tasks = &ts;
+        in.n = n;
+        in.graph = &g;
+        in.walk = walk;
+        in.threshold = core::threshold_value(p.threshold, ts, n, p.eps);
+        in.alpha = p.alpha;
+        in.options.max_rounds = p.max_rounds;
+        in.options.paranoid_checks = p.paranoid;
+        in.options.threads = p.engine_threads;
+        // The shared registry and trace writer aggregate across all trials
+        // (per-thread shards make the counters race-free); the stateful
+        // probe and the per-round observer go to trial 0 only.
+        in.options.registry = p.registry;
+        in.options.trace = p.trace;
+        in.options.dsan = trial == 0 ? p.dsan : nullptr;
         engine::RoundObserver* const observer =
             trial == 0 ? p.round_observer : nullptr;
-        engine::DriveOptions drive_opt;
-        drive_opt.max_rounds = p.max_rounds;
-        drive_opt.paranoid_checks = p.paranoid;
-        drive_opt.registry = p.registry;
-        drive_opt.trace = p.trace;
-        switch (protocol) {
-          case ProtocolKind::kUser: {
-            core::UserProtocolConfig cfg;
-            cfg.threshold = T;
-            cfg.alpha = p.alpha;
-            cfg.options.max_rounds = p.max_rounds;
-            cfg.options.paranoid_checks = p.paranoid;
-            cfg.options.threads = p.engine_threads;
-            cfg.options.registry = p.registry;
-            cfg.options.trace = p.trace;
-            cfg.options.observer = observer;
-            // Stateful probe: trial 0 only, like the round observer.
-            cfg.options.dsan = trial == 0 ? p.dsan : nullptr;
-            return run_user_trial(ts, n, cfg, start(), rng);
+        const engine::DriveOptions drive_opt =
+            engine::DriveOptions::from(in.options);
+        return with_batch_engine(spec, in, [&](auto& balancer) {
+          if constexpr (StartsFromPlacement<decltype(balancer)>) {
+            balancer.reset(tasks::all_on_one(ts));
           }
-          case ProtocolKind::kResource: {
-            core::ResourceProtocolConfig cfg;
-            cfg.threshold = T;
-            cfg.walk = walk;
-            cfg.options.max_rounds = p.max_rounds;
-            cfg.options.paranoid_checks = p.paranoid;
-            cfg.options.registry = p.registry;
-            cfg.options.trace = p.trace;
-            cfg.options.observer = observer;
-            core::ResourceControlledEngine engine(g, ts, cfg);
-            return engine.run(start(), rng);
-          }
-          case ProtocolKind::kGraphUser: {
-            core::GraphUserConfig cfg;
-            cfg.threshold = T;
-            cfg.alpha = p.alpha;
-            cfg.walk = walk;
-            cfg.options.max_rounds = p.max_rounds;
-            cfg.options.paranoid_checks = p.paranoid;
-            cfg.options.registry = p.registry;
-            cfg.options.trace = p.trace;
-            cfg.options.observer = observer;
-            core::GraphUserEngine engine(g, ts, cfg);
-            return engine.run(start(), rng);
-          }
-          case ProtocolKind::kMixed: {
-            core::MixedProtocolConfig cfg;
-            cfg.threshold = T;
-            cfg.resource_probability = beta;
-            cfg.alpha = p.alpha;
-            cfg.walk = walk;
-            cfg.options.max_rounds = p.max_rounds;
-            cfg.options.paranoid_checks = p.paranoid;
-            cfg.options.registry = p.registry;
-            cfg.options.trace = p.trace;
-            cfg.options.observer = observer;
-            core::MixedProtocolEngine engine(g, ts, cfg);
-            return engine.run(start(), rng);
-          }
-          case ProtocolKind::kSeqThresh: {
-            engine::SequentialThresholdBalancer balancer(ts, n, T);
-            return engine::drive(balancer, rng, drive_opt, observer);
-          }
-          case ProtocolKind::kParThresh: {
-            engine::ParallelThresholdBalancer balancer(ts, n, T);
-            return engine::drive(balancer, rng, drive_opt, observer);
-          }
-          case ProtocolKind::kTwoChoice: {
-            engine::GreedyChoiceBalancer balancer(ts, n, choices, T);
-            return engine::drive(balancer, rng, drive_opt, observer);
-          }
-          case ProtocolKind::kOneBeta: {
-            engine::OnePlusBetaBalancer balancer(ts, n, onebeta, T);
-            return engine::drive(balancer, rng, drive_opt, observer);
-          }
-          case ProtocolKind::kSelfish: {
-            baselines::SelfishConfig cfg;
-            cfg.stop_threshold = T;
-            cfg.options.max_rounds = p.max_rounds;
-            cfg.options.paranoid_checks = p.paranoid;
-            cfg.options.registry = p.registry;
-            cfg.options.trace = p.trace;
-            cfg.options.observer = observer;
-            baselines::SelfishReallocEngine eng(ts, n, cfg);
-            return eng.run(start(), rng);
-          }
-          case ProtocolKind::kFirstFit: {
-            engine::FirstFitBalancer balancer(ts, n, T);
-            return engine::drive(balancer, rng, drive_opt, observer);
-          }
-        }
-        throw std::logic_error("scenario: unreachable protocol");
+          return engine::drive(balancer, rng, drive_opt, observer);
+        });
       }),
       threads);
   return result;

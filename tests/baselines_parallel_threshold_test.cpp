@@ -1,30 +1,45 @@
 // Tests for the Adler et al. [4]-style parallel threshold allocation:
 // round/threshold trade-off, completion, and communication accounting.
-#include "tlb/baselines/parallel_threshold.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "tlb/engine/baseline_balancers.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/tasks/weights.hpp"
 
 namespace {
 
-using namespace tlb::baselines;
+using tlb::engine::ParallelThresholdBalancer;
 using tlb::graph::Node;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
+
+/// A parallel threshold allocation driven for at most `max_rounds` rounds.
+struct ParallelRun {
+  ParallelThresholdBalancer balancer;
+  long rounds = 0;
+};
+
+ParallelRun parallel_threshold(const TaskSet& ts, Node n, double threshold,
+                               long max_rounds, Rng& rng) {
+  ParallelRun run{ParallelThresholdBalancer(ts, n, threshold)};
+  tlb::engine::DriveOptions opt;
+  opt.max_rounds = max_rounds;
+  run.rounds = tlb::engine::drive(run.balancer, rng, opt).rounds;
+  return run;
+}
 
 TEST(ParallelThresholdTest, CompletesWithGenerousThreshold) {
   const Node n = 64;
   const TaskSet ts = tlb::tasks::uniform_unit(640);
   Rng rng(1);
   const auto result = parallel_threshold(ts, n, 20.0, 100, rng);
-  ASSERT_TRUE(result.completed);
-  EXPECT_EQ(result.placed, 640u);
-  EXPECT_LE(result.max_load, 20.0);
+  ASSERT_TRUE(result.balancer.done());
+  EXPECT_EQ(result.balancer.placed(), 640u);
+  EXPECT_LE(result.balancer.max_load(), 20.0);
   double total = 0.0;
-  for (double x : result.loads) total += x;
+  for (double x : result.balancer.loads()) total += x;
   EXPECT_NEAR(total, 640.0, 1e-9);
 }
 
@@ -35,11 +50,13 @@ TEST(ParallelThresholdTest, OneRoundEqualsRandomThrowWithRejections) {
   const TaskSet ts = tlb::tasks::uniform_unit(n);
   Rng rng(2);
   const auto result = parallel_threshold(ts, n, 1.0, 1, rng);
-  EXPECT_FALSE(result.completed);  // collisions are overwhelming at m = n
+  // Collisions are overwhelming at m = n.
+  EXPECT_FALSE(result.balancer.done());
   // Expected occupied fraction after one throw: 1 - (1 - 1/n)^n -> 1 - 1/e,
   // and placed = occupied bins (each keeps exactly one ball at T = 1).
   const double expected = n * (1.0 - std::exp(-1.0));
-  EXPECT_NEAR(static_cast<double>(result.placed), expected, 4.0 * std::sqrt(n));
+  EXPECT_NEAR(static_cast<double>(result.balancer.placed()), expected,
+              4.0 * std::sqrt(n));
 }
 
 TEST(ParallelThresholdTest, TradeoffMoreRoundsLowerFeasibleThreshold) {
@@ -53,7 +70,8 @@ TEST(ParallelThresholdTest, TradeoffMoreRoundsLowerFeasibleThreshold) {
       int successes = 0;
       for (int trial = 0; trial < 9; ++trial) {
         Rng rng(1000 + trial);
-        if (parallel_threshold(ts, n, threshold, rounds, rng).completed) {
+        if (parallel_threshold(ts, n, threshold, rounds, rng)
+                .balancer.done()) {
           ++successes;
         }
       }
@@ -69,9 +87,9 @@ TEST(ParallelThresholdTest, MessagesCountProposals) {
   const TaskSet ts = tlb::tasks::uniform_unit(16);
   Rng rng(3);
   const auto result = parallel_threshold(ts, n, 100.0, 10, rng);
-  ASSERT_TRUE(result.completed);
-  EXPECT_EQ(result.rounds, 1);       // everything fits first try
-  EXPECT_EQ(result.messages, 16u);   // one proposal per ball
+  ASSERT_TRUE(result.balancer.done());
+  EXPECT_EQ(result.rounds, 1);                 // everything fits first try
+  EXPECT_EQ(result.balancer.messages(), 16u);  // one proposal per ball
 }
 
 TEST(ParallelThresholdTest, WeightedBallsRespectThreshold) {
@@ -81,8 +99,8 @@ TEST(ParallelThresholdTest, WeightedBallsRespectThreshold) {
   const double T = ts.total_weight() / n + ts.max_weight();
   Rng rng(5);
   const auto result = parallel_threshold(ts, n, T, 10000, rng);
-  ASSERT_TRUE(result.completed);
-  EXPECT_LE(result.max_load, T + 1e-9);
+  ASSERT_TRUE(result.balancer.done());
+  EXPECT_LE(result.balancer.max_load(), T + 1e-9);
 }
 
 TEST(ParallelThresholdTest, RejectsBadArgs) {

@@ -1,21 +1,31 @@
 // Tests for the sequential threshold allocation baseline (Berenbrink et al.
 // [5] style): O(m) total choices at threshold ceil(m/n)+1 for unit balls,
 // bounded max load, and graceful failure on infeasible thresholds.
-#include "tlb/baselines/sequential_threshold.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <tuple>
 
+#include "tlb/engine/baseline_balancers.hpp"
 #include "tlb/tasks/weights.hpp"
 
 namespace {
 
-using namespace tlb::baselines;
+using tlb::engine::SequentialThresholdBalancer;
+using tlb::engine::suggested_threshold;
 using tlb::graph::Node;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
+
+/// The whole allocation (the balancer's one round).
+SequentialThresholdBalancer sequential_threshold(
+    const TaskSet& ts, Node n, double threshold, Rng& rng,
+    int max_retries_per_ball = 100000) {
+  SequentialThresholdBalancer balancer(ts, n, threshold,
+                                       max_retries_per_ball);
+  balancer.step(rng);
+  return balancer;
+}
 
 TEST(SequentialThresholdTest, UnitBallsLinearChoices) {
   // [5]: with threshold ceil(m/n) + 1, total choices are O(m) w.h.p.
@@ -25,12 +35,12 @@ TEST(SequentialThresholdTest, UnitBallsLinearChoices) {
   const double threshold = std::ceil(double(m) / n) + 1.0;  // 51
   Rng rng(1);
   const auto result = sequential_threshold(ts, n, threshold, rng);
-  ASSERT_TRUE(result.completed);
-  EXPECT_EQ(result.placed, m);
-  EXPECT_LE(result.max_load, threshold);
+  ASSERT_TRUE(result.completed());
+  EXPECT_EQ(result.placed(), m);
+  EXPECT_LE(result.max_load(), threshold);
   // Mean choices per ball stays a small constant (empirically ~1.3 here;
   // allow a wide band to keep the test robust).
-  EXPECT_LT(static_cast<double>(result.choices), 3.0 * m);
+  EXPECT_LT(static_cast<double>(result.choices()), 3.0 * m);
 }
 
 TEST(SequentialThresholdTest, TighterThresholdCostsMoreChoices) {
@@ -40,9 +50,9 @@ TEST(SequentialThresholdTest, TighterThresholdCostsMoreChoices) {
   Rng rng1(2), rng2(2);
   const auto loose = sequential_threshold(ts, n, double(m) / n + 10.0, rng1);
   const auto tight = sequential_threshold(ts, n, double(m) / n + 1.0, rng2);
-  ASSERT_TRUE(loose.completed);
-  ASSERT_TRUE(tight.completed);
-  EXPECT_GT(tight.choices, loose.choices);
+  ASSERT_TRUE(loose.completed());
+  ASSERT_TRUE(tight.completed());
+  EXPECT_GT(tight.choices(), loose.choices());
 }
 
 TEST(SequentialThresholdTest, ExactCapacityStillCompletes) {
@@ -53,8 +63,8 @@ TEST(SequentialThresholdTest, ExactCapacityStillCompletes) {
   const TaskSet ts = tlb::tasks::uniform_unit(m);
   Rng rng(3);
   const auto result = sequential_threshold(ts, n, double(m) / n, rng);
-  ASSERT_TRUE(result.completed);
-  for (double load : result.loads) EXPECT_DOUBLE_EQ(load, 10.0);
+  ASSERT_TRUE(result.completed());
+  for (double load : result.loads()) EXPECT_DOUBLE_EQ(load, 10.0);
 }
 
 TEST(SequentialThresholdTest, InfeasibleThresholdReportsFailure) {
@@ -63,8 +73,8 @@ TEST(SequentialThresholdTest, InfeasibleThresholdReportsFailure) {
   // 4 bins of capacity 10 can hold at most 40 of the 100 balls.
   const auto result =
       sequential_threshold(ts, 4, 10.0, rng, /*max_retries_per_ball=*/1000);
-  EXPECT_FALSE(result.completed);
-  EXPECT_LT(result.placed, 100u);
+  EXPECT_FALSE(result.completed());
+  EXPECT_LT(result.placed(), 100u);
 }
 
 struct WeightedCase {
@@ -82,10 +92,10 @@ TEST_P(SequentialThresholdWeightedTest, SuggestedThresholdAlwaysCompletes) {
   const double threshold = suggested_threshold(ts, n);
   Rng rng(5);
   const auto result = sequential_threshold(ts, n, threshold, rng);
-  ASSERT_TRUE(result.completed) << "m=" << m << " n=" << n;
-  EXPECT_LE(result.max_load, threshold + 1e-9);
+  ASSERT_TRUE(result.completed()) << "m=" << m << " n=" << n;
+  EXPECT_LE(result.max_load(), threshold + 1e-9);
   double total = 0.0;
-  for (double load : result.loads) total += load;
+  for (double load : result.loads()) total += load;
   EXPECT_NEAR(total, ts.total_weight(), 1e-9);
 }
 

@@ -2,30 +2,51 @@
 // reallocation, greedy d-choice, and the (1+β)-process.
 #include <gtest/gtest.h>
 
-#include "tlb/baselines/first_fit_centralized.hpp"
-#include "tlb/baselines/one_plus_beta.hpp"
+#include <limits>
+
 #include "tlb/baselines/selfish_realloc.hpp"
-#include "tlb/baselines/two_choice.hpp"
 #include "tlb/core/threshold.hpp"
+#include "tlb/engine/baseline_balancers.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/weights.hpp"
 
 namespace {
 
 using namespace tlb::baselines;
+using tlb::engine::GreedyChoiceBalancer;
+using tlb::engine::OnePlusBetaBalancer;
 using tlb::graph::Node;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
 
+/// The allocation gaps are the quality measure, so no comparison threshold.
+constexpr double kNoThreshold = std::numeric_limits<double>::infinity();
+
+double greedy_gap(const TaskSet& ts, Node n, int choices, Rng& rng) {
+  GreedyChoiceBalancer balancer(ts, n, choices, kNoThreshold);
+  balancer.step(rng);
+  return balancer.gap();
+}
+
+double one_plus_beta_gap(const TaskSet& ts, Node n, double beta, Rng& rng) {
+  OnePlusBetaBalancer balancer(ts, n, beta, kNoThreshold);
+  balancer.step(rng);
+  return balancer.gap();
+}
+
 TEST(FirstFitCentralizedTest, MeetsProperBoundInOneRound) {
   const TaskSet ts = tlb::tasks::two_point(300, 10, 20.0);
   const Node n = 25;
-  const auto result = first_fit_centralized(ts, n);
-  EXPECT_EQ(result.run.rounds, 1);
-  EXPECT_TRUE(result.run.balanced);
-  EXPECT_LE(result.run.final_max_load,
+  tlb::engine::FirstFitBalancer balancer(ts, n);
+  Rng rng(1);
+  const auto result =
+      tlb::engine::drive(balancer, rng, tlb::engine::DriveOptions{});
+  EXPECT_EQ(result.rounds, 1);
+  EXPECT_TRUE(result.balanced);
+  EXPECT_LE(result.final_max_load,
             ts.total_weight() / n + ts.max_weight() + 1e-9);
-  EXPECT_EQ(result.run.migrations, ts.size());
+  EXPECT_EQ(result.migrations, ts.size());
 }
 
 TEST(SelfishReallocTest, ConvergesBelowThreshold) {
@@ -72,8 +93,8 @@ TEST(GreedyChoiceTest, TwoChoicesBeatOne) {
   const int kTrials = 20;
   for (int t = 0; t < kTrials; ++t) {
     Rng rng(1000 + t);
-    gap1 += greedy_d_choice(ts, n, 1, rng).gap;
-    gap2 += greedy_d_choice(ts, n, 2, rng).gap;
+    gap1 += greedy_gap(ts, n, 1, rng);
+    gap2 += greedy_gap(ts, n, 2, rng);
   }
   EXPECT_LT(gap2, gap1 * 0.6);
 }
@@ -81,18 +102,24 @@ TEST(GreedyChoiceTest, TwoChoicesBeatOne) {
 TEST(GreedyChoiceTest, LoadsSumToTotal) {
   const TaskSet ts = tlb::tasks::two_point(100, 5, 10.0);
   Rng rng(11);
-  const auto result = greedy_d_choice(ts, 10, 2, rng);
+  GreedyChoiceBalancer balancer(ts, 10, 2, kNoThreshold);
+  EXPECT_EQ(balancer.step(rng), ts.size());
   double total = 0.0;
-  for (double x : result.loads) total += x;
+  for (double x : balancer.loads()) total += x;
   EXPECT_NEAR(total, ts.total_weight(), 1e-9);
-  EXPECT_NEAR(result.gap, result.max_load - result.average, 1e-12);
+  EXPECT_NEAR(balancer.gap(), balancer.max_load() - ts.total_weight() / 10,
+              1e-12);
+  EXPECT_NO_THROW(balancer.audit());
+  // A finished one-shot allocation is done; stepping again is a no-op.
+  EXPECT_TRUE(balancer.done());
+  EXPECT_EQ(balancer.step(rng), 0u);
 }
 
 TEST(GreedyChoiceTest, RejectsBadArgs) {
   const TaskSet ts = tlb::tasks::uniform_unit(4);
   Rng rng(1);
-  EXPECT_THROW(greedy_d_choice(ts, 0, 2, rng), std::invalid_argument);
-  EXPECT_THROW(greedy_d_choice(ts, 4, 0, rng), std::invalid_argument);
+  EXPECT_THROW(greedy_gap(ts, 0, 2, rng), std::invalid_argument);
+  EXPECT_THROW(greedy_gap(ts, 4, 0, rng), std::invalid_argument);
 }
 
 TEST(OnePlusBetaTest, InterpolatesBetweenOneAndTwoChoices) {
@@ -102,9 +129,9 @@ TEST(OnePlusBetaTest, InterpolatesBetweenOneAndTwoChoices) {
   const int kTrials = 20;
   for (int t = 0; t < kTrials; ++t) {
     Rng r1(2000 + t), r2(2000 + t), r3(2000 + t);
-    gap_random += one_plus_beta(ts, n, 1.0, r1).gap;
-    gap_half += one_plus_beta(ts, n, 0.5, r2).gap;
-    gap_two += one_plus_beta(ts, n, 0.0, r3).gap;
+    gap_random += one_plus_beta_gap(ts, n, 1.0, r1);
+    gap_half += one_plus_beta_gap(ts, n, 0.5, r2);
+    gap_two += one_plus_beta_gap(ts, n, 0.0, r3);
   }
   EXPECT_LT(gap_two, gap_half);
   EXPECT_LT(gap_half, gap_random);
@@ -113,8 +140,8 @@ TEST(OnePlusBetaTest, InterpolatesBetweenOneAndTwoChoices) {
 TEST(OnePlusBetaTest, RejectsBadBeta) {
   const TaskSet ts = tlb::tasks::uniform_unit(4);
   Rng rng(1);
-  EXPECT_THROW(one_plus_beta(ts, 4, -0.1, rng), std::invalid_argument);
-  EXPECT_THROW(one_plus_beta(ts, 4, 1.1, rng), std::invalid_argument);
+  EXPECT_THROW(one_plus_beta_gap(ts, 4, -0.1, rng), std::invalid_argument);
+  EXPECT_THROW(one_plus_beta_gap(ts, 4, 1.1, rng), std::invalid_argument);
 }
 
 TEST(OnePlusBetaTest, WeightedGapStaysBoundedInM) {
@@ -127,8 +154,8 @@ TEST(OnePlusBetaTest, WeightedGapStaysBoundedInM) {
   double gap_small = 0.0, gap_big = 0.0;
   for (int t = 0; t < 10; ++t) {
     Rng r1(3000 + t), r2(3000 + t);
-    gap_small += one_plus_beta(small, n, 0.3, r1).gap / 10.0;
-    gap_big += one_plus_beta(big, n, 0.3, r2).gap / 10.0;
+    gap_small += one_plus_beta_gap(small, n, 0.3, r1) / 10.0;
+    gap_big += one_plus_beta_gap(big, n, 0.3, r2) / 10.0;
   }
   EXPECT_LT(gap_big, gap_small * 2.5);
 }

@@ -131,17 +131,24 @@ TEST(DynamicTest, UnitCompletionRateEmptiesEveryRound) {
   DynamicConfig cfg = base_config();
   cfg.completion_rate = 1.0;
   DynamicUserEngine engine(cfg);
+  // Checks every measured round's end state (after the window aggregates).
+  struct EmptyEveryRound final : tlb::engine::RoundObserver {
+    explicit EmptyEveryRound(const DynamicUserEngine& e) : engine(e) {}
+    void on_round_end(const tlb::engine::BalancerView&, long round,
+                      std::size_t migrations) override {
+      EXPECT_EQ(migrations, 0u) << "round " << round;
+      EXPECT_EQ(engine.population(), 0u) << "round " << round;
+      EXPECT_EQ(engine.total_weight(), 0.0) << "round " << round;
+    }
+    const DynamicUserEngine& engine;
+  } check(engine);
   Rng rng(8);
-  engine.begin_measure();
-  for (int t = 0; t < 200; ++t) {
-    EXPECT_EQ(engine.step(rng), 0u) << "round " << t;
-    EXPECT_EQ(engine.population(), 0u) << "round " << t;
-    EXPECT_EQ(engine.total_weight(), 0.0) << "round " << t;
-  }
-  engine.end_measure();
-  const std::uint64_t arrived = engine.metrics().arrivals;
-  EXPECT_GT(arrived, 0u);
-  EXPECT_EQ(engine.metrics().completions, arrived);
+  tlb::engine::DriveOptions opt;
+  opt.measure = 200;
+  const DynamicMetrics metrics = engine.run(opt, rng, &check);
+  EXPECT_EQ(metrics.population.count(), 200u);
+  EXPECT_GT(metrics.arrivals, 0u);
+  EXPECT_EQ(metrics.completions, metrics.arrivals);
   for (tlb::graph::Node r = 0; r < cfg.n; ++r) EXPECT_EQ(engine.load(r), 0.0);
 }
 

@@ -8,9 +8,11 @@
 
 #include <limits>
 #include <tuple>
+#include <vector>
 
 #include "tlb/core/potential.hpp"
 #include "tlb/core/threshold.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/tasks/weights.hpp"
 
@@ -83,17 +85,19 @@ TEST(ResourceProtocolTest, Observation4PotentialNeverIncreases) {
   const double T =
       threshold_value(ThresholdKind::kTightResource, ts, g.num_nodes());
   ResourceProtocolConfig cfg = make_config(T, tlb::randomwalk::WalkKind::kLazy);
-  cfg.options.record_potential = true;
   ResourceControlledEngine engine(g, ts, cfg);
+  engine.reset(all_on_one(ts));
   Rng rng(4);
-  const RunResult r = engine.run(all_on_one(ts), rng);
+  tlb::engine::PotentialTrace trace;
+  const RunResult r = tlb::engine::drive(
+      engine, rng, tlb::engine::DriveOptions::from(cfg.options), &trace);
+  const std::vector<double>& phi = trace.trace();
   ASSERT_TRUE(r.balanced);
-  ASSERT_GE(r.potential_trace.size(), 2u);
-  for (std::size_t t = 1; t < r.potential_trace.size(); ++t) {
-    EXPECT_LE(r.potential_trace[t], r.potential_trace[t - 1] + 1e-9)
-        << "round " << t;
+  ASSERT_GE(phi.size(), 2u);
+  for (std::size_t t = 1; t < phi.size(); ++t) {
+    EXPECT_LE(phi[t], phi[t - 1] + 1e-9) << "round " << t;
   }
-  EXPECT_DOUBLE_EQ(r.potential_trace.back(), 0.0);
+  EXPECT_DOUBLE_EQ(phi.back(), 0.0);
 }
 
 TEST(ResourceProtocolTest, ActiveSetEqualsOverloadedSet) {

@@ -11,6 +11,7 @@
 
 #include "tlb/core/potential.hpp"
 #include "tlb/core/threshold.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/sim/runner.hpp"
 #include "tlb/tasks/weights.hpp"
 
@@ -60,15 +61,17 @@ TEST(UserProtocolTest, PotentialTraceEndsAtZero) {
   const TaskSet ts = tlb::tasks::single_heavy(200, 16.0);
   const double T = threshold_value(ThresholdKind::kAboveAverage, ts, n, 0.2);
   UserProtocolConfig cfg = make_config(T);
-  cfg.options.record_potential = true;
   UserControlledEngine engine(ts, n, cfg);
+  engine.reset(all_on_one(ts));
   Rng rng(3);
-  const RunResult r = engine.run(all_on_one(ts), rng);
+  tlb::engine::PotentialTrace trace;
+  const RunResult r = tlb::engine::drive(
+      engine, rng, tlb::engine::DriveOptions::from(cfg.options), &trace);
   ASSERT_TRUE(r.balanced);
-  ASSERT_FALSE(r.potential_trace.empty());
-  EXPECT_GT(r.potential_trace.front(), 0.0);
-  EXPECT_DOUBLE_EQ(r.potential_trace.back(), 0.0);
-  for (double phi : r.potential_trace) EXPECT_GE(phi, 0.0);
+  ASSERT_FALSE(trace.trace().empty());
+  EXPECT_GT(trace.trace().front(), 0.0);
+  EXPECT_DOUBLE_EQ(trace.trace().back(), 0.0);
+  for (double phi : trace.trace()) EXPECT_GE(phi, 0.0);
 }
 
 TEST(UserProtocolTest, TightThresholdTerminates) {

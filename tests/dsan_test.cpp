@@ -2,9 +2,9 @@
 // engine-thread counts for all three user-protocol engines (the property
 // the golden traces pin in CI), draw-budget accounting on the StepProbe,
 // golden-trace render/parse/check round-trips with their state-vs-work
-// verdicts, and — the tool's reason to exist — a planted one-off RNG draw
-// that the bisection primitives must narrow to the exact round, phase and
-// resource.
+// verdicts, the record/check file helper both front ends share, and — the
+// tool's reason to exist — a planted one-off RNG draw that the bisection
+// primitives must narrow to the exact round, phase and resource.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +22,7 @@
 #include "tlb/dsan/state_digest.hpp"
 #include "tlb/dsan/trace.hpp"
 #include "tlb/engine/driver.hpp"
+#include "tlb/obs/trace_event.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/task_set.hpp"
 #include "tlb/util/rng.hpp"
@@ -104,13 +105,10 @@ std::vector<dsan::Row> dynamic_rows(std::size_t threads) {
   cfg.dsan = &probe;
   core::DynamicUserEngine engine(cfg);
   dsan::FingerprintObserver obs(&probe);
-  engine::detail::ViewOf<core::DynamicUserEngine> view(engine);
   Rng rng(37);
-  for (long t = 0; t < 200; ++t) {
-    engine.step(rng);
-    obs.record_round(view, t);
-  }
-  obs.record_final(view);
+  engine::DriveOptions opt;
+  opt.measure = 200;
+  (void)engine::drive(engine, rng, opt, &obs);
   EXPECT_TRUE(probe.violations().empty());
   return obs.rows();
 }
@@ -366,6 +364,50 @@ TEST(TraceTest, ParseRejectsNonTraces) {
   EXPECT_THROW((void)dsan::parse_trace(R"({"dsan":"v3","seed":1,)"
                                        R"("sections":[]})"),
                std::runtime_error);
+}
+
+TEST(TraceFilesTest, BadPathsFailAtConstruction) {
+  // Construction does every check that can fail before a run: the golden
+  // is read and parsed, the record file created.
+  EXPECT_FALSE(dsan::TraceFiles("", "").active());
+  const std::string dir = ::testing::TempDir();
+  EXPECT_THROW(dsan::TraceFiles("", dir + "/tlb_dsan_missing_golden.dsan"),
+               std::runtime_error);
+  const std::string junk = dir + "/tlb_dsan_junk_golden.dsan";
+  obs::write_text_file(junk, "{}");
+  try {
+    const dsan::TraceFiles files("", junk);
+    ADD_FAILURE() << "a non-trace golden was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(junk), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(dsan::TraceFiles("/nonexistent-dir-for-tlb-test/out.dsan", ""),
+               std::runtime_error);
+}
+
+TEST(TraceFilesTest, RecordThenCheckRoundTrips) {
+  std::vector<dsan::TraceSection> sections;
+  sections.push_back(dsan::make_section("exact", exact_rows(1)));
+  const std::string path = ::testing::TempDir() + "/tlb_dsan_roundtrip.dsan";
+  const dsan::TraceFiles record(path, "");
+  EXPECT_TRUE(record.active());
+  record.finish(sections, 29);
+
+  const dsan::TraceFiles check("", path);
+  EXPECT_NO_THROW(check.finish(sections, 29));
+  auto current = sections;
+  std::string& fp = current[0].rows[2].fp;
+  fp[0] = fp[0] == 'a' ? 'b' : 'a';
+  try {
+    check.finish(current, 29);
+    ADD_FAILURE() << "a diverged trace checked clean";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(
+                  "dsan check failed against " + path + ": ", 0),
+              0u)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,20 +1,14 @@
 // Baseline protocols as first-class scenario citizens: every baseline spec
 // parses and round-trips, runs a small preset through workload::Scenario
-// with paranoid audits on, produces thread-count-invariant JSON, and the
-// engine-layer balancers agree exactly with the legacy free functions they
-// wrap (same RNG stream). Also pins the done()/balanced() split: a one-shot
-// allocator finishes its single round even when the result does not meet
-// the comparison threshold, instead of spinning to the round cap.
+// with paranoid audits on, and produces thread-count-invariant JSON. Also
+// pins the done()/balanced() split: a one-shot allocator finishes its
+// single round even when the result does not meet the comparison
+// threshold, instead of spinning to the round cap.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
-#include "tlb/baselines/one_plus_beta.hpp"
-#include "tlb/baselines/parallel_threshold.hpp"
-#include "tlb/baselines/sequential_threshold.hpp"
-#include "tlb/baselines/two_choice.hpp"
 #include "tlb/engine/baseline_balancers.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/tasks/task_set.hpp"
@@ -124,83 +118,7 @@ TEST(BaselineScenarioTest, JsonByteIdenticalAcrossTrialThreads) {
   }
 }
 
-// ---- balancers vs legacy free functions ------------------------------------
-
-TEST(BaselineBalancerTest, SequentialBalancerMatchesFreeFunction) {
-  const TaskSet ts = mixed_tasks(512, 0x51);
-  const graph::Node n = 16;
-  const double T = baselines::suggested_threshold(ts, n);
-
-  Rng fn_rng(99);
-  const auto expected = baselines::sequential_threshold(ts, n, T, fn_rng);
-
-  engine::SequentialThresholdBalancer balancer(ts, n, T);
-  Rng balancer_rng(99);
-  balancer.step(balancer_rng);
-  EXPECT_EQ(expected.loads, balancer.loads());
-  EXPECT_EQ(expected.choices, balancer.choices());
-  EXPECT_EQ(expected.placed, balancer.placed());
-  EXPECT_EQ(expected.completed, balancer.completed());
-  EXPECT_NO_THROW(balancer.audit());
-}
-
-TEST(BaselineBalancerTest, ParallelBalancerMatchesFreeFunction) {
-  const TaskSet ts = mixed_tasks(512, 0x52);
-  const graph::Node n = 16;
-  const double T = baselines::suggested_threshold(ts, n);
-
-  Rng fn_rng(77);
-  const auto expected = baselines::parallel_threshold(ts, n, T, 1000, fn_rng);
-
-  engine::ParallelThresholdBalancer balancer(ts, n, T);
-  Rng balancer_rng(77);
-  long rounds = 0;
-  while (!balancer.done() && rounds < 1000) {
-    balancer.step(balancer_rng);
-    ++rounds;
-    EXPECT_NO_THROW(balancer.audit());
-  }
-  EXPECT_EQ(expected.rounds, rounds);
-  EXPECT_EQ(expected.loads, balancer.loads());
-  EXPECT_EQ(expected.messages, balancer.messages());
-  EXPECT_EQ(expected.placed, balancer.placed());
-  EXPECT_EQ(expected.completed, balancer.done());
-}
-
-TEST(BaselineBalancerTest, GreedyChoiceBalancerMatchesFreeFunction) {
-  const TaskSet ts = mixed_tasks(512, 0x53);
-  const graph::Node n = 16;
-
-  Rng fn_rng(55);
-  const auto expected = baselines::greedy_d_choice(ts, n, 2, fn_rng);
-
-  engine::GreedyChoiceBalancer balancer(
-      ts, n, 2, std::numeric_limits<double>::infinity());
-  Rng balancer_rng(55);
-  EXPECT_EQ(balancer.step(balancer_rng), ts.size());
-  EXPECT_EQ(expected.loads, balancer.loads());
-  EXPECT_EQ(expected.max_load, balancer.max_load());
-  EXPECT_NO_THROW(balancer.audit());
-  // A finished one-shot allocation is done; stepping again is a no-op.
-  EXPECT_TRUE(balancer.done());
-  EXPECT_EQ(balancer.step(balancer_rng), 0u);
-}
-
-TEST(BaselineBalancerTest, OnePlusBetaBalancerMatchesFreeFunction) {
-  const TaskSet ts = mixed_tasks(512, 0x54);
-  const graph::Node n = 16;
-
-  Rng fn_rng(33);
-  const auto expected = baselines::one_plus_beta(ts, n, 0.3, fn_rng);
-
-  engine::OnePlusBetaBalancer balancer(
-      ts, n, 0.3, std::numeric_limits<double>::infinity());
-  Rng balancer_rng(33);
-  balancer.step(balancer_rng);
-  EXPECT_EQ(expected.loads, balancer.loads());
-  EXPECT_EQ(expected.max_load, balancer.max_load());
-  EXPECT_NO_THROW(balancer.audit());
-}
+// ---- balancers ------------------------------------------------------------
 
 TEST(BaselineBalancerTest, FirstFitBalancesUnderProperAssignmentBound) {
   const TaskSet ts = mixed_tasks(300, 0x55);

@@ -1,9 +1,9 @@
 // Differential tests for the engine::drive round-loop driver: for every
-// engine and every engine-thread count in {1, 2, 0}, the legacy run()
-// wrappers (now thin shims over drive) must produce bitwise-identical
-// RunResults — including the potential/overloaded traces — to a hand-rolled
-// replica of the pre-driver loop executed through the public step()/
-// balanced()/potential()/... surface. This pins the driver's loop
+// engine and every engine-thread count in {1, 2, 0}, the run() wrappers
+// (thin shims over drive) and a drive with PotentialTrace/OverloadedTrace
+// observers attached must produce bitwise-identical results and traces to
+// a hand-rolled replica of the pre-driver loop executed through the public
+// step()/balanced()/potential()/... surface. This pins the driver's loop
 // structure, trace shape and RNG-stream discipline to the legacy
 // semantics: only step() may draw, traces carry one entry per round plus a
 // trailing final-state entry, and the loop stops exactly at balance or the
@@ -43,33 +43,33 @@ using util::Rng;
 // sampling simply ignore the knob — the comparison still has to hold.
 const std::size_t kThreadCounts[] = {1, 2, 0};
 
+/// A run's result plus its per-round potential and overloaded traces.
+struct TracedRun {
+  RunResult result;
+  std::vector<double> potential;
+  std::vector<std::uint32_t> overloaded;
+};
+
 /// The pre-driver round loop, reconstructed over the public Balancer
 /// surface. Every engine's run() used to be exactly this (modulo which
 /// potential function and overloaded counter it inlined — now exposed as
-/// potential()/overloaded_count()).
+/// potential()/overloaded_count()), traces included.
 template <class Engine>
-RunResult reference_run(Engine& engine, const EngineOptions& opt, Rng& rng) {
-  RunResult result;
+TracedRun reference_run(Engine& engine, const EngineOptions& opt, Rng& rng) {
+  TracedRun run;
+  RunResult& result = run.result;
   while (!engine.balanced() && result.rounds < opt.max_rounds) {
-    if (opt.record_potential) {
-      result.potential_trace.push_back(engine.potential());
-    }
-    if (opt.record_overloaded) {
-      result.overloaded_trace.push_back(engine.overloaded_count());
-    }
+    run.potential.push_back(engine.potential());
+    run.overloaded.push_back(engine.overloaded_count());
     result.migrations += engine.step(rng);
     ++result.rounds;
   }
-  if (opt.record_potential) {
-    result.potential_trace.push_back(engine.potential());
-  }
-  if (opt.record_overloaded) {
-    result.overloaded_trace.push_back(engine.overloaded_count());
-  }
+  run.potential.push_back(engine.potential());
+  run.overloaded.push_back(engine.overloaded_count());
   result.balanced = engine.balanced();
   result.final_max_load = engine.max_load();
   result.threshold = engine.reported_threshold();
-  return result;
+  return run;
 }
 
 void expect_identical(const RunResult& a, const RunResult& b,
@@ -80,22 +80,28 @@ void expect_identical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.threshold, b.threshold) << what << " threads=" << threads;
   EXPECT_EQ(a.final_max_load, b.final_max_load)
       << what << " threads=" << threads;
-  ASSERT_EQ(a.potential_trace.size(), b.potential_trace.size())
+}
+
+void expect_identical(const TracedRun& a, const TracedRun& b,
+                      const char* what, std::size_t threads) {
+  expect_identical(a.result, b.result, what, threads);
+  ASSERT_EQ(a.potential.size(), b.potential.size())
       << what << " threads=" << threads;
-  for (std::size_t i = 0; i < a.potential_trace.size(); ++i) {
-    EXPECT_EQ(a.potential_trace[i], b.potential_trace[i])
+  for (std::size_t i = 0; i < a.potential.size(); ++i) {
+    EXPECT_EQ(a.potential[i], b.potential[i])
         << what << " threads=" << threads << " round " << i;
   }
-  ASSERT_EQ(a.overloaded_trace.size(), b.overloaded_trace.size())
+  ASSERT_EQ(a.overloaded.size(), b.overloaded.size())
       << what << " threads=" << threads;
-  for (std::size_t i = 0; i < a.overloaded_trace.size(); ++i) {
-    EXPECT_EQ(a.overloaded_trace[i], b.overloaded_trace[i])
+  for (std::size_t i = 0; i < a.overloaded.size(); ++i) {
+    EXPECT_EQ(a.overloaded[i], b.overloaded[i])
         << what << " threads=" << threads << " round " << i;
   }
 }
 
-/// Build two identically-configured engines, run one through the legacy
-/// replica and one through run() (the drive shim), and compare bitwise.
+/// Build three identically-configured engines and run one through the
+/// legacy replica, one through run() (the drive shim) and one through an
+/// explicit drive with trace observers; all must agree bitwise.
 template <class MakeEngine>
 void differential(const char* what, MakeEngine&& make,
                   const EngineOptions& opt, const Placement& start,
@@ -104,29 +110,25 @@ void differential(const char* what, MakeEngine&& make,
     auto legacy = make(threads);
     legacy.reset(start);
     Rng legacy_rng(seed);
-    const RunResult expected = reference_run(legacy, opt, legacy_rng);
+    const TracedRun expected = reference_run(legacy, opt, legacy_rng);
 
     auto driven = make(threads);
     Rng driven_rng(seed);
-    const RunResult actual = driven.run(start, driven_rng);
-    expect_identical(expected, actual, what, threads);
+    expect_identical(expected.result, driven.run(start, driven_rng), what,
+                     threads);
 
-    // Explicit drive with hand-attached observers must match too (this is
-    // what new callers write instead of EngineOptions bools).
     auto composed = make(threads);
     composed.reset(start);
     Rng composed_rng(seed);
     engine::PotentialTrace potential;
     engine::OverloadedTrace overloaded;
-    engine::ObserverList observers;
-    if (opt.record_potential) observers.add(&potential);
-    if (opt.record_overloaded) observers.add(&overloaded);
-    RunResult composed_result = engine::drive(
-        composed, composed_rng, engine::DriveOptions::from(opt),
-        observers.or_null());
-    composed_result.potential_trace = potential.take();
-    composed_result.overloaded_trace = overloaded.take();
-    expect_identical(expected, composed_result, what, threads);
+    engine::ObserverList observers({&potential, &overloaded});
+    TracedRun traced;
+    traced.result = engine::drive(composed, composed_rng,
+                                  engine::DriveOptions::from(opt), &observers);
+    traced.potential = potential.take();
+    traced.overloaded = overloaded.take();
+    expect_identical(expected, traced, what, threads);
   }
 }
 
@@ -146,8 +148,6 @@ TaskSet two_point_tasks(std::size_t m) {
 EngineOptions traced_options() {
   EngineOptions opt;
   opt.max_rounds = 100000;
-  opt.record_potential = true;
-  opt.record_overloaded = true;
   return opt;
 }
 
@@ -286,15 +286,30 @@ TEST(EngineDriverTest, DynamicEngineMatchesLegacyWarmupMeasureLoop) {
     core::DynamicConfig cfg = base;
     cfg.threads = threads;
 
-    // Legacy replica: warmup unrecorded, then a measured window bracketed
-    // by the public begin_measure()/end_measure() hooks.
+    // Legacy replica: warmup unrecorded, then a measured window whose
+    // aggregates are computed here, after every step, in the order the
+    // engine's in-step block used to compute them.
     core::DynamicUserEngine legacy(cfg);
     Rng legacy_rng(4242);
     for (long t = 0; t < warmup; ++t) legacy.step(legacy_rng);
-    legacy.begin_measure();
-    for (long t = 0; t < measure; ++t) legacy.step(legacy_rng);
-    legacy.end_measure();
-    const auto expected = dynamic_fingerprint(legacy, legacy.metrics());
+    core::DynamicMetrics window;
+    const std::uint64_t arrivals0 = legacy.arrivals();
+    const std::uint64_t completions0 = legacy.completions();
+    const std::uint64_t crashes0 = legacy.crashes();
+    const auto n = static_cast<double>(cfg.n);
+    for (long t = 0; t < measure; ++t) {
+      const std::size_t moved = legacy.step(legacy_rng);
+      window.overloaded_fraction.add(
+          static_cast<double>(legacy.overloaded_count()) / n);
+      const double avg = legacy.total_weight() / n;
+      window.max_over_avg.add(avg > 0.0 ? legacy.max_load() / avg : 0.0);
+      window.population.add(static_cast<double>(legacy.population()));
+      window.migrations_per_round.add(static_cast<double>(moved));
+    }
+    window.arrivals = legacy.arrivals() - arrivals0;
+    window.completions = legacy.completions() - completions0;
+    window.crashes = legacy.crashes() - crashes0;
+    const auto expected = dynamic_fingerprint(legacy, window);
 
     // Unified API: DriveOptions{warmup, measure} through engine::drive.
     core::DynamicUserEngine driven(cfg);

@@ -30,25 +30,48 @@ using tlb::util::Rng;
 // hardware concurrency (0). All must agree bitwise with the inline run.
 const std::size_t kThreadCounts[] = {1, 2, 4, 8, 0};
 
-/// Bitwise RunResult equality: counters, doubles compared with ==, and the
-/// traces element by element.
-void expect_identical(const RunResult& a, const RunResult& b,
+/// A drive's result plus its per-round potential and overloaded traces.
+struct TracedRun {
+  RunResult result;
+  std::vector<double> potential;
+  std::vector<std::uint32_t> overloaded;
+};
+
+/// Drive `engine` from its current state under `opt`'s loop knobs with
+/// potential and overloaded trace observers attached.
+template <class Engine>
+TracedRun traced_drive(Engine& engine, const EngineOptions& opt, Rng& rng) {
+  tlb::engine::PotentialTrace potential;
+  tlb::engine::OverloadedTrace overloaded;
+  tlb::engine::ObserverList observers({&potential, &overloaded});
+  TracedRun run;
+  run.result = tlb::engine::drive(
+      engine, rng, tlb::engine::DriveOptions::from(opt), &observers);
+  run.potential = potential.take();
+  run.overloaded = overloaded.take();
+  return run;
+}
+
+/// Bitwise equality: counters, doubles compared with ==, and the traces
+/// element by element.
+void expect_identical(const TracedRun& a, const TracedRun& b,
                       std::size_t threads) {
-  EXPECT_EQ(a.rounds, b.rounds) << "threads=" << threads;
-  EXPECT_EQ(a.balanced, b.balanced) << "threads=" << threads;
-  EXPECT_EQ(a.migrations, b.migrations) << "threads=" << threads;
-  EXPECT_EQ(a.threshold, b.threshold) << "threads=" << threads;
-  EXPECT_EQ(a.final_max_load, b.final_max_load) << "threads=" << threads;
-  ASSERT_EQ(a.potential_trace.size(), b.potential_trace.size())
+  EXPECT_EQ(a.result.rounds, b.result.rounds) << "threads=" << threads;
+  EXPECT_EQ(a.result.balanced, b.result.balanced) << "threads=" << threads;
+  EXPECT_EQ(a.result.migrations, b.result.migrations)
       << "threads=" << threads;
-  for (std::size_t i = 0; i < a.potential_trace.size(); ++i) {
-    EXPECT_EQ(a.potential_trace[i], b.potential_trace[i])
+  EXPECT_EQ(a.result.threshold, b.result.threshold) << "threads=" << threads;
+  EXPECT_EQ(a.result.final_max_load, b.result.final_max_load)
+      << "threads=" << threads;
+  ASSERT_EQ(a.potential.size(), b.potential.size()) << "threads=" << threads;
+  for (std::size_t i = 0; i < a.potential.size(); ++i) {
+    EXPECT_EQ(a.potential[i], b.potential[i])
         << "threads=" << threads << " round " << i;
   }
-  ASSERT_EQ(a.overloaded_trace.size(), b.overloaded_trace.size())
+  ASSERT_EQ(a.overloaded.size(), b.overloaded.size())
       << "threads=" << threads;
-  for (std::size_t i = 0; i < a.overloaded_trace.size(); ++i) {
-    EXPECT_EQ(a.overloaded_trace[i], b.overloaded_trace[i])
+  for (std::size_t i = 0; i < a.overloaded.size(); ++i) {
+    EXPECT_EQ(a.overloaded[i], b.overloaded[i])
         << "threads=" << threads << " round " << i;
   }
 }
@@ -69,32 +92,30 @@ TaskSet two_point_tasks(std::size_t m) {
   return TaskSet(std::move(w));
 }
 
-RunResult run_exact(const TaskSet& ts, Node n, const Placement& start,
+TracedRun run_exact(const TaskSet& ts, Node n, const Placement& start,
                     double threshold, std::size_t threads,
                     std::uint64_t seed) {
   UserProtocolConfig cfg;
   cfg.threshold = threshold;
   cfg.options.max_rounds = 200000;
-  cfg.options.record_potential = true;
-  cfg.options.record_overloaded = true;
   cfg.options.threads = threads;
   UserControlledEngine engine(ts, n, cfg);
+  engine.reset(start);
   Rng rng(seed);
-  return engine.run(start, rng);
+  return traced_drive(engine, cfg.options, rng);
 }
 
-RunResult run_grouped(const TaskSet& ts, Node n, const Placement& start,
+TracedRun run_grouped(const TaskSet& ts, Node n, const Placement& start,
                       double threshold, std::size_t threads,
                       std::uint64_t seed) {
   UserProtocolConfig cfg;
   cfg.threshold = threshold;
   cfg.options.max_rounds = 200000;
-  cfg.options.record_potential = true;
-  cfg.options.record_overloaded = true;
   cfg.options.threads = threads;
   GroupedUserEngine engine(ts, n, cfg);
+  engine.reset(start);
   Rng rng(seed);
-  return engine.run(start, rng);
+  return traced_drive(engine, cfg.options, rng);
 }
 
 TEST(EngineThreadsTest, ExactEngineBitwiseIdenticalAcrossThreads) {
@@ -106,9 +127,9 @@ TEST(EngineThreadsTest, ExactEngineBitwiseIdenticalAcrossThreads) {
   const TaskSet ts = continuous_tasks(40960, 0xABCDEF);
   const Placement start = tlb::tasks::all_on_one(ts);
   const double T = 1.25 * ts.total_weight() / n + ts.max_weight();
-  const RunResult base = run_exact(ts, n, start, T, 1, 777);
-  EXPECT_TRUE(base.balanced);
-  EXPECT_GT(base.migrations, 0u);
+  const TracedRun base = run_exact(ts, n, start, T, 1, 777);
+  EXPECT_TRUE(base.result.balanced);
+  EXPECT_GT(base.result.migrations, 0u);
   for (std::size_t threads : kThreadCounts) {
     expect_identical(base, run_exact(ts, n, start, T, threads, 777),
                      threads);
@@ -153,7 +174,7 @@ TEST(EngineThreadsTest, ExactEngineShardedMergeAndScatterAcrossThreads) {
   const Placement start = tlb::tasks::all_on_one(ts);
   const double T = 1.25 * ts.total_weight() / n + ts.max_weight();
   struct End {
-    RunResult result;
+    TracedRun result;
     std::vector<double> loads;
     std::vector<std::vector<tlb::tasks::TaskId>> stacks;
     std::uint64_t relocations = 0, compactions = 0, round1_movers = 0;
@@ -162,15 +183,13 @@ TEST(EngineThreadsTest, ExactEngineShardedMergeAndScatterAcrossThreads) {
     UserProtocolConfig cfg;
     cfg.threshold = T;
     cfg.options.max_rounds = 200000;
-    cfg.options.record_potential = true;
-    cfg.options.record_overloaded = true;
     cfg.options.threads = threads;
     UserControlledEngine engine(ts, n, cfg);
     Rng rng(2024);
     engine.reset(start);
     End end;
     end.round1_movers = engine.step(rng);
-    end.result = engine.run(rng);
+    end.result = traced_drive(engine, cfg.options, rng);
     end.loads = engine.state().loads();
     for (Node r = 0; r < n; ++r) {
       end.stacks.push_back(engine.state().stack(r).tasks().to_vector());
@@ -180,7 +199,7 @@ TEST(EngineThreadsTest, ExactEngineShardedMergeAndScatterAcrossThreads) {
     return end;
   };
   const End base = run_with(1);
-  EXPECT_TRUE(base.result.balanced);
+  EXPECT_TRUE(base.result.result.balanced);
   EXPECT_GT(base.round1_movers, m / 4);
   EXPECT_LT(base.round1_movers, 3 * m / 4);
   for (std::size_t threads : kThreadCounts) {
@@ -201,9 +220,9 @@ TEST(EngineThreadsTest, GroupedEngineBitwiseIdenticalAcrossThreads) {
   const TaskSet ts = two_point_tasks(16384);
   const Placement start = tlb::tasks::all_on_one(ts);
   const double T = 1.25 * ts.total_weight() / n + ts.max_weight();
-  const RunResult base = run_grouped(ts, n, start, T, 1, 4242);
-  EXPECT_TRUE(base.balanced);
-  EXPECT_GT(base.migrations, 0u);
+  const TracedRun base = run_grouped(ts, n, start, T, 1, 4242);
+  EXPECT_TRUE(base.result.balanced);
+  EXPECT_GT(base.result.migrations, 0u);
   for (std::size_t threads : kThreadCounts) {
     expect_identical(base, run_grouped(ts, n, start, T, threads, 4242),
                      threads);
@@ -261,11 +280,11 @@ TEST(EngineThreadsTest, SingleOverloadedResourceAcrossThreads) {
   const TaskSet ts = continuous_tasks(64, 0x42);
   const Placement start = tlb::tasks::all_on_one(ts);
   const double T = 1.5 * ts.total_weight() / n + ts.max_weight();
-  const RunResult base = run_exact(ts, n, start, T, 1, 31);
+  const TracedRun base = run_exact(ts, n, start, T, 1, 31);
   for (std::size_t threads : kThreadCounts) {
     expect_identical(base, run_exact(ts, n, start, T, threads, 31), threads);
   }
-  const RunResult gbase = run_grouped(two_point_tasks(64), n,
+  const TracedRun gbase = run_grouped(two_point_tasks(64), n,
                                       all_on_one(two_point_tasks(64)),
                                       T, 1, 31);
   for (std::size_t threads : kThreadCounts) {

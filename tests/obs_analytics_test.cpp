@@ -193,8 +193,8 @@ TEST(LoadStatsObserverTest, BaselineBalancersServeStats) {
 TEST(LoadStatsObserverTest, UnsupportedViewDegradesHonestly) {
   LoadStatsObserver obs(1);
   const OpaqueView view;
-  obs.record_round(view, 0);
-  obs.record_final(view);
+  obs.on_round(view, 0);
+  obs.on_finish(view);
   EXPECT_FALSE(obs.supported());
   EXPECT_TRUE(obs.rows().empty());
   const std::string json = obs.json();

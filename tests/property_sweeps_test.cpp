@@ -12,11 +12,13 @@
 #include <cmath>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "tlb/core/potential.hpp"
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/tasks/first_fit.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -92,11 +94,13 @@ TEST_P(ResourceSweepTest, AllInvariantsHold) {
   cfg.threshold = T;
   cfg.walk = randomwalk::WalkKind::kLazy;
   cfg.options.max_rounds = 500000;
-  cfg.options.record_potential = true;
   core::ResourceControlledEngine engine(g, ts, cfg);
   Rng run_rng(c.seed ^ 0xabcdef);
-  const auto placement = build_placement(c.placement, ts, n, setup_rng);
-  const auto result = engine.run(placement, run_rng);
+  engine.reset(build_placement(c.placement, ts, n, setup_rng));
+  tlb::engine::PotentialTrace trace;
+  const auto result = tlb::engine::drive(
+      engine, run_rng, tlb::engine::DriveOptions::from(cfg.options), &trace);
+  const std::vector<double>& phi = trace.trace();
 
   // Termination and threshold satisfaction.
   ASSERT_TRUE(result.balanced) << case_name(c);
@@ -108,11 +112,10 @@ TEST_P(ResourceSweepTest, AllInvariantsHold) {
 
   // Observation 4 along the whole trajectory, ending at zero (up to the
   // float residue of incremental load accounting with real-valued weights).
-  for (std::size_t t = 1; t < result.potential_trace.size(); ++t) {
-    ASSERT_LE(result.potential_trace[t], result.potential_trace[t - 1] + 1e-9)
-        << case_name(c) << " round " << t;
+  for (std::size_t t = 1; t < phi.size(); ++t) {
+    ASSERT_LE(phi[t], phi[t - 1] + 1e-9) << case_name(c) << " round " << t;
   }
-  EXPECT_NEAR(result.potential_trace.back(), 0.0, 1e-9);
+  EXPECT_NEAR(phi.back(), 0.0, 1e-9);
 }
 
 class UserSweepTest : public ::testing::TestWithParam<SweepCase> {};

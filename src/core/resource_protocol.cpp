@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "tlb/core/potential.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/engine/driver.hpp"
 
@@ -11,46 +10,90 @@ namespace tlb::core {
 ResourceControlledEngine::ResourceControlledEngine(const graph::Graph& g,
                                                    const tasks::TaskSet& ts,
                                                    ResourceProtocolConfig config)
-    : graph_(&g),
-      tasks_(&ts),
-      config_(std::move(config)),
+    : config_(std::move(config)),
       walk_(g, config_.walk),
       state_(ts, g.num_nodes()) {
-  thresholds_ = resolve_thresholds(config_.threshold, config_.thresholds,
-                                   g.num_nodes(), "ResourceControlledEngine");
-  max_threshold_ = *std::max_element(thresholds_.begin(), thresholds_.end());
-  state_.set_thresholds(thresholds_);
+  if (config_.thresholds.empty()) {
+    uniform_threshold_ =
+        checked_threshold(config_.threshold, "ResourceControlledEngine");
+    max_threshold_ = uniform_threshold_;
+    state_.set_thresholds(uniform_threshold_);
+  } else {
+    thresholds_ = resolve_thresholds(config_.threshold, config_.thresholds,
+                                     g.num_nodes(), "ResourceControlledEngine");
+    max_threshold_ = *std::max_element(thresholds_.begin(), thresholds_.end());
+    state_.set_thresholds(thresholds_);
+  }
+  sink_.registry = config_.options.registry;
+  sink_.trace = config_.options.trace;
+  if (sink_.registry != nullptr) {
+    obs::Registry& reg = *sink_.registry;
+    using obs::MetricClass;
+    m_walk_ns_ = reg.counter("resource.walk_ns", MetricClass::kTiming);
+    m_scatter_ns_ = reg.counter("resource.scatter_ns", MetricClass::kTiming);
+    m_evictions_ =
+        reg.counter("resource.evictions", MetricClass::kDeterministic);
+  }
+  tracker_counters_.attach(sink_.registry, "resource",
+                           state_.overloaded_tracker());
 }
 
 void ResourceControlledEngine::reset(const tasks::Placement& placement) {
-  state_.place(placement, thresholds_);
+  if (thresholds_.empty()) {
+    state_.place(placement, uniform_threshold_);
+  } else {
+    state_.place(placement, thresholds_);
+  }
 }
 
 std::size_t ResourceControlledEngine::step(util::Rng& rng) {
-  // Phase 1: evict every unaccepted suffix. By the stack invariant the
-  // overloaded resources are exactly those holding unaccepted tasks, which
-  // is Algorithm 5.1's guard (per-resource threshold in the non-uniform
-  // extension). The state's incremental set makes this O(#overloaded);
-  // mutations below only mark dirty, so iterating the list is safe.
-  movers_.clear();
-  mover_origin_.clear();
-  for (Node r : state_.overloaded()) {
-    const std::size_t before = movers_.size();
-    state_.evict_unaccepted(r, movers_);
-    mover_origin_.insert(mover_origin_.end(), movers_.size() - before, r);
+  // By the stack invariant the overloaded resources are exactly those
+  // holding unaccepted tasks, which is Algorithm 5.1's guard (per-resource
+  // threshold in the non-uniform extension). The state's incremental set
+  // makes this O(#overloaded); nothing below reconciles it before the
+  // scatter, so the list stays valid across both passes.
+  const std::vector<Node>& over = state_.overloaded();
+  const mem::TaskArena& arena = state_.arena();
+  std::size_t evictees = 0;
+  for (const Node r : over) {
+    evictees += arena.count(r) - arena.accepted_count(r);
   }
 
-  // Phase 2+3: one P-step per evicted task (drawn first, in eviction
-  // order, each replacing its origin), then one bulk append with the
-  // acceptance test. Arrival order = eviction order, which the model
-  // leaves arbitrary.
-  for (Node& slot : mover_origin_) slot = walk_.step(slot, rng);
-  state_.scatter_accepting(mover_origin_, movers_);
-  return movers_.size();
+  // Pass 1: one P-step per evictee, in eviction order (list order, bottom
+  // to top within a stack), each origin's row taken once. The draws run on
+  // a local copy of the generator, written back after the pass, so the
+  // state stays in registers across the stores.
+  {
+    const obs::PhaseSpan span(sink_, m_walk_ns_, "resource.walk");
+    dst_.resize(evictees);
+    util::Rng local = rng;
+    Node* to = dst_.data();
+    for (const Node r : over) {
+      const randomwalk::TransitionModel::Row row = walk_.row(r);
+      const std::size_t pending = arena.count(r) - arena.accepted_count(r);
+      for (std::size_t i = 0; i < pending; ++i) *to++ = row.step(local);
+    }
+    rng = local;
+  }
+
+  // Pass 2: evict every unaccepted suffix and land evictee j on dst_[j]
+  // with the acceptance test, as sequential pushes in eviction order would.
+  // Arrival order = eviction order, which the model leaves arbitrary.
+  {
+    const obs::PhaseSpan span(sink_, m_scatter_ns_, "resource.scatter");
+    state_.evict_scatter(dst_);
+  }
+  if (sink_.registry != nullptr) sink_.registry->add(m_evictions_, evictees);
+  tracker_counters_.export_deltas(state_.overloaded_tracker());
+  return evictees;
 }
 
 double ResourceControlledEngine::potential() const {
-  return resource_potential(state_);
+  double phi = 0.0;
+  for (const Node r : state_.overloaded()) {
+    phi += state_.stack(r).pending_load();
+  }
+  return phi;
 }
 
 std::uint32_t ResourceControlledEngine::overloaded_count() const {

@@ -97,25 +97,14 @@ void SystemState::scatter(const std::vector<Node>& dst,
       [this](Node r) { overloaded_.mark_dirty(r); }, pool);
 }
 
-void SystemState::scatter_accepting(const std::vector<Node>& dst,
-                                    const std::vector<TaskId>& ids,
-                                    util::ThreadPool* pool) {
-  if (!has_thresholds()) {
-    throw std::logic_error(
-        "SystemState::scatter_accepting: set_thresholds() was never called");
-  }
+void SystemState::evict_scatter(const std::vector<Node>& dst) {
+  const std::vector<Node>& from = overloaded();  // throws without thresholds
   const auto mark = [this](Node r) { overloaded_.mark_dirty(r); };
   if (track_thresholds_.empty()) {
-    scatter_.scatter(arena_, *tasks_, dst, ids, track_uniform_, mark, pool);
+    scatter_.evict_scatter(arena_, from, dst, track_uniform_, mark, mark);
   } else {
-    scatter_.scatter(arena_, *tasks_, dst, ids, track_thresholds_, mark,
-                     pool);
+    scatter_.evict_scatter(arena_, from, dst, track_thresholds_, mark, mark);
   }
-}
-
-void SystemState::evict_unaccepted(Node r, std::vector<TaskId>& out) {
-  arena_.evict_unaccepted(r, out);
-  overloaded_.mark_dirty(r);
 }
 
 void SystemState::evict_above(Node r, std::vector<TaskId>& out) {

@@ -17,6 +17,8 @@ namespace tlb::core {
 
 /// Resource-protocol potential Φ of eq. (1): total unaccepted weight. Only
 /// meaningful when the state was placed/evolved with acceptance bookkeeping.
+/// An O(n) sweep: the reference that ResourceControlledEngine::potential(),
+/// which sums only the overloaded list, is tested against bitwise.
 double resource_potential(const SystemState& state);
 
 /// User-protocol potential Φ(t) = Σ_r φ_r(t) for the given threshold.

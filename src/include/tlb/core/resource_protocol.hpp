@@ -9,14 +9,26 @@
 // With the stack semantics, the eviction set is exactly the unaccepted
 // suffix, so each active task performs an independent random walk under P
 // until it lands on a resource that can accept it — the coupling the proofs
-// of Theorems 3 and 7 use. The engine realises one synchronous round as:
-// (1) evict all unaccepted suffixes of overloaded resources, (2) move every
-// evicted task one step of P, (3) append arrivals (acceptance test on push).
+// of Theorems 3 and 7 use. The engine realises one synchronous round as
+// two passes over the overloaded list:
+//  (1) walk: for each overloaded r, in list order, take r's row of P once
+//      and draw one destination per unaccepted task, bottom to top. The
+//      pass only reads the stacks' counts; its draw order is the eviction
+//      order, one row step per evictee, so the stream is that of evicting
+//      first and then stepping each evictee.
+//  (2) evict and scatter (SystemState::evict_scatter): every evictee's
+//      record goes straight from its span into its destination block, the
+//      suffixes are evicted, and the arrivals land with the acceptance test
+//      on push, exactly as sequential push_accepting calls in eviction
+//      order would.
+// Uniform and per-resource thresholds run the same two passes.
 
 #include <vector>
 
 #include "tlb/core/metrics.hpp"
+#include "tlb/core/overloaded_set.hpp"
 #include "tlb/core/system_state.hpp"
+#include "tlb/obs/profile.hpp"
 #include "tlb/randomwalk/transition.hpp"
 #include "tlb/tasks/placement.hpp"
 
@@ -58,7 +70,11 @@ class ResourceControlledEngine {
   RunResult run(const tasks::Placement& placement, util::Rng& rng);
 
   // engine::Balancer view (driver metrics + observers).
-  /// Resource potential Φ of eq. (1): total unaccepted weight.
+  /// Resource potential Φ of eq. (1): total unaccepted weight, summed over
+  /// the overloaded list in O(#overloaded). Every other stack's pending
+  /// load is exactly 0.0 (load and accepted load took the same additions,
+  /// or an eviction snapped one onto the other), so the sum is bitwise
+  /// core::resource_potential's O(n) one.
   [[nodiscard]] double potential() const;
   /// Number of resources currently above threshold.
   [[nodiscard]] std::uint32_t overloaded_count() const;
@@ -74,20 +90,28 @@ class ResourceControlledEngine {
   /// Read-only state access (tests, potential traces).
   const SystemState& state() const noexcept { return state_; }
   /// The threshold of resource r.
-  double threshold(Node r) const noexcept { return thresholds_[r]; }
+  double threshold(Node r) const noexcept {
+    return thresholds_.empty() ? uniform_threshold_ : thresholds_[r];
+  }
   /// The largest configured threshold (== the uniform one if uniform).
   double threshold() const noexcept { return max_threshold_; }
 
  private:
-  const graph::Graph* graph_;
-  const tasks::TaskSet* tasks_;
   ResourceProtocolConfig config_;
-  std::vector<double> thresholds_;  // resolved per-resource thresholds
+  // Uniform configurations stay scalar (no n-sized vector); thresholds_ is
+  // only materialised for the non-uniform extension.
+  double uniform_threshold_ = 0.0;
+  std::vector<double> thresholds_;  // per-resource override (else empty)
   double max_threshold_ = 0.0;
   randomwalk::TransitionModel walk_;
   SystemState state_;  // owns the incremental overloaded-set tracking
-  std::vector<TaskId> movers_;   // scratch: evicted tasks this round
-  std::vector<Node> mover_origin_;  // scratch: source, then destination
+  std::vector<Node> dst_;  // per round: one destination per evictee
+  // Observability: "resource.*" phase spans + deterministic counters,
+  // wired from EngineOptions::registry/trace in the constructor. Detached
+  // (the default) the spans take no timestamps.
+  obs::Sink sink_;
+  obs::MetricId m_walk_ns_, m_scatter_ns_, m_evictions_;
+  TrackerCounters tracker_counters_;
 };
 
 }  // namespace tlb::core

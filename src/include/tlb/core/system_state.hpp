@@ -12,12 +12,13 @@
 //
 // Overloaded-set contract: once an engine registers its thresholds via
 // set_thresholds(), the state keeps the set { r : load(r) > T_r } current
-// incrementally — every mutating entry point (place, scatter, the
-// evict/remove forwarders below, and mutable stack() access) marks the
-// touched resources dirty, and the O(active) queries overloaded()/
-// overloaded_count()/balanced() reconcile only the dirty entries. Per-round
-// cost is therefore O(#overloaded + #movers + n/256) instead of O(n), which
-// is what makes post-convergence tail rounds at n = 10^6 cheap.
+// incrementally — every mutating entry point (place, scatter,
+// evict_scatter, the evict/remove forwarders below, and mutable stack()
+// access) marks the touched resources dirty, and the O(active) queries
+// overloaded()/overloaded_count()/balanced() reconcile only the dirty
+// entries. Per-round cost is therefore O(#overloaded + #movers + n/256)
+// instead of O(n), which is what makes post-convergence tail rounds at
+// n = 10^6 cheap.
 
 #include <vector>
 
@@ -100,13 +101,16 @@ class SystemState {
   /// the same result.
   void scatter(const std::vector<Node>& dst, const std::vector<TaskId>& ids,
                util::ThreadPool* pool = nullptr);
-  /// Same with acceptance bookkeeping against threshold_of(r) (the
-  /// resource-controlled protocol). Requires set_thresholds().
-  void scatter_accepting(const std::vector<Node>& dst,
-                         const std::vector<TaskId>& ids,
-                         util::ThreadPool* pool = nullptr);
-  /// Evict r's unaccepted suffix (Algorithm 5.1), appending to `out`.
-  void evict_unaccepted(Node r, std::vector<TaskId>& out);
+  /// Algorithm 5.1's evictions and arrivals in one bulk pass: evict the
+  /// unaccepted suffix of every overloaded() resource and append evictee j
+  /// (list order, bottom to top within a stack) to dst[j] with acceptance
+  /// bookkeeping against threshold_of(dst[j]) — mem::BatchScatter's
+  /// evict_scatter. Bit-identical to evicting the suffixes in list order
+  /// and then pushing evictee j onto dst[j] for j = 0, 1, ..., dirty marks
+  /// included: each evicted resource in list order, then each destination
+  /// once, in block order. dst.size() must be the number of unaccepted
+  /// tasks on the overloaded resources. Requires set_thresholds().
+  void evict_scatter(const std::vector<Node>& dst);
   /// Height-based eviction of everything crossing/above threshold_of(r)
   /// (mixed protocol). Requires set_thresholds().
   void evict_above(Node r, std::vector<TaskId>& out);

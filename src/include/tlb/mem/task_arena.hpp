@@ -27,7 +27,11 @@
 //  * BatchScatter is its in-round counterpart: it appends a batch of
 //    (destination, task) movers bucketed by block of destinations, growing
 //    each touched span once, to at least its final size, again
-//    bit-identical to pushing the movers one by one in batch order.
+//    bit-identical to pushing the movers one by one in batch order. Its
+//    evict_scatter entry is the resource-controlled round: the movers are
+//    the unaccepted suffixes of a list of stacks, bucketed straight from
+//    their spans (ids and mirrored weights) as the stacks are evicted, and
+//    they land with push_accepting's acceptance bookkeeping.
 //  * The bulk remove_marked(FlatMarks) is the exact engine's merge: one
 //    removal over a whole round's flat departure mask.
 //  Both bulk passes shard over an optional util::ThreadPool (inline
@@ -356,13 +360,16 @@ class BatchPlacer {
 
 /// Destination-bucketed bulk scatter, the in-round counterpart of
 /// BatchPlacer: appends ids[i] to resource dst[i] for every i, producing
-/// exactly the stacks, loads (bitwise) and acceptance bookkeeping that
-/// push / push_accepting calls in index order would — every destination
-/// still receives its tasks in index order — without paying several cache
-/// misses per task. Four passes:
+/// exactly the stacks and loads (bitwise) that push calls in index order
+/// would — every destination still receives its tasks in index order —
+/// without paying several cache misses per task. evict_scatter() is the
+/// resource-controlled protocol's variant: its movers are the unaccepted
+/// suffixes of a list of stacks, and they land with push_accepting's
+/// acceptance bookkeeping. Four passes:
 ///   1. bucket: (destination, id, weight) records are stably bucketed by
 ///      destination block of kBlockWidth resources (per-chunk block
-///      counts, then block-major offsets);
+///      counts, then block-major offsets); evict_scatter() writes them
+///      straight from the evicted spans, mirrored weights included;
 ///   2. count: the arrivals per resource of every non-empty block;
 ///   3. grow: every touched span is grown once, to at least its final
 ///      size, in block order and first-arrival order within a block —
@@ -400,33 +407,47 @@ class BatchScatter {
   void scatter(TaskArena& arena, const tasks::TaskSet& ts,
                const std::vector<Node>& dst, const std::vector<TaskId>& ids,
                OnTouched&& on_touched, util::ThreadPool* pool = nullptr) {
-    append(arena, ts, dst, ids, {Mode::kPlain, 0.0, nullptr}, pool);
+    append(arena, ts, dst, ids, pool);
     report(on_touched);
   }
-  /// Acceptance bookkeeping against one uniform threshold; otherwise as
-  /// above.
-  template <class OnTouched>
-  void scatter(TaskArena& arena, const tasks::TaskSet& ts,
-               const std::vector<Node>& dst, const std::vector<TaskId>& ids,
-               double threshold, OnTouched&& on_touched,
-               util::ThreadPool* pool = nullptr) {
-    append(arena, ts, dst, ids, {Mode::kUniform, threshold, nullptr}, pool);
-    report(on_touched);
+  /// Algorithm 5.1's evictions and arrivals in one pass over the evicted
+  /// spans: evicts the unaccepted suffix of every resource of `from`
+  /// (strictly ascending) and appends evictee j — list order, bottom to top
+  /// within a stack — to dst[j] with acceptance bookkeeping against
+  /// `threshold`. Bit-identical to evict_unaccepted over `from` in order
+  /// followed by push_accepting of evictee j onto dst[j] for j = 0, 1, ...
+  /// Pass 1 is replaced: the destinations are counted per block, then each
+  /// evictee's record {dst, id, mirrored weight} is written straight to
+  /// its bucket slot and its stack is cut back to the accepted prefix (load
+  /// snapped to the accepted load). `on_evicted(r)` is then called for
+  /// every r of `from`, in list order; passes 2-4 and `on_touched` follow
+  /// as in scatter(). Runs on the caller. Throws std::invalid_argument,
+  /// leaving the arena untouched, when `from` is not strictly ascending in
+  /// range, dst.size() is not the number of unaccepted tasks on `from`, or
+  /// a destination is out of range. A std::length_error from a grow lands
+  /// no task; the evictions stay, and were reported.
+  template <class OnEvicted, class OnTouched>
+  void evict_scatter(TaskArena& arena, std::span<const Node> from,
+                     const std::vector<Node>& dst, double threshold,
+                     OnEvicted&& on_evicted, OnTouched&& on_touched) {
+    evict_scatter(arena, from, dst, {Mode::kUniform, threshold, nullptr},
+                  on_evicted, on_touched);
   }
-  /// Acceptance bookkeeping against per-resource thresholds
-  /// (thresholds.size() must equal the resource count).
-  template <class OnTouched>
-  void scatter(TaskArena& arena, const tasks::TaskSet& ts,
-               const std::vector<Node>& dst, const std::vector<TaskId>& ids,
-               const std::vector<double>& thresholds, OnTouched&& on_touched,
-               util::ThreadPool* pool = nullptr) {
-    append(arena, ts, dst, ids, {Mode::kPerResource, 0.0, &thresholds},
-           pool);
-    report(on_touched);
+  /// Same against per-resource thresholds (thresholds.size() must equal
+  /// the resource count).
+  template <class OnEvicted, class OnTouched>
+  void evict_scatter(TaskArena& arena, std::span<const Node> from,
+                     const std::vector<Node>& dst,
+                     const std::vector<double>& thresholds,
+                     OnEvicted&& on_evicted, OnTouched&& on_touched) {
+    evict_scatter(arena, from, dst, {Mode::kPerResource, 0.0, &thresholds},
+                  on_evicted, on_touched);
   }
 
  private:
   enum class Mode { kPlain, kUniform, kPerResource };
+  /// How pass 4 lands a record: plain, or accepting against one threshold
+  /// or a per-resource vector.
   struct Rule {
     Mode mode;
     double threshold;                      // kUniform
@@ -447,16 +468,37 @@ class BatchScatter {
     std::size_t touch_begin, touch_end;  // in touched_ / arrivals_
   };
 
+  template <class OnEvicted, class OnTouched>
+  void evict_scatter(TaskArena& arena, std::span<const Node> from,
+                     const std::vector<Node>& dst, const Rule& rule,
+                     OnEvicted& on_evicted, OnTouched& on_touched) {
+    evict_bucket(arena, from, dst, rule);
+    for (const Node r : from) on_evicted(r);
+    spread(arena, rule, nullptr);
+    report(on_touched);
+  }
+
   /// Passes 1-4 (see the class comment).
   void append(TaskArena& arena, const tasks::TaskSet& ts,
               const std::vector<Node>& dst, const std::vector<TaskId>& ids,
-              const Rule& rule, util::ThreadPool* pool);
+              util::ThreadPool* pool);
   /// Pass 1, after validating the batch: records_ holds the movers stably
   /// bucketed by block, blocks_ the non-empty blocks and shard_begin_ the
   /// block runs of passes 2 and 4.
   void bucket(const TaskArena& arena, const tasks::TaskSet& ts,
               const std::vector<Node>& dst, const std::vector<TaskId>& ids,
-              const Rule& rule, util::ThreadPool* pool);
+              util::ThreadPool* pool);
+  /// evict_scatter's pass 1: validates, counts the destinations per block,
+  /// then writes every evictee's record to its bucket slot and evicts.
+  void evict_bucket(TaskArena& arena, std::span<const Node> from,
+                    const std::vector<Node>& dst, const Rule& rule);
+  /// Turns the per-(chunk, block) counts in chunk_offsets_ into each
+  /// chunk's first record slot in each block (block-major, so bucketing in
+  /// index order is stable) and lists blocks_, shard_begin_ and the
+  /// per-block touched_ room.
+  void list_blocks(std::size_t chunks, std::size_t blocks);
+  /// Passes 2-4 over the bucketed records.
+  void spread(TaskArena& arena, const Rule& rule, util::ThreadPool* pool);
   /// Pass 2 for blocks_[j].
   void count_block(std::size_t j);
   /// Pass 3. On a throw, rolls back the count bumps of the blocks already

@@ -9,7 +9,19 @@
 // graphs (hypercube, even cycle, torus) this walk is periodic, so the
 // library also provides the standard lazy variant P' = (I + P)/2 which is
 // aperiodic on every graph and has the same stationary distribution.
+//
+// Sampling: TransitionModel::row(u) is an inline sampler for row u. A step
+// stays put unless the top 53 bits of one draw fall below an integer cut,
+// ⌈p·2^53⌉ with p = deg(u)·edge_prob(), and then draws a uniform neighbour.
+// That is exactly the test uniform01() < p (for an integer k, k·2^-53 < p
+// iff k < ⌈p·2^53⌉, and p·2^53 is exact), so the draws match a uniform01()
+// coin, including p = 1 (never stays) and p = 0 (an isolated node, never
+// draws a neighbour). step(u, rng) is row(u).step(rng): one implementation
+// for the estimators and the graph engines, and the resource engine takes
+// each origin's row once for all of its evictees.
 
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "tlb/graph/graph.hpp"
@@ -53,8 +65,37 @@ class TransitionModel {
   /// (the same constant for every edge of the graph).
   double edge_prob() const noexcept { return inv_d_; }
 
+  /// Row u of P as an inline sampler: u's degree, its neighbours and the
+  /// integer move cut (see the header comment). Valid while the graph is.
+  class Row {
+   public:
+    /// Sample the next node: one draw for the move test, then (when
+    /// moving) one uniform_below(degree) for the neighbour.
+    Node step(util::Rng& rng) const noexcept {
+      if ((rng() >> 11) >= cut_) return u_;
+      return nbrs_[rng.uniform_below(deg_)];
+    }
+
+   private:
+    friend class TransitionModel;
+    Row(Node u, Node deg, const Node* nbrs, std::uint64_t cut) noexcept
+        : u_(u), deg_(deg), nbrs_(nbrs), cut_(cut) {}
+    Node u_;
+    Node deg_;
+    const Node* nbrs_;
+    std::uint64_t cut_;  // move iff the draw's top 53 bits are below it
+  };
+
+  /// The sampler for row u. O(1).
+  Row row(Node u) const noexcept {
+    const Node deg = g_->degree(u);
+    const double move_prob = static_cast<double>(deg) * inv_d_;
+    return {u, deg, g_->neighbors(u).data(),
+            static_cast<std::uint64_t>(std::ceil(move_prob * 0x1.0p53))};
+  }
+
   /// Sample the next node from row u. O(1).
-  Node step(Node u, util::Rng& rng) const noexcept;
+  Node step(Node u, util::Rng& rng) const noexcept { return row(u).step(rng); }
 
   /// Distribution evolution: out = in * P (one synchronous step of the
   /// chain). O(|E| + n). `out` is resized; `in` must have n entries and may

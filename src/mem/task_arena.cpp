@@ -702,9 +702,14 @@ void BatchPlacer::build(TaskArena& arena, const tasks::TaskSet& ts,
 
 void BatchScatter::append(TaskArena& arena, const tasks::TaskSet& ts,
                           const std::vector<Node>& dst,
-                          const std::vector<TaskId>& ids, const Rule& rule,
+                          const std::vector<TaskId>& ids,
                           util::ThreadPool* pool) {
-  bucket(arena, ts, dst, ids, rule, pool);
+  bucket(arena, ts, dst, ids, pool);
+  spread(arena, {Mode::kPlain, 0.0, nullptr}, pool);
+}
+
+void BatchScatter::spread(TaskArena& arena, const Rule& rule,
+                          util::ThreadPool* pool) {
   const std::size_t shards = shard_begin_.size() - 1;
   const auto blocks_of = [this](std::size_t s, auto&& fn) {
     for (std::size_t j = shard_begin_[s]; j < shard_begin_[s + 1]; ++j) fn(j);
@@ -722,15 +727,12 @@ void BatchScatter::append(TaskArena& arena, const tasks::TaskSet& ts,
 
 void BatchScatter::bucket(const TaskArena& arena, const tasks::TaskSet& ts,
                           const std::vector<Node>& dst,
-                          const std::vector<TaskId>& ids, const Rule& rule,
+                          const std::vector<TaskId>& ids,
                           util::ThreadPool* pool) {
   const Node n = arena.num_resources();
   const std::size_t k = dst.size();
   if (ids.size() != k) {
     throw std::invalid_argument("BatchScatter: dst/ids size mismatch");
-  }
-  if (rule.mode == Mode::kPerResource && rule.thresholds->size() != n) {
-    throw std::invalid_argument("BatchScatter: threshold vector size mismatch");
   }
   if (k > TaskArena::kMaxSlots) {
     throw std::length_error("BatchScatter: batch exceeds 32-bit span offsets");
@@ -757,11 +759,86 @@ void BatchScatter::bucket(const TaskArena& arena, const tasks::TaskSet& ts,
           ++counts[dst[i] / kBlockWidth];
         }
       });
+  list_blocks(chunks, blocks);
 
+  // Stable bucketing in index order, weights looked up once here so the
+  // fill never indirects through the TaskSet.
+  records_.resize(k);
+  const double* w = ts.weights().data();
+  util::parallel_shard(
+      k, chunk, pool, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+        std::uint32_t* cursor = chunk_offsets_.data() + c * blocks;
+        for (std::size_t i = lo; i < hi; ++i) {
+          records_[cursor[dst[i] / kBlockWidth]++] = {dst[i], ids[i],
+                                                      w[ids[i]]};
+        }
+      });
+}
+
+void BatchScatter::evict_bucket(TaskArena& arena, std::span<const Node> from,
+                                const std::vector<Node>& dst,
+                                const Rule& rule) {
+  TaskArena& a = arena;
+  const Node n = a.num_resources();
+  const std::size_t k = dst.size();
+  if (rule.mode == Mode::kPerResource && rule.thresholds->size() != n) {
+    throw std::invalid_argument("BatchScatter: threshold vector size mismatch");
+  }
+  std::size_t evictees = 0;
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    const Node r = from[i];
+    if (r >= n || (i > 0 && r <= from[i - 1])) {
+      throw std::invalid_argument(
+          "BatchScatter: eviction list not strictly ascending in range");
+    }
+    evictees += a.count_[r] - a.accepted_count_[r];
+  }
+  if (evictees != k) {
+    throw std::invalid_argument(
+        "BatchScatter: dst size differs from the evictee count");
+  }
+
+  // One chunk: count the destinations per block, validating them before
+  // the arena is touched.
+  const std::size_t blocks = (std::size_t{n} + kBlockWidth - 1) / kBlockWidth;
+  chunk_offsets_.assign(blocks, 0);
+  for (const Node d : dst) {
+    if (d >= n) {
+      throw std::invalid_argument("BatchScatter: resource out of range");
+    }
+    ++chunk_offsets_[d / kBlockWidth];
+  }
+  blocks_.clear();
+  shard_begin_.assign(1, 0);
+  list_blocks(1, blocks);
+
+  // Evictee j is the j-th unaccepted task in list order, bottom to top: its
+  // id and mirrored weight go straight from the span to its bucket slot,
+  // then the stack is cut back to its accepted prefix. The load snaps to
+  // the accepted bookkeeping instead of subtracting the evictees' weights,
+  // as TaskArena::evict_unaccepted does.
+  records_.resize(k);
+  std::uint32_t* cursor = chunk_offsets_.data();
+  const Node* to = dst.data();
+  for (const Node r : from) {
+    const std::uint32_t first = a.accepted_count_[r];
+    const std::uint32_t count = a.count_[r];
+    const TaskId* ids = a.ids_.data() + a.begin_[r];
+    const double* w = a.weights_.data() + a.begin_[r];
+    for (std::uint32_t i = first; i < count; ++i, ++to) {
+      records_[cursor[*to / kBlockWidth]++] = {*to, ids[i], w[i]};
+    }
+    a.live_ -= count - first;
+    a.count_[r] = first;
+    a.load_[r] = a.accepted_load_[r];
+  }
+}
+
+void BatchScatter::list_blocks(std::size_t chunks, std::size_t blocks) {
   // Block-major exclusive prefix sums turn the counts into each chunk's
-  // first record in each block, so the bucketing below is stable. The
-  // non-empty blocks are listed, and cut into runs of whole blocks of at
-  // least kShardMovers records.
+  // first record in each block, so the bucketing is stable. The non-empty
+  // blocks are listed, and cut into runs of whole blocks of at least
+  // kShardMovers records.
   std::size_t running = 0;
   std::size_t touch = 0;
   std::size_t run = 0;
@@ -790,19 +867,6 @@ void BatchScatter::bucket(const TaskArena& arena, const tasks::TaskSet& ts,
   touched_.resize(touch);
   arrivals_.resize(touch);
   moved_from_.resize(touch);
-
-  // Stable bucketing in index order, weights looked up once here so the
-  // fill never indirects through the TaskSet.
-  records_.resize(k);
-  const double* w = ts.weights().data();
-  util::parallel_shard(
-      k, chunk, pool, [&](std::size_t c, std::size_t lo, std::size_t hi) {
-        std::uint32_t* cursor = chunk_offsets_.data() + c * blocks;
-        for (std::size_t i = lo; i < hi; ++i) {
-          records_[cursor[dst[i] / kBlockWidth]++] = {dst[i], ids[i],
-                                                      w[ids[i]]};
-        }
-      });
 }
 
 void BatchScatter::count_block(std::size_t j) {

@@ -36,15 +36,6 @@ double TransitionModel::self_loop_prob(Node u) const noexcept {
   return 1.0 - static_cast<double>(g_->degree(u)) * inv_d_;
 }
 
-Node TransitionModel::step(Node u, util::Rng& rng) const noexcept {
-  // With probability deg(u) * per-edge mass, move to a uniform neighbour;
-  // otherwise stay. One uniform deviate decides both.
-  const Node deg = g_->degree(u);
-  const double move_prob = static_cast<double>(deg) * inv_d_;
-  if (rng.uniform01() >= move_prob) return u;
-  return g_->neighbor(u, static_cast<Node>(rng.uniform_below(deg)));
-}
-
 void TransitionModel::evolve(const std::vector<double>& in,
                              std::vector<double>& out) const {
   const Node n = g_->num_nodes();

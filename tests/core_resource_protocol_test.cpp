@@ -10,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "tlb/core/hetero.hpp"
 #include "tlb/core/potential.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/engine/driver.hpp"
@@ -20,7 +21,11 @@ namespace {
 
 using namespace tlb::core;
 using tlb::graph::Graph;
+using tlb::randomwalk::TransitionModel;
+using tlb::randomwalk::WalkKind;
 using tlb::tasks::all_on_one;
+using tlb::tasks::Placement;
+using tlb::tasks::TaskId;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
 
@@ -245,6 +250,150 @@ TEST(ResourceProtocolTest, DeterministicGivenSeed) {
   const RunResult rb = b.run(all_on_one(ts), rng_b);
   EXPECT_EQ(ra.rounds, rb.rounds);
   EXPECT_EQ(ra.migrations, rb.migrations);
+}
+
+/// Algorithm 5.1, naively: one std::vector stack per resource with the
+/// paper's acceptance rule, and a round that (1) evicts every unaccepted
+/// suffix in ascending resource order, (2) takes one walk.step per evictee
+/// in eviction order and (3) pushes the evictees one by one, in that order,
+/// with the acceptance test.
+class NaiveResourceRounds {
+ public:
+  NaiveResourceRounds(const TaskSet& ts, std::vector<double> thresholds,
+                      const Placement& placement)
+      : ts_(&ts), thresholds_(std::move(thresholds)),
+        stacks_(thresholds_.size()) {
+    for (TaskId id = 0; id < placement.size(); ++id) push(placement[id], id);
+  }
+
+  std::size_t step(const TransitionModel& walk, Rng& rng) {
+    std::vector<TaskId> evicted;
+    std::vector<Node> dst;
+    for (Node r = 0; r < stacks_.size(); ++r) {
+      Stack& s = stacks_[r];
+      if (s.accepted == s.ids.size()) continue;
+      for (std::size_t i = s.accepted; i < s.ids.size(); ++i) {
+        evicted.push_back(s.ids[i]);
+        dst.push_back(r);
+      }
+      s.ids.resize(s.accepted);
+      s.load = s.accepted_load;
+    }
+    for (Node& d : dst) d = walk.step(d, rng);
+    for (std::size_t j = 0; j < evicted.size(); ++j) push(dst[j], evicted[j]);
+    return evicted.size();
+  }
+
+  /// Expect `engine`'s state to equal this one bitwise: stacks bottom to
+  /// top, loads, accepted prefixes and the potential.
+  void expect_matches(const ResourceControlledEngine& engine,
+                      const std::string& at) const {
+    const tlb::mem::TaskArena& arena = engine.state().arena();
+    double phi = 0.0;
+    for (Node r = 0; r < stacks_.size(); ++r) {
+      const Stack& s = stacks_[r];
+      ASSERT_EQ(arena.tasks(r), s.ids) << at << " resource " << r;
+      ASSERT_EQ(arena.load(r), s.load) << at << " resource " << r;
+      ASSERT_EQ(arena.accepted_count(r), s.accepted) << at << " resource " << r;
+      ASSERT_EQ(arena.accepted_load(r), s.accepted_load)
+          << at << " resource " << r;
+      phi += s.load - s.accepted_load;
+    }
+    ASSERT_EQ(engine.potential(), phi) << at;
+  }
+
+ private:
+  struct Stack {
+    std::vector<TaskId> ids;
+    double load = 0.0;
+    double accepted_load = 0.0;
+    std::size_t accepted = 0;
+  };
+
+  void push(Node r, TaskId id) {
+    Stack& s = stacks_[r];
+    const double w = ts_->weight(id);
+    if (s.accepted == s.ids.size() && s.load + w <= thresholds_[r]) {
+      ++s.accepted;
+      s.accepted_load += w;
+    }
+    s.ids.push_back(id);
+    s.load += w;
+  }
+
+  const TaskSet* ts_;
+  std::vector<double> thresholds_;
+  std::vector<Stack> stacks_;
+};
+
+/// Drive the engine and the naive rounds from one seed, round by round,
+/// until balanced: equal state, migrations and generator position after
+/// every round, and the engine's O(#overloaded) potential bitwise equal to
+/// core::resource_potential's O(n) sum.
+void expect_engine_matches_naive_rounds(const Graph& g, const TaskSet& ts,
+                                        const ResourceProtocolConfig& cfg,
+                                        const Placement& start,
+                                        std::uint64_t seed,
+                                        const std::string& what) {
+  ResourceControlledEngine engine(g, ts, cfg);
+  engine.reset(start);
+  std::vector<double> thresholds(g.num_nodes());
+  for (Node r = 0; r < g.num_nodes(); ++r) thresholds[r] = engine.threshold(r);
+  NaiveResourceRounds naive(ts, thresholds, start);
+  const TransitionModel walk(g, cfg.walk);
+  Rng a(seed), b(seed);
+  naive.expect_matches(engine, what + " start");
+  int rounds = 0;
+  for (; rounds < 5000 && !engine.balanced(); ++rounds) {
+    const std::string at = what + " round " + std::to_string(rounds);
+    const std::size_t moved = engine.step(a);
+    ASSERT_EQ(moved, naive.step(walk, b)) << at;
+    ASSERT_EQ(a.state_hash(), b.state_hash()) << at;
+    ASSERT_NO_FATAL_FAILURE(naive.expect_matches(engine, at));
+    ASSERT_EQ(engine.potential(), resource_potential(engine.state())) << at;
+  }
+  EXPECT_TRUE(engine.balanced()) << what;
+  EXPECT_GT(rounds, 3) << what;
+}
+
+TEST(ResourceProtocolTest, MatchesNaiveAlgorithm51BitForBit) {
+  // Erdős–Rényi, max-degree walk: irregular degrees, so the move cut
+  // differs per origin.
+  {
+    Rng grng(11);
+    const Graph g = tlb::graph::erdos_renyi_connected(96, 0.06, grng);
+    Rng wrng(12);
+    const TaskSet ts = tlb::tasks::bounded_pareto(8 * 96, 2.5, 16.0, wrng);
+    const double T = threshold_value(ThresholdKind::kAboveAverage, ts,
+                                     g.num_nodes(), 0.25);
+    expect_engine_matches_naive_rounds(
+        g, ts, make_config(T, WalkKind::kMaxDegree), all_on_one(ts), 21,
+        "erdos-renyi/max-degree");
+  }
+  // Hypercube, lazy walk.
+  {
+    const Graph g = tlb::graph::hypercube(6);
+    const TaskSet ts = tlb::tasks::two_point(400, 40, 8.0);
+    const double T =
+        threshold_value(ThresholdKind::kTightResource, ts, g.num_nodes());
+    expect_engine_matches_naive_rounds(g, ts, make_config(T, WalkKind::kLazy),
+                                       all_on_one(ts), 22, "hypercube/lazy");
+  }
+  // Torus, lazy walk, speed-proportional per-resource thresholds, tasks
+  // starting on random resources.
+  {
+    const Graph g = tlb::graph::grid2d(8, 8, /*torus=*/true);
+    const TaskSet ts = tlb::tasks::two_point(300, 30, 6.0);
+    const SpeedProfile speeds = two_class_speeds(g.num_nodes(), 8, 4.0);
+    ResourceProtocolConfig cfg = make_config(1.0, WalkKind::kLazy);
+    cfg.thresholds = speed_proportional_thresholds(
+        ts, speeds, ThresholdKind::kAboveAverage, 0.3);
+    Rng prng(13);
+    Placement start(ts.size());
+    for (Node& r : start) r = static_cast<Node>(prng.uniform_below(16));
+    expect_engine_matches_naive_rounds(g, ts, cfg, start, 23,
+                                       "torus/per-resource");
+  }
 }
 
 }  // namespace

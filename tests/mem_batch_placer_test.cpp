@@ -239,44 +239,78 @@ void scatter_sequentially(TaskArena& arena, const TaskSet& ts,
   }
 }
 
-/// Bulk scatter in `mode` on `pool`; checks that the touched callback
-/// reports every distinct destination exactly once.
+/// Sequential reference of evict_scatter: evict_unaccepted over `from` in
+/// order, then push_accepting of evictee j onto dst[j].
+void evict_scatter_sequentially(TaskArena& arena, const TaskSet& ts,
+                                const std::vector<Node>& from,
+                                const std::vector<Node>& dst, ScatterMode mode,
+                                double T, const std::vector<double>& per) {
+  std::vector<TaskId> evictees;
+  for (const Node r : from) arena.evict_unaccepted(r, evictees);
+  ASSERT_EQ(evictees.size(), dst.size());
+  scatter_sequentially(arena, ts, dst, evictees, mode, T, per);
+}
+
+/// The sorted distinct destinations of a batch.
+std::vector<Node> distinct_of(const std::vector<Node>& dst) {
+  const std::set<Node> distinct(dst.begin(), dst.end());
+  return {distinct.begin(), distinct.end()};
+}
+
+/// Plain bulk scatter on `pool`; checks that the touched callback reports
+/// every distinct destination exactly once.
 void scatter_bulk(BatchScatter& scatter, TaskArena& arena, const TaskSet& ts,
                   const std::vector<Node>& dst, const std::vector<TaskId>& ids,
-                  ScatterMode mode, double T, const std::vector<double>& per,
                   const std::string& what, ThreadPool* pool = nullptr) {
   std::vector<Node> touched;
-  const auto on_touched = [&touched](Node r) { touched.push_back(r); };
-  switch (mode) {
-    case ScatterMode::kPlain:
-      scatter.scatter(arena, ts, dst, ids, on_touched, pool);
-      break;
-    case ScatterMode::kUniform:
-      scatter.scatter(arena, ts, dst, ids, T, on_touched, pool);
-      break;
-    case ScatterMode::kPerResource:
-      scatter.scatter(arena, ts, dst, ids, per, on_touched, pool);
-      break;
-  }
-  const std::set<Node> distinct(dst.begin(), dst.end());
+  scatter.scatter(
+      arena, ts, dst, ids, [&touched](Node r) { touched.push_back(r); }, pool);
   std::sort(touched.begin(), touched.end());
-  EXPECT_EQ(touched, std::vector<Node>(distinct.begin(), distinct.end()))
-      << what << ": touched destinations";
+  EXPECT_EQ(touched, distinct_of(dst)) << what << ": touched destinations";
+}
+
+/// evict_scatter in an accepting `mode`; checks that the evicted callback
+/// reports `from` in order and the touched one every distinct destination
+/// exactly once.
+void evict_scatter_bulk(BatchScatter& scatter, TaskArena& arena,
+                        const std::vector<Node>& from,
+                        const std::vector<Node>& dst, ScatterMode mode,
+                        double T, const std::vector<double>& per,
+                        const std::string& what) {
+  std::vector<Node> evicted, touched;
+  const auto on_evicted = [&evicted](Node r) { evicted.push_back(r); };
+  const auto on_touched = [&touched](Node r) { touched.push_back(r); };
+  if (mode == ScatterMode::kUniform) {
+    scatter.evict_scatter(arena, from, dst, T, on_evicted, on_touched);
+  } else {
+    scatter.evict_scatter(arena, from, dst, per, on_evicted, on_touched);
+  }
+  EXPECT_EQ(evicted, from) << what << ": evicted resources";
+  std::sort(touched.begin(), touched.end());
+  EXPECT_EQ(touched, distinct_of(dst)) << what << ": touched destinations";
 }
 
 /// An arena over n resources populated by a random push/removal trace:
 /// spans relocated (dead slots between them) and holes (count < cap) left
 /// by removals. `pool` receives every task id the trace left unplaced.
+/// With `accept`, the pushes keep acceptance bookkeeping against
+/// (*accept)[r], so stacks hold accepted prefixes and unaccepted suffixes.
 /// Deterministic in `seed`, so two calls build identical arenas.
 TaskArena populated_arena(Node n, const TaskSet& ts, std::uint64_t seed,
-                          std::vector<TaskId>& pool) {
+                          std::vector<TaskId>& pool,
+                          const std::vector<double>* accept = nullptr) {
   tlb::util::Rng rng(seed);
   TaskArena arena(n);
   pool.clear();
   const std::size_t placed = ts.size() / 2;
   for (TaskId id = 0; id < ts.size(); ++id) {
     if (id < placed) {
-      arena.push(static_cast<Node>(rng.uniform_below(n)), id, ts.weight(id));
+      const auto r = static_cast<Node>(rng.uniform_below(n));
+      if (accept != nullptr) {
+        arena.push_accepting(r, id, ts.weight(id), (*accept)[r]);
+      } else {
+        arena.push(r, id, ts.weight(id));
+      }
     } else {
       pool.push_back(id);
     }
@@ -302,22 +336,49 @@ std::pair<double, std::vector<double>> scatter_thresholds(const TaskSet& ts,
   return {T, per};
 }
 
-/// Differential check of one batch over identical copies of an arena, in
-/// all three modes.
+/// Differential check of one plain batch over identical copies of an
+/// arena.
 void check_scatter(const TaskSet& ts, Node n, std::uint64_t seed,
                    const std::vector<Node>& dst,
                    const std::vector<TaskId>& ids, const std::string& what) {
+  BatchScatter scatter;
+  std::vector<TaskId> pool;
+  TaskArena batch = populated_arena(n, ts, seed, pool);
+  TaskArena seq = populated_arena(n, ts, seed, pool);
+  scatter_bulk(scatter, batch, ts, dst, ids, what);
+  scatter_sequentially(seq, ts, dst, ids, ScatterMode::kPlain, 0.0, {});
+  expect_identical(batch, seq, n, what);
+}
+
+/// Differential check of evict_scatter over identical copies of an arena
+/// populated with acceptance bookkeeping, in both accepting modes: evict
+/// the unaccepted suffixes of `from` and send evictee j to
+/// make_dst(#evictees)[j].
+template <class MakeDst>
+void check_evict_scatter(const TaskSet& ts, Node n, std::uint64_t seed,
+                         const std::vector<Node>& from, MakeDst&& make_dst,
+                         const std::string& what) {
   const auto [T, per] = scatter_thresholds(ts, n);
   BatchScatter scatter;
-  for (const ScatterMode mode : {ScatterMode::kPlain, ScatterMode::kUniform,
-                                 ScatterMode::kPerResource}) {
+  for (const ScatterMode mode :
+       {ScatterMode::kUniform, ScatterMode::kPerResource}) {
     const std::string label =
         what + "/mode" + std::to_string(static_cast<int>(mode));
-    std::vector<TaskId> pool;
-    TaskArena batch = populated_arena(n, ts, seed, pool);
-    TaskArena seq = populated_arena(n, ts, seed, pool);
-    scatter_bulk(scatter, batch, ts, dst, ids, mode, T, per, label);
-    scatter_sequentially(seq, ts, dst, ids, mode, T, per);
+    // Populate against a third of the scatter's thresholds, so that many
+    // stacks carry an unaccepted suffix.
+    std::vector<double> accept =
+        mode == ScatterMode::kUniform ? std::vector<double>(n, T) : per;
+    for (double& t : accept) t *= 0.3;
+    std::vector<TaskId> unused;
+    TaskArena batch = populated_arena(n, ts, seed, unused, &accept);
+    TaskArena seq = populated_arena(n, ts, seed, unused, &accept);
+    std::size_t evictees = 0;
+    for (const Node r : from) {
+      evictees += batch.count(r) - batch.accepted_count(r);
+    }
+    const std::vector<Node> dst = make_dst(evictees);
+    evict_scatter_bulk(scatter, batch, from, dst, mode, T, per, label);
+    evict_scatter_sequentially(seq, ts, from, dst, mode, T, per);
     expect_identical(batch, seq, n, label);
   }
 }
@@ -341,13 +402,28 @@ TEST(BatchScatterTest, RandomMoversOverPopulatedArenas) {
   // of the block width.
   for (const Node n : {Node{7}, Node{256}, Node{300}, Node{1000}}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const std::string what =
+          "n=" + std::to_string(n) + " seed=" + std::to_string(seed);
       std::vector<TaskId> pool;
       (void)populated_arena(n, ts, seed, pool);
       std::vector<Node> dst;
       std::vector<TaskId> ids;
       random_movers(n, pool, seed * 31, dst, ids);
-      check_scatter(ts, n, seed, dst, ids,
-                    "n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+      check_scatter(ts, n, seed, dst, ids, what);
+      // Two resources in three evict, some of them with nothing pending.
+      std::vector<Node> from;
+      for (Node r = 0; r < n; ++r) {
+        if ((r + seed) % 3 != 0) from.push_back(r);
+      }
+      check_evict_scatter(
+          ts, n, seed, from,
+          [n, seed](std::size_t k) {
+            tlb::util::Rng rng(seed * 37);
+            std::vector<Node> out(k);
+            for (Node& d : out) d = static_cast<Node>(rng.uniform_below(n));
+            return out;
+          },
+          what + " evict");
     }
   }
 }
@@ -355,6 +431,8 @@ TEST(BatchScatterTest, RandomMoversOverPopulatedArenas) {
 TEST(BatchScatterTest, EmptyBatch) {
   const TaskSet ts = make_tasks(400, 22);
   check_scatter(ts, 300, 5, {}, {}, "empty");
+  const auto none = [](std::size_t k) { return std::vector<Node>(k, 0); };
+  check_evict_scatter(ts, 300, 5, {}, none, "empty evict");
 }
 
 TEST(BatchScatterTest, AllMoversToOneResource) {
@@ -366,6 +444,14 @@ TEST(BatchScatterTest, AllMoversToOneResource) {
   for (const Node target : {Node{n - 1}, Node{0}}) {
     const std::vector<Node> dst(pool.size(), target);
     check_scatter(ts, n, 6, dst, pool, "all-to-" + std::to_string(target));
+    std::vector<Node> from;
+    for (Node r = 0; r < n; ++r) {
+      if (r != target) from.push_back(r);
+    }
+    check_evict_scatter(
+        ts, n, 6, from,
+        [target](std::size_t k) { return std::vector<Node>(k, target); },
+        "evict-all-to-" + std::to_string(target));
   }
 }
 
@@ -374,46 +460,62 @@ TEST(BatchScatterTest, CompactionInsideAGrowPassKeepsSpansSized) {
   // second needs to grow, and that grow compacts the slab — re-slacking the
   // first span below what its arrivals need. The scatter must size it
   // again before filling (the fill would otherwise overrun into the next
-  // span).
+  // span). The evicting variant takes its 18 movers from resource 200's
+  // stack, in block 0 too.
   const TaskSet ts = make_tasks(200, 24);
   const Node n = 300;
   const auto [T, per] = scatter_thresholds(ts, n);
   const Pools pools;
+  const auto build = [&ts](TaskArena& arena, std::vector<TaskId>& freed,
+                           bool evicting) {
+    for (TaskId id = 0; id < 20; ++id) arena.push(5, id, ts.weight(id));
+    for (TaskId id = 20; id < 28; ++id) arena.push(7, id, ts.weight(id));
+    for (TaskId id = 28; id < 60; ++id) {
+      arena.push(260 + id % 30, id, ts.weight(id));
+    }
+    std::vector<std::uint8_t> mask(20, 1);
+    mask[0] = mask[1] = 0;  // resource 5 keeps 2 tasks in a 32-slot span
+    arena.remove_marked(5, mask, freed);
+    if (evicting) {
+      for (const TaskId id : freed) arena.push(200, id, ts.weight(id));
+    }
+    tlb::mem::TaskArenaTestPeer::add_dead_slots(
+        arena, arena.slab_size() + 4096);
+  };
+  std::vector<Node> dst(10, 5);      // fits resource 5's current span
+  dst.insert(dst.end(), 5, 7);       // resource 7 is full: grow, compact
+  dst.insert(dst.end(), 3, 299);     // block 1, the partial last block
   for (ThreadPool* pool : pools.all()) {
-  for (const ScatterMode mode : {ScatterMode::kPlain, ScatterMode::kUniform,
-                                 ScatterMode::kPerResource}) {
-    const std::string label = "compaction/mode" +
-                              std::to_string(static_cast<int>(mode)) + " " +
-                              Pools::name(pool);
-    const auto build = [&ts](TaskArena& arena, std::vector<TaskId>& freed) {
-      for (TaskId id = 0; id < 20; ++id) arena.push(5, id, ts.weight(id));
-      for (TaskId id = 20; id < 28; ++id) arena.push(7, id, ts.weight(id));
-      for (TaskId id = 28; id < 60; ++id) {
-        arena.push(260 + id % 30, id, ts.weight(id));
-      }
-      std::vector<std::uint8_t> mask(20, 1);
-      mask[0] = mask[1] = 0;  // resource 5 keeps 2 tasks in a 32-slot span
-      arena.remove_marked(5, mask, freed);
-      tlb::mem::TaskArenaTestPeer::add_dead_slots(
-          arena, arena.slab_size() + 4096);
-    };
+    const std::string label = "compaction/plain " + Pools::name(pool);
     TaskArena batch(n), seq(n);
     std::vector<TaskId> freed, unused;
-    build(batch, freed);
-    build(seq, unused);
+    build(batch, freed, false);
+    build(seq, unused, false);
     ASSERT_GE(batch.count(5) + 10, 12u);
-    std::vector<Node> dst(10, 5);      // fits resource 5's current span
-    dst.insert(dst.end(), 5, 7);       // resource 7 is full: grow, compact
-    dst.insert(dst.end(), 3, 299);     // block 1, the partial last block
-    std::vector<TaskId> ids = freed;   // 18 freed ids
-    ASSERT_EQ(ids.size(), dst.size());
+    ASSERT_EQ(freed.size(), dst.size());
     const std::uint64_t compactions = batch.compactions();
     BatchScatter scatter;
-    scatter_bulk(scatter, batch, ts, dst, ids, mode, T, per, label, pool);
+    scatter_bulk(scatter, batch, ts, dst, freed, label, pool);
     EXPECT_EQ(batch.compactions(), compactions + 1) << label;
-    scatter_sequentially(seq, ts, dst, ids, mode, T, per);
+    scatter_sequentially(seq, ts, dst, freed, ScatterMode::kPlain, T, per);
     expect_identical(batch, seq, n, label);
   }
+  for (const ScatterMode mode :
+       {ScatterMode::kUniform, ScatterMode::kPerResource}) {
+    const std::string label =
+        "compaction/evict mode" + std::to_string(static_cast<int>(mode));
+    TaskArena batch(n), seq(n);
+    std::vector<TaskId> freed, unused;
+    build(batch, freed, true);
+    build(seq, unused, true);
+    const std::vector<Node> from{200};
+    ASSERT_EQ(batch.count(200) - batch.accepted_count(200), dst.size());
+    const std::uint64_t compactions = batch.compactions();
+    BatchScatter scatter;
+    evict_scatter_bulk(scatter, batch, from, dst, mode, T, per, label);
+    EXPECT_EQ(batch.compactions(), compactions + 1) << label;
+    evict_scatter_sequentially(seq, ts, from, dst, mode, T, per);
+    expect_identical(batch, seq, n, label);
   }
 }
 
@@ -428,11 +530,28 @@ TEST(BatchScatterTest, ValidatesInputWithoutTouchingTheArena) {
   // The bad destination comes last: nothing before it may land either.
   EXPECT_THROW(scatter.scatter(arena, ts, {0, 1, 4}, {1, 2, 3}, ignore),
                std::invalid_argument);
-  EXPECT_THROW(scatter.scatter(arena, ts, {0}, {1},
-                               std::vector<double>(3, 1.0), ignore),
+  // evict_scatter: resource 1's one task is unaccepted. A repeated or
+  // out-of-range list entry, a destination count other than the evictee
+  // count, a bad destination and a short threshold vector all throw
+  // before the eviction.
+  const std::vector<Node> one{1};
+  EXPECT_THROW(scatter.evict_scatter(arena, std::vector<Node>{1, 1}, {0}, 9.0,
+                                     ignore, ignore),
+               std::invalid_argument);
+  EXPECT_THROW(scatter.evict_scatter(arena, std::vector<Node>{1, 4}, {0}, 9.0,
+                                     ignore, ignore),
+               std::invalid_argument);
+  EXPECT_THROW(scatter.evict_scatter(arena, one, {0, 0}, 9.0, ignore, ignore),
+               std::invalid_argument);
+  EXPECT_THROW(scatter.evict_scatter(arena, one, {4}, 9.0, ignore, ignore),
+               std::invalid_argument);
+  EXPECT_THROW(scatter.evict_scatter(arena, one, {0},
+                                     std::vector<double>(3, 9.0), ignore,
+                                     ignore),
                std::invalid_argument);
   EXPECT_EQ(arena.total_tasks(), 1u);
   EXPECT_EQ(arena.count(0), 0u);
+  EXPECT_EQ(arena.count(1), 1u);
   arena.check_invariants();
 }
 
@@ -497,15 +616,20 @@ void expect_same_state(const tlb::core::SystemState& bulk,
 TEST(BatchScatterTest, SystemStateMatchesSequentialPushes) {
   // The SystemState entry points on top: besides the arena, the tracker's
   // dirty_marks(), its flush_checks() and the overloaded() list must equal
-  // what removing per resource and pushing the movers one at a time
-  // produces — the reference pushes through mutable stack(r) views, which
-  // mark r dirty per push. The bulk side merges on coin shards of 16, so
-  // most stacks cross a shard boundary.
+  // what the sequential reference produces, which mutates through mutable
+  // stack(r) views (each marks r dirty). Plain legs: the exact engine's
+  // round, merged on coin shards of 16 (so most stacks cross a shard
+  // boundary) against removal per resource, then scattered against pushes
+  // one at a time. Accepting legs: Algorithm 5.1's round, evict_scatter
+  // against evicting every overloaded suffix in list order and then
+  // push_accepting each evictee.
   const TaskSet ts = make_tasks(4000, 26);
   const Pools pools;
   for (ThreadPool* pool : pools.all()) {
   for (const Node n : {Node{40}, Node{700}}) {
     for (const bool accepting : {false, true}) {
+      // evict_scatter runs on the caller: one pass is enough.
+      if (accepting && pool != nullptr) continue;
       for (const bool per_resource : {false, true}) {
         const std::string label = "n=" + std::to_string(n) +
                                   (accepting ? " accepting" : " plain") +
@@ -523,30 +647,43 @@ TEST(BatchScatterTest, SystemStateMatchesSequentialPushes) {
         tlb::util::Rng rng(n);
         Placement p(ts.size());
         for (auto& r : p) r = static_cast<Node>(rng.uniform_below(n));
-        bulk.place(p, -1.0);
-        seq.place(p, -1.0);
-        for (int round = 0; round < 4; ++round) {
-          // The engines' phase 1: mark random subsets of the overloaded
-          // resources' stacks, merge, then scatter the movers.
-          std::size_t coins = 0;
-          for (const Node r : bulk.overloaded()) {
-            coins += bulk.arena().count(r);
+        for (tlb::core::SystemState* s : {&bulk, &seq}) {
+          if (!accepting) {
+            s->place(p, -1.0);
+          } else if (per_resource) {
+            s->place(p, per);
+          } else {
+            s->place(p, T);
           }
-          std::vector<std::uint8_t> mask(coins);
-          for (auto& bit : mask) bit = rng.bernoulli(0.5) ? 1 : 0;
-          std::vector<Node> origin;
-          const std::vector<TaskId> movers =
-              flat_merge(bulk, mask, 16, pool, origin);
-          merge_sequentially(seq, mask);
-          std::vector<Node> dst(movers.size());
-          for (Node& d : dst) d = static_cast<Node>(rng.uniform_below(n));
+        }
+        for (int round = 0; round < 4; ++round) {
           if (accepting) {
-            bulk.scatter_accepting(dst, movers, pool);
+            const std::vector<Node> over = seq.overloaded();
+            ASSERT_EQ(over, bulk.overloaded()) << label;
+            std::vector<TaskId> evictees;
+            for (const Node r : over) seq.stack(r).evict_unaccepted(ts, evictees);
+            std::vector<Node> dst(evictees.size());
+            for (Node& d : dst) d = static_cast<Node>(rng.uniform_below(n));
+            bulk.evict_scatter(dst);
             for (std::size_t i = 0; i < dst.size(); ++i) {
-              seq.stack(dst[i]).push_accepting(movers[i], ts,
+              seq.stack(dst[i]).push_accepting(evictees[i], ts,
                                                seq.threshold_of(dst[i]));
             }
           } else {
+            // The exact engine's phase 1: mark random subsets of the
+            // overloaded resources' stacks, merge, then scatter the movers.
+            std::size_t coins = 0;
+            for (const Node r : bulk.overloaded()) {
+              coins += bulk.arena().count(r);
+            }
+            std::vector<std::uint8_t> mask(coins);
+            for (auto& bit : mask) bit = rng.bernoulli(0.5) ? 1 : 0;
+            std::vector<Node> origin;
+            const std::vector<TaskId> movers =
+                flat_merge(bulk, mask, 16, pool, origin);
+            merge_sequentially(seq, mask);
+            std::vector<Node> dst(movers.size());
+            for (Node& d : dst) d = static_cast<Node>(rng.uniform_below(n));
             bulk.scatter(dst, movers, pool);
             for (std::size_t i = 0; i < dst.size(); ++i) {
               seq.stack(dst[i]).push(movers[i], ts);
@@ -665,13 +802,62 @@ TEST(BatchScatterTest, GrowAtTheSlotCapThrowsCleanly) {
   EXPECT_EQ(touched.size(), std::set<Node>(dst.begin(), dst.end()).size());
 }
 
-TEST(BatchScatterTest, ScatterAcceptingRequiresThresholds) {
+TEST(BatchScatterTest, EvictScatterGrowAtTheSlotCapKeepsTheEvictions) {
+  // The evicting variant of the test above: block 1's destination needs a
+  // grow at the slab cap. No evictee may land and block 0's count bumps
+  // roll back, but the evictions stay done — and reported, so a
+  // SystemState caller's dirty marks still cover them.
+  const TaskSet ts = make_tasks(600, 29);
+  const Node n = 600;
+  std::vector<TaskId> pool;
+  TaskArena arena = populated_arena(n, ts, 8, pool);
+  TaskArena expected = populated_arena(n, ts, 8, pool);
+  using Peer = tlb::mem::TaskArenaTestPeer;
+  std::vector<Node> roomy;  // block 0: room for two more tasks
+  for (Node r = 0; r < BatchScatter::kBlockWidth && roomy.size() < 3; ++r) {
+    if (arena.count(r) > 0 && Peer::cap(arena, r) >= arena.count(r) + 2) {
+      roomy.push_back(r);
+    }
+  }
+  ASSERT_EQ(roomy.size(), 3u);
+  const Node full = BatchScatter::kBlockWidth + 7;  // block 1
+  // Plain pushes leave every task unaccepted: evict whole stacks from 300
+  // on until there are enough movers for the roomy slots plus a grow.
+  const std::size_t need = 2 * roomy.size() + Peer::cap(arena, full) + 1;
+  std::vector<Node> from;
+  std::size_t evictees = 0;
+  for (Node r = 300; r < n && evictees < need; ++r) {
+    if (arena.count(r) == 0) continue;
+    from.push_back(r);
+    evictees += arena.count(r);
+  }
+  ASSERT_GE(evictees, need);
+  std::vector<Node> dst;
+  for (int i = 0; i < 2; ++i) dst.insert(dst.end(), roomy.begin(), roomy.end());
+  dst.resize(evictees, full);
+
+  BatchScatter scatter;
+  std::vector<Node> evicted, touched;
+  const std::size_t phantom = Peer::book_phantom_slots(arena);
+  EXPECT_THROW(scatter.evict_scatter(
+                   arena, from, dst, 1e9,
+                   [&evicted](Node r) { evicted.push_back(r); },
+                   [&touched](Node r) { touched.push_back(r); }),
+               std::length_error);
+  Peer::release_phantom_slots(arena, phantom);
+  ASSERT_NO_THROW(arena.check_invariants());
+  std::vector<TaskId> gone;
+  for (const Node r : from) expected.evict_unaccepted(r, gone);
+  expect_identical(arena, expected, n, "after the throw");
+  EXPECT_EQ(evicted, from);
+  EXPECT_TRUE(touched.empty());
+}
+
+TEST(BatchScatterTest, EvictScatterRequiresThresholds) {
   const TaskSet ts = make_tasks(4, 27);
   tlb::core::SystemState state(ts, 2);
   state.place({0, 0, 0, 1}, -1.0);
-  std::vector<TaskId> movers;
-  state.remove_marked(0, std::vector<std::uint8_t>{1, 0, 0}, movers);
-  EXPECT_THROW(state.scatter_accepting({1}, movers), std::logic_error);
+  EXPECT_THROW(state.evict_scatter({1}), std::logic_error);
 }
 
 TEST(BatchPlacerTest, ValidatesInput) {

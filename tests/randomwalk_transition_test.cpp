@@ -1,6 +1,7 @@
 // Tests for the max-degree / lazy transition models (Section 4.1): row sums,
-// symmetry, uniform stationarity, and agreement between step() sampling and
-// the matrix probabilities.
+// symmetry, uniform stationarity, agreement between step() sampling and
+// the matrix probabilities, and the row sampler's draws against the
+// uniform-coin formula.
 #include "tlb/randomwalk/transition.hpp"
 
 #include <gtest/gtest.h>
@@ -150,6 +151,44 @@ TEST(TransitionTest, RejectsEdgelessGraph) {
   // well-formed edges), but a 1-node graph has no edges.
   const Graph g = Graph::from_edges(1, {});
   EXPECT_THROW(TransitionModel{g}, std::invalid_argument);
+}
+
+TEST(TransitionTest, RowSamplerDrawsWhatTheUniformCoinDrew) {
+  // The one walk implementation (row(u).step, which step(u, rng) calls)
+  // must consume the stream exactly as the formula it replaced: stay iff
+  // uniform01() >= deg(u)·edge_prob(), else move to neighbour
+  // uniform_below(deg(u)). A star on nodes 0..5 plus the isolated node 6
+  // puts the move probability at 1 (the centre, max-degree walk), 1/2 (the
+  // centre, lazy walk), 1/5 and 1/10 (a leaf) and 0 (the isolated node,
+  // which must never draw a neighbour).
+  std::vector<tlb::graph::Edge> edges;
+  for (Node leaf = 1; leaf <= 5; ++leaf) edges.emplace_back(0, leaf);
+  const Graph g = Graph::from_edges(7, edges, "star+isolated");
+  const auto reference = [&g](const TransitionModel& walk, Node u, Rng& rng) {
+    const Node deg = g.degree(u);
+    if (rng.uniform01() >= static_cast<double>(deg) * walk.edge_prob()) {
+      return u;
+    }
+    return g.neighbor(u, static_cast<Node>(rng.uniform_below(deg)));
+  };
+  for (const WalkKind kind : {WalkKind::kMaxDegree, WalkKind::kLazy}) {
+    const TransitionModel walk(g, kind);
+    for (Node start = 0; start < g.num_nodes(); ++start) {
+      const std::string at = std::string(to_string(kind)) + " from " +
+                             std::to_string(start);
+      Rng by_row(1234), by_step(1234), by_formula(1234);
+      Node row_at = start, step_at = start, formula_at = start;
+      for (int t = 0; t < 10000; ++t) {
+        row_at = walk.row(row_at).step(by_row);
+        step_at = walk.step(step_at, by_step);
+        formula_at = reference(walk, formula_at, by_formula);
+        ASSERT_EQ(row_at, formula_at) << at << " step " << t;
+        ASSERT_EQ(step_at, formula_at) << at << " step " << t;
+      }
+      EXPECT_EQ(by_row.state_hash(), by_formula.state_hash()) << at;
+      EXPECT_EQ(by_step.state_hash(), by_formula.state_hash()) << at;
+    }
+  }
 }
 
 }  // namespace

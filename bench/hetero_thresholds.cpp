@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     const bool feasible = core::thresholds_feasible(ts, thresholds);
 
     core::UserProtocolConfig cfg;
-    cfg.thresholds = thresholds;
+    cfg.threshold = thresholds;
     cfg.alpha = 1.0;
     cfg.options.max_rounds = 2000000;
 
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
         ts, speeds, core::ThresholdKind::kAboveAverage, eps);
 
     core::UserProtocolConfig cfg;
-    cfg.thresholds = thresholds;
+    cfg.threshold = thresholds;
     cfg.alpha = 1.0;
     cfg.options.max_rounds = 2000000;
 

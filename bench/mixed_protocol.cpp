@@ -41,7 +41,7 @@ MixedOutcome one_trial(const graph::Graph& g, const tasks::TaskSet& ts,
   core::MixedProtocolEngine engine(g, ts, cfg);
   engine.reset(start);
   MixedOutcome out;
-  out.run.threshold = cfg.threshold;
+  out.run.threshold = engine.reported_threshold();
   while (!engine.balanced() && out.run.rounds < cfg.options.max_rounds) {
     const std::size_t moved = engine.step(rng);
     out.max_burst = std::max(out.max_burst, moved);

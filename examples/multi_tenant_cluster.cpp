@@ -49,7 +49,7 @@ int main() {
   const tasks::Placement start = tasks::round_robin(jobs, machines, gen3);
 
   core::UserProtocolConfig cfg;
-  cfg.thresholds = caps;
+  cfg.threshold = caps;
   cfg.alpha = 1.0;
   util::Rng run_rng(7);
   core::UserControlledEngine engine(jobs, machines, cfg);

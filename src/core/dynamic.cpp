@@ -142,7 +142,7 @@ double DynamicUserEngine::target_threshold() const {
 
 void DynamicUserEngine::recompute_threshold() {
   const double next = target_threshold();
-  if (next == core_.max_threshold()) return;
+  if (next == core_.thresholds().max()) return;
   core_.shift_threshold(next);
   if (sink_.registry != nullptr) sink_.registry->add(m_threshold_changes_, 1);
 }
@@ -249,7 +249,7 @@ void DynamicUserEngine::collect_fingerprint(dsan::Digest& d,
   d.u64(core_.num_classes());
   d.u64(population_);
   d.f64(total_weight_);
-  d.f64(core_.max_threshold());
+  d.f64(core_.thresholds().max());
   core_.digest_resources(d);
   dsan::digest_tracker(core_.tracker(), d, work);
 }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "tlb/core/departure.hpp"
 #include "tlb/dsan/probe.hpp"
 #include "tlb/dsan/state_digest.hpp"
 #include "tlb/util/binomial.hpp"
@@ -23,14 +24,9 @@ GroupedState::GroupedState(graph::Node n, std::vector<double> class_weights,
   if (threads != 1) pool_ = std::make_unique<util::ThreadPool>(threads);
 }
 
-void GroupedState::set_thresholds(std::vector<double> thresholds) {
-  thresholds_ = std::move(thresholds);
-  max_threshold_ = *std::max_element(thresholds_.begin(), thresholds_.end());
-}
-
 void GroupedState::shift_threshold(double next) {
-  const double prev = uniform_threshold_;
-  uniform_threshold_ = next;
+  const double prev = thresholds_.max();
+  thresholds_ = next;
   over_.shift_threshold(prev, next,
                         [this](graph::Node r) { return loads_[r]; });
 }
@@ -87,12 +83,9 @@ void GroupedState::clear_resource(graph::Node r) {
 const std::vector<graph::Node>& GroupedState::overloaded() const {
   // The predicate runs once per flush check, the round's most frequent
   // threshold read, so the uniform case compares against a hoisted scalar.
-  if (thresholds_.empty()) {
-    const double T = uniform_threshold_;
-    over_.flush([this, T](graph::Node r) { return loads_[r] > T; });
-  } else {
-    over_.flush([this](graph::Node r) { return loads_[r] > thresholds_[r]; });
-  }
+  thresholds_.visit([this](const auto T) {
+    over_.flush([this, T](graph::Node r) { return loads_[r] > T[r]; });
+  });
   return over_.items();
 }
 
@@ -101,7 +94,7 @@ double GroupedState::fitted_prefix_weight(graph::Node r) const {
   // weight w starting at height h, exactly floor((T - h)/w) tasks (clamped
   // to the class count) still fit completely below the threshold.
   const std::size_t C = class_weights_.size();
-  const double T = threshold(r);
+  const double T = thresholds_[r];
   double h = 0.0;
   for (std::size_t c = 0; c < C; ++c) {
     const std::uint32_t k = counts_[static_cast<std::size_t>(r) * C + c];
@@ -118,7 +111,7 @@ double GroupedState::fitted_prefix_weight(graph::Node r) const {
 }
 
 double GroupedState::phi_of(graph::Node r) const {
-  if (loads_[r] <= threshold(r)) return 0.0;
+  if (loads_[r] <= thresholds_[r]) return 0.0;
   return loads_[r] - fitted_prefix_weight(r);
 }
 
@@ -156,12 +149,8 @@ std::size_t GroupedState::step(util::Rng& rng, dsan::StepProbe* probe) {
           if (probe != nullptr) srng.attach_probe(probe->shard_slot(shard));
           for (std::size_t i = lo; i < hi; ++i) {
             const graph::Node r = over[i];
-            const std::uint32_t b = task_counts_[r];
-            const double phi = phi_of(r);
-            if (b == 0 || phi <= 0.0) continue;
-            const double p = std::min(
-                alpha_ * std::ceil(phi / w_max_) / static_cast<double>(b),
-                1.0);
+            const double p = leave_probability(alpha_, phi_of(r), w_max_,
+                                               task_counts_[r]);
             if (p <= 0.0) continue;
             // One sampler per resource: its classes share p, so they share
             // its log(1 - p) too.
@@ -245,15 +234,15 @@ void GroupedState::collect_load_stats(LoadStatsCalc& calc,
                                       LoadStats& out) const {
   const auto load = [this](graph::Node r) { return loads_[r]; };
   if (const LoadIndex* idx = over_.query_index(load)) {
-    out = calc.compute_indexed(*idx, n_, max_threshold());
+    out = calc.compute_indexed(*idx, n_, thresholds_.max());
   } else {
-    out = calc.compute_scan(n_, max_threshold(), load);
+    out = calc.compute_scan(n_, thresholds_.max(), load);
   }
 }
 
 void GroupedState::audit(const char* who) const {
   over_.audit(
-      n_, [this](graph::Node r) { return loads_[r] > threshold(r); }, who);
+      n_, [this](graph::Node r) { return loads_[r] > thresholds_[r]; }, who);
 }
 
 void GroupedState::digest_resources(dsan::Digest& d) const {

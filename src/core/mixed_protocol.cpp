@@ -1,12 +1,11 @@
 #include "tlb/core/mixed_protocol.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
+#include "tlb/core/departure.hpp"
 #include "tlb/core/potential.hpp"
-#include "tlb/core/threshold.hpp"
 #include "tlb/engine/driver.hpp"
 
 namespace tlb::core {
@@ -14,13 +13,10 @@ namespace tlb::core {
 MixedProtocolEngine::MixedProtocolEngine(const graph::Graph& g,
                                          const tasks::TaskSet& ts,
                                          MixedProtocolConfig config)
-    : graph_(&g),
-      tasks_(&ts),
-      config_(std::move(config)),
+    : config_(std::move(config)),
       walk_(g, config_.walk),
       state_(ts, g.num_nodes()) {
-  thresholds_ = resolve_thresholds(config_.threshold, config_.thresholds,
-                                   g.num_nodes(), "MixedProtocolEngine");
+  config_.threshold.checked(g.num_nodes(), "MixedProtocolEngine");
   if (config_.resource_probability < 0.0 || config_.resource_probability > 1.0) {
     throw std::invalid_argument(
         "MixedProtocolEngine: resource_probability in [0, 1]");
@@ -29,17 +25,15 @@ MixedProtocolEngine::MixedProtocolEngine(const graph::Graph& g,
     throw std::invalid_argument(
         "MixedProtocolEngine: alpha must be finite and > 0");
   }
-  state_.set_thresholds(thresholds_);
+  state_.set_thresholds(std::move(config_.threshold));
 }
 
 void MixedProtocolEngine::reset(const tasks::Placement& placement) {
-  state_.place(placement, /*threshold=*/-1.0);
+  state_.place(placement);
   resource_rounds_ = 0;
 }
 
 std::size_t MixedProtocolEngine::step(util::Rng& rng) {
-  const double w_max = tasks_->max_weight();
-
   // Phase 1: per overloaded resource, choose the mode for this round, then
   // collect leavers (decisions against the round-start state). The state's
   // incremental overloaded set makes this O(#overloaded + #movers).
@@ -55,24 +49,8 @@ std::size_t MixedProtocolEngine::step(util::Rng& rng) {
       mover_origin_.insert(mover_origin_.end(), movers_.size() - before, r);
     } else {
       // User-controlled round: Algorithm 6.1's per-task coin.
-      const ResourceStack& stack = std::as_const(state_).stack(r);
-      const double phi = stack.phi(*tasks_, thresholds_[r]);
-      if (phi <= 0.0) continue;
-      const double p = std::min(
-          1.0, config_.alpha * std::ceil(phi / w_max) /
-                   static_cast<double>(stack.count()));
-      leave_mask_.assign(stack.count(), 0);
-      bool any = false;
-      for (std::size_t i = 0; i < leave_mask_.size(); ++i) {
-        if (rng.bernoulli(p)) {
-          leave_mask_[i] = 1;
-          any = true;
-        }
-      }
-      if (!any) continue;
-      const std::size_t before = movers_.size();
-      state_.remove_marked(r, leave_mask_, movers_);
-      mover_origin_.insert(mover_origin_.end(), movers_.size() - before, r);
+      flip_departures(state_, r, config_.alpha, rng, leave_mask_, movers_,
+                      mover_origin_);
     }
   }
   if (any_resource_mode) ++resource_rounds_;
@@ -87,7 +65,7 @@ std::size_t MixedProtocolEngine::step(util::Rng& rng) {
 bool MixedProtocolEngine::balanced() const { return state_.balanced(); }
 
 double MixedProtocolEngine::potential() const {
-  return user_potential(state_, thresholds_);
+  return user_potential(state_, state_.thresholds());
 }
 
 std::uint32_t MixedProtocolEngine::overloaded_count() const {
@@ -95,10 +73,6 @@ std::uint32_t MixedProtocolEngine::overloaded_count() const {
 }
 
 double MixedProtocolEngine::max_load() const { return state_.max_load(); }
-
-double MixedProtocolEngine::reported_threshold() const {
-  return *std::max_element(thresholds_.begin(), thresholds_.end());
-}
 
 void MixedProtocolEngine::audit() const { state_.check_invariants(); }
 

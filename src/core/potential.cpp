@@ -10,34 +10,18 @@ double resource_potential(const SystemState& state) {
   return phi;
 }
 
-double user_potential(const SystemState& state, double threshold) {
-  double phi = 0.0;
-  for (Node r = 0; r < state.num_resources(); ++r) {
-    phi += state.stack(r).phi(state.task_set(), threshold);
-  }
-  return phi;
+double user_potential(const SystemState& state, const Thresholds& thresholds) {
+  return thresholds.visit([&state](const auto T) {
+    double phi = 0.0;
+    for (Node r = 0; r < state.num_resources(); ++r) {
+      phi += state.stack(r).phi(state.task_set(), T[r]);
+    }
+    return phi;
+  });
 }
 
-double user_potential(const SystemState& state,
-                      const std::vector<double>& thresholds) {
-  double phi = 0.0;
-  for (Node r = 0; r < state.num_resources(); ++r) {
-    phi += state.stack(r).phi(state.task_set(), thresholds[r]);
-  }
-  return phi;
-}
-
-double acceptor_fraction(const SystemState& state, double threshold,
+double acceptor_fraction(const SystemState& state, const Thresholds& thresholds,
                          double w_max) {
-  Node able = 0;
-  for (Node r = 0; r < state.num_resources(); ++r) {
-    if (state.load(r) <= threshold - w_max) ++able;
-  }
-  return static_cast<double>(able) / static_cast<double>(state.num_resources());
-}
-
-double acceptor_fraction(const SystemState& state,
-                         const std::vector<double>& thresholds, double w_max) {
   Node able = 0;
   for (Node r = 0; r < state.num_resources(); ++r) {
     if (state.load(r) <= thresholds[r] - w_max) ++able;

@@ -1,8 +1,7 @@
 #include "tlb/core/resource_protocol.hpp"
 
-#include <algorithm>
+#include <utility>
 
-#include "tlb/core/threshold.hpp"
 #include "tlb/engine/driver.hpp"
 
 namespace tlb::core {
@@ -13,17 +12,8 @@ ResourceControlledEngine::ResourceControlledEngine(const graph::Graph& g,
     : config_(std::move(config)),
       walk_(g, config_.walk),
       state_(ts, g.num_nodes()) {
-  if (config_.thresholds.empty()) {
-    uniform_threshold_ =
-        checked_threshold(config_.threshold, "ResourceControlledEngine");
-    max_threshold_ = uniform_threshold_;
-    state_.set_thresholds(uniform_threshold_);
-  } else {
-    thresholds_ = resolve_thresholds(config_.threshold, config_.thresholds,
-                                     g.num_nodes(), "ResourceControlledEngine");
-    max_threshold_ = *std::max_element(thresholds_.begin(), thresholds_.end());
-    state_.set_thresholds(thresholds_);
-  }
+  config_.threshold.checked(g.num_nodes(), "ResourceControlledEngine");
+  state_.set_thresholds(std::move(config_.threshold));
   sink_.registry = config_.options.registry;
   sink_.trace = config_.options.trace;
   if (sink_.registry != nullptr) {
@@ -39,11 +29,7 @@ ResourceControlledEngine::ResourceControlledEngine(const graph::Graph& g,
 }
 
 void ResourceControlledEngine::reset(const tasks::Placement& placement) {
-  if (thresholds_.empty()) {
-    state_.place(placement, uniform_threshold_);
-  } else {
-    state_.place(placement, thresholds_);
-  }
+  state_.place(placement, state_.thresholds());
 }
 
 std::size_t ResourceControlledEngine::step(util::Rng& rng) {

@@ -1,8 +1,9 @@
 #include "tlb/core/system_state.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace tlb::core {
 
@@ -12,79 +13,47 @@ SystemState::SystemState(const tasks::TaskSet& tasks, Node n)
   overloaded_.reset(n);
 }
 
-void SystemState::set_thresholds(double threshold) {
-  if (!(threshold > 0.0) || !std::isfinite(threshold)) {
-    throw std::invalid_argument(
-        "SystemState::set_thresholds: threshold finite and > 0");
-  }
+void SystemState::set_thresholds(Thresholds thresholds) {
+  thresholds.checked(arena_.num_resources(), "SystemState::set_thresholds");
   // Re-registering the value already in force cannot flip any status (the
   // recompute_threshold no-op guard, applied to the bulk mutator): zero
   // re-checks on the next query.
-  if (track_thresholds_.empty() && track_uniform_ == threshold) return;
-  if (track_thresholds_.empty() && track_uniform_ > 0.0) {
+  if (thresholds == thresholds_) return;
+  if (!thresholds_.is_set()) {
+    // First registration: nothing was tracked against anything yet.
+    thresholds_ = std::move(thresholds);
+    overloaded_.mark_all_dirty();
+    return;
+  }
+  if (thresholds_.is_uniform() && thresholds.is_uniform()) {
     // Uniform -> uniform: only loads between the old and new value can
     // flip; the tracker's load index confines the invalidation to that
     // band instead of dirtying all n resources.
-    const double prev = track_uniform_;
-    track_uniform_ = threshold;
-    overloaded_.shift_threshold(
-        prev, threshold, [this](Node r) { return arena_.load(r); });
+    const double prev = thresholds_.max();
+    thresholds_ = std::move(thresholds);
+    overloaded_.shift_threshold(prev, thresholds_.max(),
+                                [this](Node r) { return arena_.load(r); });
     return;
   }
-  if (!track_thresholds_.empty()) {
-    // Per-resource -> uniform: re-check exactly the resources whose own
-    // threshold actually changes (one O(n) compare pass, but the next
-    // flush only pays for the changed ones).
-    const Node n = arena_.num_resources();
-    for (Node r = 0; r < n; ++r) {
-      if (track_thresholds_[r] != threshold) overloaded_.mark_dirty(r);
-    }
-    track_uniform_ = threshold;
-    track_thresholds_.clear();
-    return;
-  }
-  // First registration: nothing was tracked against anything yet.
-  track_uniform_ = threshold;
-  overloaded_.mark_all_dirty();
-}
-
-void SystemState::set_thresholds(std::vector<double> thresholds) {
-  if (thresholds.size() != arena_.num_resources()) {
-    throw std::invalid_argument(
-        "SystemState::set_thresholds: size must equal resource count");
-  }
-  for (double t : thresholds) {
-    if (!(t > 0.0) || !std::isfinite(t)) {
-      throw std::invalid_argument(
-          "SystemState::set_thresholds: all thresholds must be finite and > 0");
-    }
-  }
+  // Any other change: re-check exactly the resources whose own threshold
+  // changes (one O(n) compare pass, but the next flush only pays for the
+  // changed ones).
   const Node n = arena_.num_resources();
-  if (track_uniform_ == 0.0 && track_thresholds_ == thresholds) return;
-  if (has_thresholds()) {
-    // Some registration is already in force: re-check only the resources
-    // whose effective threshold changes (the band notion per resource).
-    for (Node r = 0; r < n; ++r) {
-      if (threshold_of(r) != thresholds[r]) overloaded_.mark_dirty(r);
-    }
-    track_uniform_ = 0.0;
-    track_thresholds_ = std::move(thresholds);
-    return;
+  for (Node r = 0; r < n; ++r) {
+    if (thresholds_[r] != thresholds[r]) overloaded_.mark_dirty(r);
   }
-  track_uniform_ = 0.0;
-  track_thresholds_ = std::move(thresholds);
-  overloaded_.mark_all_dirty();
+  thresholds_ = std::move(thresholds);
 }
 
-void SystemState::place(const tasks::Placement& placement, double threshold) {
+void SystemState::place(const tasks::Placement& placement) {
   // BatchPlacer validates sizes and resource range with precise messages,
   // and leaves the arena untouched when it throws.
-  placer_.place(arena_, *tasks_, placement, threshold);
+  placer_.place(arena_, *tasks_, placement);
   overloaded_.mark_all_dirty();
 }
 
 void SystemState::place(const tasks::Placement& placement,
-                        const std::vector<double>& thresholds) {
+                        const Thresholds& thresholds) {
   placer_.place(arena_, *tasks_, placement, thresholds);
   overloaded_.mark_all_dirty();
 }
@@ -100,19 +69,15 @@ void SystemState::scatter(const std::vector<Node>& dst,
 void SystemState::evict_scatter(const std::vector<Node>& dst) {
   const std::vector<Node>& from = overloaded();  // throws without thresholds
   const auto mark = [this](Node r) { overloaded_.mark_dirty(r); };
-  if (track_thresholds_.empty()) {
-    scatter_.evict_scatter(arena_, from, dst, track_uniform_, mark, mark);
-  } else {
-    scatter_.evict_scatter(arena_, from, dst, track_thresholds_, mark, mark);
-  }
+  scatter_.evict_scatter(arena_, from, dst, thresholds_, mark, mark);
 }
 
 void SystemState::evict_above(Node r, std::vector<TaskId>& out) {
-  if (!has_thresholds()) {
+  if (!thresholds_.is_set()) {
     throw std::logic_error(
         "SystemState::evict_above: set_thresholds() was never called");
   }
-  arena_.evict_above(r, threshold_of(r), out);
+  arena_.evict_above(r, thresholds_[r], out);
   overloaded_.mark_dirty(r);
 }
 
@@ -136,17 +101,15 @@ void SystemState::remove_marked(const mem::FlatMarks& marks,
 }
 
 const std::vector<Node>& SystemState::overloaded() const {
-  if (!has_thresholds()) {
+  if (!thresholds_.is_set()) {
     throw std::logic_error(
         "SystemState::overloaded: set_thresholds() was never called");
   }
-  if (track_thresholds_.empty()) {
-    const double T = track_uniform_;
-    overloaded_.flush([this, T](Node r) { return arena_.load(r) > T; });
-  } else {
-    overloaded_.flush(
-        [this](Node r) { return arena_.load(r) > track_thresholds_[r]; });
-  }
+  // The predicate runs once per flush check, so the uniform case compares
+  // against a hoisted scalar.
+  thresholds_.visit([this](const auto T) {
+    overloaded_.flush([this, T](Node r) { return arena_.load(r) > T[r]; });
+  });
   return overloaded_.items();
 }
 
@@ -184,24 +147,7 @@ LoadStats SystemState::load_stats(double threshold,
   return calc.compute_scan(n, threshold, load);
 }
 
-Node SystemState::overloaded_count(double threshold) const {
-  const Node n = arena_.num_resources();
-  Node count = 0;
-  for (Node r = 0; r < n; ++r) {
-    if (arena_.load(r) > threshold) ++count;
-  }
-  return count;
-}
-
-bool SystemState::balanced(double threshold) const {
-  const Node n = arena_.num_resources();
-  for (Node r = 0; r < n; ++r) {
-    if (arena_.load(r) > threshold) return false;
-  }
-  return true;
-}
-
-Node SystemState::overloaded_count(const std::vector<double>& thresholds) const {
+Node SystemState::overloaded_count(const Thresholds& thresholds) const {
   const Node n = arena_.num_resources();
   Node count = 0;
   for (Node r = 0; r < n; ++r) {
@@ -210,7 +156,7 @@ Node SystemState::overloaded_count(const std::vector<double>& thresholds) const 
   return count;
 }
 
-bool SystemState::balanced(const std::vector<double>& thresholds) const {
+bool SystemState::balanced(const Thresholds& thresholds) const {
   const Node n = arena_.num_resources();
   for (Node r = 0; r < n; ++r) {
     if (arena_.load(r) > thresholds[r]) return false;
@@ -255,10 +201,10 @@ void SystemState::check_invariants() const {
                              " lost");
     }
   }
-  if (has_thresholds()) {
+  if (thresholds_.is_set()) {
     overloaded_.audit(
         num_resources(),
-        [this](Node r) { return arena_.load(r) > threshold_of(r); },
+        [this](Node r) { return arena_.load(r) > thresholds_[r]; },
         "SystemState");
   }
 }

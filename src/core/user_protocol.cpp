@@ -5,8 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "tlb/core/departure.hpp"
 #include "tlb/core/potential.hpp"
-#include "tlb/core/threshold.hpp"
 #include "tlb/dsan/probe.hpp"
 #include "tlb/dsan/state_digest.hpp"
 #include "tlb/engine/driver.hpp"
@@ -15,14 +15,6 @@
 namespace tlb::core {
 
 namespace {
-
-/// Clamp the migration probability α·⌈φ/w_max⌉/b to [0, 1].
-double leave_probability(double alpha, double phi, double w_max,
-                         std::size_t b) {
-  if (b == 0 || phi <= 0.0) return 0.0;
-  const double p = alpha * std::ceil(phi / w_max) / static_cast<double>(b);
-  return std::min(p, 1.0);
-}
 
 /// Uniform destination; optionally excluding the source.
 graph::Node sample_destination(graph::Node n, graph::Node src,
@@ -54,25 +46,13 @@ std::optional<std::vector<double>> distinct_weights_capped(
 UserControlledEngine::UserControlledEngine(const tasks::TaskSet& ts, Node n,
                                            UserProtocolConfig config)
     : tasks_(&ts), config_(std::move(config)), state_(ts, n) {
-  if (config_.thresholds.empty()) {
-    uniform_threshold_ =
-        checked_threshold(config_.threshold, "UserControlledEngine");
-    max_threshold_ = uniform_threshold_;
-  } else {
-    thresholds_ = resolve_thresholds(config_.threshold, config_.thresholds, n,
-                                     "UserControlledEngine");
-    max_threshold_ = *std::max_element(thresholds_.begin(), thresholds_.end());
-  }
+  config_.threshold.checked(n, "UserControlledEngine");
   if (!(config_.alpha > 0.0) || !std::isfinite(config_.alpha)) {
     throw std::invalid_argument(
         "UserControlledEngine: alpha must be finite and > 0");
   }
   if (n < 2) throw std::invalid_argument("UserControlledEngine: need n >= 2");
-  if (thresholds_.empty()) {
-    state_.set_thresholds(uniform_threshold_);
-  } else {
-    state_.set_thresholds(thresholds_);
-  }
+  state_.set_thresholds(std::move(config_.threshold));
   // No pool at one thread: phase 1 runs inline over the same shards.
   if (config_.options.threads != 1) {
     pool_ = std::make_unique<util::ThreadPool>(config_.options.threads);
@@ -97,7 +77,7 @@ UserControlledEngine::UserControlledEngine(const tasks::TaskSet& ts, Node n,
 }
 
 void UserControlledEngine::reset(const tasks::Placement& placement) {
-  state_.place(placement, /*threshold=*/-1.0);  // plain stacking
+  state_.place(placement);
 }
 
 std::size_t UserControlledEngine::step(util::Rng& rng) {
@@ -128,7 +108,7 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
       const ResourceStack stack = std::as_const(state_).stack(over[i]);
       coin_prefix_[i] = total;
       total += stack.count();
-      const double phi = stack.phi(*tasks_, threshold(over[i]));
+      const double phi = stack.phi(*tasks_, state_.thresholds()[over[i]]);
       leave_p_[i] = leave_probability(config_.alpha, phi, w_max, stack.count());
     }
     coin_prefix_[k] = total;
@@ -251,8 +231,7 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
 bool UserControlledEngine::balanced() const { return state_.balanced(); }
 
 double UserControlledEngine::potential() const {
-  return thresholds_.empty() ? user_potential(state_, uniform_threshold_)
-                             : user_potential(state_, thresholds_);
+  return user_potential(state_, state_.thresholds());
 }
 
 std::uint32_t UserControlledEngine::overloaded_count() const {
@@ -301,13 +280,8 @@ GroupedUserEngine::GroupedUserEngine(const tasks::TaskSet& ts, Node n,
       config_(std::move(config)),
       core_(n, grouped_classes(ts), config_.alpha, config_.exclude_self,
             config_.options.threads) {
-  if (config_.thresholds.empty()) {
-    core_.set_thresholds(
-        checked_threshold(config_.threshold, "GroupedUserEngine"));
-  } else {
-    core_.set_thresholds(resolve_thresholds(
-        config_.threshold, config_.thresholds, n, "GroupedUserEngine"));
-  }
+  config_.threshold.checked(n, "GroupedUserEngine");
+  core_.set_thresholds(std::move(config_.threshold));
   if (!(config_.alpha > 0.0) || !std::isfinite(config_.alpha)) {
     throw std::invalid_argument(
         "GroupedUserEngine: alpha must be finite and > 0");
@@ -359,7 +333,7 @@ void GroupedUserEngine::collect_fingerprint(dsan::Digest& d,
   d.u64(n);
   d.u64(core_.num_classes());
   core_.digest_resources(d);
-  for (Node r = 0; r < n; ++r) d.f64(core_.threshold(r));
+  for (Node r = 0; r < n; ++r) d.f64(core_.thresholds()[r]);
   dsan::digest_tracker(core_.tracker(), d, work);
 }
 

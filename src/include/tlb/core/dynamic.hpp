@@ -148,7 +148,7 @@ class DynamicUserEngine {
   void collect_loads(std::vector<double>& out) const { out = core_.loads(); }
   /// The threshold currently in force (recomputed every round).
   [[nodiscard]] double reported_threshold() const noexcept {
-    return core_.max_threshold();
+    return core_.thresholds().max();
   }
   /// Paranoid-mode check: incremental overloaded set vs brute-force rescan.
   void audit() const { core_.audit("DynamicUserEngine"); }
@@ -160,7 +160,7 @@ class DynamicUserEngine {
   /// Current load of resource r.
   double load(graph::Node r) const noexcept { return core_.load(r); }
   /// Threshold currently in force (recomputed each round).
-  double current_threshold() const noexcept { return core_.max_threshold(); }
+  double current_threshold() const noexcept { return core_.thresholds().max(); }
   /// Migrations performed in the most recent step.
   std::size_t last_migrations() const noexcept { return last_migrations_; }
   /// Lifetime event counts since construction (a window's count is the

@@ -12,6 +12,7 @@
 
 #include "tlb/core/metrics.hpp"
 #include "tlb/core/system_state.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/graph/graph.hpp"
 #include "tlb/randomwalk/transition.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -20,9 +21,7 @@ namespace tlb::core {
 
 /// Configuration of a graph user-protocol run.
 struct GraphUserConfig {
-  double threshold = 0.0;  ///< uniform T_r
-  /// Optional per-resource thresholds (non-empty overrides `threshold`).
-  std::vector<double> thresholds;
+  Thresholds threshold;  ///< T_r: uniform or one per node
   double alpha = 1.0;  ///< migration dampening α
   randomwalk::WalkKind walk = randomwalk::WalkKind::kMaxDegree;
   EngineOptions options;
@@ -54,21 +53,18 @@ class GraphUserEngine {
   /// Heaviest resource right now.
   [[nodiscard]] double max_load() const;
   /// The threshold RunResult reports (largest configured).
-  [[nodiscard]] double reported_threshold() const;
+  [[nodiscard]] double reported_threshold() const noexcept {
+    return state_.thresholds().max();
+  }
   /// Paranoid-mode invariant check (throws std::logic_error on violation).
   void audit() const;
 
-  /// Read-only state access.
+  /// Read-only state access; it owns the thresholds.
   const SystemState& state() const noexcept { return state_; }
-  /// The threshold of resource r.
-  double threshold(Node r) const noexcept { return thresholds_[r]; }
 
  private:
-  const graph::Graph* graph_;
-  const tasks::TaskSet* tasks_;
-  GraphUserConfig config_;
+  GraphUserConfig config_;  // its threshold moves into state_
   randomwalk::TransitionModel walk_;
-  std::vector<double> thresholds_;
   SystemState state_;
   std::vector<TaskId> movers_;            // scratch
   std::vector<Node> mover_origin_;        // scratch: origin, then destination

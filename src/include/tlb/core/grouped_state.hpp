@@ -22,11 +22,13 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tlb/core/completions.hpp"
 #include "tlb/core/load_stats.hpp"
 #include "tlb/core/overloaded_set.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/graph/graph.hpp"
 #include "tlb/obs/profile.hpp"
 #include "tlb/util/rng.hpp"
@@ -54,21 +56,17 @@ class GroupedState {
                bool exclude_self, std::size_t threads);
 
   // --- thresholds ---
-  /// One threshold for every resource, or one per resource. Set before
-  /// the first place(); a uniform threshold may move later through
+  /// The thresholds the round runs against (owners validate them). Set
+  /// before the first place(); a uniform threshold may move later through
   /// shift_threshold().
-  void set_thresholds(double threshold) { uniform_threshold_ = threshold; }
-  void set_thresholds(std::vector<double> thresholds);
-  /// Move the uniform threshold, re-checking only the resources whose load
-  /// lies between the old and the new value.
+  void set_thresholds(Thresholds thresholds) {
+    thresholds_ = std::move(thresholds);
+  }
+  /// Move a uniform threshold to `next`, re-checking only the resources
+  /// whose load lies between the old and the new value. Requires uniform
+  /// thresholds.
   void shift_threshold(double next);
-  double threshold(graph::Node r) const noexcept {
-    return thresholds_.empty() ? uniform_threshold_ : thresholds_[r];
-  }
-  /// The largest threshold (the uniform one if uniform).
-  double max_threshold() const noexcept {
-    return thresholds_.empty() ? uniform_threshold_ : max_threshold_;
-  }
+  const Thresholds& thresholds() const noexcept { return thresholds_; }
 
   // --- observability ---
   /// Report the round's phase spans to `sink`. `sample_span`/`apply_span`
@@ -151,7 +149,7 @@ class GroupedState {
   /// The user potential Σ φ_r under the canonical stacking. O(#overloaded):
   /// φ_r = 0 on every non-overloaded resource.
   double potential() const;
-  /// Deterministic load-distribution snapshot against max_threshold(),
+  /// Deterministic load-distribution snapshot against thresholds().max(),
   /// index-served when the tracker's index is live.
   void collect_load_stats(LoadStatsCalc& calc, LoadStats& out) const;
   /// Throw std::logic_error naming `who` if the incremental overloaded set
@@ -184,11 +182,7 @@ class GroupedState {
   double w_max_;
   double alpha_;
   bool exclude_self_;
-  // Uniform configurations stay scalar; thresholds_ is only materialised
-  // for the per-resource extension.
-  double uniform_threshold_ = 0.0;
-  std::vector<double> thresholds_;
-  double max_threshold_ = 0.0;
+  Thresholds thresholds_;
   std::vector<std::uint32_t> counts_;       // n x C, row-major
   std::vector<double> loads_;               // per resource
   std::vector<std::uint32_t> task_counts_;  // per resource (b_r)

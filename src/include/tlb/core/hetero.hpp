@@ -9,9 +9,9 @@
 //     above-average:  (1+ε)·W·s_r/S + w_max
 //     tight-resource:       W·s_r/S + 2·w_max
 //     tight-user:           W·s_r/S + w_max.
-// Both protocol engines accept such per-resource threshold vectors directly
-// (ResourceProtocolConfig::thresholds / UserProtocolConfig::thresholds);
-// this header provides the builders and a feasibility check.
+// Every engine takes such a vector as its core::Thresholds (thresholds.hpp):
+// assign it to the config's one `threshold` field, as a uniform T would be.
+// This header provides the builders and a feasibility check.
 
 #include <vector>
 

@@ -18,6 +18,7 @@
 
 #include "tlb/core/metrics.hpp"
 #include "tlb/core/system_state.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/graph/graph.hpp"
 #include "tlb/randomwalk/transition.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -26,9 +27,7 @@ namespace tlb::core {
 
 /// Configuration of a mixed-protocol run.
 struct MixedProtocolConfig {
-  double threshold = 0.0;  ///< uniform T_r
-  /// Optional per-resource thresholds (non-empty overrides `threshold`).
-  std::vector<double> thresholds;
+  Thresholds threshold;  ///< T_r: uniform or one per node
   /// Probability that an overloaded resource acts resource-controlled this
   /// round (β above). 0 = pure user, 1 = pure resource.
   double resource_probability = 0.5;
@@ -65,21 +64,20 @@ class MixedProtocolEngine {
   /// Heaviest resource right now.
   [[nodiscard]] double max_load() const;
   /// The threshold RunResult reports (largest configured).
-  [[nodiscard]] double reported_threshold() const;
+  [[nodiscard]] double reported_threshold() const noexcept {
+    return state_.thresholds().max();
+  }
   /// Paranoid-mode invariant check (throws std::logic_error on violation).
   void audit() const;
 
-  /// Read-only state access.
+  /// Read-only state access; it owns the thresholds.
   const SystemState& state() const noexcept { return state_; }
   /// Rounds in which at least one resource acted resource-controlled.
   long resource_rounds() const noexcept { return resource_rounds_; }
 
  private:
-  const graph::Graph* graph_;
-  const tasks::TaskSet* tasks_;
-  MixedProtocolConfig config_;
+  MixedProtocolConfig config_;  // its threshold moves into state_
   randomwalk::TransitionModel walk_;
-  std::vector<double> thresholds_;
   SystemState state_;
   long resource_rounds_ = 0;
   std::vector<TaskId> movers_;            // scratch

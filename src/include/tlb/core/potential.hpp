@@ -21,23 +21,15 @@ namespace tlb::core {
 /// which sums only the overloaded list, is tested against bitwise.
 double resource_potential(const SystemState& state);
 
-/// User-protocol potential Φ(t) = Σ_r φ_r(t) for the given threshold.
-double user_potential(const SystemState& state, double threshold);
-
-/// Non-uniform variant: φ_r is computed against thresholds[r].
-double user_potential(const SystemState& state,
-                      const std::vector<double>& thresholds);
+/// User-protocol potential Φ(t) = Σ_r φ_r(t), φ_r taken against
+/// thresholds[r]. An O(n) sweep.
+double user_potential(const SystemState& state, const Thresholds& thresholds);
 
 /// Lemma 1's quantity: the fraction of resources whose load is at most
-/// T - w_max (i.e. able to accept an additional task of any weight). The
+/// T_r - w_max (i.e. able to accept an additional task of any weight). The
 /// lemma guarantees >= eps/(1+eps) for T = (1+eps)·W/n + w_max, at every
 /// point in time.
-double acceptor_fraction(const SystemState& state, double threshold,
+double acceptor_fraction(const SystemState& state, const Thresholds& thresholds,
                          double w_max);
-
-/// Non-uniform variant: resource r counts as an acceptor when its load is
-/// at most thresholds[r] - w_max.
-double acceptor_fraction(const SystemState& state,
-                         const std::vector<double>& thresholds, double w_max);
 
 }  // namespace tlb::core

@@ -21,13 +21,15 @@
 //      suffixes are evicted, and the arrivals land with the acceptance test
 //      on push, exactly as sequential push_accepting calls in eviction
 //      order would.
-// Uniform and per-resource thresholds run the same two passes.
+// Uniform and per-resource thresholds (core::Thresholds) run the same two
+// passes.
 
 #include <vector>
 
 #include "tlb/core/metrics.hpp"
 #include "tlb/core/overloaded_set.hpp"
 #include "tlb/core/system_state.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/obs/profile.hpp"
 #include "tlb/randomwalk/transition.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -36,11 +38,9 @@ namespace tlb::core {
 
 /// Configuration of a resource-controlled run.
 struct ResourceProtocolConfig {
-  double threshold = 0.0;  ///< T_r (same for every resource)
-  /// Non-uniform thresholds (the paper's future-work extension): when
-  /// non-empty, thresholds[r] overrides `threshold` for resource r. Size
-  /// must equal the node count.
-  std::vector<double> thresholds;
+  /// T_r: one value for every resource, or one per node (the paper's
+  /// future-work extension, see hetero.hpp).
+  Thresholds threshold;
   randomwalk::WalkKind walk = randomwalk::WalkKind::kMaxDegree;
   EngineOptions options;
 };
@@ -82,27 +82,17 @@ class ResourceControlledEngine {
   [[nodiscard]] double max_load() const;
   /// The threshold RunResult reports (largest configured).
   [[nodiscard]] double reported_threshold() const noexcept {
-    return max_threshold_;
+    return state_.thresholds().max();
   }
   /// Paranoid-mode invariant check (throws std::logic_error on violation).
   void audit() const;
 
-  /// Read-only state access (tests, potential traces).
+  /// Read-only state access (tests, potential traces); it owns the
+  /// thresholds.
   const SystemState& state() const noexcept { return state_; }
-  /// The threshold of resource r.
-  double threshold(Node r) const noexcept {
-    return thresholds_.empty() ? uniform_threshold_ : thresholds_[r];
-  }
-  /// The largest configured threshold (== the uniform one if uniform).
-  double threshold() const noexcept { return max_threshold_; }
 
  private:
-  ResourceProtocolConfig config_;
-  // Uniform configurations stay scalar (no n-sized vector); thresholds_ is
-  // only materialised for the non-uniform extension.
-  double uniform_threshold_ = 0.0;
-  std::vector<double> thresholds_;  // per-resource override (else empty)
-  double max_threshold_ = 0.0;
+  ResourceProtocolConfig config_;  // its threshold moves into state_
   randomwalk::TransitionModel walk_;
   SystemState state_;  // owns the incremental overloaded-set tracking
   std::vector<Node> dst_;  // per round: one destination per evictee

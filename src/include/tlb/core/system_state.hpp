@@ -10,8 +10,9 @@
 // in-round counterpart (mem::BatchScatter), and stack(r) hands out a
 // lightweight ResourceStack view.
 //
-// Overloaded-set contract: once an engine registers its thresholds via
-// set_thresholds(), the state keeps the set { r : load(r) > T_r } current
+// Overloaded-set contract: once an engine registers its thresholds (a
+// core::Thresholds, uniform or per resource) via set_thresholds(), the
+// state keeps the set { r : load(r) > T_r } current
 // incrementally — every mutating entry point (place, scatter,
 // evict_scatter, the evict/remove forwarders below, and mutable stack()
 // access) marks the touched resources dirty, and the O(active) queries
@@ -25,6 +26,7 @@
 #include "tlb/core/load_stats.hpp"
 #include "tlb/core/overloaded_set.hpp"
 #include "tlb/core/resource_stack.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/graph/graph.hpp"
 #include "tlb/mem/task_arena.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -41,32 +43,26 @@ class SystemState {
   /// outlive the state). No tasks placed yet.
   SystemState(const tasks::TaskSet& tasks, Node n);
 
-  /// Register the thresholds the overloaded set is tracked against (uniform
-  /// scalar or one per resource). Engines call this once at construction;
-  /// it is independent of the acceptance threshold passed to place(). The
-  /// scalar form stays scalar internally — no n-sized vector is
-  /// materialised for the (common) uniform-threshold configuration.
-  /// Re-registration is incremental: the same value is a no-op (zero
-  /// re-checks), a moved uniform value reconciles only the band of loads
-  /// between old and new through the tracker's bucketed LoadIndex, and a
-  /// changed per-resource vector re-checks only the resources whose own
-  /// threshold differs. Only the first registration invalidates all n.
-  void set_thresholds(double threshold);
-  void set_thresholds(std::vector<double> thresholds);
-  /// True iff thresholds were registered (the O(active) queries require it).
-  bool has_thresholds() const noexcept {
-    return track_uniform_ > 0.0 || !track_thresholds_.empty();
-  }
-  /// The tracked threshold of resource r.
-  double threshold_of(Node r) const {
-    return track_thresholds_.empty() ? track_uniform_ : track_thresholds_[r];
-  }
+  /// Register the thresholds the overloaded set is tracked against; the
+  /// state owns them from then on, and engines read them back through
+  /// thresholds(). Throws std::invalid_argument unless they pass
+  /// Thresholds::checked. Re-registration is incremental: the same value
+  /// is a no-op (zero re-checks), a moved uniform value reconciles only
+  /// the band of loads between old and new through the tracker's bucketed
+  /// LoadIndex, and any other change re-checks only the resources whose
+  /// own threshold differs. Only the first registration invalidates all n.
+  void set_thresholds(Thresholds thresholds);
+  /// The registered thresholds (unset until set_thresholds()).
+  const Thresholds& thresholds() const noexcept { return thresholds_; }
 
-  /// Place all tasks per `placement` (task id order), with acceptance
-  /// bookkeeping against `threshold` (pass a negative threshold to skip
-  /// acceptance, for the user-controlled protocol). One counting-sorted
-  /// batch build; semantically identical to sequential pushes.
-  void place(const tasks::Placement& placement, double threshold);
+  /// Place all tasks per `placement` (task id order) by plain stacking, as
+  /// the user-controlled protocols do. One counting-sorted batch build;
+  /// semantically identical to sequential pushes.
+  void place(const tasks::Placement& placement);
+  /// Place with acceptance bookkeeping against `thresholds` (Algorithm
+  /// 5.1's stacks), as sequential push_accepting calls would. Independent
+  /// of the registered thresholds.
+  void place(const tasks::Placement& placement, const Thresholds& thresholds);
 
   /// Number of resources.
   Node num_resources() const noexcept { return arena_.num_resources(); }
@@ -104,14 +100,14 @@ class SystemState {
   /// Algorithm 5.1's evictions and arrivals in one bulk pass: evict the
   /// unaccepted suffix of every overloaded() resource and append evictee j
   /// (list order, bottom to top within a stack) to dst[j] with acceptance
-  /// bookkeeping against threshold_of(dst[j]) — mem::BatchScatter's
+  /// bookkeeping against thresholds()[dst[j]] — mem::BatchScatter's
   /// evict_scatter. Bit-identical to evicting the suffixes in list order
   /// and then pushing evictee j onto dst[j] for j = 0, 1, ..., dirty marks
   /// included: each evicted resource in list order, then each destination
   /// once, in block order. dst.size() must be the number of unaccepted
   /// tasks on the overloaded resources. Requires set_thresholds().
   void evict_scatter(const std::vector<Node>& dst);
-  /// Height-based eviction of everything crossing/above threshold_of(r)
+  /// Height-based eviction of everything crossing/above thresholds()[r]
   /// (mixed protocol). Requires set_thresholds().
   void evict_above(Node r, std::vector<TaskId>& out);
   /// Remove the flagged stack positions of r, appending to `out`.
@@ -126,7 +122,7 @@ class SystemState {
 
   // --- O(active) queries against the registered thresholds ---
 
-  /// The overloaded resources { r : load(r) > threshold_of(r) }, ascending.
+  /// The overloaded resources { r : load(r) > thresholds()[r] }, ascending.
   /// Cost: O(#dirty + #overloaded) to reconcile, O(1) when nothing changed.
   const std::vector<Node>& overloaded() const;
   /// overloaded().size() as a Node.
@@ -140,12 +136,6 @@ class SystemState {
   const OverloadedSet& overloaded_tracker() const noexcept {
     return overloaded_;
   }
-
-  /// Place with *per-resource* thresholds (non-uniform threshold extension;
-  /// the paper's conclusion lists this as future work). thresholds[r] is
-  /// resource r's acceptance bound; pass an empty vector to skip acceptance.
-  void place(const tasks::Placement& placement,
-             const std::vector<double>& thresholds);
 
   /// Load vector snapshot (n entries).
   std::vector<double> loads() const;
@@ -164,16 +154,13 @@ class SystemState {
   /// `calc` is the caller's reusable scratch (one per observer).
   [[nodiscard]] LoadStats load_stats(double threshold,
                                      LoadStatsCalc& calc) const;
-  /// Number of resources with load > threshold. O(n) full scan — ground
-  /// truth for arbitrary thresholds; engines use the O(active) overload.
-  [[nodiscard]] Node overloaded_count(double threshold) const;
-  /// Number of resources with load > thresholds[r] (non-uniform).
-  [[nodiscard]] Node overloaded_count(
-      const std::vector<double>& thresholds) const;
-  /// True iff every resource's load is <= threshold (the balanced state).
-  [[nodiscard]] bool balanced(double threshold) const;
-  /// True iff every resource's load is <= thresholds[r] (non-uniform).
-  [[nodiscard]] bool balanced(const std::vector<double>& thresholds) const;
+  /// Number of resources with load > thresholds[r]. O(n) full scan —
+  /// ground truth for arbitrary thresholds; engines use the O(active)
+  /// overload.
+  [[nodiscard]] Node overloaded_count(const Thresholds& thresholds) const;
+  /// True iff every resource's load is <= thresholds[r] (the balanced
+  /// state). O(n) full scan.
+  [[nodiscard]] bool balanced(const Thresholds& thresholds) const;
 
   /// Sum of loads; equals the TaskSet total when every task is placed.
   double total_load() const;
@@ -191,8 +178,7 @@ class SystemState {
   mem::TaskArena arena_;                  // SoA storage for all stacks
   mem::BatchPlacer placer_;               // destination-bucketed place()
   mem::BatchScatter scatter_;             // destination-bucketed scatter()
-  double track_uniform_ = 0.0;            // scalar threshold (0 = unset)
-  std::vector<double> track_thresholds_;  // per-resource override
+  Thresholds thresholds_;                 // tracked against (unset at first)
   mutable OverloadedSet overloaded_;      // lazily reconciled in queries
 };
 

@@ -6,10 +6,10 @@
 //   * tight, resource: T = W/n + 2·w_max          (Theorem 7)
 //   * tight, user:     T = W/n + w_max            (Theorem 12)
 // Thresholds must be at least the average load; the paper assumes W/n is
-// known (computable by diffusion, see core/diffusion.hpp) or given.
-
-#include <string>
-#include <vector>
+// known (computable by diffusion, see core/diffusion.hpp) or given. The
+// engines take the value as a core::Thresholds (thresholds.hpp), which
+// also carries the per-resource thresholds of the non-uniform extension
+// (hetero.hpp).
 
 #include "tlb/graph/graph.hpp"
 #include "tlb/tasks/task_set.hpp"
@@ -34,17 +34,5 @@ double threshold_value(ThresholdKind kind, double total_weight, graph::Node n,
 /// Convenience overload taking the TaskSet.
 double threshold_value(ThresholdKind kind, const tasks::TaskSet& tasks,
                        graph::Node n, double eps = 0.0);
-
-/// Validate a scalar threshold: it must be finite and > 0. Throws
-/// std::invalid_argument naming `who` (the engine) otherwise.
-double checked_threshold(double threshold, const char* who);
-
-/// Validate an engine's scalar-or-vector threshold configuration and return
-/// one threshold per resource: `thresholds` when it is non-empty (n entries,
-/// each finite and > 0), else n copies of the checked scalar `threshold`.
-/// Throws std::invalid_argument naming `who` otherwise.
-std::vector<double> resolve_thresholds(double threshold,
-                                       const std::vector<double>& thresholds,
-                                       graph::Node n, const char* who);
 
 }  // namespace tlb::core

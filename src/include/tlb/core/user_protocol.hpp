@@ -48,6 +48,7 @@
 #include "tlb/core/metrics.hpp"
 #include "tlb/core/overloaded_set.hpp"
 #include "tlb/core/system_state.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/obs/profile.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/util/rng.hpp"
@@ -71,10 +72,9 @@ std::optional<std::vector<double>> distinct_weights_capped(
 
 /// Shared configuration for both user-protocol engines.
 struct UserProtocolConfig {
-  double threshold = 0.0;  ///< T_r (same for every resource)
-  /// Non-uniform thresholds (the paper's future-work extension): when
-  /// non-empty, thresholds[r] overrides `threshold` for resource r.
-  std::vector<double> thresholds;
+  /// T_r: one value for every resource, or one per resource (the paper's
+  /// future-work extension, see hetero.hpp).
+  Thresholds threshold;
   double alpha = 1.0;      ///< migration dampening α (paper analysis: ε/(120(1+ε)); paper simulations: 1)
   /// If true, the destination is uniform over the *other* n-1 resources
   /// (strict complete-graph neighbourhood); if false, uniform over all n
@@ -96,7 +96,7 @@ class UserControlledEngine {
   /// One synchronous round; returns the number of migrations.
   std::size_t step(util::Rng& rng);
 
-  /// True iff every load is <= threshold.
+  /// True iff every load is <= its resource's threshold.
   [[nodiscard]] bool balanced() const;
 
   /// Run until balanced or max_rounds (engine::drive under the hood).
@@ -113,19 +113,13 @@ class UserControlledEngine {
   [[nodiscard]] double max_load() const;
   /// The threshold RunResult reports (largest configured).
   [[nodiscard]] double reported_threshold() const noexcept {
-    return max_threshold_;
+    return state_.thresholds().max();
   }
   /// Paranoid-mode invariant check (throws std::logic_error on violation).
   void audit() const;
 
-  /// Read-only state (tests and traces).
+  /// Read-only state (tests and traces); it owns the thresholds.
   const SystemState& state() const noexcept { return state_; }
-  /// The threshold of resource r.
-  double threshold(Node r) const noexcept {
-    return thresholds_.empty() ? uniform_threshold_ : thresholds_[r];
-  }
-  /// The largest configured threshold (== the uniform one if uniform).
-  double threshold() const noexcept { return max_threshold_; }
 
   /// Flattened-coin shard grain: phase 1 lays the candidate coins of all
   /// overloaded resources out flat (one per task on an overloaded resource)
@@ -136,12 +130,7 @@ class UserControlledEngine {
 
  private:
   const tasks::TaskSet* tasks_;
-  UserProtocolConfig config_;
-  // Uniform configurations stay scalar (no n-sized vector); thresholds_ is
-  // only materialised for the non-uniform extension.
-  double uniform_threshold_ = 0.0;
-  std::vector<double> thresholds_;  // per-resource override (else empty)
-  double max_threshold_ = 0.0;
+  UserProtocolConfig config_;  // its threshold moves into state_
   SystemState state_;
   std::unique_ptr<util::ThreadPool> pool_;  // round workers (threads != 1)
   std::vector<TaskId> movers_;          // scratch
@@ -175,7 +164,7 @@ class GroupedUserEngine {
   /// One synchronous round; returns the number of migrations.
   std::size_t step(util::Rng& rng);
 
-  /// True iff every load is <= threshold.
+  /// True iff every load is <= its resource's threshold.
   [[nodiscard]] bool balanced() const { return core_.overloaded().empty(); }
 
   /// Run until balanced or max_rounds (engine::drive under the hood).
@@ -191,8 +180,8 @@ class GroupedUserEngine {
   /// Heaviest resource right now (see GroupedState::max_load).
   [[nodiscard]] double max_load() const { return core_.max_load(); }
   /// The threshold RunResult reports (largest configured).
-  [[nodiscard]] double reported_threshold() const {
-    return core_.max_threshold();
+  [[nodiscard]] double reported_threshold() const noexcept {
+    return core_.thresholds().max();
   }
   /// Paranoid-mode check: incremental overloaded set vs brute-force rescan.
   void audit() const { core_.audit("GroupedUserEngine"); }
@@ -213,14 +202,12 @@ class GroupedUserEngine {
   std::size_t num_classes() const noexcept { return core_.num_classes(); }
   /// Load of resource r (for tests).
   double load(Node r) const noexcept { return core_.load(r); }
-  /// The threshold of resource r.
-  double threshold(Node r) const noexcept { return core_.threshold(r); }
   /// The user potential Σ φ_r under the canonical ascending-weight stacking.
   [[nodiscard]] double potential() const { return core_.potential(); }
 
  private:
   const tasks::TaskSet* tasks_;
-  UserProtocolConfig config_;
+  UserProtocolConfig config_;  // its threshold moves into core_
   GroupedState core_;
   std::vector<std::uint32_t> task_class_;  // task id -> class
   obs::MetricId m_departure_groups_, m_departures_;

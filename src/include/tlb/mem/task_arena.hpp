@@ -58,6 +58,7 @@
 #include <utility>
 #include <vector>
 
+#include "tlb/core/thresholds.hpp"
 #include "tlb/graph/graph.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/task_set.hpp"
@@ -242,8 +243,6 @@ class TaskArena {
                      util::ThreadPool* pool);
   /// Empty one resource (keeps its span capacity for reuse).
   void clear(Node r) noexcept;
-  /// Empty every resource, release nothing.
-  void clear_all() noexcept;
 
   // --- Paper quantities ----------------------------------------------------
 
@@ -276,6 +275,17 @@ class TaskArena {
   friend class BatchScatter;
   friend struct TaskArenaTestPeer;  // tests: states no public op reaches
 
+  /// push_accepting's rule for the batch fills: the task of weight w just
+  /// stored at span position pos of r, before r's load takes it, is
+  /// accepted iff nothing unaccepted sits below and it fits entirely below
+  /// `threshold`.
+  void book_acceptance(Node r, std::size_t pos, double w,
+                       double threshold) noexcept {
+    if (accepted_count_[r] == pos && load_[r] + w <= threshold) {
+      ++accepted_count_[r];
+      accepted_load_[r] += w;
+    }
+  }
   /// Grow r's span to hold at least min_cap slots, relocating it to the
   /// slab tail (compacting first when the dead space dominates).
   void grow(Node r, std::size_t min_cap);
@@ -339,21 +349,25 @@ class BatchPlacer {
   /// Plain stacking (user-controlled protocols): no acceptance bookkeeping.
   void place(TaskArena& arena, const tasks::TaskSet& ts,
              const tasks::Placement& placement);
-  /// Uniform acceptance threshold; a negative threshold means plain
-  /// stacking (the SystemState convention).
-  void place(TaskArena& arena, const tasks::TaskSet& ts,
-             const tasks::Placement& placement, double threshold);
-  /// Per-resource acceptance thresholds; an empty vector means plain
-  /// stacking. thresholds.size() must otherwise equal the resource count.
+  /// Stacking with push_accepting's acceptance bookkeeping against
+  /// `thresholds`, which must fit the arena's resource count.
   void place(TaskArena& arena, const tasks::TaskSet& ts,
              const tasks::Placement& placement,
-             const std::vector<double>& thresholds);
+             const core::Thresholds& thresholds);
 
  private:
-  enum class Mode { kPlain, kUniform, kPerResource };
-  void build(TaskArena& arena, const tasks::TaskSet& ts,
-             const tasks::Placement& placement, Mode mode, double threshold,
-             const std::vector<double>* thresholds);
+  /// Passes 1 and 2: validates the placement, then lays out every span
+  /// with its count and zeroed loads. When every task goes to one
+  /// resource, also fills that span (ids, weights and load) and returns
+  /// true; the caller then only books its acceptance.
+  bool layout(TaskArena& arena, const tasks::TaskSet& ts,
+              const tasks::Placement& placement);
+  /// Pass 3: fills every span in task-id order, which the stable counting
+  /// sort makes the sequential push order. `accept(arena, r, pos, w)` runs
+  /// for each task as in BatchScatter's fill.
+  template <class Accept>
+  void fill(TaskArena& arena, const tasks::TaskSet& ts,
+            const tasks::Placement& placement, const Accept& accept);
 
   std::vector<std::size_t> cursor_;  // scratch: next write slot per resource
 };
@@ -414,7 +428,7 @@ class BatchScatter {
   /// spans: evicts the unaccepted suffix of every resource of `from`
   /// (strictly ascending) and appends evictee j — list order, bottom to top
   /// within a stack — to dst[j] with acceptance bookkeeping against
-  /// `threshold`. Bit-identical to evict_unaccepted over `from` in order
+  /// `thresholds`. Bit-identical to evict_unaccepted over `from` in order
   /// followed by push_accepting of evictee j onto dst[j] for j = 0, 1, ...
   /// Pass 1 is replaced: the destinations are counted per block, then each
   /// evictee's record {dst, id, mirrored weight} is written straight to
@@ -422,37 +436,23 @@ class BatchScatter {
   /// snapped to the accepted load). `on_evicted(r)` is then called for
   /// every r of `from`, in list order; passes 2-4 and `on_touched` follow
   /// as in scatter(). Runs on the caller. Throws std::invalid_argument,
-  /// leaving the arena untouched, when `from` is not strictly ascending in
-  /// range, dst.size() is not the number of unaccepted tasks on `from`, or
-  /// a destination is out of range. A std::length_error from a grow lands
-  /// no task; the evictions stay, and were reported.
-  template <class OnEvicted, class OnTouched>
-  void evict_scatter(TaskArena& arena, std::span<const Node> from,
-                     const std::vector<Node>& dst, double threshold,
-                     OnEvicted&& on_evicted, OnTouched&& on_touched) {
-    evict_scatter(arena, from, dst, {Mode::kUniform, threshold, nullptr},
-                  on_evicted, on_touched);
-  }
-  /// Same against per-resource thresholds (thresholds.size() must equal
-  /// the resource count).
+  /// leaving the arena untouched, when `thresholds` does not fit the
+  /// arena, `from` is not strictly ascending in range, dst.size() is not
+  /// the number of unaccepted tasks on `from`, or a destination is out of
+  /// range. A std::length_error from a grow lands no task; the evictions
+  /// stay, and were reported.
   template <class OnEvicted, class OnTouched>
   void evict_scatter(TaskArena& arena, std::span<const Node> from,
                      const std::vector<Node>& dst,
-                     const std::vector<double>& thresholds,
+                     const core::Thresholds& thresholds,
                      OnEvicted&& on_evicted, OnTouched&& on_touched) {
-    evict_scatter(arena, from, dst, {Mode::kPerResource, 0.0, &thresholds},
-                  on_evicted, on_touched);
+    evict_bucket(arena, from, dst, thresholds);
+    for (const Node r : from) on_evicted(r);
+    spread_accepting(arena, thresholds);
+    report(on_touched);
   }
 
  private:
-  enum class Mode { kPlain, kUniform, kPerResource };
-  /// How pass 4 lands a record: plain, or accepting against one threshold
-  /// or a per-resource vector.
-  struct Rule {
-    Mode mode;
-    double threshold;                      // kUniform
-    const std::vector<double>* thresholds;  // kPerResource
-  };
   /// One mover, bucketed by destination block. Trivial on purpose: the
   /// buffer is resized without zero-filling, and the bucket pass writes
   /// every record before the count pass reads it.
@@ -468,16 +468,6 @@ class BatchScatter {
     std::size_t touch_begin, touch_end;  // in touched_ / arrivals_
   };
 
-  template <class OnEvicted, class OnTouched>
-  void evict_scatter(TaskArena& arena, std::span<const Node> from,
-                     const std::vector<Node>& dst, const Rule& rule,
-                     OnEvicted& on_evicted, OnTouched& on_touched) {
-    evict_bucket(arena, from, dst, rule);
-    for (const Node r : from) on_evicted(r);
-    spread(arena, rule, nullptr);
-    report(on_touched);
-  }
-
   /// Passes 1-4 (see the class comment).
   void append(TaskArena& arena, const tasks::TaskSet& ts,
               const std::vector<Node>& dst, const std::vector<TaskId>& ids,
@@ -491,21 +481,30 @@ class BatchScatter {
   /// evict_scatter's pass 1: validates, counts the destinations per block,
   /// then writes every evictee's record to its bucket slot and evicts.
   void evict_bucket(TaskArena& arena, std::span<const Node> from,
-                    const std::vector<Node>& dst, const Rule& rule);
+                    const std::vector<Node>& dst,
+                    const core::Thresholds& thresholds);
   /// Turns the per-(chunk, block) counts in chunk_offsets_ into each
   /// chunk's first record slot in each block (block-major, so bucketing in
   /// index order is stable) and lists blocks_, shard_begin_ and the
   /// per-block touched_ room.
   void list_blocks(std::size_t chunks, std::size_t blocks);
-  /// Passes 2-4 over the bucketed records.
-  void spread(TaskArena& arena, const Rule& rule, util::ThreadPool* pool);
+  /// Passes 2-4 over the bucketed records. Pass 4 calls
+  /// `accept(arena, r, pos, w)` for every record as it lands at span
+  /// position pos of r, after its id and weight are stored and before r's
+  /// load takes w.
+  template <class Accept>
+  void spread(TaskArena& arena, util::ThreadPool* pool, const Accept& accept);
+  /// evict_scatter's passes 2-4, landing with push_accepting's bookkeeping
+  /// against `thresholds`: one fill loop, run through Thresholds::visit.
+  void spread_accepting(TaskArena& arena, const core::Thresholds& thresholds);
   /// Pass 2 for blocks_[j].
   void count_block(std::size_t j);
   /// Pass 3. On a throw, rolls back the count bumps of the blocks already
   /// grown, does the span copies booked so far and rethrows.
   void grow_spans(TaskArena& arena);
   /// Pass 4 for blocks_[j].
-  void fill_block(TaskArena& arena, std::size_t j, const Rule& rule) const;
+  template <class Accept>
+  void fill_block(TaskArena& arena, std::size_t j, const Accept& accept) const;
 
   template <class OnTouched>
   void report(OnTouched& on_touched) const {

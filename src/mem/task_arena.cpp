@@ -443,14 +443,6 @@ void TaskArena::clear(Node r) noexcept {
   accepted_count_[r] = 0;
 }
 
-void TaskArena::clear_all() noexcept {
-  std::fill(count_.begin(), count_.end(), 0);
-  std::fill(load_.begin(), load_.end(), 0.0);
-  std::fill(accepted_load_.begin(), accepted_load_.end(), 0.0);
-  std::fill(accepted_count_.begin(), accepted_count_.end(), 0);
-  live_ = 0;
-}
-
 double TaskArena::height_at(Node r, std::size_t pos) const {
   if (pos >= count_[r]) {
     throw std::out_of_range("height_at: position beyond stack top");
@@ -539,34 +531,64 @@ void TaskArena::check_invariants() const {
 // BatchPlacer
 // ---------------------------------------------------------------------------
 
-void BatchPlacer::place(TaskArena& arena, const tasks::TaskSet& ts,
-                        const tasks::Placement& placement) {
-  build(arena, ts, placement, Mode::kPlain, -1.0, nullptr);
+template <class Accept>
+void BatchPlacer::fill(TaskArena& arena, const tasks::TaskSet& ts,
+                       const tasks::Placement& placement,
+                       const Accept& accept) {
+  // cursor_ already points at each span's first slot.
+  TaskArena& a = arena;
+  const double* w = ts.weights().data();
+  for (std::size_t i = 0; i < placement.size(); ++i) {
+    const Node r = placement[i];
+    const std::size_t slot = cursor_[r]++;
+    a.ids_[slot] = static_cast<TaskId>(i);
+    a.weights_[slot] = w[i];
+    accept(a, r, slot - a.begin_[r], w[i]);
+    a.load_[r] += w[i];
+  }
 }
 
 void BatchPlacer::place(TaskArena& arena, const tasks::TaskSet& ts,
-                        const tasks::Placement& placement, double threshold) {
-  if (threshold < 0.0) {
-    build(arena, ts, placement, Mode::kPlain, -1.0, nullptr);
-  } else {
-    build(arena, ts, placement, Mode::kUniform, threshold, nullptr);
-  }
+                        const tasks::Placement& placement) {
+  if (layout(arena, ts, placement)) return;
+  fill(arena, ts, placement, [](TaskArena&, Node, std::size_t, double) {});
 }
 
 void BatchPlacer::place(TaskArena& arena, const tasks::TaskSet& ts,
                         const tasks::Placement& placement,
-                        const std::vector<double>& thresholds) {
-  if (thresholds.empty()) {
-    build(arena, ts, placement, Mode::kPlain, -1.0, nullptr);
-  } else {
-    build(arena, ts, placement, Mode::kPerResource, 0.0, &thresholds);
+                        const core::Thresholds& thresholds) {
+  if (!thresholds.fits(arena.num_resources())) {
+    throw std::invalid_argument("BatchPlacer: thresholds do not fit the arena");
   }
+  if (layout(arena, ts, placement)) {
+    // One destination: the accepted prefix ends at the first rejection, so
+    // the acceptance scan stops early instead of walking all m tasks.
+    const Node r = placement[0];
+    const double T = thresholds[r];
+    const double* w = ts.weights().data();
+    const std::size_t m = placement.size();
+    double h = 0.0;
+    std::size_t accepted = 0;
+    while (accepted < m && h + w[accepted] <= T) {
+      h += w[accepted];
+      ++accepted;
+    }
+    arena.accepted_count_[r] = static_cast<std::uint32_t>(accepted);
+    arena.accepted_load_[r] = h;
+    return;
+  }
+  // The fill order is the sequential push order, so each task sees the
+  // span position and load push_accepting would have seen.
+  thresholds.visit([&](const auto T) {
+    fill(arena, ts, placement,
+         [T](TaskArena& a, Node r, std::size_t pos, double w) {
+           a.book_acceptance(r, pos, w, T[r]);
+         });
+  });
 }
 
-void BatchPlacer::build(TaskArena& arena, const tasks::TaskSet& ts,
-                        const tasks::Placement& placement, Mode mode,
-                        double threshold,
-                        const std::vector<double>* thresholds) {
+bool BatchPlacer::layout(TaskArena& arena, const tasks::TaskSet& ts,
+                         const tasks::Placement& placement) {
   TaskArena& a = arena;
   const Node n = a.num_resources();
   const std::size_t m = placement.size();
@@ -575,9 +597,6 @@ void BatchPlacer::build(TaskArena& arena, const tasks::TaskSet& ts,
   }
   if (m > TaskArena::kMaxSlots) {
     throw std::length_error("BatchPlacer: task count exceeds 32-bit offsets");
-  }
-  if (mode == Mode::kPerResource && thresholds->size() != n) {
-    throw std::invalid_argument("BatchPlacer: threshold vector size mismatch");
   }
 
   // Pass 1: counting sort by destination, into the scratch array — the
@@ -622,10 +641,9 @@ void BatchPlacer::build(TaskArena& arena, const tasks::TaskSet& ts,
 
   // Single-destination fast path (the paper's all-on-one start, used by
   // every batch preset): the span is the identity id sequence with the
-  // TaskSet's weights verbatim, the load is the TaskSet total (bitwise equal
-  // to the sequential sum — TaskSet accumulates in the same id order), and
-  // the accepted prefix ends at the first rejection, so the acceptance scan
-  // stops early instead of walking all m tasks.
+  // TaskSet's weights verbatim, and the load is the TaskSet total (bitwise
+  // equal to the sequential sum — TaskSet accumulates in the same id
+  // order).
   if (m > 0 && a.count_[placement[0]] == m) {
     const Node r = placement[0];
     const std::size_t b = a.begin_[r];
@@ -635,65 +653,9 @@ void BatchPlacer::build(TaskArena& arena, const tasks::TaskSet& ts,
     std::copy_n(ts.weights().data(), m, a.weights_.begin() +
                                             static_cast<std::ptrdiff_t>(b));
     a.load_[r] = ts.total_weight();
-    if (mode != Mode::kPlain) {
-      const double T = mode == Mode::kUniform ? threshold : (*thresholds)[r];
-      const double* wts = ts.weights().data();
-      double h = 0.0;
-      std::size_t accepted = 0;
-      while (accepted < m && h + wts[accepted] <= T) {
-        h += wts[accepted];
-        ++accepted;
-      }
-      a.accepted_count_[r] = static_cast<std::uint32_t>(accepted);
-      a.accepted_load_[r] = h;
-    }
-    return;
+    return true;
   }
-
-  // Pass 3: fill in task-id order — the stable counting sort reproduces the
-  // sequential push order (and hence acceptance decisions) exactly. cursor_
-  // already points at each span's first slot.
-  const double* w = ts.weights().data();
-  switch (mode) {
-    case Mode::kPlain:
-      for (std::size_t i = 0; i < m; ++i) {
-        const Node r = placement[i];
-        const std::size_t slot = cursor_[r]++;
-        a.ids_[slot] = static_cast<TaskId>(i);
-        a.weights_[slot] = w[i];
-        a.load_[r] += w[i];
-      }
-      break;
-    case Mode::kUniform:
-      for (std::size_t i = 0; i < m; ++i) {
-        const Node r = placement[i];
-        const std::size_t slot = cursor_[r]++;
-        const std::size_t pos = slot - a.begin_[r];
-        a.ids_[slot] = static_cast<TaskId>(i);
-        a.weights_[slot] = w[i];
-        if (a.accepted_count_[r] == pos && a.load_[r] + w[i] <= threshold) {
-          ++a.accepted_count_[r];
-          a.accepted_load_[r] += w[i];
-        }
-        a.load_[r] += w[i];
-      }
-      break;
-    case Mode::kPerResource:
-      for (std::size_t i = 0; i < m; ++i) {
-        const Node r = placement[i];
-        const std::size_t slot = cursor_[r]++;
-        const std::size_t pos = slot - a.begin_[r];
-        a.ids_[slot] = static_cast<TaskId>(i);
-        a.weights_[slot] = w[i];
-        if (a.accepted_count_[r] == pos &&
-            a.load_[r] + w[i] <= (*thresholds)[r]) {
-          ++a.accepted_count_[r];
-          a.accepted_load_[r] += w[i];
-        }
-        a.load_[r] += w[i];
-      }
-      break;
-  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -705,11 +667,24 @@ void BatchScatter::append(TaskArena& arena, const tasks::TaskSet& ts,
                           const std::vector<TaskId>& ids,
                           util::ThreadPool* pool) {
   bucket(arena, ts, dst, ids, pool);
-  spread(arena, {Mode::kPlain, 0.0, nullptr}, pool);
+  spread(arena, pool, [](TaskArena&, Node, std::size_t, double) {});
 }
 
-void BatchScatter::spread(TaskArena& arena, const Rule& rule,
-                          util::ThreadPool* pool) {
+void BatchScatter::spread_accepting(TaskArena& arena,
+                                    const core::Thresholds& thresholds) {
+  // The acceptance test reads the span position the task lands at, which
+  // is the count a sequential push_accepting would have seen.
+  thresholds.visit([&](const auto T) {
+    spread(arena, nullptr,
+           [T](TaskArena& a, Node r, std::size_t pos, double w) {
+             a.book_acceptance(r, pos, w, T[r]);
+           });
+  });
+}
+
+template <class Accept>
+void BatchScatter::spread(TaskArena& arena, util::ThreadPool* pool,
+                          const Accept& accept) {
   const std::size_t shards = shard_begin_.size() - 1;
   const auto blocks_of = [this](std::size_t s, auto&& fn) {
     for (std::size_t j = shard_begin_[s]; j < shard_begin_[s + 1]; ++j) fn(j);
@@ -721,7 +696,7 @@ void BatchScatter::spread(TaskArena& arena, const Rule& rule,
   grow_spans(arena);
   util::parallel_shard(
       shards, 1, pool, [&](std::size_t s, std::size_t, std::size_t) {
-        blocks_of(s, [&](std::size_t j) { fill_block(arena, j, rule); });
+        blocks_of(s, [&](std::size_t j) { fill_block(arena, j, accept); });
       });
 }
 
@@ -777,12 +752,13 @@ void BatchScatter::bucket(const TaskArena& arena, const tasks::TaskSet& ts,
 
 void BatchScatter::evict_bucket(TaskArena& arena, std::span<const Node> from,
                                 const std::vector<Node>& dst,
-                                const Rule& rule) {
+                                const core::Thresholds& thresholds) {
   TaskArena& a = arena;
   const Node n = a.num_resources();
   const std::size_t k = dst.size();
-  if (rule.mode == Mode::kPerResource && rule.thresholds->size() != n) {
-    throw std::invalid_argument("BatchScatter: threshold vector size mismatch");
+  if (!thresholds.fits(n)) {
+    throw std::invalid_argument(
+        "BatchScatter: thresholds do not fit the arena");
   }
   std::size_t evictees = 0;
   for (std::size_t i = 0; i < from.size(); ++i) {
@@ -942,8 +918,9 @@ void BatchScatter::grow_spans(TaskArena& arena) {
   }
 }
 
+template <class Accept>
 void BatchScatter::fill_block(TaskArena& arena, std::size_t j,
-                              const Rule& rule) const {
+                              const Accept& accept) const {
   TaskArena& a = arena;
   const Block& b = blocks_[j];
   // Finish the block's relocations, then point each block slot at the
@@ -958,37 +935,15 @@ void BatchScatter::fill_block(TaskArena& arena, std::size_t j,
     cursor[r % kBlockWidth] = std::size_t{a.begin_[r]} + live;
   }
 
-  // Fill in record (= index) order. The acceptance test reads the span
-  // position the task lands at, which is the count a sequential
-  // push_accepting would have seen.
-  switch (rule.mode) {
-    case Mode::kPlain:
-      for (std::size_t i = b.rec_begin; i < b.rec_end; ++i) {
-        const Record& rec = records_[i];
-        const std::size_t slot = cursor[rec.dst % kBlockWidth]++;
-        a.ids_[slot] = rec.id;
-        a.weights_[slot] = rec.w;
-        a.load_[rec.dst] += rec.w;
-      }
-      break;
-    case Mode::kUniform:
-    case Mode::kPerResource:
-      for (std::size_t i = b.rec_begin; i < b.rec_end; ++i) {
-        const Record& rec = records_[i];
-        const Node r = rec.dst;
-        const std::size_t slot = cursor[r % kBlockWidth]++;
-        const double T = rule.mode == Mode::kUniform ? rule.threshold
-                                                     : (*rule.thresholds)[r];
-        a.ids_[slot] = rec.id;
-        a.weights_[slot] = rec.w;
-        if (a.accepted_count_[r] == slot - a.begin_[r] &&
-            a.load_[r] + rec.w <= T) {
-          ++a.accepted_count_[r];
-          a.accepted_load_[r] += rec.w;
-        }
-        a.load_[r] += rec.w;
-      }
-      break;
+  // Fill in record (= index) order.
+  for (std::size_t i = b.rec_begin; i < b.rec_end; ++i) {
+    const Record& rec = records_[i];
+    const Node r = rec.dst;
+    const std::size_t slot = cursor[r % kBlockWidth]++;
+    a.ids_[slot] = rec.id;
+    a.weights_[slot] = rec.w;
+    accept(a, r, slot - a.begin_[r], rec.w);
+    a.load_[r] += rec.w;
   }
 }
 

@@ -213,7 +213,7 @@ class ArenaChurn {
 
   /// Initial placement, without acceptance bookkeeping.
   void place(const tasks::Placement& start) {
-    state_.place(start, /*threshold=*/-1.0);
+    state_.place(start);
   }
 
   /// One churn round; returns the number of tasks moved.

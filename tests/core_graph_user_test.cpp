@@ -119,7 +119,7 @@ TEST(GraphUserTest, NonUniformThresholdsRespected) {
   std::vector<double> thresholds(16, 7.0);
   for (int i = 0; i < 4; ++i) thresholds[i] = 14.0;
   GraphUserConfig cfg;
-  cfg.thresholds = thresholds;
+  cfg.threshold = thresholds;
   cfg.walk = tlb::randomwalk::WalkKind::kLazy;
   cfg.options.max_rounds = 500000;
   GraphUserEngine engine(g, ts, cfg);
@@ -138,7 +138,7 @@ TEST(GraphUserTest, RejectsBadConfig) {
   EXPECT_THROW(GraphUserEngine(g, ts, make_config(5.0, 0.0)),
                std::invalid_argument);
   GraphUserConfig bad;
-  bad.thresholds = {1.0, 1.0};
+  bad.threshold = std::vector<double>{1.0, 1.0};
   EXPECT_THROW(GraphUserEngine(g, ts, bad), std::invalid_argument);
   // Non-finite threshold, per-resource thresholds and alpha.
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -150,7 +150,7 @@ TEST(GraphUserTest, RejectsBadConfig) {
                  std::invalid_argument)
         << x;
     GraphUserConfig per = make_config(5.0);
-    per.thresholds = {5.0, 5.0, x, 5.0};
+    per.threshold = std::vector<double>{5.0, 5.0, x, 5.0};
     EXPECT_THROW(GraphUserEngine(g, ts, per), std::invalid_argument) << x;
   }
 }

@@ -1,12 +1,25 @@
 // Tests for the non-uniform threshold extension (the paper's future-work
 // item): speed profiles, speed-proportional threshold builders, feasibility,
-// and both protocol engines running with per-resource thresholds.
+// the protocol engines running with per-resource thresholds, and the one
+// threshold representation (core::Thresholds) every engine shares.
 #include "tlb/core/hetero.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "tlb/core/graph_user_protocol.hpp"
+#include "tlb/core/mixed_protocol.hpp"
 #include "tlb/core/resource_protocol.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/dsan/fingerprint.hpp"
+#include "tlb/engine/driver.hpp"
+#include "tlb/engine/observer.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/weights.hpp"
@@ -14,6 +27,7 @@
 namespace {
 
 using namespace tlb::core;
+using tlb::graph::Graph;
 using tlb::graph::Node;
 using tlb::tasks::all_on_one;
 using tlb::tasks::TaskSet;
@@ -100,7 +114,7 @@ TEST(HeteroResourceEngineTest, BalancesToPerResourceThresholds) {
       ts, speeds, ThresholdKind::kAboveAverage, 0.3);
 
   ResourceProtocolConfig cfg;
-  cfg.thresholds = thresholds;
+  cfg.threshold = thresholds;
   cfg.options.max_rounds = 100000;
   ResourceControlledEngine engine(g, ts, cfg);
   const auto r = engine.run(all_on_one(ts), rng);
@@ -110,28 +124,178 @@ TEST(HeteroResourceEngineTest, BalancesToPerResourceThresholds) {
   }
   // Fast nodes must be allowed more than slow nodes on average; check the
   // configured thresholds reflect the 4x ratio.
-  EXPECT_GT(engine.threshold(0), engine.threshold(19));
+  EXPECT_GT(engine.state().thresholds()[0], engine.state().thresholds()[19]);
 }
 
-TEST(HeteroResourceEngineTest, UniformVectorMatchesScalarExactly) {
-  // Same seed, scalar threshold vs equivalent vector: identical runs.
-  Rng rng_a(7), rng_b(7);
-  const auto g = tlb::graph::grid2d(4, 4);
-  const TaskSet ts = tlb::tasks::uniform_unit(64);
+/// The engines that take a core::Thresholds.
+enum class EngineKind { kExact, kGrouped, kResource, kGraphUser, kMixed };
+
+std::string engine_name(EngineKind kind) {
+  switch (kind) {
+    case EngineKind::kExact: return "exact";
+    case EngineKind::kGrouped: return "grouped";
+    case EngineKind::kResource: return "resource";
+    case EngineKind::kGraphUser: return "graph_user";
+    case EngineKind::kMixed: return "mixed";
+  }
+  return "?";
+}
+
+/// Builds an engine of `kind` over `g` (the user engines on the complete
+/// graph take only its node count) against `thresholds` and hands it to
+/// `fn`. The graph engines walk lazily.
+template <class Fn>
+void with_engine(EngineKind kind, const Graph& g, const TaskSet& ts,
+                 const Thresholds& thresholds, Fn&& fn) {
+  const auto lazy = tlb::randomwalk::WalkKind::kLazy;
+  switch (kind) {
+    case EngineKind::kExact: {
+      UserProtocolConfig cfg;
+      cfg.threshold = thresholds;
+      UserControlledEngine engine(ts, g.num_nodes(), cfg);
+      fn(engine);
+      return;
+    }
+    case EngineKind::kGrouped: {
+      UserProtocolConfig cfg;
+      cfg.threshold = thresholds;
+      GroupedUserEngine engine(ts, g.num_nodes(), cfg);
+      fn(engine);
+      return;
+    }
+    case EngineKind::kResource: {
+      ResourceProtocolConfig cfg;
+      cfg.threshold = thresholds;
+      cfg.walk = lazy;
+      ResourceControlledEngine engine(g, ts, cfg);
+      fn(engine);
+      return;
+    }
+    case EngineKind::kGraphUser: {
+      GraphUserConfig cfg;
+      cfg.threshold = thresholds;
+      cfg.walk = lazy;
+      GraphUserEngine engine(g, ts, cfg);
+      fn(engine);
+      return;
+    }
+    case EngineKind::kMixed: {
+      MixedProtocolConfig cfg;
+      cfg.threshold = thresholds;
+      cfg.walk = lazy;
+      MixedProtocolEngine engine(g, ts, cfg);
+      fn(engine);
+      return;
+    }
+  }
+}
+
+/// Everything a run exposes: the per-round traces, the dsan state and work
+/// digests after every round, the final loads' bit patterns and the
+/// generator's end state.
+struct Recorded {
+  std::vector<double> potential;
+  std::vector<std::uint32_t> overloaded;
+  std::vector<std::uint64_t> state_digests, work_digests;
+  std::vector<std::uint64_t> load_bits;
+  std::uint64_t rng_hash = 0;
+  long rounds = 0;
+};
+
+/// Collects the dsan fingerprint after every round and the final loads.
+class FingerprintLog final : public tlb::engine::RoundObserver {
+ public:
+  explicit FingerprintLog(Recorded& out) : out_(&out) {}
+  void on_round_end(const tlb::engine::BalancerView& view, long,
+                    std::size_t) override {
+    record(view);
+  }
+  void on_finish(const tlb::engine::BalancerView& view) override {
+    record(view);
+    std::vector<double> loads;
+    ASSERT_TRUE(view.collect_loads(loads));
+    for (const double x : loads) {
+      out_->load_bits.push_back(std::bit_cast<std::uint64_t>(x));
+    }
+  }
+
+ private:
+  void record(const tlb::engine::BalancerView& view) {
+    tlb::dsan::Digest state, work;
+    view.collect_fingerprint(state, work);
+    out_->state_digests.push_back(state.value());
+    out_->work_digests.push_back(work.value());
+  }
+  Recorded* out_;
+};
+
+Recorded record_run(EngineKind kind, const Graph& g, const TaskSet& ts,
+                    const Thresholds& thresholds) {
+  Recorded out;
+  with_engine(kind, g, ts, thresholds, [&](auto& engine) {
+    tlb::engine::PotentialTrace potential;
+    tlb::engine::OverloadedTrace overloaded;
+    FingerprintLog fingerprints(out);
+    tlb::engine::ObserverList observers({&potential, &overloaded,
+                                         &fingerprints});
+    tlb::engine::DriveOptions opt;
+    opt.max_rounds = 100000;
+    Rng rng(29);
+    engine.reset(all_on_one(ts));
+    out.rounds = tlb::engine::drive(engine, rng, opt, &observers).rounds;
+    out.potential = potential.take();
+    out.overloaded = overloaded.take();
+    out.rng_hash = rng.state_hash();
+  });
+  return out;
+}
+
+class UniformVectorTest : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(UniformVectorTest, MatchesScalarBitForBit) {
+  // One seed, a scalar T against n copies of T: the same run, round by
+  // round, down to the tracker's work counters.
+  const Graph g = tlb::graph::grid2d(4, 4);
+  const TaskSet ts = tlb::tasks::two_point(90, 6, 5.0);
   const double T = threshold_value(ThresholdKind::kAboveAverage, ts, 16, 0.3);
-
-  ResourceProtocolConfig scalar_cfg;
-  scalar_cfg.threshold = T;
-  scalar_cfg.walk = tlb::randomwalk::WalkKind::kLazy;
-  ResourceProtocolConfig vector_cfg = scalar_cfg;
-  vector_cfg.thresholds.assign(16, T);
-
-  ResourceControlledEngine a(g, ts, scalar_cfg), b(g, ts, vector_cfg);
-  const auto ra = a.run(all_on_one(ts), rng_a);
-  const auto rb = b.run(all_on_one(ts), rng_b);
-  EXPECT_EQ(ra.rounds, rb.rounds);
-  EXPECT_EQ(ra.migrations, rb.migrations);
+  const Recorded scalar = record_run(GetParam(), g, ts, T);
+  const Recorded vector =
+      record_run(GetParam(), g, ts, std::vector<double>(16, T));
+  EXPECT_GT(scalar.rounds, 1);
+  EXPECT_EQ(scalar.rounds, vector.rounds);
+  EXPECT_EQ(scalar.potential, vector.potential);
+  EXPECT_EQ(scalar.overloaded, vector.overloaded);
+  EXPECT_EQ(scalar.state_digests, vector.state_digests);
+  EXPECT_EQ(scalar.work_digests, vector.work_digests);
+  EXPECT_EQ(scalar.load_bits, vector.load_bits);
+  EXPECT_EQ(scalar.rng_hash, vector.rng_hash);
 }
+
+TEST_P(UniformVectorTest, RejectsInvalidThresholds) {
+  const Graph g = tlb::graph::complete(4);
+  const TaskSet ts = tlb::tasks::uniform_unit(8);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto build = [&](const Thresholds& thresholds) {
+    with_engine(GetParam(), g, ts, thresholds, [](auto&) {});
+  };
+  EXPECT_NO_THROW(build(5.0));
+  EXPECT_NO_THROW(build(std::vector<double>(4, 5.0)));
+  EXPECT_THROW(build(std::vector<double>{5.0, 5.0}), std::invalid_argument);
+  EXPECT_THROW(build(std::vector<double>{5.0, nan, 5.0, 5.0}),
+               std::invalid_argument);
+  EXPECT_THROW(build(0.0), std::invalid_argument);
+  EXPECT_THROW(build(-1.0), std::invalid_argument);
+  EXPECT_THROW(build(Thresholds()), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HeteroEngines, UniformVectorTest,
+    ::testing::Values(EngineKind::kExact, EngineKind::kGrouped,
+                      EngineKind::kResource, EngineKind::kGraphUser,
+                      EngineKind::kMixed),
+    [](const ::testing::TestParamInfo<EngineKind>& info) {
+      return engine_name(info.param);
+    });
 
 TEST(HeteroUserEngineTest, BothEnginesBalanceToPerResourceThresholds) {
   const Node n = 30;
@@ -143,7 +307,7 @@ TEST(HeteroUserEngineTest, BothEnginesBalanceToPerResourceThresholds) {
   ASSERT_TRUE(thresholds_feasible(ts, thresholds));
 
   UserProtocolConfig cfg;
-  cfg.thresholds = thresholds;
+  cfg.threshold = thresholds;
   cfg.options.max_rounds = 200000;
 
   {
@@ -166,18 +330,6 @@ TEST(HeteroUserEngineTest, BothEnginesBalanceToPerResourceThresholds) {
   }
 }
 
-TEST(HeteroUserEngineTest, RejectsSizeMismatch) {
-  const TaskSet ts = tlb::tasks::uniform_unit(8);
-  UserProtocolConfig cfg;
-  cfg.thresholds = {5.0, 5.0};  // wrong size for n = 4
-  EXPECT_THROW(UserControlledEngine(ts, 4, cfg), std::invalid_argument);
-  EXPECT_THROW(GroupedUserEngine(ts, 4, cfg), std::invalid_argument);
-  ResourceProtocolConfig rcfg;
-  rcfg.thresholds = {5.0, 5.0};
-  const auto g = tlb::graph::complete(4);
-  EXPECT_THROW(ResourceControlledEngine(g, ts, rcfg), std::invalid_argument);
-}
-
 TEST(HeteroUserEngineTest, FastResourcesCarryMoreLoad) {
   // With 4x-speed resources, the balanced allocation should visibly skew
   // toward the fast class.
@@ -189,7 +341,7 @@ TEST(HeteroUserEngineTest, FastResourcesCarryMoreLoad) {
       ts, speeds, ThresholdKind::kAboveAverage, 0.2);
 
   UserProtocolConfig cfg;
-  cfg.thresholds = thresholds;
+  cfg.threshold = thresholds;
   cfg.options.max_rounds = 200000;
   Rng rng(11);
   GroupedUserEngine engine(ts, n, cfg);

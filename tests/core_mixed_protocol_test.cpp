@@ -142,7 +142,7 @@ TEST(MixedProtocolTest, NonUniformThresholdsRespected) {
   std::vector<double> thresholds(10, 11.0);
   thresholds[0] = 22.0;  // one big node
   MixedProtocolConfig cfg;
-  cfg.thresholds = thresholds;
+  cfg.threshold = thresholds;
   cfg.resource_probability = 0.5;
   cfg.options.max_rounds = 500000;
   MixedProtocolEngine engine(g, ts, cfg);
@@ -176,7 +176,7 @@ TEST(MixedProtocolTest, RejectsBadConfig) {
                  std::invalid_argument)
         << x;
     MixedProtocolConfig per = make_config(5.0, 0.5);
-    per.thresholds = {5.0, x, 5.0, 5.0};
+    per.threshold = std::vector<double>{5.0, x, 5.0, 5.0};
     EXPECT_THROW(MixedProtocolEngine(g, ts, per), std::invalid_argument) << x;
   }
 }

@@ -231,7 +231,7 @@ TEST(SystemStateOverloadedTest, MatchesBruteForceUnderRandomTraffic) {
   Rng rng(2024);
   Placement p(m);
   for (auto& r : p) r = static_cast<Node>(rng.uniform_below(n));
-  state.place(p, /*threshold=*/-1.0);
+  state.place(p);
 
   std::vector<TaskId> movers;
   std::vector<Node> dst;
@@ -274,7 +274,7 @@ TEST(SystemStateOverloadedTest, ReRegisteringSameThresholdIsFree) {
   Rng rng(3);
   Placement p(m);
   for (auto& r : p) r = static_cast<Node>(rng.uniform_below(n));
-  state.place(p, -1.0);
+  state.place(p);
   (void)state.overloaded();  // settle the dirty set
 
   const std::uint64_t checks0 = state.overloaded_tracker().flush_checks();
@@ -306,7 +306,7 @@ TEST(SystemStateOverloadedTest, UniformShiftReconcilesOnlyTheBand) {
     for (Node k = 0; k <= r; ++k) p[next++] = r;
   }
   state.set_thresholds(static_cast<double>(n - 4));  // 4 overloaded
-  state.place(p, -1.0);
+  state.place(p);
   ASSERT_EQ(state.overloaded().size(), 4u);
 
   // First move arms the LoadIndex (one O(n) build, counted separately).
@@ -340,7 +340,7 @@ TEST(SystemStateOverloadedTest, RandomTrafficWithThresholdMoves) {
   Rng rng(4711);
   Placement p(m);
   for (auto& r : p) r = static_cast<Node>(rng.uniform_below(n));
-  state.place(p, -1.0);
+  state.place(p);
 
   std::vector<TaskId> movers;
   std::vector<Node> dst;
@@ -378,7 +378,7 @@ TEST(SystemStateOverloadedTest, RandomTrafficWithThresholdMoves) {
 TEST(SystemStateOverloadedTest, QueriesRequireRegisteredThresholds) {
   const TaskSet ts = uniform_unit(4);
   SystemState state(ts, 2);
-  state.place({0, 0, 1, 1}, -1.0);
+  state.place({0, 0, 1, 1});
   EXPECT_THROW(state.overloaded(), std::logic_error);
   EXPECT_THROW((void)state.balanced(), std::logic_error);
   state.set_thresholds(1.5);

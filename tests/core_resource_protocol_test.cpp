@@ -232,7 +232,7 @@ TEST(ResourceProtocolTest, RejectsNonPositiveThreshold) {
                  std::invalid_argument)
         << bad;
     ResourceProtocolConfig per = make_config(1.0);
-    per.thresholds = {2.0, bad, 2.0, 2.0};
+    per.threshold = std::vector<double>{2.0, bad, 2.0, 2.0};
     EXPECT_THROW(ResourceControlledEngine(g, ts, per), std::invalid_argument)
         << bad;
   }
@@ -338,7 +338,9 @@ void expect_engine_matches_naive_rounds(const Graph& g, const TaskSet& ts,
   ResourceControlledEngine engine(g, ts, cfg);
   engine.reset(start);
   std::vector<double> thresholds(g.num_nodes());
-  for (Node r = 0; r < g.num_nodes(); ++r) thresholds[r] = engine.threshold(r);
+  for (Node r = 0; r < g.num_nodes(); ++r) {
+    thresholds[r] = engine.state().thresholds()[r];
+  }
   NaiveResourceRounds naive(ts, thresholds, start);
   const TransitionModel walk(g, cfg.walk);
   Rng a(seed), b(seed);
@@ -386,7 +388,7 @@ TEST(ResourceProtocolTest, MatchesNaiveAlgorithm51BitForBit) {
     const TaskSet ts = tlb::tasks::two_point(300, 30, 6.0);
     const SpeedProfile speeds = two_class_speeds(g.num_nodes(), 8, 4.0);
     ResourceProtocolConfig cfg = make_config(1.0, WalkKind::kLazy);
-    cfg.thresholds = speed_proportional_thresholds(
+    cfg.threshold = speed_proportional_thresholds(
         ts, speeds, ThresholdKind::kAboveAverage, 0.3);
     Rng prng(13);
     Placement start(ts.size());

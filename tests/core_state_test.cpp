@@ -23,7 +23,7 @@ using tlb::util::Rng;
 TEST(SystemStateTest, PlaceAndQuery) {
   const TaskSet ts({1.0, 2.0, 3.0});
   SystemState state(ts, 2);
-  state.place({0, 1, 0}, /*threshold=*/-1.0);
+  state.place({0, 1, 0});
   EXPECT_DOUBLE_EQ(state.load(0), 4.0);
   EXPECT_DOUBLE_EQ(state.load(1), 2.0);
   EXPECT_DOUBLE_EQ(state.max_load(), 4.0);
@@ -34,7 +34,7 @@ TEST(SystemStateTest, PlaceAndQuery) {
 TEST(SystemStateTest, BalancedAndOverloadedCount) {
   const TaskSet ts({5.0, 5.0});
   SystemState state(ts, 2);
-  state.place({0, 1}, -1.0);
+  state.place({0, 1});
   EXPECT_TRUE(state.balanced(5.0));
   EXPECT_FALSE(state.balanced(4.9));
   EXPECT_EQ(state.overloaded_count(4.9), 2u);
@@ -44,8 +44,8 @@ TEST(SystemStateTest, BalancedAndOverloadedCount) {
 TEST(SystemStateTest, PlaceRejectsBadInput) {
   const TaskSet ts({1.0, 1.0});
   SystemState state(ts, 2);
-  EXPECT_THROW(state.place({0}, -1.0), std::invalid_argument);
-  EXPECT_THROW(state.place({0, 5}, -1.0), std::invalid_argument);
+  EXPECT_THROW(state.place({0}), std::invalid_argument);
+  EXPECT_THROW(state.place({0, 5}), std::invalid_argument);
 }
 
 TEST(SystemStateTest, SetThresholdsRejectsNonFinite) {
@@ -58,7 +58,7 @@ TEST(SystemStateTest, SetThresholdsRejectsNonFinite) {
                  std::invalid_argument)
         << x;
   }
-  EXPECT_FALSE(state.has_thresholds());
+  EXPECT_FALSE(state.thresholds().is_set());
 }
 
 TEST(SystemStateTest, InvariantsHoldAfterPlace) {
@@ -67,7 +67,7 @@ TEST(SystemStateTest, InvariantsHoldAfterPlace) {
   Rng rng(3);
   Placement p(100);
   for (auto& r : p) r = static_cast<Node>(rng.uniform_below(10));
-  state.place(p, -1.0);
+  state.place(p);
   EXPECT_NO_THROW(state.check_invariants());
 }
 
@@ -104,7 +104,7 @@ TEST(SystemStateTest, BalancedIffResourcePotentialZero) {
 TEST(SystemStateTest, UserPotentialMatchesPerStackPhi) {
   const TaskSet ts({6.0, 6.0, 6.0, 1.0});
   SystemState state(ts, 2);
-  state.place({0, 0, 0, 1}, -1.0);
+  state.place({0, 0, 0, 1});
   const double T = 10.0;
   EXPECT_DOUBLE_EQ(user_potential(state, T),
                    state.stack(0).phi(ts, T) + state.stack(1).phi(ts, T));
@@ -135,7 +135,7 @@ TEST(Lemma1Test, StaticPigeonholeBound) {
   };
   for (const auto& p : layouts) {
     SystemState state(ts, n);
-    state.place(p, -1.0);
+    state.place(p);
     EXPECT_GE(acceptor_fraction(state, T, ts.max_weight()),
               eps / (1.0 + eps) - 1e-12);
   }
@@ -161,7 +161,7 @@ TEST(Lemma1Test, BoundIsAchievable) {
     p[idx] = static_cast<Node>(full_groups);
   }
   SystemState state(ts, n);
-  state.place(p, -1.0);
+  state.place(p);
   const double frac = acceptor_fraction(state, T, ts.max_weight());
   EXPECT_GE(frac, eps / (1.0 + eps) - 1e-12);
   EXPECT_LT(frac, 0.5);  // well below 1: the bound is doing work

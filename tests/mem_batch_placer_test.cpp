@@ -63,6 +63,7 @@ struct TaskArenaTestPeer {
 
 namespace {
 
+using tlb::core::Thresholds;
 using tlb::graph::Node;
 using tlb::mem::BatchPlacer;
 using tlb::mem::BatchScatter;
@@ -101,15 +102,13 @@ TaskSet make_tasks(std::size_t m, std::uint64_t seed) {
   return TaskSet(std::move(w));
 }
 
-/// Sequential reference: push / push_accepting in task-id order.
+/// Sequential reference in task-id order: push, or push_accepting against
+/// (*accept)[r] when `accept` is given.
 void place_sequentially(TaskArena& arena, const TaskSet& ts,
-                        const Placement& p, double threshold,
-                        const std::vector<double>* per_resource) {
+                        const Placement& p, const Thresholds* accept) {
   for (TaskId i = 0; i < p.size(); ++i) {
-    if (per_resource != nullptr) {
-      arena.push_accepting(p[i], i, ts.weight(i), (*per_resource)[p[i]]);
-    } else if (threshold >= 0.0) {
-      arena.push_accepting(p[i], i, ts.weight(i), threshold);
+    if (accept != nullptr) {
+      arena.push_accepting(p[i], i, ts.weight(i), (*accept)[p[i]]);
     } else {
       arena.push(p[i], i, ts.weight(i));
     }
@@ -145,28 +144,25 @@ void check_all_modes(const TaskSet& ts, const Placement& p, Node n,
   }
   BatchPlacer placer;
 
+  const Thresholds uniform = T;
+  const Thresholds per_resource = per;
+
   {  // plain stacking
     TaskArena batch(n), seq(n);
     placer.place(batch, ts, p);
-    place_sequentially(seq, ts, p, -1.0, nullptr);
+    place_sequentially(seq, ts, p, nullptr);
     expect_identical(batch, seq, n, what + "/plain");
-  }
-  {  // negative uniform threshold == plain (the SystemState convention)
-    TaskArena batch(n), seq(n);
-    placer.place(batch, ts, p, -1.0);
-    place_sequentially(seq, ts, p, -1.0, nullptr);
-    expect_identical(batch, seq, n, what + "/negative");
   }
   {  // uniform acceptance threshold
     TaskArena batch(n), seq(n);
-    placer.place(batch, ts, p, T);
-    place_sequentially(seq, ts, p, T, nullptr);
+    placer.place(batch, ts, p, uniform);
+    place_sequentially(seq, ts, p, &uniform);
     expect_identical(batch, seq, n, what + "/uniform");
   }
   {  // per-resource thresholds
     TaskArena batch(n), seq(n);
-    placer.place(batch, ts, p, per);
-    place_sequentially(seq, ts, p, 0.0, &per);
+    placer.place(batch, ts, p, per_resource);
+    place_sequentially(seq, ts, p, &per_resource);
     expect_identical(batch, seq, n, what + "/per-resource");
   }
   {  // re-place over a dirty arena (engine reset between trials)
@@ -177,8 +173,8 @@ void check_all_modes(const TaskSet& ts, const Placement& p, Node n,
                  ts.weight(i));
     }
     TaskArena seq(n);
-    placer.place(batch, ts, p, T);
-    place_sequentially(seq, ts, p, T, nullptr);
+    placer.place(batch, ts, p, uniform);
+    place_sequentially(seq, ts, p, &uniform);
     expect_identical(batch, seq, n, what + "/reused-arena");
   }
 }
@@ -637,23 +633,17 @@ TEST(BatchScatterTest, SystemStateMatchesSequentialPushes) {
                                   Pools::name(pool);
         tlb::core::SystemState bulk(ts, n), seq(ts, n);
         const auto [T, per] = scatter_thresholds(ts, n);
-        for (tlb::core::SystemState* s : {&bulk, &seq}) {
-          if (per_resource) {
-            s->set_thresholds(per);
-          } else {
-            s->set_thresholds(T);
-          }
-        }
+        const Thresholds thresholds =
+            per_resource ? Thresholds(per) : Thresholds(T);
         tlb::util::Rng rng(n);
         Placement p(ts.size());
         for (auto& r : p) r = static_cast<Node>(rng.uniform_below(n));
         for (tlb::core::SystemState* s : {&bulk, &seq}) {
-          if (!accepting) {
-            s->place(p, -1.0);
-          } else if (per_resource) {
-            s->place(p, per);
+          s->set_thresholds(thresholds);
+          if (accepting) {
+            s->place(p, thresholds);
           } else {
-            s->place(p, T);
+            s->place(p);
           }
         }
         for (int round = 0; round < 4; ++round) {
@@ -667,7 +657,7 @@ TEST(BatchScatterTest, SystemStateMatchesSequentialPushes) {
             bulk.evict_scatter(dst);
             for (std::size_t i = 0; i < dst.size(); ++i) {
               seq.stack(dst[i]).push_accepting(evictees[i], ts,
-                                               seq.threshold_of(dst[i]));
+                                               seq.thresholds()[dst[i]]);
             }
           } else {
             // The exact engine's phase 1: mark random subsets of the
@@ -714,7 +704,7 @@ TEST(BatchScatterTest, ShardedRoundsWithACompactingScatterMatchEveryPool) {
     tlb::core::SystemState bulk(ts, n), seq(ts, n);
     for (tlb::core::SystemState* s : {&bulk, &seq}) {
       s->set_thresholds(T);
-      s->place(Placement(ts.size(), 0), -1.0);
+      s->place(Placement(ts.size(), 0));
     }
     tlb::util::Rng rng(17);
     for (int round = 0; round < 3; ++round) {
@@ -856,7 +846,7 @@ TEST(BatchScatterTest, EvictScatterGrowAtTheSlotCapKeepsTheEvictions) {
 TEST(BatchScatterTest, EvictScatterRequiresThresholds) {
   const TaskSet ts = make_tasks(4, 27);
   tlb::core::SystemState state(ts, 2);
-  state.place({0, 0, 0, 1}, -1.0);
+  state.place({0, 0, 0, 1});
   EXPECT_THROW(state.evict_scatter({1}), std::logic_error);
 }
 

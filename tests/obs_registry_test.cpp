@@ -169,8 +169,9 @@ TEST(ObsRegistryTest, SlotCapacityThrows) {
   bool threw = false;
   for (int i = 0; used <= Registry::kMaxSlots; ++i) {
     try {
-      reg.histogram("h" + std::to_string(i), 0.0, 1.0, 64,
-                    MetricClass::kDeterministic);
+      std::string name = "h";
+      name += std::to_string(i);
+      reg.histogram(name, 0.0, 1.0, 64, MetricClass::kDeterministic);
       used += 64;
     } catch (const std::length_error&) {
       threw = true;

@@ -1,5 +1,5 @@
 // Tests for the simulation harness: graph specs, the parallel trial runner
-// (determinism across thread counts), sweep helpers, theory formulas.
+// (determinism across thread counts), theory formulas.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 #include "tlb/graph/properties.hpp"
 #include "tlb/sim/config.hpp"
 #include "tlb/sim/runner.hpp"
-#include "tlb/sim/sweep.hpp"
 #include "tlb/sim/theory.hpp"
 
 namespace {
@@ -92,27 +91,6 @@ TEST(RunnerTest, DeterministicAcrossThreadCounts) {
   const auto parallel = run_trials(64, 7, trial, /*threads=*/4);
   EXPECT_EQ(serial.rounds.mean(), parallel.rounds.mean());
   EXPECT_EQ(serial.rounds_samples, parallel.rounds_samples);
-}
-
-TEST(SweepTest, Linspace) {
-  const auto xs = linspace(0.0, 1.0, 5);
-  ASSERT_EQ(xs.size(), 5u);
-  EXPECT_DOUBLE_EQ(xs[0], 0.0);
-  EXPECT_DOUBLE_EQ(xs[2], 0.5);
-  EXPECT_DOUBLE_EQ(xs[4], 1.0);
-}
-
-TEST(SweepTest, Logspace) {
-  const auto xs = logspace(1.0, 100.0, 3);
-  ASSERT_EQ(xs.size(), 3u);
-  EXPECT_NEAR(xs[1], 10.0, 1e-9);
-  EXPECT_THROW(logspace(0.0, 1.0, 3), std::invalid_argument);
-}
-
-TEST(SweepTest, ArangeAndPow2) {
-  EXPECT_EQ(arange(2, 10, 3), (std::vector<std::int64_t>{2, 5, 8}));
-  EXPECT_EQ(pow2_range(4, 32), (std::vector<std::int64_t>{4, 8, 16, 32}));
-  EXPECT_THROW(arange(0, 5, 0), std::invalid_argument);
 }
 
 TEST(TheoryTest, Theorem3BoundFormula) {

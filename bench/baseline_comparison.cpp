@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <limits>
 
-#include "tlb/baselines/selfish_realloc.hpp"
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
@@ -68,12 +67,13 @@ int main(int argc, char** argv) {
     core::UserProtocolConfig cfg;
     cfg.threshold = T;
     cfg.alpha = 1.0;
-    cfg.options.max_rounds = 1000000;
     const auto stats =
         sim::run_trials(trials, util::derive_seed(cli.get_int("seed"), 1),
                         [&](util::Rng& rng) {
                           core::GroupedUserEngine engine(ts, n, cfg);
-                          return engine.run(tasks::all_on_one(ts), rng);
+                          return engine::reset_and_run(
+                              engine, tasks::all_on_one(ts), rng,
+                              {.max_rounds = 1000000});
                         });
     table.add_row({"user-controlled (this paper)",
                    util::Table::fmt(stats.rounds.mean(), 1),
@@ -87,12 +87,13 @@ int main(int argc, char** argv) {
     const graph::Graph g = graph::complete(n);
     core::ResourceProtocolConfig cfg;
     cfg.threshold = T;
-    cfg.options.max_rounds = 1000000;
     const auto stats =
         sim::run_trials(trials, util::derive_seed(cli.get_int("seed"), 2),
                         [&](util::Rng& rng) {
                           core::ResourceControlledEngine engine(g, ts, cfg);
-                          return engine.run(tasks::all_on_one(ts), rng);
+                          return engine::reset_and_run(
+                              engine, tasks::all_on_one(ts), rng,
+                              {.max_rounds = 1000000});
                         });
     table.add_row({"resource-controlled (this paper)",
                    util::Table::fmt(stats.rounds.mean(), 1),
@@ -103,14 +104,12 @@ int main(int argc, char** argv) {
 
   // (3) selfish reallocation without thresholds.
   {
-    baselines::SelfishConfig cfg;
-    cfg.stop_threshold = T;
-    cfg.options.max_rounds = 1000000;
     const auto stats = sim::run_trials(
         trials, util::derive_seed(cli.get_int("seed"), 3),
         [&](util::Rng& rng) {
-          baselines::SelfishReallocEngine engine(ts, n, cfg);
-          return engine.run(tasks::all_on_one(ts), rng);
+          engine::SelfishReallocBalancer balancer(ts, n, T);
+          return engine::reset_and_run(balancer, tasks::all_on_one(ts), rng,
+                                       {.max_rounds = 1000000});
         });
     table.add_row({"selfish realloc [12]",
                    util::Table::fmt(stats.rounds.mean(), 1),

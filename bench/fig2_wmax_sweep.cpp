@@ -12,6 +12,7 @@
 
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/sim/runner.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -73,13 +74,13 @@ int main(int argc, char** argv) {
       core::UserProtocolConfig cfg;
       cfg.threshold = T;
       cfg.alpha = alpha;
-      cfg.options.max_rounds = 1000000;
 
       const auto stats = sim::run_trials(
           trials, util::derive_seed(cli.get_int("seed"), point),
           [&](util::Rng& rng) {
             core::GroupedUserEngine engine(ts, n, cfg);
-            return engine.run(tasks::all_on_one(ts), rng);
+            return engine::reset_and_run(engine, tasks::all_on_one(ts), rng,
+                                         {.max_rounds = 1000000});
           });
 
       const double log2m = std::log2(static_cast<double>(m));

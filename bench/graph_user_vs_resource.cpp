@@ -13,6 +13,7 @@
 #include "tlb/core/graph_user_protocol.hpp"
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/threshold.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/sim/config.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/sim/runner.hpp"
@@ -80,9 +81,9 @@ int main(int argc, char** argv) {
           core::ResourceProtocolConfig cfg;
           cfg.threshold = T;
           cfg.walk = walk;
-          cfg.options.max_rounds = 2000000;
           core::ResourceControlledEngine engine(g, ts, cfg);
-          return engine.run(tasks::all_on_one(ts), rng);
+          return engine::reset_and_run(engine, tasks::all_on_one(ts), rng,
+                                       {.max_rounds = 2000000});
         });
     const auto user = sim::run_trials(
         trials, util::derive_seed(cli.get_int("seed"), point * 2 + 1),
@@ -91,9 +92,9 @@ int main(int argc, char** argv) {
           cfg.threshold = T;
           cfg.alpha = 1.0;
           cfg.walk = walk;
-          cfg.options.max_rounds = 2000000;
           core::GraphUserEngine engine(g, ts, cfg);
-          return engine.run(tasks::all_on_one(ts), rng);
+          return engine::reset_and_run(engine, tasks::all_on_one(ts), rng,
+                                       {.max_rounds = 2000000});
         });
 
     table.add_row(

@@ -13,6 +13,7 @@
 
 #include "tlb/core/hetero.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/sim/runner.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -67,13 +68,13 @@ int main(int argc, char** argv) {
     core::UserProtocolConfig cfg;
     cfg.threshold = thresholds;
     cfg.alpha = 1.0;
-    cfg.options.max_rounds = 2000000;
 
     util::Welford rounds, fast_avg, slow_avg;
     for (std::size_t t = 0; t < trials; ++t) {
       util::Rng rng(util::derive_seed(cli.get_int("seed") + point, t));
       core::GroupedUserEngine engine(ts, n, cfg);
-      const auto r = engine.run(tasks::all_on_one(ts), rng);
+      const auto r = engine::reset_and_run(engine, tasks::all_on_one(ts), rng,
+                                           {.max_rounds = 2000000});
       rounds.add(static_cast<double>(r.rounds));
       double f = 0.0, s = 0.0;
       for (graph::Node v = 0; v < n; ++v) {
@@ -108,13 +109,13 @@ int main(int argc, char** argv) {
     core::UserProtocolConfig cfg;
     cfg.threshold = thresholds;
     cfg.alpha = 1.0;
-    cfg.options.max_rounds = 2000000;
 
     util::Welford rounds, corr;
     for (std::size_t t = 0; t < trials; ++t) {
       util::Rng rng(util::derive_seed(cli.get_int("seed") + point, t));
       core::GroupedUserEngine engine(ts, n, cfg);
-      const auto r = engine.run(tasks::all_on_one(ts), rng);
+      const auto r = engine::reset_and_run(engine, tasks::all_on_one(ts), rng,
+                                           {.max_rounds = 2000000});
       rounds.add(static_cast<double>(r.rounds));
       std::vector<double> final_loads(n);
       for (graph::Node v = 0; v < n; ++v) final_loads[v] = engine.load(v);

@@ -10,6 +10,7 @@
 #include "tlb/tasks/first_fit.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/randomwalk/transition.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -123,12 +124,14 @@ void BM_UserEngineExactRun(benchmark::State& state) {
   core::UserProtocolConfig cfg;
   cfg.threshold =
       core::threshold_value(core::ThresholdKind::kAboveAverage, ts, n, 0.2);
-  cfg.options.max_rounds = 1000000;
   std::uint64_t seed = 0;
   for (auto _ : state) {
     util::Rng rng(++seed);
     core::UserControlledEngine engine(ts, n, cfg);
-    benchmark::DoNotOptimize(engine.run(tasks::all_on_one(ts), rng).rounds);
+    benchmark::DoNotOptimize(
+        engine::reset_and_run(engine, tasks::all_on_one(ts), rng,
+                              {.max_rounds = 1000000})
+            .rounds);
   }
 }
 BENCHMARK(BM_UserEngineExactRun)->Unit(benchmark::kMicrosecond);
@@ -139,12 +142,14 @@ void BM_UserEngineGroupedRun(benchmark::State& state) {
   core::UserProtocolConfig cfg;
   cfg.threshold =
       core::threshold_value(core::ThresholdKind::kAboveAverage, ts, n, 0.2);
-  cfg.options.max_rounds = 1000000;
   std::uint64_t seed = 0;
   for (auto _ : state) {
     util::Rng rng(++seed);
     core::GroupedUserEngine engine(ts, n, cfg);
-    benchmark::DoNotOptimize(engine.run(tasks::all_on_one(ts), rng).rounds);
+    benchmark::DoNotOptimize(
+        engine::reset_and_run(engine, tasks::all_on_one(ts), rng,
+                              {.max_rounds = 1000000})
+            .rounds);
   }
 }
 BENCHMARK(BM_UserEngineGroupedRun)->Unit(benchmark::kMicrosecond);

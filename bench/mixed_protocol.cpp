@@ -29,6 +29,8 @@ namespace {
 
 using namespace tlb;
 
+constexpr long kMaxRounds = 2000000;
+
 /// Per-trial record extended with the burst statistic.
 struct MixedOutcome {
   core::RunResult run;
@@ -42,7 +44,7 @@ MixedOutcome one_trial(const graph::Graph& g, const tasks::TaskSet& ts,
   engine.reset(start);
   MixedOutcome out;
   out.run.threshold = engine.reported_threshold();
-  while (!engine.balanced() && out.run.rounds < cfg.options.max_rounds) {
+  while (!engine.balanced() && out.run.rounds < kMaxRounds) {
     const std::size_t moved = engine.step(rng);
     out.max_burst = std::max(out.max_burst, moved);
     out.run.migrations += moved;
@@ -99,7 +101,6 @@ int main(int argc, char** argv) {
     cfg.resource_probability = beta;
     cfg.alpha = 1.0;
     cfg.walk = randomwalk::WalkKind::kLazy;
-    cfg.options.max_rounds = 2000000;
     const auto start = tasks::all_on_one(ts);
 
     util::Welford rounds, migrations, burst, burst_share;

@@ -12,6 +12,7 @@
 
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/threshold.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/randomwalk/hitting.hpp"
 #include "tlb/sim/report.hpp"
@@ -71,12 +72,12 @@ int main(int argc, char** argv) {
 
     core::ResourceProtocolConfig cfg;
     cfg.threshold = T;
-    cfg.options.max_rounds = 5000000;
     const auto stats = sim::run_trials(
         trials, util::derive_seed(cli.get_int("seed"), point),
         [&](util::Rng& rng) {
           core::ResourceControlledEngine engine(g, ts, cfg);
-          return engine.run(start, rng);
+          return engine::reset_and_run(engine, start, rng,
+                                       {.max_rounds = 5000000});
         });
 
     const double shape = sim::observation8_shape(

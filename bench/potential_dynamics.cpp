@@ -65,12 +65,10 @@ int main(int argc, char** argv) {
     core::ResourceProtocolConfig cfg;
     cfg.threshold = T;
     cfg.walk = randomwalk::WalkKind::kLazy;
-    cfg.options.max_rounds = 2000000;
     core::ResourceControlledEngine eng(g, ts, cfg);
-    eng.reset(tasks::all_on_one(ts));
     engine::PotentialTrace trace;
-    const auto result = engine::drive(
-        eng, rng, engine::DriveOptions::from(cfg.options), &trace);
+    const auto result = engine::reset_and_run(
+        eng, tasks::all_on_one(ts), rng, {.max_rounds = 2000000}, &trace);
     const std::vector<double>& phi = trace.trace();
 
     std::printf("\n(a) resource-controlled, tight threshold, torus n=%u, "
@@ -106,12 +104,10 @@ int main(int argc, char** argv) {
     core::UserProtocolConfig cfg;
     cfg.threshold = T;
     cfg.alpha = 1.0;
-    cfg.options.max_rounds = 1000000;
     core::UserControlledEngine eng(ts, n, cfg);
-    eng.reset(tasks::all_on_one(ts));
     engine::PotentialTrace trace;
-    const auto result = engine::drive(
-        eng, rng, engine::DriveOptions::from(cfg.options), &trace);
+    const auto result = engine::reset_and_run(
+        eng, tasks::all_on_one(ts), rng, {.max_rounds = 1000000}, &trace);
     const std::vector<double>& phi = trace.trace();
 
     // Geometric-mean per-round contraction over the rounds where Φ > 0.
@@ -147,7 +143,6 @@ int main(int argc, char** argv) {
     core::UserProtocolConfig cfg;
     cfg.threshold = T;
     cfg.alpha = 1.0;
-    cfg.options.max_rounds = 1000000;
     core::UserControlledEngine engine(ts, n, cfg);
     engine.reset(tasks::all_on_one(ts));
     double min_fraction = 1.0;

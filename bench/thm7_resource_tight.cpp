@@ -9,6 +9,7 @@
 
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/threshold.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/randomwalk/hitting.hpp"
 #include "tlb/sim/config.hpp"
 #include "tlb/sim/report.hpp"
@@ -29,9 +30,9 @@ core::RunResult one_trial(const graph::Graph& g, const tasks::TaskSet& ts,
   core::ResourceProtocolConfig cfg;
   cfg.threshold = T;
   cfg.walk = walk;
-  cfg.options.max_rounds = 5000000;
   core::ResourceControlledEngine engine(g, ts, cfg);
-  return engine.run(tasks::all_on_one(ts), rng);
+  return engine::reset_and_run(engine, tasks::all_on_one(ts), rng,
+                               {.max_rounds = 5000000});
 }
 
 double measured_hitting(const graph::Graph& g, randomwalk::WalkKind kind) {

@@ -68,12 +68,11 @@ int main(int argc, char** argv) {
     core::UserProtocolConfig cfg;
     cfg.threshold = T;
     cfg.alpha = alpha;
-    cfg.options.max_rounds = 3000000;
     const auto stats = sim::run_trials(
         trials, util::derive_seed(cli.get_int("seed"), point),
         [&](util::Rng& rng) {
           return workload::run_user_trial(ts, n, cfg, tasks::all_on_one(ts),
-                                          rng);
+                                          rng, {.max_rounds = 3000000});
         });
     const double bound = sim::theorem11_bound(eps, alpha, ts.max_weight(),
                                               ts.min_weight(), ts.size());

@@ -14,6 +14,7 @@
 
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/threshold.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/randomwalk/mixing.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -40,10 +41,10 @@ void run_overlay(const char* label, const graph::Graph& overlay,
   core::ResourceProtocolConfig cfg;
   cfg.threshold = quota;
   cfg.walk = walk;
-  cfg.options.max_rounds = 2000000;
   util::Rng rng(99);
   core::ResourceControlledEngine engine(overlay, objects, cfg);
-  const core::RunResult r = engine.run(start, rng);
+  const core::RunResult r =
+      engine::reset_and_run(engine, start, rng, {.max_rounds = 2000000});
 
   std::printf("%-22s  t_mix=%5ld  rounds=%6ld  object moves=%8llu  "
               "final max=%7.1f  (quota %.1f)\n",

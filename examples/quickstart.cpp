@@ -12,6 +12,7 @@
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/weights.hpp"
@@ -49,7 +50,7 @@ int main() {
     cfg.threshold = T;
     util::Rng rng(/*seed=*/42);
     core::ResourceControlledEngine engine(g, ts, cfg);
-    const core::RunResult r = engine.run(start, rng);
+    const core::RunResult r = engine::reset_and_run(engine, start, rng);
     std::printf("\n[resource-controlled] balanced=%s rounds=%ld "
                 "migrations=%llu max load=%.2f (T=%.2f)\n",
                 r.balanced ? "yes" : "no", r.rounds,
@@ -66,7 +67,7 @@ int main() {
     cfg.alpha = 1.0;  // the paper's simulation choice
     util::Rng rng(/*seed=*/42);
     core::UserControlledEngine engine(ts, n, cfg);
-    const core::RunResult r = engine.run(start, rng);
+    const core::RunResult r = engine::reset_and_run(engine, start, rng);
     std::printf("[user-controlled]     balanced=%s rounds=%ld "
                 "migrations=%llu max load=%.2f (T=%.2f)\n",
                 r.balanced ? "yes" : "no", r.rounds,

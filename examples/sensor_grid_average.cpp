@@ -14,6 +14,7 @@
 
 #include "tlb/core/diffusion.hpp"
 #include "tlb/core/resource_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/randomwalk/spectral.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -78,7 +79,7 @@ int main() {
   cfg.threshold = local_threshold;
   cfg.walk = randomwalk::WalkKind::kLazy;
   core::ResourceControlledEngine engine(grid, readings, cfg);
-  const core::RunResult r = engine.run(placement, rng);
+  const core::RunResult r = engine::reset_and_run(engine, placement, rng);
   std::printf("\nbalancing with the locally-derived threshold %.2f: "
               "balanced=%s rounds=%ld max load=%.1f\n",
               local_threshold, r.balanced ? "yes" : "no", r.rounds,

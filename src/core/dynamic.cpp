@@ -239,7 +239,6 @@ std::size_t DynamicUserEngine::step(util::Rng& rng) {
   }
   last_migrations_ = core_.step(rng, probe);
   if (probe != nullptr) probe->end_step(rng);
-  if (config_.paranoid_checks) audit();
   return last_migrations_;
 }
 

@@ -6,7 +6,6 @@
 
 #include "tlb/core/departure.hpp"
 #include "tlb/core/potential.hpp"
-#include "tlb/engine/driver.hpp"
 
 namespace tlb::core {
 
@@ -61,15 +60,5 @@ std::uint32_t GraphUserEngine::overloaded_count() const {
 double GraphUserEngine::max_load() const { return state_.max_load(); }
 
 void GraphUserEngine::audit() const { state_.check_invariants(); }
-
-RunResult GraphUserEngine::run(util::Rng& rng) {
-  return engine::drive(*this, rng,
-                       engine::DriveOptions::from(config_.options));
-}
-
-RunResult GraphUserEngine::run(const tasks::Placement& placement,
-                               util::Rng& rng) {
-  return engine::reset_and_run(*this, placement, rng);
-}
 
 }  // namespace tlb::core

@@ -6,7 +6,6 @@
 
 #include "tlb/core/departure.hpp"
 #include "tlb/core/potential.hpp"
-#include "tlb/engine/driver.hpp"
 
 namespace tlb::core {
 
@@ -75,15 +74,5 @@ std::uint32_t MixedProtocolEngine::overloaded_count() const {
 double MixedProtocolEngine::max_load() const { return state_.max_load(); }
 
 void MixedProtocolEngine::audit() const { state_.check_invariants(); }
-
-RunResult MixedProtocolEngine::run(util::Rng& rng) {
-  return engine::drive(*this, rng,
-                       engine::DriveOptions::from(config_.options));
-}
-
-RunResult MixedProtocolEngine::run(const tasks::Placement& placement,
-                                   util::Rng& rng) {
-  return engine::reset_and_run(*this, placement, rng);
-}
 
 }  // namespace tlb::core

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "tlb/engine/driver.hpp"
 
 namespace tlb::core {
 
@@ -89,15 +88,5 @@ std::uint32_t ResourceControlledEngine::overloaded_count() const {
 double ResourceControlledEngine::max_load() const { return state_.max_load(); }
 
 void ResourceControlledEngine::audit() const { state_.check_invariants(); }
-
-RunResult ResourceControlledEngine::run(util::Rng& rng) {
-  return engine::drive(*this, rng,
-                       engine::DriveOptions::from(config_.options));
-}
-
-RunResult ResourceControlledEngine::run(const tasks::Placement& placement,
-                                        util::Rng& rng) {
-  return engine::reset_and_run(*this, placement, rng);
-}
 
 }  // namespace tlb::core

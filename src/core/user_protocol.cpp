@@ -9,7 +9,6 @@
 #include "tlb/core/potential.hpp"
 #include "tlb/dsan/probe.hpp"
 #include "tlb/dsan/state_digest.hpp"
-#include "tlb/engine/driver.hpp"
 #include "tlb/util/parallel.hpp"
 
 namespace tlb::core {
@@ -242,16 +241,6 @@ double UserControlledEngine::max_load() const { return state_.max_load(); }
 
 void UserControlledEngine::audit() const { state_.check_invariants(); }
 
-RunResult UserControlledEngine::run(util::Rng& rng) {
-  return engine::drive(*this, rng,
-                       engine::DriveOptions::from(config_.options));
-}
-
-RunResult UserControlledEngine::run(const tasks::Placement& placement,
-                                    util::Rng& rng) {
-  return engine::reset_and_run(*this, placement, rng);
-}
-
 // ---------------------------------------------------------------------------
 // Grouped engine
 // ---------------------------------------------------------------------------
@@ -335,16 +324,6 @@ void GroupedUserEngine::collect_fingerprint(dsan::Digest& d,
   core_.digest_resources(d);
   for (Node r = 0; r < n; ++r) d.f64(core_.thresholds()[r]);
   dsan::digest_tracker(core_.tracker(), d, work);
-}
-
-RunResult GroupedUserEngine::run(util::Rng& rng) {
-  return engine::drive(*this, rng,
-                       engine::DriveOptions::from(config_.options));
-}
-
-RunResult GroupedUserEngine::run(const tasks::Placement& placement,
-                                 util::Rng& rng) {
-  return engine::reset_and_run(*this, placement, rng);
 }
 
 }  // namespace tlb::core

@@ -252,6 +252,62 @@ double OnePlusBetaBalancer::gap() const {
   return max_load() - tasks_->total_weight() / static_cast<double>(n_);
 }
 
+// ---- SelfishReallocBalancer -----------------------------------------------
+
+SelfishReallocBalancer::SelfishReallocBalancer(const tasks::TaskSet& ts,
+                                               graph::Node n,
+                                               double stop_threshold)
+    : BinLoadBalancer(ts, n, stop_threshold, "SelfishReallocBalancer") {
+  if (n < 2) {
+    throw std::invalid_argument("SelfishReallocBalancer: need n >= 2");
+  }
+}
+
+void SelfishReallocBalancer::reset(const tasks::Placement& placement) {
+  if (placement.size() != tasks_->size()) {
+    throw std::invalid_argument("SelfishReallocBalancer::reset: size mismatch");
+  }
+  task_location_ = placement;
+  loads_.assign(n_, 0.0);
+  for (tasks::TaskId i = 0; i < placement.size(); ++i) {
+    loads_[placement[i]] += tasks_->weight(i);
+  }
+}
+
+std::size_t SelfishReallocBalancer::step(util::Rng& rng) {
+  // All decisions read the round-start loads; moves land afterwards.
+  const std::vector<double> snapshot = loads_;
+  std::size_t migrations = 0;
+  for (tasks::TaskId i = 0; i < task_location_.size(); ++i) {
+    const graph::Node src = task_location_[i];
+    const auto dst = static_cast<graph::Node>(rng.uniform_below(n_));
+    if (dst == src || snapshot[src] <= 0.0) continue;
+    const double move_prob =
+        std::max(0.0, 1.0 - snapshot[dst] / snapshot[src]);
+    if (move_prob > 0.0 && rng.bernoulli(move_prob)) {
+      const double w = tasks_->weight(i);
+      loads_[src] -= w;
+      loads_[dst] += w;
+      task_location_[i] = dst;
+      ++migrations;
+    }
+  }
+  return migrations;
+}
+
+void SelfishReallocBalancer::audit() const {
+  std::vector<double> expected(n_, 0.0);
+  for (tasks::TaskId i = 0; i < task_location_.size(); ++i) {
+    expected[task_location_[i]] += tasks_->weight(i);
+  }
+  for (graph::Node r = 0; r < n_; ++r) {
+    if (!weights_match(expected[r], loads_[r])) {
+      throw std::logic_error(
+          "SelfishReallocBalancer: loads disagree with task locations");
+    }
+  }
+}
+
 // ---- FirstFitBalancer -----------------------------------------------------
 
 FirstFitBalancer::FirstFitBalancer(const tasks::TaskSet& ts, graph::Node n)

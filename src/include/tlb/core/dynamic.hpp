@@ -75,9 +75,6 @@ struct DynamicConfig {
   double eps = 0.2;                   ///< above-average threshold slack
   double alpha = 1.0;                 ///< migration dampening
   std::vector<DynamicWeightClass> classes = {{1.0, 1.0}};
-  /// Verify the incremental overloaded set against a brute-force rescan
-  /// after every round (throws std::logic_error on divergence).
-  bool paranoid_checks = false;
   /// Phase-1 sampling workers (1 = inline, 0 = hardware concurrency, k = a
   /// pool of k). Bitwise-identical results for every value — see
   /// EngineOptions::threads.

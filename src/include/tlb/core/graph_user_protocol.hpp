@@ -10,7 +10,6 @@
 // resource instead of jumping to a uniform resource. On the complete graph
 // this degenerates to Algorithm 6.1 (with exclude_self semantics).
 
-#include "tlb/core/metrics.hpp"
 #include "tlb/core/system_state.hpp"
 #include "tlb/core/thresholds.hpp"
 #include "tlb/graph/graph.hpp"
@@ -24,7 +23,6 @@ struct GraphUserConfig {
   Thresholds threshold;  ///< T_r: uniform or one per node
   double alpha = 1.0;  ///< migration dampening α
   randomwalk::WalkKind walk = randomwalk::WalkKind::kMaxDegree;
-  EngineOptions options;
 };
 
 /// User-controlled engine over a graph topology.
@@ -40,10 +38,6 @@ class GraphUserEngine {
   std::size_t step(util::Rng& rng);
   /// True iff every load is <= its resource's threshold.
   [[nodiscard]] bool balanced() const;
-  /// Run until balanced or max_rounds (engine::drive under the hood).
-  RunResult run(util::Rng& rng);
-  /// Convenience: reset + run.
-  RunResult run(const tasks::Placement& placement, util::Rng& rng);
 
   // engine::Balancer view (driver metrics + observers).
   /// User potential Φ(t) = Σ_r φ_r(t) against the per-resource thresholds.

@@ -29,12 +29,11 @@ struct RunResult {
   double final_max_load = 0.0;
 };
 
-/// Loop, safety and observability knobs shared by the engines. Per-round
-/// traces are not among them: attach engine::PotentialTrace /
-/// OverloadedTrace (or any RoundObserver) to engine::drive instead.
+/// Engine-construction knobs shared by the engines: worker threads and the
+/// observability sinks. The loop's knobs (round cap, paranoid audits) are
+/// engine::DriveOptions'; per-round traces are observers attached to
+/// engine::drive (engine::PotentialTrace, OverloadedTrace, ...).
 struct EngineOptions {
-  long max_rounds = 10000000;      ///< hard stop; result.balanced says whether it hit
-  bool paranoid_checks = false;    ///< run SystemState::check_invariants each round
   /// Worker threads for the parallel phase-1 departure sampling in the
   /// user-protocol engines (exact / grouped / dynamic): 1 = sample on the
   /// calling thread, 0 = hardware concurrency, k = a pool of k workers.
@@ -46,9 +45,9 @@ struct EngineOptions {
   // --- Observability (all optional, none owned, all determinism-neutral:
   // probes only read clocks) ---
 
-  /// Metrics registry the engine and driver report counters/timings into.
-  /// nullptr (the default) = fully detached: no handles registered, no
-  /// timestamps taken.
+  /// Metrics registry the engine reports its phase timers and work
+  /// counters into. nullptr (the default) = fully detached: no handles
+  /// registered, no timestamps taken.
   obs::Registry* registry = nullptr;
   /// Trace-event writer for per-phase spans (chrome://tracing). nullptr =
   /// no spans recorded.

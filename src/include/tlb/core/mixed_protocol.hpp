@@ -16,7 +16,6 @@
 // traffic) but take more rounds. The mixed_protocol bench quantifies both
 // axes as β sweeps.
 
-#include "tlb/core/metrics.hpp"
 #include "tlb/core/system_state.hpp"
 #include "tlb/core/thresholds.hpp"
 #include "tlb/graph/graph.hpp"
@@ -33,7 +32,6 @@ struct MixedProtocolConfig {
   double resource_probability = 0.5;
   double alpha = 1.0;  ///< user-side migration dampening α
   randomwalk::WalkKind walk = randomwalk::WalkKind::kMaxDegree;
-  EngineOptions options;
 };
 
 /// Executable mixed-protocol engine over a graph topology.
@@ -51,10 +49,6 @@ class MixedProtocolEngine {
   std::size_t step(util::Rng& rng);
   /// True iff every load is <= its resource's threshold.
   [[nodiscard]] bool balanced() const;
-  /// Run until balanced or max_rounds (engine::drive under the hood).
-  RunResult run(util::Rng& rng);
-  /// Convenience: reset + run.
-  RunResult run(const tasks::Placement& placement, util::Rng& rng);
 
   // engine::Balancer view (driver metrics + observers).
   /// User potential Φ(t) = Σ_r φ_r(t) against the per-resource thresholds.

@@ -62,13 +62,6 @@ class ResourceControlledEngine {
   /// O(#touched since the last query) via the state's incremental set.
   [[nodiscard]] bool balanced() const { return state_.balanced(); }
 
-  /// Run until balanced or options.max_rounds (engine::drive under the
-  /// hood), collecting metrics.
-  RunResult run(util::Rng& rng);
-
-  /// Convenience: reset + run.
-  RunResult run(const tasks::Placement& placement, util::Rng& rng);
-
   // engine::Balancer view (driver metrics + observers).
   /// Resource potential Φ of eq. (1): total unaccepted weight, summed over
   /// the overloaded list in O(#overloaded). Every other stack's pending

@@ -99,11 +99,6 @@ class UserControlledEngine {
   /// True iff every load is <= its resource's threshold.
   [[nodiscard]] bool balanced() const;
 
-  /// Run until balanced or max_rounds (engine::drive under the hood).
-  RunResult run(util::Rng& rng);
-  /// Convenience: reset + run.
-  RunResult run(const tasks::Placement& placement, util::Rng& rng);
-
   // engine::Balancer view (driver metrics + observers).
   /// User potential Φ(t) = Σ_r φ_r(t) against the configured thresholds.
   [[nodiscard]] double potential() const;
@@ -166,11 +161,6 @@ class GroupedUserEngine {
 
   /// True iff every load is <= its resource's threshold.
   [[nodiscard]] bool balanced() const { return core_.overloaded().empty(); }
-
-  /// Run until balanced or max_rounds (engine::drive under the hood).
-  RunResult run(util::Rng& rng);
-  /// Convenience: reset + run.
-  RunResult run(const tasks::Placement& placement, util::Rng& rng);
 
   // engine::Balancer view (driver metrics + observers).
   /// Number of resources currently above threshold.

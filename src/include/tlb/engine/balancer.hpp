@@ -8,7 +8,8 @@
 // metrics along the way. `Balancer` captures exactly that surface, and
 // engine::drive (driver.hpp) owns the one round loop — max-rounds capping,
 // warmup/measure windows, paranoid audits, observer hooks and RunResult
-// accumulation — that used to be copied into every engine's private run().
+// accumulation. Engines have no run() of their own: callers drive them
+// (drive, or reset_and_run from a placement) under one DriveOptions.
 //
 // Requirements (checked by the concept):
 //   step(rng)            one synchronous round; returns migrations performed.

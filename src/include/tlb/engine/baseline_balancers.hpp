@@ -19,9 +19,9 @@
 //     it is being compared against.
 //   * ParallelThresholdBalancer is genuinely round-based (every unplaced
 //     ball proposes once per round) and maps 1:1 onto step().
-//   * Selfish reallocation already had engine shape; its engine
-//     (baselines::SelfishReallocEngine) satisfies the concept directly and
-//     needs no wrapper here.
+//   * SelfishReallocBalancer is round-based too, but migrates tasks from a
+//     placement (reset()) instead of allocating unplaced balls; its
+//     threshold only decides when the comparison counts it balanced.
 
 #include <cstdint>
 #include <vector>
@@ -29,6 +29,7 @@
 #include "tlb/core/load_stats.hpp"
 #include "tlb/graph/graph.hpp"
 #include "tlb/tasks/first_fit.hpp"
+#include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/task_set.hpp"
 #include "tlb/util/rng.hpp"
 
@@ -180,6 +181,31 @@ class OnePlusBetaBalancer final : public BinLoadBalancer {
  private:
   double beta_;
   bool done_ = false;
+};
+
+/// Threshold-free selfish reallocation in the style of Berenbrink,
+/// Friedetzky, Goldberg, Goldberg, Hu & Martin [12] (generalised to weights
+/// in [13]). Every round, each task samples a uniform resource j and
+/// migrates from its resource i with probability max(0, 1 - x_j/x_i),
+/// both loads read at the round start — the classic damping that prevents
+/// herding. No threshold and no φ: the process converges to (near-)balance,
+/// and `stop_threshold` (the T of the protocol under comparison) only
+/// decides balanced(), so the runs are directly comparable.
+class SelfishReallocBalancer final : public BinLoadBalancer {
+ public:
+  SelfishReallocBalancer(const tasks::TaskSet& ts, graph::Node n,
+                         double stop_threshold);
+
+  /// Reset to the given placement.
+  void reset(const tasks::Placement& placement);
+  /// One synchronous round; returns migrations.
+  std::size_t step(util::Rng& rng);
+  /// Loads reconcile with the task locations. No non-negativity check: a
+  /// resource emptied by float subtraction can end an ulp below zero.
+  void audit() const;
+
+ private:
+  std::vector<graph::Node> task_location_;
 };
 
 /// The centralized first-fit yardstick (Section 5.2's "proper assignment"):

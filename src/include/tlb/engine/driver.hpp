@@ -5,7 +5,8 @@
 // observers, repeat until the cap — once, for anything satisfying the
 // Balancer concept: the paper's six core engines, the six comparison
 // baselines, the perf suite's arena churn, and whatever protocol lands
-// next. It is the only round loop in the library.
+// next. It is the only round loop in the library, and DriveOptions is the
+// only place its knobs are set.
 //
 // Two modes, selected by DriveOptions::measure:
 //   * run-to-balance (measure < 0, the default): loop until done() or
@@ -18,8 +19,7 @@
 //
 // Determinism contract: drive() itself never draws from `rng`; only
 // step(rng) does. Observers see const views. A drive is therefore bitwise
-// reproducible from (balancer state, seed) — the property the legacy run()
-// wrappers rely on to stay identical to their pre-driver selves.
+// reproducible from (balancer state, seed).
 
 #include <utility>
 
@@ -32,12 +32,14 @@
 
 namespace tlb::engine {
 
-/// Loop-level knobs (the loop half of EngineOptions; `threads` and `dsan`
-/// are engine-construction knobs, not loop knobs).
+/// The loop's knobs: the only place the round cap and the paranoid audits
+/// are set. Engine-construction knobs (threads, sinks, the dsan probe) live
+/// in core::EngineOptions. An aggregate, so a call site can name what it
+/// sets: drive(e, rng, {.max_rounds = 2000}).
 struct DriveOptions {
   long max_rounds = 10000000;  ///< run-to-balance hard stop
-  /// Audit the balancer every round and once after the loop (throws on a
-  /// violated invariant; never mutates, never draws).
+  /// Audit the balancer before every round, warmup included, and once after
+  /// the loop (throws on a violated invariant; never mutates, never draws).
   bool paranoid_checks = false;
   long warmup = 0;    ///< measure mode: unobserved leading rounds
   /// >= 0 switches to warmup+measure mode with exactly this many measured
@@ -48,23 +50,14 @@ struct DriveOptions {
   // default — drive() registers nothing and takes no timestamps.
   obs::Registry* registry = nullptr;  ///< drive.rounds / round timings
   obs::TraceWriter* trace = nullptr;  ///< per-round "drive.round" spans
-
-  /// Lift the loop-level fields out of the legacy options struct.
-  static DriveOptions from(const core::EngineOptions& opt) {
-    DriveOptions d;
-    d.max_rounds = opt.max_rounds;
-    d.paranoid_checks = opt.paranoid_checks;
-    d.registry = opt.registry;
-    d.trace = opt.trace;
-    return d;
-  }
 };
 
 /// Run `balancer` under `opt`, notifying `observer` (may be null), and
 /// return the accumulated RunResult. Per-round traces come from observers
 /// (PotentialTrace, OverloadedTrace, obs::LoadStatsObserver, ...).
 template <Balancer B>
-core::RunResult drive(B& balancer, util::Rng& rng, const DriveOptions& opt,
+core::RunResult drive(B& balancer, util::Rng& rng,
+                      const DriveOptions& opt = {},
                       RoundObserver* observer = nullptr) {
   detail::ViewOf<B> view(balancer);
   core::RunResult result;
@@ -110,7 +103,10 @@ core::RunResult drive(B& balancer, util::Rng& rng, const DriveOptions& opt,
   };
 
   if (opt.measure >= 0) {
-    for (long t = 0; t < opt.warmup; ++t) balancer.step(rng);
+    for (long t = 0; t < opt.warmup; ++t) {
+      if (opt.paranoid_checks) balancer.audit();
+      balancer.step(rng);
+    }
     for (long t = 0; t < opt.measure; ++t) {
       if (!measured_round()) break;
     }
@@ -128,13 +124,13 @@ core::RunResult drive(B& balancer, util::Rng& rng, const DriveOptions& opt,
   return result;
 }
 
-/// The reset-then-run convenience every engine used to duplicate as its
-/// run(placement, rng) overload.
-template <class B>
+/// Reset `balancer` to `placement`, then drive it.
+template <Balancer B>
 core::RunResult reset_and_run(B& balancer, const tasks::Placement& placement,
-                              util::Rng& rng) {
+                              util::Rng& rng, const DriveOptions& opt = {},
+                              RoundObserver* observer = nullptr) {
   balancer.reset(placement);
-  return balancer.run(rng);
+  return drive(balancer, rng, opt, observer);
 }
 
 }  // namespace tlb::engine

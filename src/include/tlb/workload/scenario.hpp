@@ -18,13 +18,14 @@
 // arrivals (poisson/burst) currently require user:complete — they run the
 // grouped dynamic engine with the weight model reduced to a class table.
 //
-// Baseline protocols (engine::Balancer wrappers over tlb::baselines; all
-// require the complete topology and batch arrivals): seqthresh ([5]
-// retry-until-fits), parthresh ([4] synchronous propose/accept rounds),
-// twochoice(d) ([9] greedy d-choice, default d = 2), onebeta(beta) ([11]
-// (1+beta)-choice, default beta = 0.5), selfish ([12] threshold-free
-// reallocation, stopped at the same threshold the paper's protocols use),
-// firstfit (the centralized proper-assignment yardstick), e.g.
+// Baseline protocols (the engine::Balancer baselines of
+// engine/baseline_balancers.hpp; all require the complete topology and
+// batch arrivals): seqthresh ([5] retry-until-fits), parthresh ([4]
+// synchronous propose/accept rounds), twochoice(d) ([9] greedy d-choice,
+// default d = 2), onebeta(beta) ([11] (1+beta)-choice, default
+// beta = 0.5), selfish ([12] threshold-free reallocation, stopped at the
+// same threshold the paper's protocols use), firstfit (the centralized
+// proper-assignment yardstick), e.g.
 //   seqthresh:complete:uniform(8)
 //   twochoice(2):complete:zipf(1.1,64)
 //
@@ -42,6 +43,7 @@
 #include "tlb/core/dynamic.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/graph.hpp"
 #include "tlb/sim/config.hpp"
 #include "tlb/sim/runner.hpp"
@@ -217,8 +219,7 @@ std::optional<core::GroupedUserEngine> try_grouped_user_engine(
 core::DynamicConfig make_dynamic_config(const tasks::WeightModel& model,
                                         const ArrivalProcess& process,
                                         graph::Node n, double eps,
-                                        double alpha, bool paranoid,
-                                        std::size_t threads,
+                                        double alpha, std::size_t threads,
                                         util::Rng& class_rng);
 
 /// Run one user-protocol trial from `start`, choosing the grouped engine
@@ -226,10 +227,11 @@ core::DynamicConfig make_dynamic_config(const tasks::WeightModel& model,
 /// per-task-coin engine otherwise — including when the grouped constructor
 /// itself rejects the task set, so a weight model that overflows
 /// kMaxClasses degrades to the exact engine instead of aborting the run.
-/// Shared by the benches.
+/// Shared by the benches; `opt` carries the round cap.
 core::RunResult run_user_trial(const tasks::TaskSet& ts, graph::Node n,
                                const core::UserProtocolConfig& cfg,
-                               const tasks::Placement& start, util::Rng& rng);
+                               const tasks::Placement& start, util::Rng& rng,
+                               const engine::DriveOptions& opt = {});
 
 /// Built-in presets covering every protocol and the main weight families.
 const std::vector<NamedScenario>& scenario_registry();

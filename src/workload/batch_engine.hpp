@@ -10,7 +10,6 @@
 
 #include <stdexcept>
 
-#include "tlb/baselines/selfish_realloc.hpp"
 #include "tlb/core/graph_user_protocol.hpp"
 #include "tlb/core/metrics.hpp"
 #include "tlb/core/mixed_protocol.hpp"
@@ -35,8 +34,8 @@ struct BatchEngineInputs {
   randomwalk::WalkKind walk = randomwalk::WalkKind::kLazy;
   double threshold = 0.0;  ///< T (the selfish baseline's stop threshold)
   double alpha = 1.0;      ///< user-side migration dampening
-  /// max_rounds, paranoid checks, engine threads, obs sinks and the dsan
-  /// probe; engines ignore the knobs they have no use for.
+  /// Engine threads, obs sinks and the dsan probe of the user and resource
+  /// engines.
   core::EngineOptions options;
 };
 
@@ -85,7 +84,6 @@ decltype(auto) with_batch_engine(const ScenarioSpec& spec,
       cfg.threshold = T;
       cfg.alpha = in.alpha;
       cfg.walk = in.walk;
-      cfg.options = in.options;
       core::GraphUserEngine engine(*in.graph, ts, cfg);
       return fn(engine);
     }
@@ -95,7 +93,6 @@ decltype(auto) with_batch_engine(const ScenarioSpec& spec,
       cfg.resource_probability = spec.mixed_beta;
       cfg.alpha = in.alpha;
       cfg.walk = in.walk;
-      cfg.options = in.options;
       core::MixedProtocolEngine engine(*in.graph, ts, cfg);
       return fn(engine);
     }
@@ -116,11 +113,8 @@ decltype(auto) with_batch_engine(const ScenarioSpec& spec,
       return fn(balancer);
     }
     case ProtocolKind::kSelfish: {
-      baselines::SelfishConfig cfg;
-      cfg.stop_threshold = T;
-      cfg.options = in.options;
-      baselines::SelfishReallocEngine engine(ts, in.n, cfg);
-      return fn(engine);
+      engine::SelfishReallocBalancer balancer(ts, in.n, T);
+      return fn(balancer);
     }
     case ProtocolKind::kFirstFit: {
       engine::FirstFitBalancer balancer(ts, in.n, T);

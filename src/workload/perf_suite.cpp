@@ -160,7 +160,6 @@ void run_batch_preset(const ScenarioSpec& spec, const PerfPreset& preset,
   in.tasks = &ts;
   in.threshold = core::threshold_value(core::ThresholdKind::kAboveAverage,
                                        ts, in.n, kPerfEps);
-  in.options.max_rounds = preset.max_rounds;
   in.options.threads = preset.threads;
   in.options.registry = registry;
   in.options.trace = opt.trace;
@@ -368,7 +367,6 @@ void run_baselines_suite_preset(const PerfPreset& preset,
       constexpr long kSelfishRoundCap = 512;
       drive_opt.max_rounds = std::min(kSelfishRoundCap, preset.max_rounds);
     }
-    in.options.max_rounds = drive_opt.max_rounds;
     with_batch_engine(spec, in, [&](auto& balancer) {
       if constexpr (StartsFromPlacement<decltype(balancer)>) {
         balancer.reset(tasks::all_on_one(ts));
@@ -397,9 +395,9 @@ void run_churn_preset(const ScenarioSpec& spec, const PerfPreset& preset,
   auto process = parse_arrival_process(spec.arrivals);
   util::Rng class_rng(util::derive_seed(opt.seed, kPerfClassesStream));
   // Same config-assembly path as Scenario::run (process outlives engine).
-  core::DynamicConfig cfg = make_dynamic_config(
-      *model, *process, preset.n, kPerfEps, /*alpha=*/1.0,
-      /*paranoid=*/false, preset.threads, class_rng);
+  core::DynamicConfig cfg =
+      make_dynamic_config(*model, *process, preset.n, kPerfEps,
+                          /*alpha=*/1.0, preset.threads, class_rng);
   cfg.registry = registry;
   cfg.trace = opt.trace;
   cfg.dsan = opt.dsan_probe;

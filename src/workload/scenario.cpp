@@ -271,9 +271,9 @@ ScenarioResult Scenario::run(std::size_t trials, std::uint64_t seed,
     // Dynamic mode: grouped dynamic engine, weight model reduced to a class
     // table with a dedicated randomness stream (identical for every trial).
     util::Rng class_rng(util::derive_seed(seed, kClassesStream));
-    core::DynamicConfig cfg = make_dynamic_config(
-        *model_, *process_, params_.n, params_.eps, params_.alpha,
-        params_.paranoid, params_.engine_threads, class_rng);
+    core::DynamicConfig cfg =
+        make_dynamic_config(*model_, *process_, params_.n, params_.eps,
+                            params_.alpha, params_.engine_threads, class_rng);
     cfg.registry = params_.registry;
     cfg.trace = params_.trace;
     result.n = params_.n;
@@ -284,6 +284,7 @@ ScenarioResult Scenario::run(std::size_t trials, std::uint64_t seed,
     engine::DriveOptions drive_opt;
     drive_opt.warmup = params_.warmup;
     drive_opt.measure = params_.measure;
+    drive_opt.paranoid_checks = params_.paranoid;
     drive_opt.registry = params_.registry;
     drive_opt.trace = params_.trace;
     engine::RoundObserver* const round_observer = params_.round_observer;
@@ -349,8 +350,6 @@ ScenarioResult Scenario::run(std::size_t trials, std::uint64_t seed,
         in.walk = walk;
         in.threshold = core::threshold_value(p.threshold, ts, n, p.eps);
         in.alpha = p.alpha;
-        in.options.max_rounds = p.max_rounds;
-        in.options.paranoid_checks = p.paranoid;
         in.options.threads = p.engine_threads;
         // The shared registry and trace writer aggregate across all trials
         // (per-thread shards make the counters race-free); the stateful
@@ -358,10 +357,12 @@ ScenarioResult Scenario::run(std::size_t trials, std::uint64_t seed,
         in.options.registry = p.registry;
         in.options.trace = p.trace;
         in.options.dsan = trial == 0 ? p.dsan : nullptr;
+        const engine::DriveOptions drive_opt{.max_rounds = p.max_rounds,
+                                             .paranoid_checks = p.paranoid,
+                                             .registry = p.registry,
+                                             .trace = p.trace};
         engine::RoundObserver* const observer =
             trial == 0 ? p.round_observer : nullptr;
-        const engine::DriveOptions drive_opt =
-            engine::DriveOptions::from(in.options);
         return with_batch_engine(spec, in, [&](auto& balancer) {
           if constexpr (StartsFromPlacement<decltype(balancer)>) {
             balancer.reset(tasks::all_on_one(ts));
@@ -426,8 +427,7 @@ bool grouped_engine_applicable(const tasks::TaskSet& ts) {
 core::DynamicConfig make_dynamic_config(const tasks::WeightModel& model,
                                         const ArrivalProcess& process,
                                         graph::Node n, double eps,
-                                        double alpha, bool paranoid,
-                                        std::size_t threads,
+                                        double alpha, std::size_t threads,
                                         util::Rng& class_rng) {
   const std::vector<WeightClass> classes = to_weight_classes(
       model, core::GroupedUserEngine::kMaxClasses, class_rng);
@@ -437,7 +437,6 @@ core::DynamicConfig make_dynamic_config(const tasks::WeightModel& model,
   cfg.completion_rate = process.completion_rate();
   cfg.eps = eps;
   cfg.alpha = alpha;
-  cfg.paranoid_checks = paranoid;
   cfg.threads = threads;
   cfg.classes.clear();
   for (const WeightClass& c : classes) {
@@ -471,12 +470,13 @@ std::optional<core::GroupedUserEngine> try_grouped_user_engine(
 core::RunResult run_user_trial(const tasks::TaskSet& ts, graph::Node n,
                                const core::UserProtocolConfig& cfg,
                                const tasks::Placement& start,
-                               util::Rng& rng) {
+                               util::Rng& rng,
+                               const engine::DriveOptions& opt) {
   if (auto grouped = try_grouped_user_engine(ts, n, cfg)) {
-    return grouped->run(start, rng);
+    return engine::reset_and_run(*grouped, start, rng, opt);
   }
   core::UserControlledEngine engine(ts, n, cfg);
-  return engine.run(start, rng);
+  return engine::reset_and_run(engine, start, rng, opt);
 }
 
 // ---- registry -------------------------------------------------------------

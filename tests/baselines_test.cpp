@@ -4,7 +4,6 @@
 
 #include <limits>
 
-#include "tlb/baselines/selfish_realloc.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/engine/baseline_balancers.hpp"
 #include "tlb/engine/driver.hpp"
@@ -13,9 +12,9 @@
 
 namespace {
 
-using namespace tlb::baselines;
 using tlb::engine::GreedyChoiceBalancer;
 using tlb::engine::OnePlusBetaBalancer;
+using tlb::engine::SelfishReallocBalancer;
 using tlb::graph::Node;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
@@ -52,37 +51,44 @@ TEST(FirstFitCentralizedTest, MeetsProperBoundInOneRound) {
 TEST(SelfishReallocTest, ConvergesBelowThreshold) {
   const Node n = 32;
   const TaskSet ts = tlb::tasks::uniform_unit(320);
-  SelfishConfig cfg;
-  cfg.stop_threshold = tlb::core::threshold_value(
-      tlb::core::ThresholdKind::kAboveAverage, ts, n, 0.5);
-  cfg.options.max_rounds = 100000;
-  SelfishReallocEngine engine(ts, n, cfg);
+  SelfishReallocBalancer balancer(
+      ts, n,
+      tlb::core::threshold_value(tlb::core::ThresholdKind::kAboveAverage, ts,
+                                 n, 0.5));
   Rng rng(9);
-  const auto r = engine.run(tlb::tasks::all_on_one(ts), rng);
+  const auto r =
+      tlb::engine::reset_and_run(balancer, tlb::tasks::all_on_one(ts), rng,
+                                 {.max_rounds = 100000});
   EXPECT_TRUE(r.balanced);
   double total = 0.0;
-  for (double x : engine.loads()) total += x;
+  for (double x : balancer.loads()) total += x;
   EXPECT_NEAR(total, ts.total_weight(), 1e-9);
 }
 
 TEST(SelfishReallocTest, NoMovesWhenPerfectlyBalanced) {
   const Node n = 8;
   const TaskSet ts = tlb::tasks::uniform_unit(8);
-  SelfishConfig cfg;
-  cfg.stop_threshold = 2.0;
-  SelfishReallocEngine engine(ts, n, cfg);
+  SelfishReallocBalancer balancer(ts, n, 2.0);
   tlb::tasks::Placement p(8);
   for (std::size_t i = 0; i < 8; ++i) p[i] = static_cast<Node>(i);
-  engine.reset(p);
+  balancer.reset(p);
   Rng rng(10);
   // With equal loads, 1 - x_j/x_i = 0: no task should ever move.
-  EXPECT_EQ(engine.step(rng), 0u);
+  EXPECT_EQ(balancer.step(rng), 0u);
 }
 
 TEST(SelfishReallocTest, RejectsBadConfig) {
   const TaskSet ts = tlb::tasks::uniform_unit(4);
-  SelfishConfig cfg;  // stop_threshold defaults to 0
-  EXPECT_THROW(SelfishReallocEngine(ts, 4, cfg), std::invalid_argument);
+  // A NaN stop threshold fails every comparison, so the run would never
+  // count as balanced and would spin to the round cap.
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), 0.0, -1.0}) {
+    EXPECT_THROW(SelfishReallocBalancer(ts, 4, bad), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_THROW(SelfishReallocBalancer(ts, 1, 2.0), std::invalid_argument);
+  // +inf means "no comparison threshold" and stays accepted.
+  EXPECT_NO_THROW(SelfishReallocBalancer(ts, 4, kNoThreshold));
 }
 
 TEST(GreedyChoiceTest, TwoChoicesBeatOne) {

@@ -331,22 +331,25 @@ TEST(DynamicTest, DenseChurnSweepsEveryRound) {
   // The dense side of the cut: 400 arrivals per round at n = 4096 already
   // exceed n/16 = 256 pending re-checks before the threshold moves, so
   // every move sweeps all n resources instead of visiting the band, and
-  // the load index stays stale. Paranoid audits check every round's list
-  // against a brute-force rescan.
+  // the load index stays stale. Audits check every round's list against a
+  // brute-force rescan.
   DynamicConfig cfg = base_config();
   cfg.n = 4096;
   cfg.arrival_rate = 400.0;
   cfg.completion_rate = 0.01;
-  cfg.paranoid_checks = true;
   DynamicUserEngine engine(cfg);
   Rng rng(23);
-  for (int t = 0; t < 100; ++t) engine.step(rng);
+  for (int t = 0; t < 100; ++t) {
+    engine.step(rng);
+    engine.audit();
+  }
   const OverloadedSet& tracker = engine.overloaded_tracker();
   const std::uint64_t moves0 = tracker.load_index().bucket_moves();
   for (int t = 0; t < 100; ++t) {
     const std::uint64_t sweeps0 = tracker.sweeps();
     const std::uint64_t checks0 = tracker.flush_checks();
     engine.step(rng);
+    engine.audit();
     ASSERT_EQ(tracker.sweeps(), sweeps0 + 1) << "round " << t;
     // The sweep checks all n; the audit's own flush adds the resources
     // the round's apply touched.
@@ -359,18 +362,21 @@ TEST(DynamicTest, DenseChurnSweepsEveryRound) {
 TEST(DynamicTest, BurstChurnCrossesTheCutUnderAudit) {
   // A churn-burst spec: 400 tasks land together every 50 rounds at
   // n = 1024, so burst rounds go dense and the rounds between them sparse
-  // (each first sparse move rebuilding the stale index). Paranoid audits
-  // check every round on both sides of the cut.
+  // (each first sparse move rebuilding the stale index). Audits check every
+  // round on both sides of the cut.
   const auto model = tlb::workload::parse_weight_model("bimodal(8,0.1)");
   const auto process =
       tlb::workload::parse_arrival_process("burst(50,400,0.02)");
   Rng class_rng(3);
   DynamicConfig cfg = tlb::workload::make_dynamic_config(
       *model, *process, /*n=*/1024, /*eps=*/0.2, /*alpha=*/1.0,
-      /*paranoid=*/true, /*threads=*/1, class_rng);
+      /*threads=*/1, class_rng);
   DynamicUserEngine engine(cfg);
   Rng rng(29);
-  for (int t = 0; t < 400; ++t) ASSERT_NO_THROW(engine.step(rng));
+  for (int t = 0; t < 400; ++t) {
+    ASSERT_NO_THROW(engine.step(rng));
+    ASSERT_NO_THROW(engine.audit());
+  }
   const OverloadedSet& tracker = engine.overloaded_tracker();
   EXPECT_GE(tracker.sweeps(), 8u);  // at least one per burst
   EXPECT_GT(tracker.load_index().band_size(), 0u);

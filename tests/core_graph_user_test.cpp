@@ -9,6 +9,7 @@
 
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/sim/runner.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -22,14 +23,16 @@ using tlb::graph::Node;
 using tlb::tasks::all_on_one;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
+using tlb::engine::reset_and_run;
 
 GraphUserConfig make_config(double threshold, double alpha = 1.0) {
   GraphUserConfig cfg;
   cfg.threshold = threshold;
   cfg.alpha = alpha;
-  cfg.options.max_rounds = 500000;
   return cfg;
 }
+
+const tlb::engine::DriveOptions kDrive{.max_rounds = 500000};
 
 TEST(GraphUserTest, TerminatesOnTorus) {
   const Graph g = tlb::graph::grid2d(6, 6, /*torus=*/true);
@@ -40,7 +43,7 @@ TEST(GraphUserTest, TerminatesOnTorus) {
   cfg.walk = tlb::randomwalk::WalkKind::kLazy;
   GraphUserEngine engine(g, ts, cfg);
   Rng rng(1);
-  const RunResult r = engine.run(all_on_one(ts), rng);
+  const RunResult r = reset_and_run(engine, all_on_one(ts), rng, kDrive);
   EXPECT_TRUE(r.balanced);
   EXPECT_LE(engine.state().max_load(), T);
 }
@@ -51,11 +54,11 @@ TEST(GraphUserTest, WeightConservation) {
   const TaskSet ts = tlb::tasks::two_point(200, 6, 8.0);
   const double T =
       threshold_value(ThresholdKind::kAboveAverage, ts, g.num_nodes(), 0.3);
-  GraphUserConfig cfg = make_config(T);
-  cfg.options.paranoid_checks = true;
-  GraphUserEngine engine(g, ts, cfg);
+  GraphUserEngine engine(g, ts, make_config(T));
   Rng rng(3);
-  const RunResult r = engine.run(all_on_one(ts), rng);
+  const RunResult r =
+      reset_and_run(engine, all_on_one(ts), rng,
+                    {.max_rounds = 500000, .paranoid_checks = true});
   EXPECT_TRUE(r.balanced);
   EXPECT_NEAR(engine.state().total_load(), ts.total_weight(), 1e-9);
   EXPECT_NO_THROW(engine.state().check_invariants());
@@ -73,16 +76,15 @@ TEST(GraphUserTest, CompleteGraphMatchesUniformEngineStatistically) {
   const auto via_graph = tlb::sim::run_trials(
       kTrials, 0x6a1, [&](Rng& rng) {
         GraphUserEngine engine(g, ts, make_config(T));
-        return engine.run(all_on_one(ts), rng);
+        return reset_and_run(engine, all_on_one(ts), rng, kDrive);
       });
   const auto via_uniform = tlb::sim::run_trials(
       kTrials, 0x6a2, [&](Rng& rng) {
         UserProtocolConfig cfg;
         cfg.threshold = T;
         cfg.exclude_self = true;
-        cfg.options.max_rounds = 500000;
         UserControlledEngine engine(ts, n, cfg);
-        return engine.run(all_on_one(ts), rng);
+        return reset_and_run(engine, all_on_one(ts), rng, kDrive);
       });
 
   const double se = std::sqrt(
@@ -102,7 +104,7 @@ TEST(GraphUserTest, BetterConnectivityBalancesFaster) {
     cfg.walk = walk;
     return tlb::sim::run_trials(25, seed, [&](Rng& rng) {
              GraphUserEngine engine(g, ts, cfg);
-             return engine.run(all_on_one(ts), rng);
+             return reset_and_run(engine, all_on_one(ts), rng, kDrive);
            })
         .rounds.mean();
   };
@@ -121,10 +123,9 @@ TEST(GraphUserTest, NonUniformThresholdsRespected) {
   GraphUserConfig cfg;
   cfg.threshold = thresholds;
   cfg.walk = tlb::randomwalk::WalkKind::kLazy;
-  cfg.options.max_rounds = 500000;
   GraphUserEngine engine(g, ts, cfg);
   Rng rng(4);
-  const RunResult r = engine.run(all_on_one(ts), rng);
+  const RunResult r = reset_and_run(engine, all_on_one(ts), rng, kDrive);
   ASSERT_TRUE(r.balanced);
   for (Node v = 0; v < 16; ++v) {
     EXPECT_LE(engine.state().load(v), thresholds[v] + 1e-9);
@@ -163,8 +164,8 @@ TEST(GraphUserTest, DeterministicGivenSeed) {
   cfg.walk = tlb::randomwalk::WalkKind::kLazy;
   GraphUserEngine a(g, ts, cfg), b(g, ts, cfg);
   Rng ra(5), rb(5);
-  const RunResult r1 = a.run(all_on_one(ts), ra);
-  const RunResult r2 = b.run(all_on_one(ts), rb);
+  const RunResult r1 = reset_and_run(a, all_on_one(ts), ra, kDrive);
+  const RunResult r2 = reset_and_run(b, all_on_one(ts), rb, kDrive);
   EXPECT_EQ(r1.rounds, r2.rounds);
   EXPECT_EQ(r1.migrations, r2.migrations);
 }

@@ -32,6 +32,7 @@ using tlb::graph::Node;
 using tlb::tasks::all_on_one;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
+using tlb::engine::reset_and_run;
 
 TEST(SpeedProfileTest, Builders) {
   EXPECT_EQ(uniform_speeds(5), (SpeedProfile{1, 1, 1, 1, 1}));
@@ -115,9 +116,9 @@ TEST(HeteroResourceEngineTest, BalancesToPerResourceThresholds) {
 
   ResourceProtocolConfig cfg;
   cfg.threshold = thresholds;
-  cfg.options.max_rounds = 100000;
   ResourceControlledEngine engine(g, ts, cfg);
-  const auto r = engine.run(all_on_one(ts), rng);
+  const auto r = reset_and_run(engine, all_on_one(ts), rng,
+                               {.max_rounds = 100000});
   ASSERT_TRUE(r.balanced);
   for (Node v = 0; v < 20; ++v) {
     EXPECT_LE(engine.state().load(v), thresholds[v] + 1e-9) << "node " << v;
@@ -308,12 +309,12 @@ TEST(HeteroUserEngineTest, BothEnginesBalanceToPerResourceThresholds) {
 
   UserProtocolConfig cfg;
   cfg.threshold = thresholds;
-  cfg.options.max_rounds = 200000;
 
   {
     Rng rng(8);
     UserControlledEngine engine(ts, n, cfg);
-    const auto r = engine.run(all_on_one(ts), rng);
+    const auto r = reset_and_run(engine, all_on_one(ts), rng,
+                                 {.max_rounds = 200000});
     ASSERT_TRUE(r.balanced);
     for (Node v = 0; v < n; ++v) {
       EXPECT_LE(engine.state().load(v), thresholds[v] + 1e-9);
@@ -322,7 +323,8 @@ TEST(HeteroUserEngineTest, BothEnginesBalanceToPerResourceThresholds) {
   {
     Rng rng(9);
     GroupedUserEngine engine(ts, n, cfg);
-    const auto r = engine.run(all_on_one(ts), rng);
+    const auto r = reset_and_run(engine, all_on_one(ts), rng,
+                                 {.max_rounds = 200000});
     ASSERT_TRUE(r.balanced);
     for (Node v = 0; v < n; ++v) {
       EXPECT_LE(engine.load(v), thresholds[v] + 1e-9);
@@ -342,10 +344,10 @@ TEST(HeteroUserEngineTest, FastResourcesCarryMoreLoad) {
 
   UserProtocolConfig cfg;
   cfg.threshold = thresholds;
-  cfg.options.max_rounds = 200000;
   Rng rng(11);
   GroupedUserEngine engine(ts, n, cfg);
-  const auto r = engine.run(all_on_one(ts), rng);
+  const auto r = reset_and_run(engine, all_on_one(ts), rng,
+                               {.max_rounds = 200000});
   ASSERT_TRUE(r.balanced);
 
   double fast_load = 0.0, slow_load = 0.0;

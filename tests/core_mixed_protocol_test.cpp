@@ -10,6 +10,7 @@
 
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/threshold.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/sim/runner.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -23,6 +24,7 @@ using tlb::graph::Node;
 using tlb::tasks::all_on_one;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
+using tlb::engine::reset_and_run;
 
 MixedProtocolConfig make_config(double threshold, double beta,
                                 double alpha = 1.0) {
@@ -31,9 +33,10 @@ MixedProtocolConfig make_config(double threshold, double beta,
   cfg.resource_probability = beta;
   cfg.alpha = alpha;
   cfg.walk = tlb::randomwalk::WalkKind::kLazy;
-  cfg.options.max_rounds = 500000;
   return cfg;
 }
+
+const tlb::engine::DriveOptions kDrive{.max_rounds = 500000};
 
 TEST(EvictAboveTest, MatchesAcceptanceBookkeeping) {
   // The mixed engine evicts by heights; on a stack built with acceptance
@@ -71,7 +74,7 @@ TEST(MixedProtocolTest, TerminatesAcrossBlends) {
   for (double beta : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     MixedProtocolEngine engine(g, ts, make_config(T, beta));
     Rng rng(static_cast<std::uint64_t>(beta * 100) + 1);
-    const RunResult r = engine.run(all_on_one(ts), rng);
+    const RunResult r = reset_and_run(engine, all_on_one(ts), rng, kDrive);
     EXPECT_TRUE(r.balanced) << "beta=" << beta;
     EXPECT_LE(engine.state().max_load(), T) << "beta=" << beta;
     EXPECT_NEAR(engine.state().total_load(), ts.total_weight(), 1e-9);
@@ -87,15 +90,14 @@ TEST(MixedProtocolTest, BetaOneMatchesResourceProtocolStatistically) {
 
   const auto mixed = tlb::sim::run_trials(kTrials, 0x311, [&](Rng& rng) {
     MixedProtocolEngine engine(g, ts, make_config(T, 1.0));
-    return engine.run(all_on_one(ts), rng);
+    return reset_and_run(engine, all_on_one(ts), rng, kDrive);
   });
   const auto pure = tlb::sim::run_trials(kTrials, 0x313, [&](Rng& rng) {
     ResourceProtocolConfig cfg;
     cfg.threshold = T;
     cfg.walk = tlb::randomwalk::WalkKind::kLazy;
-    cfg.options.max_rounds = 500000;
     ResourceControlledEngine engine(g, ts, cfg);
-    return engine.run(all_on_one(ts), rng);
+    return reset_and_run(engine, all_on_one(ts), rng, kDrive);
   });
 
   const double se =
@@ -115,7 +117,7 @@ TEST(MixedProtocolTest, MoreResourceModeIsFasterButBurstier) {
   auto stats_for = [&](double beta, std::uint64_t seed) {
     return tlb::sim::run_trials(30, seed, [&](Rng& rng) {
       MixedProtocolEngine engine(g, ts, make_config(T, beta));
-      return engine.run(all_on_one(ts), rng);
+      return reset_and_run(engine, all_on_one(ts), rng, kDrive);
     });
   };
   const auto slow_blend = stats_for(0.1, 0xb01);
@@ -130,8 +132,8 @@ TEST(MixedProtocolTest, ResourceRoundsCounterTracksBeta) {
   MixedProtocolEngine all_resource(g, ts, make_config(T, 1.0));
   MixedProtocolEngine all_user(g, ts, make_config(T, 0.0));
   Rng r1(6), r2(6);
-  all_resource.run(all_on_one(ts), r1);
-  all_user.run(all_on_one(ts), r2);
+  reset_and_run(all_resource, all_on_one(ts), r1, kDrive);
+  reset_and_run(all_user, all_on_one(ts), r2, kDrive);
   EXPECT_GT(all_resource.resource_rounds(), 0);
   EXPECT_EQ(all_user.resource_rounds(), 0);
 }
@@ -144,10 +146,9 @@ TEST(MixedProtocolTest, NonUniformThresholdsRespected) {
   MixedProtocolConfig cfg;
   cfg.threshold = thresholds;
   cfg.resource_probability = 0.5;
-  cfg.options.max_rounds = 500000;
   MixedProtocolEngine engine(g, ts, cfg);
   Rng rng(7);
-  const RunResult r = engine.run(all_on_one(ts), rng);
+  const RunResult r = reset_and_run(engine, all_on_one(ts), rng, kDrive);
   ASSERT_TRUE(r.balanced);
   for (Node v = 0; v < 10; ++v) {
     EXPECT_LE(engine.state().load(v), thresholds[v] + 1e-9);

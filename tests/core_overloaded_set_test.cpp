@@ -34,6 +34,7 @@ using tlb::tasks::TaskId;
 using tlb::tasks::TaskSet;
 using tlb::tasks::uniform_unit;
 using tlb::util::Rng;
+using tlb::engine::reset_and_run;
 
 TEST(OverloadedSetTest, FlushReconcilesDirtyEntries) {
   OverloadedSet set;
@@ -386,6 +387,9 @@ TEST(SystemStateOverloadedTest, QueriesRequireRegisteredThresholds) {
   EXPECT_FALSE(state.balanced());
 }
 
+const tlb::engine::DriveOptions kAudited{.max_rounds = 5000,
+                                        .paranoid_checks = true};
+
 TEST(EngineParanoidTest, ExactUserEngineAuditedRun) {
   const std::size_t m = 400;
   const TaskSet ts = uniform_unit(m);
@@ -393,11 +397,11 @@ TEST(EngineParanoidTest, ExactUserEngineAuditedRun) {
   UserProtocolConfig cfg;
   cfg.threshold =
       threshold_value(ThresholdKind::kAboveAverage, ts, n, /*eps=*/0.25);
-  cfg.options.max_rounds = 5000;
-  cfg.options.paranoid_checks = true;  // brute-force cross-check every round
   UserControlledEngine engine(ts, n, cfg);
   Rng rng(7);
-  const RunResult result = engine.run(tlb::tasks::all_on_one(ts), rng);
+  // Brute-force cross-check every round.
+  const RunResult result = reset_and_run(engine, tlb::tasks::all_on_one(ts),
+                                         rng, kAudited);
   EXPECT_TRUE(result.balanced);
 }
 
@@ -411,11 +415,10 @@ TEST(EngineParanoidTest, GroupedUserEngineAuditedRun) {
   UserProtocolConfig cfg;
   cfg.threshold =
       threshold_value(ThresholdKind::kAboveAverage, ts, n, /*eps=*/0.25);
-  cfg.options.max_rounds = 5000;
-  cfg.options.paranoid_checks = true;
   GroupedUserEngine engine(ts, n, cfg);
   Rng rng(11);
-  const RunResult result = engine.run(tlb::tasks::all_on_one(ts), rng);
+  const RunResult result = reset_and_run(engine, tlb::tasks::all_on_one(ts),
+                                         rng, kAudited);
   EXPECT_TRUE(result.balanced);
 }
 
@@ -426,13 +429,10 @@ TEST(EngineParanoidTest, DynamicEngineAuditedChurn) {
   cfg.completion_rate = 0.05;
   cfg.crash_rate = 0.02;  // exercise the fail-over path too
   cfg.classes = {{1.0, 0.9}, {8.0, 0.1}};
-  cfg.paranoid_checks = true;
   DynamicUserEngine engine(cfg);
   Rng rng(13);
-  tlb::engine::DriveOptions opt;
-  opt.warmup = 200;
-  opt.measure = 300;
-  EXPECT_NO_THROW(engine.run(opt, rng));
+  EXPECT_NO_THROW(engine.run(
+      {.paranoid_checks = true, .warmup = 200, .measure = 300}, rng));
 }
 
 TEST(WorkloadPresetParanoidTest, AllRegisteredPresetsPassAuditedRuns) {

@@ -28,6 +28,7 @@ using tlb::tasks::Placement;
 using tlb::tasks::TaskId;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
+using tlb::engine::reset_and_run;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -38,9 +39,10 @@ ResourceProtocolConfig make_config(double threshold,
   ResourceProtocolConfig cfg;
   cfg.threshold = threshold;
   cfg.walk = walk;
-  cfg.options.max_rounds = 200000;
   return cfg;
 }
+
+const tlb::engine::DriveOptions kDrive{.max_rounds = 200000};
 
 TEST(ResourceProtocolTest, TerminatesOnCompleteGraph) {
   const Graph g = tlb::graph::complete(32);
@@ -49,7 +51,7 @@ TEST(ResourceProtocolTest, TerminatesOnCompleteGraph) {
       threshold_value(ThresholdKind::kAboveAverage, ts, g.num_nodes(), 0.5);
   ResourceControlledEngine engine(g, ts, make_config(T));
   Rng rng(1);
-  const RunResult r = engine.run(all_on_one(ts), rng);
+  const RunResult r = reset_and_run(engine, all_on_one(ts), rng, kDrive);
   EXPECT_TRUE(r.balanced);
   EXPECT_GT(r.rounds, 0);
   EXPECT_LE(engine.state().max_load(), T);
@@ -63,7 +65,7 @@ TEST(ResourceProtocolTest, AlreadyBalancedTakesZeroRounds) {
   Rng rng(2);
   tlb::tasks::Placement spread(8);
   for (std::size_t i = 0; i < 8; ++i) spread[i] = static_cast<Node>(i);
-  const RunResult r = engine.run(spread, rng);
+  const RunResult r = reset_and_run(engine, spread, rng, kDrive);
   EXPECT_TRUE(r.balanced);
   EXPECT_EQ(r.rounds, 0);
   EXPECT_EQ(r.migrations, 0u);
@@ -74,11 +76,13 @@ TEST(ResourceProtocolTest, WeightConservedEveryRound) {
   const TaskSet ts = tlb::tasks::two_point(60, 4, 8.0);
   const double T =
       threshold_value(ThresholdKind::kAboveAverage, ts, g.num_nodes(), 0.3);
-  ResourceProtocolConfig cfg = make_config(T, tlb::randomwalk::WalkKind::kLazy);
-  cfg.options.paranoid_checks = true;  // SystemState invariants each round
-  ResourceControlledEngine engine(g, ts, cfg);
+  ResourceControlledEngine engine(
+      g, ts, make_config(T, tlb::randomwalk::WalkKind::kLazy));
   Rng rng(3);
-  const RunResult r = engine.run(all_on_one(ts), rng);
+  // SystemState invariants each round.
+  const RunResult r =
+      reset_and_run(engine, all_on_one(ts), rng,
+                    {.max_rounds = 200000, .paranoid_checks = true});
   EXPECT_TRUE(r.balanced);
   EXPECT_NEAR(engine.state().total_load(), ts.total_weight(), 1e-9);
   EXPECT_NO_THROW(engine.state().check_invariants());
@@ -94,8 +98,7 @@ TEST(ResourceProtocolTest, Observation4PotentialNeverIncreases) {
   engine.reset(all_on_one(ts));
   Rng rng(4);
   tlb::engine::PotentialTrace trace;
-  const RunResult r = tlb::engine::drive(
-      engine, rng, tlb::engine::DriveOptions::from(cfg.options), &trace);
+  const RunResult r = tlb::engine::drive(engine, rng, kDrive, &trace);
   const std::vector<double>& phi = trace.trace();
   ASSERT_TRUE(r.balanced);
   ASSERT_GE(phi.size(), 2u);
@@ -195,7 +198,7 @@ TEST_P(ResourceProtocolFamilyTest, BalancesWeightedLoadEverywhere) {
   ResourceControlledEngine engine(
       g, ts, make_config(T, tlb::randomwalk::WalkKind::kLazy));
   Rng rng(99);
-  const RunResult r = engine.run(all_on_one(ts), rng);
+  const RunResult r = reset_and_run(engine, all_on_one(ts), rng, kDrive);
   EXPECT_TRUE(r.balanced) << GetParam().family;
   EXPECT_LE(engine.state().max_load(), T);
   EXPECT_NEAR(engine.state().total_load(), ts.total_weight(), 1e-9);
@@ -246,8 +249,8 @@ TEST(ResourceProtocolTest, DeterministicGivenSeed) {
   auto cfg = make_config(T, tlb::randomwalk::WalkKind::kLazy);
   ResourceControlledEngine a(g, ts, cfg), b(g, ts, cfg);
   Rng rng_a(77), rng_b(77);
-  const RunResult ra = a.run(all_on_one(ts), rng_a);
-  const RunResult rb = b.run(all_on_one(ts), rng_b);
+  const RunResult ra = reset_and_run(a, all_on_one(ts), rng_a, kDrive);
+  const RunResult rb = reset_and_run(b, all_on_one(ts), rng_b, kDrive);
   EXPECT_EQ(ra.rounds, rb.rounds);
   EXPECT_EQ(ra.migrations, rb.migrations);
 }

@@ -21,14 +21,16 @@ using namespace tlb::core;
 using tlb::tasks::all_on_one;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
+using tlb::engine::reset_and_run;
 
 UserProtocolConfig make_config(double threshold, double alpha = 1.0) {
   UserProtocolConfig cfg;
   cfg.threshold = threshold;
   cfg.alpha = alpha;
-  cfg.options.max_rounds = 500000;
   return cfg;
 }
+
+const tlb::engine::DriveOptions kDrive{.max_rounds = 500000};
 
 TEST(UserProtocolTest, TerminatesFromSinglePile) {
   const Node n = 64;
@@ -36,7 +38,7 @@ TEST(UserProtocolTest, TerminatesFromSinglePile) {
   const double T = threshold_value(ThresholdKind::kAboveAverage, ts, n, 0.2);
   UserControlledEngine engine(ts, n, make_config(T));
   Rng rng(1);
-  const RunResult r = engine.run(all_on_one(ts), rng);
+  const RunResult r = reset_and_run(engine, all_on_one(ts), rng, kDrive);
   EXPECT_TRUE(r.balanced);
   EXPECT_LE(engine.state().max_load(), T);
   EXPECT_GT(r.rounds, 0);
@@ -46,11 +48,11 @@ TEST(UserProtocolTest, WeightConservedAndNoTaskLost) {
   const Node n = 32;
   const TaskSet ts = tlb::tasks::two_point(200, 8, 12.0);
   const double T = threshold_value(ThresholdKind::kAboveAverage, ts, n, 0.2);
-  UserProtocolConfig cfg = make_config(T);
-  cfg.options.paranoid_checks = true;
-  UserControlledEngine engine(ts, n, cfg);
+  UserControlledEngine engine(ts, n, make_config(T));
   Rng rng(2);
-  const RunResult r = engine.run(all_on_one(ts), rng);
+  const RunResult r =
+      reset_and_run(engine, all_on_one(ts), rng,
+                    {.max_rounds = 500000, .paranoid_checks = true});
   EXPECT_TRUE(r.balanced);
   EXPECT_NEAR(engine.state().total_load(), ts.total_weight(), 1e-9);
   EXPECT_NO_THROW(engine.state().check_invariants());
@@ -65,8 +67,7 @@ TEST(UserProtocolTest, PotentialTraceEndsAtZero) {
   engine.reset(all_on_one(ts));
   Rng rng(3);
   tlb::engine::PotentialTrace trace;
-  const RunResult r = tlb::engine::drive(
-      engine, rng, tlb::engine::DriveOptions::from(cfg.options), &trace);
+  const RunResult r = tlb::engine::drive(engine, rng, kDrive, &trace);
   ASSERT_TRUE(r.balanced);
   ASSERT_FALSE(trace.trace().empty());
   EXPECT_GT(trace.trace().front(), 0.0);
@@ -82,7 +83,7 @@ TEST(UserProtocolTest, TightThresholdTerminates) {
   // alpha = 0.5 converges fast while exercising the same code path.
   UserControlledEngine engine(ts, n, make_config(T, 0.5));
   Rng rng(4);
-  const RunResult r = engine.run(all_on_one(ts), rng);
+  const RunResult r = reset_and_run(engine, all_on_one(ts), rng, kDrive);
   EXPECT_TRUE(r.balanced);
   EXPECT_LE(engine.state().max_load(), T);
 }
@@ -95,7 +96,7 @@ TEST(UserProtocolTest, ExcludeSelfVariantTerminates) {
   cfg.exclude_self = true;
   UserControlledEngine engine(ts, n, cfg);
   Rng rng(5);
-  const RunResult r = engine.run(all_on_one(ts), rng);
+  const RunResult r = reset_and_run(engine, all_on_one(ts), rng, kDrive);
   EXPECT_TRUE(r.balanced);
 }
 
@@ -137,7 +138,7 @@ TEST(GroupedEngineTest, TerminatesAndConservesWeight) {
   const double T = threshold_value(ThresholdKind::kAboveAverage, ts, n, 0.2);
   GroupedUserEngine engine(ts, n, make_config(T));
   Rng rng(8);
-  const RunResult r = engine.run(all_on_one(ts), rng);
+  const RunResult r = reset_and_run(engine, all_on_one(ts), rng, kDrive);
   EXPECT_TRUE(r.balanced);
   double total = 0.0;
   for (Node v = 0; v < n; ++v) total += engine.load(v);
@@ -158,13 +159,13 @@ TEST(GroupedEngineTest, StatisticallyMatchesExactEngine) {
       kTrials, 0xAAAA,
       [&](Rng& rng) {
         UserControlledEngine engine(ts, n, make_config(T));
-        return engine.run(all_on_one(ts), rng);
+        return reset_and_run(engine, all_on_one(ts), rng, kDrive);
       });
   const auto grouped = tlb::sim::run_trials(
       kTrials, 0xBBBB,
       [&](Rng& rng) {
         GroupedUserEngine engine(ts, n, make_config(T));
-        return engine.run(all_on_one(ts), rng);
+        return reset_and_run(engine, all_on_one(ts), rng, kDrive);
       });
 
   const double mu_exact = exact.rounds.mean();
@@ -188,7 +189,8 @@ TEST(UserProtocolTest, SmallAlphaSlowsConvergence) {
                                 [&](Rng& rng) {
                                   GroupedUserEngine engine(
                                       ts, n, make_config(T, alpha));
-                                  return engine.run(all_on_one(ts), rng);
+                                  return reset_and_run(
+                                      engine, all_on_one(ts), rng, kDrive);
                                 })
         .rounds.mean();
   };
@@ -230,8 +232,8 @@ TEST(UserProtocolTest, DeterministicGivenSeed) {
   UserControlledEngine a(ts, n, make_config(T));
   UserControlledEngine b(ts, n, make_config(T));
   Rng ra(55), rb(55);
-  const RunResult r1 = a.run(all_on_one(ts), ra);
-  const RunResult r2 = b.run(all_on_one(ts), rb);
+  const RunResult r1 = reset_and_run(a, all_on_one(ts), ra, kDrive);
+  const RunResult r2 = reset_and_run(b, all_on_one(ts), rb, kDrive);
   EXPECT_EQ(r1.rounds, r2.rounds);
   EXPECT_EQ(r1.migrations, r2.migrations);
 }

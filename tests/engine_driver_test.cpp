@@ -1,27 +1,28 @@
 // Differential tests for the engine::drive round-loop driver: for every
-// engine and every engine-thread count in {1, 2, 0}, the run() wrappers
-// (thin shims over drive) and a drive with PotentialTrace/OverloadedTrace
-// observers attached must produce bitwise-identical results and traces to
-// a hand-rolled replica of the pre-driver loop executed through the public
+// engine and every engine-thread count in {1, 2, 0}, reset_and_run and a
+// drive with PotentialTrace/OverloadedTrace observers attached must
+// produce bitwise-identical results and traces to a hand-rolled replica of
+// the pre-driver loop executed through the public
 // step()/balanced()/potential()/... surface. This pins the driver's loop
 // structure, trace shape and RNG-stream discipline to the legacy
 // semantics: only step() may draw, traces carry one entry per round plus a
 // trailing final-state entry, and the loop stops exactly at balance or the
 // cap. Also covers the observer set (trace observers, EarlyStop,
-// JsonTraceSink, ObserverList) and the warmup/measure drive mode the
-// dynamic engine runs under.
+// JsonTraceSink, ObserverList), the warmup/measure drive mode the dynamic
+// engine runs under, and the paranoid audits of both modes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
-#include "tlb/baselines/selfish_realloc.hpp"
 #include "tlb/core/dynamic.hpp"
 #include "tlb/core/graph_user_protocol.hpp"
 #include "tlb/core/mixed_protocol.hpp"
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/baseline_balancers.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/graph/graph.hpp"
@@ -32,15 +33,15 @@
 namespace {
 
 using namespace tlb;
-using core::EngineOptions;
 using core::RunResult;
+using engine::DriveOptions;
 using tasks::Placement;
 using tasks::TaskSet;
 using util::Rng;
 
 // Engine-thread counts the differential runs cover (1 = inline, 2 = small
 // pool, 0 = hardware concurrency). Engines without threaded phase-1
-// sampling simply ignore the knob — the comparison still has to hold.
+// sampling have no such knob; they run each leg the same way.
 const std::size_t kThreadCounts[] = {1, 2, 0};
 
 /// A run's result plus its per-round potential and overloaded traces.
@@ -55,7 +56,7 @@ struct TracedRun {
 /// potential function and overloaded counter it inlined — now exposed as
 /// potential()/overloaded_count()), traces included.
 template <class Engine>
-TracedRun reference_run(Engine& engine, const EngineOptions& opt, Rng& rng) {
+TracedRun reference_run(Engine& engine, const DriveOptions& opt, Rng& rng) {
   TracedRun run;
   RunResult& result = run.result;
   while (!engine.balanced() && result.rounds < opt.max_rounds) {
@@ -100,11 +101,11 @@ void expect_identical(const TracedRun& a, const TracedRun& b,
 }
 
 /// Build three identically-configured engines and run one through the
-/// legacy replica, one through run() (the drive shim) and one through an
-/// explicit drive with trace observers; all must agree bitwise.
+/// legacy replica, one through reset_and_run and one through an explicit
+/// drive with trace observers; all must agree bitwise.
 template <class MakeEngine>
 void differential(const char* what, MakeEngine&& make,
-                  const EngineOptions& opt, const Placement& start,
+                  const DriveOptions& opt, const Placement& start,
                   std::uint64_t seed) {
   for (std::size_t threads : kThreadCounts) {
     auto legacy = make(threads);
@@ -114,8 +115,9 @@ void differential(const char* what, MakeEngine&& make,
 
     auto driven = make(threads);
     Rng driven_rng(seed);
-    expect_identical(expected.result, driven.run(start, driven_rng), what,
-                     threads);
+    expect_identical(expected.result,
+                     engine::reset_and_run(driven, start, driven_rng, opt),
+                     what, threads);
 
     auto composed = make(threads);
     composed.reset(start);
@@ -124,8 +126,7 @@ void differential(const char* what, MakeEngine&& make,
     engine::OverloadedTrace overloaded;
     engine::ObserverList observers({&potential, &overloaded});
     TracedRun traced;
-    traced.result = engine::drive(composed, composed_rng,
-                                  engine::DriveOptions::from(opt), &observers);
+    traced.result = engine::drive(composed, composed_rng, opt, &observers);
     traced.potential = potential.take();
     traced.overloaded = overloaded.take();
     expect_identical(expected, traced, what, threads);
@@ -145,44 +146,36 @@ TaskSet two_point_tasks(std::size_t m) {
   return TaskSet(std::move(w));
 }
 
-EngineOptions traced_options() {
-  EngineOptions opt;
-  opt.max_rounds = 100000;
-  return opt;
-}
+const DriveOptions kTraced{.max_rounds = 100000};
 
 TEST(EngineDriverTest, ExactEngineMatchesLegacyLoop) {
   const graph::Node n = 48;
   const TaskSet ts = continuous_tasks(4096, 0xA11CE);
   const double T = 1.25 * ts.total_weight() / n + ts.max_weight();
-  const EngineOptions opt = traced_options();
   differential(
       "exact",
       [&](std::size_t threads) {
         core::UserProtocolConfig cfg;
         cfg.threshold = T;
-        cfg.options = opt;
         cfg.options.threads = threads;
         return core::UserControlledEngine(ts, n, cfg);
       },
-      opt, tasks::all_on_one(ts), 901);
+      kTraced, tasks::all_on_one(ts), 901);
 }
 
 TEST(EngineDriverTest, GroupedEngineMatchesLegacyLoop) {
   const graph::Node n = 96;
   const TaskSet ts = two_point_tasks(2048);
   const double T = 1.25 * ts.total_weight() / n + ts.max_weight();
-  const EngineOptions opt = traced_options();
   differential(
       "grouped",
       [&](std::size_t threads) {
         core::UserProtocolConfig cfg;
         cfg.threshold = T;
-        cfg.options = opt;
         cfg.options.threads = threads;
         return core::GroupedUserEngine(ts, n, cfg);
       },
-      opt, tasks::all_on_one(ts), 902);
+      kTraced, tasks::all_on_one(ts), 902);
 }
 
 TEST(EngineDriverTest, GraphUserEngineMatchesLegacyLoop) {
@@ -190,17 +183,14 @@ TEST(EngineDriverTest, GraphUserEngineMatchesLegacyLoop) {
   const TaskSet ts = continuous_tasks(512, 0xBEE);
   const double T =
       1.25 * ts.total_weight() / g.num_nodes() + ts.max_weight();
-  const EngineOptions opt = traced_options();
   differential(
       "graphuser",
-      [&](std::size_t threads) {
+      [&](std::size_t) {
         core::GraphUserConfig cfg;
         cfg.threshold = T;
-        cfg.options = opt;
-        cfg.options.threads = threads;
         return core::GraphUserEngine(g, ts, cfg);
       },
-      opt, tasks::all_on_one(ts), 903);
+      kTraced, tasks::all_on_one(ts), 903);
 }
 
 TEST(EngineDriverTest, MixedEngineMatchesLegacyLoop) {
@@ -208,18 +198,15 @@ TEST(EngineDriverTest, MixedEngineMatchesLegacyLoop) {
   const TaskSet ts = continuous_tasks(512, 0xCAFE);
   const double T =
       1.25 * ts.total_weight() / g.num_nodes() + ts.max_weight();
-  const EngineOptions opt = traced_options();
   differential(
       "mixed",
-      [&](std::size_t threads) {
+      [&](std::size_t) {
         core::MixedProtocolConfig cfg;
         cfg.threshold = T;
         cfg.resource_probability = 0.5;
-        cfg.options = opt;
-        cfg.options.threads = threads;
         return core::MixedProtocolEngine(g, ts, cfg);
       },
-      opt, tasks::all_on_one(ts), 904);
+      kTraced, tasks::all_on_one(ts), 904);
 }
 
 TEST(EngineDriverTest, ResourceEngineMatchesLegacyLoop) {
@@ -227,34 +214,25 @@ TEST(EngineDriverTest, ResourceEngineMatchesLegacyLoop) {
   const TaskSet ts = continuous_tasks(512, 0xD00D);
   const double T =
       1.25 * ts.total_weight() / g.num_nodes() + ts.max_weight();
-  const EngineOptions opt = traced_options();
   differential(
       "resource",
       [&](std::size_t threads) {
         core::ResourceProtocolConfig cfg;
         cfg.threshold = T;
-        cfg.options = opt;
         cfg.options.threads = threads;
         return core::ResourceControlledEngine(g, ts, cfg);
       },
-      opt, tasks::all_on_one(ts), 905);
+      kTraced, tasks::all_on_one(ts), 905);
 }
 
 TEST(EngineDriverTest, SelfishEngineMatchesLegacyLoop) {
   const graph::Node n = 32;
   const TaskSet ts = continuous_tasks(512, 0xFEED);
   const double T = 1.5 * ts.total_weight() / n + ts.max_weight();
-  const EngineOptions opt = traced_options();
   differential(
       "selfish",
-      [&](std::size_t threads) {
-        baselines::SelfishConfig cfg;
-        cfg.stop_threshold = T;
-        cfg.options = opt;
-        cfg.options.threads = threads;
-        return baselines::SelfishReallocEngine(ts, n, cfg);
-      },
-      opt, tasks::all_on_one(ts), 906);
+      [&](std::size_t) { return engine::SelfishReallocBalancer(ts, n, T); },
+      kTraced, tasks::all_on_one(ts), 906);
 }
 
 // ---- dynamic engine: warmup/measure through the driver --------------------
@@ -417,11 +395,51 @@ TEST(EngineDriverTest, ParanoidDriveAuditsEveryEngine) {
   const double T = 1.25 * ts.total_weight() / n + ts.max_weight();
   core::UserProtocolConfig cfg;
   cfg.threshold = T;
-  cfg.options.paranoid_checks = true;
   core::UserControlledEngine engine(ts, n, cfg);
   Rng rng(3);
-  const RunResult result = engine.run(tasks::all_on_one(ts), rng);
+  const RunResult result = engine::reset_and_run(
+      engine, tasks::all_on_one(ts), rng, {.paranoid_checks = true});
   EXPECT_TRUE(result.balanced);
+}
+
+/// A balancer that only counts its steps and whose audit() fails in one
+/// state: after exactly `trap` steps.
+class AuditTrap {
+ public:
+  explicit AuditTrap(long trap) : trap_(trap) {}
+  std::size_t step(Rng&) {
+    ++steps_;
+    return 0;
+  }
+  [[nodiscard]] bool balanced() const { return false; }
+  [[nodiscard]] std::uint32_t overloaded_count() const { return 0; }
+  [[nodiscard]] double max_load() const { return 0.0; }
+  [[nodiscard]] double potential() const { return 0.0; }
+  [[nodiscard]] double reported_threshold() const { return 1.0; }
+  void audit() const {
+    if (steps_ == trap_) throw std::logic_error("AuditTrap: trapped state");
+  }
+
+ private:
+  long trap_;
+  long steps_ = 0;
+};
+
+TEST(EngineDriverTest, ParanoidDriveAuditsWarmupRounds) {
+  // Step 3 is only ever reached inside the warmup (5 warmup rounds, then 1
+  // measured round audited at step 5 and the final audit at step 6), so
+  // only a drive that audits warmup rounds sees the trapped state.
+  Rng rng(1);
+  AuditTrap audited(3);
+  EXPECT_THROW(engine::drive(audited, rng,
+                             {.paranoid_checks = true,
+                              .warmup = 5,
+                              .measure = 1}),
+               std::logic_error);
+  AuditTrap unaudited(3);
+  const RunResult result =
+      engine::drive(unaudited, rng, {.warmup = 5, .measure = 1});
+  EXPECT_EQ(result.rounds, 1);
 }
 
 }  // namespace

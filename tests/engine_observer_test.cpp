@@ -185,7 +185,7 @@ TEST(EngineMetricsTest, AttachingObservabilityChangesNoResult) {
   core::UserControlledEngine plain(ts, n, user_config(ts, n));
   Rng plain_rng(17);
   const RunResult expected =
-      plain.run(tasks::all_on_one(ts), plain_rng);
+      engine::reset_and_run(plain, tasks::all_on_one(ts), plain_rng);
 
   Registry reg;
   obs::TraceWriter trace;
@@ -195,7 +195,8 @@ TEST(EngineMetricsTest, AttachingObservabilityChangesNoResult) {
   core::UserControlledEngine observed(ts, n, cfg);
   Rng observed_rng(17);
   const RunResult actual =
-      observed.run(tasks::all_on_one(ts), observed_rng);
+      engine::reset_and_run(observed, tasks::all_on_one(ts), observed_rng,
+                            {.registry = &reg, .trace = &trace});
 
   EXPECT_EQ(expected.rounds, actual.rounds);
   EXPECT_EQ(expected.migrations, actual.migrations);
@@ -219,7 +220,8 @@ TEST(EngineMetricsTest, DeterministicSnapshotIdenticalAcrossEngineThreads) {
     cfg.options.registry = &reg;
     core::UserControlledEngine engine(ts, n, cfg);
     Rng rng(23);
-    engine.run(tasks::all_on_one(ts), rng);
+    engine::reset_and_run(engine, tasks::all_on_one(ts), rng,
+                          {.registry = &reg});
     return reg.snapshot().json(Snapshot::Part::kDeterministic);
   };
 

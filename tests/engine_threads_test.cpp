@@ -25,6 +25,7 @@ using namespace tlb::core;
 using tlb::tasks::Placement;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
+using tlb::engine::reset_and_run;
 
 // Thread counts under test: inline, small pools, oversubscribed pool, and
 // hardware concurrency (0). All must agree bitwise with the inline run.
@@ -37,16 +38,16 @@ struct TracedRun {
   std::vector<std::uint32_t> overloaded;
 };
 
-/// Drive `engine` from its current state under `opt`'s loop knobs with
+/// Drive `engine` from its current state, capped at 200000 rounds, with
 /// potential and overloaded trace observers attached.
 template <class Engine>
-TracedRun traced_drive(Engine& engine, const EngineOptions& opt, Rng& rng) {
+TracedRun traced_drive(Engine& engine, Rng& rng) {
   tlb::engine::PotentialTrace potential;
   tlb::engine::OverloadedTrace overloaded;
   tlb::engine::ObserverList observers({&potential, &overloaded});
   TracedRun run;
-  run.result = tlb::engine::drive(
-      engine, rng, tlb::engine::DriveOptions::from(opt), &observers);
+  run.result =
+      tlb::engine::drive(engine, rng, {.max_rounds = 200000}, &observers);
   run.potential = potential.take();
   run.overloaded = overloaded.take();
   return run;
@@ -97,12 +98,11 @@ TracedRun run_exact(const TaskSet& ts, Node n, const Placement& start,
                     std::uint64_t seed) {
   UserProtocolConfig cfg;
   cfg.threshold = threshold;
-  cfg.options.max_rounds = 200000;
   cfg.options.threads = threads;
   UserControlledEngine engine(ts, n, cfg);
   engine.reset(start);
   Rng rng(seed);
-  return traced_drive(engine, cfg.options, rng);
+  return traced_drive(engine, rng);
 }
 
 TracedRun run_grouped(const TaskSet& ts, Node n, const Placement& start,
@@ -110,12 +110,11 @@ TracedRun run_grouped(const TaskSet& ts, Node n, const Placement& start,
                       std::uint64_t seed) {
   UserProtocolConfig cfg;
   cfg.threshold = threshold;
-  cfg.options.max_rounds = 200000;
   cfg.options.threads = threads;
   GroupedUserEngine engine(ts, n, cfg);
   engine.reset(start);
   Rng rng(seed);
-  return traced_drive(engine, cfg.options, rng);
+  return traced_drive(engine, rng);
 }
 
 TEST(EngineThreadsTest, ExactEngineBitwiseIdenticalAcrossThreads) {
@@ -147,7 +146,7 @@ TEST(EngineThreadsTest, ExactEngineFinalLoadsIdentical) {
     cfg.options.threads = threads;
     UserControlledEngine engine(ts, n, cfg);
     Rng rng(99);
-    engine.run(start, rng);
+    reset_and_run(engine, start, rng);
     return engine.state().loads();
   };
   const std::vector<double> base = loads_with(1);
@@ -182,14 +181,13 @@ TEST(EngineThreadsTest, ExactEngineShardedMergeAndScatterAcrossThreads) {
   const auto run_with = [&](std::size_t threads) {
     UserProtocolConfig cfg;
     cfg.threshold = T;
-    cfg.options.max_rounds = 200000;
     cfg.options.threads = threads;
     UserControlledEngine engine(ts, n, cfg);
     Rng rng(2024);
     engine.reset(start);
     End end;
     end.round1_movers = engine.step(rng);
-    end.result = traced_drive(engine, cfg.options, rng);
+    end.result = traced_drive(engine, rng);
     end.loads = engine.state().loads();
     for (Node r = 0; r < n; ++r) {
       end.stacks.push_back(engine.state().stack(r).tasks().to_vector());
@@ -267,7 +265,7 @@ TEST(EngineThreadsTest, EmptyOverloadedSetIsStableAcrossThreads) {
     // The run loop never calls step() when balanced; a direct call must
     // leave the state untouched.
     EXPECT_TRUE(engine.balanced());
-    const RunResult result = engine.run(rng);
+    const RunResult result = tlb::engine::drive(engine, rng);
     EXPECT_EQ(result.rounds, 0);
     EXPECT_TRUE(result.balanced);
   }

@@ -8,6 +8,7 @@
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/randomwalk/hitting.hpp"
 #include "tlb/randomwalk/mixing.hpp"
@@ -31,6 +32,7 @@ using graph::Node;
 using tasks::all_on_one;
 using tasks::TaskSet;
 using util::Rng;
+using tlb::engine::reset_and_run;
 
 // -- Figure 2 miniature: time/log m flat in m, increasing in w_max ----------
 
@@ -41,10 +43,9 @@ double fig2_normalized_time(Node n, std::size_t m, double w_max,
   UserProtocolConfig cfg;
   cfg.threshold = T;
   cfg.alpha = 1.0;
-  cfg.options.max_rounds = 100000;
   const auto stats = sim::run_trials(trials, 0xF16'2 + m, [&](Rng& rng) {
     core::GroupedUserEngine engine(ts, n, cfg);
-    return engine.run(all_on_one(ts), rng);
+    return reset_and_run(engine, all_on_one(ts), rng, {.max_rounds = 100000});
   });
   return stats.rounds.mean() / std::log2(static_cast<double>(m));
 }
@@ -74,10 +75,9 @@ double fig1_time(Node n, double W, std::size_t k, std::size_t trials) {
   UserProtocolConfig cfg;
   cfg.threshold = T;
   cfg.alpha = 1.0;
-  cfg.options.max_rounds = 100000;
   const auto stats = sim::run_trials(trials, 0xF1'6 + k, [&](Rng& rng) {
     core::GroupedUserEngine engine(ts, n, cfg);
-    return engine.run(all_on_one(ts), rng);
+    return reset_and_run(engine, all_on_one(ts), rng, {.max_rounds = 100000});
   });
   return stats.rounds.mean();
 }
@@ -105,10 +105,9 @@ double resource_time(const graph::Graph& g, const TaskSet& ts, double T,
   ResourceProtocolConfig cfg;
   cfg.threshold = T;
   cfg.walk = randomwalk::WalkKind::kLazy;
-  cfg.options.max_rounds = 500000;
   const auto stats = sim::run_trials(trials, seed, [&](Rng& rng) {
     ResourceControlledEngine engine(g, ts, cfg);
-    return engine.run(all_on_one(ts), rng);
+    return reset_and_run(engine, all_on_one(ts), rng, {.max_rounds = 500000});
   });
   return stats.rounds.mean();
 }
@@ -183,11 +182,11 @@ TEST(Observation8Integration, FewerBridgeEdgesSlowerBalancing) {
     const auto g = graph::clique_plus_satellite(n, k);
     ResourceProtocolConfig cfg;
     cfg.threshold = T;
-    cfg.options.max_rounds = 500000;
     const auto stats = sim::run_trials(30, seed, [&](Rng& rng) {
       ResourceControlledEngine engine(g, ts, cfg);
       // Adversarial start: clique saturated at W/n, rest piled on node 0.
-      return engine.run(tasks::observation8_adversarial(ts, n), rng);
+      return reset_and_run(engine, tasks::observation8_adversarial(ts, n), rng,
+                           {.max_rounds = 500000});
     });
     return stats.rounds.mean();
   };
@@ -208,10 +207,10 @@ TEST(Theorem11Integration, MeasuredWithinBoundWithPaperAlpha) {
   UserProtocolConfig cfg;
   cfg.threshold = T;
   cfg.alpha = alpha;
-  cfg.options.max_rounds = 2000000;
   const auto stats = sim::run_trials(10, 0xB11, [&](Rng& rng) {
     core::GroupedUserEngine engine(ts, n, cfg);
-    return engine.run(all_on_one(ts), rng);
+    return reset_and_run(engine, all_on_one(ts), rng,
+                         {.max_rounds = 2000000});
   });
   const double bound =
       sim::theorem11_bound(eps, alpha, ts.max_weight(), ts.min_weight(),

@@ -93,13 +93,12 @@ TEST_P(ResourceSweepTest, AllInvariantsHold) {
   core::ResourceProtocolConfig cfg;
   cfg.threshold = T;
   cfg.walk = randomwalk::WalkKind::kLazy;
-  cfg.options.max_rounds = 500000;
   core::ResourceControlledEngine engine(g, ts, cfg);
   Rng run_rng(c.seed ^ 0xabcdef);
-  engine.reset(build_placement(c.placement, ts, n, setup_rng));
   tlb::engine::PotentialTrace trace;
-  const auto result = tlb::engine::drive(
-      engine, run_rng, tlb::engine::DriveOptions::from(cfg.options), &trace);
+  const auto result = tlb::engine::reset_and_run(
+      engine, build_placement(c.placement, ts, n, setup_rng), run_rng,
+      {.max_rounds = 500000}, &trace);
   const std::vector<double>& phi = trace.trace();
 
   // Termination and threshold satisfaction.
@@ -133,11 +132,11 @@ TEST_P(UserSweepTest, AllInvariantsHold) {
   core::UserProtocolConfig cfg;
   cfg.threshold = T;
   cfg.alpha = c.kind == ThresholdKind::kAboveAverage ? 1.0 : 0.5;
-  cfg.options.max_rounds = 500000;
   core::UserControlledEngine engine(ts, n, cfg);
   Rng run_rng(c.seed ^ 0x123456);
   const auto placement = build_placement(c.placement, ts, n, setup_rng);
-  const auto result = engine.run(placement, run_rng);
+  const auto result = tlb::engine::reset_and_run(engine, placement, run_rng,
+                                                 {.max_rounds = 500000});
 
   ASSERT_TRUE(result.balanced) << case_name(c);
   EXPECT_LE(engine.state().max_load(), T + 1e-9);

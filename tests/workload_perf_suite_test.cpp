@@ -15,6 +15,7 @@
 #include "tlb/core/dynamic.hpp"
 #include "tlb/dsan/observer.hpp"
 #include "tlb/dsan/probe.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/obs/registry.hpp"
 #include "tlb/util/json_parse.hpp"
 #include "tlb/util/rng.hpp"
@@ -49,7 +50,7 @@ std::string hand_stepped_counters(const PerfPreset& preset) {
   util::Rng class_rng(util::derive_seed(kSeed, workload::kPerfClassesStream));
   core::DynamicConfig cfg = workload::make_dynamic_config(
       *model, *process, preset.n, workload::kPerfEps, /*alpha=*/1.0,
-      /*paranoid=*/false, preset.threads, class_rng);
+      preset.threads, class_rng);
   obs::Registry registry;
   cfg.registry = &registry;
   core::DynamicUserEngine engine(cfg);

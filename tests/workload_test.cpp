@@ -11,6 +11,7 @@
 #include <set>
 
 #include "tlb/core/threshold.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/workload/arrival.hpp"
 #include "tlb/workload/scenario.hpp"
@@ -449,11 +450,11 @@ TEST(RunUserTrialTest, FallsBackToExactEngineBeyondClassLimit) {
   core::UserProtocolConfig cfg;
   cfg.threshold = core::threshold_value(core::ThresholdKind::kAboveAverage,
                                         ts, n, /*eps=*/0.25);
-  cfg.options.max_rounds = 20000;
   Rng rng(5);
   core::RunResult result;
   ASSERT_NO_THROW(result = workload::run_user_trial(
-                      ts, n, cfg, tasks::all_on_one(ts), rng));
+                      ts, n, cfg, tasks::all_on_one(ts), rng,
+                      {.max_rounds = 20000}));
   EXPECT_TRUE(result.balanced);
 }
 

@@ -166,23 +166,54 @@ TEST(DsanEngineTest, DynamicEngineFingerprintsIdenticalAcrossThreads) {
   EXPECT_EQ(base, fps(dynamic_rows(0)));
 }
 
-TEST(DsanEngineTest, DynamicEngineDetailPhases) {
-  // The churn engine's own phases, then the shared grouped round's.
-  core::DynamicConfig cfg;
-  cfg.n = 64;
-  cfg.arrival_rate = 20.0;
-  cfg.classes = {{1.0, 0.9}, {8.0, 0.1}};
-  dsan::StepProbe probe;
-  probe.set_detail_step(dsan::StepProbe::kDetailAll);
-  cfg.dsan = &probe;
-  core::DynamicUserEngine engine(cfg);
+/// The phase names a probed step records in detail mode.
+template <class Engine>
+std::vector<std::string> detail_phases(Engine& engine,
+                                       dsan::StepProbe& probe) {
   Rng rng(43);
   engine.step(rng);
-  ASSERT_TRUE(probe.has_record());
   std::vector<std::string> names;
-  for (const dsan::PhaseDigest& p : probe.take().phases) names.push_back(p.name);
-  EXPECT_EQ(names, (std::vector<std::string>{"arrivals", "completions",
-                                             "sample", "apply"}));
+  if (!probe.has_record()) return names;
+  for (const dsan::PhaseDigest& p : probe.take().phases) {
+    names.push_back(p.name);
+  }
+  return names;
+}
+
+TEST(DsanEngineTest, DetailPhasesNameEveryProbedEnginesPhases) {
+  const graph::Node n = 64;
+  {
+    const TaskSet ts = continuous_tasks(2048, 0xD5A5);
+    dsan::StepProbe probe;
+    probe.set_detail_step(dsan::StepProbe::kDetailAll);
+    core::UserControlledEngine engine(ts, n, user_config(ts, n, 2, &probe));
+    engine.reset(tasks::all_on_one(ts));
+    EXPECT_EQ(detail_phases(engine, probe),
+              (std::vector<std::string>{"sample", "merge", "apply"}));
+  }
+  {
+    const TaskSet ts = twopoint_tasks(2048, 0xD5A6);
+    dsan::StepProbe probe;
+    probe.set_detail_step(dsan::StepProbe::kDetailAll);
+    core::GroupedUserEngine engine(ts, n, user_config(ts, n, 2, &probe));
+    engine.reset(tasks::all_on_one(ts));
+    EXPECT_EQ(detail_phases(engine, probe),
+              (std::vector<std::string>{"sample", "apply"}));
+  }
+  {
+    // The churn engine's own phases, then the shared grouped round's.
+    core::DynamicConfig cfg;
+    cfg.n = n;
+    cfg.arrival_rate = 20.0;
+    cfg.classes = {{1.0, 0.9}, {8.0, 0.1}};
+    dsan::StepProbe probe;
+    probe.set_detail_step(dsan::StepProbe::kDetailAll);
+    cfg.dsan = &probe;
+    core::DynamicUserEngine engine(cfg);
+    EXPECT_EQ(detail_phases(engine, probe),
+              (std::vector<std::string>{"arrivals", "completions", "sample",
+                                        "apply"}));
+  }
 }
 
 TEST(DsanEngineTest, RowsCarryDrawAccountingWhenProbed) {

@@ -4,21 +4,28 @@
 // early-stop and the max_rounds cap; and the determinism contract of the
 // engine metrics — attaching a registry never changes a RunResult, and the
 // deterministic snapshot serialises byte-identically across engine-thread
-// counts {1, 2, 0}.
+// counts {1, 2, 0}; and the metric surface itself — every engine's metric
+// names, classes and registration order, and its trace span names, which
+// the registry's serialisation and the benchmark's readers depend on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "tlb/core/dynamic.hpp"
+#include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/driver.hpp"
+#include "tlb/graph/builders.hpp"
 #include "tlb/obs/metrics_observer.hpp"
 #include "tlb/obs/registry.hpp"
 #include "tlb/obs/trace_event.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/task_set.hpp"
+#include "tlb/util/json_parse.hpp"
 #include "tlb/util/rng.hpp"
 
 namespace {
@@ -234,6 +241,173 @@ TEST(EngineMetricsTest, DeterministicSnapshotIdenticalAcrossEngineThreads) {
   EXPECT_EQ(inline_json.find("pool."), std::string::npos);
   EXPECT_EQ(inline_json, run(2));
   EXPECT_EQ(inline_json, run(0));
+}
+
+// ---- metric surface -------------------------------------------------------
+
+/// What an engine reports through its sinks: every registered metric as
+/// "<name> <class>" in registration order, and its trace span names.
+struct Surface {
+  std::vector<std::string> metrics;
+  std::set<std::string> spans;
+};
+
+Surface surface_of(const Registry& reg, const obs::TraceWriter& trace) {
+  Surface out;
+  for (const Snapshot::Entry& e : reg.snapshot().entries) {
+    out.metrics.push_back(e.name + (e.timing ? " timing" : " deterministic"));
+  }
+  const util::JsonValue doc = util::parse_json(trace.json());
+  for (const util::JsonValue& event : doc.at("traceEvents").items) {
+    if (event.at("ph").string == "X") out.spans.insert(event.at("name").string);
+  }
+  return out;
+}
+
+/// Reset `engine` to all-on-one and step it three rounds.
+template <class Engine>
+void step_three(Engine& engine, const TaskSet& ts) {
+  engine.reset(tasks::all_on_one(ts));
+  Rng rng(3);
+  for (int round = 0; round < 3; ++round) engine.step(rng);
+}
+
+TEST(EngineMetricsTest, MetricSurfaceKeepsNamesClassesAndOrder) {
+  // The lists were recorded from the engines before their instrumentation
+  // moved behind one seam; a reordered registration, a renamed metric or
+  // span, or a metric in the wrong class fails here.
+  const graph::Node n = 64;
+  // Three coin shards in round 1, so the two-thread pool runs tasks.
+  const TaskSet coins = continuous_tasks(3 * 8192, 5);
+  std::vector<double> w(2048, 1.0);
+  for (std::size_t i = 0; i < w.size(); i += 10) w[i] = 8.0;
+  const TaskSet classes(std::move(w));
+  const auto threshold = [n](const TaskSet& ts) {
+    return 1.25 * ts.total_weight() / n + ts.max_weight();
+  };
+  const std::vector<std::string> exact = {
+      "exact.sample_ns timing",
+      "exact.merge_ns timing",
+      "exact.apply_ns timing",
+      "exact.coins deterministic",
+      "exact.departures deterministic",
+      "exact.flush_checks deterministic",
+      "exact.dirty_marks deterministic",
+      "index.band_size deterministic",
+      "index.bucket_moves deterministic",
+      "index.reconciled deterministic",
+      "exact.sweeps deterministic"};
+  const std::vector<std::string> pool = {
+      "pool.tasks timing", "pool.busy_ns timing", "pool.idle_ns timing"};
+
+  for (const std::size_t threads : {1, 2}) {
+    Registry reg;
+    obs::TraceWriter trace;
+    core::UserProtocolConfig cfg;
+    cfg.threshold = threshold(coins);
+    cfg.options = {.threads = threads, .registry = &reg, .trace = &trace};
+    core::UserControlledEngine engine(coins, n, cfg);
+    step_three(engine, coins);
+    const Surface got = surface_of(reg, trace);
+    std::vector<std::string> want = exact;
+    std::set<std::string> spans = {"exact.sample", "exact.merge",
+                                   "exact.apply"};
+    if (threads == 2) {
+      want.insert(want.end(), pool.begin(), pool.end());
+      spans.insert("pool.task");
+    }
+    EXPECT_EQ(got.metrics, want) << "exact, threads=" << threads;
+    EXPECT_EQ(got.spans, spans) << "exact, threads=" << threads;
+  }
+  {
+    Registry reg;
+    obs::TraceWriter trace;
+    core::UserProtocolConfig cfg;
+    cfg.threshold = threshold(classes);
+    cfg.options = {.threads = 2, .registry = &reg, .trace = &trace};
+    core::GroupedUserEngine engine(classes, n, cfg);
+    step_three(engine, classes);
+    const Surface got = surface_of(reg, trace);
+    EXPECT_EQ(got.metrics, (std::vector<std::string>{
+                               "grouped.sample_ns timing",
+                               "grouped.apply_ns timing",
+                               "grouped.departure_groups deterministic",
+                               "grouped.departures deterministic",
+                               "grouped.flush_checks deterministic",
+                               "grouped.dirty_marks deterministic",
+                               "index.band_size deterministic",
+                               "index.bucket_moves deterministic",
+                               "index.reconciled deterministic",
+                               "grouped.sweeps deterministic",
+                               "pool.tasks timing",
+                               "pool.busy_ns timing",
+                               "pool.idle_ns timing"}));
+    EXPECT_EQ(got.spans,
+              (std::set<std::string>{"grouped.sample", "grouped.apply"}));
+  }
+  {
+    Registry reg;
+    obs::TraceWriter trace;
+    core::DynamicConfig cfg;
+    cfg.n = n;
+    cfg.arrival_rate = 20.0;
+    cfg.crash_rate = 0.5;
+    cfg.classes = {{1.0, 0.9}, {8.0, 0.1}};
+    cfg.threads = 2;
+    cfg.registry = &reg;
+    cfg.trace = &trace;
+    core::DynamicUserEngine engine(cfg);
+    Rng rng(3);
+    for (int round = 0; round < 3; ++round) engine.step(rng);
+    const Surface got = surface_of(reg, trace);
+    EXPECT_EQ(got.metrics, (std::vector<std::string>{
+                               "dynamic.arrivals_ns timing",
+                               "dynamic.completions_ns timing",
+                               "dynamic.track_ns timing",
+                               "dynamic.sample_ns timing",
+                               "dynamic.apply_ns timing",
+                               "dynamic.arrivals deterministic",
+                               "dynamic.completions deterministic",
+                               "dynamic.crashes deterministic",
+                               "dynamic.threshold_changes deterministic",
+                               "dynamic.flush_checks deterministic",
+                               "dynamic.dirty_marks deterministic",
+                               "index.band_size deterministic",
+                               "index.bucket_moves deterministic",
+                               "index.reconciled deterministic",
+                               "dynamic.sweeps deterministic",
+                               "pool.tasks timing",
+                               "pool.busy_ns timing",
+                               "pool.idle_ns timing"}));
+    EXPECT_EQ(got.spans,
+              (std::set<std::string>{"dynamic.arrivals", "dynamic.completions",
+                                     "dynamic.track", "dynamic.sample",
+                                     "dynamic.apply"}));
+  }
+  {
+    Registry reg;
+    obs::TraceWriter trace;
+    const graph::Graph g = graph::hypercube(6);
+    core::ResourceProtocolConfig cfg;
+    cfg.threshold = threshold(classes);
+    cfg.walk = randomwalk::WalkKind::kLazy;
+    cfg.options = {.registry = &reg, .trace = &trace};
+    core::ResourceControlledEngine engine(g, classes, cfg);
+    step_three(engine, classes);
+    const Surface got = surface_of(reg, trace);
+    EXPECT_EQ(got.metrics, (std::vector<std::string>{
+                               "resource.walk_ns timing",
+                               "resource.scatter_ns timing",
+                               "resource.evictions deterministic",
+                               "resource.flush_checks deterministic",
+                               "resource.dirty_marks deterministic",
+                               "index.band_size deterministic",
+                               "index.bucket_moves deterministic",
+                               "index.reconciled deterministic",
+                               "resource.sweeps deterministic"}));
+    EXPECT_EQ(got.spans,
+              (std::set<std::string>{"resource.walk", "resource.scatter"}));
+  }
 }
 
 }  // namespace

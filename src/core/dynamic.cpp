@@ -98,7 +98,8 @@ class WindowMetrics final : public engine::RoundObserver {
 DynamicUserEngine::DynamicUserEngine(DynamicConfig config)
     : config_(checked(std::move(config))),
       core_(config_.n, weights_of(config_.classes), config_.alpha,
-            /*exclude_self=*/false, config_.threads) {
+            /*exclude_self=*/false, config_.threads),
+      phases_(config_.registry, config_.trace, config_.dsan) {
   double total_p = 0.0;
   for (const auto& c : config_.classes) total_p += c.probability;
   double acc = 0.0;
@@ -110,27 +111,16 @@ DynamicUserEngine::DynamicUserEngine(DynamicConfig config)
 
   core_.set_thresholds(target_threshold());
   core_.place({}, {});  // empty, every status pending re-check
-  sink_.registry = config_.registry;
-  sink_.trace = config_.trace;
-  using obs::MetricClass;
-  if (sink_.registry != nullptr) {
-    obs::Registry& reg = *sink_.registry;
-    m_arrivals_ns_ = reg.counter("dynamic.arrivals_ns", MetricClass::kTiming);
-    m_completions_ns_ =
-        reg.counter("dynamic.completions_ns", MetricClass::kTiming);
-    m_track_ns_ = reg.counter("dynamic.track_ns", MetricClass::kTiming);
-  }
-  core_.attach_spans(sink_, "dynamic.sample", "dynamic.apply");
-  if (sink_.registry != nullptr) {
-    obs::Registry& reg = *sink_.registry;
-    m_arrivals_ = reg.counter("dynamic.arrivals", MetricClass::kDeterministic);
-    m_completions_ =
-        reg.counter("dynamic.completions", MetricClass::kDeterministic);
-    m_crashes_ = reg.counter("dynamic.crashes", MetricClass::kDeterministic);
-    m_threshold_changes_ =
-        reg.counter("dynamic.threshold_changes", MetricClass::kDeterministic);
-  }
-  core_.attach_counters("dynamic");
+  arrivals_phase_ = phases_.phase("dynamic.arrivals");
+  completions_phase_ = phases_.phase("dynamic.completions");
+  track_phase_ = phases_.phase("dynamic.track");
+  const StepPhases::Phase sample = phases_.phase("dynamic.sample");
+  const StepPhases::Phase apply = phases_.phase("dynamic.apply");
+  m_arrivals_ = phases_.work_counter("dynamic.arrivals");
+  m_completions_ = phases_.work_counter("dynamic.completions");
+  m_crashes_ = phases_.work_counter("dynamic.crashes");
+  m_threshold_changes_ = phases_.work_counter("dynamic.threshold_changes");
+  core_.attach(phases_, sample, apply, "dynamic");
 }
 
 double DynamicUserEngine::target_threshold() const {
@@ -144,7 +134,7 @@ void DynamicUserEngine::recompute_threshold() {
   const double next = target_threshold();
   if (next == core_.thresholds().max()) return;
   core_.shift_threshold(next);
-  if (sink_.registry != nullptr) sink_.registry->add(m_threshold_changes_, 1);
+  m_threshold_changes_.add(1);
 }
 
 void DynamicUserEngine::do_arrivals(util::Rng& rng) {
@@ -172,7 +162,7 @@ void DynamicUserEngine::do_arrivals(util::Rng& rng) {
     ++population_;
   }
   arrivals_ += count;
-  if (sink_.registry != nullptr) sink_.registry->add(m_arrivals_, count);
+  m_arrivals_.add(count);
 }
 
 void DynamicUserEngine::do_completions(util::Rng& rng) {
@@ -183,7 +173,7 @@ void DynamicUserEngine::do_completions(util::Rng& rng) {
                      [this](double weight) { total_weight_ -= weight; });
   population_ -= total_done;
   completions_ += total_done;
-  if (sink_.registry != nullptr) sink_.registry->add(m_completions_, total_done);
+  m_completions_.add(total_done);
 }
 
 void DynamicUserEngine::do_crash(util::Rng& rng) {
@@ -200,45 +190,38 @@ void DynamicUserEngine::do_crash(util::Rng& rng) {
   }
   core_.clear_resource(victim);
   ++crashes_;
-  if (sink_.registry != nullptr) sink_.registry->add(m_crashes_, 1);
+  m_crashes_.add(1);
 }
 
 std::size_t DynamicUserEngine::step(util::Rng& rng) {
-  dsan::StepProbe* const probe = config_.dsan;
-  if (probe != nullptr) probe->begin_step(rng);
+  // Both churn phases digest the population and the loads they leave.
+  const auto population = [this](dsan::Digest& d) {
+    d.u64(population_);
+    d.f64(total_weight_);
+    dsan::digest_loads(core_.loads(), d);
+  };
+  phases_.begin_step(rng);
   {
-    const obs::PhaseSpan span(sink_, m_arrivals_ns_, "dynamic.arrivals");
+    const obs::PhaseSpan span = phases_.time(arrivals_phase_);
     do_arrivals(rng);
   }
-  if (probe != nullptr && probe->want_phases()) {
-    dsan::Digest d;
-    d.u64(population_);
-    d.f64(total_weight_);
-    dsan::digest_loads(core_.loads(), d);
-    probe->phase("arrivals", d.value());
-  }
+  phases_.digest(arrivals_phase_, population);
   ++round_;
   {
-    const obs::PhaseSpan span(sink_, m_completions_ns_, "dynamic.completions");
+    const obs::PhaseSpan span = phases_.time(completions_phase_);
     do_completions(rng);
   }
-  if (probe != nullptr && probe->want_phases()) {
-    dsan::Digest d;
-    d.u64(population_);
-    d.f64(total_weight_);
-    dsan::digest_loads(core_.loads(), d);
-    probe->phase("completions", d.value());
-  }
+  phases_.digest(completions_phase_, population);
   do_crash(rng);
   {
     // Threshold move plus the flush it leaves due (a band re-check or a
     // dense sweep), so the round's own overloaded() is already clean.
-    const obs::PhaseSpan span(sink_, m_track_ns_, "dynamic.track");
+    const obs::PhaseSpan span = phases_.time(track_phase_);
     recompute_threshold();
     (void)core_.overloaded();
   }
-  last_migrations_ = core_.step(rng, probe);
-  if (probe != nullptr) probe->end_step(rng);
+  last_migrations_ = core_.step(rng);
+  phases_.end_step(rng);
   return last_migrations_;
 }
 

@@ -31,26 +31,13 @@ void GroupedState::shift_threshold(double next) {
                         [this](graph::Node r) { return loads_[r]; });
 }
 
-void GroupedState::attach_spans(const obs::Sink& sink,
-                                const char* sample_span,
-                                const char* apply_span) {
-  sink_ = sink;
-  sample_span_ = sample_span;
-  apply_span_ = apply_span;
-  if (sink_.registry != nullptr) {
-    using obs::MetricClass;
-    m_sample_ns_ = sink_.registry->counter(std::string(sample_span) + "_ns",
-                                           MetricClass::kTiming);
-    m_apply_ns_ = sink_.registry->counter(std::string(apply_span) + "_ns",
-                                          MetricClass::kTiming);
-  }
-}
-
-void GroupedState::attach_counters(const std::string& engine) {
-  tracker_counters_.attach(sink_.registry, engine, over_);
-  if (pool_ && sink_.attached()) {
-    pool_->attach_probe(sink_.registry, sink_.trace);
-  }
+void GroupedState::attach(const StepPhases& phases, StepPhases::Phase sample,
+                          StepPhases::Phase apply, const std::string& engine) {
+  phases_ = phases;
+  sample_phase_ = sample;
+  apply_phase_ = apply;
+  tracker_counters_.attach(phases_, engine, over_);
+  if (pool_) phases_.attach(*pool_);
 }
 
 void GroupedState::place(std::span<const graph::Node> placement,
@@ -121,8 +108,9 @@ double GroupedState::potential() const {
   return phi;
 }
 
-std::size_t GroupedState::step(util::Rng& rng, dsan::StepProbe* probe) {
+std::size_t GroupedState::step(util::Rng& rng) {
   const std::size_t C = class_weights_.size();
+  dsan::StepProbe* const probe = phases_.probe();
   // Per-round base seed for the sharded sampler (see the file comment).
   const std::uint64_t round_seed = rng();
 
@@ -135,7 +123,7 @@ std::size_t GroupedState::step(util::Rng& rng, dsan::StepProbe* probe) {
   if (shard_bufs_.size() < shards) shard_bufs_.resize(shards);
   if (probe != nullptr) probe->arm_shards(shards);
   {
-    const obs::PhaseSpan span(sink_, m_sample_ns_, sample_span_);
+    const obs::PhaseSpan span = phases_.time(sample_phase_);
     util::parallel_shard(
         over.size(), kShardGrain, pool_.get(),
         [this, &over, C, round_seed,
@@ -167,8 +155,7 @@ std::size_t GroupedState::step(util::Rng& rng, dsan::StepProbe* probe) {
           }
         });
   }
-  if (probe != nullptr && probe->want_phases()) {
-    dsan::Digest d;
+  phases_.digest(sample_phase_, [&](dsan::Digest& d) {
     d.u64(shards);
     for (std::size_t s = 0; s < shards; ++s) {
       d.u64(shard_bufs_[s].size());
@@ -178,8 +165,7 @@ std::size_t GroupedState::step(util::Rng& rng, dsan::StepProbe* probe) {
         d.u64(dep.count);
       }
     }
-    probe->phase("sample", d.value());
-  }
+  });
 
   // Phase 2: apply in shard order on the calling thread — remove every
   // departure, then move each leaver to a destination drawn from the
@@ -187,7 +173,7 @@ std::size_t GroupedState::step(util::Rng& rng, dsan::StepProbe* probe) {
   std::size_t migrations = 0;
   departure_groups_ = 0;
   {
-    const obs::PhaseSpan span(sink_, m_apply_ns_, apply_span_);
+    const obs::PhaseSpan span = phases_.time(apply_phase_);
     for (std::size_t s = 0; s < shards; ++s) {
       departure_groups_ += shard_bufs_[s].size();
       for (const Departure& d : shard_bufs_[s]) {
@@ -213,11 +199,8 @@ std::size_t GroupedState::step(util::Rng& rng, dsan::StepProbe* probe) {
       }
     }
   }
-  if (probe != nullptr && probe->want_phases()) {
-    dsan::Digest d;
-    dsan::digest_loads(loads_, d);
-    probe->phase("apply", d.value());
-  }
+  phases_.digest(apply_phase_,
+                 [this](dsan::Digest& d) { dsan::digest_loads(loads_, d); });
   tracker_counters_.export_deltas(over_);
   return migrations;
 }

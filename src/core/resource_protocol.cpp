@@ -10,21 +10,15 @@ ResourceControlledEngine::ResourceControlledEngine(const graph::Graph& g,
                                                    ResourceProtocolConfig config)
     : config_(std::move(config)),
       walk_(g, config_.walk),
-      state_(ts, g.num_nodes()) {
+      state_(ts, g.num_nodes()),
+      phases_(config_.options.registry, config_.options.trace,
+              /*probe=*/nullptr) {
   config_.threshold.checked(g.num_nodes(), "ResourceControlledEngine");
   state_.set_thresholds(std::move(config_.threshold));
-  sink_.registry = config_.options.registry;
-  sink_.trace = config_.options.trace;
-  if (sink_.registry != nullptr) {
-    obs::Registry& reg = *sink_.registry;
-    using obs::MetricClass;
-    m_walk_ns_ = reg.counter("resource.walk_ns", MetricClass::kTiming);
-    m_scatter_ns_ = reg.counter("resource.scatter_ns", MetricClass::kTiming);
-    m_evictions_ =
-        reg.counter("resource.evictions", MetricClass::kDeterministic);
-  }
-  tracker_counters_.attach(sink_.registry, "resource",
-                           state_.overloaded_tracker());
+  walk_phase_ = phases_.phase("resource.walk");
+  scatter_phase_ = phases_.phase("resource.scatter");
+  m_evictions_ = phases_.work_counter("resource.evictions");
+  tracker_counters_.attach(phases_, "resource", state_.overloaded_tracker());
 }
 
 void ResourceControlledEngine::reset(const tasks::Placement& placement) {
@@ -49,7 +43,7 @@ std::size_t ResourceControlledEngine::step(util::Rng& rng) {
   // a local copy of the generator, written back after the pass, so the
   // state stays in registers across the stores.
   {
-    const obs::PhaseSpan span(sink_, m_walk_ns_, "resource.walk");
+    const obs::PhaseSpan span = phases_.time(walk_phase_);
     dst_.resize(evictees);
     util::Rng local = rng;
     Node* to = dst_.data();
@@ -65,10 +59,10 @@ std::size_t ResourceControlledEngine::step(util::Rng& rng) {
   // with the acceptance test, as sequential pushes in eviction order would.
   // Arrival order = eviction order, which the model leaves arbitrary.
   {
-    const obs::PhaseSpan span(sink_, m_scatter_ns_, "resource.scatter");
+    const obs::PhaseSpan span = phases_.time(scatter_phase_);
     state_.evict_scatter(dst_);
   }
-  if (sink_.registry != nullptr) sink_.registry->add(m_evictions_, evictees);
+  m_evictions_.add(evictees);
   tracker_counters_.export_deltas(state_.overloaded_tracker());
   return evictees;
 }

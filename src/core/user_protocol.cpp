@@ -44,7 +44,10 @@ std::optional<std::vector<double>> distinct_weights_capped(
 
 UserControlledEngine::UserControlledEngine(const tasks::TaskSet& ts, Node n,
                                            UserProtocolConfig config)
-    : tasks_(&ts), config_(std::move(config)), state_(ts, n) {
+    : tasks_(&ts),
+      config_(std::move(config)),
+      state_(ts, n),
+      phases_(config_.options) {
   config_.threshold.checked(n, "UserControlledEngine");
   if (!(config_.alpha > 0.0) || !std::isfinite(config_.alpha)) {
     throw std::invalid_argument(
@@ -56,23 +59,13 @@ UserControlledEngine::UserControlledEngine(const tasks::TaskSet& ts, Node n,
   if (config_.options.threads != 1) {
     pool_ = std::make_unique<util::ThreadPool>(config_.options.threads);
   }
-  sink_.registry = config_.options.registry;
-  sink_.trace = config_.options.trace;
-  if (sink_.registry != nullptr) {
-    obs::Registry& reg = *sink_.registry;
-    using obs::MetricClass;
-    m_sample_ns_ = reg.counter("exact.sample_ns", MetricClass::kTiming);
-    m_merge_ns_ = reg.counter("exact.merge_ns", MetricClass::kTiming);
-    m_apply_ns_ = reg.counter("exact.apply_ns", MetricClass::kTiming);
-    m_coins_ = reg.counter("exact.coins", MetricClass::kDeterministic);
-    m_departures_ =
-        reg.counter("exact.departures", MetricClass::kDeterministic);
-  }
-  tracker_counters_.attach(sink_.registry, "exact",
-                           state_.overloaded_tracker());
-  if (pool_ && sink_.attached()) {
-    pool_->attach_probe(sink_.registry, sink_.trace);
-  }
+  sample_phase_ = phases_.phase("exact.sample");
+  merge_phase_ = phases_.phase("exact.merge");
+  apply_phase_ = phases_.phase("exact.apply");
+  m_coins_ = phases_.work_counter("exact.coins");
+  m_departures_ = phases_.work_counter("exact.departures");
+  tracker_counters_.attach(phases_, "exact", state_.overloaded_tracker());
+  if (pool_) phases_.attach(*pool_);
 }
 
 void UserControlledEngine::reset(const tasks::Placement& placement) {
@@ -82,8 +75,8 @@ void UserControlledEngine::reset(const tasks::Placement& placement) {
 std::size_t UserControlledEngine::step(util::Rng& rng) {
   const Node n = state_.num_resources();
   const double w_max = tasks_->max_weight();
-  dsan::StepProbe* const probe = config_.options.dsan;
-  if (probe != nullptr) probe->begin_step(rng);
+  dsan::StepProbe* const probe = phases_.probe();
+  phases_.begin_step(rng);
   // Per-round base seed for the sharded sampler, drawn from the caller's
   // stream so a run is still a pure function of the initial seed. Every
   // shard below derives its private stream from (round_seed, shard).
@@ -102,7 +95,7 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
   leave_p_.resize(k);
   std::size_t total = 0;
   {
-    const obs::PhaseSpan span(sink_, m_sample_ns_, "exact.sample");
+    const obs::PhaseSpan span = phases_.time(sample_phase_);
     for (std::size_t i = 0; i < k; ++i) {
       const ResourceStack stack = std::as_const(state_).stack(over[i]);
       coin_prefix_[i] = total;
@@ -169,20 +162,18 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
             probe->expect_shard_draws(shard, expected_draws);
           }
         });
-    if (probe != nullptr && probe->want_phases()) {
-      dsan::Digest d;
-      d.u64(total);
-      for (std::size_t c = 0; c < total; ++c) d.u64(flat_mask_[c]);
-      probe->phase("sample", d.value());
-    }
   }
+  phases_.digest(sample_phase_, [&](dsan::Digest& d) {
+    d.u64(total);
+    for (std::size_t c = 0; c < total; ++c) d.u64(flat_mask_[c]);
+  });
 
   // Phase 1c: the merge, one bulk removal over the flat layout on the same
   // coin shards. The shards' leaver counts place every mover at its final
   // index, so movers_ is in overloaded-list order, stack order within a
   // resource, exactly as a serial pass would leave it.
   {
-    const obs::PhaseSpan span(sink_, m_merge_ns_, "exact.merge");
+    const obs::PhaseSpan span = phases_.time(merge_phase_);
     for (std::size_t s = 1; s < shard_movers_.size(); ++s) {
       shard_movers_[s] += shard_movers_[s - 1];
     }
@@ -190,15 +181,13 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
                                kCoinShardGrain, shard_movers_};
     state_.remove_marked(marks, movers_, mover_origin_, pool_.get());
   }
-  if (probe != nullptr && probe->want_phases()) {
-    dsan::Digest d;
+  phases_.digest(merge_phase_, [&](dsan::Digest& d) {
     d.u64(movers_.size());
     for (std::size_t i = 0; i < movers_.size(); ++i) {
       d.u64(movers_[i]);
       d.u64(mover_origin_[i]);
     }
-    probe->phase("merge", d.value());
-  }
+  });
 
   // Phase 2: scatter to uniformly random resources. All destinations are
   // drawn first, in mover order, from the caller's stream, each replacing
@@ -206,23 +195,19 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
   // pool. The append draws nothing, so the stream is the same as drawing
   // each destination right before its mover lands.
   {
-    const obs::PhaseSpan span(sink_, m_apply_ns_, "exact.apply");
+    const obs::PhaseSpan span = phases_.time(apply_phase_);
     for (Node& slot : mover_origin_) {
       slot = sample_destination(n, slot, config_.exclude_self, rng);
     }
     state_.scatter(mover_origin_, movers_, pool_.get());
   }
-  if (probe != nullptr && probe->want_phases()) {
-    dsan::Digest d;
+  phases_.digest(apply_phase_, [this](dsan::Digest& d) {
     dsan::digest_loads(state_.loads(), d);
-    probe->phase("apply", d.value());
-  }
-  if (probe != nullptr) probe->end_step(rng);
+  });
+  phases_.end_step(rng);
 
-  if (sink_.registry != nullptr) {
-    sink_.registry->add(m_coins_, total);
-    sink_.registry->add(m_departures_, movers_.size());
-  }
+  m_coins_.add(total);
+  m_departures_.add(movers_.size());
   tracker_counters_.export_deltas(state_.overloaded_tracker());
   return movers_.size();
 }
@@ -268,7 +253,8 @@ GroupedUserEngine::GroupedUserEngine(const tasks::TaskSet& ts, Node n,
     : tasks_(&ts),
       config_(std::move(config)),
       core_(n, grouped_classes(ts), config_.alpha, config_.exclude_self,
-            config_.options.threads) {
+            config_.options.threads),
+      phases_(config_.options) {
   config_.threshold.checked(n, "GroupedUserEngine");
   core_.set_thresholds(std::move(config_.threshold));
   if (!(config_.alpha > 0.0) || !std::isfinite(config_.alpha)) {
@@ -284,16 +270,11 @@ GroupedUserEngine::GroupedUserEngine(const tasks::TaskSet& ts, Node n,
                                      ts.weight(i));
     task_class_[i] = static_cast<std::uint32_t>(it - classes.begin());
   }
-  const obs::Sink sink{config_.options.registry, config_.options.trace};
-  core_.attach_spans(sink, "grouped.sample", "grouped.apply");
-  if (sink.registry != nullptr) {
-    using obs::MetricClass;
-    m_departure_groups_ = sink.registry->counter("grouped.departure_groups",
-                                                 MetricClass::kDeterministic);
-    m_departures_ = sink.registry->counter("grouped.departures",
-                                           MetricClass::kDeterministic);
-  }
-  core_.attach_counters("grouped");
+  const StepPhases::Phase sample = phases_.phase("grouped.sample");
+  const StepPhases::Phase apply = phases_.phase("grouped.apply");
+  m_departure_groups_ = phases_.work_counter("grouped.departure_groups");
+  m_departures_ = phases_.work_counter("grouped.departures");
+  core_.attach(phases_, sample, apply, "grouped");
 }
 
 void GroupedUserEngine::reset(const tasks::Placement& placement) {
@@ -304,15 +285,11 @@ void GroupedUserEngine::reset(const tasks::Placement& placement) {
 }
 
 std::size_t GroupedUserEngine::step(util::Rng& rng) {
-  dsan::StepProbe* const probe = config_.options.dsan;
-  if (probe != nullptr) probe->begin_step(rng);
-  const std::size_t migrations = core_.step(rng, probe);
-  if (probe != nullptr) probe->end_step(rng);
-  if (config_.options.registry != nullptr) {
-    config_.options.registry->add(m_departure_groups_,
-                                  core_.last_departure_groups());
-    config_.options.registry->add(m_departures_, migrations);
-  }
+  phases_.begin_step(rng);
+  const std::size_t migrations = core_.step(rng);
+  phases_.end_step(rng);
+  m_departure_groups_.add(core_.last_departure_groups());
+  m_departures_.add(migrations);
   return migrations;
 }
 

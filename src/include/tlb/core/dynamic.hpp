@@ -29,9 +29,9 @@
 #include "tlb/core/grouped_state.hpp"
 #include "tlb/core/load_stats.hpp"
 #include "tlb/core/overloaded_set.hpp"
+#include "tlb/core/step_phases.hpp"
 #include "tlb/core/threshold.hpp"
 #include "tlb/graph/graph.hpp"
-#include "tlb/obs/profile.hpp"
 #include "tlb/util/rng.hpp"
 #include "tlb/util/stats.hpp"
 
@@ -43,11 +43,6 @@ namespace tlb::engine {
 struct DriveOptions;
 class RoundObserver;
 }
-
-namespace tlb::dsan {
-class Digest;
-class StepProbe;
-}  // namespace tlb::dsan
 
 namespace tlb::core {
 
@@ -199,12 +194,11 @@ class DynamicUserEngine {
   std::uint64_t completions_ = 0;
   std::uint64_t crashes_ = 0;
 
-  // Observability: "dynamic.*" phase spans + deterministic churn counters,
-  // wired from DynamicConfig::registry/trace in the constructor (the
-  // round's own spans and tracker counters live in core_).
-  obs::Sink sink_;
-  obs::MetricId m_arrivals_ns_, m_completions_ns_, m_track_ns_;
-  obs::MetricId m_arrivals_, m_completions_, m_crashes_, m_threshold_changes_;
+  // Observability: "dynamic.*"; core_ reports the round's own phases.
+  StepPhases phases_;
+  StepPhases::Phase arrivals_phase_, completions_phase_, track_phase_;
+  StepPhases::Counter m_arrivals_, m_completions_, m_crashes_,
+      m_threshold_changes_;
 };
 
 }  // namespace tlb::core

@@ -28,16 +28,11 @@
 #include "tlb/core/completions.hpp"
 #include "tlb/core/load_stats.hpp"
 #include "tlb/core/overloaded_set.hpp"
+#include "tlb/core/step_phases.hpp"
 #include "tlb/core/thresholds.hpp"
 #include "tlb/graph/graph.hpp"
-#include "tlb/obs/profile.hpp"
 #include "tlb/util/rng.hpp"
 #include "tlb/util/thread_pool.hpp"
-
-namespace tlb::dsan {
-class Digest;
-class StepProbe;
-}  // namespace tlb::dsan
 
 namespace tlb::core {
 
@@ -69,16 +64,11 @@ class GroupedState {
   const Thresholds& thresholds() const noexcept { return thresholds_; }
 
   // --- observability ---
-  /// Report the round's phase spans to `sink`. `sample_span`/`apply_span`
-  /// name the trace spans (string literals: the trace writer keeps the
-  /// pointer) and, with "_ns" appended, the timing counters registered now.
-  void attach_spans(const obs::Sink& sink, const char* sample_span,
-                    const char* apply_span);
-  /// Register the tracker's cost counters under `engine` (TrackerCounters),
-  /// exported by every step() from then on, then the phase-1 pool's probe.
-  /// Owners call it after attach_spans() and their own counters, which
-  /// keeps each engine's registration order.
-  void attach_counters(const std::string& engine);
+  /// Report through the owner's `phases`, phase 1 as `sample` and phase 2
+  /// as `apply`; register the tracker's counters under `engine`, then the
+  /// pool's. Owners call it after registering their own phases and counters.
+  void attach(const StepPhases& phases, StepPhases::Phase sample,
+              StepPhases::Phase apply, const std::string& engine);
 
   // --- mutation ---
   /// Rebuild from scratch: task i sits on placement[i] with class
@@ -119,10 +109,9 @@ class GroupedState {
   /// One round against the current thresholds: draws the round seed from
   /// `rng`, samples the departures, then moves every leaver to a uniform
   /// destination drawn from `rng`. Returns the number of migrations. With a
-  /// probe (optional, not owned) it arms the shard budgets and, in detail
-  /// mode, records the "sample" and "apply" phase digests; the owner
-  /// brackets the step with begin_step()/end_step().
-  std::size_t step(util::Rng& rng, dsan::StepProbe* probe);
+  /// probe attached it arms the shard budgets and records the two phases'
+  /// digests; the owner brackets the step with begin_step()/end_step().
+  std::size_t step(util::Rng& rng);
   /// (resource, class) departure groups the last step() applied.
   std::size_t last_departure_groups() const noexcept {
     return departure_groups_;
@@ -190,10 +179,8 @@ class GroupedState {
   std::unique_ptr<util::ThreadPool> pool_;  // phase-1 workers (threads != 1)
   std::vector<std::vector<Departure>> shard_bufs_;  // per-shard phase 1
   std::size_t departure_groups_ = 0;
-  obs::Sink sink_;
-  obs::MetricId m_sample_ns_, m_apply_ns_;
-  const char* sample_span_ = nullptr;
-  const char* apply_span_ = nullptr;
+  StepPhases phases_;
+  StepPhases::Phase sample_phase_, apply_phase_;
   TrackerCounters tracker_counters_;
 };
 

@@ -15,7 +15,6 @@
 // resources are pending re-check sweeps them all (see shift_threshold()).
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -24,7 +23,6 @@
 
 #include "tlb/core/load_index.hpp"
 #include "tlb/graph/graph.hpp"
-#include "tlb/obs/registry.hpp"
 
 namespace tlb::core {
 
@@ -283,59 +281,6 @@ class OverloadedSet {
   std::uint64_t dirty_marks_ = 0;        // dirty-set insertions (lifetime)
   std::uint64_t sweeps_ = 0;             // dense flushes (lifetime)
   LoadIndex index_;                      // band-limited threshold shifts
-};
-
-/// Exports a tracker's lifetime cost counters to an obs::Registry as
-/// per-step deltas, registered in this order: "<engine>.flush_checks",
-/// "<engine>.dirty_marks", "index.band_size", "index.bucket_moves",
-/// "index.reconciled", "<engine>.sweeps". Detached (no registry) every call
-/// is a no-op.
-class TrackerCounters {
- public:
-  /// Register the counters (when `registry` is set) and count from the
-  /// tracker's current totals.
-  void attach(obs::Registry* registry, const std::string& engine,
-              const OverloadedSet& tracker) {
-    registry_ = registry;
-    if (registry_ == nullptr) return;
-    using obs::MetricClass;
-    ids_ = {registry_->counter(engine + ".flush_checks",
-                               MetricClass::kDeterministic),
-            registry_->counter(engine + ".dirty_marks",
-                               MetricClass::kDeterministic),
-            registry_->counter("index.band_size", MetricClass::kDeterministic),
-            registry_->counter("index.bucket_moves",
-                               MetricClass::kDeterministic),
-            registry_->counter("index.reconciled",
-                               MetricClass::kDeterministic),
-            registry_->counter(engine + ".sweeps",
-                               MetricClass::kDeterministic)};
-    exported_ = totals(tracker);
-  }
-
-  /// Add each counter's growth since the last export (or attach).
-  void export_deltas(const OverloadedSet& tracker) {
-    if (registry_ == nullptr) return;
-    const std::array<std::uint64_t, kCounters> now = totals(tracker);
-    for (std::size_t i = 0; i < now.size(); ++i) {
-      registry_->add(ids_[i], now[i] - exported_[i]);
-    }
-    exported_ = now;
-  }
-
- private:
-  static constexpr std::size_t kCounters = 6;
-
-  static std::array<std::uint64_t, kCounters> totals(
-      const OverloadedSet& tracker) {
-    const LoadIndex& idx = tracker.load_index();
-    return {tracker.flush_checks(), tracker.dirty_marks(), idx.band_size(),
-            idx.bucket_moves(),     idx.reconciled(),      tracker.sweeps()};
-  }
-
-  obs::Registry* registry_ = nullptr;
-  std::array<obs::MetricId, kCounters> ids_{};
-  std::array<std::uint64_t, kCounters> exported_{};
 };
 
 }  // namespace tlb::core

@@ -28,9 +28,9 @@
 
 #include "tlb/core/metrics.hpp"
 #include "tlb/core/overloaded_set.hpp"
+#include "tlb/core/step_phases.hpp"
 #include "tlb/core/system_state.hpp"
 #include "tlb/core/thresholds.hpp"
-#include "tlb/obs/profile.hpp"
 #include "tlb/randomwalk/transition.hpp"
 #include "tlb/tasks/placement.hpp"
 
@@ -89,11 +89,10 @@ class ResourceControlledEngine {
   randomwalk::TransitionModel walk_;
   SystemState state_;  // owns the incremental overloaded-set tracking
   std::vector<Node> dst_;  // per round: one destination per evictee
-  // Observability: "resource.*" phase spans + deterministic counters,
-  // wired from EngineOptions::registry/trace in the constructor. Detached
-  // (the default) the spans take no timestamps.
-  obs::Sink sink_;
-  obs::MetricId m_walk_ns_, m_scatter_ns_, m_evictions_;
+  // Observability: "resource.*"; no probe, so dsan rows are state-only.
+  StepPhases phases_;
+  StepPhases::Phase walk_phase_, scatter_phase_;
+  StepPhases::Counter m_evictions_;
   TrackerCounters tracker_counters_;
 };
 

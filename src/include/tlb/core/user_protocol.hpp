@@ -47,16 +47,12 @@
 #include "tlb/core/grouped_state.hpp"
 #include "tlb/core/metrics.hpp"
 #include "tlb/core/overloaded_set.hpp"
+#include "tlb/core/step_phases.hpp"
 #include "tlb/core/system_state.hpp"
 #include "tlb/core/thresholds.hpp"
-#include "tlb/obs/profile.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/util/rng.hpp"
 #include "tlb/util/thread_pool.hpp"
-
-namespace tlb::dsan {
-class Digest;
-}  // namespace tlb::dsan
 
 namespace tlb::core {
 
@@ -134,12 +130,10 @@ class UserControlledEngine {
   std::vector<std::size_t> shard_movers_;  // scratch: leavers before shard
   std::vector<double> leave_p_;           // scratch: per-overloaded p
   std::vector<std::uint8_t> flat_mask_;   // scratch: flat departure mask
-  // Observability: "exact.*" phase spans + deterministic cost counters,
-  // wired from EngineOptions::registry/trace in the constructor. Detached
-  // (the default) the spans take no timestamps.
-  obs::Sink sink_;
-  obs::MetricId m_sample_ns_, m_merge_ns_, m_apply_ns_;
-  obs::MetricId m_coins_, m_departures_;
+  // Observability: "exact.*" phases and work counters.
+  StepPhases phases_;
+  StepPhases::Phase sample_phase_, merge_phase_, apply_phase_;
+  StepPhases::Counter m_coins_, m_departures_;
   TrackerCounters tracker_counters_;
 };
 
@@ -200,7 +194,8 @@ class GroupedUserEngine {
   UserProtocolConfig config_;  // its threshold moves into core_
   GroupedState core_;
   std::vector<std::uint32_t> task_class_;  // task id -> class
-  obs::MetricId m_departure_groups_, m_departures_;
+  StepPhases phases_;
+  StepPhases::Counter m_departure_groups_, m_departures_;
 };
 
 }  // namespace tlb::core

@@ -10,13 +10,12 @@
 // parallel refactors break determinism — is flagged at the round it
 // happens, not 40 rounds later as a failed byte-diff.
 //
-// Usage (engine side, all guarded on the probe pointer being non-null):
-//   probe->begin_step(rng);             // top of step(): attach + count
+// Usage (engine side): core::StepPhases brackets each step (begin_step
+// attaches and counts, end_step detaches and folds) and records the phase
+// digests; the sharded sampler calls the probe itself when one is set:
 //   probe->arm_shards(num_shards);      // before the sharded sampling
 //   ... in shard lambda: srng.attach_probe(probe->shard_slot(shard));
 //   probe->expect_shard_draws(shard, coins_in_(0,1));  // exact budgets only
-//   probe->phase("sample", digest);     // when want_phases()
-//   probe->end_step(rng);               // bottom of step(): detach + fold
 //
 // Shard slots are pre-sized, index-addressed plain counters: each shard
 // writes only its own slot, so the accounting is race-free and the fold

@@ -55,6 +55,20 @@ void print_registry() {
               tlb::workload::arrival_process_grammar().c_str());
 }
 
+/// A --dsan-plant at step `plant` is armed only if the probe sees more
+/// than `plant` steps; engines without a probe never step it. A plant that
+/// never fired proves nothing, so it fails the run: true (after a
+/// diagnostic) when `plant` was set and the probe saw at most `plant`
+/// steps.
+bool plant_missed(long plant, long steps_seen, const std::string& scenario) {
+  if (plant < 0 || steps_seen > plant) return false;
+  std::fprintf(stderr,
+               "tlb_sim: --dsan-plant=%ld planted nothing: scenario %s "
+               "stepped the dsan probe %ld times\n",
+               plant, scenario.c_str(), steps_seen);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -160,6 +174,7 @@ int main(int argc, char** argv) {
       struct SideRun {
         std::vector<dsan::Row> rows;
         std::vector<double> loads;
+        long steps_seen = 0;
       };
       const auto run_side = [&](std::size_t side_threads, long plant_step,
                                 bool detail, long capture_round) {
@@ -176,12 +191,13 @@ int main(int argc, char** argv) {
         side.round_observer = side_obs.or_null();
         const workload::Scenario side_scenario(spec, side);
         (void)side_scenario.run(/*trials=*/1, seed, /*threads=*/1);
-        return SideRun{fp.rows(), fp.captured_loads()};
+        return SideRun{fp.rows(), fp.captured_loads(), probe.steps_seen()};
       };
 
       const SideRun a = run_side(1, -1, false, -1);
       const SideRun b =
           run_side(params.engine_threads, plant, false, -1);
+      if (plant_missed(plant, b.steps_seen, scenario_arg)) return 1;
       const dsan::Divergence div = dsan::first_divergence(a.rows, b.rows);
       dsan::BisectReport report;
       if (div.found) {
@@ -254,6 +270,10 @@ int main(int argc, char** argv) {
     const workload::ScenarioResult result =
         scenario.run(trials, seed, threads);
     const double elapsed = timer.elapsed_seconds();
+    if (dsan_probe && plant_missed(cli.get_int("dsan-plant"),
+                                   dsan_probe->steps_seen(), scenario_arg)) {
+      return 1;
+    }
 
     if (trace) trace->write(obs_opts.trace_out);
     if (round_sink) {

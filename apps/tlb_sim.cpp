@@ -117,7 +117,9 @@ int main(int argc, char** argv) {
   cli.add_flag("dsan-plant", "-1",
                "bisector fault injection: consume one extra RNG draw on "
                "side B at this engine step (0-based, warmup steps included; "
-               "-1 = none)");
+               "-1 = none); with --dsan-bisect, --dsan-record or "
+               "--dsan-check only, and a plant that never fires fails the "
+               "run");
   util::ObsOptions::register_flags(cli, /*with_round_trace=*/true);
   if (!cli.parse(argc, argv)) return 1;
 
@@ -259,6 +261,12 @@ int main(int argc, char** argv) {
       dsan_fp.emplace(&*dsan_probe, registry ? &*registry : nullptr);
       observers.add(&*dsan_fp);
       params.dsan = &*dsan_probe;
+    } else if (cli.get_int("dsan-plant") >= 0) {
+      // No probe to arm: the plant would be silently ignored.
+      std::fprintf(stderr,
+                   "tlb_sim: --dsan-plant needs --dsan-bisect, --dsan-record "
+                   "or --dsan-check\n");
+      return 1;
     }
     params.registry = registry ? &*registry : nullptr;
     params.trace = trace ? &*trace : nullptr;

@@ -33,9 +33,9 @@
 namespace tlb::engine {
 
 /// The loop's knobs: the only place the round cap and the paranoid audits
-/// are set. Engine-construction knobs (threads, sinks, the dsan probe) live
-/// in core::EngineOptions. An aggregate, so a call site can name what it
-/// sets: drive(e, rng, {.max_rounds = 2000}).
+/// are set. An engine's own knobs (threads, its sinks, the dsan probe) are
+/// core::EngineOptions'. An aggregate, so a call site names what it sets:
+/// drive(e, rng, {.max_rounds = 2000}).
 struct DriveOptions {
   long max_rounds = 10000000;  ///< run-to-balance hard stop
   /// Audit the balancer before every round, warmup included, and once after

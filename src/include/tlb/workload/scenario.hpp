@@ -112,8 +112,10 @@ struct ScenarioParams {
   long warmup = 2000;             ///< churn mode unrecorded rounds
   long measure = 4000;            ///< churn mode recorded rounds
   graph::Node degree = 8;         ///< regular family degree
-  /// Audit every round: structural invariants plus incremental-overloaded-
-  /// set == brute-force-rescan. Slow; for tests and debug runs.
+  /// Audit every round, warmup included: structural invariants plus
+  /// incremental-overloaded-set == brute-force-rescan. Slow; for tests and
+  /// debug runs. The round cap, window and audits reach the engines as one
+  /// engine::DriveOptions.
   bool paranoid = false;
   /// Engine-level phase-1 sampling threads for the user-protocol family
   /// (exact / grouped / dynamic): 1 = inline, 0 = hardware concurrency.

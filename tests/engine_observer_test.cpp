@@ -273,9 +273,8 @@ void step_three(Engine& engine, const TaskSet& ts) {
 }
 
 TEST(EngineMetricsTest, MetricSurfaceKeepsNamesClassesAndOrder) {
-  // The lists were recorded from the engines before their instrumentation
-  // moved behind one seam; a reordered registration, a renamed metric or
-  // span, or a metric in the wrong class fails here.
+  // Literal lists: a reordered registration, a renamed metric or span, or
+  // a metric in the wrong class fails here.
   const graph::Node n = 64;
   // Three coin shards in round 1, so the two-thread pool runs tasks.
   const TaskSet coins = continuous_tasks(3 * 8192, 5);

@@ -16,6 +16,7 @@
 
 #include "tlb/core/mixed_protocol.hpp"
 #include "tlb/core/threshold.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/sim/runner.hpp"
@@ -37,21 +38,28 @@ struct MixedOutcome {
   std::size_t max_burst = 0;
 };
 
+/// The largest single-round migration count of a drive.
+class MaxBurst final : public engine::RoundObserver {
+ public:
+  void on_round_end(const engine::BalancerView&, long,
+                    std::size_t migrations) override {
+    max_ = std::max(max_, migrations);
+  }
+  std::size_t max() const noexcept { return max_; }
+
+ private:
+  std::size_t max_ = 0;
+};
+
 MixedOutcome one_trial(const graph::Graph& g, const tasks::TaskSet& ts,
                        core::MixedProtocolConfig cfg,
                        const tasks::Placement& start, util::Rng& rng) {
   core::MixedProtocolEngine engine(g, ts, cfg);
-  engine.reset(start);
+  MaxBurst burst;
   MixedOutcome out;
-  out.run.threshold = engine.reported_threshold();
-  while (!engine.balanced() && out.run.rounds < kMaxRounds) {
-    const std::size_t moved = engine.step(rng);
-    out.max_burst = std::max(out.max_burst, moved);
-    out.run.migrations += moved;
-    ++out.run.rounds;
-  }
-  out.run.balanced = engine.balanced();
-  out.run.final_max_load = engine.state().max_load();
+  out.run = engine::reset_and_run(engine, start, rng,
+                                  {.max_rounds = kMaxRounds}, &burst);
+  out.max_burst = burst.max();
   return out;
 }
 

@@ -15,7 +15,7 @@
 #include <limits>
 
 #include "tlb/core/resource_protocol.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/baseline_balancers.hpp"
 #include "tlb/engine/driver.hpp"

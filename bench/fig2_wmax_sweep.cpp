@@ -10,7 +10,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/sim/report.hpp"

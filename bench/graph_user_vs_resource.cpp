@@ -10,9 +10,9 @@
 #include <cmath>
 #include <cstdio>
 
-#include "tlb/core/graph_user_protocol.hpp"
+#include "tlb/core/mixed_protocol.hpp"
 #include "tlb/core/resource_protocol.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/sim/config.hpp"
 #include "tlb/sim/report.hpp"
@@ -88,11 +88,12 @@ int main(int argc, char** argv) {
     const auto user = sim::run_trials(
         trials, util::derive_seed(cli.get_int("seed"), point * 2 + 1),
         [&](util::Rng& rng) {
-          core::GraphUserConfig cfg;
+          core::MixedProtocolConfig cfg;
           cfg.threshold = T;
+          cfg.resource_probability = 0.0;  // graph user-controlled
           cfg.alpha = 1.0;
           cfg.walk = walk;
-          core::GraphUserEngine engine(g, ts, cfg);
+          core::MixedProtocolEngine engine(g, ts, cfg);
           return engine::reset_and_run(engine, tasks::all_on_one(ts), rng,
                                        {.max_rounds = 2000000});
         });

@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "tlb/core/mixed_protocol.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/sim/report.hpp"

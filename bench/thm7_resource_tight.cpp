@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "tlb/core/resource_protocol.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/randomwalk/hitting.hpp"
 #include "tlb/sim/config.hpp"

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "tlb/core/potential.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/util/rng.hpp"

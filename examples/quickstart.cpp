@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "tlb/core/resource_protocol.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"

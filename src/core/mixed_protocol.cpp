@@ -1,13 +1,49 @@
 #include "tlb/core/mixed_protocol.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "tlb/core/departure.hpp"
 #include "tlb/core/potential.hpp"
+#include "tlb/util/rng.hpp"
 
 namespace tlb::core {
+
+namespace {
+
+/// Algorithm 6.1's departures from one overloaded resource r: with
+/// p = leave_probability(alpha, φ_r, w_max, b_r), φ_r taken against
+/// state.thresholds()[r], every task on r flips one Bernoulli(p) coin on
+/// `rng`, bottom to top. The leavers are removed from r and appended to
+/// `movers`, and r is appended to `origin` once per leaver. Draws nothing
+/// when p is 0. `mask` is the caller's scratch.
+void flip_departures(SystemState& state, Node r, double alpha,
+                     util::Rng& rng, std::vector<std::uint8_t>& mask,
+                     std::vector<TaskId>& movers, std::vector<Node>& origin) {
+  const ResourceStack& stack = std::as_const(state).stack(r);
+  const tasks::TaskSet& ts = state.task_set();
+  const double p =
+      leave_probability(alpha, stack.phi(ts, state.thresholds()[r]),
+                        ts.max_weight(), stack.count());
+  if (p <= 0.0) return;
+  mask.assign(stack.count(), 0);
+  bool any = false;
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    if (rng.bernoulli(p)) {
+      mask[i] = 1;
+      any = true;
+    }
+  }
+  if (!any) return;
+  const std::size_t before = movers.size();
+  state.remove_marked(r, mask, movers);
+  origin.insert(origin.end(), movers.size() - before, r);
+}
+
+}  // namespace
 
 MixedProtocolEngine::MixedProtocolEngine(const graph::Graph& g,
                                          const tasks::TaskSet& ts,
@@ -16,7 +52,9 @@ MixedProtocolEngine::MixedProtocolEngine(const graph::Graph& g,
       walk_(g, config_.walk),
       state_(ts, g.num_nodes()) {
   config_.threshold.checked(g.num_nodes(), "MixedProtocolEngine");
-  if (config_.resource_probability < 0.0 || config_.resource_probability > 1.0) {
+  // Negated, so NaN fails too: a NaN blend would never act resource-mode.
+  const double beta = config_.resource_probability;
+  if (!(beta >= 0.0 && beta <= 1.0)) {
     throw std::invalid_argument(
         "MixedProtocolEngine: resource_probability in [0, 1]");
   }
@@ -35,12 +73,15 @@ void MixedProtocolEngine::reset(const tasks::Placement& placement) {
 std::size_t MixedProtocolEngine::step(util::Rng& rng) {
   // Phase 1: per overloaded resource, choose the mode for this round, then
   // collect leavers (decisions against the round-start state). The state's
-  // incremental overloaded set makes this O(#overloaded + #movers).
+  // incremental overloaded set makes this O(#overloaded + #movers). At
+  // β = 0 no blend coin is drawn, so the stream is the graph-user
+  // protocol's: departure coins, then walk steps.
   movers_.clear();
   mover_origin_.clear();
+  const double beta = config_.resource_probability;
   bool any_resource_mode = false;
   for (Node r : state_.overloaded()) {
-    if (rng.bernoulli(config_.resource_probability)) {
+    if (beta > 0.0 && rng.bernoulli(beta)) {
       // Resource-controlled round: evict the whole above-threshold suffix.
       any_resource_mode = true;
       const std::size_t before = movers_.size();

@@ -25,19 +25,6 @@ graph::Node sample_destination(graph::Node n, graph::Node src,
 
 }  // namespace
 
-std::optional<std::vector<double>> distinct_weights_capped(
-    const tasks::TaskSet& ts, std::size_t max_classes) {
-  std::vector<double> distinct;
-  distinct.reserve(max_classes + 1);
-  for (double w : ts.weights()) {
-    const auto it = std::lower_bound(distinct.begin(), distinct.end(), w);
-    if (it != distinct.end() && *it == w) continue;
-    if (distinct.size() == max_classes) return std::nullopt;
-    distinct.insert(it, w);
-  }
-  return distinct;
-}
-
 // ---------------------------------------------------------------------------
 // Exact engine
 // ---------------------------------------------------------------------------
@@ -237,13 +224,20 @@ namespace {
 /// lookup is a handful of comparisons per task, and task sets with too
 /// many classes are rejected as soon as the 65th distinct weight appears.
 std::vector<double> grouped_classes(const tasks::TaskSet& ts) {
-  std::optional<std::vector<double>> distinct =
-      distinct_weights_capped(ts, GroupedUserEngine::kMaxClasses);
-  if (!distinct) {
-    throw std::invalid_argument(
-        "GroupedUserEngine: too many distinct weights; use the exact engine");
+  constexpr std::size_t kMax = GroupedUserEngine::kMaxClasses;
+  std::vector<double> distinct;
+  distinct.reserve(kMax + 1);
+  for (double w : ts.weights()) {
+    const auto it = std::lower_bound(distinct.begin(), distinct.end(), w);
+    if (it != distinct.end() && *it == w) continue;
+    if (distinct.size() == kMax) {
+      throw std::invalid_argument(
+          "GroupedUserEngine: too many distinct weights; use the exact "
+          "engine");
+    }
+    distinct.insert(it, w);
   }
-  return std::move(*distinct);
+  return distinct;
 }
 
 }  // namespace

@@ -30,7 +30,7 @@
 #include "tlb/core/load_stats.hpp"
 #include "tlb/core/overloaded_set.hpp"
 #include "tlb/core/step_phases.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/graph/graph.hpp"
 #include "tlb/util/rng.hpp"
 #include "tlb/util/stats.hpp"

@@ -15,7 +15,7 @@
 
 #include <vector>
 
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/graph/graph.hpp"
 #include "tlb/tasks/task_set.hpp"
 #include "tlb/util/rng.hpp"

@@ -7,8 +7,13 @@
 // (evicting its entire above-threshold suffix, each evictee taking one
 // P-step), and otherwise leaves the decision to its *users* (each task
 // leaves with the Algorithm 6.1 probability α·⌈φ_r/w_max⌉/b_r and takes one
-// P-step). β = 1 recovers Algorithm 5.1; β = 0 recovers the graph variant
-// of Algorithm 6.1.
+// P-step). β = 1 recovers Algorithm 5.1. β = 0 is the graph variant of
+// Algorithm 6.1, and the engine behind the "graphuser" scenario protocol:
+// user-controlled migration on an arbitrary graph, the setting Hoefer &
+// Sauerwald analyse (an O(n⁵·H(G)·log m) bound for uniform tasks; the
+// paper analyses user control on the complete graph only). On the complete
+// graph with the max-degree walk it has Algorithm 6.1's law with
+// exclude_self destinations.
 //
 // The interesting trade-off the blend exposes: resource-controlled rounds
 // drain overload fast but migrate whole suffixes (bursty network traffic);
@@ -28,7 +33,9 @@ namespace tlb::core {
 struct MixedProtocolConfig {
   Thresholds threshold;  ///< T_r: uniform or one per node
   /// Probability that an overloaded resource acts resource-controlled this
-  /// round (β above). 0 = pure user, 1 = pure resource.
+  /// round (β above), in [0, 1]. 1 = pure resource. 0 = pure user: the
+  /// graph-user protocol, which draws no blend coin at all, so its stream
+  /// is departure coins and walk steps only.
   double resource_probability = 0.5;
   double alpha = 1.0;  ///< user-side migration dampening α
   randomwalk::WalkKind walk = randomwalk::WalkKind::kMaxDegree;

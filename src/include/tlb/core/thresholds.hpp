@@ -1,10 +1,18 @@
 #pragma once
-// The thresholds an engine balances against, as one value type.
+// Thresholds: the paper's threshold regimes, and the thresholds an engine
+// balances against as one value type.
 //
-// The paper gives every resource one global threshold T (Section 4); the
-// non-uniform extension (hetero.hpp) gives resource r its own T_r. A
-// Thresholds holds either: one value for every resource, or one value per
-// resource. Every layer stores, validates and reads thresholds through
+// Regimes (Section 4 / 5.2 / 6.2). The paper gives every resource one
+// global threshold T and distinguishes (threshold_value computes them):
+//   * above-average:   T = (1+eps)·W/n + w_max   (eps > 0 constant)
+//   * tight, resource: T = W/n + 2·w_max          (Theorem 7)
+//   * tight, user:     T = W/n + w_max            (Theorem 12)
+// Thresholds must be at least the average load; the paper assumes W/n is
+// known (computable by diffusion, see core/diffusion.hpp) or given.
+//
+// Value type. The non-uniform extension (hetero.hpp) gives resource r its
+// own T_r. A Thresholds holds either: one value for every resource, or one
+// value per resource. Every layer stores, validates and reads thresholds through
 // it, so the scalar-or-vector choice is made here and nowhere else:
 //
 //   * operator[](r) and max() read it (max() is cached);
@@ -14,14 +22,38 @@
 //     vector's data), both indexed by resource.
 //
 // A default-constructed Thresholds is unset; engines reject it. The
-// header depends only on graph::Node, so the mem layer can use it too.
+// header depends only on graph::Node (tasks::TaskSet is only declared), so
+// the mem layer can use it too.
 
 #include <cstdint>
 #include <vector>
 
 #include "tlb/graph/graph.hpp"
 
+namespace tlb::tasks {
+class TaskSet;
+}  // namespace tlb::tasks
+
 namespace tlb::core {
+
+/// Which threshold regime to run.
+enum class ThresholdKind {
+  kAboveAverage,   ///< (1+eps)·W/n + w_max
+  kTightResource,  ///< W/n + 2·w_max
+  kTightUser,      ///< W/n + w_max
+};
+
+/// Human-readable name.
+const char* to_string(ThresholdKind kind);
+
+/// Compute the threshold value for the given regime.
+/// `eps` is only used by kAboveAverage and must then be > 0.
+double threshold_value(ThresholdKind kind, double total_weight, graph::Node n,
+                       double w_max, double eps = 0.0);
+
+/// Convenience overload taking the TaskSet.
+double threshold_value(ThresholdKind kind, const tasks::TaskSet& tasks,
+                       graph::Node n, double eps = 0.0);
 
 class Thresholds {
  public:

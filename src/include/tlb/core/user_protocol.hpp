@@ -41,7 +41,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "tlb/core/grouped_state.hpp"
@@ -55,16 +54,6 @@
 #include "tlb/util/thread_pool.hpp"
 
 namespace tlb::core {
-
-/// The ascending table of distinct weights in `ts`, or std::nullopt when
-/// more than `max_classes` distinct values exist (detected as soon as the
-/// (max_classes+1)-th one appears — continuous distributions bail out
-/// within the first ~max_classes tasks). One pass, a small sorted insert
-/// set, no O(m log m) sort. Shared by the GroupedUserEngine constructor
-/// and workload::grouped_engine_applicable so the applicability check can
-/// never diverge from what the constructor accepts.
-std::optional<std::vector<double>> distinct_weights_capped(
-    const tasks::TaskSet& ts, std::size_t max_classes);
 
 /// Shared configuration for both user-protocol engines.
 struct UserProtocolConfig {

@@ -140,10 +140,10 @@ class ViewOf final : public BalancerView {
                            { b_->state() }
                            -> std::convertible_to<const core::SystemState&>;
                          }) {
-      // SystemState-backed engines (exact user, graph-user, mixed,
-      // resource) need no hook of their own: the state serves the snapshot
-      // against the engine's reported threshold, index-accelerated when the
-      // tracker's load index is live.
+      // SystemState-backed engines (exact user, mixed, resource) need no
+      // hook of their own: the state serves the snapshot against the
+      // engine's reported threshold, index-accelerated when the tracker's
+      // load index is live.
       out = b_->state().load_stats(b_->reported_threshold(), calc);
       return true;
     } else {

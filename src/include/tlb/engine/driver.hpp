@@ -3,7 +3,7 @@
 //
 // drive() is the round loop — check balance, maybe audit, step, notify the
 // observers, repeat until the cap — once, for anything satisfying the
-// Balancer concept: the paper's six core engines, the six comparison
+// Balancer concept: the paper's five core engines, the six comparison
 // baselines, the perf suite's arena churn, and whatever protocol lands
 // next. It is the only round loop in the library, and DriveOptions is the
 // only place its knobs are set.

@@ -35,7 +35,6 @@ struct GraphSpec {
   GraphFamily family = GraphFamily::kComplete;
   graph::Node n = 0;       ///< node count (rounded per family, see build())
   graph::Node degree = 8;  ///< kRegular: degree; kCliqueSatellite: k edges
-  double er_p_factor = 4.0;  ///< kErdosRenyi: p = factor * ln(n)/n
 
   /// Build the graph. Randomised families draw from `rng`. The node count
   /// is adjusted to the family's constraint (next square for grids, next

@@ -14,7 +14,8 @@
 // Protocols: user (Algorithm 6.1, complete graph; grouped engine when the
 // weight classes allow, exact otherwise), resource (Algorithm 5.1, any
 // graph), graphuser (Algorithm 6.1 with one P-step per migration, any
-// graph), mixed(beta) (resource with probability beta, else user). Churn
+// graph; the mixed engine at beta = 0), mixed(beta) (resource with
+// probability beta, else user). Churn
 // arrivals (poisson/burst) currently require user:complete — they run the
 // grouped dynamic engine with the weight model reduced to a class table.
 //
@@ -41,7 +42,7 @@
 #include <vector>
 
 #include "tlb/core/dynamic.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/graph/graph.hpp"
@@ -60,7 +61,7 @@ class ArrivalProcess;
 enum class ProtocolKind {
   kUser,       ///< Algorithm 6.1 on the complete graph
   kResource,   ///< Algorithm 5.1 on an arbitrary graph
-  kGraphUser,  ///< user-controlled with one P-step per migration
+  kGraphUser,  ///< user-controlled, one P-step per migration (mixed, β = 0)
   kMixed,      ///< blend: resource w.p. beta, user otherwise
   kSeqThresh,  ///< [5] sequential threshold allocation (retry until fits)
   kParThresh,  ///< [4] parallel threshold rounds (propose/accept/retry)
@@ -197,10 +198,6 @@ struct NamedScenario {
   std::string spec;
   std::string description;
 };
-
-/// True iff the grouped user engine can represent `ts` (it accepts at most
-/// GroupedUserEngine::kMaxClasses distinct weights).
-bool grouped_engine_applicable(const tasks::TaskSet& ts);
 
 /// Try to construct the grouped engine for (ts, n, cfg): nullopt when the
 /// task set is not applicable or the constructor rejects it. The single

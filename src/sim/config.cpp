@@ -61,8 +61,10 @@ graph::Graph GraphSpec::build(util::Rng& rng) const {
       return graph::random_regular(nn, degree, rng);
     }
     case GraphFamily::kErdosRenyi: {
+      // p = 4·ln(n)/n: four times the connectivity threshold.
+      constexpr double kPFactor = 4.0;
       const double p =
-          er_p_factor * std::log(static_cast<double>(n)) / static_cast<double>(n);
+          kPFactor * std::log(static_cast<double>(n)) / static_cast<double>(n);
       return graph::erdos_renyi_connected(n, std::min(p, 1.0), rng);
     }
     case GraphFamily::kCliqueSatellite:

@@ -10,7 +10,6 @@
 
 #include <stdexcept>
 
-#include "tlb/core/graph_user_protocol.hpp"
 #include "tlb/core/metrics.hpp"
 #include "tlb/core/mixed_protocol.hpp"
 #include "tlb/core/resource_protocol.hpp"
@@ -50,7 +49,8 @@ concept StartsFromPlacement = requires(E& e, const tasks::Placement& p) {
 ///   user                          grouped engine, or the exact one when
 ///                                 the grouped form rejects the task set
 ///                                 (try_grouped_user_engine);
-///   resource, graphuser, mixed    on *in.graph;
+///   resource, graphuser, mixed    on *in.graph; graphuser is the mixed
+///                                 engine at β = 0;
 ///   the six baselines             on the complete bin model, twochoice
 ///                                 and onebeta with the spec's d / beta.
 /// The caller resets the engine iff StartsFromPlacement, then drives it.
@@ -79,18 +79,12 @@ decltype(auto) with_batch_engine(const ScenarioSpec& spec,
       core::ResourceControlledEngine engine(*in.graph, ts, cfg);
       return fn(engine);
     }
-    case ProtocolKind::kGraphUser: {
-      core::GraphUserConfig cfg;
-      cfg.threshold = T;
-      cfg.alpha = in.alpha;
-      cfg.walk = in.walk;
-      core::GraphUserEngine engine(*in.graph, ts, cfg);
-      return fn(engine);
-    }
+    case ProtocolKind::kGraphUser:
     case ProtocolKind::kMixed: {
       core::MixedProtocolConfig cfg;
       cfg.threshold = T;
-      cfg.resource_probability = spec.mixed_beta;
+      cfg.resource_probability =
+          spec.protocol == ProtocolKind::kMixed ? spec.mixed_beta : 0.0;
       cfg.alpha = in.alpha;
       cfg.walk = in.walk;
       core::MixedProtocolEngine engine(*in.graph, ts, cfg);

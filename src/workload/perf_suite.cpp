@@ -16,7 +16,7 @@
 #include "tlb/core/dynamic.hpp"
 #include "tlb/core/potential.hpp"
 #include "tlb/core/system_state.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/dsan/observer.hpp"
 #include "tlb/dsan/probe.hpp"
 #include "tlb/dsan/trace.hpp"

@@ -416,14 +416,6 @@ std::string ScenarioResult::json(const std::string& metrics_raw,
   return j.str();
 }
 
-bool grouped_engine_applicable(const tasks::TaskSet& ts) {
-  // Same capped scan the GroupedUserEngine constructor runs, so this can
-  // never diverge from what the constructor accepts.
-  return core::distinct_weights_capped(ts,
-                                       core::GroupedUserEngine::kMaxClasses)
-      .has_value();
-}
-
 core::DynamicConfig make_dynamic_config(const tasks::WeightModel& model,
                                         const ArrivalProcess& process,
                                         graph::Node n, double eps,

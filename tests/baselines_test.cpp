@@ -4,7 +4,7 @@
 
 #include <limits>
 
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/engine/baseline_balancers.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/tasks/placement.hpp"

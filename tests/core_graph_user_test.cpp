@@ -1,13 +1,14 @@
 // Tests for the graph user-protocol extension (user-controlled migration on
-// arbitrary graphs, the Hoefer–Sauerwald setting).
-#include "tlb/core/graph_user_protocol.hpp"
+// arbitrary graphs, the Hoefer–Sauerwald setting): the mixed engine at
+// blend β = 0, which is what the "graphuser" scenario protocol runs.
+#include "tlb/core/mixed_protocol.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
@@ -25,9 +26,11 @@ using tlb::tasks::TaskSet;
 using tlb::util::Rng;
 using tlb::engine::reset_and_run;
 
-GraphUserConfig make_config(double threshold, double alpha = 1.0) {
-  GraphUserConfig cfg;
+/// The graph-user protocol: no resource-controlled rounds.
+MixedProtocolConfig make_config(double threshold, double alpha = 1.0) {
+  MixedProtocolConfig cfg;
   cfg.threshold = threshold;
+  cfg.resource_probability = 0.0;
   cfg.alpha = alpha;
   return cfg;
 }
@@ -39,9 +42,9 @@ TEST(GraphUserTest, TerminatesOnTorus) {
   const TaskSet ts = tlb::tasks::uniform_unit(8 * 36);
   const double T =
       threshold_value(ThresholdKind::kAboveAverage, ts, g.num_nodes(), 0.3);
-  GraphUserConfig cfg = make_config(T);
+  MixedProtocolConfig cfg = make_config(T);
   cfg.walk = tlb::randomwalk::WalkKind::kLazy;
-  GraphUserEngine engine(g, ts, cfg);
+  MixedProtocolEngine engine(g, ts, cfg);
   Rng rng(1);
   const RunResult r = reset_and_run(engine, all_on_one(ts), rng, kDrive);
   EXPECT_TRUE(r.balanced);
@@ -54,7 +57,7 @@ TEST(GraphUserTest, WeightConservation) {
   const TaskSet ts = tlb::tasks::two_point(200, 6, 8.0);
   const double T =
       threshold_value(ThresholdKind::kAboveAverage, ts, g.num_nodes(), 0.3);
-  GraphUserEngine engine(g, ts, make_config(T));
+  MixedProtocolEngine engine(g, ts, make_config(T));
   Rng rng(3);
   const RunResult r =
       reset_and_run(engine, all_on_one(ts), rng,
@@ -75,7 +78,7 @@ TEST(GraphUserTest, CompleteGraphMatchesUniformEngineStatistically) {
 
   const auto via_graph = tlb::sim::run_trials(
       kTrials, 0x6a1, [&](Rng& rng) {
-        GraphUserEngine engine(g, ts, make_config(T));
+        MixedProtocolEngine engine(g, ts, make_config(T));
         return reset_and_run(engine, all_on_one(ts), rng, kDrive);
       });
   const auto via_uniform = tlb::sim::run_trials(
@@ -100,10 +103,10 @@ TEST(GraphUserTest, BetterConnectivityBalancesFaster) {
   const double T = threshold_value(ThresholdKind::kAboveAverage, ts, n, 0.3);
   auto mean_rounds = [&](const Graph& g, tlb::randomwalk::WalkKind walk,
                          std::uint64_t seed) {
-    GraphUserConfig cfg = make_config(T);
+    MixedProtocolConfig cfg = make_config(T);
     cfg.walk = walk;
     return tlb::sim::run_trials(25, seed, [&](Rng& rng) {
-             GraphUserEngine engine(g, ts, cfg);
+             MixedProtocolEngine engine(g, ts, cfg);
              return reset_and_run(engine, all_on_one(ts), rng, kDrive);
            })
         .rounds.mean();
@@ -120,10 +123,10 @@ TEST(GraphUserTest, NonUniformThresholdsRespected) {
   // First row gets double the capacity of everyone else.
   std::vector<double> thresholds(16, 7.0);
   for (int i = 0; i < 4; ++i) thresholds[i] = 14.0;
-  GraphUserConfig cfg;
+  MixedProtocolConfig cfg = make_config(1.0);
   cfg.threshold = thresholds;
   cfg.walk = tlb::randomwalk::WalkKind::kLazy;
-  GraphUserEngine engine(g, ts, cfg);
+  MixedProtocolEngine engine(g, ts, cfg);
   Rng rng(4);
   const RunResult r = reset_and_run(engine, all_on_one(ts), rng, kDrive);
   ASSERT_TRUE(r.balanced);
@@ -135,24 +138,26 @@ TEST(GraphUserTest, NonUniformThresholdsRespected) {
 TEST(GraphUserTest, RejectsBadConfig) {
   const Graph g = tlb::graph::complete(4);
   const TaskSet ts = tlb::tasks::uniform_unit(8);
-  EXPECT_THROW(GraphUserEngine(g, ts, make_config(0.0)), std::invalid_argument);
-  EXPECT_THROW(GraphUserEngine(g, ts, make_config(5.0, 0.0)),
+  EXPECT_THROW(MixedProtocolEngine(g, ts, make_config(0.0)),
                std::invalid_argument);
-  GraphUserConfig bad;
+  EXPECT_THROW(MixedProtocolEngine(g, ts, make_config(5.0, 0.0)),
+               std::invalid_argument);
+  MixedProtocolConfig bad = make_config(1.0);
   bad.threshold = std::vector<double>{1.0, 1.0};
-  EXPECT_THROW(GraphUserEngine(g, ts, bad), std::invalid_argument);
+  EXPECT_THROW(MixedProtocolEngine(g, ts, bad), std::invalid_argument);
   // Non-finite threshold, per-resource thresholds and alpha.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   for (const double x : {nan, inf, -inf}) {
-    EXPECT_THROW(GraphUserEngine(g, ts, make_config(x)), std::invalid_argument)
-        << x;
-    EXPECT_THROW(GraphUserEngine(g, ts, make_config(5.0, x)),
+    EXPECT_THROW(MixedProtocolEngine(g, ts, make_config(x)),
                  std::invalid_argument)
         << x;
-    GraphUserConfig per = make_config(5.0);
+    EXPECT_THROW(MixedProtocolEngine(g, ts, make_config(5.0, x)),
+                 std::invalid_argument)
+        << x;
+    MixedProtocolConfig per = make_config(5.0);
     per.threshold = std::vector<double>{5.0, 5.0, x, 5.0};
-    EXPECT_THROW(GraphUserEngine(g, ts, per), std::invalid_argument) << x;
+    EXPECT_THROW(MixedProtocolEngine(g, ts, per), std::invalid_argument) << x;
   }
 }
 
@@ -160,9 +165,9 @@ TEST(GraphUserTest, DeterministicGivenSeed) {
   const Graph g = tlb::graph::grid2d(4, 4);
   const TaskSet ts = tlb::tasks::uniform_unit(64);
   const double T = threshold_value(ThresholdKind::kAboveAverage, ts, 16, 0.3);
-  GraphUserConfig cfg = make_config(T);
+  MixedProtocolConfig cfg = make_config(T);
   cfg.walk = tlb::randomwalk::WalkKind::kLazy;
-  GraphUserEngine a(g, ts, cfg), b(g, ts, cfg);
+  MixedProtocolEngine a(g, ts, cfg), b(g, ts, cfg);
   Rng ra(5), rb(5);
   const RunResult r1 = reset_and_run(a, all_on_one(ts), ra, kDrive);
   const RunResult r2 = reset_and_run(b, all_on_one(ts), rb, kDrive);

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "tlb/core/graph_user_protocol.hpp"
 #include "tlb/core/mixed_protocol.hpp"
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/thresholds.hpp"
@@ -173,10 +172,11 @@ void with_engine(EngineKind kind, const Graph& g, const TaskSet& ts,
       return;
     }
     case EngineKind::kGraphUser: {
-      GraphUserConfig cfg;
+      MixedProtocolConfig cfg;
       cfg.threshold = thresholds;
+      cfg.resource_probability = 0.0;
       cfg.walk = lazy;
-      GraphUserEngine engine(g, ts, cfg);
+      MixedProtocolEngine engine(g, ts, cfg);
       fn(engine);
       return;
     }

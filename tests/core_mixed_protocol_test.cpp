@@ -1,15 +1,21 @@
 // Tests for the mixed resource/user protocol (the paper's proposed future
 // work): the β endpoints recover the pure protocols, intermediate blends
-// terminate, and the height-based eviction matches the acceptance-based one.
+// terminate, the height-based eviction matches the acceptance-based one,
+// and every round equals a naive reference round bit for bit.
 #include "tlb/core/mixed_protocol.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "tlb/core/departure.hpp"
+#include "tlb/core/hetero.hpp"
 #include "tlb/core/resource_protocol.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/sim/runner.hpp"
@@ -21,7 +27,11 @@ namespace {
 using namespace tlb::core;
 using tlb::graph::Graph;
 using tlb::graph::Node;
+using tlb::randomwalk::TransitionModel;
+using tlb::randomwalk::WalkKind;
 using tlb::tasks::all_on_one;
+using tlb::tasks::Placement;
+using tlb::tasks::TaskId;
 using tlb::tasks::TaskSet;
 using tlb::util::Rng;
 using tlb::engine::reset_and_run;
@@ -166,10 +176,14 @@ TEST(MixedProtocolTest, RejectsBadConfig) {
                std::invalid_argument);
   EXPECT_THROW(MixedProtocolEngine(g, ts, make_config(5.0, 0.5, 0.0)),
                std::invalid_argument);
-  // Non-finite threshold, per-resource thresholds and alpha.
+  // Non-finite blend, threshold, per-resource thresholds and alpha. A NaN
+  // blend must not pass as 0, the graph-user protocol.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   for (const double x : {nan, inf, -inf}) {
+    EXPECT_THROW(MixedProtocolEngine(g, ts, make_config(5.0, x)),
+                 std::invalid_argument)
+        << x;
     EXPECT_THROW(MixedProtocolEngine(g, ts, make_config(x, 0.5)),
                  std::invalid_argument)
         << x;
@@ -179,6 +193,199 @@ TEST(MixedProtocolTest, RejectsBadConfig) {
     MixedProtocolConfig per = make_config(5.0, 0.5);
     per.threshold = std::vector<double>{5.0, x, 5.0, 5.0};
     EXPECT_THROW(MixedProtocolEngine(g, ts, per), std::invalid_argument) << x;
+  }
+}
+
+/// The mixed protocol, naively: one std::vector stack per resource, loads
+/// updated as the arena does (a push adds w, a removal subtracts each
+/// removed task's weight in stack order), and a round that
+///   (1) lists {r : load_r > T_r} at round start, ascending;
+///   (2) per listed r, draws the β-coin only when β > 0; resource mode
+///       evicts every task from the first one that does not fit completely
+///       below T_r upward, user mode flips one Bernoulli(p_r) coin per task,
+///       bottom to top, with p_r = leave_probability(α, φ_r, w_max, b_r);
+///   (3) takes one walk.step per mover, in mover order;
+///   (4) pushes the movers in mover order.
+class NaiveMixedRounds {
+ public:
+  NaiveMixedRounds(const TaskSet& ts, std::vector<double> thresholds,
+                   double beta, double alpha, const Placement& placement)
+      : ts_(&ts), thresholds_(std::move(thresholds)), beta_(beta),
+        alpha_(alpha), stacks_(thresholds_.size()) {
+    for (TaskId id = 0; id < placement.size(); ++id) push(placement[id], id);
+  }
+
+  std::size_t step(const TransitionModel& walk, Rng& rng) {
+    std::vector<Node> overloaded;
+    for (Node r = 0; r < stacks_.size(); ++r) {
+      if (stacks_[r].load > thresholds_[r]) overloaded.push_back(r);
+    }
+    std::vector<TaskId> movers;
+    std::vector<Node> dst;
+    bool any_resource_mode = false;
+    for (const Node r : overloaded) {
+      Stack& s = stacks_[r];
+      std::vector<bool> leave(s.ids.size(), false);
+      const auto [fit, fit_height] = fitting_prefix(r);
+      if (beta_ > 0.0 && rng.bernoulli(beta_)) {
+        any_resource_mode = true;
+        for (std::size_t i = fit; i < s.ids.size(); ++i) leave[i] = true;
+      } else {
+        const double phi = s.load - fit_height;
+        const double p =
+            leave_probability(alpha_, phi, ts_->max_weight(), s.ids.size());
+        for (std::size_t i = 0; i < s.ids.size(); ++i) {
+          leave[i] = rng.bernoulli(p);
+        }
+      }
+      std::vector<TaskId> kept;
+      for (std::size_t i = 0; i < s.ids.size(); ++i) {
+        if (leave[i]) {
+          movers.push_back(s.ids[i]);
+          dst.push_back(r);
+          s.load -= ts_->weight(s.ids[i]);
+        } else {
+          kept.push_back(s.ids[i]);
+        }
+      }
+      s.ids = std::move(kept);
+    }
+    if (any_resource_mode) ++resource_rounds_;
+    for (Node& d : dst) d = walk.step(d, rng);
+    for (std::size_t j = 0; j < movers.size(); ++j) push(dst[j], movers[j]);
+    return movers.size();
+  }
+
+  /// Expect `engine`'s state to equal this one bitwise: stacks bottom to
+  /// top, loads and the resource-round count.
+  void expect_matches(const MixedProtocolEngine& engine,
+                      const std::string& at) const {
+    const tlb::mem::TaskArena& arena = engine.state().arena();
+    for (Node r = 0; r < stacks_.size(); ++r) {
+      ASSERT_EQ(arena.tasks(r), stacks_[r].ids) << at << " resource " << r;
+      ASSERT_EQ(arena.load(r), stacks_[r].load) << at << " resource " << r;
+    }
+    ASSERT_EQ(engine.resource_rounds(), resource_rounds_) << at;
+  }
+
+ private:
+  struct Stack {
+    std::vector<TaskId> ids;
+    double load = 0.0;
+  };
+
+  /// r's largest prefix of tasks completely below T_r: its length and its
+  /// height, summed bottom up.
+  std::pair<std::size_t, double> fitting_prefix(Node r) const {
+    const Stack& s = stacks_[r];
+    double h = 0.0;
+    std::size_t keep = 0;
+    for (; keep < s.ids.size(); ++keep) {
+      const double w = ts_->weight(s.ids[keep]);
+      if (h + w > thresholds_[r]) break;
+      h += w;
+    }
+    return {keep, h};
+  }
+
+  void push(Node r, TaskId id) {
+    stacks_[r].ids.push_back(id);
+    stacks_[r].load += ts_->weight(id);
+  }
+
+  const TaskSet* ts_;
+  std::vector<double> thresholds_;
+  double beta_;
+  double alpha_;
+  std::vector<Stack> stacks_;
+  long resource_rounds_ = 0;
+};
+
+/// Drive the engine and the naive rounds from one seed, round by round,
+/// until balanced: equal state, migrations and generator position after
+/// every round.
+void expect_engine_matches_naive_rounds(const Graph& g, const TaskSet& ts,
+                                        const MixedProtocolConfig& cfg,
+                                        const Placement& start,
+                                        std::uint64_t seed,
+                                        const std::string& what) {
+  MixedProtocolEngine engine(g, ts, cfg);
+  engine.reset(start);
+  std::vector<double> thresholds(g.num_nodes());
+  for (Node r = 0; r < g.num_nodes(); ++r) {
+    thresholds[r] = engine.state().thresholds()[r];
+  }
+  NaiveMixedRounds naive(ts, thresholds, cfg.resource_probability, cfg.alpha,
+                         start);
+  const TransitionModel walk(g, cfg.walk);
+  Rng a(seed), b(seed);
+  naive.expect_matches(engine, what + " start");
+  int rounds = 0;
+  for (; rounds < 50000 && !engine.balanced(); ++rounds) {
+    const std::string at = what + " round " + std::to_string(rounds);
+    const std::size_t moved = engine.step(a);
+    ASSERT_EQ(moved, naive.step(walk, b)) << at;
+    ASSERT_EQ(a.state_hash(), b.state_hash()) << at;
+    ASSERT_NO_FATAL_FAILURE(naive.expect_matches(engine, at));
+  }
+  EXPECT_TRUE(engine.balanced()) << what;
+  EXPECT_GT(rounds, 3) << what;
+}
+
+/// `light` bounded-Pareto weights and `heavy` tasks of weight `w_heavy`,
+/// the heavy ones first (the bottom of an all-on-one stack) or last (its
+/// top).
+TaskSet pareto_with_heavies(std::size_t light, std::size_t heavy,
+                            double w_heavy, bool heavy_first,
+                            std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> w =
+      tlb::tasks::bounded_pareto(light, 2.5, 4.0, rng).weights();
+  w.insert(heavy_first ? w.begin() : w.end(), heavy, w_heavy);
+  return TaskSet(std::move(w));
+}
+
+TEST(MixedProtocolTest, MatchesNaiveRoundBitForBit) {
+  for (const double beta : {0.0, 0.5, 1.0}) {
+    const std::string b = "beta=" + std::to_string(beta) + " ";
+    // Torus, lazy walk, uniform threshold, heavy tasks at the bottom.
+    {
+      const Graph g = tlb::graph::grid2d(8, 8, /*torus=*/true);
+      const TaskSet ts = pareto_with_heavies(400, 12, 9.0, true, 31);
+      MixedProtocolConfig cfg = make_config(
+          threshold_value(ThresholdKind::kAboveAverage, ts, 64, 0.25), beta);
+      expect_engine_matches_naive_rounds(g, ts, cfg, all_on_one(ts), 41,
+                                         b + "torus/lazy/heavy-bottom");
+    }
+    // Erdős–Rényi, max-degree walk: irregular degrees, so the walk's
+    // self-loop mass differs per node; heavy tasks at the top.
+    {
+      Rng grng(32);
+      const Graph g = tlb::graph::erdos_renyi_connected(48, 0.12, grng);
+      const TaskSet ts = pareto_with_heavies(300, 10, 7.5, false, 33);
+      MixedProtocolConfig cfg = make_config(
+          threshold_value(ThresholdKind::kAboveAverage, ts, 48, 0.3), beta);
+      cfg.walk = WalkKind::kMaxDegree;
+      expect_engine_matches_naive_rounds(g, ts, cfg, all_on_one(ts), 42,
+                                         b + "er/max-degree/heavy-top");
+    }
+    // Random regular graph, max-degree walk, speed-proportional
+    // per-resource thresholds, tasks starting on random resources.
+    {
+      Rng grng(34);
+      const Graph g = tlb::graph::random_regular(40, 4, grng);
+      const TaskSet ts = pareto_with_heavies(320, 8, 8.0, false, 35);
+      MixedProtocolConfig cfg = make_config(1.0, beta);
+      cfg.walk = WalkKind::kMaxDegree;
+      cfg.threshold = speed_proportional_thresholds(
+          ts, two_class_speeds(40, 6, 3.0), ThresholdKind::kAboveAverage,
+          0.3);
+      Rng prng(36);
+      Placement start(ts.size());
+      for (Node& r : start) r = static_cast<Node>(prng.uniform_below(5));
+      expect_engine_matches_naive_rounds(g, ts, cfg, start, 43,
+                                         b + "regular/per-resource");
+    }
   }
 }
 

@@ -16,7 +16,7 @@
 
 #include "tlb/core/dynamic.hpp"
 #include "tlb/core/system_state.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/tasks/placement.hpp"

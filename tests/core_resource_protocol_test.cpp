@@ -12,7 +12,7 @@
 
 #include "tlb/core/hetero.hpp"
 #include "tlb/core/potential.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/tasks/weights.hpp"

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "tlb/core/potential.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/tasks/weights.hpp"
 
 namespace {

@@ -10,7 +10,7 @@
 #include <limits>
 
 #include "tlb/core/potential.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/sim/runner.hpp"
 #include "tlb/tasks/weights.hpp"

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "tlb/core/dynamic.hpp"
-#include "tlb/core/graph_user_protocol.hpp"
 #include "tlb/core/mixed_protocol.hpp"
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/user_protocol.hpp"
@@ -178,7 +177,7 @@ TEST(EngineDriverTest, GroupedEngineMatchesLegacyLoop) {
       kTraced, tasks::all_on_one(ts), 902);
 }
 
-TEST(EngineDriverTest, GraphUserEngineMatchesLegacyLoop) {
+TEST(EngineDriverTest, GraphUserProtocolMatchesLegacyLoop) {
   const graph::Graph g = graph::hypercube(6);
   const TaskSet ts = continuous_tasks(512, 0xBEE);
   const double T =
@@ -186,9 +185,10 @@ TEST(EngineDriverTest, GraphUserEngineMatchesLegacyLoop) {
   differential(
       "graphuser",
       [&](std::size_t) {
-        core::GraphUserConfig cfg;
+        core::MixedProtocolConfig cfg;
         cfg.threshold = T;
-        return core::GraphUserEngine(g, ts, cfg);
+        cfg.resource_probability = 0.0;
+        return core::MixedProtocolEngine(g, ts, cfg);
       },
       kTraced, tasks::all_on_one(ts), 903);
 }

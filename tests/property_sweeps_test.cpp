@@ -16,7 +16,7 @@
 
 #include "tlb/core/potential.hpp"
 #include "tlb/core/resource_protocol.hpp"
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"

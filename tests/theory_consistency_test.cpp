@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/randomwalk/cover.hpp"
 #include "tlb/randomwalk/hitting.hpp"

@@ -10,7 +10,7 @@
 #include <limits>
 #include <set>
 
-#include "tlb/core/threshold.hpp"
+#include "tlb/core/thresholds.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/workload/arrival.hpp"
@@ -445,11 +445,11 @@ TEST(RunUserTrialTest, FallsBackToExactEngineBeyondClassLimit) {
     weights.push_back(1.0 + static_cast<double>(i) * 0.01);  // all distinct
   }
   const tasks::TaskSet ts(std::move(weights));
-  ASSERT_FALSE(workload::grouped_engine_applicable(ts));
   const graph::Node n = 16;
   core::UserProtocolConfig cfg;
   cfg.threshold = core::threshold_value(core::ThresholdKind::kAboveAverage,
                                         ts, n, /*eps=*/0.25);
+  ASSERT_FALSE(workload::try_grouped_user_engine(ts, n, cfg));
   Rng rng(5);
   core::RunResult result;
   ASSERT_NO_THROW(result = workload::run_user_trial(

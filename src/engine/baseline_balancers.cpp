@@ -85,10 +85,8 @@ void BinLoadBalancer::check_total_weight(double expected_weight,
 // ---- SequentialThresholdBalancer ------------------------------------------
 
 SequentialThresholdBalancer::SequentialThresholdBalancer(
-    const tasks::TaskSet& ts, graph::Node n, double threshold,
-    int max_retries_per_ball)
-    : BinLoadBalancer(ts, n, threshold, "SequentialThresholdBalancer"),
-      max_retries_(max_retries_per_ball) {}
+    const tasks::TaskSet& ts, graph::Node n, double threshold)
+    : BinLoadBalancer(ts, n, threshold, "SequentialThresholdBalancer") {}
 
 std::size_t SequentialThresholdBalancer::step(util::Rng& rng) {
   if (done_) return 0;
@@ -97,7 +95,7 @@ std::size_t SequentialThresholdBalancer::step(util::Rng& rng) {
   for (tasks::TaskId i = 0; i < tasks_->size(); ++i) {
     const double w = tasks_->weight(i);
     bool ball_placed = false;
-    for (int attempt = 0; attempt < max_retries_; ++attempt) {
+    for (int attempt = 0; attempt < kMaxRetriesPerBall; ++attempt) {
       const auto bin = static_cast<graph::Node>(rng.uniform_below(n_));
       ++choices_;
       if (loads_[bin] + w <= threshold_) {

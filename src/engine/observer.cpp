@@ -1,6 +1,6 @@
 #include "tlb/engine/observer.hpp"
 
-#include "tlb/sim/report.hpp"
+#include "tlb/util/json.hpp"
 
 namespace tlb::engine {
 
@@ -20,7 +20,7 @@ std::string JsonTraceSink::json() const {
   std::string out = "[";
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const Row& row = rows_[i];
-    sim::Json j;
+    util::Json j;
     j.add("round", static_cast<std::int64_t>(row.round))
         .add("potential", row.potential)
         .add("overloaded", static_cast<std::uint64_t>(row.overloaded));

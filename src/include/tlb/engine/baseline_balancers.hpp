@@ -87,9 +87,11 @@ class BinLoadBalancer {
 /// everything); `completed()` is false iff some ball exhausted its retries.
 class SequentialThresholdBalancer final : public BinLoadBalancer {
  public:
+  /// Bin probes a ball may make before the allocation gives up on it.
+  static constexpr int kMaxRetriesPerBall = 100000;
+
   SequentialThresholdBalancer(const tasks::TaskSet& ts, graph::Node n,
-                              double threshold,
-                              int max_retries_per_ball = 100000);
+                              double threshold);
 
   /// Allocate all balls (first call only); returns balls placed.
   std::size_t step(util::Rng& rng);
@@ -105,7 +107,6 @@ class SequentialThresholdBalancer final : public BinLoadBalancer {
   std::uint64_t choices() const noexcept { return choices_; }
 
  private:
-  int max_retries_;
   bool done_ = false;
   bool completed_ = false;
   std::size_t placed_ = 0;

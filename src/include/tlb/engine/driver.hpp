@@ -76,11 +76,7 @@ core::RunResult drive(B& balancer, util::Rng& rng,
                                          MetricClass::kTiming);
   }
 
-  const auto measured_round = [&]() -> bool {
-    // One observed round; false = an observer stopped the run.
-    if (observer != nullptr && observer->should_stop(view, result.rounds)) {
-      return false;
-    }
+  const auto measured_round = [&] {
     if (observer != nullptr) observer->on_round(view, result.rounds);
     if (opt.paranoid_checks) balancer.audit();
     const std::uint64_t t0 = sink.attached() ? obs::monotonic_ns() : 0;
@@ -99,7 +95,6 @@ core::RunResult drive(B& balancer, util::Rng& rng,
       observer->on_round_end(view, result.rounds, moved);
     }
     ++result.rounds;
-    return true;
   };
 
   if (opt.measure >= 0) {
@@ -107,12 +102,10 @@ core::RunResult drive(B& balancer, util::Rng& rng,
       if (opt.paranoid_checks) balancer.audit();
       balancer.step(rng);
     }
-    for (long t = 0; t < opt.measure; ++t) {
-      if (!measured_round()) break;
-    }
+    for (long t = 0; t < opt.measure; ++t) measured_round();
   } else {
     while (!detail::is_done(balancer) && result.rounds < opt.max_rounds) {
-      if (!measured_round()) break;
+      measured_round();
     }
   }
 

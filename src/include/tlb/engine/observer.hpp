@@ -3,14 +3,13 @@
 //
 // The driver calls the hooks below at well-defined points, and callers
 // compose exactly the instrumentation they want — potential traces,
-// overloaded traces, early stopping, per-round JSON, load-distribution
-// analytics, dsan fingerprints, the churn engine's window aggregates, the
-// perf suite's step timer — without the engines knowing any of it exists.
+// overloaded traces, per-round JSON, load-distribution analytics, dsan
+// fingerprints, the churn engine's window aggregates, the perf suite's step
+// timer — without the engines knowing any of it exists.
 // Observers are the only way to trace a run; the engines carry no tracing
 // flags.
 //
 // Hook order per measured round t (no hook may touch the caller's RNG):
-//   should_stop(view, t)        before anything else; true ends the run
 //   on_round(view, t)           round-start state, before step()
 //   [paranoid audit]
 //   step()
@@ -19,7 +18,6 @@
 //   on_finish(view)             final state (legacy traces' trailing entry)
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,12 +45,6 @@ class RoundObserver {
   }
   /// Final state, exactly once, after the loop ends for any reason.
   virtual void on_finish(const BalancerView& view) { (void)view; }
-  /// Checked at the top of every measured round; true stops the run.
-  virtual bool should_stop(const BalancerView& view, long round) {
-    (void)view;
-    (void)round;
-    return false;
-  }
 };
 
 /// Records Φ at the start of every round plus one trailing entry for the
@@ -89,26 +81,6 @@ class OverloadedTrace final : public RoundObserver {
   std::vector<std::uint32_t> trace_;
 };
 
-/// Stops the run as soon as the predicate holds (checked at round start).
-/// E.g. "stop once Φ dropped below 1% of its start" or "stop after the
-/// overloaded count first hits k".
-class EarlyStop final : public RoundObserver {
- public:
-  using Predicate = std::function<bool(const BalancerView&, long round)>;
-  explicit EarlyStop(Predicate pred) : pred_(std::move(pred)) {}
-  bool should_stop(const BalancerView& view, long round) override {
-    const bool stop = pred_(view, round);
-    stopped_ = stopped_ || stop;
-    return stop;
-  }
-  /// True iff this observer (not balance or the cap) ended the run.
-  bool triggered() const noexcept { return stopped_; }
-
- private:
-  Predicate pred_;
-  bool stopped_ = false;
-};
-
 /// Collects one record per round and renders a deterministic JSON array of
 ///   {"round": t, "potential": ..., "overloaded": ..., "migrations": ...}
 /// with a trailing final-state record ("round": -1 is never used; the final
@@ -138,8 +110,6 @@ class JsonTraceSink final : public RoundObserver {
 
 /// Fans every hook out to a list of observers, in insertion order (the
 /// driver takes a single RoundObserver*; this is how several compose).
-/// should_stop is true if any member votes to stop — every member is still
-/// asked, so trace observers attached after a stopper stay consistent.
 class ObserverList final : public RoundObserver {
  public:
   ObserverList() = default;
@@ -159,11 +129,6 @@ class ObserverList final : public RoundObserver {
   }
   void on_finish(const BalancerView& view) override {
     for (RoundObserver* o : observers_) o->on_finish(view);
-  }
-  bool should_stop(const BalancerView& view, long round) override {
-    bool stop = false;
-    for (RoundObserver* o : observers_) stop = o->should_stop(view, round) || stop;
-    return stop;
   }
 
  private:

@@ -219,6 +219,7 @@ class TaskArena {
   /// Snaps load(r) bitwise to accepted_load(r).
   void evict_unaccepted(Node r, std::vector<TaskId>& out);
   /// Height-based eviction of every task crossing or above `threshold`.
+  /// Sets load(r) bitwise to the kept prefix's height, summed bottom up.
   void evict_above(Node r, double threshold, std::vector<TaskId>& out);
   /// Remove the flagged positions (leave[i] maps to span position i),
   /// preserving survivor order and recomputing the accepted prefix.

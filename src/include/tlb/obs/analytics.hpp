@@ -14,7 +14,7 @@
 //
 // Determinism: snapshots are pure functions of the load vector (exact
 // order statistics, ascending-resource sums — see core/load_stats.hpp), the
-// observer never draws from the RNG, and rendering uses sim::Json's
+// observer never draws from the RNG, and rendering uses util::Json's
 // shortest-round-trip doubles, so the JSON block is byte-identical across
 // thread counts and additive-only in every report that embeds it.
 //

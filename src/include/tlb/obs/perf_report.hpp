@@ -150,7 +150,7 @@ GateReport evaluate_gate(const TrajectoryEntry& base,
 /// ratio), and a drift detail section when anything failed.
 std::string render_markdown(const GateReport& report);
 
-/// Machine-facing JSON mirror of GateReport (sim::Json bytes).
+/// Machine-facing JSON mirror of GateReport (util::Json bytes).
 std::string render_json(const GateReport& report);
 
 }  // namespace tlb::obs

@@ -2,7 +2,7 @@
 // tlb::obs — metrics registry with a lock-free hot path.
 //
 // The registry hands out cheap integer handles (MetricId) for named
-// counters, gauges and fixed-bucket histograms. Increments go to per-thread
+// counters and fixed-bucket histograms. Increments go to per-thread
 // shards — plain (non-atomic) word writes into a thread-private slot array,
 // no locks, no CAS — and snapshot() merges the shards. The intended
 // discipline mirrors the engines' phase-1 sampling: workers increment while
@@ -23,7 +23,6 @@
 // ride the byte-determinism CI checks.
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -37,10 +36,9 @@ namespace tlb::obs {
 /// reads, so spans from different probes share a timebase.
 std::uint64_t monotonic_ns() noexcept;
 
-/// Metric kinds. Counters accumulate uint64 deltas, gauges hold a
-/// last-write-wins double, histograms count observations into fixed
-/// equal-width buckets (util::Histogram's layout).
-enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
+/// Metric kinds. Counters accumulate uint64 deltas, histograms count
+/// observations into fixed equal-width buckets (util::Histogram's layout).
+enum class Kind : std::uint8_t { kCounter, kHistogram };
 
 /// Determinism class of a metric. Every registration names one explicitly
 /// (lint rule D5) — there is deliberately no default, because a metric
@@ -72,7 +70,6 @@ struct Snapshot {
     Kind kind = Kind::kCounter;
     bool timing = false;
     std::uint64_t value = 0;             ///< counters
-    double gauge = 0.0;                  ///< gauges
     double lo = 0.0;                     ///< histogram range
     double hi = 0.0;
     std::vector<std::uint64_t> buckets;  ///< histogram counts
@@ -84,29 +81,27 @@ struct Snapshot {
   /// True iff no entry belongs to `part`.
   [[nodiscard]] bool empty(Part part) const;
   /// Deterministic JSON object {"name": value, ...} restricted to `part`.
-  /// Counters render as integers, gauges as shortest-round-trip doubles,
-  /// histograms as {"lo","hi","total","buckets"}. Key order is registration
-  /// order, so the same data always serialises to the same bytes.
+  /// Counters render as integers, histograms as {"lo","hi","total",
+  /// "buckets"}. Key order is registration order, so the same data always
+  /// serialises to the same bytes.
   [[nodiscard]] std::string json(Part part) const;
-  /// Counter/histogram difference `*this - earlier` (gauges keep the later
-  /// value). Entries only present here are kept as-is, so a snapshot taken
-  /// before a metric existed still subtracts cleanly.
+  /// Counter/histogram difference `*this - earlier`. Entries only present
+  /// here are kept as-is, so a snapshot taken before a metric existed still
+  /// subtracts cleanly.
   [[nodiscard]] Snapshot delta(const Snapshot& earlier) const;
 };
 
-/// The registry. Registration (counter/gauge/histogram) takes a mutex and
+/// The registry. Registration (counter/histogram) takes a mutex and
 /// dedups by name — registering the same name with the same shape returns
 /// the same handle, so per-trial engine constructions share one metric.
 /// add()/observe() are lock-free plain writes into the calling thread's
-/// shard; set() is an atomic store. snapshot() merges under the mutex and
-/// must only run while no other thread is mid-increment (quiescent point).
+/// shard. snapshot() merges under the mutex and must only run while no
+/// other thread is mid-increment (quiescent point).
 class Registry {
  public:
   /// Capacity of the per-thread slot arrays (counters take 1 slot,
   /// histograms `bins` slots). Exceeding it throws at registration time.
   static constexpr std::size_t kMaxSlots = 512;
-  /// Maximum number of gauges.
-  static constexpr std::size_t kMaxGauges = 64;
   /// Maximum number of registered metrics. Fixed so the metric table never
   /// reallocates — observe() reads it lock-free against concurrent
   /// registration of *other* metrics (entries are immutable once their
@@ -120,8 +115,6 @@ class Registry {
 
   /// Register (or look up) a monotonically accumulating counter.
   MetricId counter(const std::string& name, MetricClass cls);
-  /// Register (or look up) a last-write-wins gauge.
-  MetricId gauge(const std::string& name, MetricClass cls);
   /// Register (or look up) an equal-width histogram over [lo, hi] (values
   /// outside clamp to the edge bins — util::Histogram's layout).
   MetricId histogram(const std::string& name, double lo, double hi,
@@ -131,8 +124,6 @@ class Registry {
   void add(MetricId id, std::uint64_t delta);
   /// Count one observation into a histogram. Lock-free; no-op when invalid.
   void observe(MetricId id, double x);
-  /// Set a gauge (atomic store; last write wins). No-op when invalid.
-  void set(MetricId id, double value);
 
   /// Merge every thread's shard into one Snapshot. Callers must be at a
   /// quiescent point (no concurrent add/observe) — e.g. after
@@ -147,7 +138,7 @@ class Registry {
     std::string name;
     Kind kind;
     bool timing;
-    std::uint32_t slot;   // base slot (counter/histogram) or gauge index
+    std::uint32_t slot;   // base slot in the per-thread shards
     std::uint32_t bins;   // histogram bucket count (else 0)
     double lo = 0.0;
     double hi = 0.0;
@@ -169,8 +160,6 @@ class Registry {
   std::vector<Metric> metrics_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint32_t next_slot_ = 0;
-  std::uint32_t next_gauge_ = 0;
-  std::array<std::atomic<double>, kMaxGauges> gauges_{};
 };
 
 }  // namespace tlb::obs

@@ -1,11 +1,10 @@
 #pragma once
 // Uniform console reporting for the bench binaries: every bench announces
 // which paper artefact it reproduces, prints the parameters actually used,
-// renders the results table, and optionally writes CSV.
+// renders the results table, and optionally writes CSV. The JSON helpers
+// render the sim::run_trials statistics with util::Json.
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "tlb/sim/runner.hpp"
 #include "tlb/util/table.hpp"
@@ -24,38 +23,6 @@ void emit_table(const util::Table& table, const std::string& csv_path);
 
 /// Print a one-line takeaway prefixed with "-> ".
 void print_takeaway(const std::string& text);
-
-/// Minimal ordered JSON object builder for machine-readable reports.
-///
-/// Keys render in insertion order and doubles use the shortest round-trip
-/// representation (std::to_chars), so the same data always serialises to the
-/// same bytes — the property tlb_sim relies on for "identical JSON
-/// regardless of thread count".
-class Json {
- public:
-  Json& add(const std::string& key, const std::string& value);
-  Json& add(const std::string& key, const char* value);
-  Json& add(const std::string& key, double value);
-  Json& add(const std::string& key, std::int64_t value);
-  Json& add(const std::string& key, std::uint64_t value);
-  Json& add(const std::string& key, int value);
-  Json& add(const std::string& key, bool value);
-  /// Nest an already-serialised JSON value (object or array) verbatim.
-  Json& add_raw(const std::string& key, const std::string& raw_json);
-
-  /// Shortest round-trip serialisation of one double.
-  static std::string number(double v);
-  /// JSON array of numbers.
-  static std::string array(const std::vector<double>& xs);
-  /// JSON string literal with escaping.
-  static std::string quote(const std::string& s);
-
-  /// Render "{...}".
-  std::string str() const;
-
- private:
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
 
 /// Serialise a Welford accumulator as {"count","mean","stddev","min","max",
 /// "ci95"}.

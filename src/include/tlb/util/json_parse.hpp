@@ -5,7 +5,7 @@
 // deterministic counters must compare *bit-identically* — so numbers keep
 // their raw source text (`raw`) alongside the parsed double, and counter
 // equality is raw-text equality, immune to any double round-trip. Objects
-// preserve key order (the reports are emitted by sim::Json, which is
+// preserve key order (the reports are emitted by util::Json, which is
 // ordered), duplicate keys keep the last value on lookup.
 //
 // Scope: exactly RFC 8259 minus \u surrogate pairs (the reports are ASCII);

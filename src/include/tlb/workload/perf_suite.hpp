@@ -13,7 +13,7 @@
 // overloaded-set tracking it is orders of magnitude. Round times bracket
 // step() alone: a timing observer wraps every other observer.
 //
-// Output is a sim::Json report. All counter fields (rounds, migrations,
+// Output is a util::Json report. All counter fields (rounds, migrations,
 // final state) are deterministic in the seed; wall-clock fields can be
 // omitted (include_timings = false), leaving a byte-identical report across
 // runs — the property CI's determinism smoke test checks. The committed

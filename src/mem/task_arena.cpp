@@ -183,12 +183,14 @@ void TaskArena::evict_above(Node r, double threshold,
     h += w[keep];
     ++keep;
   }
-  for (std::size_t i = keep; i < count_[r]; ++i) {
-    out.push_back(ids[i]);
-    load_[r] -= w[i];
-  }
+  for (std::size_t i = keep; i < count_[r]; ++i) out.push_back(ids[i]);
   live_ -= count_[r] - keep;
   count_[r] = static_cast<std::uint32_t>(keep);
+  // Set the load to the kept prefix's height instead of subtracting the
+  // evictees' weights, as evict_unaccepted snaps it: a difference can round
+  // above a threshold the prefix fits under, leaving r overloaded with
+  // nothing to evict.
+  load_[r] = h;
   accepted_count_[r] =
       std::min(accepted_count_[r], static_cast<std::uint32_t>(keep));
   accepted_load_[r] = std::min(accepted_load_[r], load_[r]);

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "tlb/sim/report.hpp"
+#include "tlb/util/json.hpp"
 
 namespace tlb::obs {
 
@@ -38,7 +38,7 @@ void LoadStatsObserver::record(const engine::BalancerView& view, long round,
 }
 
 std::string LoadStatsObserver::json() const {
-  const auto stats_fields = [](sim::Json& j, const Row& row) {
+  const auto stats_fields = [](util::Json& j, const Row& row) {
     j.add("max", row.stats.max_load)
         .add("mean", row.stats.mean_load)
         .add("p50", row.stats.p50)
@@ -54,7 +54,7 @@ std::string LoadStatsObserver::json() const {
   bool first = true;
   std::string final_row;
   for (const Row& row : rows_) {
-    sim::Json j;
+    util::Json j;
     if (row.final_state) {
       stats_fields(j, row);
       final_row = j.str();
@@ -68,7 +68,7 @@ std::string LoadStatsObserver::json() const {
   }
   rounds += "]";
 
-  sim::Json out;
+  util::Json out;
   out.add("every", static_cast<std::int64_t>(every_))
       .add("supported", supported_)
       .add_raw("rounds", rounds);

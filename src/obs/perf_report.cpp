@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "tlb/sim/report.hpp"
+#include "tlb/util/json.hpp"
 #include "tlb/util/json_parse.hpp"
 
 namespace tlb::obs {
@@ -96,7 +96,7 @@ std::string json_strings(const std::vector<std::string>& xs) {
   std::string out = "[";
   for (std::size_t i = 0; i < xs.size(); ++i) {
     if (i) out += ",";
-    out += sim::Json::quote(xs[i]);
+    out += util::Json::quote(xs[i]);
   }
   return out + "]";
 }
@@ -316,7 +316,7 @@ std::string render_json(const GateReport& r) {
   std::string deltas = "[";
   for (std::size_t i = 0; i < r.deltas.size(); ++i) {
     const PresetDelta& d = r.deltas[i];
-    sim::Json j;
+    util::Json j;
     j.add("name", d.name)
         .add("in_base", d.in_base)
         .add("in_head", d.in_head)
@@ -324,7 +324,7 @@ std::string render_json(const GateReport& r) {
         .add("rebaselined", d.rebaselined);
     std::string drifts = "[";
     for (std::size_t k = 0; k < d.drifts.size(); ++k) {
-      sim::Json dj;
+      util::Json dj;
       dj.add("field", d.drifts[k].field)
           .add("base", d.drifts[k].base)
           .add("head", d.drifts[k].head);
@@ -344,7 +344,7 @@ std::string render_json(const GateReport& r) {
   }
   deltas += "]";
 
-  sim::Json root;
+  util::Json root;
   root.add("base", r.base_label)
       .add("head", r.head_label)
       .add("ok", r.ok())
@@ -359,7 +359,7 @@ std::string render_json(const GateReport& r) {
       .add("wall_regressions",
            static_cast<std::uint64_t>(r.wall_regressions));
   if (r.rebaseline) {
-    sim::Json rb;
+    util::Json rb;
     rb.add("ok", r.rebaseline_ok())
         .add_raw("presets", json_strings(r.rebaseline->presets))
         .add("reason", r.rebaseline->reason)

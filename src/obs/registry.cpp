@@ -1,10 +1,11 @@
 #include "tlb/obs/registry.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <stdexcept>
 
-#include "tlb/sim/report.hpp"
 #include "tlb/util/histogram.hpp"
+#include "tlb/util/json.hpp"
 
 namespace tlb::obs {
 
@@ -62,18 +63,11 @@ MetricId Registry::register_metric(const std::string& name, Kind kind,
   m.lo = lo;
   m.hi = hi;
   m.bin_width = bins > 0 ? (hi - lo) / static_cast<double>(bins) : 0.0;
-  if (kind == Kind::kGauge) {
-    if (next_gauge_ >= kMaxGauges) {
-      throw std::length_error("obs::Registry: gauge capacity exhausted");
-    }
-    m.slot = next_gauge_++;
-  } else {
-    if (next_slot_ + slots_needed > kMaxSlots) {
-      throw std::length_error("obs::Registry: slot capacity exhausted");
-    }
-    m.slot = next_slot_;
-    next_slot_ += slots_needed;
+  if (next_slot_ + slots_needed > kMaxSlots) {
+    throw std::length_error("obs::Registry: slot capacity exhausted");
   }
+  m.slot = next_slot_;
+  next_slot_ += slots_needed;
   metrics_.push_back(std::move(m));
   return MetricId{static_cast<std::uint32_t>(metrics_.size() - 1),
                   metrics_.back().slot};
@@ -81,11 +75,6 @@ MetricId Registry::register_metric(const std::string& name, Kind kind,
 
 MetricId Registry::counter(const std::string& name, MetricClass cls) {
   return register_metric(name, Kind::kCounter, cls == MetricClass::kTiming, 1,
-                         0.0, 0.0, 0);
-}
-
-MetricId Registry::gauge(const std::string& name, MetricClass cls) {
-  return register_metric(name, Kind::kGauge, cls == MetricClass::kTiming, 0,
                          0.0, 0.0, 0);
 }
 
@@ -130,11 +119,6 @@ void Registry::observe(MetricId id, double x) {
   local_slots()[id.slot + b] += 1;
 }
 
-void Registry::set(MetricId id, double value) {
-  if (!id.valid()) return;
-  gauges_[id.slot].store(value, std::memory_order_relaxed);
-}
-
 Snapshot Registry::snapshot() const {
   std::lock_guard lock(mutex_);
   // Merge all shards into one flat slot array first.
@@ -152,9 +136,6 @@ Snapshot Registry::snapshot() const {
     switch (m.kind) {
       case Kind::kCounter:
         e.value = merged[m.slot];
-        break;
-      case Kind::kGauge:
-        e.gauge = gauges_[m.slot].load(std::memory_order_relaxed);
         break;
       case Kind::kHistogram:
         e.lo = m.lo;
@@ -191,18 +172,15 @@ bool Snapshot::empty(Part part) const {
 }
 
 std::string Snapshot::json(Part part) const {
-  sim::Json obj;
+  util::Json obj;
   for (const Entry& e : entries) {
     if (part != Part::kAll && e.timing != (part == Part::kTiming)) continue;
     switch (e.kind) {
       case Kind::kCounter:
         obj.add(e.name, e.value);
         break;
-      case Kind::kGauge:
-        obj.add(e.name, e.gauge);
-        break;
       case Kind::kHistogram: {
-        sim::Json h;
+        util::Json h;
         h.add("lo", e.lo);
         h.add("hi", e.hi);
         h.add("total", e.value);
@@ -230,8 +208,6 @@ Snapshot Snapshot::delta(const Snapshot& earlier) const {
       case Kind::kCounter:
         e.value -= base->value;
         break;
-      case Kind::kGauge:
-        break;  // gauges are last-write-wins; keep the later value
       case Kind::kHistogram:
         e.value -= base->value;
         for (std::size_t b = 0;

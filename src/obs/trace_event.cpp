@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "tlb/obs/registry.hpp"
-#include "tlb/sim/report.hpp"
+#include "tlb/util/json.hpp"
 
 namespace tlb::obs {
 
@@ -87,11 +87,11 @@ std::string TraceWriter::json() const {
            std::to_string(buf->tid) + "\"}}";
     for (const Event& e : buf->events) {
       out += ",{\"ph\":\"X\",\"pid\":0,\"tid\":" + std::to_string(buf->tid) +
-             ",\"name\":" + sim::Json::quote(e.name) + ",\"cat\":\"tlb\"" +
+             ",\"name\":" + util::Json::quote(e.name) + ",\"cat\":\"tlb\"" +
              ",\"ts\":" +
-             sim::Json::number(static_cast<double>(e.ts_ns) / 1000.0) +
+             util::Json::number(static_cast<double>(e.ts_ns) / 1000.0) +
              ",\"dur\":" +
-             sim::Json::number(static_cast<double>(e.dur_ns) / 1000.0) + "}";
+             util::Json::number(static_cast<double>(e.dur_ns) / 1000.0) + "}";
     }
   }
   out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"recorded\":" +

@@ -2,12 +2,12 @@
 
 // tlb-lint: allow-file(D4): this TU *is* the console report renderer — the
 // one library component whose job is stdout. Everything it prints is
-// human-facing banners/tables; machine-read JSON goes through sim::Json
+// human-facing banners/tables; machine-read JSON goes through util::Json
 // strings returned to the caller, never through these printfs.
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
+
+#include "tlb/util/json.hpp"
 
 namespace tlb::sim {
 
@@ -31,95 +31,8 @@ void print_takeaway(const std::string& text) {
   std::printf("-> %s\n", text.c_str());
 }
 
-// ---- Json -----------------------------------------------------------------
-
-Json& Json::add(const std::string& key, const std::string& value) {
-  fields_.emplace_back(key, quote(value));
-  return *this;
-}
-
-Json& Json::add(const std::string& key, const char* value) {
-  return add(key, std::string(value));
-}
-
-Json& Json::add(const std::string& key, double value) {
-  fields_.emplace_back(key, number(value));
-  return *this;
-}
-
-Json& Json::add(const std::string& key, std::int64_t value) {
-  fields_.emplace_back(key, std::to_string(value));
-  return *this;
-}
-
-Json& Json::add(const std::string& key, std::uint64_t value) {
-  fields_.emplace_back(key, std::to_string(value));
-  return *this;
-}
-
-Json& Json::add(const std::string& key, int value) {
-  return add(key, static_cast<std::int64_t>(value));
-}
-
-Json& Json::add(const std::string& key, bool value) {
-  fields_.emplace_back(key, value ? "true" : "false");
-  return *this;
-}
-
-Json& Json::add_raw(const std::string& key, const std::string& raw_json) {
-  fields_.emplace_back(key, raw_json);
-  return *this;
-}
-
-std::string Json::number(double v) {
-  if (!std::isfinite(v)) return "null";  // JSON has no inf/nan
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
-
-std::string Json::array(const std::vector<double>& xs) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i) out += ",";
-    out += number(xs[i]);
-  }
-  return out + "]";
-}
-
-std::string Json::quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out + "\"";
-}
-
-std::string Json::str() const {
-  std::string out = "{";
-  for (std::size_t i = 0; i < fields_.size(); ++i) {
-    if (i) out += ",";
-    out += quote(fields_[i].first) + ":" + fields_[i].second;
-  }
-  return out + "}";
-}
-
 std::string welford_json(const util::Welford& w) {
-  Json j;
+  util::Json j;
   j.add("count", w.count())
       .add("mean", w.mean())
       .add("stddev", w.stddev())
@@ -130,12 +43,12 @@ std::string welford_json(const util::Welford& w) {
 }
 
 std::string trial_stats_json(const TrialStats& stats) {
-  Json j;
+  util::Json j;
   j.add_raw("rounds", welford_json(stats.rounds))
       .add_raw("migrations", welford_json(stats.migrations))
       .add_raw("final_max_load", welford_json(stats.final_max_load))
       .add("unbalanced_trials", stats.unbalanced)
-      .add_raw("rounds_samples", Json::array(stats.rounds_samples));
+      .add_raw("rounds_samples", util::Json::array(stats.rounds_samples));
   return j.str();
 }
 

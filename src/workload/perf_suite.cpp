@@ -25,8 +25,8 @@
 #include "tlb/obs/analytics.hpp"
 #include "tlb/obs/registry.hpp"
 #include "tlb/sim/config.hpp"
-#include "tlb/sim/report.hpp"
 #include "tlb/tasks/placement.hpp"
+#include "tlb/util/json.hpp"
 #include "tlb/util/timer.hpp"
 #include "tlb/workload/arrival.hpp"
 #include "tlb/workload/scenario.hpp"
@@ -48,9 +48,6 @@ class StepTimer final : public engine::RoundObserver {
             util::Timer* rounds_phase)
       : inner_(inner), round_ms_(round_ms), rounds_phase_(rounds_phase) {}
 
-  bool should_stop(const engine::BalancerView& view, long round) override {
-    return inner_ != nullptr && inner_->should_stop(view, round);
-  }
   void on_round(const engine::BalancerView& view, long round) override {
     if (round == 0 && rounds_phase_ != nullptr) rounds_phase_->start("rounds");
     if (inner_ != nullptr) inner_->on_round(view, round);
@@ -346,7 +343,7 @@ void run_baselines_suite_preset(const PerfPreset& preset,
   // share the one fingerprint observer: their rows (each ending with a
   // final-state row) concatenate in drive order, which is itself part of
   // the deterministic surface the trace pins.
-  sim::Json analytics_parts;
+  util::Json analytics_parts;
   for (const ProtocolKind kind :
        {ProtocolKind::kSeqThresh, ProtocolKind::kParThresh,
         ProtocolKind::kTwoChoice, ProtocolKind::kOneBeta,
@@ -598,7 +595,7 @@ std::string perf_suite_json(const std::vector<PerfResult>& results,
   std::string presets = "[";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const PerfResult& r = results[i];
-    sim::Json j;
+    util::Json j;
     j.add("name", r.preset.name)
         .add("scenario", r.preset.scenario)
         .add("n", static_cast<std::uint64_t>(r.n))
@@ -625,7 +622,7 @@ std::string perf_suite_json(const std::vector<PerfResult>& results,
           .add("tail_speedup", r.tail_speedup)
           .add("rounds_per_sec", r.rounds_per_sec)
           .add("migrations_per_sec", r.migrations_per_sec);
-      sim::Json phases;
+      util::Json phases;
       for (const auto& [name, ms] : r.phases) phases.add(name, ms);
       j.add_raw("phases", phases.str());
       if (!r.metrics_timing_json.empty()) {
@@ -637,7 +634,7 @@ std::string perf_suite_json(const std::vector<PerfResult>& results,
   }
   presets += "]";
 
-  sim::Json root;
+  util::Json root;
   root.add("suite", "perf")
       .add("seed", seed)
       .add("deterministic", !include_timings)
@@ -685,7 +682,7 @@ void check_bench_file(const std::string& path) {
 void append_bench_entry(const std::string& path, const std::string& label,
                         const std::string& set,
                         const std::string& report_json) {
-  sim::Json entry;
+  util::Json entry;
   entry.add("label", label).add("set", set).add_raw("report", report_json);
 
   std::string content = read_bench_array(path);

@@ -13,6 +13,7 @@
 #include "tlb/engine/driver.hpp"
 #include "tlb/sim/report.hpp"
 #include "tlb/tasks/placement.hpp"
+#include "tlb/util/json.hpp"
 #include "tlb/workload/arrival.hpp"
 #include "tlb/workload/weight_models.hpp"
 
@@ -377,7 +378,7 @@ ScenarioResult Scenario::run(std::size_t trials, std::uint64_t seed,
 std::string ScenarioResult::json(const std::string& metrics_raw,
                                  const std::string& metrics_timing_raw,
                                  const std::string& analytics_raw) const {
-  sim::Json j;
+  util::Json j;
   j.add("scenario", spec.canonical())
       .add("protocol", protocol_name(spec.protocol))
       .add("graph", sim::family_name(spec.family))

@@ -18,11 +18,9 @@ using tlb::tasks::TaskSet;
 using tlb::util::Rng;
 
 /// The whole allocation (the balancer's one round).
-SequentialThresholdBalancer sequential_threshold(
-    const TaskSet& ts, Node n, double threshold, Rng& rng,
-    int max_retries_per_ball = 100000) {
-  SequentialThresholdBalancer balancer(ts, n, threshold,
-                                       max_retries_per_ball);
+SequentialThresholdBalancer sequential_threshold(const TaskSet& ts, Node n,
+                                                 double threshold, Rng& rng) {
+  SequentialThresholdBalancer balancer(ts, n, threshold);
   balancer.step(rng);
   return balancer;
 }
@@ -70,9 +68,9 @@ TEST(SequentialThresholdTest, ExactCapacityStillCompletes) {
 TEST(SequentialThresholdTest, InfeasibleThresholdReportsFailure) {
   const TaskSet ts = tlb::tasks::uniform_unit(100);
   Rng rng(4);
-  // 4 bins of capacity 10 can hold at most 40 of the 100 balls.
-  const auto result =
-      sequential_threshold(ts, 4, 10.0, rng, /*max_retries_per_ball=*/1000);
+  // 4 bins of capacity 10 can hold at most 40 of the 100 balls; the 41st
+  // ball spends its kMaxRetriesPerBall probes and the allocation stops.
+  const auto result = sequential_threshold(ts, 4, 10.0, rng);
   EXPECT_FALSE(result.completed());
   EXPECT_LT(result.placed(), 100u);
 }

@@ -50,19 +50,24 @@ const tlb::engine::DriveOptions kDrive{.max_rounds = 500000};
 
 TEST(EvictAboveTest, MatchesAcceptanceBookkeeping) {
   // The mixed engine evicts by heights; on a stack built with acceptance
-  // bookkeeping both eviction rules must select the same suffix.
-  const TaskSet ts({5.0, 7.0, 2.0, 1.0});
-  const double T = 10.0;
-  ResourceStack with_acceptance, by_height;
-  for (tlb::tasks::TaskId i = 0; i < 4; ++i) {
-    with_acceptance.push_accepting(i, ts, T);
-    by_height.push(i, ts);
+  // bookkeeping both eviction rules must select the same suffix and leave
+  // the same load, bit for bit. In the second case load - 5.0 rounds to
+  // 3.3000000000000007, one ulp above the kept prefix's height.
+  const std::pair<std::vector<double>, double> cases[] = {
+      {{5.0, 7.0, 2.0, 1.0}, 10.0}, {{1.1, 2.2, 5.0}, 1.1 + 2.2}};
+  for (const auto& [weights, T] : cases) {
+    const TaskSet ts(weights);
+    ResourceStack with_acceptance, by_height;
+    for (tlb::tasks::TaskId i = 0; i < ts.size(); ++i) {
+      with_acceptance.push_accepting(i, ts, T);
+      by_height.push(i, ts);
+    }
+    std::vector<tlb::tasks::TaskId> out_a, out_h;
+    with_acceptance.evict_unaccepted(ts, out_a);
+    by_height.evict_above(ts, T, out_h);
+    EXPECT_EQ(out_a, out_h) << "T=" << T;
+    EXPECT_EQ(with_acceptance.load(), by_height.load()) << "T=" << T;
   }
-  std::vector<tlb::tasks::TaskId> out_a, out_h;
-  with_acceptance.evict_unaccepted(ts, out_a);
-  by_height.evict_above(ts, T, out_h);
-  EXPECT_EQ(out_a, out_h);
-  EXPECT_DOUBLE_EQ(with_acceptance.load(), by_height.load());
 }
 
 TEST(EvictAboveTest, NoopWhenBelowThreshold) {
@@ -148,6 +153,26 @@ TEST(MixedProtocolTest, ResourceRoundsCounterTracksBeta) {
   EXPECT_EQ(all_user.resource_rounds(), 0);
 }
 
+TEST(MixedProtocolTest, ResourceModeLeavesNoFittingStackOverloaded) {
+  // Round 1 evicts the 5.0 from resource 0 and keeps {1.1, 2.2}, which fit
+  // T_0 = fl(1.1 + 2.2) exactly. A load of 8.3 - 5.0 would read
+  // 3.3000000000000007 > T_0, and resource mode would find nothing to
+  // evict, round after round.
+  const Graph g = tlb::graph::complete(4);
+  const TaskSet ts({1.1, 2.2, 5.0});
+  const double t0 = 1.1 + 2.2;
+  MixedProtocolConfig cfg = make_config(1.0, /*beta=*/1.0);
+  cfg.threshold = std::vector<double>{t0, 100.0, 100.0, 100.0};
+  cfg.walk = WalkKind::kMaxDegree;
+  MixedProtocolEngine engine(g, ts, cfg);
+  Rng rng(1);
+  const RunResult result =
+      reset_and_run(engine, all_on_one(ts), rng, {.max_rounds = 10000});
+  EXPECT_TRUE(result.balanced);
+  EXPECT_EQ(result.rounds, 1);
+  EXPECT_EQ(engine.state().load(0), t0);
+}
+
 TEST(MixedProtocolTest, NonUniformThresholdsRespected) {
   const Graph g = tlb::graph::complete(10);
   const TaskSet ts = tlb::tasks::uniform_unit(100);
@@ -197,8 +222,9 @@ TEST(MixedProtocolTest, RejectsBadConfig) {
 }
 
 /// The mixed protocol, naively: one std::vector stack per resource, loads
-/// updated as the arena does (a push adds w, a removal subtracts each
-/// removed task's weight in stack order), and a round that
+/// updated as the arena does (a push adds w, a departure subtracts each
+/// leaver's weight in stack order, an eviction sets the load to the kept
+/// prefix's height), and a round that
 ///   (1) lists {r : load_r > T_r} at round start, ascending;
 ///   (2) per listed r, draws the β-coin only when β > 0; resource mode
 ///       evicts every task from the first one that does not fit completely
@@ -227,7 +253,8 @@ class NaiveMixedRounds {
       Stack& s = stacks_[r];
       std::vector<bool> leave(s.ids.size(), false);
       const auto [fit, fit_height] = fitting_prefix(r);
-      if (beta_ > 0.0 && rng.bernoulli(beta_)) {
+      const bool resource_mode = beta_ > 0.0 && rng.bernoulli(beta_);
+      if (resource_mode) {
         any_resource_mode = true;
         for (std::size_t i = fit; i < s.ids.size(); ++i) leave[i] = true;
       } else {
@@ -249,6 +276,7 @@ class NaiveMixedRounds {
         }
       }
       s.ids = std::move(kept);
+      if (resource_mode) s.load = fit_height;
     }
     if (any_resource_mode) ++resource_rounds_;
     for (Node& d : dst) d = walk.step(d, rng);

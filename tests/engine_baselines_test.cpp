@@ -143,8 +143,7 @@ TEST(BaselineBalancerTest, InfeasibleSequentialThresholdReportsIncomplete) {
   std::vector<double> w(8, 1.0);
   w[0] = 100.0;
   const TaskSet ts{std::move(w)};
-  engine::SequentialThresholdBalancer balancer(ts, 4, /*threshold=*/5.0,
-                                               /*max_retries=*/50);
+  engine::SequentialThresholdBalancer balancer(ts, 4, /*threshold=*/5.0);
   Rng rng(3);
   const core::RunResult result =
       engine::drive(balancer, rng, engine::DriveOptions{});

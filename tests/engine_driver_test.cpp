@@ -7,9 +7,10 @@
 // structure, trace shape and RNG-stream discipline to the legacy
 // semantics: only step() may draw, traces carry one entry per round plus a
 // trailing final-state entry, and the loop stops exactly at balance or the
-// cap. Also covers the observer set (trace observers, EarlyStop,
-// JsonTraceSink, ObserverList), the warmup/measure drive mode the dynamic
-// engine runs under, and the paranoid audits of both modes.
+// cap. Also covers the observer set (trace observers, JsonTraceSink,
+// ObserverList), the hook order every observer sees in each drive mode,
+// the warmup/measure drive mode the dynamic engine runs under, and the
+// paranoid audits of both modes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,6 +26,7 @@
 #include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/graph/graph.hpp"
+#include "tlb/obs/registry.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/task_set.hpp"
 #include "tlb/util/rng.hpp"
@@ -312,24 +314,44 @@ TEST(EngineDriverTest, DynamicRunRejectsUnboundedDrive) {
 
 // ---- observers ------------------------------------------------------------
 
-TEST(EngineDriverTest, EarlyStopEndsTheRunAndReportsTrigger) {
-  const graph::Node n = 32;
-  const TaskSet ts = continuous_tasks(2048, 0x5105);
-  const double T = 1.05 * ts.total_weight() / n + ts.max_weight();
-  core::UserProtocolConfig cfg;
-  cfg.threshold = T;
-  core::UserControlledEngine engine(ts, n, cfg);
-  engine.reset(tasks::all_on_one(ts));
+/// Checks engine::drive's hook contract as the hooks arrive: on_round(t)
+/// then on_round_end(t) for t = 0, 1, ..., then on_finish exactly once,
+/// after the last round. Records the view's potential at every on_round.
+class HookOrderSentinel final : public engine::RoundObserver {
+ public:
+  void on_round(const engine::BalancerView& view, long round) override {
+    EXPECT_FALSE(finished_) << "on_round after on_finish";
+    EXPECT_FALSE(in_round_) << "on_round before on_round_end";
+    EXPECT_EQ(round, rounds_) << "on_round out of sequence";
+    in_round_ = true;
+    round_start_.push_back(view.potential());
+  }
+  void on_round_end(const engine::BalancerView&, long round,
+                    std::size_t) override {
+    EXPECT_TRUE(in_round_) << "on_round_end without on_round";
+    EXPECT_EQ(round, rounds_) << "on_round_end for another round";
+    in_round_ = false;
+    ++rounds_;
+  }
+  void on_finish(const engine::BalancerView& view) override {
+    EXPECT_FALSE(finished_) << "on_finish twice";
+    EXPECT_FALSE(in_round_) << "on_finish inside a round";
+    finished_ = true;
+    final_ = view.potential();
+  }
 
-  engine::EarlyStop stopper(
-      [](const engine::BalancerView&, long round) { return round >= 3; });
-  Rng rng(7);
-  const RunResult result =
-      engine::drive(engine, rng, engine::DriveOptions{}, &stopper);
-  EXPECT_EQ(result.rounds, 3);
-  EXPECT_TRUE(stopper.triggered());
-  EXPECT_FALSE(result.balanced);  // stopped well before balance
-}
+  long rounds() const { return rounds_; }
+  bool finished() const { return finished_; }
+  const std::vector<double>& round_start() const { return round_start_; }
+  double final_potential() const { return final_; }
+
+ private:
+  long rounds_ = 0;
+  bool in_round_ = false;
+  bool finished_ = false;
+  std::vector<double> round_start_;
+  double final_ = 0.0;
+};
 
 TEST(EngineDriverTest, JsonTraceSinkRecordsEveryRoundPlusFinal) {
   const graph::Node n = 16;
@@ -357,7 +379,7 @@ TEST(EngineDriverTest, JsonTraceSinkRecordsEveryRoundPlusFinal) {
   EXPECT_NE(json.find("\"final\":true"), std::string::npos);
 }
 
-TEST(EngineDriverTest, ObserverListFansOutInOrderAndVotesToStop) {
+TEST(EngineDriverTest, ObserverListFansOutToEveryObserver) {
   const graph::Node n = 16;
   const TaskSet ts = continuous_tasks(512, 0x0B5);
   const double T = 1.05 * ts.total_weight() / n + ts.max_weight();
@@ -367,18 +389,22 @@ TEST(EngineDriverTest, ObserverListFansOutInOrderAndVotesToStop) {
   engine.reset(tasks::all_on_one(ts));
 
   engine::PotentialTrace potential;
-  engine::EarlyStop stopper(
-      [](const engine::BalancerView&, long round) { return round >= 2; });
+  HookOrderSentinel sentinel;
   engine::ObserverList observers;
   observers.add(&potential);
-  observers.add(&stopper);
+  observers.add(&sentinel);
   Rng rng(13);
   const RunResult result =
-      engine::drive(engine, rng, engine::DriveOptions{}, observers.or_null());
+      engine::drive(engine, rng, {.max_rounds = 2}, observers.or_null());
   EXPECT_EQ(result.rounds, 2);
-  // Trace: one entry per executed round plus the final entry; the stopped
-  // round contributes no round-start entry.
+  // Both members saw every hook: one round-start entry per round plus the
+  // final entry, in the driver's order.
   EXPECT_EQ(potential.trace().size(), 3u);
+  EXPECT_EQ(sentinel.rounds(), 2);
+  EXPECT_TRUE(sentinel.finished());
+  EXPECT_EQ(sentinel.round_start(),
+            std::vector<double>(potential.trace().begin(),
+                                potential.trace().end() - 1));
 }
 
 TEST(EngineDriverTest, EmptyObserverListIsNull) {
@@ -402,8 +428,9 @@ TEST(EngineDriverTest, ParanoidDriveAuditsEveryEngine) {
   EXPECT_TRUE(result.balanced);
 }
 
-/// A balancer that only counts its steps and whose audit() fails in one
-/// state: after exactly `trap` steps.
+/// A balancer that only counts its steps, reports the count as its
+/// potential, and whose audit() fails in one state: after exactly `trap`
+/// steps.
 class AuditTrap {
  public:
   explicit AuditTrap(long trap) : trap_(trap) {}
@@ -414,7 +441,9 @@ class AuditTrap {
   [[nodiscard]] bool balanced() const { return false; }
   [[nodiscard]] std::uint32_t overloaded_count() const { return 0; }
   [[nodiscard]] double max_load() const { return 0.0; }
-  [[nodiscard]] double potential() const { return 0.0; }
+  [[nodiscard]] double potential() const {
+    return static_cast<double>(steps_);
+  }
   [[nodiscard]] double reported_threshold() const { return 1.0; }
   void audit() const {
     if (steps_ == trap_) throw std::logic_error("AuditTrap: trapped state");
@@ -440,6 +469,65 @@ TEST(EngineDriverTest, ParanoidDriveAuditsWarmupRounds) {
   const RunResult result =
       engine::drive(unaudited, rng, {.warmup = 5, .measure = 1});
   EXPECT_EQ(result.rounds, 1);
+}
+
+// ---- hook order ----------------------------------------------------------
+
+/// Drive `balancer` with a HookOrderSentinel and a registry attached; the
+/// sentinel checks the hook order, and the sentinel and the drive.rounds
+/// counter must each count exactly the measured rounds.
+template <class B>
+RunResult drive_checking_hooks(B& balancer, DriveOptions opt,
+                               HookOrderSentinel& sentinel) {
+  obs::Registry registry;
+  opt.registry = &registry;
+  Rng rng(29);
+  const RunResult result = engine::drive(balancer, rng, opt, &sentinel);
+  EXPECT_TRUE(sentinel.finished());
+  EXPECT_EQ(sentinel.rounds(), result.rounds);
+  EXPECT_EQ(registry.snapshot().find("drive.rounds")->value,
+            static_cast<std::uint64_t>(result.rounds));
+  return result;
+}
+
+TEST(EngineDriverTest, HookOrderHoldsWhenRunToBalance) {
+  const graph::Node n = 32;
+  const TaskSet ts = continuous_tasks(2048, 0x0B51);
+  core::UserProtocolConfig cfg;
+  cfg.threshold = 1.05 * ts.total_weight() / n + ts.max_weight();
+  core::UserControlledEngine engine(ts, n, cfg);
+  engine.reset(tasks::all_on_one(ts));
+  HookOrderSentinel sentinel;
+  const RunResult result = drive_checking_hooks(engine, {}, sentinel);
+  EXPECT_TRUE(result.balanced);
+  EXPECT_GT(result.rounds, 2);
+}
+
+TEST(EngineDriverTest, HookOrderHoldsAtTheRoundCap) {
+  const graph::Node n = 32;
+  const TaskSet ts = continuous_tasks(2048, 0x0B53);
+  core::UserProtocolConfig cfg;
+  cfg.threshold = 1.05 * ts.total_weight() / n + ts.max_weight();
+  core::UserControlledEngine engine(ts, n, cfg);
+  engine.reset(tasks::all_on_one(ts));
+  HookOrderSentinel sentinel;
+  const RunResult result =
+      drive_checking_hooks(engine, {.max_rounds = 2}, sentinel);
+  EXPECT_EQ(result.rounds, 2);
+  EXPECT_FALSE(result.balanced);
+}
+
+TEST(EngineDriverTest, HookOrderSkipsWarmupRounds) {
+  // The counter's potential is its step count: the observed rounds start
+  // after the 5 unobserved warm-up steps, each on_round sees the state
+  // before its step, and on_finish sees all 8 steps.
+  AuditTrap counter(-1);
+  HookOrderSentinel sentinel;
+  const RunResult result =
+      drive_checking_hooks(counter, {.warmup = 5, .measure = 3}, sentinel);
+  EXPECT_EQ(result.rounds, 3);
+  EXPECT_EQ(sentinel.round_start(), (std::vector<double>{5.0, 6.0, 7.0}));
+  EXPECT_EQ(sentinel.final_potential(), 8.0);
 }
 
 }  // namespace

@@ -1,8 +1,5 @@
-// Observer-contract and metrics-observability tests: MetricsObserver as an
-// ordering sentinel for engine::drive's hook sequence (should_stop ->
-// on_round -> step -> on_round_end, once on_finish) under balance,
-// early-stop and the max_rounds cap; and the determinism contract of the
-// engine metrics — attaching a registry never changes a RunResult, and the
+// Metrics-observability tests: the determinism contract of the engine
+// metrics — attaching a registry never changes a RunResult, and the
 // deterministic snapshot serialises byte-identically across engine-thread
 // counts {1, 2, 0}; and the metric surface itself — every engine's metric
 // names, classes and registration order, and its trace span names, which
@@ -11,7 +8,6 @@
 
 #include <cstdint>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,7 +16,6 @@
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
-#include "tlb/obs/metrics_observer.hpp"
 #include "tlb/obs/registry.hpp"
 #include "tlb/obs/trace_event.hpp"
 #include "tlb/tasks/placement.hpp"
@@ -32,7 +27,6 @@ namespace {
 
 using namespace tlb;
 using core::RunResult;
-using obs::MetricsObserver;
 using obs::Registry;
 using obs::Snapshot;
 using tasks::TaskSet;
@@ -52,137 +46,6 @@ core::UserProtocolConfig user_config(const TaskSet& ts, graph::Node n,
                   ts.max_weight();
   cfg.options.threads = threads;
   return cfg;
-}
-
-/// Minimal view for driving the observer hooks by hand.
-class StubView final : public engine::BalancerView {
- public:
-  double potential() const override { return 0.0; }
-  std::uint32_t overloaded_count() const override { return 0; }
-  double max_load() const override { return 0.0; }
-  bool balanced() const override { return false; }
-};
-
-TEST(MetricsObserverTest, RejectsNullRegistry) {
-  EXPECT_THROW(MetricsObserver(nullptr), std::invalid_argument);
-}
-
-TEST(MetricsObserverTest, EnforcesHookOrdering) {
-  Registry reg;
-  const StubView view;
-
-  {  // on_round_end without a matching on_round
-    MetricsObserver obs(&reg);
-    EXPECT_THROW(obs.on_round_end(view, 0, 0), std::logic_error);
-  }
-  {  // round index mismatch between on_round and on_round_end
-    MetricsObserver obs(&reg);
-    obs.on_round(view, 0);
-    EXPECT_THROW(obs.on_round_end(view, 5, 0), std::logic_error);
-  }
-  {  // on_round without closing the previous round
-    MetricsObserver obs(&reg);
-    obs.on_round(view, 0);
-    EXPECT_THROW(obs.on_round(view, 1), std::logic_error);
-  }
-  {  // on_finish mid-round, then double on_finish
-    MetricsObserver obs(&reg);
-    obs.on_round(view, 0);
-    EXPECT_THROW(obs.on_finish(view), std::logic_error);
-    obs.on_round_end(view, 0, 0);
-    obs.on_finish(view);
-    EXPECT_THROW(obs.on_finish(view), std::logic_error);
-  }
-  {  // hooks after on_finish
-    MetricsObserver obs(&reg);
-    obs.on_finish(view);
-    EXPECT_THROW(obs.on_round(view, 0), std::logic_error);
-  }
-  {  // final_snapshot before on_finish
-    MetricsObserver obs(&reg);
-    EXPECT_THROW(obs.final_snapshot(), std::logic_error);
-  }
-}
-
-TEST(MetricsObserverTest, ObservesEveryRoundUnderDriveToBalance) {
-  const graph::Node n = 32;
-  const TaskSet ts = continuous_tasks(2048, 0x0B51);
-  core::UserControlledEngine engine(ts, n, user_config(ts, n));
-  engine.reset(tasks::all_on_one(ts));
-
-  Registry reg;
-  MetricsObserver obs(&reg, /*keep_rounds=*/true);
-  engine::DriveOptions opt;
-  opt.registry = &reg;
-  Rng rng(7);
-  const RunResult result = engine::drive(engine, rng, opt, &obs);
-
-  EXPECT_TRUE(result.balanced);
-  EXPECT_TRUE(obs.finished());
-  EXPECT_EQ(obs.rounds_observed(), static_cast<std::size_t>(result.rounds));
-  ASSERT_EQ(obs.rounds().size(), obs.rounds_observed());
-  // Every per-round delta covers exactly one drive round, and the round
-  // indices are the driver's measured-round sequence.
-  for (std::size_t i = 0; i < obs.rounds().size(); ++i) {
-    EXPECT_EQ(obs.rounds()[i].round, static_cast<long>(i));
-    const Snapshot::Entry* rounds = obs.rounds()[i].delta.find("drive.rounds");
-    ASSERT_NE(rounds, nullptr);
-    EXPECT_EQ(rounds->value, 1u);
-  }
-  const Snapshot::Entry* total = obs.final_snapshot().find("drive.rounds");
-  ASSERT_NE(total, nullptr);
-  EXPECT_EQ(total->value, static_cast<std::uint64_t>(result.rounds));
-  // The json view nests the totals under "totals" and the per-round deltas
-  // under "rounds".
-  const std::string json = obs.json(Snapshot::Part::kDeterministic);
-  EXPECT_NE(json.find("\"totals\""), std::string::npos);
-  EXPECT_NE(json.find("\"rounds\""), std::string::npos);
-}
-
-TEST(MetricsObserverTest, StaysConsistentUnderEarlyStop) {
-  const graph::Node n = 32;
-  const TaskSet ts = continuous_tasks(2048, 0x0B52);
-  core::UserControlledEngine engine(ts, n, user_config(ts, n));
-  engine.reset(tasks::all_on_one(ts));
-
-  Registry reg;
-  MetricsObserver obs(&reg);
-  engine::EarlyStop stopper(
-      [](const engine::BalancerView&, long round) { return round >= 3; });
-  engine::ObserverList observers;
-  observers.add(&obs);
-  observers.add(&stopper);
-  engine::DriveOptions opt;
-  opt.registry = &reg;
-  Rng rng(11);
-  const RunResult result = engine::drive(engine, rng, opt, &observers);
-
-  // should_stop fires at the top of round 3, before on_round — so the
-  // stopped round is never half-observed.
-  EXPECT_EQ(result.rounds, 3);
-  EXPECT_TRUE(stopper.triggered());
-  EXPECT_TRUE(obs.finished());
-  EXPECT_EQ(obs.rounds_observed(), 3u);
-}
-
-TEST(MetricsObserverTest, StaysConsistentAtTheRoundCap) {
-  const graph::Node n = 32;
-  const TaskSet ts = continuous_tasks(2048, 0x0B53);
-  core::UserControlledEngine engine(ts, n, user_config(ts, n));
-  engine.reset(tasks::all_on_one(ts));
-
-  Registry reg;
-  MetricsObserver obs(&reg);
-  engine::DriveOptions opt;
-  opt.registry = &reg;
-  opt.max_rounds = 2;
-  Rng rng(13);
-  const RunResult result = engine::drive(engine, rng, opt, &obs);
-
-  EXPECT_EQ(result.rounds, 2);
-  EXPECT_FALSE(result.balanced);
-  EXPECT_TRUE(obs.finished());
-  EXPECT_EQ(obs.rounds_observed(), 2u);
 }
 
 TEST(EngineMetricsTest, AttachingObservabilityChangesNoResult) {

@@ -76,11 +76,9 @@ class RefStack {
       h += w;
       ++keep;
     }
-    for (std::size_t i = keep; i < stack_.size(); ++i) {
-      out.push_back(stack_[i]);
-      load_ -= ts.weight(stack_[i]);
-    }
+    for (std::size_t i = keep; i < stack_.size(); ++i) out.push_back(stack_[i]);
     stack_.resize(keep);
+    load_ = h;
     accepted_count_ = std::min(accepted_count_, keep);
     accepted_load_ = std::min(accepted_load_, load_);
   }
@@ -235,7 +233,8 @@ void run_differential_trace(std::uint64_t seed, Node n, std::size_t m,
       ASSERT_EQ(arena.count(r), ref[r].count()) << "resource " << r;
       ASSERT_EQ(arena.tasks(r), ref[r].tasks()) << "resource " << r;
       // Loads must agree bitwise: both sides apply the same FP ops in the
-      // same order (including the evict_unaccepted load snap).
+      // same order (including the evict_unaccepted and evict_above load
+      // snaps).
       ASSERT_EQ(arena.load(r), ref[r].load()) << "resource " << r;
       ASSERT_EQ(arena.accepted_count(r), ref[r].accepted_count())
           << "resource " << r;

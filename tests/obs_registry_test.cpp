@@ -24,7 +24,6 @@ TEST(ObsRegistryTest, InvalidIdIsANoOpEverywhere) {
   EXPECT_FALSE(none.valid());
   reg.add(none, 42);       // must not crash or register anything
   reg.observe(none, 1.0);
-  reg.set(none, 3.0);
   EXPECT_EQ(reg.size(), 0u);
   EXPECT_TRUE(reg.snapshot().entries.empty());
 }
@@ -59,8 +58,6 @@ TEST(ObsRegistryTest, RegistrationDedupsByName) {
 TEST(ObsRegistryTest, ShapeMismatchThrows) {
   Registry reg;
   reg.counter("x", MetricClass::kDeterministic);
-  EXPECT_THROW(reg.gauge("x", MetricClass::kDeterministic),
-               std::invalid_argument);
   EXPECT_THROW(reg.histogram("x", 0, 1, 4, MetricClass::kDeterministic),
                std::invalid_argument);
   reg.histogram("h", 0.0, 10.0, 5, MetricClass::kDeterministic);
@@ -70,15 +67,6 @@ TEST(ObsRegistryTest, ShapeMismatchThrows) {
   // Timing-class mismatch on the same name is also a shape conflict: one
   // name cannot be deterministic in one snapshot part and timing in another.
   EXPECT_THROW(reg.counter("x", MetricClass::kTiming), std::invalid_argument);
-}
-
-TEST(ObsRegistryTest, GaugeLastWriteWins) {
-  Registry reg;
-  const MetricId g = reg.gauge("threshold", MetricClass::kDeterministic);
-  reg.set(g, 1.5);
-  reg.set(g, 2.5);
-  const Snapshot snap = reg.snapshot();
-  EXPECT_DOUBLE_EQ(snap.find("threshold")->gauge, 2.5);
 }
 
 TEST(ObsRegistryTest, HistogramBucketsAndClamping) {
@@ -146,20 +134,15 @@ TEST(ObsRegistryTest, DeltaSubtractsCountersAndBuckets) {
   const MetricId c = reg.counter("n", MetricClass::kDeterministic);
   const MetricId h =
       reg.histogram("h", 0.0, 4.0, 2, MetricClass::kDeterministic);
-  const MetricId g = reg.gauge("g", MetricClass::kDeterministic);
   reg.add(c, 10);
   reg.observe(h, 1.0);
-  reg.set(g, 1.0);
   const Snapshot before = reg.snapshot();
   reg.add(c, 7);
   reg.observe(h, 3.0);
-  reg.set(g, 9.0);
   const Snapshot delta = reg.snapshot().delta(before);
   EXPECT_EQ(delta.find("n")->value, 7u);
   EXPECT_EQ(delta.find("h")->buckets[0], 0u);
   EXPECT_EQ(delta.find("h")->buckets[1], 1u);
-  // Gauges are last-write-wins, not differences.
-  EXPECT_DOUBLE_EQ(delta.find("g")->gauge, 9.0);
 }
 
 TEST(ObsRegistryTest, SlotCapacityThrows) {

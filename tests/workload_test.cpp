@@ -12,7 +12,7 @@
 
 #include "tlb/core/thresholds.hpp"
 #include "tlb/engine/driver.hpp"
-#include "tlb/sim/report.hpp"
+#include "tlb/util/json.hpp"
 #include "tlb/workload/arrival.hpp"
 #include "tlb/workload/scenario.hpp"
 #include "tlb/workload/weight_models.hpp"
@@ -461,15 +461,15 @@ TEST(RunUserTrialTest, FallsBackToExactEngineBeyondClassLimit) {
 // ---- JSON writer ----------------------------------------------------------
 
 TEST(JsonTest, OrderedAndEscaped) {
-  sim::Json j;
+  util::Json j;
   j.add("b", 2.5).add("a", std::string("x\"y")).add("flag", true);
   EXPECT_EQ(j.str(), "{\"b\":2.5,\"a\":\"x\\\"y\",\"flag\":true}");
 }
 
 TEST(JsonTest, NumbersRoundTripShortest) {
-  EXPECT_EQ(sim::Json::number(0.1), "0.1");
-  EXPECT_EQ(sim::Json::number(42.0), "42");
-  EXPECT_EQ(sim::Json::array({1.0, 2.5}), "[1,2.5]");
+  EXPECT_EQ(util::Json::number(0.1), "0.1");
+  EXPECT_EQ(util::Json::number(42.0), "42");
+  EXPECT_EQ(util::Json::array({1.0, 2.5}), "[1,2.5]");
 }
 
 }  // namespace

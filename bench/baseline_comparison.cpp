@@ -150,17 +150,17 @@ int main(int argc, char** argv) {
   // The gap is the quality measure here, so no comparison threshold.
   constexpr double kNoThreshold = std::numeric_limits<double>::infinity();
   gap_stats("random (1-choice)", [&](util::Rng& rng) {
-    engine::GreedyChoiceBalancer balancer(ts, n, 1, kNoThreshold);
+    engine::ChoiceBalancer balancer(ts, n, 1, 0.0, kNoThreshold);
     balancer.step(rng);
     return balancer.gap();
   });
   gap_stats("greedy 2-choice [9]", [&](util::Rng& rng) {
-    engine::GreedyChoiceBalancer balancer(ts, n, 2, kNoThreshold);
+    engine::ChoiceBalancer balancer(ts, n, 2, 0.0, kNoThreshold);
     balancer.step(rng);
     return balancer.gap();
   });
   gap_stats("(1+beta), beta=0.5 [11]", [&](util::Rng& rng) {
-    engine::OnePlusBetaBalancer balancer(ts, n, 0.5, kNoThreshold);
+    engine::ChoiceBalancer balancer(ts, n, 2, 0.5, kNoThreshold);
     balancer.step(rng);
     return balancer.gap();
   });

@@ -12,6 +12,7 @@
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
+#include "tlb/mem/task_arena.hpp"
 #include "tlb/randomwalk/transition.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/weights.hpp"
@@ -81,11 +82,11 @@ BENCHMARK(BM_DistributionEvolve)->Arg(256)->Arg(1024)->Arg(4096);
 void BM_StackPushAccepting(benchmark::State& state) {
   const tasks::TaskSet ts = tasks::uniform_unit(1024);
   for (auto _ : state) {
-    core::ResourceStack stack;
+    mem::TaskArena arena(1);
     for (tasks::TaskId i = 0; i < 1024; ++i) {
-      stack.push_accepting(i, ts, 100.0);
+      arena.push_accepting(0, i, ts.weight(i), 100.0);
     }
-    benchmark::DoNotOptimize(stack.load());
+    benchmark::DoNotOptimize(arena.load(0));
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
@@ -93,9 +94,9 @@ BENCHMARK(BM_StackPushAccepting);
 
 void BM_StackPhi(benchmark::State& state) {
   const tasks::TaskSet ts = tasks::two_point(1000, 24, 50.0);
-  core::ResourceStack stack;
-  for (tasks::TaskId i = 0; i < ts.size(); ++i) stack.push(i, ts);
-  for (auto _ : state) benchmark::DoNotOptimize(stack.phi(ts, 100.0));
+  mem::TaskArena arena(1);
+  for (tasks::TaskId i = 0; i < ts.size(); ++i) arena.push(0, i, ts.weight(i));
+  for (auto _ : state) benchmark::DoNotOptimize(arena.phi(0, 100.0));
 }
 BENCHMARK(BM_StackPhi);
 

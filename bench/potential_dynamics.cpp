@@ -31,23 +31,20 @@ namespace {
 
 using namespace tlb;
 
-/// Lemma 1's acceptor fraction of `state` against (T, w_max), minimised
-/// over the end of every round of a drive.
+/// Lemma 1's acceptor fraction of `state` against (its thresholds, w_max),
+/// minimised over the end of every round of a drive.
 class MinAcceptorFraction final : public engine::RoundObserver {
  public:
-  MinAcceptorFraction(const core::SystemState& state, double threshold,
-                      double w_max)
-      : state_(&state), threshold_(threshold), w_max_(w_max) {}
+  MinAcceptorFraction(const core::SystemState& state, double w_max)
+      : state_(&state), w_max_(w_max) {}
   void on_round_end(const engine::BalancerView&, long,
                     std::size_t) override {
-    min_ = std::min(min_,
-                    core::acceptor_fraction(*state_, threshold_, w_max_));
+    min_ = std::min(min_, core::acceptor_fraction(*state_, w_max_));
   }
   double min() const noexcept { return min_; }
 
  private:
   const core::SystemState* state_;
-  double threshold_;
   double w_max_;
   double min_ = 1.0;
 };
@@ -170,7 +167,7 @@ int main(int argc, char** argv) {
     cfg.threshold = T;
     cfg.alpha = 1.0;
     core::UserControlledEngine eng(ts, n, cfg);
-    MinAcceptorFraction fraction(eng.state(), T, ts.max_weight());
+    MinAcceptorFraction fraction(eng.state(), ts.max_weight());
     const auto result = engine::reset_and_run(
         eng, tasks::all_on_one(ts), rng, {.max_rounds = 100000}, &fraction);
     const double min_fraction = fraction.min();

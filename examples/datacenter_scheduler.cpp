@@ -8,13 +8,11 @@
 // random other host with the paper's probability — no scheduler in the
 // loop. We trace the worst host load and the potential over time, then
 // compare the above-average and tight QoS thresholds.
-#include <algorithm>
 #include <cstdio>
-#include <vector>
 
-#include "tlb/core/potential.hpp"
 #include "tlb/core/thresholds.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/util/rng.hpp"
 #include "tlb/workload/weight_models.hpp"
@@ -27,6 +25,23 @@ using namespace tlb;
 /// a discrete mixture straight from the workload subsystem's grammar.
 const char* kVmSizeModel = "mix(1:0.70,4:0.25,16:0.05)";
 
+void print_row(long round, double worst, unsigned overloaded,
+               double potential, const char* note) {
+  std::printf("%6ld  %12.1f  %12u  %10.1f%s\n", round, worst, overloaded,
+              potential, note);
+}
+
+/// Prints a trace row at the start of every 20th round.
+class EveryTwentiethRound final : public engine::RoundObserver {
+ public:
+  void on_round(const engine::BalancerView& view, long round) override {
+    if (round % 20 == 0) {
+      print_row(round, view.max_load(), view.overloaded_count(),
+                view.potential(), "");
+    }
+  }
+};
+
 void run_scenario(const char* label, const tasks::TaskSet& vms,
                   graph::Node hosts, double threshold, double alpha,
                   const tasks::Placement& start) {
@@ -35,27 +50,16 @@ void run_scenario(const char* label, const tasks::TaskSet& vms,
   cfg.alpha = alpha;
   util::Rng rng(7);
   core::UserControlledEngine engine(vms, hosts, cfg);
-  engine.reset(start);
 
   std::printf("\n--- %s (QoS threshold %.1f CPU shares) ---\n", label,
               threshold);
   std::printf("%6s  %12s  %12s  %10s\n", "round", "worst host", "overloaded",
               "potential");
-  long round = 0;
-  while (!engine.balanced() && round < 100000) {
-    if (round % 20 == 0) {
-      std::printf("%6ld  %12.1f  %12u  %10.1f\n", round,
-                  engine.state().max_load(),
-                  engine.state().overloaded_count(threshold),
-                  core::user_potential(engine.state(), threshold));
-    }
-    engine.step(rng);
-    ++round;
-  }
-  std::printf("%6ld  %12.1f  %12u  %10.1f  <- balanced\n", round,
-              engine.state().max_load(),
-              engine.state().overloaded_count(threshold),
-              core::user_potential(engine.state(), threshold));
+  EveryTwentiethRound trace;
+  const core::RunResult run = engine::reset_and_run(
+      engine, start, rng, {.max_rounds = 100000}, &trace);
+  print_row(run.rounds, engine.max_load(), engine.overloaded_count(),
+            engine.potential(), "  <- balanced");
 }
 
 }  // namespace

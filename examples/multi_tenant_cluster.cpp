@@ -12,6 +12,7 @@
 
 #include "tlb/core/hetero.hpp"
 #include "tlb/core/user_protocol.hpp"
+#include "tlb/engine/driver.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/util/histogram.hpp"
 #include "tlb/util/rng.hpp"
@@ -68,14 +69,11 @@ int main() {
   };
 
   per_generation("before");
-  long rounds = 0;
-  while (!engine.balanced() && rounds < 100000) {
-    engine.step(run_rng);
-    ++rounds;
-  }
+  const core::RunResult run =
+      engine::drive(engine, run_rng, {.max_rounds = 100000});
   per_generation("after");
   std::printf("rebalanced in %ld rounds; every machine under its own cap: %s\n",
-              rounds, engine.balanced() ? "yes" : "no");
+              run.rounds, run.balanced ? "yes" : "no");
 
   // Final load distribution, normalised by each machine's cap.
   util::Histogram utilisation(0.0, 1.05, 21);

@@ -51,6 +51,15 @@ DynamicConfig checked(DynamicConfig config) {
   return config;
 }
 
+/// The above-average threshold (1 + eps)·W/n + w_max against total weight
+/// W. The +w_max term uses the static class bound (resources know the
+/// workload's class table, not the transient maximum).
+double above_average_threshold(const DynamicConfig& config,
+                               double total_weight) {
+  return (1.0 + config.eps) * total_weight / static_cast<double>(config.n) +
+         config.classes.back().weight;
+}
+
 std::vector<double> weights_of(const std::vector<DynamicWeightClass>& cs) {
   std::vector<double> out;
   for (const auto& c : cs) out.push_back(c.weight);
@@ -97,7 +106,8 @@ class WindowMetrics final : public engine::RoundObserver {
 
 DynamicUserEngine::DynamicUserEngine(DynamicConfig config)
     : config_(checked(std::move(config))),
-      core_(config_.n, weights_of(config_.classes), config_.alpha,
+      core_(config_.n, weights_of(config_.classes),
+            above_average_threshold(config_, 0.0), config_.alpha,
             /*exclude_self=*/false, config_.threads),
       phases_(config_.registry, config_.trace, config_.dsan) {
   double total_p = 0.0;
@@ -109,7 +119,6 @@ DynamicUserEngine::DynamicUserEngine(DynamicConfig config)
   }
   class_cdf_.back() = 1.0;
 
-  core_.set_thresholds(target_threshold());
   core_.place({}, {});  // empty, every status pending re-check
   arrivals_phase_ = phases_.phase("dynamic.arrivals");
   completions_phase_ = phases_.phase("dynamic.completions");
@@ -123,15 +132,8 @@ DynamicUserEngine::DynamicUserEngine(DynamicConfig config)
   core_.attach(phases_, sample, apply, "dynamic");
 }
 
-double DynamicUserEngine::target_threshold() const {
-  // The +w_max term uses the static class bound (resources know the
-  // workload's class table, not the transient maximum).
-  return (1.0 + config_.eps) * total_weight_ / static_cast<double>(config_.n) +
-         core_.class_weights().back();
-}
-
 void DynamicUserEngine::recompute_threshold() {
-  const double next = target_threshold();
+  const double next = above_average_threshold(config_, total_weight_);
   if (next == core_.thresholds().max()) return;
   core_.shift_threshold(next);
   m_threshold_changes_.add(1);

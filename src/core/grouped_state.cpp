@@ -14,13 +14,14 @@
 namespace tlb::core {
 
 GroupedState::GroupedState(graph::Node n, std::vector<double> class_weights,
-                           double alpha, bool exclude_self,
-                           std::size_t threads)
+                           Thresholds thresholds, double alpha,
+                           bool exclude_self, std::size_t threads)
     : n_(n),
       class_weights_(std::move(class_weights)),
       w_max_(class_weights_.empty() ? 0.0 : class_weights_.back()),
       alpha_(alpha),
-      exclude_self_(exclude_self) {
+      exclude_self_(exclude_self),
+      thresholds_(std::move(thresholds)) {
   if (threads != 1) pool_ = std::make_unique<util::ThreadPool>(threads);
 }
 

@@ -23,11 +23,10 @@ namespace {
 void flip_departures(SystemState& state, Node r, double alpha,
                      util::Rng& rng, std::vector<std::uint8_t>& mask,
                      std::vector<TaskId>& movers, std::vector<Node>& origin) {
-  const ResourceStack& stack = std::as_const(state).stack(r);
-  const tasks::TaskSet& ts = state.task_set();
+  const ResourceStack stack = state.stack(r);
   const double p =
-      leave_probability(alpha, stack.phi(ts, state.thresholds()[r]),
-                        ts.max_weight(), stack.count());
+      leave_probability(alpha, stack.phi(state.thresholds()[r]),
+                        state.task_set().max_weight(), stack.count());
   if (p <= 0.0) return;
   mask.assign(stack.count(), 0);
   bool any = false;
@@ -50,8 +49,8 @@ MixedProtocolEngine::MixedProtocolEngine(const graph::Graph& g,
                                          MixedProtocolConfig config)
     : config_(std::move(config)),
       walk_(g, config_.walk),
-      state_(ts, g.num_nodes()) {
-  config_.threshold.checked(g.num_nodes(), "MixedProtocolEngine");
+      state_(ts, g.num_nodes(), std::move(config_.threshold),
+             "MixedProtocolEngine") {
   // Negated, so NaN fails too: a NaN blend would never act resource-mode.
   const double beta = config_.resource_probability;
   if (!(beta >= 0.0 && beta <= 1.0)) {
@@ -62,7 +61,6 @@ MixedProtocolEngine::MixedProtocolEngine(const graph::Graph& g,
     throw std::invalid_argument(
         "MixedProtocolEngine: alpha must be finite and > 0");
   }
-  state_.set_thresholds(std::move(config_.threshold));
 }
 
 void MixedProtocolEngine::reset(const tasks::Placement& placement) {
@@ -105,7 +103,7 @@ std::size_t MixedProtocolEngine::step(util::Rng& rng) {
 bool MixedProtocolEngine::balanced() const { return state_.balanced(); }
 
 double MixedProtocolEngine::potential() const {
-  return user_potential(state_, state_.thresholds());
+  return user_potential(state_);
 }
 
 std::uint32_t MixedProtocolEngine::overloaded_count() const {

@@ -10,18 +10,18 @@ double resource_potential(const SystemState& state) {
   return phi;
 }
 
-double user_potential(const SystemState& state, const Thresholds& thresholds) {
-  return thresholds.visit([&state](const auto T) {
+double user_potential(const SystemState& state) {
+  return state.thresholds().visit([&state](const auto T) {
     double phi = 0.0;
     for (Node r = 0; r < state.num_resources(); ++r) {
-      phi += state.stack(r).phi(state.task_set(), T[r]);
+      phi += state.stack(r).phi(T[r]);
     }
     return phi;
   });
 }
 
-double acceptor_fraction(const SystemState& state, const Thresholds& thresholds,
-                         double w_max) {
+double acceptor_fraction(const SystemState& state, double w_max) {
+  const Thresholds& thresholds = state.thresholds();
   Node able = 0;
   for (Node r = 0; r < state.num_resources(); ++r) {
     if (state.load(r) <= thresholds[r] - w_max) ++able;

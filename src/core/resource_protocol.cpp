@@ -10,11 +10,10 @@ ResourceControlledEngine::ResourceControlledEngine(const graph::Graph& g,
                                                    ResourceProtocolConfig config)
     : config_(std::move(config)),
       walk_(g, config_.walk),
-      state_(ts, g.num_nodes()),
+      state_(ts, g.num_nodes(), std::move(config_.threshold),
+             "ResourceControlledEngine"),
       phases_(config_.options.registry, config_.options.trace,
               /*probe=*/nullptr) {
-  config_.threshold.checked(g.num_nodes(), "ResourceControlledEngine");
-  state_.set_thresholds(std::move(config_.threshold));
   walk_phase_ = phases_.phase("resource.walk");
   scatter_phase_ = phases_.phase("resource.scatter");
   m_evictions_ = phases_.work_counter("resource.evictions");
@@ -22,7 +21,7 @@ ResourceControlledEngine::ResourceControlledEngine(const graph::Graph& g,
 }
 
 void ResourceControlledEngine::reset(const tasks::Placement& placement) {
-  state_.place(placement, state_.thresholds());
+  state_.place_accepting(placement);
 }
 
 std::size_t ResourceControlledEngine::step(util::Rng& rng) {

@@ -7,42 +7,13 @@
 
 namespace tlb::core {
 
-SystemState::SystemState(const tasks::TaskSet& tasks, Node n)
-    : tasks_(&tasks), arena_(n) {
+SystemState::SystemState(const tasks::TaskSet& tasks, Node n,
+                         Thresholds thresholds, const char* who)
+    : tasks_(&tasks), arena_(n), thresholds_(std::move(thresholds)) {
   if (n == 0) throw std::invalid_argument("SystemState: need n >= 1");
+  thresholds_.checked(n, who);
   overloaded_.reset(n);
-}
-
-void SystemState::set_thresholds(Thresholds thresholds) {
-  thresholds.checked(arena_.num_resources(), "SystemState::set_thresholds");
-  // Re-registering the value already in force cannot flip any status (the
-  // recompute_threshold no-op guard, applied to the bulk mutator): zero
-  // re-checks on the next query.
-  if (thresholds == thresholds_) return;
-  if (!thresholds_.is_set()) {
-    // First registration: nothing was tracked against anything yet.
-    thresholds_ = std::move(thresholds);
-    overloaded_.mark_all_dirty();
-    return;
-  }
-  if (thresholds_.is_uniform() && thresholds.is_uniform()) {
-    // Uniform -> uniform: only loads between the old and new value can
-    // flip; the tracker's load index confines the invalidation to that
-    // band instead of dirtying all n resources.
-    const double prev = thresholds_.max();
-    thresholds_ = std::move(thresholds);
-    overloaded_.shift_threshold(prev, thresholds_.max(),
-                                [this](Node r) { return arena_.load(r); });
-    return;
-  }
-  // Any other change: re-check exactly the resources whose own threshold
-  // changes (one O(n) compare pass, but the next flush only pays for the
-  // changed ones).
-  const Node n = arena_.num_resources();
-  for (Node r = 0; r < n; ++r) {
-    if (thresholds_[r] != thresholds[r]) overloaded_.mark_dirty(r);
-  }
-  thresholds_ = std::move(thresholds);
+  overloaded_.mark_all_dirty();
 }
 
 void SystemState::place(const tasks::Placement& placement) {
@@ -52,9 +23,8 @@ void SystemState::place(const tasks::Placement& placement) {
   overloaded_.mark_all_dirty();
 }
 
-void SystemState::place(const tasks::Placement& placement,
-                        const Thresholds& thresholds) {
-  placer_.place(arena_, *tasks_, placement, thresholds);
+void SystemState::place_accepting(const tasks::Placement& placement) {
+  placer_.place(arena_, *tasks_, placement, thresholds_);
   overloaded_.mark_all_dirty();
 }
 
@@ -67,16 +37,12 @@ void SystemState::scatter(const std::vector<Node>& dst,
 }
 
 void SystemState::evict_scatter(const std::vector<Node>& dst) {
-  const std::vector<Node>& from = overloaded();  // throws without thresholds
+  const std::vector<Node>& from = overloaded();
   const auto mark = [this](Node r) { overloaded_.mark_dirty(r); };
   scatter_.evict_scatter(arena_, from, dst, thresholds_, mark, mark);
 }
 
 void SystemState::evict_above(Node r, std::vector<TaskId>& out) {
-  if (!thresholds_.is_set()) {
-    throw std::logic_error(
-        "SystemState::evict_above: set_thresholds() was never called");
-  }
   arena_.evict_above(r, thresholds_[r], out);
   overloaded_.mark_dirty(r);
 }
@@ -101,10 +67,6 @@ void SystemState::remove_marked(const mem::FlatMarks& marks,
 }
 
 const std::vector<Node>& SystemState::overloaded() const {
-  if (!thresholds_.is_set()) {
-    throw std::logic_error(
-        "SystemState::overloaded: set_thresholds() was never called");
-  }
   // The predicate runs once per flush check, so the uniform case compares
   // against a hoisted scalar.
   thresholds_.visit([this](const auto T) {
@@ -127,41 +89,15 @@ std::vector<double> SystemState::loads() const {
 }
 
 double SystemState::max_load() const {
-  const auto load = [this](Node r) { return arena_.load(r); };
-  if (const LoadIndex* idx = overloaded_.query_index(load)) {
-    return idx->max_indexed_load();
-  }
   const Node n = arena_.num_resources();
   double best = 0.0;
   for (Node r = 0; r < n; ++r) best = std::max(best, arena_.load(r));
   return best;
 }
 
-LoadStats SystemState::load_stats(double threshold,
-                                  LoadStatsCalc& calc) const {
-  const Node n = arena_.num_resources();
-  const auto load = [this](Node r) { return arena_.load(r); };
-  if (const LoadIndex* idx = overloaded_.query_index(load)) {
-    return calc.compute_indexed(*idx, n, threshold);
-  }
-  return calc.compute_scan(n, threshold, load);
-}
-
-Node SystemState::overloaded_count(const Thresholds& thresholds) const {
-  const Node n = arena_.num_resources();
-  Node count = 0;
-  for (Node r = 0; r < n; ++r) {
-    if (arena_.load(r) > thresholds[r]) ++count;
-  }
-  return count;
-}
-
-bool SystemState::balanced(const Thresholds& thresholds) const {
-  const Node n = arena_.num_resources();
-  for (Node r = 0; r < n; ++r) {
-    if (arena_.load(r) > thresholds[r]) return false;
-  }
-  return true;
+LoadStats SystemState::load_stats(LoadStatsCalc& calc) const {
+  return calc.compute_scan(arena_.num_resources(), thresholds_.max(),
+                           [this](Node r) { return arena_.load(r); });
 }
 
 double SystemState::total_load() const {
@@ -201,12 +137,10 @@ void SystemState::check_invariants() const {
                              " lost");
     }
   }
-  if (thresholds_.is_set()) {
-    overloaded_.audit(
-        num_resources(),
-        [this](Node r) { return arena_.load(r) > thresholds_[r]; },
-        "SystemState");
-  }
+  overloaded_.audit(
+      num_resources(),
+      [this](Node r) { return arena_.load(r) > thresholds_[r]; },
+      "SystemState");
 }
 
 }  // namespace tlb::core

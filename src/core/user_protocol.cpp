@@ -33,15 +33,13 @@ UserControlledEngine::UserControlledEngine(const tasks::TaskSet& ts, Node n,
                                            UserProtocolConfig config)
     : tasks_(&ts),
       config_(std::move(config)),
-      state_(ts, n),
+      state_(ts, n, std::move(config_.threshold), "UserControlledEngine"),
       phases_(config_.options) {
-  config_.threshold.checked(n, "UserControlledEngine");
   if (!(config_.alpha > 0.0) || !std::isfinite(config_.alpha)) {
     throw std::invalid_argument(
         "UserControlledEngine: alpha must be finite and > 0");
   }
   if (n < 2) throw std::invalid_argument("UserControlledEngine: need n >= 2");
-  state_.set_thresholds(std::move(config_.threshold));
   // No pool at one thread: phase 1 runs inline over the same shards.
   if (config_.options.threads != 1) {
     pool_ = std::make_unique<util::ThreadPool>(config_.options.threads);
@@ -84,10 +82,10 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
   {
     const obs::PhaseSpan span = phases_.time(sample_phase_);
     for (std::size_t i = 0; i < k; ++i) {
-      const ResourceStack stack = std::as_const(state_).stack(over[i]);
+      const ResourceStack stack = state_.stack(over[i]);
       coin_prefix_[i] = total;
       total += stack.count();
-      const double phi = stack.phi(*tasks_, state_.thresholds()[over[i]]);
+      const double phi = stack.phi(state_.thresholds()[over[i]]);
       leave_p_[i] = leave_probability(config_.alpha, phi, w_max, stack.count());
     }
     coin_prefix_[k] = total;
@@ -202,7 +200,7 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
 bool UserControlledEngine::balanced() const { return state_.balanced(); }
 
 double UserControlledEngine::potential() const {
-  return user_potential(state_, state_.thresholds());
+  return user_potential(state_);
 }
 
 std::uint32_t UserControlledEngine::overloaded_count() const {
@@ -246,11 +244,10 @@ GroupedUserEngine::GroupedUserEngine(const tasks::TaskSet& ts, Node n,
                                      UserProtocolConfig config)
     : tasks_(&ts),
       config_(std::move(config)),
-      core_(n, grouped_classes(ts), config_.alpha, config_.exclude_self,
-            config_.options.threads),
+      core_(n, grouped_classes(ts), std::move(config_.threshold),
+            config_.alpha, config_.exclude_self, config_.options.threads),
       phases_(config_.options) {
-  config_.threshold.checked(n, "GroupedUserEngine");
-  core_.set_thresholds(std::move(config_.threshold));
+  core_.thresholds().checked(n, "GroupedUserEngine");
   if (!(config_.alpha > 0.0) || !std::isfinite(config_.alpha)) {
     throw std::invalid_argument(
         "GroupedUserEngine: alpha must be finite and > 0");

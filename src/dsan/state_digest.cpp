@@ -20,9 +20,7 @@ void digest_state(const core::SystemState& state, Digest& d, Digest& work) {
       d.f64(w[i]);
     }
   }
-  if (state.thresholds().is_set()) {
-    for (graph::Node r = 0; r < n; ++r) d.f64(state.thresholds()[r]);
-  }
+  for (graph::Node r = 0; r < n; ++r) d.f64(state.thresholds()[r]);
   digest_tracker(state.overloaded_tracker(), d, work);
 }
 

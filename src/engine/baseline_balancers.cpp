@@ -175,24 +175,30 @@ void ParallelThresholdBalancer::audit() const {
   check_total_weight(expected, "ParallelThresholdBalancer");
 }
 
-// ---- GreedyChoiceBalancer -------------------------------------------------
+// ---- ChoiceBalancer -------------------------------------------------------
 
-GreedyChoiceBalancer::GreedyChoiceBalancer(const tasks::TaskSet& ts,
-                                           graph::Node n, int choices,
-                                           double threshold)
-    : BinLoadBalancer(ts, n, threshold, "GreedyChoiceBalancer"),
-      choices_(choices) {
+ChoiceBalancer::ChoiceBalancer(const tasks::TaskSet& ts, graph::Node n,
+                               int choices, double beta, double threshold)
+    : BinLoadBalancer(ts, n, threshold, "ChoiceBalancer"),
+      choices_(choices),
+      beta_(beta) {
   if (choices < 1) {
-    throw std::invalid_argument("GreedyChoiceBalancer: choices >= 1");
+    throw std::invalid_argument("ChoiceBalancer: choices >= 1");
+  }
+  // !(a && b) form so NaN fails the range check too.
+  if (!(beta >= 0.0 && beta <= 1.0)) {
+    throw std::invalid_argument("ChoiceBalancer: beta in [0, 1]");
   }
 }
 
-std::size_t GreedyChoiceBalancer::step(util::Rng& rng) {
+std::size_t ChoiceBalancer::step(util::Rng& rng) {
   if (done_) return 0;
   done_ = true;
   for (tasks::TaskId i = 0; i < tasks_->size(); ++i) {
+    const int choices =
+        (beta_ > 0.0 && rng.bernoulli(beta_)) ? 1 : choices_;
     auto best = static_cast<graph::Node>(rng.uniform_below(n_));
-    for (int c = 1; c < choices_; ++c) {
+    for (int c = 1; c < choices; ++c) {
       const auto candidate = static_cast<graph::Node>(rng.uniform_below(n_));
       if (loads_[candidate] < loads_[best]) best = candidate;
     }
@@ -201,52 +207,12 @@ std::size_t GreedyChoiceBalancer::step(util::Rng& rng) {
   return tasks_->size();
 }
 
-void GreedyChoiceBalancer::audit() const {
+void ChoiceBalancer::audit() const {
   BinLoadBalancer::audit();
-  check_total_weight(done_ ? tasks_->total_weight() : 0.0,
-                     "GreedyChoiceBalancer");
+  check_total_weight(done_ ? tasks_->total_weight() : 0.0, "ChoiceBalancer");
 }
 
-double GreedyChoiceBalancer::gap() const {
-  return max_load() - tasks_->total_weight() / static_cast<double>(n_);
-}
-
-// ---- OnePlusBetaBalancer --------------------------------------------------
-
-OnePlusBetaBalancer::OnePlusBetaBalancer(const tasks::TaskSet& ts,
-                                         graph::Node n, double beta,
-                                         double threshold)
-    : BinLoadBalancer(ts, n, threshold, "OnePlusBetaBalancer"), beta_(beta) {
-  // !(a && b) form so NaN fails the range check too.
-  if (!(beta >= 0.0 && beta <= 1.0)) {
-    throw std::invalid_argument("OnePlusBetaBalancer: beta in [0, 1]");
-  }
-}
-
-std::size_t OnePlusBetaBalancer::step(util::Rng& rng) {
-  if (done_) return 0;
-  done_ = true;
-  for (tasks::TaskId i = 0; i < tasks_->size(); ++i) {
-    graph::Node target;
-    if (rng.bernoulli(beta_)) {
-      target = static_cast<graph::Node>(rng.uniform_below(n_));
-    } else {
-      const auto a = static_cast<graph::Node>(rng.uniform_below(n_));
-      const auto b = static_cast<graph::Node>(rng.uniform_below(n_));
-      target = loads_[a] <= loads_[b] ? a : b;
-    }
-    loads_[target] += tasks_->weight(i);
-  }
-  return tasks_->size();
-}
-
-void OnePlusBetaBalancer::audit() const {
-  BinLoadBalancer::audit();
-  check_total_weight(done_ ? tasks_->total_weight() : 0.0,
-                     "OnePlusBetaBalancer");
-}
-
-double OnePlusBetaBalancer::gap() const {
+double ChoiceBalancer::gap() const {
   return max_load() - tasks_->total_weight() / static_cast<double>(n_);
 }
 

@@ -172,15 +172,14 @@ class DynamicUserEngine {
   void do_arrivals(util::Rng& rng);
   void do_completions(util::Rng& rng);
   void do_crash(util::Rng& rng);
-  /// The above-average threshold against the current total weight.
-  double target_threshold() const;
-  /// Move the threshold to target_threshold(). A *changed* threshold flips
-  /// exactly the resources whose load lies between the old and new value;
-  /// the tracker re-checks that band through its LoadIndex when few
-  /// resources changed since the last flush, and sweeps all n when many
-  /// did (OverloadedSet::shift_threshold). A recomputation that lands on
-  /// the same value — quiet rounds with no arrivals, completions or
-  /// crashes — invalidates nothing, so those rounds stay O(#touched).
+  /// Move the threshold to the above-average one against the current total
+  /// weight. A *changed* threshold flips exactly the resources whose load
+  /// lies between the old and new value; the tracker re-checks that band
+  /// through its LoadIndex when few resources changed since the last
+  /// flush, and sweeps all n when many did (OverloadedSet::shift_threshold).
+  /// A recomputation that lands on the same value — quiet rounds with no
+  /// arrivals, completions or crashes — invalidates nothing, so those
+  /// rounds stay O(#touched).
   void recompute_threshold();
 
   DynamicConfig config_;

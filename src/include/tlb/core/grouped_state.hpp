@@ -10,6 +10,11 @@
 // individual coins — and φ_r from the canonical ascending-weight stacking.
 // Every leaver then moves to a uniform resource.
 //
+// The thresholds come with the constructor. The grouped engine keeps them;
+// the churn engine moves its uniform T every round through
+// shift_threshold(), the library's only threshold move (SystemState's are
+// fixed for its lifetime).
+//
 // Phase 1 (sampling) is sharded: each round draws one base seed from the
 // caller's stream, and every kShardGrain-sized slice of the overloaded
 // list samples from its private Rng(derive_seed(round_seed, shard)) into a
@@ -45,21 +50,18 @@ class GroupedState {
   static constexpr std::size_t kShardGrain = 512;
 
   /// `class_weights` ascending; the largest is the w_max of ⌈φ/w_max⌉.
+  /// `thresholds` are what the round runs against (owners validate them).
   /// `exclude_self` draws destinations among the other n-1 resources.
   /// `threads` phase-1 workers: 1 samples inline, 0 = hardware concurrency.
-  GroupedState(graph::Node n, std::vector<double> class_weights, double alpha,
-               bool exclude_self, std::size_t threads);
+  GroupedState(graph::Node n, std::vector<double> class_weights,
+               Thresholds thresholds, double alpha, bool exclude_self,
+               std::size_t threads);
 
   // --- thresholds ---
-  /// The thresholds the round runs against (owners validate them). Set
-  /// before the first place(); a uniform threshold may move later through
-  /// shift_threshold().
-  void set_thresholds(Thresholds thresholds) {
-    thresholds_ = std::move(thresholds);
-  }
   /// Move a uniform threshold to `next`, re-checking only the resources
-  /// whose load lies between the old and the new value. Requires uniform
-  /// thresholds.
+  /// whose load lies between the old and the new value: the churn engine's
+  /// per-round recomputation, and the library's only threshold move.
+  /// Requires uniform thresholds.
   void shift_threshold(double next);
   const Thresholds& thresholds() const noexcept { return thresholds_; }
 

@@ -10,6 +10,9 @@
 // User-controlled (Section 6):  Φ(t) = Σ_r φ_r(t), where φ_r is the weight
 // of the cutting task plus everything above it on overloaded resources, 0
 // otherwise. Lemma 10: one-step multiplicative drop of (α·ε w_min)/(2(1+ε) w_max).
+//
+// The functions below are O(n) sweeps over a SystemState; the ones that
+// compare against a threshold read the state's own thresholds().
 
 #include "tlb/core/system_state.hpp"
 
@@ -22,14 +25,13 @@ namespace tlb::core {
 double resource_potential(const SystemState& state);
 
 /// User-protocol potential Φ(t) = Σ_r φ_r(t), φ_r taken against
-/// thresholds[r]. An O(n) sweep.
-double user_potential(const SystemState& state, const Thresholds& thresholds);
+/// state.thresholds()[r].
+double user_potential(const SystemState& state);
 
 /// Lemma 1's quantity: the fraction of resources whose load is at most
 /// T_r - w_max (i.e. able to accept an additional task of any weight). The
 /// lemma guarantees >= eps/(1+eps) for T = (1+eps)·W/n + w_max, at every
 /// point in time.
-double acceptor_fraction(const SystemState& state, const Thresholds& thresholds,
-                         double w_max);
+double acceptor_fraction(const SystemState& state, double w_max);
 
 }  // namespace tlb::core

@@ -12,44 +12,26 @@
 // exactly the eviction set I^a ∪ I^c, and it is non-empty only when the
 // resource is overloaded.
 //
-// Storage note: since the tlb::mem arena refactor the stack no longer owns a
-// std::vector<TaskId>. ResourceStack is a lightweight *view* — (arena,
-// resource) — over a mem::TaskArena that holds every resource's ids and
-// mirrored weights in flat SoA storage, so the hot loops (phi, eviction)
-// scan contiguous memory and never indirect through the TaskSet. The
-// default constructor keeps the old standalone ergonomics by owning a
-// private single-resource arena; SystemState hands out non-owning views
-// into its shared arena.
+// Storage: every resource's ids and mirrored weights live in one
+// mem::TaskArena, whose mutators implement the stack operations (push,
+// push_accepting, evict_unaccepted, evict_above, remove_marked).
+// ResourceStack is a read-only (arena, resource) view for the paper's
+// quantities; SystemState::stack(r) hands one out.
 
-#include <cstdint>
-#include <memory>
-#include <vector>
+#include <cstddef>
 
 #include "tlb/mem/task_arena.hpp"
-#include "tlb/tasks/task_set.hpp"
 
 namespace tlb::core {
 
 using graph::Node;
-using tasks::TaskId;
 
-/// One resource's stack. Weights are looked up through the TaskSet on push
-/// and mirrored into the arena, which must outlive the view.
+/// Read-only view of one resource's stack inside a mem::TaskArena, which
+/// must outlive the view. Invalidated by any arena mutation.
 class ResourceStack {
  public:
-  /// Standalone stack backed by a private single-resource arena (tests,
-  /// micro-benchmarks). Move-only.
-  ResourceStack()
-      : owned_(std::make_unique<mem::TaskArena>(1)),
-        arena_(owned_.get()),
-        r_(0) {}
-
-  /// Non-owning view of resource `r` inside `arena`.
-  ResourceStack(mem::TaskArena& arena, Node r) noexcept
+  ResourceStack(const mem::TaskArena& arena, Node r) noexcept
       : arena_(&arena), r_(r) {}
-
-  ResourceStack(ResourceStack&&) noexcept = default;
-  ResourceStack& operator=(ResourceStack&&) noexcept = default;
 
   /// Total weight currently on this resource (the load x_r).
   double load() const noexcept { return arena_->load(r_); }
@@ -58,7 +40,7 @@ class ResourceStack {
   /// True iff no tasks are stored.
   bool empty() const noexcept { return arena_->empty(r_); }
 
-  /// Tasks bottom-to-top (a view; invalidated by any arena mutation).
+  /// Tasks bottom-to-top.
   mem::TaskSpan tasks() const noexcept { return arena_->tasks(r_); }
 
   /// Weight of the accepted prefix (resource-controlled bookkeeping).
@@ -75,79 +57,19 @@ class ResourceStack {
   /// potential Φ of eq. (1).
   double pending_load() const noexcept { return load() - accepted_load(); }
 
-  /// Push a task with acceptance bookkeeping: the task is accepted iff
-  /// load + w <= threshold *and* every task below it is accepted. Returns
-  /// true iff accepted.
-  bool push_accepting(TaskId id, const tasks::TaskSet& ts, double threshold) {
-    return arena_->push_accepting(r_, id, ts.weight(id), threshold);
-  }
-
-  /// Push without acceptance bookkeeping (user-controlled protocol).
-  void push(TaskId id, const tasks::TaskSet& ts) {
-    arena_->push(r_, id, ts.weight(id));
-  }
-
-  /// Remove the entire unaccepted suffix (the eviction set of Algorithm 5.1)
-  /// and append the evicted ids to `out` in bottom-to-top order.
-  void evict_unaccepted(const tasks::TaskSet& ts, std::vector<TaskId>& out) {
-    (void)ts;  // weights are mirrored in the arena
-    arena_->evict_unaccepted(r_, out);
-  }
-
-  /// Height-based eviction for stacks *without* acceptance bookkeeping
-  /// (used by the mixed protocol, where user-style departures invalidate
-  /// the accepted prefix): removes exactly I^a ∪ I^c — every task whose
-  /// height interval crosses or exceeds `threshold` — and appends the
-  /// evicted ids to `out` bottom-to-top. Equivalent to evict_unaccepted()
-  /// when the bookkeeping is intact.
-  void evict_above(const tasks::TaskSet& ts, double threshold,
-                   std::vector<TaskId>& out) {
-    (void)ts;
-    arena_->evict_above(r_, threshold, out);
-  }
-
-  /// Remove the tasks at the flagged positions (leave[i] corresponds to
-  /// stack position i), preserving the relative order of the survivors and
-  /// appending removed ids to `out`. Used by the user-controlled protocol,
-  /// where any task may leave. Acceptance bookkeeping is recomputed (the
-  /// surviving accepted tasks remain a prefix), so mixed-protocol callers
-  /// can still trust accepted_count()/accepted_load() afterwards.
-  void remove_marked(const std::vector<std::uint8_t>& leave,
-                     const tasks::TaskSet& ts, std::vector<TaskId>& out) {
-    (void)ts;
-    arena_->remove_marked(r_, leave, out);
-  }
-
   /// Height of the task at stack position `pos` (sum of weights below).
-  double height_at(std::size_t pos, const tasks::TaskSet& ts) const {
-    (void)ts;
-    return arena_->height_at(r_, pos);
-  }
+  /// Throws std::out_of_range past the top.
+  double height_at(std::size_t pos) const { return arena_->height_at(r_, pos); }
 
   /// The user-protocol potential φ_r for threshold T: total weight of the
   /// cutting task plus all tasks above it; 0 if load <= T (Section 6).
-  /// Scans the mirrored weights bottom-up: φ = load - (largest prefix whose
-  /// every task is completely below T).
-  double phi(const tasks::TaskSet& ts, double threshold) const noexcept {
-    (void)ts;
+  double phi(double threshold) const noexcept {
     return arena_->phi(r_, threshold);
   }
 
-  /// Observation 9's ψ_r = ceil(φ_r / w_max): minimum number of departures
-  /// needed to drop below the threshold.
-  double psi(const tasks::TaskSet& ts, double threshold, double w_max) const
-      noexcept {
-    (void)ts;
-    return arena_->psi(r_, threshold, w_max);
-  }
-
-  /// Drop everything (used when re-initialising engines between trials).
-  void clear() noexcept { arena_->clear(r_); }
-
  private:
-  std::unique_ptr<mem::TaskArena> owned_;  // standalone stacks only
-  mem::TaskArena* arena_;
-  Node r_ = 0;
+  const mem::TaskArena* arena_;
+  Node r_;
 };
 
 }  // namespace tlb::core

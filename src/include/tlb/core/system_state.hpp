@@ -1,25 +1,26 @@
 #pragma once
 // Full system state: a mem::TaskArena holding every resource's stack plus
-// aggregate queries. Both protocol engines own a SystemState; tests use it
-// directly to check the paper's invariants (weight conservation,
-// Observation 4, Lemma 1, ...).
+// aggregate queries. The exact user, resource and mixed engines each own a
+// SystemState; tests use it directly to check the paper's invariants
+// (weight conservation, Observation 4, Lemma 1, ...).
 //
 // Storage: all task ids and mirrored weights live in one flat SoA arena
 // (tlb/mem/task_arena.hpp) instead of n per-resource vectors; place() is a
 // destination-bucketed batch build (mem::BatchPlacer), scatter() its
 // in-round counterpart (mem::BatchScatter), and stack(r) hands out a
-// lightweight ResourceStack view.
+// read-only ResourceStack view. Stacks change only through the mutators
+// below.
 //
-// Overloaded-set contract: once an engine registers its thresholds (a
-// core::Thresholds, uniform or per resource) via set_thresholds(), the
-// state keeps the set { r : load(r) > T_r } current
+// Overloaded-set contract: the state is built with its thresholds (a
+// core::Thresholds, uniform or per resource), fixed for its lifetime as in
+// Algorithms 5.1 and 6.1, and keeps the set { r : load(r) > T_r } current
 // incrementally — every mutating entry point (place, scatter,
-// evict_scatter, the evict/remove forwarders below, and mutable stack()
-// access) marks the touched resources dirty, and the O(active) queries
+// evict_scatter, the evict/remove forwarders below) marks the touched
+// resources dirty, and the O(active) queries
 // overloaded()/overloaded_count()/balanced() reconcile only the dirty
 // entries. Per-round cost is therefore O(#overloaded + #movers + n/256)
 // instead of O(n), which is what makes post-convergence tail rounds at
-// n = 10^6 cheap.
+// n = 10^6 cheap. (Moving thresholds are the churn engine's: GroupedState.)
 
 #include <vector>
 
@@ -35,34 +36,29 @@
 namespace tlb::core {
 
 using graph::Node;
+using tasks::TaskId;
 
 /// Mutable allocation of a TaskSet onto n resources.
 class SystemState {
  public:
   /// Empty state over n resources for the given tasks (not owned; must
-  /// outlive the state). No tasks placed yet.
-  SystemState(const tasks::TaskSet& tasks, Node n);
+  /// outlive the state), tracked against `thresholds` for its lifetime.
+  /// Throws std::invalid_argument naming `who` (the owning engine) unless
+  /// the thresholds pass Thresholds::checked. No tasks placed yet.
+  SystemState(const tasks::TaskSet& tasks, Node n, Thresholds thresholds,
+              const char* who = "SystemState");
 
-  /// Register the thresholds the overloaded set is tracked against; the
-  /// state owns them from then on, and engines read them back through
-  /// thresholds(). Throws std::invalid_argument unless they pass
-  /// Thresholds::checked. Re-registration is incremental: the same value
-  /// is a no-op (zero re-checks), a moved uniform value reconciles only
-  /// the band of loads between old and new through the tracker's bucketed
-  /// LoadIndex, and any other change re-checks only the resources whose
-  /// own threshold differs. Only the first registration invalidates all n.
-  void set_thresholds(Thresholds thresholds);
-  /// The registered thresholds (unset until set_thresholds()).
+  /// The thresholds the state is tracked against; engines read them back
+  /// from here.
   const Thresholds& thresholds() const noexcept { return thresholds_; }
 
   /// Place all tasks per `placement` (task id order) by plain stacking, as
   /// the user-controlled protocols do. One counting-sorted batch build;
   /// semantically identical to sequential pushes.
   void place(const tasks::Placement& placement);
-  /// Place with acceptance bookkeeping against `thresholds` (Algorithm
-  /// 5.1's stacks), as sequential push_accepting calls would. Independent
-  /// of the registered thresholds.
-  void place(const tasks::Placement& placement, const Thresholds& thresholds);
+  /// Place with acceptance bookkeeping against thresholds() (Algorithm
+  /// 5.1's stacks), as sequential push_accepting calls would.
+  void place_accepting(const tasks::Placement& placement);
 
   /// Number of resources.
   Node num_resources() const noexcept { return arena_.num_resources(); }
@@ -71,17 +67,8 @@ class SystemState {
   /// The SoA storage behind the stacks (tests, perf counters).
   const mem::TaskArena& arena() const noexcept { return arena_; }
 
-  /// Mutable view of one resource's stack. Conservatively marks r dirty —
-  /// prefer the forwarders below on hot paths (same cost, clearer intent).
-  /// Mutations through a *stored* view bypass the dirty marking; re-fetch
-  /// the view instead of keeping it across round boundaries.
-  ResourceStack stack(Node r) {
-    overloaded_.mark_dirty(r);
-    return {arena_, r};
-  }
-  const ResourceStack stack(Node r) const {
-    return {const_cast<mem::TaskArena&>(arena_), r};
-  }
+  /// Read-only view of one resource's stack (invalidated by any mutation).
+  ResourceStack stack(Node r) const { return {arena_, r}; }
 
   /// Load of resource r.
   double load(Node r) const noexcept { return arena_.load(r); }
@@ -105,10 +92,10 @@ class SystemState {
   /// and then pushing evictee j onto dst[j] for j = 0, 1, ..., dirty marks
   /// included: each evicted resource in list order, then each destination
   /// once, in block order. dst.size() must be the number of unaccepted
-  /// tasks on the overloaded resources. Requires set_thresholds().
+  /// tasks on the overloaded resources.
   void evict_scatter(const std::vector<Node>& dst);
   /// Height-based eviction of everything crossing/above thresholds()[r]
-  /// (mixed protocol). Requires set_thresholds().
+  /// (mixed protocol).
   void evict_above(Node r, std::vector<TaskId>& out);
   /// Remove the flagged stack positions of r, appending to `out`.
   void remove_marked(Node r, const std::vector<std::uint8_t>& leave,
@@ -120,7 +107,7 @@ class SystemState {
   void remove_marked(const mem::FlatMarks& marks, std::vector<TaskId>& ids,
                      std::vector<Node>& origin, util::ThreadPool* pool);
 
-  // --- O(active) queries against the registered thresholds ---
+  // --- O(active) queries against thresholds() ---
 
   /// The overloaded resources { r : load(r) > thresholds()[r] }, ascending.
   /// Cost: O(#dirty + #overloaded) to reconcile, O(1) when nothing changed.
@@ -140,36 +127,22 @@ class SystemState {
   /// Load vector snapshot (n entries).
   std::vector<double> loads() const;
 
-  /// Maximum load over all resources. Served from the tracker's bucketed
-  /// load index in O(#buckets + |top bucket|) while it is live (armed by a
-  /// threshold shift and not invalidated since); O(n) scan otherwise. Both
-  /// paths return the identical value — the index stores the authoritative
-  /// loads once reconciled.
+  /// Maximum load over all resources. O(n) scan.
   [[nodiscard]] double max_load() const;
 
   /// Deterministic load-distribution snapshot (max/mean/p50/p90/p99,
-  /// overload mass, imbalance) against a scalar threshold. Quantiles are
-  /// exact order statistics, served from the tracker's load index when
-  /// live and an O(n) scan fallback otherwise — bit-identical either way.
-  /// `calc` is the caller's reusable scratch (one per observer).
-  [[nodiscard]] LoadStats load_stats(double threshold,
-                                     LoadStatsCalc& calc) const;
-  /// Number of resources with load > thresholds[r]. O(n) full scan —
-  /// ground truth for arbitrary thresholds; engines use the O(active)
-  /// overload.
-  [[nodiscard]] Node overloaded_count(const Thresholds& thresholds) const;
-  /// True iff every resource's load is <= thresholds[r] (the balanced
-  /// state). O(n) full scan.
-  [[nodiscard]] bool balanced(const Thresholds& thresholds) const;
+  /// overload mass, imbalance) against thresholds().max(): exact order
+  /// statistics from an O(n) scan. `calc` is the caller's reusable scratch
+  /// (one per observer).
+  [[nodiscard]] LoadStats load_stats(LoadStatsCalc& calc) const;
 
   /// Sum of loads; equals the TaskSet total when every task is placed.
   double total_load() const;
 
   /// Verify structural sanity: every task appears exactly once across all
   /// stacks, mirrored weights match the TaskSet, cached loads match
-  /// recomputed sums, the arena's span accounting holds, and (when
-  /// thresholds are registered) the incremental overloaded set equals a
-  /// brute-force rescan. Throws std::logic_error with a description on
+  /// recomputed sums, the arena's span accounting holds, and the
+  /// incremental overloaded set equals a brute-force rescan. Throws std::logic_error with a description on
   /// violation. O(m + n); used by tests and paranoid-check runs.
   void check_invariants() const;
 
@@ -178,7 +151,7 @@ class SystemState {
   mem::TaskArena arena_;                  // SoA storage for all stacks
   mem::BatchPlacer placer_;               // destination-bucketed place()
   mem::BatchScatter scatter_;             // destination-bucketed scatter()
-  Thresholds thresholds_;                 // tracked against (unset at first)
+  Thresholds thresholds_;                 // tracked against, fixed
   mutable OverloadedSet overloaded_;      // lazily reconciled in queries
 };
 

@@ -141,10 +141,9 @@ class ViewOf final : public BalancerView {
                            -> std::convertible_to<const core::SystemState&>;
                          }) {
       // SystemState-backed engines (exact user, mixed, resource) need no
-      // hook of their own: the state serves the snapshot against the
-      // engine's reported threshold, index-accelerated when the tracker's
-      // load index is live.
-      out = b_->state().load_stats(b_->reported_threshold(), calc);
+      // hook of their own: the state serves the snapshot against its
+      // largest threshold, the engine's reported one.
+      out = b_->state().load_stats(calc);
       return true;
     } else {
       return false;

@@ -10,13 +10,13 @@
 // balancer (parallel threshold) and read the loads and counters off it.
 //
 // Round semantics:
-//   * SequentialThresholdBalancer, GreedyChoiceBalancer, OnePlusBetaBalancer
-//     and FirstFitBalancer are one-shot allocators: their whole (sequential)
-//     allocation is one synchronous "round of global coordination", so
-//     step() performs it entirely and done() is true afterwards. done() and
-//     balanced() differ: a two-choice allocation is *done* after its round
-//     but only *balanced* if the resulting maximum load meets the threshold
-//     it is being compared against.
+//   * SequentialThresholdBalancer, ChoiceBalancer and FirstFitBalancer are
+//     one-shot allocators: their whole (sequential) allocation is one
+//     synchronous "round of global coordination", so step() performs it
+//     entirely and done() is true afterwards. done() and balanced()
+//     differ: a two-choice allocation is *done* after its round but only
+//     *balanced* if the resulting maximum load meets the threshold it is
+//     being compared against.
 //   * ParallelThresholdBalancer is genuinely round-based (every unplaced
 //     ball proposes once per round) and maps 1:1 onto step().
 //   * SelfishReallocBalancer is round-based too, but migrates tasks from a
@@ -141,12 +141,16 @@ class ParallelThresholdBalancer final : public BinLoadBalancer {
   std::uint64_t messages_ = 0;
 };
 
-/// Talwar & Wieder [9]: each ball samples `choices` uniform bins and joins
-/// the least loaded (choices == 1: purely random). One-shot.
-class GreedyChoiceBalancer final : public BinLoadBalancer {
+/// Multiple-choice allocation, one-shot: each ball, with probability
+/// `beta` joins one uniform bin, and otherwise samples `choices` uniform
+/// bins and joins the least loaded (the first one on ties). The β-coin is
+/// drawn only when beta > 0. (d, 0) is Talwar & Wieder's greedy d-choice
+/// [9] (d = 1: purely random); (2, β) is Peres, Talwar & Wieder's (1+β)
+/// process [11].
+class ChoiceBalancer final : public BinLoadBalancer {
  public:
-  GreedyChoiceBalancer(const tasks::TaskSet& ts, graph::Node n, int choices,
-                       double threshold);
+  ChoiceBalancer(const tasks::TaskSet& ts, graph::Node n, int choices,
+                 double beta, double threshold);
 
   std::size_t step(util::Rng& rng);
   [[nodiscard]] bool done() const noexcept { return done_; }
@@ -160,26 +164,6 @@ class GreedyChoiceBalancer final : public BinLoadBalancer {
 
  private:
   int choices_;
-  bool done_ = false;
-};
-
-/// Peres, Talwar & Wieder [11]: with probability beta a uniform bin, else
-/// the lesser loaded of two uniform choices. One-shot.
-class OnePlusBetaBalancer final : public BinLoadBalancer {
- public:
-  OnePlusBetaBalancer(const tasks::TaskSet& ts, graph::Node n, double beta,
-                      double threshold);
-
-  std::size_t step(util::Rng& rng);
-  [[nodiscard]] bool done() const noexcept { return done_; }
-  [[nodiscard]] bool balanced() const {
-    return done_ && BinLoadBalancer::balanced();
-  }
-  void audit() const;
-
-  double gap() const;
-
- private:
   double beta_;
   bool done_ = false;
 };

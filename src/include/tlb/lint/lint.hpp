@@ -19,7 +19,7 @@
 //   D4  no std::cout/cerr/printf in library code (src/); only apps/,
 //       bench/ and tests/ talk to stdio directly. snprintf-style string
 //       formatting is fine — the rule bans *streams*, not formatting.
-//   D5  every obs::Registry registration (.counter/.gauge/.histogram)
+//   D5  every obs::Registry registration (.counter/.histogram)
 //       names an explicit determinism class (kDeterministic / kTiming).
 //   D6  thread_local only in the whitelisted per-thread shard caches
 //       (obs registry / trace buffers).

@@ -163,9 +163,9 @@ struct FlatMarks {
   std::span<const std::size_t> shard_movers;  ///< shards + 1 entries
 };
 
-/// Flat SoA storage for every resource's stack. All mutating entry points
-/// mirror core::ResourceStack's contracts exactly; ResourceStack is now a
-/// (resource, arena) view over this class.
+/// Flat SoA storage for every resource's stack. Its mutators are the
+/// paper's stack operations (core/resource_stack.hpp has the semantics);
+/// core::ResourceStack is a read-only (arena, resource) view over it.
 class TaskArena {
  public:
   /// Smallest capacity a non-empty span is ever given.
@@ -208,7 +208,7 @@ class TaskArena {
     return weights_.data() + begin_[r];
   }
 
-  // --- Mutations (ResourceStack contracts) ---------------------------------
+  // --- Mutations -----------------------------------------------------------
 
   /// Append a task of weight w (no acceptance bookkeeping).
   void push(Node r, TaskId id, double w);
@@ -252,8 +252,6 @@ class TaskArena {
   double height_at(Node r, std::size_t pos) const;
   /// User-protocol potential phi_r for the threshold (Section 6).
   double phi(Node r, double threshold) const noexcept;
-  /// Observation 9's psi_r = ceil(phi_r / w_max).
-  double psi(Node r, double threshold, double w_max) const noexcept;
 
   // --- Introspection (tests, perf counters) --------------------------------
 

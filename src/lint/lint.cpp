@@ -417,7 +417,7 @@ const std::unordered_map<std::string, Rule>& banned_headers() {
 }
 
 const std::unordered_set<std::string>& d5_members() {
-  static const std::unordered_set<std::string> kSet = {"counter", "gauge",
+  static const std::unordered_set<std::string> kSet = {"counter",
                                                        "histogram"};
   return kSet;
 }

@@ -467,10 +467,6 @@ double TaskArena::phi(Node r, double threshold) const noexcept {
   return load_[r] - h;
 }
 
-double TaskArena::psi(Node r, double threshold, double w_max) const noexcept {
-  return std::ceil(phi(r, threshold) / w_max);
-}
-
 void TaskArena::check_invariants() const {
   const Node n = num_resources();
   if (ids_.size() != used_ || weights_.size() != used_) {

@@ -99,11 +99,11 @@ decltype(auto) with_batch_engine(const ScenarioSpec& spec,
       return fn(balancer);
     }
     case ProtocolKind::kTwoChoice: {
-      engine::GreedyChoiceBalancer balancer(ts, in.n, spec.twochoice_d, T);
+      engine::ChoiceBalancer balancer(ts, in.n, spec.twochoice_d, 0.0, T);
       return fn(balancer);
     }
     case ProtocolKind::kOneBeta: {
-      engine::OnePlusBetaBalancer balancer(ts, in.n, spec.onebeta_beta, T);
+      engine::ChoiceBalancer balancer(ts, in.n, 2, spec.onebeta_beta, T);
       return fn(balancer);
     }
     case ProtocolKind::kSelfish: {

@@ -201,11 +201,8 @@ void run_batch_preset(const ScenarioSpec& spec, const PerfPreset& preset,
 class ArenaChurn {
  public:
   ArenaChurn(const tasks::TaskSet& ts, graph::Node n, double threshold)
-      : state_(ts, n),
-        threshold_(threshold),
-        victims_per_round_(std::max<graph::Node>(1, n / 64)) {
-    state_.set_thresholds(threshold);
-  }
+      : state_(ts, n, threshold, "ArenaChurn"),
+        victims_per_round_(std::max<graph::Node>(1, n / 64)) {}
 
   /// Initial placement, without acceptance bookkeeping.
   void place(const tasks::Placement& start) {
@@ -218,7 +215,7 @@ class ArenaChurn {
     movers_.clear();
     for (graph::Node k = 0; k < victims_per_round_; ++k) {
       const auto r = static_cast<graph::Node>(rng.uniform_below(n));
-      const std::size_t count = state_.stack(r).count();
+      const std::size_t count = state_.arena().count(r);
       if (count == 0) continue;
       leave_.assign(count, 0);
       bool any = false;
@@ -245,10 +242,10 @@ class ArenaChurn {
   }
   [[nodiscard]] double max_load() const { return state_.max_load(); }
   [[nodiscard]] double potential() const {
-    return core::user_potential(state_, threshold_);
+    return core::user_potential(state_);
   }
   [[nodiscard]] double reported_threshold() const noexcept {
-    return threshold_;
+    return state_.thresholds().max();
   }
   void audit() const { state_.check_invariants(); }
   [[nodiscard]] const core::SystemState& state() const noexcept {
@@ -257,7 +254,6 @@ class ArenaChurn {
 
  private:
   core::SystemState state_;
-  double threshold_;
   graph::Node victims_per_round_;
   std::vector<std::uint8_t> leave_;  // per-round scratch
   std::vector<tasks::TaskId> movers_;

@@ -12,8 +12,7 @@
 
 namespace {
 
-using tlb::engine::GreedyChoiceBalancer;
-using tlb::engine::OnePlusBetaBalancer;
+using tlb::engine::ChoiceBalancer;
 using tlb::engine::SelfishReallocBalancer;
 using tlb::graph::Node;
 using tlb::tasks::TaskSet;
@@ -23,13 +22,13 @@ using tlb::util::Rng;
 constexpr double kNoThreshold = std::numeric_limits<double>::infinity();
 
 double greedy_gap(const TaskSet& ts, Node n, int choices, Rng& rng) {
-  GreedyChoiceBalancer balancer(ts, n, choices, kNoThreshold);
+  ChoiceBalancer balancer(ts, n, choices, /*beta=*/0.0, kNoThreshold);
   balancer.step(rng);
   return balancer.gap();
 }
 
 double one_plus_beta_gap(const TaskSet& ts, Node n, double beta, Rng& rng) {
-  OnePlusBetaBalancer balancer(ts, n, beta, kNoThreshold);
+  ChoiceBalancer balancer(ts, n, /*choices=*/2, beta, kNoThreshold);
   balancer.step(rng);
   return balancer.gap();
 }
@@ -108,7 +107,7 @@ TEST(GreedyChoiceTest, TwoChoicesBeatOne) {
 TEST(GreedyChoiceTest, LoadsSumToTotal) {
   const TaskSet ts = tlb::tasks::two_point(100, 5, 10.0);
   Rng rng(11);
-  GreedyChoiceBalancer balancer(ts, 10, 2, kNoThreshold);
+  ChoiceBalancer balancer(ts, 10, 2, 0.0, kNoThreshold);
   EXPECT_EQ(balancer.step(rng), ts.size());
   double total = 0.0;
   for (double x : balancer.loads()) total += x;

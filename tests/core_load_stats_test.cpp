@@ -5,7 +5,8 @@
 // doubles throughout, because bit-identity across the two paths is the
 // contract the analytics observer's byte-determinism rests on. Covers
 // unit / uniform / zipf-ish / pareto-ish weight shapes, zero loads, n = 1,
-// ties sharing buckets, and the extreme-octave clamp ends.
+// ties sharing buckets, and the extreme-octave clamp ends; and, round by
+// round, the churn engine's index-served reads against a scan of its loads.
 #include "tlb/core/load_stats.hpp"
 
 #include <gtest/gtest.h>
@@ -13,13 +14,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "tlb/core/dynamic.hpp"
 #include "tlb/core/load_index.hpp"
-#include "tlb/core/system_state.hpp"
-#include "tlb/tasks/weights.hpp"
 #include "tlb/util/rng.hpp"
 
 namespace {
@@ -233,45 +234,48 @@ TEST(LoadStatsCalcTest, QuantileRankPinsEnds) {
   EXPECT_EQ(LoadStats::quantile_rank(0.99, 100), 98u);
 }
 
-TEST(SystemStateLoadStatsTest, IndexLiveAndDormantAgree) {
-  // SystemState::max_load / load_stats must return bit-identical values
-  // whether the tracker's LoadIndex is dormant (O(n) scan) or live
-  // (bucket-served) — the index goes live on the first *moved* threshold.
-  Rng rng(99);
-  const Node n = 128;
-  const std::size_t m = 1024;
-  std::vector<double> weights(m);
-  for (auto& w : weights) w = 1.0 + rng.uniform01() * 7.0;
-  const tlb::tasks::TaskSet ts(std::move(weights));
-  tlb::tasks::Placement start(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    start[i] = static_cast<Node>(rng.uniform_below(n));
+TEST(DynamicLoadStatsTest, IndexServedReadsMatchAScan) {
+  // The churn engine serves max_load() and its load statistics from the
+  // tracker's LoadIndex while sparse threshold moves keep the index live,
+  // and by a scan otherwise. After every round both reads must equal a scan
+  // of loads() bit for bit. A burst in round 0 gives the loads some spread;
+  // the trickle after it keeps most rounds on the sparse (index) side.
+  DynamicConfig cfg;
+  cfg.n = 1024;
+  cfg.completion_rate = 0.001;
+  cfg.classes = {{1.0, 0.9}, {8.0, 0.1}};
+  cfg.arrival_fn = [n = cfg.n](long round, Rng&) -> std::uint64_t {
+    return round == 0 ? 8u * n : 4u;
+  };
+  DynamicUserEngine engine(cfg);
+  Rng rng(5);
+  LoadStatsCalc served_calc, scan_calc;
+  std::vector<double> loads;
+  int live_rounds = 0;
+  for (int t = 0; t < 300; ++t) {
+    engine.step(rng);
+    if (engine.overloaded_tracker().load_index().built()) ++live_rounds;
+    engine.collect_loads(loads);
+    const double scan_max = *std::max_element(loads.begin(), loads.end());
+    EXPECT_EQ(engine.max_load(), scan_max) << "round " << t;
+    LoadStats served;
+    engine.collect_load_stats(served_calc, served);
+    const LoadStats scan =
+        scan_calc.compute_scan(cfg.n, engine.current_threshold(),
+                               [&](Node r) { return loads[r]; });
+    EXPECT_EQ(served.n, scan.n) << "round " << t;
+    EXPECT_EQ(served.max_load, scan.max_load) << "round " << t;
+    EXPECT_EQ(served.mean_load, scan.mean_load) << "round " << t;
+    EXPECT_EQ(served.p50, scan.p50) << "round " << t;
+    EXPECT_EQ(served.p90, scan.p90) << "round " << t;
+    EXPECT_EQ(served.p99, scan.p99) << "round " << t;
+    EXPECT_EQ(served.overload_mass, scan.overload_mass) << "round " << t;
+    EXPECT_EQ(served.overloaded, scan.overloaded) << "round " << t;
+    EXPECT_EQ(served.imbalance, scan.imbalance) << "round " << t;
+    EXPECT_EQ(served.threshold, scan.threshold) << "round " << t;
   }
-  const double T = ts.total_weight() / static_cast<double>(n) * 1.25;
-
-  SystemState state(ts, n);
-  state.set_thresholds(T);
-  state.place(start, T);
-  LoadStatsCalc calc;
-  const double max_dormant = state.max_load();
-  const LoadStats dormant = state.load_stats(T, calc);
-
-  // Shift the threshold twice to arm and reconcile the index, then compare.
-  state.set_thresholds(T * 1.01);
-  (void)state.overloaded_count();  // flush: arms + reconciles the index
-  state.set_thresholds(T);
-  (void)state.overloaded_count();
-  const double max_live = state.max_load();
-  const LoadStats live = state.load_stats(T, calc);
-
-  EXPECT_EQ(max_dormant, max_live);
-  EXPECT_EQ(dormant.max_load, live.max_load);
-  EXPECT_EQ(dormant.p50, live.p50);
-  EXPECT_EQ(dormant.p90, live.p90);
-  EXPECT_EQ(dormant.p99, live.p99);
-  EXPECT_EQ(dormant.overload_mass, live.overload_mass);
-  EXPECT_EQ(dormant.overloaded, live.overloaded);
-  EXPECT_EQ(dormant.mean_load, live.mean_load);
+  // The index served most of the reads, so the comparison covered it.
+  EXPECT_GT(live_rounds, 250);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "tlb/core/thresholds.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
+#include "tlb/mem/task_arena.hpp"
 #include "tlb/sim/runner.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/tasks/weights.hpp"
@@ -27,6 +28,7 @@ namespace {
 using namespace tlb::core;
 using tlb::graph::Graph;
 using tlb::graph::Node;
+using tlb::mem::TaskArena;
 using tlb::randomwalk::TransitionModel;
 using tlb::randomwalk::WalkKind;
 using tlb::tasks::all_on_one;
@@ -57,28 +59,27 @@ TEST(EvictAboveTest, MatchesAcceptanceBookkeeping) {
       {{5.0, 7.0, 2.0, 1.0}, 10.0}, {{1.1, 2.2, 5.0}, 1.1 + 2.2}};
   for (const auto& [weights, T] : cases) {
     const TaskSet ts(weights);
-    ResourceStack with_acceptance, by_height;
+    TaskArena with_acceptance(1), by_height(1);
     for (tlb::tasks::TaskId i = 0; i < ts.size(); ++i) {
-      with_acceptance.push_accepting(i, ts, T);
-      by_height.push(i, ts);
+      with_acceptance.push_accepting(0, i, ts.weight(i), T);
+      by_height.push(0, i, ts.weight(i));
     }
     std::vector<tlb::tasks::TaskId> out_a, out_h;
-    with_acceptance.evict_unaccepted(ts, out_a);
-    by_height.evict_above(ts, T, out_h);
+    with_acceptance.evict_unaccepted(0, out_a);
+    by_height.evict_above(0, T, out_h);
     EXPECT_EQ(out_a, out_h) << "T=" << T;
-    EXPECT_EQ(with_acceptance.load(), by_height.load()) << "T=" << T;
+    EXPECT_EQ(with_acceptance.load(0), by_height.load(0)) << "T=" << T;
   }
 }
 
 TEST(EvictAboveTest, NoopWhenBelowThreshold) {
-  const TaskSet ts({3.0, 3.0});
-  ResourceStack s;
-  s.push(0, ts);
-  s.push(1, ts);
+  TaskArena s(1);
+  s.push(0, 0, 3.0);
+  s.push(0, 1, 3.0);
   std::vector<tlb::tasks::TaskId> out;
-  s.evict_above(ts, 6.0, out);
+  s.evict_above(0, 6.0, out);
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(s.count(), 2u);
+  EXPECT_EQ(s.count(0), 2u);
 }
 
 TEST(MixedProtocolTest, TerminatesAcrossBlends) {

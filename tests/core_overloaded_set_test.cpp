@@ -227,8 +227,7 @@ TEST(SystemStateOverloadedTest, MatchesBruteForceUnderRandomTraffic) {
   const Node n = 16;
   const double T =
       threshold_value(ThresholdKind::kAboveAverage, ts, n, /*eps=*/0.2);
-  SystemState state(ts, n);
-  state.set_thresholds(T);
+  SystemState state(ts, n, T);
   Rng rng(2024);
   Placement p(m);
   for (auto& r : p) r = static_cast<Node>(rng.uniform_below(n));
@@ -239,7 +238,7 @@ TEST(SystemStateOverloadedTest, MatchesBruteForceUnderRandomTraffic) {
   std::vector<std::uint8_t> mask;
   for (int step = 0; step < 500; ++step) {
     const auto r = static_cast<Node>(rng.uniform_below(n));
-    const ResourceStack& stack = std::as_const(state).stack(r);
+    const ResourceStack stack = state.stack(r);
     if (!stack.empty()) {
       mask.assign(stack.count(), 0);
       for (auto& bit : mask) bit = rng.bernoulli(0.3);
@@ -251,140 +250,10 @@ TEST(SystemStateOverloadedTest, MatchesBruteForceUnderRandomTraffic) {
     }
     // Incremental vs brute force, every step.
     const std::vector<Node>& fast = state.overloaded();
-    EXPECT_EQ(fast.size(), state.overloaded_count(T));
-    for (std::size_t i = 0; i < fast.size(); ++i) {
-      EXPECT_GT(state.load(fast[i]), T);
-      if (i) {
-        EXPECT_LT(fast[i - 1], fast[i]);
-      }
-    }
-    EXPECT_EQ(state.balanced(), state.balanced(T));
+    EXPECT_EQ(fast, brute_force(state.loads(), T));
+    EXPECT_EQ(state.balanced(), fast.empty());
     ASSERT_NO_THROW(state.check_invariants());
   }
-}
-
-TEST(SystemStateOverloadedTest, ReRegisteringSameThresholdIsFree) {
-  // PR 4 gave recompute_threshold a same-value no-op guard; the same guard
-  // now lives on the bulk mutator: re-registering the value already in
-  // force must cost zero re-checks on the next query.
-  const std::size_t m = 64;
-  const TaskSet ts = uniform_unit(m);
-  const Node n = 8;
-  SystemState state(ts, n);
-  state.set_thresholds(5.0);
-  Rng rng(3);
-  Placement p(m);
-  for (auto& r : p) r = static_cast<Node>(rng.uniform_below(n));
-  state.place(p);
-  (void)state.overloaded();  // settle the dirty set
-
-  const std::uint64_t checks0 = state.overloaded_tracker().flush_checks();
-  state.set_thresholds(5.0);  // scalar same-value no-op
-  (void)state.overloaded();
-  EXPECT_EQ(state.overloaded_tracker().flush_checks(), checks0);
-
-  // Same for the vector form: an identical per-resource registration.
-  std::vector<double> per(n, 4.0);
-  state.set_thresholds(per);
-  (void)state.overloaded();
-  const std::uint64_t checks1 = state.overloaded_tracker().flush_checks();
-  state.set_thresholds(per);
-  (void)state.overloaded();
-  EXPECT_EQ(state.overloaded_tracker().flush_checks(), checks1);
-}
-
-TEST(SystemStateOverloadedTest, UniformShiftReconcilesOnlyTheBand) {
-  // Distinct integer loads 1..n; moving the uniform threshold by k flips
-  // exactly k resources, and the flush work must scale with the band (and
-  // the standing overloaded list), not with n.
-  const Node n = 256;
-  const std::size_t m = static_cast<std::size_t>(n) * (n + 1) / 2;
-  const TaskSet ts = uniform_unit(m);
-  SystemState state(ts, n);
-  Placement p(m);
-  std::size_t next = 0;
-  for (Node r = 0; r < n; ++r) {  // resource r gets r+1 unit tasks
-    for (Node k = 0; k <= r; ++k) p[next++] = r;
-  }
-  state.set_thresholds(static_cast<double>(n - 4));  // 4 overloaded
-  state.place(p);
-  ASSERT_EQ(state.overloaded().size(), 4u);
-
-  // First move arms the LoadIndex (one O(n) build, counted separately).
-  state.set_thresholds(static_cast<double>(n - 6));
-  ASSERT_EQ(state.overloaded().size(), 6u);
-  ASSERT_EQ(state.overloaded_tracker().load_index().rebuilds(), 1u);
-
-  const std::uint64_t checks0 = state.overloaded_tracker().flush_checks();
-  const std::uint64_t band0 = state.overloaded_tracker().load_index().band_size();
-  state.set_thresholds(static_cast<double>(n - 10));  // 4 more flip on
-  ASSERT_EQ(state.overloaded().size(), 10u);
-  EXPECT_EQ(state.overloaded_tracker().load_index().band_size() - band0, 4u);
-  // Flush re-checks the 6 standing entries + the 4-band — far below n.
-  EXPECT_LE(state.overloaded_tracker().flush_checks() - checks0, 16u);
-  // And back up: band (n-10, n-6] flips the same 4 off.
-  state.set_thresholds(static_cast<double>(n - 6));
-  EXPECT_EQ(state.overloaded().size(), 6u);
-  EXPECT_EQ(state.overloaded_tracker().load_index().rebuilds(), 1u);
-}
-
-TEST(SystemStateOverloadedTest, RandomTrafficWithThresholdMoves) {
-  // The MatchesBruteForceUnderRandomTraffic trace, with uniform threshold
-  // moves interleaved mid-trace: every step the incremental set (now
-  // band-reconciled through the LoadIndex) must equal the O(n) rescan.
-  const std::size_t m = 300;
-  const TaskSet ts = uniform_unit(m);
-  const Node n = 16;
-  double T = threshold_value(ThresholdKind::kAboveAverage, ts, n, 0.2);
-  SystemState state(ts, n);
-  state.set_thresholds(T);
-  Rng rng(4711);
-  Placement p(m);
-  for (auto& r : p) r = static_cast<Node>(rng.uniform_below(n));
-  state.place(p);
-
-  std::vector<TaskId> movers;
-  std::vector<Node> dst;
-  std::vector<std::uint8_t> mask;
-  for (int step = 0; step < 500; ++step) {
-    if (step % 7 == 3) {
-      // Drift the threshold up or down (stays positive).
-      T = std::max(1.0, T + (rng.uniform01() - 0.5) * 6.0);
-      state.set_thresholds(T);
-    } else {
-      const auto r = static_cast<Node>(rng.uniform_below(n));
-      const ResourceStack& stack = std::as_const(state).stack(r);
-      if (!stack.empty()) {
-        mask.assign(stack.count(), 0);
-        for (auto& bit : mask) bit = rng.bernoulli(0.3);
-        movers.clear();
-        state.remove_marked(r, mask, movers);
-        dst.resize(movers.size());
-        for (Node& d : dst) d = static_cast<Node>(rng.uniform_below(n));
-        state.scatter(dst, movers);
-      }
-    }
-    const std::vector<Node>& fast = state.overloaded();
-    EXPECT_EQ(fast.size(), state.overloaded_count(T));
-    for (std::size_t i = 0; i < fast.size(); ++i) {
-      EXPECT_GT(state.load(fast[i]), T);
-      if (i) {
-        EXPECT_LT(fast[i - 1], fast[i]);
-      }
-    }
-    ASSERT_NO_THROW(state.check_invariants());
-  }
-}
-
-TEST(SystemStateOverloadedTest, QueriesRequireRegisteredThresholds) {
-  const TaskSet ts = uniform_unit(4);
-  SystemState state(ts, 2);
-  state.place({0, 0, 1, 1});
-  EXPECT_THROW(state.overloaded(), std::logic_error);
-  EXPECT_THROW((void)state.balanced(), std::logic_error);
-  state.set_thresholds(1.5);
-  EXPECT_EQ(state.overloaded_count(), 2u);
-  EXPECT_FALSE(state.balanced());
 }
 
 const tlb::engine::DriveOptions kAudited{.max_rounds = 5000,

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "tlb/core/potential.hpp"
@@ -22,7 +23,7 @@ using tlb::util::Rng;
 
 TEST(SystemStateTest, PlaceAndQuery) {
   const TaskSet ts({1.0, 2.0, 3.0});
-  SystemState state(ts, 2);
+  SystemState state(ts, 2, 5.0);
   state.place({0, 1, 0});
   EXPECT_DOUBLE_EQ(state.load(0), 4.0);
   EXPECT_DOUBLE_EQ(state.load(1), 2.0);
@@ -33,37 +34,48 @@ TEST(SystemStateTest, PlaceAndQuery) {
 
 TEST(SystemStateTest, BalancedAndOverloadedCount) {
   const TaskSet ts({5.0, 5.0});
-  SystemState state(ts, 2);
-  state.place({0, 1});
-  EXPECT_TRUE(state.balanced(5.0));
-  EXPECT_FALSE(state.balanced(4.9));
-  EXPECT_EQ(state.overloaded_count(4.9), 2u);
-  EXPECT_EQ(state.overloaded_count(5.0), 0u);
+  SystemState at(ts, 2, 5.0);
+  at.place({0, 1});
+  EXPECT_TRUE(at.balanced());
+  EXPECT_EQ(at.overloaded_count(), 0u);
+  SystemState below(ts, 2, 4.9);
+  below.place({0, 1});
+  EXPECT_FALSE(below.balanced());
+  EXPECT_EQ(below.overloaded_count(), 2u);
 }
 
 TEST(SystemStateTest, PlaceRejectsBadInput) {
   const TaskSet ts({1.0, 1.0});
-  SystemState state(ts, 2);
+  SystemState state(ts, 2, 1.0);
   EXPECT_THROW(state.place({0}), std::invalid_argument);
   EXPECT_THROW(state.place({0, 5}), std::invalid_argument);
 }
 
-TEST(SystemStateTest, SetThresholdsRejectsNonFinite) {
+TEST(SystemStateTest, ConstructorRejectsBadThresholds) {
   const TaskSet ts = uniform_unit(4);
-  SystemState state(ts, 2);
   for (const double x : {std::numeric_limits<double>::quiet_NaN(),
                          std::numeric_limits<double>::infinity(), 0.0}) {
-    EXPECT_THROW(state.set_thresholds(x), std::invalid_argument) << x;
-    EXPECT_THROW(state.set_thresholds(std::vector<double>{1.0, x}),
+    EXPECT_THROW(SystemState(ts, 2, x), std::invalid_argument) << x;
+    EXPECT_THROW(SystemState(ts, 2, std::vector<double>{1.0, x}),
                  std::invalid_argument)
         << x;
   }
-  EXPECT_FALSE(state.thresholds().is_set());
+  // Unset, and per-resource of the wrong size.
+  EXPECT_THROW(SystemState(ts, 2, Thresholds()), std::invalid_argument);
+  EXPECT_THROW(SystemState(ts, 2, std::vector<double>{1.0}),
+               std::invalid_argument);
+  // The error names the owner.
+  try {
+    SystemState(ts, 2, 0.0, "SomeEngine");
+    ADD_FAILURE() << "accepted a zero threshold";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("SomeEngine: ", 0), 0u) << e.what();
+  }
 }
 
 TEST(SystemStateTest, InvariantsHoldAfterPlace) {
   const TaskSet ts = uniform_unit(100);
-  SystemState state(ts, 10);
+  SystemState state(ts, 10, 12.0);
   Rng rng(3);
   Placement p(100);
   for (auto& r : p) r = static_cast<Node>(rng.uniform_below(10));
@@ -74,41 +86,41 @@ TEST(SystemStateTest, InvariantsHoldAfterPlace) {
 TEST(SystemStateTest, ResourcePotentialCountsPendingWeight) {
   // T = 10; stack on resource 0: 8 accepted, 8 pending, 8 pending.
   const TaskSet ts({8.0, 8.0, 8.0});
-  SystemState state(ts, 2);
-  state.place({0, 0, 0}, 10.0);
+  SystemState state(ts, 2, 10.0);
+  state.place_accepting({0, 0, 0});
   EXPECT_DOUBLE_EQ(resource_potential(state), 16.0);
 }
 
 TEST(SystemStateTest, ResourcePotentialZeroWhenBalanced) {
   const TaskSet ts({4.0, 4.0});
-  SystemState state(ts, 2);
-  state.place({0, 1}, 10.0);
+  SystemState state(ts, 2, 10.0);
+  state.place_accepting({0, 1});
   EXPECT_DOUBLE_EQ(resource_potential(state), 0.0);
-  EXPECT_TRUE(state.balanced(10.0));
+  EXPECT_TRUE(state.balanced());
 }
 
 TEST(SystemStateTest, BalancedIffResourcePotentialZero) {
   // The equivalence the run loop relies on.
   const TaskSet ts({6.0, 6.0, 6.0, 6.0});
-  SystemState over(ts, 2);
-  over.place({0, 0, 0, 1}, 10.0);
-  EXPECT_FALSE(over.balanced(10.0));
+  SystemState over(ts, 2, 10.0);
+  over.place_accepting({0, 0, 0, 1});
+  EXPECT_FALSE(over.balanced());
   EXPECT_GT(resource_potential(over), 0.0);
 
-  SystemState even(ts, 4);
-  even.place({0, 1, 2, 3}, 10.0);
-  EXPECT_TRUE(even.balanced(10.0));
+  SystemState even(ts, 4, 10.0);
+  even.place_accepting({0, 1, 2, 3});
+  EXPECT_TRUE(even.balanced());
   EXPECT_DOUBLE_EQ(resource_potential(even), 0.0);
 }
 
 TEST(SystemStateTest, UserPotentialMatchesPerStackPhi) {
   const TaskSet ts({6.0, 6.0, 6.0, 1.0});
-  SystemState state(ts, 2);
-  state.place({0, 0, 0, 1});
   const double T = 10.0;
-  EXPECT_DOUBLE_EQ(user_potential(state, T),
-                   state.stack(0).phi(ts, T) + state.stack(1).phi(ts, T));
-  EXPECT_DOUBLE_EQ(user_potential(state, T), 12.0);
+  SystemState state(ts, 2, T);
+  state.place({0, 0, 0, 1});
+  EXPECT_DOUBLE_EQ(user_potential(state),
+                   state.stack(0).phi(T) + state.stack(1).phi(T));
+  EXPECT_DOUBLE_EQ(user_potential(state), 12.0);
 }
 
 TEST(Lemma1Test, StaticPigeonholeBound) {
@@ -134,9 +146,9 @@ TEST(Lemma1Test, StaticPigeonholeBound) {
       }(),
   };
   for (const auto& p : layouts) {
-    SystemState state(ts, n);
+    SystemState state(ts, n, T);
     state.place(p);
-    EXPECT_GE(acceptor_fraction(state, T, ts.max_weight()),
+    EXPECT_GE(acceptor_fraction(state, ts.max_weight()),
               eps / (1.0 + eps) - 1e-12);
   }
 }
@@ -160,9 +172,9 @@ TEST(Lemma1Test, BoundIsAchievable) {
   for (std::size_t idx = full_groups * 8; idx < m; ++idx) {
     p[idx] = static_cast<Node>(full_groups);
   }
-  SystemState state(ts, n);
+  SystemState state(ts, n, T);
   state.place(p);
-  const double frac = acceptor_fraction(state, T, ts.max_weight());
+  const double frac = acceptor_fraction(state, ts.max_weight());
   EXPECT_GE(frac, eps / (1.0 + eps) - 1e-12);
   EXPECT_LT(frac, 0.5);  // well below 1: the bound is doing work
 }

@@ -1,7 +1,7 @@
-// Tests for Algorithm 6.1 (user-controlled migration): termination, weight
-// conservation, the leave-probability clamp, exact-vs-grouped engine
-// equivalence, the Lemma 1 acceptor bound along trajectories, and both
-// threshold regimes.
+// Tests for Algorithm 6.1 (user-controlled migration): the departure rule
+// (rounding and clamp), termination, weight conservation, exact-vs-grouped
+// engine equivalence, the Lemma 1 acceptor bound along trajectories, and
+// both threshold regimes.
 #include "tlb/core/user_protocol.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 
+#include "tlb/core/departure.hpp"
 #include "tlb/core/potential.hpp"
 #include "tlb/core/thresholds.hpp"
 #include "tlb/engine/driver.hpp"
@@ -31,6 +32,34 @@ UserProtocolConfig make_config(double threshold, double alpha = 1.0) {
 }
 
 const tlb::engine::DriveOptions kDrive{.max_rounds = 500000};
+
+// p_r = min(1, α·⌈φ_r/w_max⌉/b_r), Observation 9's ψ_r = ⌈φ_r/w_max⌉
+// departures scaled by α over the b_r tasks. Every engine takes its coins
+// from this one function, so it is checked here against hand-computed
+// values rather than against another engine.
+TEST(LeaveProbabilityTest, RoundsPhiOverWmaxUp) {
+  // φ at a multiple of w_max: exactly that many departures.
+  EXPECT_EQ(leave_probability(1.0, 12.0, 6.0, 10), 2.0 / 10.0);
+  // Just above a multiple: one more.
+  EXPECT_EQ(leave_probability(1.0, 12.0 + 1e-9, 6.0, 10), 3.0 / 10.0);
+  EXPECT_EQ(leave_probability(1.0, 12.0, 5.0, 10), 3.0 / 10.0);
+  // Below w_max: still one departure.
+  EXPECT_EQ(leave_probability(1.0, 1.0, 6.0, 10), 1.0 / 10.0);
+  // α scales the count.
+  EXPECT_EQ(leave_probability(0.5, 12.0, 6.0, 10), 0.5 * 2.0 / 10.0);
+}
+
+TEST(LeaveProbabilityTest, ClampsAtOne) {
+  EXPECT_EQ(leave_probability(1.0, 60.0, 6.0, 10), 1.0);  // exactly 1
+  EXPECT_EQ(leave_probability(1.0, 60.0, 6.0, 5), 1.0);   // 10/5, clamped
+  EXPECT_EQ(leave_probability(4.0, 6.0, 6.0, 2), 1.0);    // α·1/2 = 2
+}
+
+TEST(LeaveProbabilityTest, ZeroWithoutTasksOrPotential) {
+  EXPECT_EQ(leave_probability(1.0, 12.0, 6.0, 0), 0.0);   // b = 0
+  EXPECT_EQ(leave_probability(1.0, 0.0, 6.0, 10), 0.0);   // φ = 0
+  EXPECT_EQ(leave_probability(1.0, -1.0, 6.0, 10), 0.0);  // φ < 0
+}
 
 TEST(UserProtocolTest, TerminatesFromSinglePile) {
   const Node n = 64;
@@ -112,7 +141,7 @@ TEST(UserProtocolTest, Lemma1HoldsAlongTrajectory) {
   engine.reset(all_on_one(ts));
   for (int round = 0; round < 2000 && !engine.balanced(); ++round) {
     engine.step(rng);
-    EXPECT_GE(acceptor_fraction(engine.state(), T, ts.max_weight()),
+    EXPECT_GE(acceptor_fraction(engine.state(), ts.max_weight()),
               eps / (1.0 + eps) - 1e-12)
         << "round " << round;
   }

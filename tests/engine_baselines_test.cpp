@@ -160,9 +160,9 @@ TEST(BaselineBalancerTest, ValidationErrors) {
                std::invalid_argument);
   EXPECT_THROW(engine::ParallelThresholdBalancer(ts, 4, 0.0),
                std::invalid_argument);
-  EXPECT_THROW(engine::GreedyChoiceBalancer(ts, 4, 0, 5.0),
+  EXPECT_THROW(engine::ChoiceBalancer(ts, 4, 0, 0.0, 5.0),
                std::invalid_argument);
-  EXPECT_THROW(engine::OnePlusBetaBalancer(ts, 4, 1.5, 5.0),
+  EXPECT_THROW(engine::ChoiceBalancer(ts, 4, 2, 1.5, 5.0),
                std::invalid_argument);
 }
 

@@ -127,8 +127,8 @@ TEST(LintTest, D5FiresOnUnclassifiedRegistryRegistrations) {
           "auto id = reg.counter(\"a.b\", MetricClass::kDeterministic);\n"),
       lint::Rule::kD5));
   EXPECT_FALSE(fires(
-      run("src/core/x.cpp",
-          "auto id = reg.gauge(\"g\", obs::MetricClass::kTiming);\n"),
+      run("apps/x.cpp", "auto id = reg->histogram(\"h\", 0.0, 1.0, 8, "
+                        "obs::MetricClass::kTiming);\n"),
       lint::Rule::kD5));
   // A plain function or variable named `counter` is not a registration.
   EXPECT_FALSE(fires(run("src/core/x.cpp",

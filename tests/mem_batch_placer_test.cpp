@@ -577,43 +577,79 @@ std::vector<TaskId> flat_merge(tlb::core::SystemState& state,
   return movers;
 }
 
-/// The sequential reference of flat_merge: remove_marked per overloaded
-/// resource that has a mark, in list order.
-void merge_sequentially(tlb::core::SystemState& state,
-                        const std::vector<std::uint8_t>& mask) {
-  std::size_t c = 0;
-  for (const Node r : std::vector<Node>(state.overloaded())) {
-    const std::size_t count = state.arena().count(r);
-    const std::vector<std::uint8_t> leave(
-        mask.begin() + static_cast<std::ptrdiff_t>(c),
-        mask.begin() + static_cast<std::ptrdiff_t>(c + count));
-    c += count;
-    if (std::find(leave.begin(), leave.end(), 1) == leave.end()) continue;
-    std::vector<TaskId> unused;
-    state.remove_marked(r, leave, unused);
+/// The sequential reference for SystemState's bulk entry points: its own
+/// arena, changed one stack operation at a time, and its own overloaded
+/// tracker, which each operation marks dirty at the resource it touches —
+/// the contract SystemState's mutators keep. Placement is the same
+/// BatchPlacer call SystemState makes.
+struct SequentialState {
+  SequentialState(const TaskSet& tasks, Node n, Thresholds thresholds)
+      : ts(&tasks), arena(n), thresholds(std::move(thresholds)) {
+    tracker.reset(n);
+    tracker.mark_all_dirty();  // as SystemState's constructor
   }
-}
+  void place(const Placement& p, bool accepting) {
+    BatchPlacer placer;
+    if (accepting) {
+      placer.place(arena, *ts, p, thresholds);
+    } else {
+      placer.place(arena, *ts, p);
+    }
+    tracker.mark_all_dirty();
+  }
+  const std::vector<Node>& overloaded() {
+    tracker.flush([this](Node r) { return arena.load(r) > thresholds[r]; });
+    return tracker.items();
+  }
+  void push(Node r, TaskId id) {
+    arena.push(r, id, ts->weight(id));
+    tracker.mark_dirty(r);
+  }
+  void push_accepting(Node r, TaskId id) {
+    arena.push_accepting(r, id, ts->weight(id), thresholds[r]);
+    tracker.mark_dirty(r);
+  }
+  /// The reference of flat_merge: remove_marked per overloaded resource
+  /// that has a mark, in list order.
+  void merge(const std::vector<std::uint8_t>& mask) {
+    std::size_t c = 0;
+    for (const Node r : std::vector<Node>(overloaded())) {
+      const std::size_t count = arena.count(r);
+      const std::vector<std::uint8_t> leave(
+          mask.begin() + static_cast<std::ptrdiff_t>(c),
+          mask.begin() + static_cast<std::ptrdiff_t>(c + count));
+      c += count;
+      if (std::find(leave.begin(), leave.end(), 1) == leave.end()) continue;
+      std::vector<TaskId> unused;
+      arena.remove_marked(r, leave, unused);
+      tracker.mark_dirty(r);
+    }
+  }
 
-/// Every SystemState-level observable of two states equal: the arena, the
-/// tracker's work counters and the overloaded list.
+  const TaskSet* ts;
+  TaskArena arena;
+  Thresholds thresholds;
+  tlb::core::OverloadedSet tracker;
+};
+
+/// Every SystemState-level observable equal to the reference's: the arena,
+/// the tracker's work counters and the overloaded list.
 void expect_same_state(const tlb::core::SystemState& bulk,
-                       const tlb::core::SystemState& seq, Node n,
-                       const std::string& at) {
-  expect_identical(bulk.arena(), seq.arena(), n, at);
+                       SequentialState& seq, Node n, const std::string& at) {
+  expect_identical(bulk.arena(), seq.arena, n, at);
   const tlb::core::OverloadedSet& bt = bulk.overloaded_tracker();
-  const tlb::core::OverloadedSet& st = seq.overloaded_tracker();
-  EXPECT_EQ(bt.dirty_marks(), st.dirty_marks()) << at;
-  EXPECT_EQ(bt.dirty_size(), st.dirty_size()) << at;
+  EXPECT_EQ(bt.dirty_marks(), seq.tracker.dirty_marks()) << at;
+  EXPECT_EQ(bt.dirty_size(), seq.tracker.dirty_size()) << at;
   EXPECT_EQ(bulk.overloaded(), seq.overloaded()) << at;
-  EXPECT_EQ(bt.flush_checks(), st.flush_checks()) << at;
+  EXPECT_EQ(bt.flush_checks(), seq.tracker.flush_checks()) << at;
   ASSERT_NO_THROW(bulk.check_invariants()) << at;
 }
 
 TEST(BatchScatterTest, SystemStateMatchesSequentialPushes) {
   // The SystemState entry points on top: besides the arena, the tracker's
   // dirty_marks(), its flush_checks() and the overloaded() list must equal
-  // what the sequential reference produces, which mutates through mutable
-  // stack(r) views (each marks r dirty). Plain legs: the exact engine's
+  // what the sequential reference produces, which marks every resource it
+  // touches dirty, one operation at a time. Plain legs: the exact engine's
   // round, merged on coin shards of 16 (so most stacks cross a shard
   // boundary) against removal per resource, then scattered against pushes
   // one at a time. Accepting legs: Algorithm 5.1's round, evict_scatter
@@ -631,33 +667,34 @@ TEST(BatchScatterTest, SystemStateMatchesSequentialPushes) {
                                   (accepting ? " accepting" : " plain") +
                                   (per_resource ? " per-resource " : " ") +
                                   Pools::name(pool);
-        tlb::core::SystemState bulk(ts, n), seq(ts, n);
         const auto [T, per] = scatter_thresholds(ts, n);
         const Thresholds thresholds =
             per_resource ? Thresholds(per) : Thresholds(T);
+        tlb::core::SystemState bulk(ts, n, thresholds);
+        SequentialState seq(ts, n, thresholds);
         tlb::util::Rng rng(n);
         Placement p(ts.size());
         for (auto& r : p) r = static_cast<Node>(rng.uniform_below(n));
-        for (tlb::core::SystemState* s : {&bulk, &seq}) {
-          s->set_thresholds(thresholds);
-          if (accepting) {
-            s->place(p, thresholds);
-          } else {
-            s->place(p);
-          }
+        if (accepting) {
+          bulk.place_accepting(p);
+        } else {
+          bulk.place(p);
         }
+        seq.place(p, accepting);
         for (int round = 0; round < 4; ++round) {
           if (accepting) {
             const std::vector<Node> over = seq.overloaded();
             ASSERT_EQ(over, bulk.overloaded()) << label;
             std::vector<TaskId> evictees;
-            for (const Node r : over) seq.stack(r).evict_unaccepted(ts, evictees);
+            for (const Node r : over) {
+              seq.arena.evict_unaccepted(r, evictees);
+              seq.tracker.mark_dirty(r);
+            }
             std::vector<Node> dst(evictees.size());
             for (Node& d : dst) d = static_cast<Node>(rng.uniform_below(n));
             bulk.evict_scatter(dst);
             for (std::size_t i = 0; i < dst.size(); ++i) {
-              seq.stack(dst[i]).push_accepting(evictees[i], ts,
-                                               seq.thresholds()[dst[i]]);
+              seq.push_accepting(dst[i], evictees[i]);
             }
           } else {
             // The exact engine's phase 1: mark random subsets of the
@@ -671,12 +708,12 @@ TEST(BatchScatterTest, SystemStateMatchesSequentialPushes) {
             std::vector<Node> origin;
             const std::vector<TaskId> movers =
                 flat_merge(bulk, mask, 16, pool, origin);
-            merge_sequentially(seq, mask);
+            seq.merge(mask);
             std::vector<Node> dst(movers.size());
             for (Node& d : dst) d = static_cast<Node>(rng.uniform_below(n));
             bulk.scatter(dst, movers, pool);
             for (std::size_t i = 0; i < dst.size(); ++i) {
-              seq.stack(dst[i]).push(movers[i], ts);
+              seq.push(dst[i], movers[i]);
             }
           }
           expect_same_state(bulk, seq, n,
@@ -701,18 +738,17 @@ TEST(BatchScatterTest, ShardedRoundsWithACompactingScatterMatchEveryPool) {
   std::vector<std::uint64_t> relocations, compactions;
   for (ThreadPool* pool : pools.all()) {
     const std::string label = Pools::name(pool);
-    tlb::core::SystemState bulk(ts, n), seq(ts, n);
-    for (tlb::core::SystemState* s : {&bulk, &seq}) {
-      s->set_thresholds(T);
-      s->place(Placement(ts.size(), 0));
-    }
+    tlb::core::SystemState bulk(ts, n, T);
+    SequentialState seq(ts, n, T);
+    bulk.place(Placement(ts.size(), 0));
+    seq.place(Placement(ts.size(), 0), /*accepting=*/false);
     tlb::util::Rng rng(17);
     for (int round = 0; round < 3; ++round) {
       if (round == 1) {
         tlb::mem::TaskArenaTestPeer::add_dead_slots(
             bulk, bulk.arena().slab_size() + 4096);
         tlb::mem::TaskArenaTestPeer::add_dead_slots(
-            seq, seq.arena().slab_size() + 4096);
+            seq.arena, seq.arena.slab_size() + 4096);
       }
       std::size_t coins = 0;
       for (const Node r : bulk.overloaded()) coins += bulk.arena().count(r);
@@ -721,14 +757,12 @@ TEST(BatchScatterTest, ShardedRoundsWithACompactingScatterMatchEveryPool) {
       std::vector<Node> origin;
       const std::vector<TaskId> movers =
           flat_merge(bulk, mask, 8192, pool, origin);
-      merge_sequentially(seq, mask);
+      seq.merge(mask);
       std::vector<Node> dst(movers.size());
       for (Node& d : dst) d = static_cast<Node>(rng.uniform_below(n));
       const std::uint64_t before = bulk.arena().compactions();
       bulk.scatter(dst, movers, pool);
-      for (std::size_t i = 0; i < dst.size(); ++i) {
-        seq.stack(dst[i]).push(movers[i], ts);
-      }
+      for (std::size_t i = 0; i < dst.size(); ++i) seq.push(dst[i], movers[i]);
       const std::string at = label + " round " + std::to_string(round);
       if (round == 0) {
         ASSERT_GT(coins, 4 * 8192u) << at;
@@ -738,7 +772,7 @@ TEST(BatchScatterTest, ShardedRoundsWithACompactingScatterMatchEveryPool) {
         EXPECT_EQ(bulk.arena().compactions(), before + 1) << at;
       }
       expect_same_state(bulk, seq, n, at);
-      EXPECT_EQ(bulk.arena().compactions(), seq.arena().compactions()) << at;
+      EXPECT_EQ(bulk.arena().compactions(), seq.arena.compactions()) << at;
     }
     relocations.push_back(bulk.arena().relocations());
     compactions.push_back(bulk.arena().compactions());
@@ -841,13 +875,6 @@ TEST(BatchScatterTest, EvictScatterGrowAtTheSlotCapKeepsTheEvictions) {
   expect_identical(arena, expected, n, "after the throw");
   EXPECT_EQ(evicted, from);
   EXPECT_TRUE(touched.empty());
-}
-
-TEST(BatchScatterTest, EvictScatterRequiresThresholds) {
-  const TaskSet ts = make_tasks(4, 27);
-  tlb::core::SystemState state(ts, 2);
-  state.place({0, 0, 0, 1});
-  EXPECT_THROW(state.evict_scatter({1}), std::logic_error);
 }
 
 TEST(BatchPlacerTest, ValidatesInput) {

@@ -486,12 +486,4 @@ TEST(TaskArenaTest, HeightAtThrowsPastTop) {
   EXPECT_THROW(arena.height_at(0, 1), std::out_of_range);
 }
 
-TEST(TaskArenaTest, PsiMatchesCeilPhiOverWmax) {
-  TaskArena arena(1);
-  for (TaskId i = 0; i < 3; ++i) arena.push(0, i, 6.0);
-  EXPECT_DOUBLE_EQ(arena.phi(0, 10.0), 12.0);
-  EXPECT_DOUBLE_EQ(arena.psi(0, 10.0, 6.0), 2.0);
-  EXPECT_DOUBLE_EQ(arena.psi(0, 10.0, 5.0), 3.0);
-}
-
 }  // namespace

@@ -175,7 +175,8 @@ TEST(LoadStatsObserverTest, BaselineBalancersServeStats) {
   const TaskSet ts = continuous_tasks(512, 0xA14);
   const double T = 1.25 * ts.total_weight() / static_cast<double>(n) +
                    ts.max_weight();
-  tlb::engine::GreedyChoiceBalancer balancer(ts, n, /*choices=*/2, T);
+  tlb::engine::ChoiceBalancer balancer(ts, n, /*choices=*/2, /*beta=*/0.0,
+                                      T);
 
   LoadStatsObserver obs(1);
   Rng rng(31);

@@ -142,11 +142,11 @@ TEST_P(UserSweepTest, AllInvariantsHold) {
   EXPECT_LE(engine.state().max_load(), T + 1e-9);
   EXPECT_NEAR(engine.state().total_load(), ts.total_weight(), 1e-6);
   EXPECT_NO_THROW(engine.state().check_invariants());
-  EXPECT_DOUBLE_EQ(core::user_potential(engine.state(), T), 0.0);
+  EXPECT_DOUBLE_EQ(core::user_potential(engine.state()), 0.0);
 
   if (c.kind == ThresholdKind::kAboveAverage) {
     // Lemma 1 at the terminal state.
-    EXPECT_GE(core::acceptor_fraction(engine.state(), T, ts.max_weight()),
+    EXPECT_GE(core::acceptor_fraction(engine.state(), ts.max_weight()),
               eps / (1.0 + eps) - 1e-12);
   }
 }

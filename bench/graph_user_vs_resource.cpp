@@ -10,9 +10,9 @@
 #include <cmath>
 #include <cstdio>
 
-#include "tlb/core/mixed_protocol.hpp"
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/thresholds.hpp"
+#include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/sim/config.hpp"
 #include "tlb/sim/report.hpp"
@@ -88,12 +88,11 @@ int main(int argc, char** argv) {
     const auto user = sim::run_trials(
         trials, util::derive_seed(cli.get_int("seed"), point * 2 + 1),
         [&](util::Rng& rng) {
-          core::MixedProtocolConfig cfg;
+          core::UserProtocolConfig cfg;
           cfg.threshold = T;
-          cfg.resource_probability = 0.0;  // graph user-controlled
           cfg.alpha = 1.0;
           cfg.walk = walk;
-          core::MixedProtocolEngine engine(g, ts, cfg);
+          core::UserControlledEngine engine(g, ts, cfg);
           return engine::reset_and_run(engine, tasks::all_on_one(ts), rng,
                                        {.max_rounds = 2000000});
         });

@@ -14,8 +14,8 @@
 #include <cmath>
 #include <cstdio>
 
-#include "tlb/core/mixed_protocol.hpp"
 #include "tlb/core/thresholds.hpp"
+#include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/driver.hpp"
 #include "tlb/graph/builders.hpp"
 #include "tlb/sim/report.hpp"
@@ -52,9 +52,9 @@ class MaxBurst final : public engine::RoundObserver {
 };
 
 MixedOutcome one_trial(const graph::Graph& g, const tasks::TaskSet& ts,
-                       core::MixedProtocolConfig cfg,
+                       core::UserProtocolConfig cfg,
                        const tasks::Placement& start, util::Rng& rng) {
-  core::MixedProtocolEngine engine(g, ts, cfg);
+  core::UserControlledEngine engine(g, ts, cfg);
   MaxBurst burst;
   MixedOutcome out;
   out.run = engine::reset_and_run(engine, start, rng,
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   std::uint64_t point = 0;
   for (double beta : cli.get_double_list("betas")) {
     ++point;
-    core::MixedProtocolConfig cfg;
+    core::UserProtocolConfig cfg;
     cfg.threshold = T;
     cfg.resource_probability = beta;
     cfg.alpha = 1.0;

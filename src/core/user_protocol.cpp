@@ -40,6 +40,12 @@ UserControlledEngine::UserControlledEngine(const tasks::TaskSet& ts, Node n,
         "UserControlledEngine: alpha must be finite and > 0");
   }
   if (n < 2) throw std::invalid_argument("UserControlledEngine: need n >= 2");
+  // Negated, so NaN fails too: a NaN blend would never act resource-mode.
+  const double beta = config_.resource_probability;
+  if (!(beta >= 0.0 && beta <= 1.0)) {
+    throw std::invalid_argument(
+        "UserControlledEngine: resource_probability in [0, 1]");
+  }
   // No pool at one thread: phase 1 runs inline over the same shards.
   if (config_.options.threads != 1) {
     pool_ = std::make_unique<util::ThreadPool>(config_.options.threads);
@@ -51,6 +57,13 @@ UserControlledEngine::UserControlledEngine(const tasks::TaskSet& ts, Node n,
   m_departures_ = phases_.work_counter("exact.departures");
   tracker_counters_.attach(phases_, "exact", state_.overloaded_tracker());
   if (pool_) phases_.attach(*pool_);
+}
+
+UserControlledEngine::UserControlledEngine(const graph::Graph& g,
+                                           const tasks::TaskSet& ts,
+                                           UserProtocolConfig config)
+    : UserControlledEngine(ts, g.num_nodes(), std::move(config)) {
+  walk_.emplace(g, config_.walk);
 }
 
 void UserControlledEngine::reset(const tasks::Placement& placement) {
@@ -70,22 +83,33 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
   // Phase 1a: freeze the round-start state the departure decisions are
   // analysed against — per-resource leave probability p_r, and the flat
   // layout of candidate coins: positions coin_prefix_[i]..coin_prefix_[i+1]
-  // are the stack positions of overloaded()[i]. Only overloaded resources
-  // can lose tasks, and the state tracks them incrementally. Mutations
-  // later only mark resources dirty; the list stays stable until the next
-  // query, so holding the reference across the round is safe.
-  const std::vector<Node>& over = state_.overloaded();
-  const std::size_t k = over.size();
-  coin_prefix_.resize(k + 1);
-  leave_p_.resize(k);
+  // are the stack positions of over[i]. Only overloaded resources can lose
+  // tasks, and the state tracks them incrementally. Mutations later only
+  // mark resources dirty; the list stays stable until the next query, so
+  // holding the reference across the round is safe. With a blend, each
+  // overloaded resource first draws its mode on the caller's stream, in
+  // list order, and only the user-mode ones get coins.
+  const std::vector<Node>* over = &state_.overloaded();
   std::size_t total = 0;
   {
     const obs::PhaseSpan span = phases_.time(sample_phase_);
+    resource_mode_.clear();
+    if (const double beta = config_.resource_probability; beta > 0.0) {
+      user_mode_.clear();
+      for (const Node r : *over) {
+        (rng.bernoulli(beta) ? resource_mode_ : user_mode_).push_back(r);
+      }
+      over = &user_mode_;
+    }
+    const std::size_t k = over->size();
+    coin_prefix_.resize(k + 1);
+    leave_p_.resize(k);
     for (std::size_t i = 0; i < k; ++i) {
-      const ResourceStack stack = state_.stack(over[i]);
+      const Node r = (*over)[i];
+      const ResourceStack stack = state_.stack(r);
       coin_prefix_[i] = total;
       total += stack.count();
-      const double phi = stack.phi(state_.thresholds()[over[i]]);
+      const double phi = stack.phi(state_.thresholds()[r]);
       leave_p_[i] = leave_probability(config_.alpha, phi, w_max, stack.count());
     }
     coin_prefix_[k] = total;
@@ -156,15 +180,21 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
   // Phase 1c: the merge, one bulk removal over the flat layout on the same
   // coin shards. The shards' leaver counts place every mover at its final
   // index, so movers_ is in overloaded-list order, stack order within a
-  // resource, exactly as a serial pass would leave it.
+  // resource, exactly as a serial pass would leave it. The resource-mode
+  // evictees follow, in list order: evict_above sets each load to its kept
+  // prefix's height, so a stack that fits is never left one ulp above T.
   {
     const obs::PhaseSpan span = phases_.time(merge_phase_);
     for (std::size_t s = 1; s < shard_movers_.size(); ++s) {
       shard_movers_[s] += shard_movers_[s - 1];
     }
-    const mem::FlatMarks marks{over, coin_prefix_, flat_mask_,
+    const mem::FlatMarks marks{*over, coin_prefix_, flat_mask_,
                                kCoinShardGrain, shard_movers_};
     state_.remove_marked(marks, movers_, mover_origin_, pool_.get());
+    for (const Node r : resource_mode_) {
+      state_.evict_above(r, movers_);
+      mover_origin_.resize(movers_.size(), r);
+    }
   }
   phases_.digest(merge_phase_, [&](dsan::Digest& d) {
     d.u64(movers_.size());
@@ -174,15 +204,20 @@ std::size_t UserControlledEngine::step(util::Rng& rng) {
     }
   });
 
-  // Phase 2: scatter to uniformly random resources. All destinations are
-  // drawn first, in mover order, from the caller's stream, each replacing
-  // its mover's origin; then one bucketed bulk append, sharded over the
-  // pool. The append draws nothing, so the stream is the same as drawing
-  // each destination right before its mover lands.
+  // Phase 2: scatter to uniformly random resources, or one walk step from
+  // each origin on a graph. All destinations are drawn first, in mover
+  // order, from the caller's stream, each replacing its mover's origin;
+  // then one bucketed bulk append, sharded over the pool. The append draws
+  // nothing, so the stream is the same as drawing each destination right
+  // before its mover lands.
   {
     const obs::PhaseSpan span = phases_.time(apply_phase_);
-    for (Node& slot : mover_origin_) {
-      slot = sample_destination(n, slot, config_.exclude_self, rng);
+    if (walk_) {
+      for (Node& slot : mover_origin_) slot = walk_->step(slot, rng);
+    } else {
+      for (Node& slot : mover_origin_) {
+        slot = sample_destination(n, slot, config_.exclude_self, rng);
+      }
     }
     state_.scatter(mover_origin_, movers_, pool_.get());
   }
@@ -251,6 +286,10 @@ GroupedUserEngine::GroupedUserEngine(const tasks::TaskSet& ts, Node n,
   if (!(config_.alpha > 0.0) || !std::isfinite(config_.alpha)) {
     throw std::invalid_argument(
         "GroupedUserEngine: alpha must be finite and > 0");
+  }
+  if (config_.resource_probability != 0.0) {
+    throw std::invalid_argument(
+        "GroupedUserEngine: a blend needs the exact engine");
   }
   if (n < 2) throw std::invalid_argument("GroupedUserEngine: need n >= 2");
 

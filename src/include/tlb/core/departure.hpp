@@ -1,7 +1,8 @@
 #pragma once
 // Algorithm 6.1's departure rule, shared by every user-controlled engine:
-// the exact and grouped engines, the churn engine (through GroupedState)
-// and the mixed engine's user branch (at β = 0, the graph-user protocol).
+// the exact engine (on K_n, and on a graph for the graph-user and mixed
+// protocols), the grouped engine and the churn engine (through
+// GroupedState).
 
 #include <algorithm>
 #include <cmath>

@@ -1,8 +1,8 @@
 #pragma once
 // Full system state: a mem::TaskArena holding every resource's stack plus
-// aggregate queries. The exact user, resource and mixed engines each own a
-// SystemState; tests use it directly to check the paper's invariants
-// (weight conservation, Observation 4, Lemma 1, ...).
+// aggregate queries. The exact user engine (on K_n or a graph) and the
+// resource engine each own a SystemState; tests use it directly to check
+// the paper's invariants (weight conservation, Observation 4, Lemma 1, ...).
 //
 // Storage: all task ids and mirrored weights live in one flat SoA arena
 // (tlb/mem/task_arena.hpp) instead of n per-resource vectors; place() is a
@@ -95,7 +95,7 @@ class SystemState {
   /// tasks on the overloaded resources.
   void evict_scatter(const std::vector<Node>& dst);
   /// Height-based eviction of everything crossing/above thresholds()[r]
-  /// (mixed protocol).
+  /// (the exact engine's resource mode, under a blend β > 0).
   void evict_above(Node r, std::vector<TaskId>& out);
   /// Remove the flagged stack positions of r, appending to `out`.
   void remove_marked(Node r, const std::vector<std::uint8_t>& leave,

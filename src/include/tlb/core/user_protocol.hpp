@@ -1,5 +1,5 @@
 #pragma once
-// Algorithm 6.1 — user-controlled migration on the complete graph.
+// Algorithm 6.1 — user-controlled migration.
 //
 //   for all users (tasks) in parallel:
 //     let r be the task's resource
@@ -23,6 +23,20 @@
 //    profiles. Its state and round are GroupedState (grouped_state.hpp),
 //    which the churn engine (dynamic.hpp) runs too.
 //
+// The exact engine's second constructor runs the same round on a graph:
+// each mover takes one random-walk step (randomwalk::TransitionModel) from
+// its origin instead of a uniform destination. That is the graph-user
+// protocol Hoefer & Sauerwald analyse (an O(n⁵·H(G)·log m) bound for
+// uniform tasks; the paper analyses user control on K_n only), and on K_n
+// with the max-degree walk it has Algorithm 6.1's law with exclude_self
+// destinations. With resource_probability β > 0 it is the paper
+// conclusion's mixed protocol: every overloaded resource independently acts
+// resource-controlled with probability β, evicting everything from the
+// first task that does not fit completely below T_r upward (Algorithm 5.1's
+// rule, by heights), and otherwise leaves the decision to its users. Higher
+// β drains overload in fewer rounds but moves whole suffixes at once
+// (bursty traffic); the mixed_protocol bench measures both axes.
+//
 // Phase 1 (departure sampling) in both engines is sharded: the decisions
 // are independent per overloaded resource and are analysed against the
 // round-start state, so each round draws one base seed from the caller's
@@ -32,15 +46,24 @@
 // EngineOptions::threads — so results are bitwise identical for every
 // thread count (1, the default, runs the same shard partition inline).
 //
+// The exact engine's stream, per round: the round seed; then, when β > 0,
+// one blend coin per overloaded resource in list order on the caller's
+// stream; then coin c of the flat layout (one per task on a user-mode
+// resource, list order, bottom to top) on Rng(derive_seed(round_seed,
+// c / kCoinShardGrain)) as draw < p·2^64, with no draw at p >= 1; then one
+// destination per mover on the caller's stream, leavers first, then the
+// evictees of the resource-mode resources in list order.
+//
 // The exact engine runs phase 2 on its pool too, under the same rules: the
 // merge is one bulk removal on the coin shards (each shard writes its own
 // span slices and its movers at offsets its coin pass counted), and the
 // scatter buckets and fills on shards of whole destination blocks.
-// Destination draws, span growth and dirty marking stay on the calling
-// thread in their serial order (see mem::BatchScatter).
+// Destination draws, evictions, span growth and dirty marking stay on the
+// calling thread in their serial order (see mem::BatchScatter).
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "tlb/core/grouped_state.hpp"
@@ -49,6 +72,8 @@
 #include "tlb/core/step_phases.hpp"
 #include "tlb/core/system_state.hpp"
 #include "tlb/core/thresholds.hpp"
+#include "tlb/graph/graph.hpp"
+#include "tlb/randomwalk/transition.hpp"
 #include "tlb/tasks/placement.hpp"
 #include "tlb/util/rng.hpp"
 #include "tlb/util/thread_pool.hpp"
@@ -61,18 +86,30 @@ struct UserProtocolConfig {
   /// future-work extension, see hetero.hpp).
   Thresholds threshold;
   double alpha = 1.0;      ///< migration dampening α (paper analysis: ε/(120(1+ε)); paper simulations: 1)
-  /// If true, the destination is uniform over the *other* n-1 resources
-  /// (strict complete-graph neighbourhood); if false, uniform over all n
-  /// (the sampling Lemma 1 uses). Shape-equivalent; default matches Lemma 1.
+  /// K_n only: if true, the destination is uniform over the *other* n-1
+  /// resources (strict complete-graph neighbourhood); if false, uniform
+  /// over all n (the sampling Lemma 1 uses). Shape-equivalent; default
+  /// matches Lemma 1. On a graph the walk picks the destination.
   bool exclude_self = false;
+  /// Graph only: the walk each mover takes one step of.
+  randomwalk::WalkKind walk = randomwalk::WalkKind::kMaxDegree;
+  /// The blend β in [0, 1], exact engine only: the probability that an
+  /// overloaded resource acts resource-controlled this round. 0, the
+  /// default, is pure user control and draws no blend coin; the grouped
+  /// engine rejects anything else.
+  double resource_probability = 0.0;
   EngineOptions options;
 };
 
 /// Exact (per-task coin) engine. Reference implementation.
 class UserControlledEngine {
  public:
-  /// `ts` must outlive the engine; `n` is the number of resources.
+  /// On K_n: `ts` must outlive the engine; `n` is the number of resources.
   UserControlledEngine(const tasks::TaskSet& ts, Node n,
+                       UserProtocolConfig config);
+  /// On `g` (one resource per node, movers walk config.walk); `g` and `ts`
+  /// must outlive the engine.
+  UserControlledEngine(const graph::Graph& g, const tasks::TaskSet& ts,
                        UserProtocolConfig config);
 
   /// Reset to a placement (plain stacking, no acceptance bookkeeping).
@@ -112,7 +149,10 @@ class UserControlledEngine {
   const tasks::TaskSet* tasks_;
   UserProtocolConfig config_;  // its threshold moves into state_
   SystemState state_;
+  std::optional<randomwalk::TransitionModel> walk_;  // graph engines only
   std::unique_ptr<util::ThreadPool> pool_;  // round workers (threads != 1)
+  std::vector<Node> user_mode_;         // scratch: β > 0's coin resources
+  std::vector<Node> resource_mode_;     // scratch: β > 0's evicted ones
   std::vector<TaskId> movers_;          // scratch
   std::vector<Node> mover_origin_;      // scratch: origin, then destination
   std::vector<std::size_t> coin_prefix_;  // scratch: flat coin index bounds

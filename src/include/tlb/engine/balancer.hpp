@@ -140,9 +140,9 @@ class ViewOf final : public BalancerView {
                            { b_->state() }
                            -> std::convertible_to<const core::SystemState&>;
                          }) {
-      // SystemState-backed engines (exact user, mixed, resource) need no
-      // hook of their own: the state serves the snapshot against its
-      // largest threshold, the engine's reported one.
+      // SystemState-backed engines (the exact user engine on K_n or a
+      // graph, resource) need no hook of their own: the state serves the
+      // snapshot against its largest threshold, the engine's reported one.
       out = b_->state().load_stats(calc);
       return true;
     } else {

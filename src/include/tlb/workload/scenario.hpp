@@ -14,8 +14,8 @@
 // Protocols: user (Algorithm 6.1, complete graph; grouped engine when the
 // weight classes allow, exact otherwise), resource (Algorithm 5.1, any
 // graph), graphuser (Algorithm 6.1 with one P-step per migration, any
-// graph; the mixed engine at beta = 0), mixed(beta) (resource with
-// probability beta, else user). Churn
+// graph; the exact engine's graph constructor), mixed(beta) (the same
+// engine at blend beta: resource with probability beta, else user). Churn
 // arrivals (poisson/burst) currently require user:complete — they run the
 // grouped dynamic engine with the weight model reduced to a class table.
 //
@@ -61,8 +61,8 @@ class ArrivalProcess;
 enum class ProtocolKind {
   kUser,       ///< Algorithm 6.1 on the complete graph
   kResource,   ///< Algorithm 5.1 on an arbitrary graph
-  kGraphUser,  ///< user-controlled, one P-step per migration (mixed, β = 0)
-  kMixed,      ///< blend: resource w.p. beta, user otherwise
+  kGraphUser,  ///< user-controlled, one P-step per migration (exact, β = 0)
+  kMixed,      ///< blend: resource w.p. beta, user otherwise (exact engine)
   kSeqThresh,  ///< [5] sequential threshold allocation (retry until fits)
   kParThresh,  ///< [4] parallel threshold rounds (propose/accept/retry)
   kTwoChoice,  ///< [9] greedy d-choice sequential allocation
@@ -79,6 +79,11 @@ const char* protocol_name(ProtocolKind kind);
 /// True iff `kind` is one of the comparison baselines (they run on the
 /// complete bin model and reject churn arrivals).
 bool is_baseline(ProtocolKind kind);
+
+/// True iff `kind` walks its topology (resource, graphuser, mixed), so a
+/// run needs the graph built. The user protocol's complete graph is built
+/// into its engines, and the baselines run on the complete bin model.
+bool walks_graph(ProtocolKind kind);
 
 /// Parsed scenario spec. weights/arrivals are stored canonicalised (the
 /// sub-model parsers round-trip them), so canonical() is stable.
@@ -118,8 +123,9 @@ struct ScenarioParams {
   /// debug runs. The round cap, window and audits reach the engines as one
   /// engine::DriveOptions.
   bool paranoid = false;
-  /// Engine-level phase-1 sampling threads for the user-protocol family
-  /// (exact / grouped / dynamic): 1 = inline, 0 = hardware concurrency.
+  /// Engine-level round threads for the user-protocol family (exact, which
+  /// also runs graphuser and mixed; grouped; dynamic): 1 = inline,
+  /// 0 = hardware concurrency.
   /// Orthogonal to the trial-level `threads` argument of Scenario::run, and
   /// — like it — never changes results (per-(round, shard) seeding).
   std::size_t engine_threads = 1;
@@ -138,8 +144,9 @@ struct ScenarioParams {
   engine::RoundObserver* round_observer = nullptr;
   /// Determinism-sanitizer step probe, attached to trial 0's engine only —
   /// the probe is stateful and trials run concurrently. Honoured by the
-  /// user-protocol family (exact / grouped / dynamic); other protocols
-  /// ignore it (their fingerprints are state-only).
+  /// user-protocol family (exact, which also runs graphuser and mixed;
+  /// grouped; dynamic); the resource engine and the baselines ignore it
+  /// (their fingerprints are state-only).
   dsan::StepProbe* dsan = nullptr;
 };
 

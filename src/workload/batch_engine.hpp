@@ -11,7 +11,6 @@
 #include <stdexcept>
 
 #include "tlb/core/metrics.hpp"
-#include "tlb/core/mixed_protocol.hpp"
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/baseline_balancers.hpp"
@@ -33,8 +32,8 @@ struct BatchEngineInputs {
   randomwalk::WalkKind walk = randomwalk::WalkKind::kLazy;
   double threshold = 0.0;  ///< T (the selfish baseline's stop threshold)
   double alpha = 1.0;      ///< user-side migration dampening
-  /// Engine threads, obs sinks and the dsan probe of the user and resource
-  /// engines.
+  /// Engine threads, obs sinks and the dsan probe of every non-baseline
+  /// engine.
   core::EngineOptions options;
 };
 
@@ -49,8 +48,9 @@ concept StartsFromPlacement = requires(E& e, const tasks::Placement& p) {
 ///   user                          grouped engine, or the exact one when
 ///                                 the grouped form rejects the task set
 ///                                 (try_grouped_user_engine);
-///   resource, graphuser, mixed    on *in.graph; graphuser is the mixed
-///                                 engine at β = 0;
+///   resource                      on *in.graph;
+///   graphuser, mixed              the exact engine on *in.graph, at blend
+///                                 β = 0 and the spec's β;
 ///   the six baselines             on the complete bin model, twochoice
 ///                                 and onebeta with the spec's d / beta.
 /// The caller resets the engine iff StartsFromPlacement, then drives it.
@@ -81,13 +81,14 @@ decltype(auto) with_batch_engine(const ScenarioSpec& spec,
     }
     case ProtocolKind::kGraphUser:
     case ProtocolKind::kMixed: {
-      core::MixedProtocolConfig cfg;
+      core::UserProtocolConfig cfg;
       cfg.threshold = T;
-      cfg.resource_probability =
-          spec.protocol == ProtocolKind::kMixed ? spec.mixed_beta : 0.0;
       cfg.alpha = in.alpha;
       cfg.walk = in.walk;
-      core::MixedProtocolEngine engine(*in.graph, ts, cfg);
+      cfg.resource_probability =
+          spec.protocol == ProtocolKind::kMixed ? spec.mixed_beta : 0.0;
+      cfg.options = in.options;
+      core::UserControlledEngine engine(*in.graph, ts, cfg);
       return fn(engine);
     }
     case ProtocolKind::kSeqThresh: {

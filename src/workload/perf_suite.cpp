@@ -137,16 +137,14 @@ void run_batch_preset(const ScenarioSpec& spec, const PerfPreset& preset,
   sim::GraphSpec gspec;
   gspec.family = spec.family;
   gspec.n = preset.n;
-  // The user protocol's complete-graph semantics are built into the engine
-  // and the baselines run on the complete bin model; materialising K_n at
-  // n = 10^6 would need ~4TB of edges. Only the graph-walking protocols
-  // get a real topology.
+  // Only the graph-walking protocols get a real topology: materialising
+  // K_n at n = 10^6 would need ~4TB of edges.
   graph::Graph g;
   BatchEngineInputs in;
   in.n = preset.n;
   in.graph = &g;
   in.walk = gspec.recommended_walk();
-  if (spec.protocol != ProtocolKind::kUser && !is_baseline(spec.protocol)) {
+  if (walks_graph(spec.protocol)) {
     util::Rng graph_rng(util::derive_seed(opt.seed, kPerfGraphStream));
     g = gspec.build(graph_rng);
     in.n = g.num_nodes();

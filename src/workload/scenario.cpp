@@ -87,6 +87,11 @@ bool is_baseline(ProtocolKind kind) {
   return false;
 }
 
+bool walks_graph(ProtocolKind kind) {
+  return kind == ProtocolKind::kResource || kind == ProtocolKind::kGraphUser ||
+         kind == ProtocolKind::kMixed;
+}
+
 ScenarioSpec ScenarioSpec::parse(const std::string& text) {
   const std::vector<std::string> fields = split_fields(text);
   if (fields.size() < 2 || fields.size() > 4) {
@@ -316,9 +321,9 @@ ScenarioResult Scenario::run(std::size_t trials, std::uint64_t seed,
   }
 
   // Batch mode: build the topology once from its own randomness stream,
-  // then run trials that each draw a task set from the weight model. The
-  // baselines run on the complete bin model and never walk the graph, so
-  // K_n is not materialised for them (it is O(n^2) edges).
+  // then run trials that each draw a task set from the weight model. Only
+  // the protocols that walk the graph get it: K_n is O(n^2) edges, and
+  // nothing else reads it.
   sim::GraphSpec gspec;
   gspec.family = spec_.family;
   gspec.n = params_.n;
@@ -326,7 +331,7 @@ ScenarioResult Scenario::run(std::size_t trials, std::uint64_t seed,
   util::Rng graph_rng(util::derive_seed(seed, kGraphStream));
   graph::Graph g;
   graph::Node n = params_.n;
-  if (!is_baseline(spec_.protocol)) {
+  if (walks_graph(spec_.protocol)) {
     g = gspec.build(graph_rng);
     n = g.num_nodes();
   }

@@ -10,6 +10,10 @@
 //   * old == new at the engine level: two-sample KS of tlb_sim churn runs
 //     against the same runs recorded with the per-slot sweep
 //     (tests/law_fixtures/churn_poisson_n64.tsv);
+//   * the same engine-level check for the graph user round, whose coins
+//     moved to the exact engine's shard streams: graphuser and mixed runs
+//     against runs recorded with the serial-coin graph engine
+//     (tests/law_fixtures/{zipf_expander,octave_mixed}_n128.tsv);
 //   * the draw count: exactly completions + 1 draws per pass for
 //     0 < mu < 1, none for mu in {0, 1}.
 // Every statistical check runs at level kAlpha = 1e-3 on seeds fixed before
@@ -25,6 +29,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tlb/util/binomial.hpp"
@@ -223,48 +228,51 @@ TEST(CompletionLawTest, MatchesThePerSlotSweep) {
   }
 }
 
-/// One engine-level run: (migrations, final max load) as tlb_sim --json
-/// reports them for a one-trial churn-poisson run.
-struct ChurnRun {
-  double migrations = 0.0;
-  double max_load = 0.0;
-};
-
-std::vector<ChurnRun> read_fixture() {
-  std::ifstream in(std::string(TLB_SOURCE_DIR) +
-                   "/tests/law_fixtures/churn_poisson_n64.tsv");
-  EXPECT_TRUE(in.good()) << "cannot read the churn fixture";
-  std::vector<ChurnRun> runs;
+/// A recorded law fixture (tests/law_fixtures/<name>): one row per seed
+/// 1, 2, ..., each the seed and `columns` numbers, returned column by
+/// column.
+std::vector<std::vector<double>> read_fixture(const std::string& name,
+                                              std::size_t columns) {
+  std::ifstream in(std::string(TLB_SOURCE_DIR) + "/tests/law_fixtures/" +
+                   name);
+  EXPECT_TRUE(in.good()) << "cannot read " << name;
+  std::vector<std::vector<double>> out(columns);
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream row(line);
     std::uint64_t seed = 0;
-    ChurnRun run;
-    row >> seed >> run.migrations >> run.max_load;
+    row >> seed;
+    EXPECT_EQ(seed, out[0].size() + 1) << "rows are seeds 1, 2, ...";
+    for (std::vector<double>& column : out) {
+      double x = 0.0;
+      row >> x;
+      column.push_back(x);
+    }
     EXPECT_FALSE(row.fail()) << line;
-    EXPECT_EQ(seed, runs.size() + 1) << "rows are seeds 1, 2, ...";
-    runs.push_back(run);
   }
-  return runs;
+  return out;
 }
 
 TEST(CompletionLawTest, EngineMatchesTheRecordedPerSlotRuns) {
-  const std::vector<ChurnRun> recorded = read_fixture();
-  ASSERT_EQ(recorded.size(), 200u);
+  // Columns: migrations, final max load, as tlb_sim --json reports them
+  // for a one-trial churn-poisson run.
+  const std::vector<std::vector<double>> recorded =
+      read_fixture("churn_poisson_n64.tsv", 2);
+  const std::vector<double>& old_migrations = recorded[0];
+  const std::vector<double>& old_max = recorded[1];
+  ASSERT_EQ(old_migrations.size(), 200u);
   tlb::workload::ScenarioParams params;  // tlb_sim's defaults
   params.n = 64;
   params.warmup = 200;
   params.measure = 400;
   const tlb::workload::Scenario scenario(
       tlb::workload::resolve_scenario("churn-poisson"), params);
-  std::vector<double> old_migrations, new_migrations, old_max, new_max;
-  for (std::uint64_t seed = 1; seed <= recorded.size(); ++seed) {
+  std::vector<double> new_migrations, new_max;
+  for (std::uint64_t seed = 1; seed <= old_migrations.size(); ++seed) {
     const auto result = scenario.run(/*trials=*/1, seed, /*threads=*/1);
     new_migrations.push_back(result.stats.migrations.mean());
     new_max.push_back(result.stats.final_max_load.mean());
-    old_migrations.push_back(recorded[seed - 1].migrations);
-    old_max.push_back(recorded[seed - 1].max_load);
   }
   // The stream changed, so the runs themselves must differ...
   EXPECT_NE(old_migrations, new_migrations);
@@ -273,6 +281,44 @@ TEST(CompletionLawTest, EngineMatchesTheRecordedPerSlotRuns) {
   EXPECT_GT(mig.p_value, kAlpha) << "migrations D=" << mig.d;
   const auto max = tlb::util::ks_two_sample(old_max, new_max);
   EXPECT_GT(max.p_value, kAlpha) << "final max load D=" << max.d;
+}
+
+TEST(UserRoundLawTest, GraphEnginesMatchTheRecordedSerialCoinRuns) {
+  // graphuser and mixed(0.5) moved from the serial-coin graph engine
+  // (coins on the caller's stream) to the exact engine's graph
+  // constructor (coins on its shard streams). Each fixture holds 200
+  // one-trial runs recorded before the move, columns rounds, migrations
+  // and final max load; KS per column at kAlpha, Bonferroni-corrected
+  // over the 2 x 3 columns.
+  constexpr double kColumnAlpha = kAlpha / 6;
+  const char* const kColumns[] = {"rounds", "migrations", "final max load"};
+  const std::pair<const char*, const char*> kFixtures[] = {
+      {"zipf-expander", "zipf_expander_n128.tsv"},
+      {"octave-mixed", "octave_mixed_n128.tsv"}};
+  for (const auto& [scenario_name, fixture] : kFixtures) {
+    const std::vector<std::vector<double>> recorded = read_fixture(fixture, 3);
+    ASSERT_EQ(recorded[0].size(), 200u) << fixture;
+    tlb::workload::ScenarioParams params;  // tlb_sim's defaults
+    params.n = 128;
+    const tlb::workload::Scenario scenario(
+        tlb::workload::resolve_scenario(scenario_name), params);
+    std::vector<std::vector<double>> now(3);
+    for (std::uint64_t seed = 1; seed <= recorded[0].size(); ++seed) {
+      const auto result = scenario.run(/*trials=*/1, seed, /*threads=*/1);
+      now[0].push_back(result.stats.rounds.mean());
+      now[1].push_back(result.stats.migrations.mean());
+      now[2].push_back(result.stats.final_max_load.mean());
+    }
+    // The stream changed, so the runs themselves must differ...
+    EXPECT_NE(recorded, now) << scenario_name;
+    // ...but not their law.
+    for (std::size_t c = 0; c < 3; ++c) {
+      const auto ks = tlb::util::ks_two_sample(recorded[c], now[c]);
+      EXPECT_GT(ks.p_value, kColumnAlpha)
+          << scenario_name << " " << kColumns[c] << " D=" << ks.d
+          << " p=" << ks.p_value;
+    }
+  }
 }
 
 TEST(CompletionDrawTest, DrawsOncePerCompletionPlusOne) {

@@ -1,8 +1,7 @@
 // Tests for the graph user-protocol extension (user-controlled migration on
-// arbitrary graphs, the Hoefer–Sauerwald setting): the mixed engine at
-// blend β = 0, which is what the "graphuser" scenario protocol runs.
-#include "tlb/core/mixed_protocol.hpp"
-
+// arbitrary graphs, the Hoefer–Sauerwald setting): the exact engine's graph
+// constructor at blend β = 0, which is what the "graphuser" scenario
+// protocol runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -26,11 +25,11 @@ using tlb::tasks::TaskSet;
 using tlb::util::Rng;
 using tlb::engine::reset_and_run;
 
-/// The graph-user protocol: no resource-controlled rounds.
-MixedProtocolConfig make_config(double threshold, double alpha = 1.0) {
-  MixedProtocolConfig cfg;
+/// The graph-user protocol: no resource-controlled rounds (β = 0, the
+/// default).
+UserProtocolConfig make_config(double threshold, double alpha = 1.0) {
+  UserProtocolConfig cfg;
   cfg.threshold = threshold;
-  cfg.resource_probability = 0.0;
   cfg.alpha = alpha;
   return cfg;
 }
@@ -42,9 +41,9 @@ TEST(GraphUserTest, TerminatesOnTorus) {
   const TaskSet ts = tlb::tasks::uniform_unit(8 * 36);
   const double T =
       threshold_value(ThresholdKind::kAboveAverage, ts, g.num_nodes(), 0.3);
-  MixedProtocolConfig cfg = make_config(T);
+  UserProtocolConfig cfg = make_config(T);
   cfg.walk = tlb::randomwalk::WalkKind::kLazy;
-  MixedProtocolEngine engine(g, ts, cfg);
+  UserControlledEngine engine(g, ts, cfg);
   Rng rng(1);
   const RunResult r = reset_and_run(engine, all_on_one(ts), rng, kDrive);
   EXPECT_TRUE(r.balanced);
@@ -57,7 +56,7 @@ TEST(GraphUserTest, WeightConservation) {
   const TaskSet ts = tlb::tasks::two_point(200, 6, 8.0);
   const double T =
       threshold_value(ThresholdKind::kAboveAverage, ts, g.num_nodes(), 0.3);
-  MixedProtocolEngine engine(g, ts, make_config(T));
+  UserControlledEngine engine(g, ts, make_config(T));
   Rng rng(3);
   const RunResult r =
       reset_and_run(engine, all_on_one(ts), rng,
@@ -78,7 +77,7 @@ TEST(GraphUserTest, CompleteGraphMatchesUniformEngineStatistically) {
 
   const auto via_graph = tlb::sim::run_trials(
       kTrials, 0x6a1, [&](Rng& rng) {
-        MixedProtocolEngine engine(g, ts, make_config(T));
+        UserControlledEngine engine(g, ts, make_config(T));
         return reset_and_run(engine, all_on_one(ts), rng, kDrive);
       });
   const auto via_uniform = tlb::sim::run_trials(
@@ -103,10 +102,10 @@ TEST(GraphUserTest, BetterConnectivityBalancesFaster) {
   const double T = threshold_value(ThresholdKind::kAboveAverage, ts, n, 0.3);
   auto mean_rounds = [&](const Graph& g, tlb::randomwalk::WalkKind walk,
                          std::uint64_t seed) {
-    MixedProtocolConfig cfg = make_config(T);
+    UserProtocolConfig cfg = make_config(T);
     cfg.walk = walk;
     return tlb::sim::run_trials(25, seed, [&](Rng& rng) {
-             MixedProtocolEngine engine(g, ts, cfg);
+             UserControlledEngine engine(g, ts, cfg);
              return reset_and_run(engine, all_on_one(ts), rng, kDrive);
            })
         .rounds.mean();
@@ -123,10 +122,10 @@ TEST(GraphUserTest, NonUniformThresholdsRespected) {
   // First row gets double the capacity of everyone else.
   std::vector<double> thresholds(16, 7.0);
   for (int i = 0; i < 4; ++i) thresholds[i] = 14.0;
-  MixedProtocolConfig cfg = make_config(1.0);
+  UserProtocolConfig cfg = make_config(1.0);
   cfg.threshold = thresholds;
   cfg.walk = tlb::randomwalk::WalkKind::kLazy;
-  MixedProtocolEngine engine(g, ts, cfg);
+  UserControlledEngine engine(g, ts, cfg);
   Rng rng(4);
   const RunResult r = reset_and_run(engine, all_on_one(ts), rng, kDrive);
   ASSERT_TRUE(r.balanced);
@@ -138,26 +137,26 @@ TEST(GraphUserTest, NonUniformThresholdsRespected) {
 TEST(GraphUserTest, RejectsBadConfig) {
   const Graph g = tlb::graph::complete(4);
   const TaskSet ts = tlb::tasks::uniform_unit(8);
-  EXPECT_THROW(MixedProtocolEngine(g, ts, make_config(0.0)),
+  EXPECT_THROW(UserControlledEngine(g, ts, make_config(0.0)),
                std::invalid_argument);
-  EXPECT_THROW(MixedProtocolEngine(g, ts, make_config(5.0, 0.0)),
+  EXPECT_THROW(UserControlledEngine(g, ts, make_config(5.0, 0.0)),
                std::invalid_argument);
-  MixedProtocolConfig bad = make_config(1.0);
+  UserProtocolConfig bad = make_config(1.0);
   bad.threshold = std::vector<double>{1.0, 1.0};
-  EXPECT_THROW(MixedProtocolEngine(g, ts, bad), std::invalid_argument);
+  EXPECT_THROW(UserControlledEngine(g, ts, bad), std::invalid_argument);
   // Non-finite threshold, per-resource thresholds and alpha.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   for (const double x : {nan, inf, -inf}) {
-    EXPECT_THROW(MixedProtocolEngine(g, ts, make_config(x)),
+    EXPECT_THROW(UserControlledEngine(g, ts, make_config(x)),
                  std::invalid_argument)
         << x;
-    EXPECT_THROW(MixedProtocolEngine(g, ts, make_config(5.0, x)),
+    EXPECT_THROW(UserControlledEngine(g, ts, make_config(5.0, x)),
                  std::invalid_argument)
         << x;
-    MixedProtocolConfig per = make_config(5.0);
+    UserProtocolConfig per = make_config(5.0);
     per.threshold = std::vector<double>{5.0, 5.0, x, 5.0};
-    EXPECT_THROW(MixedProtocolEngine(g, ts, per), std::invalid_argument) << x;
+    EXPECT_THROW(UserControlledEngine(g, ts, per), std::invalid_argument) << x;
   }
 }
 
@@ -165,9 +164,9 @@ TEST(GraphUserTest, DeterministicGivenSeed) {
   const Graph g = tlb::graph::grid2d(4, 4);
   const TaskSet ts = tlb::tasks::uniform_unit(64);
   const double T = threshold_value(ThresholdKind::kAboveAverage, ts, 16, 0.3);
-  MixedProtocolConfig cfg = make_config(T);
+  UserProtocolConfig cfg = make_config(T);
   cfg.walk = tlb::randomwalk::WalkKind::kLazy;
-  MixedProtocolEngine a(g, ts, cfg), b(g, ts, cfg);
+  UserControlledEngine a(g, ts, cfg), b(g, ts, cfg);
   Rng ra(5), rb(5);
   const RunResult r1 = reset_and_run(a, all_on_one(ts), ra, kDrive);
   const RunResult r2 = reset_and_run(b, all_on_one(ts), rb, kDrive);

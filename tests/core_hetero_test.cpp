@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "tlb/core/mixed_protocol.hpp"
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/thresholds.hpp"
 #include "tlb/core/user_protocol.hpp"
@@ -172,19 +171,19 @@ void with_engine(EngineKind kind, const Graph& g, const TaskSet& ts,
       return;
     }
     case EngineKind::kGraphUser: {
-      MixedProtocolConfig cfg;
+      UserProtocolConfig cfg;
       cfg.threshold = thresholds;
-      cfg.resource_probability = 0.0;
       cfg.walk = lazy;
-      MixedProtocolEngine engine(g, ts, cfg);
+      UserControlledEngine engine(g, ts, cfg);
       fn(engine);
       return;
     }
     case EngineKind::kMixed: {
-      MixedProtocolConfig cfg;
+      UserProtocolConfig cfg;
       cfg.threshold = thresholds;
+      cfg.resource_probability = 0.5;
       cfg.walk = lazy;
-      MixedProtocolEngine engine(g, ts, cfg);
+      UserControlledEngine engine(g, ts, cfg);
       fn(engine);
       return;
     }

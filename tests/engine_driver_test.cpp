@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "tlb/core/dynamic.hpp"
-#include "tlb/core/mixed_protocol.hpp"
 #include "tlb/core/resource_protocol.hpp"
 #include "tlb/core/user_protocol.hpp"
 #include "tlb/engine/baseline_balancers.hpp"
@@ -186,11 +185,11 @@ TEST(EngineDriverTest, GraphUserProtocolMatchesLegacyLoop) {
       1.25 * ts.total_weight() / g.num_nodes() + ts.max_weight();
   differential(
       "graphuser",
-      [&](std::size_t) {
-        core::MixedProtocolConfig cfg;
+      [&](std::size_t threads) {
+        core::UserProtocolConfig cfg;
         cfg.threshold = T;
-        cfg.resource_probability = 0.0;
-        return core::MixedProtocolEngine(g, ts, cfg);
+        cfg.options.threads = threads;
+        return core::UserControlledEngine(g, ts, cfg);
       },
       kTraced, tasks::all_on_one(ts), 903);
 }
@@ -202,11 +201,12 @@ TEST(EngineDriverTest, MixedEngineMatchesLegacyLoop) {
       1.25 * ts.total_weight() / g.num_nodes() + ts.max_weight();
   differential(
       "mixed",
-      [&](std::size_t) {
-        core::MixedProtocolConfig cfg;
+      [&](std::size_t threads) {
+        core::UserProtocolConfig cfg;
         cfg.threshold = T;
         cfg.resource_probability = 0.5;
-        return core::MixedProtocolEngine(g, ts, cfg);
+        cfg.options.threads = threads;
+        return core::UserControlledEngine(g, ts, cfg);
       },
       kTraced, tasks::all_on_one(ts), 904);
 }

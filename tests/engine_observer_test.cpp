@@ -182,6 +182,28 @@ TEST(EngineMetricsTest, MetricSurfaceKeepsNamesClassesAndOrder) {
     EXPECT_EQ(got.spans, spans) << "exact, threads=" << threads;
   }
   {
+    // The same engine on a graph, with a blend: graphuser and mixed report
+    // exactly the K_n surface.
+    Registry reg;
+    obs::TraceWriter trace;
+    const graph::Graph g = graph::hypercube(6);
+    core::UserProtocolConfig cfg;
+    cfg.threshold = threshold(coins);
+    cfg.walk = randomwalk::WalkKind::kLazy;
+    cfg.resource_probability = 0.5;
+    cfg.options = {.threads = 2, .registry = &reg, .trace = &trace};
+    core::UserControlledEngine engine(g, coins, cfg);
+    step_three(engine, coins);
+    const Surface got = surface_of(reg, trace);
+    std::vector<std::string> want = exact;
+    want.insert(want.end(), pool.begin(), pool.end());
+    EXPECT_EQ(got.metrics, want) << "exact on a graph";
+    EXPECT_EQ(got.spans,
+              (std::set<std::string>{"exact.sample", "exact.merge",
+                                     "exact.apply", "pool.task"}))
+        << "exact on a graph";
+  }
+  {
     Registry reg;
     obs::TraceWriter trace;
     core::UserProtocolConfig cfg;
